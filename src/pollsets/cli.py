@@ -115,7 +115,11 @@ def cmd_forecast(args) -> int:
     else:
         vector, _, report = fc.homogeneity_forecast(survey)
         if not report.converged:
-            print("warning: model fit did not converge", file=sys.stderr)
+            print(
+                f"warning: model fit did not converge: stopped on {report.stop_reason}"
+                f" after {report.iterations} iterations",
+                file=sys.stderr,
+            )
     if args.seats:
         included = survey.registry.full_set() if args.seats == "all" else survey.registry.set_of(
             _parse_list(args.seats)

@@ -202,6 +202,15 @@ class SurveyDiagnostics:
     option_counts: dict[str, int]
 
 
+def _csv_rows(text: str):
+    """CSV records of ``text``; a malformed document raises SurveyFormatError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SurveyFormatError(f"malformed CSV: {exc}", line=reader.line_num) from None
+
+
 def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     """Parse a survey CSV document.
 
@@ -210,11 +219,13 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     naming a code outside the registry are dropped and counted (the
     analysis is restricted to the registered options, and truncating a
     consideration set would change its meaning).  Structural problems
-    (bad weight, non-binary covariate, empty parties cell) raise
-    SurveyFormatError with the offending line number.
+    (malformed CSV, bad weight, non-binary covariate, empty parties
+    cell, a code repeated within one cell) raise SurveyFormatError with
+    the offending line number.  A leading UTF-8 byte order mark, as
+    spreadsheet exports write it, is skipped.
     """
     schema = tuple(schema)
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text.removeprefix("\ufeff"))
     try:
         header = next(reader)
     except StopIteration:
@@ -239,6 +250,8 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
         codes = [c.strip() for c in row[1].split(";") if c.strip()]
         if not codes:
             raise SurveyFormatError("empty parties cell", line=lineno)
+        if len(set(codes)) != len(codes):
+            raise SurveyFormatError(f"party code repeated in {row[1]!r}", line=lineno)
         if any(code not in registry for code in codes):
             dropped += 1
             continue

@@ -15,6 +15,16 @@ subspaces, and the composite iteration never leaves them.
 
 A mandatory ridge floor on non-intercept coefficients guards against
 perfect separation; binary covariates alone do not rule it out.
+
+Fits run on grouped counts, not on respondent rows.  Covariates are
+binary, so a design has at most 2^(P-1) distinct rows, often far fewer
+than respondents.  The weighted category counts per distinct row are
+sufficient statistics for the likelihood (Agresti, *Categorical Data
+Analysis*), so an iteration costs O(G K P) for G distinct rows instead
+of O(n K P).  ``lambda_max`` stays a per-row sum: it sets the top of
+the lambda grid, whose values reach the output exactly, and a grouped
+sum rounds differently in the last bit.  Fold assignment and held-out
+scoring in cross-validation stay per respondent too.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +137,22 @@ class DesignData:
     def n(self) -> int:
         return self.x.shape[0]
 
+    @cached_property
+    def grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct design rows ``xu``, their G x K weighted category counts, and each row's total."""
+        # Rows as opaque byte strings: np.unique sorts these far faster than
+        # it sorts rows with axis=0.
+        rows = np.ascontiguousarray(self.x).view(np.dtype((np.void, self.x.itemsize * self.x.shape[1])))
+        _, first, group = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+        xu = self.x[first]
+        k = self.n_categories
+        counts = np.bincount(group * k + self.y, weights=self.w, minlength=len(xu) * k)
+        counts = counts.reshape(len(xu), k)
+        totals = counts.sum(axis=1)
+        for arr in (xu, counts, totals):
+            arr.flags.writeable = False
+        return xu, counts, totals
+
     @property
     def n_predictors(self) -> int:
         return self.x.shape[1]
@@ -163,10 +190,22 @@ class MnlModel:
 
 @dataclass(frozen=True)
 class FitReport:
+    """How a fit ended.
+
+    ``stop_reason`` is ``converged`` (objective change within tolerance),
+    ``stationary`` (a step without momentum could not lower the
+    objective), ``max_iterations`` or ``line_search_failed``;
+    ``converged`` is true for the first two.  ``backtracks`` counts step
+    halvings, ``restarts`` momentum restarts.
+    """
+
     nll: float
     objective: float
     iterations: int
     converged: bool
+    stop_reason: str
+    backtracks: int
+    restarts: int
     group_norms: tuple[float, ...]
     objective_history: tuple[float, ...] = ()
 
@@ -185,22 +224,26 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _smooth_parts(coef: np.ndarray, d: DesignData, ridge: float):
-    """Weighted NLL + ridge on non-intercept columns, and its raw gradient."""
-    scores = d.x @ coef.T
-    logp = _log_softmax(scores)
-    rows = np.arange(d.n)
-    nll = -float(np.dot(d.w, logp[rows, d.y]))
-    probs = np.exp(logp)
-    resid = probs
-    resid[rows, d.y] -= 1.0
-    grad = (resid * d.w[:, None]).T @ d.x
+def _smooth_value(coef: np.ndarray, d: DesignData, ridge: float) -> tuple[float, np.ndarray]:
+    """Weighted NLL + ridge on non-intercept columns, and the log-probabilities per distinct row."""
+    xu, counts, _ = d.grouped
+    logp = _log_softmax(xu @ coef.T)
+    nll = -float(np.vdot(counts, logp))
     if ridge:
         body = coef[:, 1:]
         nll += 0.5 * ridge * float(np.sum(body * body))
-        grad[:, 1:] += ridge * body
     if not math.isfinite(nll):
         raise ValueError("non-finite objective; coefficients diverged")
+    return nll, logp
+
+
+def _smooth_parts(coef: np.ndarray, d: DesignData, ridge: float):
+    """Weighted NLL + ridge on non-intercept columns, and its raw gradient."""
+    nll, logp = _smooth_value(coef, d, ridge)
+    xu, counts, totals = d.grouped
+    grad = (np.exp(logp) * totals[:, None] - counts).T @ xu
+    if ridge:
+        grad[:, 1:] += ridge * coef[:, 1:]
     return nll, grad
 
 
@@ -263,49 +306,53 @@ def fit(
 
     Deterministic given identical inputs and options.  A line search
     that cannot make progress within ``max_backtracks`` step halvings
-    ends the fit with ``converged=False`` instead of raising.
+    ends the fit with ``converged=False`` instead of raising.  A step
+    without momentum that raises the objective ends it as stationary:
+    from the incumbent, an accepted proximal step can only lose to
+    rounding.
     """
     if len(np.unique(d.y)) < 2:
         raise ValueError("need at least 2 observed categories")
     ridge = penalty.ridge_coefficient
     lam = penalty.group_lambda
 
-    def objective_parts(coef):
-        nll, _ = _smooth_parts(coef, d, ridge)
-        return nll, nll + _group_penalty(coef, lam)
-
     x_curr = project_constraint(start, constraint) if start is not None else initial_coefficients(d, constraint)
     y_mat = x_curr
-    nll_curr, obj_curr = objective_parts(x_curr)
+    nll_curr, _ = _smooth_value(x_curr, d, ridge)
+    obj_curr = nll_curr + _group_penalty(x_curr, lam)
     history = [obj_curr]
     lipschitz = 1.0 / options.initial_step
     t_curr = 1.0
-    converged = False
-    iterations = 0
+    stop_reason = "max_iterations"
+    iterations = backtracks = restarts = 0
 
     for iterations in range(1, options.max_iterations + 1):
         f_y, grad_y = _smooth_parts(y_mat, d, ridge)
         grad_y = project_constraint(grad_y, constraint)
 
-        step_ok = False
         for _ in range(options.max_backtracks):
             cand = _apply_prox(y_mat - grad_y / lipschitz, lam / lipschitz)
             cand = project_constraint(cand, constraint)
             diff = cand - y_mat
-            f_cand, _ = _smooth_parts(cand, d, ridge)
+            f_cand, _ = _smooth_value(cand, d, ridge)
             quad = f_y + float(np.sum(grad_y * diff)) + 0.5 * lipschitz * float(np.sum(diff * diff))
             if f_cand <= quad + 1e-12 * max(1.0, abs(f_y)):
-                step_ok = True
                 break
             lipschitz *= options.backtrack_factor
-        if not step_ok:
+            backtracks += 1
+        else:
+            stop_reason = "line_search_failed"
             break
 
-        nll_cand, obj_cand = objective_parts(cand)
+        obj_cand = f_cand + _group_penalty(cand, lam)
         if obj_cand > obj_curr:
+            if t_curr == 1.0:
+                stop_reason = "stationary"
+                break
             # Momentum overshot: keep the incumbent and restart acceleration.
             y_mat = x_curr
             t_curr = 1.0
+            restarts += 1
             continue
 
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr * t_curr))
@@ -313,11 +360,11 @@ def fit(
         y_mat = project_constraint(y_mat, constraint)
         change = obj_curr - obj_cand
         x_curr = cand
-        nll_curr, obj_curr = nll_cand, obj_cand
+        nll_curr, obj_curr = f_cand, obj_cand
         t_curr = t_next
         history.append(obj_curr)
         if change <= options.tolerance * max(1.0, abs(obj_cand)):
-            converged = True
+            stop_reason = "converged"
             break
 
     model = MnlModel(project_constraint(x_curr, constraint), constraint, penalty)
@@ -325,7 +372,10 @@ def fit(
         nll=nll_curr,
         objective=obj_curr,
         iterations=max(iterations, 1),
-        converged=converged,
+        converged=stop_reason in ("converged", "stationary"),
+        stop_reason=stop_reason,
+        backtracks=backtracks,
+        restarts=restarts,
         group_norms=group_norms(x_curr),
         objective_history=tuple(history),
     )
@@ -348,8 +398,11 @@ def predict_proba(m: MnlModel, x) -> np.ndarray:
 def lambda_max(d: DesignData, constraint: Constraint) -> float:
     """Smallest group-lasso lambda that keeps every non-intercept group at zero."""
     coef = initial_coefficients(d, constraint)
-    _, grad = _smooth_parts(coef, d, RIDGE_FLOOR)
-    grad = project_constraint(grad, constraint)
+    # Per respondent row, not grouped: see the module docstring.  The
+    # ridge term vanishes here, since every non-intercept column is zero.
+    resid = np.exp(_log_softmax(d.x @ coef.T))
+    resid[np.arange(d.n), d.y] -= 1.0
+    grad = project_constraint((resid * d.w[:, None]).T @ d.x, constraint)
     norms = [float(np.linalg.norm(grad[:, j])) for j in range(1, d.n_predictors)]
     return max(norms) if norms else 0.0
 

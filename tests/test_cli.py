@@ -53,6 +53,30 @@ class TestDescribe:
         assert "empty.csv" in err
 
 
+class TestMalformedInput:
+    def test_oversized_field_exit_2_with_line(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("weight,parties\n1.0,A\n1.0,\"" + "A" * 140_000 + "\"\n")
+        code, _, err = run(capsys, "describe", "--input", path, "--registry", REG)
+        assert code == 2
+        assert "line 3" in err
+
+    def test_repeated_code_exit_2_with_line(self, capsys, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text("weight,parties\n1.0,A\n1.0,A;A\n1.0,B\n")
+        code, _, err = run(capsys, "describe", "--input", path, "--registry", REG)
+        assert code == 2
+        assert "line 3" in err and "repeated" in err
+
+    def test_leading_byte_order_mark_accepted(self, capsys, fixture_csv, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + FIXTURE, encoding="utf-8")
+        code, out, _ = run(capsys, "bounds", "--input", path, "--registry", REG)
+        _, plain, _ = run(capsys, "bounds", "--input", fixture_csv, "--registry", REG)
+        assert code == 0
+        assert out == plain
+
+
 class TestForecast:
     def test_conventional_fixture(self, capsys, fixture_csv):
         code, out, _ = run(
@@ -82,6 +106,32 @@ class TestForecast:
             capsys, "forecast", "--input", path, "--registry", REG, "--method", "homogeneity"
         )
         assert json.loads(out1)["shares"] == json.loads(out2)["shares"]
+
+    def test_unconverged_fit_warning_names_stop_reason(self, capsys, wave3_path, monkeypatch):
+        from pollsets import cli, mnl
+
+        homogeneity = cli.fc.homogeneity_forecast
+        monkeypatch.setattr(
+            cli.fc, "homogeneity_forecast", lambda s: homogeneity(s, mnl.FitOptions(max_iterations=2))
+        )
+        code, _, err = run(
+            capsys, "forecast", "--input", wave3_path, "--schema", "female,age_65plus,east,high_income,urban",
+            "--method", "homogeneity",
+        )
+        assert code == 0
+        assert "did not converge: stopped on max_iterations after 2 iterations" in err
+
+    @pytest.mark.parametrize("text", [FIXTURE, "weight,parties\n0.3,A\n0.7,B\n1.1,C\n1.0,A;B\n"])
+    def test_fit_at_its_start_optimum_gives_no_warning(self, capsys, tmp_path, text):
+        # Without covariates the start point is the fit's optimum; rounding
+        # alone decides whether the first step raises the objective.
+        path = tmp_path / "intercept_only.csv"
+        path.write_text(text)
+        code, _, err = run(
+            capsys, "forecast", "--input", path, "--registry", REG, "--method", "homogeneity",
+        )
+        assert code == 0
+        assert "warning" not in err
 
     def test_seats_subset(self, capsys, fixture_csv):
         code, out, _ = run(

@@ -68,6 +68,61 @@ class TestNllAndGradient:
             mnl.nll_and_gradient(model, d)
 
 
+def per_row_smooth_parts(coef, d, ridge):
+    """Reference objective summed over respondent rows, not grouped counts."""
+    nll = 0.0
+    grad = np.zeros_like(coef)
+    for x, y, w in zip(d.x, d.y, d.w):
+        scores = coef @ x
+        log_norm = scores.max() + math.log(np.exp(scores - scores.max()).sum())
+        nll -= w * (scores[y] - log_norm)
+        resid = np.exp(scores - log_norm)
+        resid[y] -= 1.0
+        grad += w * np.outer(resid, x)
+    body = coef[:, 1:]
+    nll += 0.5 * ridge * float(np.sum(body * body))
+    grad[:, 1:] += ridge * body
+    return nll, grad
+
+
+class TestGroupedObjective:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_row_reference(self, seed):
+        # 300 rows over at most 8 covariate patterns: almost every row repeats.
+        d = random_design(seed, n=300, k=4, p=4)
+        assert len(d.grouped[0]) <= 8
+        constraint = mnl.Constraint.symmetric()
+        rng = np.random.default_rng(seed + 200)
+        coef = mnl.project_constraint(rng.normal(size=(4, 4)), constraint)
+        model = mnl.MnlModel(coef, constraint, mnl.PenaltySpec.ridge(0.3))
+        nll, grad = mnl.nll_and_gradient(model, d)
+        ref_nll, ref_grad = per_row_smooth_parts(coef, d, model.penalty.ridge_coefficient)
+        ref_grad = mnl.project_constraint(ref_grad, constraint)
+        assert abs(nll - ref_nll) <= 1e-12 * abs(ref_nll)
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+    def test_grouped_table_sums_weights(self):
+        d = random_design(5, n=50, k=3, p=3)
+        xu, counts, totals = d.grouped
+        assert len(np.unique(xu, axis=0)) == len(xu)
+        assert counts.shape == (len(xu), 3)
+        assert abs(totals.sum() - d.w.sum()) < 1e-12 * d.w.sum()
+        for g, row in enumerate(xu):
+            here = np.all(d.x == row, axis=1)
+            for k in range(3):
+                assert abs(counts[g, k] - d.w[here & (d.y == k)].sum()) < 1e-12
+        column_major = mnl.DesignData(np.asfortranarray(d.x), d.y, d.w, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(column_major.grouped, d.grouped))
+
+    def test_doubled_rows_at_half_weight_fit_the_same(self):
+        d = random_design(31, n=120, k=3, p=4)
+        doubled = mnl.DesignData(np.repeat(d.x, 2, axis=0), np.repeat(d.y, 2), np.repeat(d.w / 2, 2), 3)
+        penalty, constraint = mnl.PenaltySpec.group_lasso(0.4), mnl.Constraint.symmetric()
+        model, _ = mnl.fit(d, penalty, constraint)
+        again, _ = mnl.fit(doubled, penalty, constraint)
+        assert np.max(np.abs(model.coefficients - again.coefficients)) < 1e-10
+
+
 class TestProx:
     def test_inside_threshold_zeroes(self):
         v = np.array([0.3, 0.4])
@@ -139,6 +194,38 @@ class TestFit:
         hist = report.objective_history
         assert all(a >= b for a, b in zip(hist, hist[1:]))
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_start_at_optimum_stops_in_one_iteration(self, seed):
+        # Above lambda_max the intercept-only start is the optimum; only
+        # rounding can move the objective, in either direction.
+        d = random_design(seed, n=60, k=3, p=4)
+        lam = mnl.lambda_max(d, mnl.Constraint.symmetric())
+        _, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(1.01 * lam), mnl.Constraint.symmetric())
+        assert report.converged
+        assert report.iterations == 1
+        assert report.stop_reason in ("converged", "stationary")
+
+    def test_stop_reasons(self):
+        d = random_design(9, n=80, k=4, p=3)
+        penalty, constraint = mnl.PenaltySpec.none(), mnl.Constraint.symmetric()
+        _, report = mnl.fit(d, penalty, constraint)
+        assert (report.stop_reason, report.converged) == ("converged", True)
+        assert report.backtracks > 0 and report.restarts > 0
+
+        _, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(max_iterations=2))
+        assert (report.stop_reason, report.converged, report.iterations) == ("max_iterations", False, 2)
+
+        _, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(initial_step=1e6, max_backtracks=1))
+        assert (report.stop_reason, report.converged, report.backtracks) == ("line_search_failed", False, 1)
+
+        stationary = []
+        for seed in range(12):
+            d = random_design(seed, n=60, k=3, p=4)
+            lam = mnl.lambda_max(d, constraint)
+            _, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(1.01 * lam), constraint)
+            stationary.append(report.stop_reason == "stationary")
+        assert any(stationary)
+
     def test_single_category_errors(self):
         with pytest.raises(ValueError):
             mnl.fit(
@@ -184,6 +271,23 @@ class TestPredictProba:
         probs = mnl.predict_proba(model, np.array([1.0, 1.0]))
         assert abs(probs.sum() - 1.0) < 1e-12
         assert np.all(probs > 0)
+
+
+def test_fixture_lambda_grid_bits(wave3_path):
+    from pollsets import PartyRegistry, ontic, parse_survey
+
+    registry = PartyRegistry(("SPD", "CDU_CSU", "GRUENE", "FDP", "AFD", "LINKE"))
+    schema = ("female", "age_65plus", "east", "high_income", "urban")
+    survey = parse_survey(wave3_path.read_text(), registry, schema)
+    cats, _ = ontic.build_ontic_categories(survey, 5)
+    grid = mnl.default_lambda_grid(ontic.ontic_design(survey, cats), mnl.Constraint.symmetric(), points=5)
+    assert grid == (
+        141.93871847272732,
+        25.240670054736235,
+        4.488496385392346,
+        0.7981800704177338,
+        0.14193871847272732,
+    )
 
 
 class TestCrossValidate:
