@@ -14,7 +14,8 @@ is repaired to stay feasible for any set size (see
 a closed form because the constraint never couples different sets.
 
 All weight sums use math.fsum, so results are exactly rounded and
-independent of respondent order.
+independent of respondent order.  Each bound is computed per distinct
+consideration set from the survey's cell table (see ``pollsets.data``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .data import PartyRegistry, PartySet, Survey
 
@@ -134,27 +136,31 @@ def event_bounds(s: Survey, event: PartySet, c: AllocationConstraint | None = No
     Without a constraint these are the belief/plausibility sums: sets
     fully inside the event versus sets intersecting it.  With a
     constraint each respondent contributes its closed-form extremal
-    in-event mass instead.
+    in-event mass instead.  Both loop over distinct sets and sum the
+    matching respondents' weights (or the same per-weight products)
+    with fsum, so the result equals a per-respondent sum bit for bit.
     """
     if not s.respondents:
         raise ValueError("event_bounds of an empty survey")
     if not event.fits(s.registry):
         raise ValueError("event references options outside the registry")
     w_total = s.total_weight
-    if c is None:
-        lo_terms = [r.weight for r in s.respondents if r.set.issubset(event)]
-        hi_terms = [r.weight for r in s.respondents if r.set.intersects(event)]
-    else:
-        lo_terms = []
-        hi_terms = []
-        for r in s.respondents:
-            lo_c, hi_c = _contribution_limits(r.set.size, r.set.intersection_size(event), c)
-            if lo_c:
-                lo_terms.append(r.weight * lo_c)
-            if hi_c:
-                hi_terms.append(r.weight * hi_c)
-    lower = min(math.fsum(lo_terms) / w_total, 1.0)
-    upper = min(math.fsum(hi_terms) / w_total, 1.0)
+    cells = s.cells
+    lo_terms: list = []
+    hi_terms: list = []
+    for ps, weights in zip(cells.sets, cells.set_weights):
+        if c is None:
+            lo_c = 1.0 if ps.issubset(event) else 0.0
+            hi_c = 1.0 if ps.intersects(event) else 0.0
+        else:
+            lo_c, hi_c = _contribution_limits(ps.size, ps.intersection_size(event), c)
+        for terms, factor in ((lo_terms, lo_c), (hi_terms, hi_c)):
+            if factor == 1.0:
+                terms.append(weights)
+            elif factor:
+                terms.append([w * factor for w in weights])
+    lower = min(math.fsum(chain.from_iterable(lo_terms)) / w_total, 1.0)
+    upper = min(math.fsum(chain.from_iterable(hi_terms)) / w_total, 1.0)
     return Interval(lower, upper)
 
 

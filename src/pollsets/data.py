@@ -6,9 +6,26 @@ as bitmasks over a fixed party registry, so a whole consideration set
 fits in one machine word and subset/intersection tests are single AND
 operations.
 
+Every estimator reads a survey through its cell table (``Survey.cells``,
+a ``CellTable``): the distinct (consideration set, covariate pattern)
+cells, each respondent's cell and weight as columns in respondent
+order, and each distinct set's raw weights.  Covariates are binary and
+sets are bitmasks, so a survey has at most 2^p x (2^K - 1) cells and
+usually far fewer than respondents; a bound or a forecast costs one
+step per distinct set or cell plus one exactly rounded sum, not one
+Python step per respondent.  ``parse_survey`` reads rows straight into
+the table, validating each distinct parties cell and covariate tuple
+once and sharing the resulting objects across the rows that repeat
+them.
+
+Weighted totals use exactly rounded summation (math.fsum).  fsum
+returns the correctly rounded sum of its inputs whatever their order,
+so summing the concatenated weight lists of the matching sets gives the
+same bits as summing the matching respondents one by one: the table
+keeps each set's raw weights for that reason, not a rounded total.
+
 All types are immutable after construction and safe to share across
-threads.  Weighted totals use exactly rounded summation (math.fsum) so
-aggregate statistics do not depend on respondent order.
+threads.
 """
 
 from __future__ import annotations
@@ -17,7 +34,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from itertools import chain
+
+import numpy as np
 
 MAX_REGISTRY = 32
 
@@ -42,8 +62,13 @@ class PartyRegistry:
         object.__setattr__(self, "options", tuple(self.options))
         if not 2 <= len(self.options) <= MAX_REGISTRY:
             raise ValueError(f"registry must hold 2..{MAX_REGISTRY} options, got {len(self.options)}")
-        if any(not code for code in self.options):
-            raise ValueError("registry codes must be nonempty")
+        for code in self.options:
+            if not code:
+                raise ValueError("registry codes must be nonempty")
+            if "," in code or ";" in code:
+                raise ValueError(f"registry code {code!r} contains ',' or ';', which separate codes")
+            if code != code.strip():
+                raise ValueError(f"registry code {code!r} has leading or trailing whitespace")
         if len(set(self.options)) != len(self.options):
             raise ValueError("registry codes must be unique")
         object.__setattr__(self, "_index", {code: i for i, code in enumerate(self.options)})
@@ -154,36 +179,149 @@ class Respondent:
         return self.set.is_singleton
 
 
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """A survey's distinct (consideration set, covariate pattern) cells.
+
+    ``sets`` and ``covariates`` hold each distinct set and covariate
+    object once, in order of first appearance (``None`` stands for
+    respondents without covariates).  Cell g pairs
+    ``sets[cell_set[g]]`` with ``covariates[cell_covariates[g]]``.
+    Respondent i falls in cell ``index[i]`` and weighs ``weights[i]``,
+    so a cell's weights in respondent order are
+    ``weights[index == g]``.  ``set_weights[j]`` lists the raw weights
+    of the respondents holding ``sets[j]``, for exactly rounded sums.
+    """
+
+    sets: tuple[PartySet, ...]
+    covariates: tuple[Covariates | None, ...]
+    cell_set: np.ndarray
+    cell_covariates: np.ndarray
+    index: np.ndarray
+    weights: np.ndarray
+    set_weights: tuple[list[float], ...]
+
+    def __post_init__(self):
+        for name, dtype in (("cell_set", np.intp), ("cell_covariates", np.intp), ("index", np.intp), ("weights", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        for name in ("sets", "covariates", "set_weights"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @classmethod
+    def of(cls, respondents) -> CellTable:
+        """Group respondents into cells in one pass.
+
+        Set and covariate objects are looked up by identity, so rows
+        sharing them (as simulated rows do) cost one dictionary probe
+        each; the first row holding a new object is matched by value.
+        """
+        by_mask: dict[int, tuple[PartySet, int, list[float], dict[int, int]]] = {}
+        by_value: dict[tuple | None, tuple[Covariates | None, int]] = {}
+        groups: dict[int, tuple[PartySet, int, list[float], dict[int, int]]] = {}
+        patterns: dict[int, int] = {}
+        cell_set: list[int] = []
+        cell_covariates: list[int] = []
+        index: list[int] = []
+        weights: list[float] = []
+        for r in respondents:
+            ps, cov = r.set, r.covariates
+            try:
+                _, si, set_weights, cells_of_set = groups[id(ps)]
+            except KeyError:
+                group = by_mask.setdefault(ps.mask, (ps, len(by_mask), [], {}))
+                _, si, set_weights, cells_of_set = groups[id(ps)] = group
+            try:
+                ci = patterns[id(cov)]
+            except KeyError:
+                value = None if cov is None else (cov.values, cov.names)
+                ci = patterns[id(cov)] = by_value.setdefault(value, (cov, len(by_value)))[1]
+            g = cells_of_set.get(ci)
+            if g is None:
+                g = cells_of_set[ci] = len(cell_set)
+                cell_set.append(si)
+                cell_covariates.append(ci)
+            set_weights.append(r.weight)
+            index.append(g)
+            weights.append(r.weight)
+        return cls(
+            [ps for ps, _, _, _ in by_mask.values()],
+            [cov for cov, _ in by_value.values()],
+            cell_set,
+            cell_covariates,
+            index,
+            weights,
+            [ws for _, _, ws, _ in by_mask.values()],
+        )
+
+    def design_rows(self, category_of_set, n_covariates: int, missing: str):
+        """Design arrays of the respondents whose set has a category, in respondent order.
+
+        ``category_of_set[j]`` is the category of ``sets[j]``, or -1 to
+        leave its respondents out.  Returns ``x`` (an intercept column,
+        then the covariate values), ``y`` (the category) and ``w`` (the
+        weight).  A kept respondent without covariates under a nonempty
+        schema raises ValueError with the message ``missing``.
+        """
+        cell_category = np.asarray(category_of_set, dtype=np.intp)[self.cell_set]
+        if n_covariates and any(
+            self.covariates[ci] is None for ci in self.cell_covariates[cell_category >= 0].tolist()
+        ):
+            raise ValueError(missing)
+        keep = np.flatnonzero(cell_category[self.index] >= 0)
+        cells = self.index[keep]
+        x = self.pattern_rows(n_covariates)[self.cell_covariates[cells]]
+        return x, cell_category[cells], self.weights[keep]
+
+    def pattern_rows(self, n_covariates: int) -> np.ndarray:
+        """One design row per ``covariates`` entry: 1.0, then its values (zeros where it is None)."""
+        rows = [(1, *cov.values) if cov is not None else (1,) + (0,) * n_covariates for cov in self.covariates]
+        return np.array(rows, dtype=float).reshape(len(rows), 1 + n_covariates)
+
+
 @dataclass(frozen=True)
 class Survey:
-    """One poll wave: a registry, a covariate schema, and weighted respondents."""
+    """One poll wave: a registry, a covariate schema, and weighted respondents.
+
+    ``cells`` is the survey's cell table, which every estimator reads
+    instead of the respondents.  It is ``cell_table`` when the caller
+    built it while reading the respondents (parse_survey does), and is
+    built from ``respondents`` otherwise.
+    """
 
     registry: PartyRegistry
     schema: tuple[str, ...]
     respondents: tuple[Respondent, ...]
     wave: str = ""
     dropped_rows: int = 0
+    cell_table: InitVar[CellTable | None] = None
     total_weight: float = field(init=False, compare=False)
+    cells: CellTable = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, cell_table):
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "respondents", tuple(self.respondents))
-        for r in self.respondents:
-            if not r.set.fits(self.registry):
-                raise ValueError("respondent set references options outside the registry")
-            if r.covariates is not None and r.covariates.names != self.schema:
-                raise ValueError("respondent covariates do not match the survey schema")
-        total = math.fsum(r.weight for r in self.respondents)
+        cells = CellTable.of(self.respondents) if cell_table is None else cell_table
+        if len(cells.index) != len(self.respondents):
+            raise ValueError("cell table does not match the respondents")
+        if not all(ps.fits(self.registry) for ps in cells.sets):
+            raise ValueError("respondent set references options outside the registry")
+        if any(cov is not None and cov.names != self.schema for cov in cells.covariates):
+            raise ValueError("respondent covariates do not match the survey schema")
+        total = math.fsum(chain.from_iterable(cells.set_weights))
         if self.respondents and total <= 0:
             raise ValueError("total weight must be positive")
         object.__setattr__(self, "total_weight", total)
+        object.__setattr__(self, "cells", cells)
 
     def __len__(self) -> int:
         return len(self.respondents)
 
     @property
     def n_undecided(self) -> int:
-        return sum(1 for r in self.respondents if not r.decided)
+        cells = self.cells
+        return sum(len(ws) for ps, ws in zip(cells.sets, cells.set_weights) if not ps.is_singleton)
 
     @property
     def n_decided(self) -> int:
@@ -203,12 +341,42 @@ class SurveyDiagnostics:
 
 
 def _csv_rows(text: str):
-    """CSV records of ``text``; a malformed document raises SurveyFormatError."""
-    reader = csv.reader(io.StringIO(text))
+    """CSV records of ``text``; a malformed document raises SurveyFormatError.
+
+    Strict mode rejects a quote left open at the end of the document
+    instead of reading the rest of the file into one field.  The error
+    names the line the malformed record starts on, which for an open
+    quote is where the quote opened, not the end of the file.
+    """
+    reader = csv.reader(io.StringIO(text), strict=True)
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield row
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise SurveyFormatError(f"malformed CSV: {exc}", line=reader.line_num) from None
+        raise SurveyFormatError(f"malformed CSV: {exc}", line=start) from None
+
+
+def _parse_parties(cell: str, registry: PartyRegistry, lineno: int) -> PartySet | None:
+    """The set a parties cell names, or None if it names a code outside the registry."""
+    codes = [c.strip() for c in cell.split(";") if c.strip()]
+    if not codes:
+        raise SurveyFormatError("empty parties cell", line=lineno)
+    if len(set(codes)) != len(codes):
+        raise SurveyFormatError(f"party code repeated in {cell!r}", line=lineno)
+    if any(code not in registry for code in codes):
+        return None
+    return registry.set_of(codes)
+
+
+def _parse_covariates(cells: tuple[str, ...], schema: tuple[str, ...], lineno: int) -> Covariates | None:
+    if not schema:
+        return None
+    for label, cell in zip(schema, cells):
+        if cell not in ("0", "1"):
+            raise SurveyFormatError(f"covariate {label!r} must be 0 or 1, got {cell!r}", line=lineno)
+    return Covariates(tuple(int(cell) for cell in cells), schema)
 
 
 def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
@@ -219,10 +387,18 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     naming a code outside the registry are dropped and counted (the
     analysis is restricted to the registered options, and truncating a
     consideration set would change its meaning).  Structural problems
-    (malformed CSV, bad weight, non-binary covariate, empty parties
-    cell, a code repeated within one cell) raise SurveyFormatError with
-    the offending line number.  A leading UTF-8 byte order mark, as
-    spreadsheet exports write it, is skipped.
+    (malformed CSV such as an unterminated quote, bad weight,
+    non-binary covariate, empty parties cell, a code repeated within one
+    cell) raise SurveyFormatError with the offending line number.  A
+    leading UTF-8 byte order mark, as spreadsheet exports write it, is
+    skipped.
+
+    Rows go straight into the survey's cell table.  Each distinct
+    parties cell and each distinct tuple of covariate cells is validated
+    once, at its first row, and the resulting PartySet and Covariates
+    objects are shared by every row repeating it.  There is one memo per
+    field, not one per whole row: sets and covariate patterns repeat far
+    more often than whole rows do.
     """
     schema = tuple(schema)
     reader = _csv_rows(text.removeprefix("\ufeff"))
@@ -234,49 +410,83 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     if header != expected:
         raise SurveyFormatError(f"header {header!r} does not match expected {expected!r}", line=1)
 
+    width = len(expected)
+    # Parties cell -> (set, its index, its weights, its cells by covariate
+    # index), or None to drop the row; by_mask merges spellings of one set.
+    parties: dict[str, tuple[PartySet, int, list[float], dict[int, int]] | None] = {}
+    by_mask: dict[int, tuple[PartySet, int, list[float], dict[int, int]]] = {}
+    # Covariate cells -> (covariates, their index).
+    patterns: dict[tuple[str, ...], tuple[Covariates | None, int]] = {}
+    cell_set: list[int] = []
+    cell_covariates: list[int] = []
+    index: list[int] = []
+    weights: list[float] = []
     respondents: list[Respondent] = []
     dropped = 0
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != len(expected):
-            raise SurveyFormatError(f"expected {len(expected)} columns, got {len(row)}", line=lineno)
+        if len(row) != width:
+            raise SurveyFormatError(f"expected {width} columns, got {len(row)}", line=lineno)
         try:
             weight = float(row[0])
         except ValueError:
             raise SurveyFormatError(f"weight {row[0]!r} is not a number", line=lineno) from None
         if not (math.isfinite(weight) and weight > 0):
             raise SurveyFormatError(f"weight must be positive and finite, got {row[0]}", line=lineno)
-        codes = [c.strip() for c in row[1].split(";") if c.strip()]
-        if not codes:
-            raise SurveyFormatError("empty parties cell", line=lineno)
-        if len(set(codes)) != len(codes):
-            raise SurveyFormatError(f"party code repeated in {row[1]!r}", line=lineno)
-        if any(code not in registry for code in codes):
+        try:
+            group = parties[row[1]]
+        except KeyError:
+            ps = _parse_parties(row[1], registry, lineno)
+            group = parties[row[1]] = None if ps is None else by_mask.setdefault(ps.mask, (ps, len(by_mask), [], {}))
+        if group is None:
             dropped += 1
             continue
-        values = []
-        for label, cell in zip(schema, row[2:]):
-            if cell not in ("0", "1"):
-                raise SurveyFormatError(f"covariate {label!r} must be 0 or 1, got {cell!r}", line=lineno)
-            values.append(int(cell))
-        cov = Covariates(tuple(values), schema) if schema else None
-        respondents.append(Respondent(weight, registry.set_of(codes), cov))
-    return Survey(registry, schema, tuple(respondents), dropped_rows=dropped)
+        ps, si, set_weights, cells_of_set = group
+        key = tuple(row[2:])
+        try:
+            cov, ci = patterns[key]
+        except KeyError:
+            cov, ci = patterns[key] = (_parse_covariates(key, schema, lineno), len(patterns))
+        g = cells_of_set.get(ci)
+        if g is None:
+            g = cells_of_set[ci] = len(cell_set)
+            cell_set.append(si)
+            cell_covariates.append(ci)
+        set_weights.append(weight)
+        index.append(g)
+        weights.append(weight)
+        respondents.append(Respondent(weight, ps, cov))
+    cells = CellTable(
+        [ps for ps, _, _, _ in by_mask.values()],
+        [cov for cov, _ in patterns.values()],
+        cell_set,
+        cell_covariates,
+        index,
+        weights,
+        [ws for _, _, ws, _ in by_mask.values()],
+    )
+    return Survey(registry, schema, respondents, dropped_rows=dropped, cell_table=cells)
 
 
 def survey_to_csv(s: Survey) -> str:
     """Serialize back to the parse_survey CSV format."""
+    cells = s.cells
+    if s.schema and any(cov is None for cov in cells.covariates):
+        raise ValueError("cannot serialize a respondent without covariates under a nonempty schema")
+    parties = [";".join(s.registry.codes_of(ps)) for ps in cells.sets]
+    # "01"[v] reuses the interpreter's one-character strings; str(v) would
+    # allocate a new string per covariate value.
+    values = [["01"[v] for v in cov.values] if s.schema else [] for cov in cells.covariates]
+    cell_set = cells.cell_set.tolist()
+    cell_covariates = cells.cell_covariates.tolist()
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["weight", "parties", *s.schema])
-    for r in s.respondents:
-        cells = [repr(r.weight), ";".join(s.registry.codes_of(r.set))]
-        if s.schema:
-            if r.covariates is None:
-                raise ValueError("cannot serialize a respondent without covariates under a nonempty schema")
-            cells.extend(str(v) for v in r.covariates.values)
-        writer.writerow(cells)
+    writer.writerows(
+        [repr(r.weight), parties[cell_set[g]], *values[cell_covariates[g]]]
+        for r, g in zip(s.respondents, cells.index.tolist())
+    )
     return out.getvalue()
 
 
@@ -314,8 +524,10 @@ def undecided_share(s: Survey) -> tuple[float, float]:
     """Unweighted and weighted fraction of undecided respondents."""
     if not s.respondents:
         raise ValueError("undecided_share of an empty survey")
-    n_und = s.n_undecided
-    w_und = math.fsum(r.weight for r in s.respondents if not r.decided)
+    cells = s.cells
+    undecided = [ws for ps, ws in zip(cells.sets, cells.set_weights) if not ps.is_singleton]
+    n_und = sum(map(len, undecided))
+    w_und = math.fsum(chain.from_iterable(undecided))
     return n_und / len(s.respondents), w_und / s.total_weight
 
 
@@ -325,15 +537,11 @@ def group_counts(s: Survey, top: int | None = None) -> dict[PartySet, tuple[int,
     Ties in count are ordered by the registry-index lexicographic order
     of the set, so output is deterministic across runs.
     """
-    counts: dict[PartySet, int] = {}
-    weights: dict[PartySet, list[float]] = {}
-    for r in s.respondents:
-        counts[r.set] = counts.get(r.set, 0) + 1
-        weights.setdefault(r.set, []).append(r.weight)
-    ordered = sorted(counts, key=lambda ps: (-counts[ps], ps.sort_key()))
+    cells = s.cells
+    groups = sorted(zip(cells.sets, cells.set_weights), key=lambda g: (-len(g[1]), g[0].sort_key()))
     if top is not None:
-        ordered = ordered[:top]
-    return {ps: (counts[ps], math.fsum(weights[ps])) for ps in ordered}
+        groups = groups[:top]
+    return {ps: (len(ws), math.fsum(ws)) for ps, ws in groups}
 
 
 def validate(s: Survey) -> SurveyDiagnostics:
@@ -343,8 +551,9 @@ def validate(s: Survey) -> SurveyDiagnostics:
         unw, wgt = undecided_share(s)
     else:
         unw = wgt = 0.0
+    cells = s.cells
     option_counts = {
-        code: sum(1 for r in s.respondents if r.set.contains_index(i))
+        code: sum(len(ws) for ps, ws in zip(cells.sets, cells.set_weights) if ps.contains_index(i))
         for i, code in enumerate(s.registry.options)
     }
     return SurveyDiagnostics(

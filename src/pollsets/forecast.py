@@ -14,14 +14,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import mnl
 from .bounds import Interval, IntervalForecast
-from .data import PartySet, Respondent, Survey
+from .data import PartySet, Survey
 
 _ROW_SUM_TOL = 1e-9
+# Cells per batched prediction in transition_probabilities.
+_PREDICT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -47,92 +50,94 @@ class TransitionTable:
 
     ``rows[i]`` maps option code to probability for respondent i; options
     outside the respondent's set are omitted and implicitly zero.
-    ``fallback_rows`` lists respondents predicted without covariates.
+    Respondents in the same cell share one row object, and each distinct
+    row object is checked once.  ``fallback_rows`` lists respondents
+    predicted without covariates.
     """
 
     rows: tuple[dict[str, float], ...]
     fallback_rows: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for i, row in enumerate(self.rows):
+        # Distinct row objects in order of first use.
+        for row in dict(zip(map(id, self.rows), self.rows)).values():
             if abs(math.fsum(row.values()) - 1.0) > _ROW_SUM_TOL:
+                i = next(i for i, other in enumerate(self.rows) if other is row)
                 raise ValueError(f"transition row {i} does not sum to 1")
 
 
 def conventional_forecast(s: Survey) -> ProbabilityVector:
     """Weighted shares among decided respondents only."""
-    decided = [r for r in s.respondents if r.decided]
+    cells = s.cells
+    decided = {ps.mask: ws for ps, ws in zip(cells.sets, cells.set_weights) if ps.is_singleton}
     if not decided:
         raise ValueError("no decided respondents")
-    w_total = math.fsum(r.weight for r in decided)
-    shares = {}
-    for i, code in enumerate(s.registry.options):
-        shares[code] = math.fsum(r.weight for r in decided if r.set.contains_index(i)) / w_total
+    w_total = math.fsum(chain.from_iterable(decided.values()))
+    shares = {
+        code: math.fsum(decided.get(1 << i, ())) / w_total for i, code in enumerate(s.registry.options)
+    }
     return ProbabilityVector(shares)
 
 
-def _design_row(r: Respondent, n_predictors: int) -> np.ndarray:
-    x = np.zeros(n_predictors)
-    x[0] = 1.0
-    if r.covariates is not None:
-        x[1:] = r.covariates.values
-    return x
-
-
-def _restricted_row(probs: np.ndarray, member_indices, registry) -> dict[str, float]:
-    denom = float(np.sum(probs[list(member_indices)]))
-    if denom < 1e-12:
-        raise ValueError("restricted prediction mass vanished; model is degenerate")
-    return {registry.options[i]: float(probs[i]) / denom for i in member_indices}
+def _cell_rows(m: mnl.MnlModel, s: Survey) -> tuple[list[dict[str, float]], np.ndarray]:
+    """One transition row per cell, and which cells take the intercept-only fallback."""
+    cells = s.cells
+    options = s.registry.options
+    members = [ps.indices() for ps in cells.sets]
+    cell_set = cells.cell_set.tolist()
+    decided_rows = [{options[idx[0]]: 1.0} if len(idx) == 1 else None for idx in members]
+    rows: list = [decided_rows[si] for si in cell_set]
+    todo = np.array([g for g, row in enumerate(rows) if row is None], dtype=np.intp)
+    fallback = np.zeros(len(rows), dtype=bool)
+    if m.n_predictors > 1:
+        lacking = np.array([cov is None for cov in cells.covariates], dtype=bool)
+        fallback[todo] = lacking[cells.cell_covariates[todo]]
+    # A missing pattern's row is the intercept alone: the intercept-only prediction.
+    patterns = cells.pattern_rows(m.n_predictors - 1)
+    # Predict a block of cells at a time to keep the temporaries small.
+    for start in range(0, len(todo), _PREDICT_BLOCK):
+        block = todo[start:start + _PREDICT_BLOCK]
+        scores = patterns[cells.cell_covariates[block]] @ m.coefficients.T
+        scores -= scores.max(axis=1, keepdims=True)
+        probs = np.exp(scores)
+        probs /= probs.sum(axis=1, keepdims=True)
+        for g, p in zip(block.tolist(), probs.tolist()):
+            member = members[cell_set[g]]
+            denom = math.fsum(p[i] for i in member)
+            if denom < 1e-12:
+                raise ValueError("restricted prediction mass vanished; model is degenerate")
+            rows[g] = {options[i]: p[i] / denom for i in member}
+    return rows, fallback
 
 
 def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
     """Model predictions restricted to each respondent's set and renormalized.
 
-    Decided respondents get a degenerate row.  Respondents without
-    covariates fall back to the model's intercept-only prediction and
-    are listed in ``fallback_rows``.
+    Predicts once per distinct cell; respondents in the same cell share
+    its row.  Decided respondents get a degenerate row.  Respondents
+    without covariates fall back to the model's intercept-only
+    prediction and are listed in ``fallback_rows``.
     """
     if m.n_categories != len(s.registry):
         raise ValueError("model categories do not match the registry")
     if m.n_predictors != 1 + len(s.schema):
         raise ValueError("model predictors do not match the survey covariate schema")
-    rows = []
-    fallbacks = []
-    intercept_probs = None
-    for i, r in enumerate(s.respondents):
-        if r.decided:
-            rows.append({s.registry.options[r.set.indices()[0]]: 1.0})
-            continue
-        if r.covariates is None and m.n_predictors > 1:
-            if intercept_probs is None:
-                scores = m.coefficients[:, 0] - m.coefficients[:, 0].max()
-                intercept_probs = np.exp(scores)
-                intercept_probs /= intercept_probs.sum()
-            probs = intercept_probs
-            fallbacks.append(i)
-        else:
-            probs = mnl.predict_proba(m, _design_row(r, m.n_predictors))
-        rows.append(_restricted_row(probs, r.set.indices(), s.registry))
-    return TransitionTable(tuple(rows), tuple(fallbacks))
+    rows, fallback = _cell_rows(m, s)
+    index = s.cells.index
+    return TransitionTable(
+        tuple(map(rows.__getitem__, index.tolist())),
+        tuple(np.flatnonzero(fallback[index]).tolist()),
+    )
 
 
 def decided_design(s: Survey) -> mnl.DesignData:
     """Design data over decided respondents, categories in registry order."""
-    decided = [r for r in s.respondents if r.decided]
-    if not decided:
+    category = [ps.indices()[0] if ps.is_singleton else -1 for ps in s.cells.sets]
+    x, y, w = s.cells.design_rows(
+        category, len(s.schema), "decided respondent lacks covariates required by the schema"
+    )
+    if not len(y):
         raise ValueError("no decided respondents")
-    p = 1 + len(s.schema)
-    x = np.ones((len(decided), p))
-    y = np.empty(len(decided), dtype=int)
-    w = np.empty(len(decided))
-    for i, r in enumerate(decided):
-        if s.schema:
-            if r.covariates is None:
-                raise ValueError("decided respondent lacks covariates required by the schema")
-            x[i, 1:] = r.covariates.values
-        y[i] = r.set.indices()[0]
-        w[i] = r.weight
     return mnl.DesignData(x, y, w, len(s.registry))
 
 
@@ -146,7 +151,8 @@ def homogeneity_forecast(
 
     Fits the choice model on decided respondents, builds the transition
     table, and aggregates decided votes with undecided transition rows,
-    all weighted.
+    all weighted, one term per cell: the cell's total weight times its
+    row.
     """
     design = decided_design(s)
     if penalty is None:
@@ -155,14 +161,14 @@ def homogeneity_forecast(
         constraint = mnl.Constraint.symmetric()
     model, report = mnl.fit(design, penalty, constraint, options)
     table = transition_probabilities(model, s)
+    # Each cell's row, read at the cell's first respondent.
+    _, first = np.unique(s.cells.index, return_index=True)
+    rows = [table.rows[i] for i in first.tolist()]
+    cell_weights = np.bincount(s.cells.index, weights=s.cells.weights, minlength=len(rows)).tolist()
     w_total = s.total_weight
     shares = {}
     for code in s.registry.options:
-        terms = []
-        for r, row in zip(s.respondents, table.rows):
-            p = row.get(code, 0.0)
-            if p:
-                terms.append(r.weight * p)
+        terms = [w * row[code] for w, row in zip(cell_weights, rows) if code in row]
         shares[code] = math.fsum(terms) / w_total
     # Exact renormalization absorbs accumulated float error in the row products.
     total = math.fsum(shares.values())

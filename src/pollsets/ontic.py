@@ -29,12 +29,6 @@ class OnticCategories:
     def __len__(self) -> int:
         return len(self.categories)
 
-    def index_of(self, s: PartySet) -> int | None:
-        try:
-            return self.categories.index(s)
-        except ValueError:
-            return None
-
 
 @dataclass(frozen=True)
 class CoefficientTable:
@@ -72,37 +66,28 @@ def build_ontic_categories(s: Survey, k: int) -> tuple[OnticCategories, int]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    counts: dict[PartySet, int] = {}
-    for r in s.respondents:
-        if not r.decided:
-            counts[r.set] = counts.get(r.set, 0) + 1
+    cells = s.cells
+    counts = {ps: len(ws) for ps, ws in zip(cells.sets, cells.set_weights) if not ps.is_singleton}
     if k > len(counts):
         raise ValueError(f"k={k} exceeds the {len(counts)} distinct non-singleton sets observed")
     top = sorted(counts, key=lambda ps: (-counts[ps], ps.sort_key()))[:k]
     singles = tuple(s.registry.singleton(code) for code in s.registry.options)
     cats = OnticCategories(singles + tuple(top))
     kept = set(cats.categories)
-    dropped = sum(1 for r in s.respondents if r.set not in kept)
+    dropped = sum(len(ws) for ps, ws in zip(cells.sets, cells.set_weights) if ps not in kept)
     return cats, dropped
 
 
 def ontic_design(s: Survey, cats: OnticCategories) -> mnl.DesignData:
     """Design data mapping each retained respondent to its category index."""
     index = {ps: i for i, ps in enumerate(cats.categories)}
-    rows = [(index[r.set], r) for r in s.respondents if r.set in index]
-    if not rows:
+    x, y, w = s.cells.design_rows(
+        [index.get(ps, -1) for ps in s.cells.sets],
+        len(s.schema),
+        "ontic fitting requires covariates for every retained respondent",
+    )
+    if not len(y):
         raise ValueError("no respondents fall into the ontic categories")
-    p = 1 + len(s.schema)
-    x = np.ones((len(rows), p))
-    y = np.empty(len(rows), dtype=int)
-    w = np.empty(len(rows))
-    for i, (cat, r) in enumerate(rows):
-        if s.schema:
-            if r.covariates is None:
-                raise ValueError("ontic fitting requires covariates for every retained respondent")
-            x[i, 1:] = r.covariates.values
-        y[i] = cat
-        w[i] = r.weight
     return mnl.DesignData(x, y, w, len(cats))
 
 
@@ -126,9 +111,15 @@ def fit_ontic(
     seed: int = 0,
     options: mnl.FitOptions = mnl.FitOptions(),
     repeats: int = 1,
+    design: mnl.DesignData | None = None,
 ) -> tuple[mnl.MnlModel, CoefficientTable, float]:
-    """Cross-validated group-lasso fit over the ontic categories."""
-    design = ontic_design(s, cats)
+    """Cross-validated group-lasso fit over the ontic categories.
+
+    ``design`` is ``ontic_design(s, cats)`` when the caller already has
+    it; it is built here otherwise.
+    """
+    if design is None:
+        design = ontic_design(s, cats)
     constraint = mnl.Constraint.symmetric()
     if lambda_grid is None:
         lambda_grid = mnl.default_lambda_grid(design, constraint)
@@ -142,12 +133,18 @@ def regularization_path(
     cats: OnticCategories,
     lambda_grid,
     options: mnl.FitOptions = mnl.FitOptions(),
+    design: mnl.DesignData | None = None,
 ) -> list[tuple[float, dict[str, float]]]:
-    """Per-covariate group norms along a descending lambda grid, warm-started."""
+    """Per-covariate group norms along a descending lambda grid, warm-started.
+
+    ``design`` is ``ontic_design(s, cats)`` when the caller already has
+    it; it is built here otherwise.
+    """
     grid = [float(v) for v in lambda_grid]
     if any(b > a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be descending")
-    design = ontic_design(s, cats)
+    if design is None:
+        design = ontic_design(s, cats)
     constraint = mnl.Constraint.symmetric()
     path = []
     warm = None

@@ -101,13 +101,13 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     if n_cov:
         x[:, 1:] = rng.integers(0, 2, size=(config.n, n_cov))
     coef = np.array(config.coefficients)
-    scores = x @ coef.T
-    scores -= scores.max(axis=1, keepdims=True)
-    probs = np.exp(scores)
+    # In place: the n x K arrays dominate a large population's memory.
+    probs = x @ coef.T
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
 
-    cumulative = probs.cumsum(axis=1)
-    votes = (rng.random((config.n, 1)) > cumulative).sum(axis=1)
+    votes = (rng.random((config.n, 1)) > probs.cumsum(axis=1)).sum(axis=1)
     votes = np.minimum(votes, k - 1)
 
     lo, hi = config.weight_range
@@ -116,6 +116,10 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
 
     respondents = []
     latent = []
+    # One PartySet per mask and one Covariates per pattern, shared by the
+    # rows repeating it, as parse_survey shares them.
+    sets: dict[int, PartySet] = {}
+    patterns: dict[tuple[int, ...], Covariates] = {}
     for i in range(config.n):
         vote = int(votes[i])
         latent.append(vote)
@@ -133,14 +137,22 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
                 mask |= 1 << int(j)
         cov = None
         if n_cov:
-            cov = Covariates(tuple(int(v) for v in x[i, 1:]), config.covariate_names)
-        respondents.append(Respondent(float(weights[i]), PartySet(mask), cov))
+            values = tuple(int(v) for v in x[i, 1:])
+            cov = patterns.get(values)
+            if cov is None:
+                cov = patterns[values] = Covariates(values, config.covariate_names)
+        ps = sets.get(mask)
+        if ps is None:
+            ps = sets[mask] = PartySet(mask)
+        respondents.append(Respondent(float(weights[i]), ps, cov))
+    # Free the model arrays before the survey builds its cell table.
+    del x, probs
 
     survey = Survey(config.registry, config.covariate_names, tuple(respondents), wave=f"sim-seed-{config.seed}")
-    shares = {}
-    for idx, code in enumerate(config.registry.options):
-        selected = [respondents[i].weight for i in range(config.n) if latent[i] == idx]
-        shares[code] = min(math.fsum(selected) / survey.total_weight, 1.0)
+    shares = {
+        code: min(math.fsum(weights[votes == idx].tolist()) / survey.total_weight, 1.0)
+        for idx, code in enumerate(config.registry.options)
+    }
     return survey, GroundTruth(tuple(latent), shares)
 
 

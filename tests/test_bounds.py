@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pollsets import (
     AllocationConstraint,
     CoalitionSpec,
+    Covariates,
     Interval,
     Majority,
     PartyRegistry,
@@ -21,8 +22,15 @@ from pollsets import (
     dempster_bounds,
     effective_allocation_limits,
     event_bounds,
+    group_counts,
+    homogeneity_forecast,
     majority_classification,
+    mnl,
+    transition_probabilities,
+    validate,
 )
+from pollsets.bounds import _contribution_limits
+from pollsets.forecast import decided_design
 from conftest import random_event, random_survey
 
 
@@ -230,3 +238,119 @@ def test_interval_validation():
 def test_event_must_fit_registry(abc_survey):
     with pytest.raises(ValueError):
         event_bounds(abc_survey, PartySet(1 << 10))
+
+
+# Differential checks of the cell-table estimators against per-respondent sums.
+
+_SET_POOL = (0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
+
+
+_WIDE_WEIGHTS = st.floats(1e-6, 1e6) | st.sampled_from([0.1, 0.2, 0.3, 1e-12, 1e12])
+
+
+@st.composite
+def _weighted_surveys(draw, weight=_WIDE_WEIGHTS):
+    """Random weighted surveys with repeated cells, some sharing set objects and some not."""
+    reg = PartyRegistry(("A", "B", "C"))
+    schema = ("x1", "x2")
+    shared = {mask: PartySet(mask) for mask in _SET_POOL}
+    cells = draw(st.lists(st.tuples(st.sampled_from(_SET_POOL), st.integers(0, 3)), min_size=1, max_size=6))
+    respondents = []
+    for _ in range(draw(st.integers(1, 40))):
+        mask, pattern = draw(st.sampled_from(cells))
+        ps = shared[mask] if draw(st.booleans()) else PartySet(mask)
+        cov = Covariates((pattern & 1, pattern >> 1), schema)
+        respondents.append(Respondent(draw(weight), ps, cov))
+    return Survey(reg, schema, tuple(respondents))
+
+
+def _reference_event_bounds(s, event, c=None):
+    lo_terms, hi_terms = [], []
+    for r in s.respondents:
+        if c is None:
+            lo_c = 1.0 if r.set.issubset(event) else 0.0
+            hi_c = 1.0 if r.set.intersects(event) else 0.0
+        else:
+            lo_c, hi_c = _contribution_limits(r.set.size, r.set.intersection_size(event), c)
+        if lo_c:
+            lo_terms.append(r.weight * lo_c)
+        if hi_c:
+            hi_terms.append(r.weight * hi_c)
+    total = math.fsum(r.weight for r in s.respondents)
+    return min(math.fsum(lo_terms) / total, 1.0), min(math.fsum(hi_terms) / total, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_surveys(), st.sampled_from([(0.2, 0.8), (0.0, 1.0), (0.3, 0.4), (0.1, 0.5)]))
+def test_bounds_bit_identical_to_per_respondent_fsum(s, box):
+    c = AllocationConstraint(*box)
+    dempster = dempster_bounds(s)
+    constrained = constrained_bounds(s, c)
+    for i, code in enumerate(s.registry.options):
+        event = PartySet(1 << i)
+        assert (dempster[code].lower, dempster[code].upper) == _reference_event_bounds(s, event)
+        assert (constrained[code].lower, constrained[code].upper) == _reference_event_bounds(s, event, c)
+    for mask in _SET_POOL:
+        iv = event_bounds(s, PartySet(mask), c)
+        assert (iv.lower, iv.upper) == _reference_event_bounds(s, PartySet(mask), c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_surveys())
+def test_counts_and_conventional_bit_identical_to_per_respondent_fsum(s):
+    by_set = {}
+    for r in s.respondents:
+        by_set.setdefault(r.set.mask, []).append(r.weight)
+    ordered = sorted(by_set, key=lambda mask: (-len(by_set[mask]), PartySet(mask).sort_key()))
+    want_groups = [(mask, len(by_set[mask]), math.fsum(by_set[mask])) for mask in ordered]
+    assert [(ps.mask, n, w) for ps, (n, w) in group_counts(s).items()] == want_groups
+
+    report = validate(s)
+    undecided = [r for r in s.respondents if not r.decided]
+    assert report.n == len(s.respondents)
+    assert report.total_weight == math.fsum(r.weight for r in s.respondents)
+    assert report.undecided_unweighted == len(undecided) / len(s.respondents)
+    assert report.undecided_weighted == math.fsum(r.weight for r in undecided) / report.total_weight
+    assert report.option_counts == {
+        code: sum(1 for r in s.respondents if r.set.contains_index(i)) for i, code in enumerate(s.registry.options)
+    }
+    assert s.n_undecided == len(undecided)
+
+    decided = [r for r in s.respondents if r.decided]
+    if not decided:
+        with pytest.raises(ValueError):
+            conventional_forecast(s)
+        return
+    w_decided = math.fsum(r.weight for r in decided)
+    want = {
+        code: math.fsum(r.weight for r in decided if r.set.contains_index(i)) / w_decided
+        for i, code in enumerate(s.registry.options)
+    }
+    assert conventional_forecast(s).shares == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_weighted_surveys(weight=st.floats(0.2, 5.0)))
+def test_homogeneity_matches_per_respondent_transition_rows(s):
+    assume(len({r.set.mask for r in s.respondents if r.decided}) >= 2)
+    # A ridge keeps fits on these tiny, often separable designs short.
+    penalty = mnl.PenaltySpec.ridge(0.5)
+    model, _ = mnl.fit(decided_design(s), penalty, mnl.Constraint.symmetric())
+    table = transition_probabilities(model, s)
+    assert len(table.rows) == len(s.respondents)
+    for r, row in zip(s.respondents, table.rows):
+        members = r.set.indices()
+        probs = mnl.predict_proba(model, np.array([1.0, *r.covariates.values]))
+        denom = float(np.sum(probs[list(members)]))
+        want = {s.registry.options[i]: float(probs[i]) / denom for i in members}
+        assert list(row) == list(want)
+        assert all(abs(row[code] - want[code]) <= 1e-12 for code in want)
+
+    shares, table, _ = homogeneity_forecast(s, penalty=penalty)
+    per_respondent = {
+        code: math.fsum(r.weight * row.get(code, 0.0) for r, row in zip(s.respondents, table.rows)) / s.total_weight
+        for code in s.registry.options
+    }
+    total = math.fsum(per_respondent.values())
+    for code in s.registry.options:
+        assert abs(shares[code] - per_respondent[code] / total) <= 1e-12

@@ -68,6 +68,26 @@ class TestMalformedInput:
         assert code == 2
         assert "line 3" in err and "repeated" in err
 
+    def test_unterminated_quote_exit_2_with_line(self, capsys, tmp_path):
+        # An open quote must not swallow the rest of the file into one dropped
+        # row; the error names the line where the quote opened.
+        path = tmp_path / "open_quote.csv"
+        path.write_text('weight,parties\n1,A\n1,"B\n1,A\n1,C\n')
+        code, _, err = run(capsys, "describe", "--input", path, "--registry", REG)
+        assert code == 2
+        assert "line 3: malformed CSV" in err
+
+    @pytest.mark.parametrize("listing", [None, "A,B\nC\n"])
+    def test_registry_code_with_separator_exit_2(self, capsys, fixture_csv, tmp_path, listing):
+        registry = "A;B,C"
+        if listing is not None:
+            path = tmp_path / "registry.txt"
+            path.write_text(listing)
+            registry = f"@{path}"
+        code, _, err = run(capsys, "describe", "--input", fixture_csv, "--registry", registry)
+        assert code == 2
+        assert "registry code" in err
+
     def test_leading_byte_order_mark_accepted(self, capsys, fixture_csv, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_text("\ufeff" + FIXTURE, encoding="utf-8")

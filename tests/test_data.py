@@ -160,6 +160,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             PartyRegistry(("A", "A"))
 
+    @pytest.mark.parametrize(
+        "code,reason",
+        [("A,B", "separate"), ("A;B", "separate"), (" A", "whitespace"), ("A ", "whitespace"), ("A\t", "whitespace")],
+    )
+    def test_registry_rejects_unmatchable_codes(self, code, reason):
+        # A code holding a separator or edge whitespace can never match a parsed cell.
+        with pytest.raises(ValueError, match=reason):
+            PartyRegistry((code, "C"))
+
     def test_registry_size_limits(self):
         with pytest.raises(ValueError):
             PartyRegistry(("A",))
@@ -242,3 +251,103 @@ def test_json_field_names(abc_survey):
 
     doc = json.loads(survey_to_json(abc_survey))
     assert set(doc) == {"registry", "schema", "respondents", "wave"}
+
+
+# Differential check of the memoized parser against a plain per-row parser.
+
+DIFF_REGISTRY = PartyRegistry(("A", "B", "C"))
+DIFF_SCHEMA = ("x1", "x2")
+
+
+def _reference_parse(text):
+    """Per-row parse with no memo: (rows of (weight, mask, values), dropped) or (message, line)."""
+    import csv
+    import io
+
+    reader = csv.reader(io.StringIO(text), strict=True)
+    lines = iter(reader)
+    start = 1
+    try:
+        next(lines)
+        start = reader.line_num + 1
+        rows, dropped = [], 0
+        for lineno, row in enumerate(lines, start=2):
+            start = reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != 2 + len(DIFF_SCHEMA):
+                return ("error", f"expected {2 + len(DIFF_SCHEMA)} columns, got {len(row)}", lineno)
+            try:
+                weight = float(row[0])
+            except ValueError:
+                return ("error", f"weight {row[0]!r} is not a number", lineno)
+            if not (math.isfinite(weight) and weight > 0):
+                return ("error", f"weight must be positive and finite, got {row[0]}", lineno)
+            codes = [c.strip() for c in row[1].split(";") if c.strip()]
+            if not codes:
+                return ("error", "empty parties cell", lineno)
+            if len(set(codes)) != len(codes):
+                return ("error", f"party code repeated in {row[1]!r}", lineno)
+            if any(code not in DIFF_REGISTRY for code in codes):
+                dropped += 1
+                continue
+            for label, cell in zip(DIFF_SCHEMA, row[2:]):
+                if cell not in ("0", "1"):
+                    return ("error", f"covariate {label!r} must be 0 or 1, got {cell!r}", lineno)
+            mask = sum(1 << DIFF_REGISTRY.index(code) for code in codes)
+            rows.append((weight, mask, tuple(int(cell) for cell in row[2:])))
+    except csv.Error as exc:
+        return ("error", f"malformed CSV: {exc}", start)
+    return ("ok", rows, dropped)
+
+
+@st.composite
+def _survey_documents(draw):
+    weights = st.sampled_from(["1.0", "2.5", "0.25", "1e-3"]) | st.sampled_from(["0", "-1", "x", "inf", ""])
+    parties = st.sampled_from(["A", "B", "C", "A;B", "B;A", " A ; C ", "A;B;C"]) | st.sampled_from(
+        ["A;A", "Z", "A;Z", "", ";", "C;C;B", '"A']
+    )
+    cells = st.sampled_from(["0", "1"]) | st.sampled_from(["2", "", " 1", "01"])
+    repeat_pool = draw(st.lists(st.tuples(parties, cells, cells), min_size=1, max_size=4))
+    lines = ["weight,parties,x1,x2"]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(",".join([draw(weights), draw(parties)]))
+        elif kind <= 5:
+            party, c1, c2 = draw(st.sampled_from(repeat_pool))
+            lines.append(",".join([draw(weights), party, c1, c2]))
+        else:
+            lines.append(",".join([draw(weights), draw(parties), draw(cells), draw(cells)]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_survey_documents())
+def test_parse_matches_per_row_reference(text):
+    want = _reference_parse(text)
+    try:
+        s = parse_survey(text, DIFF_REGISTRY, DIFF_SCHEMA)
+    except SurveyFormatError as exc:
+        assert want[0] == "error"
+        assert exc.line == want[2]
+        assert str(exc) == f"line {want[2]}: {want[1]}"
+        return
+    assert want[0] == "ok"
+    got = [(r.weight, r.set.mask, r.covariates.values) for r in s.respondents]
+    assert got == want[1]
+    assert s.dropped_rows == want[2]
+    assert all(r.covariates.names == DIFF_SCHEMA for r in s.respondents)
+    # The cell table the parser fills must describe the same rows.
+    cells = s.cells
+    assert cells.weights.tolist() == [w for w, _, _ in want[1]]
+    assert [
+        (cells.sets[cells.cell_set[g]].mask, cells.covariates[cells.cell_covariates[g]].values)
+        for g in cells.index.tolist()
+    ] == [(mask, values) for _, mask, values in want[1]]
+    assert {ps.mask: ws for ps, ws in zip(cells.sets, cells.set_weights)} == {
+        mask: [w for w, m, _ in want[1] if m == mask] for mask in {m for _, m, _ in want[1]}
+    }
+    assert len(set(zip(cells.cell_set.tolist(), cells.cell_covariates.tolist()))) == len(cells.cell_set)
