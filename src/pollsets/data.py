@@ -13,10 +13,10 @@ order, and each distinct set's raw weights.  Covariates are binary and
 sets are bitmasks, so a survey has at most 2^p x (2^K - 1) cells and
 usually far fewer than respondents; a bound or a forecast costs one
 step per distinct set or cell plus one exactly rounded sum, not one
-Python step per respondent.  ``parse_survey`` reads rows straight into
-the table, validating each distinct parties cell and covariate tuple
-once and sharing the resulting objects across the rows that repeat
-them.
+Python step per respondent.  ``parse_survey`` validates each distinct
+parties cell and covariate tuple once and shares the resulting objects
+across the rows that repeat them, so building the table costs one
+identity probe per row and field.
 
 Weighted totals use exactly rounded summation (math.fsum).  fsum
 returns the correctly rounded sum of its inputs whatever their order,
@@ -34,7 +34,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -214,11 +214,12 @@ class CellTable:
         """Group respondents into cells in one pass.
 
         Set and covariate objects are looked up by identity, so rows
-        sharing them (as simulated rows do) cost one dictionary probe
-        each; the first row holding a new object is matched by value.
+        sharing them (as parsed and simulated rows do) cost one
+        dictionary probe each; the first row holding a new object is
+        matched by value.
         """
         by_mask: dict[int, tuple[PartySet, int, list[float], dict[int, int]]] = {}
-        by_value: dict[tuple | None, tuple[Covariates | None, int]] = {}
+        by_value: dict[Covariates | None, int] = {}
         groups: dict[int, tuple[PartySet, int, list[float], dict[int, int]]] = {}
         patterns: dict[int, int] = {}
         cell_set: list[int] = []
@@ -235,8 +236,7 @@ class CellTable:
             try:
                 ci = patterns[id(cov)]
             except KeyError:
-                value = None if cov is None else (cov.values, cov.names)
-                ci = patterns[id(cov)] = by_value.setdefault(value, (cov, len(by_value)))[1]
+                ci = patterns[id(cov)] = by_value.setdefault(cov, len(by_value))
             g = cells_of_set.get(ci)
             if g is None:
                 g = cells_of_set[ci] = len(cell_set)
@@ -247,7 +247,7 @@ class CellTable:
             weights.append(r.weight)
         return cls(
             [ps for ps, _, _, _ in by_mask.values()],
-            [cov for cov, _ in by_value.values()],
+            list(by_value),
             cell_set,
             cell_covariates,
             index,
@@ -284,10 +284,8 @@ class CellTable:
 class Survey:
     """One poll wave: a registry, a covariate schema, and weighted respondents.
 
-    ``cells`` is the survey's cell table, which every estimator reads
-    instead of the respondents.  It is ``cell_table`` when the caller
-    built it while reading the respondents (parse_survey does), and is
-    built from ``respondents`` otherwise.
+    ``cells`` is the survey's cell table, built from ``respondents``;
+    every estimator reads it instead of the respondents.
     """
 
     registry: PartyRegistry
@@ -295,16 +293,13 @@ class Survey:
     respondents: tuple[Respondent, ...]
     wave: str = ""
     dropped_rows: int = 0
-    cell_table: InitVar[CellTable | None] = None
     total_weight: float = field(init=False, compare=False)
     cells: CellTable = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, cell_table):
+    def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "respondents", tuple(self.respondents))
-        cells = CellTable.of(self.respondents) if cell_table is None else cell_table
-        if len(cells.index) != len(self.respondents):
-            raise ValueError("cell table does not match the respondents")
+        cells = CellTable.of(self.respondents)
         if not all(ps.fits(self.registry) for ps in cells.sets):
             raise ValueError("respondent set references options outside the registry")
         if any(cov is not None and cov.names != self.schema for cov in cells.covariates):
@@ -393,12 +388,12 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     leading UTF-8 byte order mark, as spreadsheet exports write it, is
     skipped.
 
-    Rows go straight into the survey's cell table.  Each distinct
-    parties cell and each distinct tuple of covariate cells is validated
-    once, at its first row, and the resulting PartySet and Covariates
-    objects are shared by every row repeating it.  There is one memo per
-    field, not one per whole row: sets and covariate patterns repeat far
-    more often than whole rows do.
+    Each distinct parties cell and each distinct tuple of covariate
+    cells is validated once, at its first row, and the resulting
+    PartySet and Covariates objects are shared by every row repeating
+    it, so the survey's cell table groups the rows by identity.  There
+    is one memo per field, not one per whole row: sets and covariate
+    patterns repeat far more often than whole rows do.
     """
     schema = tuple(schema)
     reader = _csv_rows(text.removeprefix("\ufeff"))
@@ -411,16 +406,12 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
         raise SurveyFormatError(f"header {header!r} does not match expected {expected!r}", line=1)
 
     width = len(expected)
-    # Parties cell -> (set, its index, its weights, its cells by covariate
-    # index), or None to drop the row; by_mask merges spellings of one set.
-    parties: dict[str, tuple[PartySet, int, list[float], dict[int, int]] | None] = {}
-    by_mask: dict[int, tuple[PartySet, int, list[float], dict[int, int]]] = {}
-    # Covariate cells -> (covariates, their index).
-    patterns: dict[tuple[str, ...], tuple[Covariates | None, int]] = {}
-    cell_set: list[int] = []
-    cell_covariates: list[int] = []
-    index: list[int] = []
-    weights: list[float] = []
+    # Parties cell -> its set, or None to drop the row.  Spellings of one
+    # set (``A;B``, ``B;A``) share the object kept in by_mask.
+    parties: dict[str, PartySet | None] = {}
+    by_mask: dict[int, PartySet] = {}
+    # Covariate cells -> their Covariates.
+    patterns: dict[tuple[str, ...], Covariates | None] = {}
     respondents: list[Respondent] = []
     dropped = 0
     for lineno, row in enumerate(reader, start=2):
@@ -435,38 +426,20 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
         if not (math.isfinite(weight) and weight > 0):
             raise SurveyFormatError(f"weight must be positive and finite, got {row[0]}", line=lineno)
         try:
-            group = parties[row[1]]
+            ps = parties[row[1]]
         except KeyError:
             ps = _parse_parties(row[1], registry, lineno)
-            group = parties[row[1]] = None if ps is None else by_mask.setdefault(ps.mask, (ps, len(by_mask), [], {}))
-        if group is None:
+            ps = parties[row[1]] = None if ps is None else by_mask.setdefault(ps.mask, ps)
+        if ps is None:
             dropped += 1
             continue
-        ps, si, set_weights, cells_of_set = group
         key = tuple(row[2:])
         try:
-            cov, ci = patterns[key]
+            cov = patterns[key]
         except KeyError:
-            cov, ci = patterns[key] = (_parse_covariates(key, schema, lineno), len(patterns))
-        g = cells_of_set.get(ci)
-        if g is None:
-            g = cells_of_set[ci] = len(cell_set)
-            cell_set.append(si)
-            cell_covariates.append(ci)
-        set_weights.append(weight)
-        index.append(g)
-        weights.append(weight)
+            cov = patterns[key] = _parse_covariates(key, schema, lineno)
         respondents.append(Respondent(weight, ps, cov))
-    cells = CellTable(
-        [ps for ps, _, _, _ in by_mask.values()],
-        [cov for cov, _ in patterns.values()],
-        cell_set,
-        cell_covariates,
-        index,
-        weights,
-        [ws for _, _, ws, _ in by_mask.values()],
-    )
-    return Survey(registry, schema, respondents, dropped_rows=dropped, cell_table=cells)
+    return Survey(registry, schema, respondents, dropped_rows=dropped)
 
 
 def survey_to_csv(s: Survey) -> str:
@@ -475,9 +448,9 @@ def survey_to_csv(s: Survey) -> str:
     if s.schema and any(cov is None for cov in cells.covariates):
         raise ValueError("cannot serialize a respondent without covariates under a nonempty schema")
     parties = [";".join(s.registry.codes_of(ps)) for ps in cells.sets]
-    # "01"[v] reuses the interpreter's one-character strings; str(v) would
-    # allocate a new string per covariate value.
-    values = [["01"[v] for v in cov.values] if s.schema else [] for cov in cells.covariates]
+    # "01"[int(v)] reuses the interpreter's one-character strings, where
+    # str(v) would allocate one per value, and writes 1.0 or True as 1.
+    values = [["01"[int(v)] for v in cov.values] if s.schema else [] for cov in cells.covariates]
     cell_set = cells.cell_set.tolist()
     cell_covariates = cells.cell_covariates.tolist()
     out = io.StringIO()

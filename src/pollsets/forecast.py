@@ -23,8 +23,6 @@ from .bounds import Interval, IntervalForecast
 from .data import PartySet, Survey
 
 _ROW_SUM_TOL = 1e-9
-# Cells per batched prediction in transition_probabilities.
-_PREDICT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -94,29 +92,26 @@ def _cell_rows(m: mnl.MnlModel, s: Survey) -> tuple[list[dict[str, float]], np.n
         fallback[todo] = lacking[cells.cell_covariates[todo]]
     # A missing pattern's row is the intercept alone: the intercept-only prediction.
     patterns = cells.pattern_rows(m.n_predictors - 1)
-    # Predict a block of cells at a time to keep the temporaries small.
-    for start in range(0, len(todo), _PREDICT_BLOCK):
-        block = todo[start:start + _PREDICT_BLOCK]
-        scores = patterns[cells.cell_covariates[block]] @ m.coefficients.T
-        scores -= scores.max(axis=1, keepdims=True)
-        probs = np.exp(scores)
-        probs /= probs.sum(axis=1, keepdims=True)
-        for g, p in zip(block.tolist(), probs.tolist()):
-            member = members[cell_set[g]]
-            denom = math.fsum(p[i] for i in member)
-            if denom < 1e-12:
-                raise ValueError("restricted prediction mass vanished; model is degenerate")
-            rows[g] = {options[i]: p[i] / denom for i in member}
+    # One prediction per covariate pattern; the cells holding it share it.
+    probs = mnl.predict_proba(m, patterns)
+    for g, ci in zip(todo.tolist(), cells.cell_covariates[todo].tolist()):
+        p = probs[ci].tolist()
+        member = members[cell_set[g]]
+        denom = math.fsum(p[i] for i in member)
+        if denom < 1e-12:
+            raise ValueError("restricted prediction mass vanished; model is degenerate")
+        rows[g] = {options[i]: p[i] / denom for i in member}
     return rows, fallback
 
 
 def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
     """Model predictions restricted to each respondent's set and renormalized.
 
-    Predicts once per distinct cell; respondents in the same cell share
-    its row.  Decided respondents get a degenerate row.  Respondents
-    without covariates fall back to the model's intercept-only
-    prediction and are listed in ``fallback_rows``.
+    Predicts once per distinct covariate pattern and builds one row per
+    distinct cell; respondents in the same cell share its row.  Decided
+    respondents get a degenerate row.  Respondents without covariates
+    fall back to the model's intercept-only prediction and are listed
+    in ``fallback_rows``.
     """
     if m.n_categories != len(s.registry):
         raise ValueError("model categories do not match the registry")

@@ -383,16 +383,21 @@ def fit(
 
 
 def predict_proba(m: MnlModel, x) -> np.ndarray:
-    """Category probabilities for one covariate vector (leading 1 required)."""
+    """Category probabilities for a covariate vector (leading 1 required).
+
+    ``x`` may also be an (n, p) matrix of such vectors; the result then
+    has one row of probabilities per row of ``x``.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (m.n_predictors,):
-        raise ValueError(f"expected covariate vector of length {m.n_predictors}, got {x.shape}")
-    if x[0] != 1.0:
+    if x.ndim not in (1, 2) or x.shape[-1] != m.n_predictors:
+        raise ValueError(f"expected covariate vectors of length {m.n_predictors}, got shape {x.shape}")
+    if np.any(x[..., 0] != 1.0):
         raise ValueError("covariate vector must start with the intercept constant 1")
-    scores = m.coefficients @ x
-    scores -= scores.max()
-    probs = np.exp(scores)
-    return probs / probs.sum()
+    probs = x @ m.coefficients.T
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def lambda_max(d: DesignData, constraint: Constraint) -> float:

@@ -111,15 +111,9 @@ def fit_ontic(
     seed: int = 0,
     options: mnl.FitOptions = mnl.FitOptions(),
     repeats: int = 1,
-    design: mnl.DesignData | None = None,
 ) -> tuple[mnl.MnlModel, CoefficientTable, float]:
-    """Cross-validated group-lasso fit over the ontic categories.
-
-    ``design`` is ``ontic_design(s, cats)`` when the caller already has
-    it; it is built here otherwise.
-    """
-    if design is None:
-        design = ontic_design(s, cats)
+    """Cross-validated group-lasso fit over the ontic categories."""
+    design = ontic_design(s, cats)
     constraint = mnl.Constraint.symmetric()
     if lambda_grid is None:
         lambda_grid = mnl.default_lambda_grid(design, constraint)
@@ -133,18 +127,12 @@ def regularization_path(
     cats: OnticCategories,
     lambda_grid,
     options: mnl.FitOptions = mnl.FitOptions(),
-    design: mnl.DesignData | None = None,
 ) -> list[tuple[float, dict[str, float]]]:
-    """Per-covariate group norms along a descending lambda grid, warm-started.
-
-    ``design`` is ``ontic_design(s, cats)`` when the caller already has
-    it; it is built here otherwise.
-    """
+    """Per-covariate group norms along a descending lambda grid, warm-started."""
     grid = [float(v) for v in lambda_grid]
     if any(b > a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be descending")
-    if design is None:
-        design = ontic_design(s, cats)
+    design = ontic_design(s, cats)
     constraint = mnl.Constraint.symmetric()
     path = []
     warm = None

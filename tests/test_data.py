@@ -253,6 +253,18 @@ def test_json_field_names(abc_survey):
     assert set(doc) == {"registry", "schema", "respondents", "wave"}
 
 
+def test_json_float_covariates_write_csv():
+    doc = (
+        '{"registry": ["A", "B"], "schema": ["x1", "x2"], "wave": "",'
+        ' "respondents": [{"weight": 1.0, "parties": ["A"], "covariates": [1.0, 0.0]},'
+        ' {"weight": 2.0, "parties": ["A", "B"], "covariates": [true, 0]}]}'
+    )
+    s = survey_from_json(doc)
+    text = survey_to_csv(s)
+    assert text == "weight,parties,x1,x2\n1.0,A,1,0\n2.0,A;B,1,0\n"
+    assert parse_survey(text, s.registry, s.schema) == s
+
+
 # Differential check of the memoized parser against a plain per-row parser.
 
 DIFF_REGISTRY = PartyRegistry(("A", "B", "C"))
@@ -340,7 +352,12 @@ def test_parse_matches_per_row_reference(text):
     assert got == want[1]
     assert s.dropped_rows == want[2]
     assert all(r.covariates.names == DIFF_SCHEMA for r in s.respondents)
-    # The cell table the parser fills must describe the same rows.
+    # Rows repeating a set or a covariate pattern share one object.
+    shared_sets, shared_covariates = {}, {}
+    for r in s.respondents:
+        assert shared_sets.setdefault(r.set.mask, r.set) is r.set
+        assert shared_covariates.setdefault(r.covariates.values, r.covariates) is r.covariates
+    # The survey's cell table must describe the same rows.
     cells = s.cells
     assert cells.weights.tolist() == [w for w, _, _ in want[1]]
     assert [

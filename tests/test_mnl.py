@@ -260,6 +260,22 @@ class TestPredictProba:
         with pytest.raises(ValueError):
             mnl.predict_proba(model, np.array([0.0, 1.0]))
 
+    def test_matrix_rows_match_vectors(self):
+        rng = np.random.default_rng(5)
+        coef = mnl.project_constraint(rng.normal(size=(4, 3)), mnl.Constraint.symmetric())
+        model = mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+        x = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        probs = mnl.predict_proba(model, x)
+        assert probs.shape == (3, 4)
+        for row, vector in zip(probs, x):
+            assert np.allclose(row, mnl.predict_proba(model, vector), rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            mnl.predict_proba(model, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        with pytest.raises(ValueError):
+            mnl.predict_proba(model, np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            mnl.predict_proba(model, np.ones((1, 2, 3)))
+
     @settings(max_examples=40, deadline=None)
     @given(arrays(float, (3, 2), elements=st.floats(-30, 30)))
     def test_probabilities_sum_to_one(self, coef):
