@@ -21,7 +21,6 @@ consideration set from the survey's cell table (see ``pollsets.data``).
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -206,11 +205,6 @@ def coalition_report(
         interval = event_bounds(s, spec.members, c)
         report.append((spec.name, interval, majority_classification(interval, threshold)))
     return report
-
-
-def forecast_to_json(f: IntervalForecast) -> str:
-    doc = {code: {"lower": iv.lower, "upper": iv.upper} for code, iv in f.intervals.items()}
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_coalitions(text: str, registry: PartyRegistry) -> list[CoalitionSpec]:

@@ -24,7 +24,6 @@ from .bounds import (
     dempster_bounds,
     constrained_bounds,
     coalition_report,
-    forecast_to_json,
     parse_coalitions,
 )
 from .data import PartyRegistry, group_counts, parse_survey, undecided_share, validate
@@ -96,15 +95,13 @@ def cmd_describe(args) -> int:
             "groups": [{"parties": p, "count": c, "weight": w} for p, c, w in rows],
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    elif args.format == "csv":
+    else:
         print(
             f"n: {report.n}, undecided share: {report.undecided_unweighted:.4f} unweighted"
             f" / {report.undecided_weighted:.4f} weighted, dropped rows: {report.dropped_rows}",
             file=sys.stderr,
         )
         _emit(_csv_text(["parties", "count", "weight"], rows), args.out)
-    else:
-        raise ValueError("describe supports json or csv output")
     return 0
 
 
@@ -126,14 +123,15 @@ def cmd_forecast(args) -> int:
         )
         vector = fc.seat_share(vector, included, survey.registry)
     if args.format == "json":
-        _emit(
-            fc.forecast_to_json(args.method, vector, survey.n_decided, survey.n_undecided),
-            args.out,
-        )
-    elif args.format == "csv":
-        _emit(_csv_text(["option", "share"], list(vector.shares.items())), args.out)
+        doc = {
+            "method": args.method,
+            "shares": dict(vector.shares),
+            "n_decided": survey.n_decided,
+            "n_undecided": survey.n_undecided,
+        }
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        raise ValueError("forecast supports json or csv output")
+        _emit(_csv_text(["option", "share"], list(vector.shares.items())), args.out)
     return 0
 
 
@@ -147,7 +145,8 @@ def cmd_bounds(args) -> int:
         )
         result = fc.seat_share(result, included, survey.registry)
     if args.format == "json":
-        _emit(forecast_to_json(result), args.out)
+        doc = {code: {"lower": iv.lower, "upper": iv.upper} for code, iv in result.intervals.items()}
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.format == "csv":
         _emit(_csv_text(["option", "lower", "upper"], _interval_rows(result)), args.out)
     else:
@@ -206,10 +205,8 @@ def cmd_ontic(args) -> int:
         Path(args.path_out).write_text(ontic.path_to_csv(path), encoding="utf-8")
     if args.format == "json":
         _emit(table.to_json(), args.out)
-    elif args.format == "csv":
-        _emit(table.to_csv(), args.out)
     else:
-        raise ValueError("ontic supports json or csv output")
+        _emit(table.to_csv(), args.out)
     return 0
 
 
@@ -238,9 +235,9 @@ def cmd_simulate(args) -> int:
     out.write_text(survey_to_csv(survey), encoding="utf-8")
     truth_out.write_text(simulate.truth_to_csv(survey, truth), encoding="utf-8")
     report = simulate.coverage_check(survey, truth)
-    print(f"violations: {len(report.violations)}")
+    print(f"violations: {len(report.violations)}", file=sys.stderr)
     if report.violations:
-        print("violated: " + ", ".join(report.violations))
+        print("violated: " + ", ".join(report.violations), file=sys.stderr)
     return 0
 
 
@@ -251,12 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="survey CSV path")
+    def add_io(p, formats=("json", "csv")):
+        p.add_argument("--input", required=True, help="survey CSV path")
         p.add_argument("--registry", default=DEFAULT_REGISTRY, help="comma list of party codes, or @file")
         p.add_argument("--schema", default="", help="comma list of covariate labels, or @file")
-        p.add_argument("--format", choices=["json", "csv", "svg"], default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="write data here instead of stdout")
 
     p = sub.add_parser("describe", help="sample size, undecided share, biggest undecided groups")
@@ -271,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("bounds", help="interval-valued vote share bounds")
-    add_io(p)
+    add_io(p, ("json", "csv", "svg"))
     p.add_argument("--alpha", type=float, help="within-set lower allocation share")
     p.add_argument("--beta", type=float, help="within-set upper allocation share")
     p.add_argument("--seats", help="renormalize over these codes ('all' for the full registry)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("coalitions", help="bounds and majority classification per coalition")
-    add_io(p)
+    add_io(p, ("json", "csv", "svg"))
     p.add_argument("--coalitions", required=True, help="file with one 'name,CODE;CODE' line per coalition")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)

@@ -164,7 +164,7 @@ class Covariates:
 
 @dataclass(frozen=True)
 class Respondent:
-    """One weighted survey answer: a consideration set plus optional covariates."""
+    """One weighted survey answer: a consideration set, plus covariates under a schema."""
 
     weight: float
     set: PartySet
@@ -185,8 +185,8 @@ class CellTable:
 
     ``sets`` and ``covariates`` hold each distinct set and covariate
     object once, in order of first appearance (``None`` stands for
-    respondents without covariates).  Cell g pairs
-    ``sets[cell_set[g]]`` with ``covariates[cell_covariates[g]]``.
+    the respondents of a survey without a covariate schema).  Cell g
+    pairs ``sets[cell_set[g]]`` with ``covariates[cell_covariates[g]]``.
     Respondent i falls in cell ``index[i]`` and weighs ``weights[i]``,
     so a cell's weights in respondent order are
     ``weights[index == g]``.  ``set_weights[j]`` lists the raw weights
@@ -255,28 +255,23 @@ class CellTable:
             [ws for _, _, ws, _ in by_mask.values()],
         )
 
-    def design_rows(self, category_of_set, n_covariates: int, missing: str):
+    def design_rows(self, category_of_set, n_covariates: int):
         """Design arrays of the respondents whose set has a category, in respondent order.
 
         ``category_of_set[j]`` is the category of ``sets[j]``, or -1 to
         leave its respondents out.  Returns ``x`` (an intercept column,
         then the covariate values), ``y`` (the category) and ``w`` (the
-        weight).  A kept respondent without covariates under a nonempty
-        schema raises ValueError with the message ``missing``.
+        weight).
         """
         cell_category = np.asarray(category_of_set, dtype=np.intp)[self.cell_set]
-        if n_covariates and any(
-            self.covariates[ci] is None for ci in self.cell_covariates[cell_category >= 0].tolist()
-        ):
-            raise ValueError(missing)
         keep = np.flatnonzero(cell_category[self.index] >= 0)
         cells = self.index[keep]
         x = self.pattern_rows(n_covariates)[self.cell_covariates[cells]]
         return x, cell_category[cells], self.weights[keep]
 
     def pattern_rows(self, n_covariates: int) -> np.ndarray:
-        """One design row per ``covariates`` entry: 1.0, then its values (zeros where it is None)."""
-        rows = [(1, *cov.values) if cov is not None else (1,) + (0,) * n_covariates for cov in self.covariates]
+        """One design row per ``covariates`` entry: 1.0, then its values."""
+        rows = [(1, *cov.values) if cov is not None else (1,) for cov in self.covariates]
         return np.array(rows, dtype=float).reshape(len(rows), 1 + n_covariates)
 
 
@@ -284,8 +279,11 @@ class CellTable:
 class Survey:
     """One poll wave: a registry, a covariate schema, and weighted respondents.
 
-    ``cells`` is the survey's cell table, built from ``respondents``;
-    every estimator reads it instead of the respondents.
+    A respondent has covariates exactly when the schema is nonempty,
+    and they carry the schema's names; construction checks this once
+    per distinct covariate object, so no estimator has to.  ``cells``
+    is the survey's cell table, built from ``respondents``; every
+    estimator reads it instead of the respondents.
     """
 
     registry: PartyRegistry
@@ -302,7 +300,7 @@ class Survey:
         cells = CellTable.of(self.respondents)
         if not all(ps.fits(self.registry) for ps in cells.sets):
             raise ValueError("respondent set references options outside the registry")
-        if any(cov is not None and cov.names != self.schema for cov in cells.covariates):
+        if any((cov.names if cov is not None else ()) != self.schema for cov in cells.covariates):
             raise ValueError("respondent covariates do not match the survey schema")
         total = math.fsum(chain.from_iterable(cells.set_weights))
         if self.respondents and total <= 0:
@@ -336,18 +334,20 @@ class SurveyDiagnostics:
 
 
 def _csv_rows(text: str):
-    """CSV records of ``text``; a malformed document raises SurveyFormatError.
+    """Each CSV record of ``text`` with the physical line it starts on.
 
-    Strict mode rejects a quote left open at the end of the document
-    instead of reading the rest of the file into one field.  The error
-    names the line the malformed record starts on, which for an open
+    A quoted field may span lines, so a record's line is counted in
+    physical lines, not records.  Strict mode rejects a quote left open
+    at the end of the document instead of reading the rest of the file
+    into one field; a malformed document raises SurveyFormatError
+    naming the line the malformed record starts on, which for an open
     quote is where the quote opened, not the end of the file.
     """
     reader = csv.reader(io.StringIO(text), strict=True)
     start = 1
     try:
         for row in reader:
-            yield row
+            yield start, row
             start = reader.line_num + 1
     except csv.Error as exc:
         raise SurveyFormatError(f"malformed CSV: {exc}", line=start) from None
@@ -384,9 +384,9 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     consideration set would change its meaning).  Structural problems
     (malformed CSV such as an unterminated quote, bad weight,
     non-binary covariate, empty parties cell, a code repeated within one
-    cell) raise SurveyFormatError with the offending line number.  A
-    leading UTF-8 byte order mark, as spreadsheet exports write it, is
-    skipped.
+    cell) raise SurveyFormatError with the physical line the offending
+    row starts on (a quoted field may span lines).  A leading UTF-8
+    byte order mark, as spreadsheet exports write it, is skipped.
 
     Each distinct parties cell and each distinct tuple of covariate
     cells is validated once, at its first row, and the resulting
@@ -398,7 +398,7 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     schema = tuple(schema)
     reader = _csv_rows(text.removeprefix("\ufeff"))
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise SurveyFormatError("empty document, expected a header row") from None
     expected = ["weight", "parties", *schema]
@@ -414,7 +414,7 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     patterns: dict[tuple[str, ...], Covariates | None] = {}
     respondents: list[Respondent] = []
     dropped = 0
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row:
             continue
         if len(row) != width:
@@ -445,8 +445,6 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
 def survey_to_csv(s: Survey) -> str:
     """Serialize back to the parse_survey CSV format."""
     cells = s.cells
-    if s.schema and any(cov is None for cov in cells.covariates):
-        raise ValueError("cannot serialize a respondent without covariates under a nonempty schema")
     parties = [";".join(s.registry.codes_of(ps)) for ps in cells.sets]
     # "01"[int(v)] reuses the interpreter's one-character strings, where
     # str(v) would allocate one per value, and writes 1.0 or True as 1.

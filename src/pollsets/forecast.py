@@ -11,7 +11,6 @@ rows are aggregated together with the decided votes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -49,12 +48,10 @@ class TransitionTable:
     ``rows[i]`` maps option code to probability for respondent i; options
     outside the respondent's set are omitted and implicitly zero.
     Respondents in the same cell share one row object, and each distinct
-    row object is checked once.  ``fallback_rows`` lists respondents
-    predicted without covariates.
+    row object is checked once.
     """
 
     rows: tuple[dict[str, float], ...]
-    fallback_rows: tuple[int, ...] = ()
 
     def __post_init__(self):
         # Distinct row objects in order of first use.
@@ -77,31 +74,25 @@ def conventional_forecast(s: Survey) -> ProbabilityVector:
     return ProbabilityVector(shares)
 
 
-def _cell_rows(m: mnl.MnlModel, s: Survey) -> tuple[list[dict[str, float]], np.ndarray]:
-    """One transition row per cell, and which cells take the intercept-only fallback."""
+def _cell_rows(m: mnl.MnlModel, s: Survey) -> list[dict[str, float]]:
+    """One transition row per cell."""
     cells = s.cells
     options = s.registry.options
     members = [ps.indices() for ps in cells.sets]
     cell_set = cells.cell_set.tolist()
     decided_rows = [{options[idx[0]]: 1.0} if len(idx) == 1 else None for idx in members]
     rows: list = [decided_rows[si] for si in cell_set]
-    todo = np.array([g for g, row in enumerate(rows) if row is None], dtype=np.intp)
-    fallback = np.zeros(len(rows), dtype=bool)
-    if m.n_predictors > 1:
-        lacking = np.array([cov is None for cov in cells.covariates], dtype=bool)
-        fallback[todo] = lacking[cells.cell_covariates[todo]]
-    # A missing pattern's row is the intercept alone: the intercept-only prediction.
-    patterns = cells.pattern_rows(m.n_predictors - 1)
+    todo = [g for g, row in enumerate(rows) if row is None]
     # One prediction per covariate pattern; the cells holding it share it.
-    probs = mnl.predict_proba(m, patterns)
-    for g, ci in zip(todo.tolist(), cells.cell_covariates[todo].tolist()):
+    probs = mnl.predict_proba(m, cells.pattern_rows(m.n_predictors - 1))
+    for g, ci in zip(todo, cells.cell_covariates[todo].tolist()):
         p = probs[ci].tolist()
         member = members[cell_set[g]]
         denom = math.fsum(p[i] for i in member)
         if denom < 1e-12:
             raise ValueError("restricted prediction mass vanished; model is degenerate")
         rows[g] = {options[i]: p[i] / denom for i in member}
-    return rows, fallback
+    return rows
 
 
 def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
@@ -109,28 +100,20 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
 
     Predicts once per distinct covariate pattern and builds one row per
     distinct cell; respondents in the same cell share its row.  Decided
-    respondents get a degenerate row.  Respondents without covariates
-    fall back to the model's intercept-only prediction and are listed
-    in ``fallback_rows``.
+    respondents get a degenerate row.
     """
     if m.n_categories != len(s.registry):
         raise ValueError("model categories do not match the registry")
     if m.n_predictors != 1 + len(s.schema):
         raise ValueError("model predictors do not match the survey covariate schema")
-    rows, fallback = _cell_rows(m, s)
-    index = s.cells.index
-    return TransitionTable(
-        tuple(map(rows.__getitem__, index.tolist())),
-        tuple(np.flatnonzero(fallback[index]).tolist()),
-    )
+    rows = _cell_rows(m, s)
+    return TransitionTable(tuple(map(rows.__getitem__, s.cells.index.tolist())))
 
 
 def decided_design(s: Survey) -> mnl.DesignData:
     """Design data over decided respondents, categories in registry order."""
     category = [ps.indices()[0] if ps.is_singleton else -1 for ps in s.cells.sets]
-    x, y, w = s.cells.design_rows(
-        category, len(s.schema), "decided respondent lacks covariates required by the schema"
-    )
+    x, y, w = s.cells.design_rows(category, len(s.schema))
     if not len(y):
         raise ValueError("no decided respondents")
     return mnl.DesignData(x, y, w, len(s.registry))
@@ -206,13 +189,3 @@ def seat_share(p: ProbabilityVector | IntervalForecast, included: PartySet, regi
         hi = iv.upper / denom_hi
         out[code] = Interval(min(lo, hi), max(lo, hi))
     return IntervalForecast(out, p.total_weight)
-
-
-def forecast_to_json(method: str, p: ProbabilityVector, n_decided: int, n_undecided: int) -> str:
-    doc = {
-        "method": method,
-        "shares": dict(p.shares),
-        "n_decided": n_decided,
-        "n_undecided": n_undecided,
-    }
-    return json.dumps(doc, indent=2) + "\n"

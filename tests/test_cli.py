@@ -1,12 +1,16 @@
+import io
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from pollsets.cli import main
+from test_data import MULTILINE_THEN_FAULT, _reference_parse, _survey_documents
 
 FIXTURE = "weight,parties\n1.0,A\n1.0,A\n1.0,B\n1.0,A;B\n1.0,C\n"
 REG = "A,B,C"
@@ -76,6 +80,14 @@ class TestMalformedInput:
         code, _, err = run(capsys, "describe", "--input", path, "--registry", REG)
         assert code == 2
         assert "line 3: malformed CSV" in err
+
+    def test_line_counts_physical_lines_after_multiline_field(self, capsys, tmp_path):
+        # The quoted parties cell spans lines 2-3, so the bad weight is on line 4.
+        path = tmp_path / "multiline.csv"
+        path.write_text('weight,parties\n1,"A\nB"\n-1,A\n')
+        code, _, err = run(capsys, "describe", "--input", path, "--registry", "A,B")
+        assert code == 2
+        assert "line 4:" in err
 
     @pytest.mark.parametrize("listing", [None, "A,B\nC\n"])
     def test_registry_code_with_separator_exit_2(self, capsys, fixture_csv, tmp_path, listing):
@@ -242,11 +254,12 @@ class TestSimulate:
         out1 = tmp_path / "s1.csv"
         out2 = tmp_path / "s2.csv"
         for out in (out1, out2):
-            code, stdout, _ = run(
+            code, stdout, stderr = run(
                 capsys, "simulate", "--n", "100", "--q", "0.2", "--seed", "7", "--out", out,
             )
             assert code == 0
-            assert "violations: 0" in stdout
+            assert "violations: 0" in stderr
+            assert stdout == ""
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "s1.truth.csv").read_bytes() == (tmp_path / "s2.truth.csv").read_bytes()
 
@@ -302,3 +315,38 @@ def test_unknown_flag_is_an_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["describe", "--input", "x.csv", "--registry", REG, "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["describe", "forecast", "ontic"])
+def test_svg_format_rejected_before_reading_input(capsys, tmp_path, command):
+    # Only bounds and coalitions draw SVG; the others fail at argument parsing,
+    # so the missing input file is never opened.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(tmp_path / "absent.csv"), "--registry", REG, "--format", "svg"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'svg'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "survey.csv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_survey_documents())
+@example(text=MULTILINE_THEN_FAULT)
+def test_describe_parses_or_exits_2_with_line(fuzz_csv, text):
+    # Every document either parses or exits 2 naming the line of its first
+    # fault, as a plain per-row parser finds it; no exception escapes.
+    fuzz_csv.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["describe", "--input", str(fuzz_csv), "--registry", "A,B,C", "--schema", "x1,x2"])
+    want = _reference_parse(text)
+    if want[0] == "error":
+        assert code == 2
+        assert err.getvalue() == f"error: line {want[2]}: {want[1]}\n"
+    else:
+        assert code == 0
+        doc = json.loads(out.getvalue())
+        assert (doc["n"], doc["dropped_rows"]) == (len(want[1]), want[2])

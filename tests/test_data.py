@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pollsets import (
@@ -189,6 +189,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             Covariates((2,), ("east",))
 
+    def test_covariates_must_carry_the_schema_names(self, abc_registry):
+        # Missing covariates under a schema are covered in test_forecast.
+        a = abc_registry.singleton("A")
+        with pytest.raises(ValueError, match="schema"):
+            Survey(abc_registry, (), (Respondent(1.0, a, Covariates((1,), ("x1",))),))
+        with pytest.raises(ValueError, match="schema"):
+            Survey(abc_registry, ("x1",), (Respondent(1.0, a, Covariates((1,), ("x2",))),))
+
     def test_set_must_fit_registry(self, abc_registry):
         with pytest.raises(ValueError):
             Survey(abc_registry, (), (Respondent(1.0, PartySet(1 << 5)),))
@@ -265,6 +273,15 @@ def test_json_float_covariates_write_csv():
     assert parse_survey(text, s.registry, s.schema) == s
 
 
+def test_json_null_covariates_under_schema_rejected():
+    doc = (
+        '{"registry": ["A", "B"], "schema": ["x1"], "wave": "",'
+        ' "respondents": [{"weight": 1.0, "parties": ["A"], "covariates": null}]}'
+    )
+    with pytest.raises(ValueError, match="schema"):
+        survey_from_json(doc)
+
+
 # Differential check of the memoized parser against a plain per-row parser.
 
 DIFF_REGISTRY = PartyRegistry(("A", "B", "C"))
@@ -272,7 +289,10 @@ DIFF_SCHEMA = ("x1", "x2")
 
 
 def _reference_parse(text):
-    """Per-row parse with no memo: (rows of (weight, mask, values), dropped) or (message, line)."""
+    """Per-row parse with no memo: (rows of (weight, mask, values), dropped) or (message, line).
+
+    A row's line is the physical line its record starts on.
+    """
     import csv
     import io
 
@@ -283,8 +303,8 @@ def _reference_parse(text):
         next(lines)
         start = reader.line_num + 1
         rows, dropped = [], 0
-        for lineno, row in enumerate(lines, start=2):
-            start = reader.line_num + 1
+        for row in lines:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != 2 + len(DIFF_SCHEMA):
@@ -313,10 +333,15 @@ def _reference_parse(text):
     return ("ok", rows, dropped)
 
 
+# A record spanning lines 2-3, then a fault on line 4 (record 3).
+MULTILINE_THEN_FAULT = 'weight,parties,x1,x2\n1.0,"A;\nB",0,0\n1.0,A\n'
+
+
 @st.composite
 def _survey_documents(draw):
     weights = st.sampled_from(["1.0", "2.5", "0.25", "1e-3"]) | st.sampled_from(["0", "-1", "x", "inf", ""])
-    parties = st.sampled_from(["A", "B", "C", "A;B", "B;A", " A ; C ", "A;B;C"]) | st.sampled_from(
+    # '"A;\nB"' is a closed quoted field spanning two physical lines.
+    parties = st.sampled_from(["A", "B", "C", "A;B", "B;A", " A ; C ", "A;B;C", '"A;\nB"']) | st.sampled_from(
         ["A;A", "Z", "A;Z", "", ";", "C;C;B", '"A']
     )
     cells = st.sampled_from(["0", "1"]) | st.sampled_from(["2", "", " 1", "01"])
@@ -338,6 +363,7 @@ def _survey_documents(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_survey_documents())
+@example(MULTILINE_THEN_FAULT)
 def test_parse_matches_per_row_reference(text):
     want = _reference_parse(text)
     try:

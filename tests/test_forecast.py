@@ -89,19 +89,15 @@ class TestTransitionProbabilities:
             member_codes = set(abc_registry.codes_of(r.set))
             assert set(row) <= member_codes
 
-    def test_missing_covariates_fall_back_to_intercept(self):
+    def test_missing_covariates_rejected_by_survey(self):
+        # Covariates are required exactly when the schema is nonempty, so
+        # no transition row is ever predicted without them.
         reg = PartyRegistry(("A", "B"))
         schema = ("x1",)
         with_cov = Respondent(1.0, reg.singleton("A"), Covariates((1,), schema))
         without = Respondent(1.0, reg.set_of(["A", "B"]), None)
-        s = Survey(reg, schema, (with_cov, without))
-        model, _ = mnl.fit(
-            mnl.DesignData(np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([0, 1]), np.ones(2), 2),
-            mnl.PenaltySpec.none(),
-            mnl.Constraint.symmetric(),
-        )
-        table = transition_probabilities(model, s)
-        assert table.fallback_rows == (1,)
+        with pytest.raises(ValueError, match="schema"):
+            Survey(reg, schema, (with_cov, without))
 
     def test_schema_mismatch_is_hard_error(self, abc_registry):
         model = intercept_model({"A": 0.5, "B": 0.25, "C": 0.25}, abc_registry)
