@@ -139,7 +139,7 @@ def event_bounds(s: Survey, event: PartySet, c: AllocationConstraint | None = No
     matching respondents' weights (or the same per-weight products)
     with fsum, so the result equals a per-respondent sum bit for bit.
     """
-    if not s.respondents:
+    if not len(s):
         raise ValueError("event_bounds of an empty survey")
     if not event.fits(s.registry):
         raise ValueError("event references options outside the registry")
@@ -199,7 +199,13 @@ def coalition_report(
     c: AllocationConstraint | None = None,
     threshold: float = 0.5,
 ) -> list[tuple[str, Interval, Majority]]:
-    """Event bounds plus majority classification for each coalition, input order kept."""
+    """Event bounds plus majority classification for each coalition, input order kept.
+
+    ``threshold`` is a vote share in [0, 1): a share can exceed no
+    threshold of 1 or more, so every coalition would be excluded.
+    """
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"majority threshold must lie in [0, 1), got {threshold}")
     report = []
     for spec in coalitions:
         interval = event_bounds(s, spec.members, c)

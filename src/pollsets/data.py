@@ -6,17 +6,19 @@ as bitmasks over a fixed party registry, so a whole consideration set
 fits in one machine word and subset/intersection tests are single AND
 operations.
 
-Every estimator reads a survey through its cell table (``Survey.cells``,
-a ``CellTable``): the distinct (consideration set, covariate pattern)
+A survey is stored as its cell table (``Survey.cells``, a
+``CellTable``): the distinct (consideration set, covariate pattern)
 cells, each respondent's cell and weight as columns in respondent
 order, and each distinct set's raw weights.  Covariates are binary and
 sets are bitmasks, so a survey has at most 2^p x (2^K - 1) cells and
 usually far fewer than respondents; a bound or a forecast costs one
 step per distinct set or cell plus one exactly rounded sum, not one
-Python step per respondent.  ``parse_survey`` validates each distinct
-parties cell and covariate tuple once and shares the resulting objects
-across the rows that repeat them, so building the table costs one
-identity probe per row and field.
+Python step per respondent.  ``parse_survey`` fills the columns as it
+reads, validating each distinct parties cell and covariate tuple once,
+and ``CellTable.build`` groups them; no per-row object is made.
+``Survey.respondents`` is a view of one ``Respondent`` per row, built
+from the columns on first access for callers that want one; no
+estimator reads it.
 
 Weighted totals use exactly rounded summation (math.fsum).  fsum
 returns the correctly rounded sum of its inputs whatever their order,
@@ -35,6 +37,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -179,6 +182,21 @@ class Respondent:
         return self.set.is_singleton
 
 
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of ``keys`` in order of first appearance.
+
+    Returns each element's number and, for each number, the position of
+    the first element holding it.
+    """
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(len(distinct), len(keys))
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
 @dataclass(frozen=True, eq=False)
 class CellTable:
     """A survey's distinct (consideration set, covariate pattern) cells.
@@ -186,11 +204,13 @@ class CellTable:
     ``sets`` and ``covariates`` hold each distinct set and covariate
     object once, in order of first appearance (``None`` stands for
     the respondents of a survey without a covariate schema).  Cell g
-    pairs ``sets[cell_set[g]]`` with ``covariates[cell_covariates[g]]``.
-    Respondent i falls in cell ``index[i]`` and weighs ``weights[i]``,
-    so a cell's weights in respondent order are
-    ``weights[index == g]``.  ``set_weights[j]`` lists the raw weights
-    of the respondents holding ``sets[j]``, for exactly rounded sums.
+    pairs ``sets[cell_set[g]]`` with ``covariates[cell_covariates[g]]``;
+    cells are numbered in order of first appearance too.  Respondent i
+    falls in cell ``index[i]`` and weighs ``weights[i]``, so a cell's
+    weights in respondent order are ``weights[index == g]``.
+    ``set_weights[j]`` lists the raw weights of the respondents holding
+    ``sets[j]``, for exactly rounded sums.  Two tables are equal when
+    they describe equal respondents in the same order.
     """
 
     sets: tuple[PartySet, ...]
@@ -210,50 +230,40 @@ class CellTable:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @classmethod
-    def of(cls, respondents) -> CellTable:
-        """Group respondents into cells in one pass.
+    def build(cls, weights: list[float], set_ids, pattern_ids, sets, covariates) -> CellTable:
+        """Group rows into cells.
 
-        Set and covariate objects are looked up by identity, so rows
-        sharing them (as parsed and simulated rows do) cost one
-        dictionary probe each; the first row holding a new object is
-        matched by value.
+        Row i weighs ``weights[i]`` and holds ``sets[set_ids[i]]`` and
+        ``covariates[pattern_ids[i]]``.  The ids number pairwise unequal
+        objects in order of first appearance.  ``set_weights`` holds the
+        float objects of ``weights`` themselves, not copies.
         """
-        by_mask: dict[int, tuple[PartySet, int, list[float], dict[int, int]]] = {}
-        by_value: dict[Covariates | None, int] = {}
-        groups: dict[int, tuple[PartySet, int, list[float], dict[int, int]]] = {}
-        patterns: dict[int, int] = {}
-        cell_set: list[int] = []
-        cell_covariates: list[int] = []
-        index: list[int] = []
-        weights: list[float] = []
-        for r in respondents:
-            ps, cov = r.set, r.covariates
-            try:
-                _, si, set_weights, cells_of_set = groups[id(ps)]
-            except KeyError:
-                group = by_mask.setdefault(ps.mask, (ps, len(by_mask), [], {}))
-                _, si, set_weights, cells_of_set = groups[id(ps)] = group
-            try:
-                ci = patterns[id(cov)]
-            except KeyError:
-                ci = patterns[id(cov)] = by_value.setdefault(cov, len(by_value))
-            g = cells_of_set.get(ci)
-            if g is None:
-                g = cells_of_set[ci] = len(cell_set)
-                cell_set.append(si)
-                cell_covariates.append(ci)
-            set_weights.append(r.weight)
-            index.append(g)
-            weights.append(r.weight)
-        return cls(
-            [ps for ps, _, _, _ in by_mask.values()],
-            list(by_value),
-            cell_set,
-            cell_covariates,
-            index,
-            weights,
-            [ws for _, _, ws, _ in by_mask.values()],
+        set_id = np.array(set_ids, dtype=np.intp)
+        pattern_id = np.array(pattern_ids, dtype=np.intp)
+        index, first = first_appearance(set_id * len(covariates) + pattern_id)
+        set_weights: list[list[float]] = [[] for _ in sets]
+        for w, j in zip(weights, set_ids):
+            set_weights[j].append(w)
+        return cls(sets, covariates, set_id[first], pattern_id[first], index, weights, set_weights)
+
+    def __eq__(self, other):
+        if not isinstance(other, CellTable):
+            return NotImplemented
+        return (
+            self.sets == other.sets
+            and self.covariates == other.covariates
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("cell_set", "cell_covariates", "index", "weights")
+            )
         )
+
+    def rows(self):
+        """Each respondent's (weight, set, covariates), in respondent order."""
+        pairs = zip(self.cell_set.tolist(), self.cell_covariates.tolist())
+        cells = [(self.sets[j], self.covariates[c]) for j, c in pairs]
+        for w, g in zip(self.weights.tolist(), self.index.tolist()):
+            yield (w, *cells[g])
 
     def design_rows(self, category_of_set, n_covariates: int):
         """Design arrays of the respondents whose set has a category, in respondent order.
@@ -275,41 +285,73 @@ class CellTable:
         return np.array(rows, dtype=float).reshape(len(rows), 1 + n_covariates)
 
 
-@dataclass(frozen=True)
+def _group_by_value(rows) -> CellTable:
+    """The cell table of (weight, set, covariates) rows, matching sets and covariates by value."""
+    sets: dict[PartySet, int] = {}
+    patterns: dict[Covariates | None, int] = {}
+    weights, set_ids, pattern_ids = [], [], []
+    for weight, ps, cov in rows:
+        weights.append(weight)
+        set_ids.append(sets.setdefault(ps, len(sets)))
+        pattern_ids.append(patterns.setdefault(cov, len(patterns)))
+    return CellTable.build(weights, set_ids, pattern_ids, list(sets), list(patterns))
+
+
+@dataclass(frozen=True, init=False)
 class Survey:
     """One poll wave: a registry, a covariate schema, and weighted respondents.
 
-    A respondent has covariates exactly when the schema is nonempty,
-    and they carry the schema's names; construction checks this once
-    per distinct covariate object, so no estimator has to.  ``cells``
-    is the survey's cell table, built from ``respondents``; every
-    estimator reads it instead of the respondents.
+    The survey stores its respondents as a cell table (``cells``), which
+    every estimator reads; ``respondents`` is a view built from it on
+    first access.  A respondent has covariates exactly when the schema
+    is nonempty, and they carry the schema's names; construction checks
+    this once per distinct covariate object, so no estimator has to.
     """
 
     registry: PartyRegistry
     schema: tuple[str, ...]
-    respondents: tuple[Respondent, ...]
+    cells: CellTable = field(repr=False)
     wave: str = ""
     dropped_rows: int = 0
-    total_weight: float = field(init=False, compare=False)
-    cells: CellTable = field(init=False, compare=False, repr=False)
+    total_weight: float = field(compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "respondents", tuple(self.respondents))
-        cells = CellTable.of(self.respondents)
-        if not all(ps.fits(self.registry) for ps in cells.sets):
+    def __init__(self, registry: PartyRegistry, schema, respondents, wave: str = "", dropped_rows: int = 0):
+        """A survey of ``respondents``, whose equal sets and covariates share one cell-table entry."""
+        cells = _group_by_value((r.weight, r.set, r.covariates) for r in respondents)
+        self._store(registry, schema, cells, wave, dropped_rows)
+
+    @classmethod
+    def from_cells(
+        cls, registry: PartyRegistry, schema, cells: CellTable, wave: str = "", dropped_rows: int = 0
+    ) -> Survey:
+        """A survey stored as ``cells``, with the same checks as the constructor."""
+        survey = object.__new__(cls)
+        survey._store(registry, schema, cells, wave, dropped_rows)
+        return survey
+
+    def _store(self, registry, schema, cells, wave, dropped_rows):
+        schema = tuple(schema)
+        if not all(ps.fits(registry) for ps in cells.sets):
             raise ValueError("respondent set references options outside the registry")
-        if any((cov.names if cov is not None else ()) != self.schema for cov in cells.covariates):
+        if any((cov.names if cov is not None else ()) != schema for cov in cells.covariates):
             raise ValueError("respondent covariates do not match the survey schema")
         total = math.fsum(chain.from_iterable(cells.set_weights))
-        if self.respondents and total <= 0:
+        if len(cells.weights) and total <= 0:
             raise ValueError("total weight must be positive")
-        object.__setattr__(self, "total_weight", total)
+        object.__setattr__(self, "registry", registry)
+        object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "wave", wave)
+        object.__setattr__(self, "dropped_rows", dropped_rows)
+        object.__setattr__(self, "total_weight", total)
+
+    @cached_property
+    def respondents(self) -> tuple[Respondent, ...]:
+        """One Respondent per row, in order, sharing the table's set and covariate objects."""
+        return tuple(Respondent(w, ps, cov) for w, ps, cov in self.cells.rows())
 
     def __len__(self) -> int:
-        return len(self.respondents)
+        return len(self.cells.weights)
 
     @property
     def n_undecided(self) -> int:
@@ -318,7 +360,7 @@ class Survey:
 
     @property
     def n_decided(self) -> int:
-        return len(self.respondents) - self.n_undecided
+        return len(self) - self.n_undecided
 
 
 @dataclass(frozen=True)
@@ -333,26 +375,6 @@ class SurveyDiagnostics:
     option_counts: dict[str, int]
 
 
-def _csv_rows(text: str):
-    """Each CSV record of ``text`` with the physical line it starts on.
-
-    A quoted field may span lines, so a record's line is counted in
-    physical lines, not records.  Strict mode rejects a quote left open
-    at the end of the document instead of reading the rest of the file
-    into one field; a malformed document raises SurveyFormatError
-    naming the line the malformed record starts on, which for an open
-    quote is where the quote opened, not the end of the file.
-    """
-    reader = csv.reader(io.StringIO(text), strict=True)
-    start = 1
-    try:
-        for row in reader:
-            yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise SurveyFormatError(f"malformed CSV: {exc}", line=start) from None
-
-
 def _parse_parties(cell: str, registry: PartyRegistry, lineno: int) -> PartySet | None:
     """The set a parties cell names, or None if it names a code outside the registry."""
     codes = [c.strip() for c in cell.split(";") if c.strip()]
@@ -365,13 +387,18 @@ def _parse_parties(cell: str, registry: PartyRegistry, lineno: int) -> PartySet 
     return registry.set_of(codes)
 
 
+_BITS = {"0": 0, "1": 1}
+
+
 def _parse_covariates(cells: tuple[str, ...], schema: tuple[str, ...], lineno: int) -> Covariates | None:
     if not schema:
         return None
-    for label, cell in zip(schema, cells):
-        if cell not in ("0", "1"):
-            raise SurveyFormatError(f"covariate {label!r} must be 0 or 1, got {cell!r}", line=lineno)
-    return Covariates(tuple(int(cell) for cell in cells), schema)
+    try:
+        values = tuple(map(_BITS.__getitem__, cells))
+    except KeyError:
+        label, cell = next((label, cell) for label, cell in zip(schema, cells) if cell not in _BITS)
+        raise SurveyFormatError(f"covariate {label!r} must be 0 or 1, got {cell!r}", line=lineno) from None
+    return Covariates(values, schema)
 
 
 def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
@@ -388,58 +415,81 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     row starts on (a quoted field may span lines).  A leading UTF-8
     byte order mark, as spreadsheet exports write it, is skipped.
 
-    Each distinct parties cell and each distinct tuple of covariate
-    cells is validated once, at its first row, and the resulting
-    PartySet and Covariates objects are shared by every row repeating
-    it, so the survey's cell table groups the rows by identity.  There
-    is one memo per field, not one per whole row: sets and covariate
-    patterns repeat far more often than whole rows do.
+    The rows go straight into the survey's cell table: each row appends
+    its weight, a set id and a covariate-pattern id.  Each distinct
+    parties cell and each distinct tuple of covariate cells is validated
+    once, at its first row; there is one memo per field, not one per
+    whole row, since sets and covariate patterns repeat far more often
+    than whole rows do.
     """
     schema = tuple(schema)
-    reader = _csv_rows(text.removeprefix("\ufeff"))
-    try:
-        _, header = next(reader)
-    except StopIteration:
-        raise SurveyFormatError("empty document, expected a header row") from None
     expected = ["weight", "parties", *schema]
-    if header != expected:
-        raise SurveyFormatError(f"header {header!r} does not match expected {expected!r}", line=1)
-
     width = len(expected)
-    # Parties cell -> its set, or None to drop the row.  Spellings of one
-    # set (``A;B``, ``B;A``) share the object kept in by_mask.
-    parties: dict[str, PartySet | None] = {}
-    by_mask: dict[int, PartySet] = {}
-    # Covariate cells -> their Covariates.
-    patterns: dict[tuple[str, ...], Covariates | None] = {}
-    respondents: list[Respondent] = []
+    # Parties cell -> set id, or None to drop the row.  Spellings of one
+    # set (``A;B``, ``B;A``) share the id kept in set_ids_by_mask.
+    parties: dict[str, int | None] = {}
+    set_ids_by_mask: dict[int, int] = {}
+    sets: list[PartySet] = []
+    # Covariate cells -> pattern id.
+    patterns: dict[tuple[str, ...], int] = {}
+    covariates: list[Covariates | None] = []
+    weights: list[float] = []
+    set_ids: list[int] = []
+    pattern_ids: list[int] = []
     dropped = 0
-    for lineno, row in reader:
-        if not row:
-            continue
-        if len(row) != width:
-            raise SurveyFormatError(f"expected {width} columns, got {len(row)}", line=lineno)
-        try:
-            weight = float(row[0])
-        except ValueError:
-            raise SurveyFormatError(f"weight {row[0]!r} is not a number", line=lineno) from None
-        if not (math.isfinite(weight) and weight > 0):
-            raise SurveyFormatError(f"weight must be positive and finite, got {row[0]}", line=lineno)
-        try:
-            ps = parties[row[1]]
-        except KeyError:
-            ps = _parse_parties(row[1], registry, lineno)
-            ps = parties[row[1]] = None if ps is None else by_mask.setdefault(ps.mask, ps)
-        if ps is None:
-            dropped += 1
-            continue
-        key = tuple(row[2:])
-        try:
-            cov = patterns[key]
-        except KeyError:
-            cov = patterns[key] = _parse_covariates(key, schema, lineno)
-        respondents.append(Respondent(weight, ps, cov))
-    return Survey(registry, schema, respondents, dropped_rows=dropped)
+    # Strict mode rejects a quote left open at the end of the document
+    # instead of reading the rest of the file into one field.  A record
+    # is reported at the physical line it starts on: for an open quote,
+    # where the quote opened, not the end of the file.
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")), strict=True)
+    start = 1
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SurveyFormatError("empty document, expected a header row")
+        if header != expected:
+            raise SurveyFormatError(f"header {header!r} does not match expected {expected!r}", line=1)
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != width:
+                raise SurveyFormatError(f"expected {width} columns, got {len(row)}", line=lineno)
+            try:
+                weight = float(row[0])
+            except ValueError:
+                raise SurveyFormatError(f"weight {row[0]!r} is not a number", line=lineno) from None
+            if not 0.0 < weight < math.inf:
+                raise SurveyFormatError(f"weight must be positive and finite, got {row[0]}", line=lineno)
+            try:
+                si = parties[row[1]]
+            except KeyError:
+                ps = _parse_parties(row[1], registry, lineno)
+                si = None
+                if ps is not None:
+                    si = set_ids_by_mask.get(ps.mask)
+                    if si is None:
+                        si = set_ids_by_mask[ps.mask] = len(sets)
+                        sets.append(ps)
+                parties[row[1]] = si
+            if si is None:
+                dropped += 1
+                continue
+            key = tuple(row[2:])
+            try:
+                ci = patterns[key]
+            except KeyError:
+                cov = _parse_covariates(key, schema, lineno)
+                ci = patterns[key] = len(covariates)
+                covariates.append(cov)
+            weights.append(weight)
+            set_ids.append(si)
+            pattern_ids.append(ci)
+    except csv.Error as exc:
+        raise SurveyFormatError(f"malformed CSV: {exc}", line=start) from None
+    cells = CellTable.build(weights, set_ids, pattern_ids, sets, covariates)
+    return Survey.from_cells(registry, schema, cells, dropped_rows=dropped)
 
 
 def survey_to_csv(s: Survey) -> str:
@@ -455,8 +505,8 @@ def survey_to_csv(s: Survey) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["weight", "parties", *s.schema])
     writer.writerows(
-        [repr(r.weight), parties[cell_set[g]], *values[cell_covariates[g]]]
-        for r, g in zip(s.respondents, cells.index.tolist())
+        [repr(w), parties[cell_set[g]], *values[cell_covariates[g]]]
+        for w, g in zip(cells.weights.tolist(), cells.index.tolist())
     )
     return out.getvalue()
 
@@ -467,11 +517,11 @@ def survey_to_json(s: Survey) -> str:
         "schema": list(s.schema),
         "respondents": [
             {
-                "weight": r.weight,
-                "parties": list(s.registry.codes_of(r.set)),
-                "covariates": list(r.covariates.values) if r.covariates is not None else None,
+                "weight": w,
+                "parties": list(s.registry.codes_of(ps)),
+                "covariates": list(cov.values) if cov is not None else None,
             }
-            for r in s.respondents
+            for w, ps, cov in s.cells.rows()
         ],
         "wave": s.wave,
     }
@@ -479,35 +529,45 @@ def survey_to_json(s: Survey) -> str:
 
 
 def survey_from_json(text: str) -> Survey:
+    """Read a survey_to_json document; equal sets and covariates share one object."""
     doc = json.loads(text)
     registry = PartyRegistry(tuple(doc["registry"]))
     schema = tuple(doc["schema"])
-    respondents = []
-    for rec in doc["respondents"]:
-        cov = None
-        if rec.get("covariates") is not None:
-            cov = Covariates(tuple(rec["covariates"]), schema)
-        respondents.append(Respondent(float(rec["weight"]), registry.set_of(rec["parties"]), cov))
-    return Survey(registry, schema, tuple(respondents), wave=doc.get("wave", ""))
+
+    def rows():
+        for rec in doc["respondents"]:
+            cov = None
+            if rec.get("covariates") is not None:
+                cov = Covariates(tuple(rec["covariates"]), schema)
+            weight = float(rec["weight"])
+            ps = registry.set_of(rec["parties"])
+            if not 0.0 < weight < math.inf:
+                raise ValueError(f"weight must be positive and finite, got {weight}")
+            yield weight, ps, cov
+
+    return Survey.from_cells(registry, schema, _group_by_value(rows()), wave=doc.get("wave", ""))
 
 
 def undecided_share(s: Survey) -> tuple[float, float]:
     """Unweighted and weighted fraction of undecided respondents."""
-    if not s.respondents:
+    if not len(s):
         raise ValueError("undecided_share of an empty survey")
     cells = s.cells
     undecided = [ws for ps, ws in zip(cells.sets, cells.set_weights) if not ps.is_singleton]
     n_und = sum(map(len, undecided))
     w_und = math.fsum(chain.from_iterable(undecided))
-    return n_und / len(s.respondents), w_und / s.total_weight
+    return n_und / len(s), w_und / s.total_weight
 
 
 def group_counts(s: Survey, top: int | None = None) -> dict[PartySet, tuple[int, float]]:
     """Distinct consideration sets with (count, total weight), biggest first.
 
     Ties in count are ordered by the registry-index lexicographic order
-    of the set, so output is deterministic across runs.
+    of the set, so output is deterministic across runs.  ``top`` keeps
+    the first ``top`` groups and must be nonnegative.
     """
+    if top is not None and top < 0:
+        raise ValueError(f"top must be nonnegative, got {top}")
     cells = s.cells
     groups = sorted(zip(cells.sets, cells.set_weights), key=lambda g: (-len(g[1]), g[0].sort_key()))
     if top is not None:
@@ -517,7 +577,7 @@ def group_counts(s: Survey, top: int | None = None) -> dict[PartySet, tuple[int,
 
 def validate(s: Survey) -> SurveyDiagnostics:
     """Compute a diagnostics report; never mutates and never raises."""
-    n = len(s.respondents)
+    n = len(s)
     if n:
         unw, wgt = undecided_share(s)
     else:

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import AllocationConstraint, Interval, dempster_bounds, effective_allocation_limits, event_bounds
-from .data import Covariates, PartyRegistry, PartySet, Respondent, Survey
+from .data import CellTable, Covariates, PartyRegistry, PartySet, Survey, first_appearance
 
 COMPLETION_BUDGET = 1_000_000
 GRID_BUDGET = 2_000_000
@@ -114,46 +114,41 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     weights = rng.uniform(lo, hi, size=config.n) if hi > lo else np.full(config.n, lo)
     coarsen = rng.random(config.n) < config.coarsen_prob
 
-    respondents = []
-    latent = []
-    # One PartySet per mask and one Covariates per pattern, shared by the
-    # rows repeating it, as parse_survey shares them.
-    sets: dict[int, PartySet] = {}
-    patterns: dict[tuple[int, ...], Covariates] = {}
-    for i in range(config.n):
+    # Each row's set starts as its vote; coarsened rows then draw their
+    # extra parties from the generator, one row at a time in row order.
+    masks = np.left_shift(1, votes)
+    for i in np.flatnonzero(coarsen).tolist():
         vote = int(votes[i])
-        latent.append(vote)
-        mask = 1 << vote
-        if coarsen[i]:
-            others = [j for j in range(k) if j != vote]
-            n_extra = min(int(rng.integers(1, 3)), len(others))
-            if config.style is CoarsenStyle.NEIGHBOR:
-                p = probs[i, others]
-                p = p / p.sum()
-                extras = rng.choice(others, size=n_extra, replace=False, p=p)
-            else:
-                extras = rng.choice(others, size=n_extra, replace=False)
-            for j in extras:
-                mask |= 1 << int(j)
-        cov = None
-        if n_cov:
-            values = tuple(int(v) for v in x[i, 1:])
-            cov = patterns.get(values)
-            if cov is None:
-                cov = patterns[values] = Covariates(values, config.covariate_names)
-        ps = sets.get(mask)
-        if ps is None:
-            ps = sets[mask] = PartySet(mask)
-        respondents.append(Respondent(float(weights[i]), ps, cov))
-    # Free the model arrays before the survey builds its cell table.
-    del x, probs
-
-    survey = Survey(config.registry, config.covariate_names, tuple(respondents), wave=f"sim-seed-{config.seed}")
+        others = [j for j in range(k) if j != vote]
+        n_extra = min(int(rng.integers(1, 3)), len(others))
+        if config.style is CoarsenStyle.NEIGHBOR:
+            p = probs[i, others]
+            p = p / p.sum()
+            extras = rng.choice(others, size=n_extra, replace=False, p=p)
+        else:
+            extras = rng.choice(others, size=n_extra, replace=False)
+        for j in extras:
+            masks[i] |= 1 << int(j)
+    del probs
+    set_ids, first = first_appearance(masks)
+    sets = [PartySet(mask) for mask in masks[first].tolist()]
+    pattern_ids, covariates = [0] * config.n, [None]
+    if n_cov:
+        bits = x[:, 1:].astype(np.uint8)
+        # Each row's covariates as one opaque byte string.
+        pattern_ids, first = first_appearance(bits.view(np.dtype((np.void, n_cov))).ravel())
+        pattern_ids = pattern_ids.tolist()
+        covariates = [Covariates(tuple(values), config.covariate_names) for values in bits[first].tolist()]
+        del bits
+    # Free the per-row arrays before the survey builds its cell table.
+    del x, masks
+    cells = CellTable.build(weights.tolist(), set_ids.tolist(), pattern_ids, sets, covariates)
+    survey = Survey.from_cells(config.registry, config.covariate_names, cells, wave=f"sim-seed-{config.seed}")
     shares = {
         code: min(math.fsum(weights[votes == idx].tolist()) / survey.total_weight, 1.0)
         for idx, code in enumerate(config.registry.options)
     }
-    return survey, GroundTruth(tuple(latent), shares)
+    return survey, GroundTruth(tuple(votes.tolist()), shares)
 
 
 def truth_to_csv(s: Survey, g: GroundTruth) -> str:
@@ -170,21 +165,19 @@ def oracle_completion_bounds(s: Survey, event: PartySet) -> Interval:
     are returned.  Weight sums are exactly rounded, so the result is
     bit-identical to the closed-form bounds.
     """
-    if not s.respondents:
+    if not len(s):
         raise ValueError("oracle on an empty survey")
-    undecided = [r for r in s.respondents if not r.decided]
+    rows = [(w, ps) for w, ps, _ in s.cells.rows()]
+    undecided = [(w, ps) for w, ps in rows if not ps.is_singleton]
     budget = 1
-    for r in undecided:
-        budget *= r.set.size
+    for _, ps in undecided:
+        budget *= ps.size
         if budget > COMPLETION_BUDGET:
             raise ValueError(
                 f"completion budget exceeded ({budget} > {COMPLETION_BUDGET}); use a smaller instance"
             )
-    base = [r.weight for r in s.respondents if r.decided and r.set.issubset(event)]
-    choice_weights = [
-        tuple(r.weight if event.contains_index(i) else None for i in r.set.indices())
-        for r in undecided
-    ]
+    base = [w for w, ps in rows if ps.is_singleton and ps.issubset(event)]
+    choice_weights = [tuple(w if event.contains_index(i) else None for i in ps.indices()) for w, ps in undecided]
     w_total = s.total_weight
     best_lo = None
     best_hi = None
@@ -245,22 +238,22 @@ def oracle_constrained_bounds(
     w_total = s.total_weight
     lo_terms = []
     hi_terms = []
-    for r in s.respondents:
-        k = r.set.size
-        m = r.set.intersection_size(event)
+    for w, ps, _ in s.cells.rows():
+        k = ps.size
+        m = ps.intersection_size(event)
         if k == 1:
             if m:
-                lo_terms.append(r.weight)
-                hi_terms.append(r.weight)
+                lo_terms.append(w)
+                hi_terms.append(w)
             continue
         alpha_eff, beta_eff = effective_allocation_limits(k, c)
         lo_units = math.ceil(alpha_eff * total_units - 1e-9)
         hi_units = math.floor(beta_eff * total_units + 1e-9)
         units_lo, units_hi = _grid_extremes(k, m, lo_units, hi_units, total_units)
         if units_lo:
-            lo_terms.append(r.weight * (units_lo / total_units))
+            lo_terms.append(w * (units_lo / total_units))
         if units_hi:
-            hi_terms.append(r.weight * (units_hi / total_units))
+            hi_terms.append(w * (units_hi / total_units))
     lower = min(math.fsum(lo_terms) / w_total, 1.0)
     upper = min(math.fsum(hi_terms) / w_total, 1.0)
     return Interval(lower, upper)
@@ -272,7 +265,7 @@ def coverage_check(s: Survey, g: GroundTruth, coalitions=()) -> CoverageReport:
     Checks every option and every supplied coalition; a violation would
     contradict the construction and is reported rather than raised.
     """
-    if len(g.votes) != len(s.respondents):
+    if len(g.votes) != len(s):
         raise ValueError("ground truth does not align with the survey")
     forecast = dempster_bounds(s)
     violations = []
@@ -285,9 +278,7 @@ def coverage_check(s: Survey, g: GroundTruth, coalitions=()) -> CoverageReport:
             violations.append(code)
     for spec in coalitions:
         iv = event_bounds(s, spec.members)
-        selected = [
-            s.respondents[i].weight for i, v in enumerate(g.votes) if spec.members.contains_index(v)
-        ]
+        selected = [w for w, v in zip(s.cells.weights.tolist(), g.votes) if spec.members.contains_index(v)]
         share = min(math.fsum(selected) / s.total_weight, 1.0)
         margins[spec.name] = min(share - iv.lower, iv.upper - share)
         if not iv.contains(share):

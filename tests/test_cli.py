@@ -56,6 +56,15 @@ class TestDescribe:
         assert code == 2
         assert "empty.csv" in err
 
+    def test_negative_top_exit_2(self, capsys, tmp_path):
+        # A negative slice bound used to drop the last group silently.
+        path = tmp_path / "four.csv"
+        path.write_text("weight,parties\n1,A\n1,A\n1,B\n1,A;B\n")
+        code, out, err = run(capsys, "describe", "--input", path, "--registry", "A,B", "--format", "csv", "--top", "-1")
+        assert code == 2
+        assert out == ""
+        assert "top must be nonnegative" in err
+
 
 class TestMalformedInput:
     def test_oversized_field_exit_2_with_line(self, capsys, tmp_path):
@@ -237,6 +246,29 @@ class TestCoalitions:
         )
         assert code == 0
         assert out.strip().splitlines() == ["coalition,lower,upper,classification"]
+
+    @pytest.mark.parametrize("threshold", ["nan", "1", "1.5", "-0.1", "inf"])
+    def test_threshold_outside_unit_interval_exit_2(self, capsys, fixture_csv, tmp_path, threshold):
+        # NaN and thresholds >= 1 used to exclude every coalition, exit 0.
+        coal = tmp_path / "coal.csv"
+        coal.write_text("AB,A;B\n")
+        code, out, err = run(
+            capsys, "coalitions", "--input", fixture_csv, "--registry", REG,
+            "--coalitions", coal, "--format", "csv", "--threshold", threshold,
+        )
+        assert code == 2
+        assert out == ""
+        assert "threshold must lie in [0, 1)" in err
+
+    def test_threshold_zero_accepted(self, capsys, fixture_csv, tmp_path):
+        coal = tmp_path / "coal.csv"
+        coal.write_text("C_ALONE,C\n")
+        code, out, _ = run(
+            capsys, "coalitions", "--input", fixture_csv, "--registry", REG,
+            "--coalitions", coal, "--format", "csv", "--threshold", "0",
+        )
+        assert code == 0
+        assert out.strip().splitlines()[1].endswith("guaranteed")
 
     def test_unknown_party_exit_2(self, capsys, fixture_csv, tmp_path):
         coal = tmp_path / "bad.csv"

@@ -19,8 +19,11 @@ from pollsets import (
     undecided_share,
     validate,
 )
+from pollsets.data import CellTable
+from pollsets.simulate import SimConfig, default_true_coefficients, generate_population
 
 REG6 = PartyRegistry(("SPD", "CDU_CSU", "GRUENE", "FDP", "AFD", "LINKE"))
+WAVE3_SCHEMA = ("female", "age_65plus", "east", "high_income", "urban")
 
 
 class TestParse:
@@ -361,9 +364,14 @@ def _survey_documents(draw):
     return "\n".join(lines) + "\n"
 
 
+# Cells in order of first appearance differ from cells sorted by (set, pattern).
+CELL_ORDER = "weight,parties,x1,x2\n1.0,B,0,0\n1.0,A,1,0\n1.0,B,1,0\n1.0,A,0,0\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(_survey_documents())
 @example(MULTILINE_THEN_FAULT)
+@example(CELL_ORDER)
 def test_parse_matches_per_row_reference(text):
     want = _reference_parse(text)
     try:
@@ -394,3 +402,57 @@ def test_parse_matches_per_row_reference(text):
         mask: [w for w, m, _ in want[1] if m == mask] for mask in {m for _, m, _ in want[1]}
     }
     assert len(set(zip(cells.cell_set.tolist(), cells.cell_covariates.tolist()))) == len(cells.cell_set)
+    # Sets, covariate patterns and cells are numbered by first appearance.
+    assert [ps.mask for ps in cells.sets] == list(dict.fromkeys(m for _, m, _ in want[1]))
+    assert [cov.values for cov in cells.covariates] == list(dict.fromkeys(v for _, _, v in want[1]))
+    assert [
+        (cells.sets[j].mask, cells.covariates[c].values)
+        for j, c in zip(cells.cell_set.tolist(), cells.cell_covariates.tolist())
+    ] == list(dict.fromkeys((m, v) for _, m, v in want[1]))
+    # The public constructor, given the reference rows as Respondents, must
+    # store the same table, and the respondents view must give them back.
+    rows = tuple(Respondent(w, PartySet(mask), Covariates(values, DIFF_SCHEMA)) for w, mask, values in want[1])
+    built = Survey(DIFF_REGISTRY, DIFF_SCHEMA, rows, dropped_rows=want[2])
+    assert built == s
+    other = built.cells
+    assert cells.sets == other.sets and cells.covariates == other.covariates
+    for name in ("cell_set", "cell_covariates", "index"):
+        assert getattr(cells, name).tolist() == getattr(other, name).tolist()
+    assert cells.weights.tobytes() == other.weights.tobytes()
+    assert [[w.hex() for w in ws] for ws in cells.set_weights] == [[w.hex() for w in ws] for ws in other.set_weights]
+    for survey in (s, built):
+        assert survey.respondents == rows
+        table = survey.cells
+        for r, g in zip(survey.respondents, table.index.tolist()):
+            assert r.set is table.sets[table.cell_set[g]]
+            assert r.covariates is table.covariates[table.cell_covariates[g]]
+
+
+def test_readers_build_no_respondent_per_row(monkeypatch, wave3_path):
+    made = []
+    init = Respondent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Respondent, "__init__", counting_init)
+    s = parse_survey(wave3_path.read_text(), REG6, WAVE3_SCHEMA)
+    again = survey_from_json(survey_to_json(s))
+    config = SimConfig(REG6, 300, default_true_coefficients(6, 2), ("u", "v"), coarsen_prob=0.3, seed=1)
+    simulated, _ = generate_population(config)
+    survey_to_csv(simulated)
+    assert made == []
+    # The respondents view is where they are made, one per row.
+    assert again.respondents == s.respondents
+    assert len(made) == 2 * len(s)
+
+
+def test_build_keeps_the_given_weight_objects():
+    weights = [float(text) for text in ("0.5", "1.5", "0.5", "2.0")]
+    sets = [PartySet(1), PartySet(3)]
+    table = CellTable.build(weights, [0, 1, 0, 1], [0, 0, 0, 0], sets, [None])
+    assert [[id(w) for w in ws] for ws in table.set_weights] == [
+        [id(weights[0]), id(weights[2])],
+        [id(weights[1]), id(weights[3])],
+    ]
