@@ -23,8 +23,19 @@ sufficient statistics for the likelihood (Agresti, *Categorical Data
 Analysis*), so an iteration costs O(G K P) for G distinct rows instead
 of O(n K P).  ``lambda_max`` stays a per-row sum: it sets the top of
 the lambda grid, whose values reach the output exactly, and a grouped
-sum rounds differently in the last bit.  Fold assignment and held-out
-scoring in cross-validation stay per respondent too.
+sum rounds differently in the last bit.
+
+One core, ``_fit_stack``, fits a stack of B problems that share the
+distinct rows and differ in their counts, penalty weight and start.
+Each problem keeps its own step size, momentum and stop state, and a
+stopped problem leaves the running set with its coefficients frozen.
+Every array operation in the core works per problem and in the same
+order for any B, so a problem fitted in a stack ends bit-identical to
+the same problem fitted alone.  ``fit`` is the case B = 1.
+Cross-validation fits every fold of every repeat at one lambda as one
+stack over the full design's distinct rows, each fold's training counts
+summed from its own rows in respondent order.  Fold assignment, the
+per-fold penalty scaling and held-out scoring stay per respondent.
 """
 
 from __future__ import annotations
@@ -96,11 +107,13 @@ class Constraint:
 
 
 def project_constraint(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
+    """A copy of a K x P matrix, or of each matrix in a stack, on the constraint subspace."""
     out = np.array(mat, dtype=float)
     if constraint.kind == "reference":
-        out[constraint.ref, :] = 0.0
+        out[..., constraint.ref, :] = 0.0
     elif constraint.kind == "symmetric":
-        out -= out.mean(axis=0, keepdims=True)
+        # The column means, as ndarray.mean takes them.
+        out -= np.add.reduce(out, axis=-2, keepdims=True) / out.shape[-2]
     else:
         raise ValueError(f"unknown constraint kind {constraint.kind!r}")
     return out
@@ -138,8 +151,9 @@ class DesignData:
         return self.x.shape[0]
 
     @cached_property
-    def grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct design rows ``xu``, their G x K weighted category counts, and each row's total."""
+    def grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct design rows ``xu``, their G x K weighted category counts, each row's total,
+        and each respondent's index into ``xu``."""
         # Rows as opaque byte strings: np.unique sorts these far faster than
         # it sorts rows with axis=0.
         rows = np.ascontiguousarray(self.x).view(np.dtype((np.void, self.x.itemsize * self.x.shape[1])))
@@ -149,9 +163,9 @@ class DesignData:
         counts = np.bincount(group * k + self.y, weights=self.w, minlength=len(xu) * k)
         counts = counts.reshape(len(xu), k)
         totals = counts.sum(axis=1)
-        for arr in (xu, counts, totals):
+        for arr in (xu, counts, totals, group):
             arr.flags.writeable = False
-        return xu, counts, totals
+        return xu, counts, totals, group
 
     @property
     def n_predictors(self) -> int:
@@ -212,39 +226,65 @@ class FitReport:
 
 @dataclass(frozen=True)
 class FitOptions:
+    """Stopping and line-search settings; a value the fitter cannot run with raises ValueError."""
+
     max_iterations: int = 10_000
     tolerance: float = 1e-8
     initial_step: float = 1.0
     backtrack_factor: float = 2.0
     max_backtracks: int = 60
 
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError("tolerance must be finite and >= 0")
+        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
+            raise ValueError("initial_step must be finite and > 0")
+        if not (math.isfinite(self.backtrack_factor) and self.backtrack_factor > 1):
+            raise ValueError("backtrack_factor must be finite and > 1")
+        if self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be >= 1")
+
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _smooth_value(coef: np.ndarray, d: DesignData, ridge: float) -> tuple[float, np.ndarray]:
-    """Weighted NLL + ridge on non-intercept columns, and the log-probabilities per distinct row."""
-    xu, counts, _ = d.grouped
-    logp = _log_softmax(xu @ coef.T)
-    nll = -float(np.vdot(counts, logp))
-    if ridge:
-        body = coef[:, 1:]
-        nll += 0.5 * ridge * float(np.sum(body * body))
-    if not math.isfinite(nll):
+def _check_finite(values: list[float]) -> None:
+    if not all(map(math.isfinite, values)):
         raise ValueError("non-finite objective; coefficients diverged")
+
+
+def _stack_value(coef: np.ndarray, xu: np.ndarray, counts: np.ndarray, ridge: float):
+    """Per problem of a (B, K, P) stack: weighted NLL + ridge on non-intercept columns,
+    and the (B, G, K) log-probabilities per distinct row."""
+    n = len(coef)
+    logp = _log_softmax(xu @ coef.swapaxes(-1, -2))
+    # One BLAS dot per problem, as np.vdot would take it.
+    nll = -np.matmul(counts.reshape(n, 1, -1), logp.reshape(n, -1, 1)).reshape(n)
+    if ridge:
+        body = coef[..., 1:]
+        nll += 0.5 * ridge * np.add.reduce((body * body).reshape(n, -1), axis=1)
     return nll, logp
 
 
-def _smooth_parts(coef: np.ndarray, d: DesignData, ridge: float):
-    """Weighted NLL + ridge on non-intercept columns, and its raw gradient."""
-    nll, logp = _smooth_value(coef, d, ridge)
-    xu, counts, totals = d.grouped
-    grad = (np.exp(logp) * totals[:, None] - counts).T @ xu
+def _stack_gradient(coef, logp, xu, counts, totals, ridge: float) -> np.ndarray:
+    """Raw gradient of ``_stack_value`` per problem, from its log-probabilities."""
+    grad = (np.exp(logp) * totals[..., None] - counts).swapaxes(-1, -2) @ xu
     if ridge:
-        grad[:, 1:] += ridge * coef[:, 1:]
-    return nll, grad
+        grad[..., 1:] += ridge * coef[..., 1:]
+    return grad
+
+
+def _smooth_parts(coef: np.ndarray, d: DesignData, ridge: float):
+    """Weighted NLL + ridge on non-intercept columns of one K x P matrix, and its raw gradient."""
+    xu, counts, totals, _ = d.grouped
+    coef = np.asarray(coef, dtype=float)[None]
+    nll, logp = _stack_value(coef, xu, counts[None], ridge)
+    _check_finite(nll.tolist())
+    return float(nll[0]), _stack_gradient(coef, logp, xu, counts[None], totals[None], ridge)[0]
 
 
 def nll_and_gradient(m: MnlModel, d: DesignData) -> tuple[float, np.ndarray]:
@@ -266,33 +306,192 @@ def prox_group(v: np.ndarray, t: float) -> np.ndarray:
     return (1.0 - t / norm) * v
 
 
-def _apply_prox(coef: np.ndarray, threshold: float) -> np.ndarray:
-    if threshold == 0.0:
-        return coef
+def _column_norms(coef: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every column of a matrix or of each matrix in a stack.
+
+    Each norm is one BLAS dot over a contiguous copy of its column, as
+    ``np.linalg.norm`` takes it, so the values match ``prox_group`` bit
+    for bit.
+    """
+    cols = np.ascontiguousarray(coef.swapaxes(-1, -2))
+    return np.sqrt(np.matmul(cols[..., None, :], cols[..., :, None]))[..., 0, 0]
+
+
+def _stack_prox(coef: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """``prox_group`` on every non-intercept column of each problem, problem b at ``thresholds[b]``."""
+    body = coef[..., 1:]
+    norms = _column_norms(body)
+    t = thresholds[:, None]
+    keep = norms > t
+    scale = 1.0 - t / np.where(keep, norms, 1.0)
     out = coef.copy()
-    for j in range(1, coef.shape[1]):
-        out[:, j] = prox_group(coef[:, j], threshold)
+    out[..., 1:] = np.where(keep[:, None, :], scale[:, None, :] * body, 0.0)
     return out
 
 
 def group_norms(coef: np.ndarray) -> tuple[float, ...]:
-    return tuple(float(np.linalg.norm(coef[:, j])) for j in range(1, coef.shape[1]))
+    return tuple(_column_norms(coef[:, 1:]).tolist())
 
 
-def _group_penalty(coef: np.ndarray, lam: float) -> float:
-    if lam == 0.0:
-        return 0.0
-    return lam * math.fsum(group_norms(coef))
+def _intercept_start(y: np.ndarray, w: np.ndarray, k: int, p: int, constraint: Constraint) -> np.ndarray:
+    counts = np.zeros(k)
+    np.add.at(counts, y, w)
+    freqs = np.maximum(counts / counts.sum(), 1e-12)
+    coef = np.zeros((k, p))
+    coef[:, 0] = np.log(freqs)
+    return project_constraint(coef, constraint)
 
 
 def initial_coefficients(d: DesignData, constraint: Constraint) -> np.ndarray:
     """Start at the intercept-only solution: log weighted category frequencies."""
-    counts = np.zeros(d.n_categories)
-    np.add.at(counts, d.y, d.w)
-    freqs = np.maximum(counts / counts.sum(), 1e-12)
-    coef = np.zeros((d.n_categories, d.n_predictors))
-    coef[:, 0] = np.log(freqs)
-    return project_constraint(coef, constraint)
+    return _intercept_start(d.y, d.w, d.n_categories, d.n_predictors, constraint)
+
+
+def _fit_stack(
+    xu: np.ndarray,
+    counts: np.ndarray,
+    totals: np.ndarray,
+    lams: np.ndarray,
+    ridge: float,
+    constraint: Constraint,
+    options: FitOptions,
+    x0: np.ndarray,
+) -> tuple[np.ndarray, list[FitReport]]:
+    """Fit B problems over the shared distinct rows ``xu`` in lockstep.
+
+    Problem b has G x K counts ``counts[b]``, row totals ``totals[b]``,
+    group-lasso weight ``lams[b]`` and start ``x0[b]``, already on the
+    constraint subspace.  The array work of an iteration (objective,
+    gradient, proximal step) runs once for the whole stack; the scalar
+    decisions (line search, momentum, restarts, stopping) run per
+    problem, on Python floats.  A problem that stops leaves ``running``
+    and its coefficients stop changing.  Returns the final (B, K, P)
+    iterates, before the last projection, and one report per problem.
+    """
+    n = len(x0)
+    lam_list = lams.tolist()
+    penalized = any(lam_list)
+
+    def objectives(nll: list[float], coef: np.ndarray) -> list[float]:
+        if not penalized:
+            return list(nll)
+        sums = [math.fsum(row) for row in _column_norms(coef[..., 1:]).tolist()]
+        return [f + lam * s for f, lam, s in zip(nll, lam_list, sums)]
+
+    x = y = x0
+    nll_x = _stack_value(x, xu, counts, ridge)[0].tolist()
+    _check_finite(nll_x)
+    obj_x = objectives(nll_x, x)
+    history = [[v] for v in obj_x]
+    lipschitz = [1.0 / options.initial_step] * n
+    momentum = [1.0] * n
+    stop = ["max_iterations"] * n
+    iterations, backtracks, restarts = [0] * n, [0] * n, [0] * n
+    running = list(range(n))
+
+    for it in range(1, options.max_iterations + 1):
+        for b in running:
+            iterations[b] = it
+        f_y, logp = _stack_value(y, xu, counts, ridge)
+        f_y = f_y.tolist()
+        _check_finite([f_y[b] for b in running])
+        grad = project_constraint(_stack_gradient(y, logp, xu, counts, totals, ridge), constraint)
+
+        cand, f_cand = None, [0.0] * n
+        searching = running
+        for _ in range(options.max_backtracks):
+            steps = np.array(lipschitz)
+            trial = y - grad / steps[:, None, None]
+            if penalized:
+                trial = _stack_prox(trial, lams / steps)
+            trial = project_constraint(trial, constraint)
+            diff = trial - y
+            f_trial = _stack_value(trial, xu, counts, ridge)[0].tolist()
+            _check_finite([f_trial[b] for b in searching])
+            linear = np.add.reduce((grad * diff).reshape(n, -1), axis=1).tolist()
+            square = np.add.reduce((diff * diff).reshape(n, -1), axis=1).tolist()
+            # The first trial holds every candidate row; a later round
+            # overwrites only the rows it accepts.
+            if cand is None:
+                cand = trial
+            failed = []
+            for b in searching:
+                quad = f_y[b] + linear[b] + 0.5 * lipschitz[b] * square[b]
+                if f_trial[b] <= quad + 1e-12 * max(1.0, abs(f_y[b])):
+                    f_cand[b] = f_trial[b]
+                    if cand is not trial:
+                        cand[b] = trial[b]
+                else:
+                    failed.append(b)
+            if not failed:
+                break
+            for b in failed:
+                lipschitz[b] *= options.backtrack_factor
+                backtracks[b] += 1
+            searching = failed
+        else:
+            for b in searching:
+                stop[b] = "line_search_failed"
+            running = [b for b in running if b not in searching]
+
+        obj_cand = objectives(f_cand, cand)
+        accepted, restarted, still = [], [], []
+        beta = [0.0] * n
+        for b in running:
+            if obj_cand[b] > obj_x[b]:
+                if momentum[b] == 1.0:
+                    # A step without momentum raised the objective: from the
+                    # incumbent, an accepted proximal step can only lose to rounding.
+                    stop[b] = "stationary"
+                    continue
+                # Momentum overshot: keep the incumbent and restart acceleration.
+                momentum[b] = 1.0
+                restarts[b] += 1
+                restarted.append(b)
+                still.append(b)
+                continue
+            m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum[b] * momentum[b]))
+            beta[b] = (momentum[b] - 1.0) / m_next
+            change = obj_x[b] - obj_cand[b]
+            momentum[b] = m_next
+            nll_x[b], obj_x[b] = f_cand[b], obj_cand[b]
+            history[b].append(obj_x[b])
+            accepted.append(b)
+            if change <= options.tolerance * max(1.0, abs(obj_x[b])):
+                stop[b] = "converged"
+            else:
+                still.append(b)
+
+        if accepted:
+            y_next = project_constraint(cand + np.array(beta)[:, None, None] * (cand - x), constraint)
+        if len(accepted) == n:
+            x, y = cand, y_next
+        elif accepted or restarted:
+            x, y = x.copy(), y.copy()
+            if accepted:
+                x[accepted] = cand[accepted]
+                y[accepted] = y_next[accepted]
+            y[restarted] = x[restarted]
+        running = still
+        if not running:
+            break
+
+    norms = _column_norms(x[..., 1:]).tolist()
+    reports = [
+        FitReport(
+            nll=nll_x[b],
+            objective=obj_x[b],
+            iterations=iterations[b],
+            converged=stop[b] in ("converged", "stationary"),
+            stop_reason=stop[b],
+            backtracks=backtracks[b],
+            restarts=restarts[b],
+            group_norms=tuple(norms[b]),
+            objective_history=tuple(history[b]),
+        )
+        for b in range(n)
+    ]
+    return x, reports
 
 
 def fit(
@@ -313,73 +512,13 @@ def fit(
     """
     if len(np.unique(d.y)) < 2:
         raise ValueError("need at least 2 observed categories")
-    ridge = penalty.ridge_coefficient
-    lam = penalty.group_lambda
-
-    x_curr = project_constraint(start, constraint) if start is not None else initial_coefficients(d, constraint)
-    y_mat = x_curr
-    nll_curr, _ = _smooth_value(x_curr, d, ridge)
-    obj_curr = nll_curr + _group_penalty(x_curr, lam)
-    history = [obj_curr]
-    lipschitz = 1.0 / options.initial_step
-    t_curr = 1.0
-    stop_reason = "max_iterations"
-    iterations = backtracks = restarts = 0
-
-    for iterations in range(1, options.max_iterations + 1):
-        f_y, grad_y = _smooth_parts(y_mat, d, ridge)
-        grad_y = project_constraint(grad_y, constraint)
-
-        for _ in range(options.max_backtracks):
-            cand = _apply_prox(y_mat - grad_y / lipschitz, lam / lipschitz)
-            cand = project_constraint(cand, constraint)
-            diff = cand - y_mat
-            f_cand, _ = _smooth_value(cand, d, ridge)
-            quad = f_y + float(np.sum(grad_y * diff)) + 0.5 * lipschitz * float(np.sum(diff * diff))
-            if f_cand <= quad + 1e-12 * max(1.0, abs(f_y)):
-                break
-            lipschitz *= options.backtrack_factor
-            backtracks += 1
-        else:
-            stop_reason = "line_search_failed"
-            break
-
-        obj_cand = f_cand + _group_penalty(cand, lam)
-        if obj_cand > obj_curr:
-            if t_curr == 1.0:
-                stop_reason = "stationary"
-                break
-            # Momentum overshot: keep the incumbent and restart acceleration.
-            y_mat = x_curr
-            t_curr = 1.0
-            restarts += 1
-            continue
-
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr * t_curr))
-        y_mat = cand + ((t_curr - 1.0) / t_next) * (cand - x_curr)
-        y_mat = project_constraint(y_mat, constraint)
-        change = obj_curr - obj_cand
-        x_curr = cand
-        nll_curr, obj_curr = f_cand, obj_cand
-        t_curr = t_next
-        history.append(obj_curr)
-        if change <= options.tolerance * max(1.0, abs(obj_cand)):
-            stop_reason = "converged"
-            break
-
-    model = MnlModel(project_constraint(x_curr, constraint), constraint, penalty)
-    report = FitReport(
-        nll=nll_curr,
-        objective=obj_curr,
-        iterations=max(iterations, 1),
-        converged=stop_reason in ("converged", "stationary"),
-        stop_reason=stop_reason,
-        backtracks=backtracks,
-        restarts=restarts,
-        group_norms=group_norms(x_curr),
-        objective_history=tuple(history),
+    x0 = project_constraint(start, constraint) if start is not None else initial_coefficients(d, constraint)
+    xu, counts, totals, _ = d.grouped
+    lams = np.array([penalty.group_lambda])
+    x, (report,) = _fit_stack(
+        xu, counts[None], totals[None], lams, penalty.ridge_coefficient, constraint, options, x0[None]
     )
-    return model, report
+    return MnlModel(project_constraint(x[0], constraint), constraint, penalty), report
 
 
 def predict_proba(m: MnlModel, x) -> np.ndarray:
@@ -408,7 +547,7 @@ def lambda_max(d: DesignData, constraint: Constraint) -> float:
     resid = np.exp(_log_softmax(d.x @ coef.T))
     resid[np.arange(d.n), d.y] -= 1.0
     grad = project_constraint((resid * d.w[:, None]).T @ d.x, constraint)
-    norms = [float(np.linalg.norm(grad[:, j])) for j in range(1, d.n_predictors)]
+    norms = group_norms(grad)
     return max(norms) if norms else 0.0
 
 
@@ -428,14 +567,13 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     for cat in np.unique(y):
         idx = np.flatnonzero(y == cat)
         rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            assignment[i] = (offset + pos) % folds
+        assignment[idx] = (offset + np.arange(len(idx))) % folds
         offset += len(idx)
     return assignment
 
 
-def _holdout_nll(model: MnlModel, d: DesignData, idx: np.ndarray) -> float:
-    logp = _log_softmax(d.x[idx] @ model.coefficients.T)
+def _holdout_nll(coef: np.ndarray, d: DesignData, idx: np.ndarray) -> float:
+    logp = _log_softmax(d.x[idx] @ coef.T)
     picked = logp[np.arange(len(idx)), d.y[idx]]
     w = d.w[idx]
     return -float(np.dot(w, picked)) / float(w.sum())
@@ -461,6 +599,9 @@ def cross_validate(
     go to the larger lambda.  A fold missing a category is scored
     against the model's own (always positive) softmax probabilities,
     so it needs no special casing.
+
+    All folds x repeats at one lambda are fitted as one stack over the
+    full design's distinct rows; see the module docstring.
     """
     grid = [float(v) for v in lambda_grid]
     if not grid:
@@ -471,20 +612,37 @@ def cross_validate(
         raise ValueError("need 2 <= folds <= n")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    xu, _, _, group = d.grouped
+    k, n = d.n_categories, folds * repeats
     w_total = float(d.w.sum())
-    scores = np.zeros((folds * repeats, len(grid)))
+    counts = np.empty((n, len(xu), k))
+    fractions = np.empty(n)
+    start = np.empty((n, k, d.n_predictors))
+    tests = []
     for r in range(repeats):
         assignment = _stratified_folds(d.y, folds, seed + 7919 * r)
         for f in range(folds):
+            b = r * folds + f
             train = np.flatnonzero(assignment != f)
-            test = np.flatnonzero(assignment == f)
-            d_train = DesignData(d.x[train], d.y[train], d.w[train], d.n_categories)
-            fraction = float(d_train.w.sum()) / w_total
-            warm = None
-            for j, lam in enumerate(grid):
-                model, _ = fit(d_train, PenaltySpec.group_lasso(lam * fraction), constraint, options, start=warm)
-                warm = model.coefficients
-                scores[r * folds + f, j] = _holdout_nll(model, d, test)
+            y, w = d.y[train], d.w[train]
+            if len(np.unique(y)) < 2:
+                raise ValueError("need at least 2 observed categories")
+            # The training rows in respondent order: the same sums a regroup of them gives.
+            counts[b] = np.bincount(group[train] * k + y, weights=w, minlength=counts[b].size).reshape(-1, k)
+            fractions[b] = float(w.sum()) / w_total
+            start[b] = _intercept_start(y, w, k, d.n_predictors, constraint)
+            tests.append(np.flatnonzero(assignment == f))
+    totals = counts.sum(axis=2)
+    scores = np.zeros((n, len(grid)))
+    for j, lam in enumerate(grid):
+        penalty = PenaltySpec.group_lasso(lam)
+        x, _ = _fit_stack(
+            xu, counts, totals, penalty.group_lambda * fractions, penalty.ridge_coefficient, constraint, options, start
+        )
+        coef = project_constraint(x, constraint)
+        scores[:, j] = [_holdout_nll(coef[b], d, test) for b, test in enumerate(tests)]
+        # Warm start, projected once more as ``fit`` projects a given start.
+        start = project_constraint(coef, constraint)
     means = scores.mean(axis=0)
     best = 0
     for j in range(1, len(grid)):

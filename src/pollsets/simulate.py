@@ -92,6 +92,34 @@ def default_true_coefficients(k_categories: int, n_covariates: int) -> tuple[tup
     return tuple(tuple(float(v) for v in row) for row in coef)
 
 
+def _extra_parties(rng: np.random.Generator, votes: np.ndarray, probs: np.ndarray, style: CoarsenStyle) -> np.ndarray:
+    """Bitmask of the parties each coarsened row adds to its vote, drawn for all rows at once.
+
+    A row adds 1 or 2 parties (fewer if there are not that many), the
+    ones with the largest keys among those other than its vote.
+    ADD_RANDOM keys are uniform, so the subset is uniform. NEIGHBOR keys
+    are Efraimidis-Spirakis keys log(u)/p over the row's vote
+    probabilities p, which select with the same distribution as drawing
+    parties one at a time with probability proportional to p, without
+    replacement.
+    """
+    m, k = probs.shape
+    n_extra = np.minimum(rng.integers(1, 3, size=m), k - 1)
+    keys = rng.random((m, k))
+    if style is CoarsenStyle.NEIGHBOR:
+        with np.errstate(divide="ignore"):
+            np.log(keys, out=keys)
+            keys /= probs
+    rows = np.arange(m)
+    keys[rows, votes] = -np.inf
+    extras = np.zeros(m, dtype=np.int64)
+    for j in range(2):
+        best = keys.argmax(axis=1)
+        extras |= np.where(n_extra > j, np.left_shift(1, best), 0)
+        keys[rows, best] = -np.inf
+    return extras
+
+
 def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     """Draw a survey and its latent votes; deterministic given the seed."""
     rng = np.random.default_rng(config.seed)
@@ -114,21 +142,10 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     weights = rng.uniform(lo, hi, size=config.n) if hi > lo else np.full(config.n, lo)
     coarsen = rng.random(config.n) < config.coarsen_prob
 
-    # Each row's set starts as its vote; coarsened rows then draw their
-    # extra parties from the generator, one row at a time in row order.
+    # Each row's set starts as its vote; coarsened rows add 1 or 2 other parties.
     masks = np.left_shift(1, votes)
-    for i in np.flatnonzero(coarsen).tolist():
-        vote = int(votes[i])
-        others = [j for j in range(k) if j != vote]
-        n_extra = min(int(rng.integers(1, 3)), len(others))
-        if config.style is CoarsenStyle.NEIGHBOR:
-            p = probs[i, others]
-            p = p / p.sum()
-            extras = rng.choice(others, size=n_extra, replace=False, p=p)
-        else:
-            extras = rng.choice(others, size=n_extra, replace=False)
-        for j in extras:
-            masks[i] |= 1 << int(j)
+    rows = np.flatnonzero(coarsen)
+    masks[rows] |= _extra_parties(rng, votes[rows], probs[rows], config.style)
     del probs
     set_ids, first = first_appearance(masks)
     sets = [PartySet(mask) for mask in masks[first].tolist()]

@@ -103,7 +103,8 @@ class TestGroupedObjective:
 
     def test_grouped_table_sums_weights(self):
         d = random_design(5, n=50, k=3, p=3)
-        xu, counts, totals = d.grouped
+        xu, counts, totals, group = d.grouped
+        assert np.array_equal(xu[group], d.x)
         assert len(np.unique(xu, axis=0)) == len(xu)
         assert counts.shape == (len(xu), 3)
         assert abs(totals.sum() - d.w.sum()) < 1e-12 * d.w.sum()
@@ -154,6 +155,22 @@ class TestProx:
             center = best
             span *= 0.06
         assert np.linalg.norm(prox - center) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stack_prox_equals_prox_group_per_column(self, seed):
+        rng = np.random.default_rng(seed)
+        k = (3, 8, 11, 4)[seed]
+        coef = rng.normal(size=(5, k, 6))
+        coef[1, :, 2] = 0.0
+        norms = np.linalg.norm(coef[..., 1:], axis=1)
+        # Per problem: zero, inside some column norms, above all of them.
+        thresholds = np.array([0.0, np.median(norms[1]), 0.5 * norms[2].min(), norms[3].max() * 1.01, 1e-3])
+        out = mnl._stack_prox(coef, thresholds)
+        for b, t in enumerate(thresholds):
+            assert np.array_equal(out[b, :, 0], coef[b, :, 0])
+            for j in range(1, coef.shape[2]):
+                assert np.array_equal(out[b, :, j], mnl.prox_group(coef[b, :, j], t))
+        assert np.all(out[3, :, 1:] == 0.0) and not np.signbit(out[3, :, 1:]).any()
 
 
 class TestFit:
@@ -212,8 +229,9 @@ class TestFit:
         assert (report.stop_reason, report.converged) == ("converged", True)
         assert report.backtracks > 0 and report.restarts > 0
 
-        _, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(max_iterations=2))
-        assert (report.stop_reason, report.converged, report.iterations) == ("max_iterations", False, 2)
+        for cap in (1, 2):
+            _, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(max_iterations=cap))
+            assert (report.stop_reason, report.converged, report.iterations) == ("max_iterations", False, cap)
 
         _, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(initial_step=1e6, max_backtracks=1))
         assert (report.stop_reason, report.converged, report.backtracks) == ("line_search_failed", False, 1)
@@ -225,6 +243,31 @@ class TestFit:
             _, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(1.01 * lam), constraint)
             stationary.append(report.stop_reason == "stationary")
         assert any(stationary)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(max_iterations=0),
+            dict(max_iterations=-3),
+            dict(tolerance=-1e-9),
+            dict(tolerance=math.nan),
+            dict(tolerance=math.inf),
+            dict(initial_step=-1.0),
+            dict(initial_step=0.0),
+            dict(initial_step=math.inf),
+            dict(initial_step=math.nan),
+            dict(backtrack_factor=0.5),
+            dict(backtrack_factor=1.0),
+            dict(backtrack_factor=math.inf),
+            dict(max_backtracks=0),
+        ],
+    )
+    def test_invalid_options_raise(self, options):
+        # Values the fitter cannot run with: a negative step never moves yet
+        # would report convergence, a factor <= 1 cannot pass a line search,
+        # an infinite step divides by zero.
+        with pytest.raises(ValueError):
+            mnl.FitOptions(**options)
 
     def test_single_category_errors(self):
         with pytest.raises(ValueError):
@@ -325,6 +368,12 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             mnl.cross_validate(d, [0.1, 0.5], folds=3, seed=0)
 
+    def test_training_fold_with_one_category_errors(self):
+        # The lone category-1 row sits in one fold, so the other fold trains on category 0 only.
+        d = mnl.DesignData(np.ones((9, 1)), np.array([0] * 8 + [1]), np.ones(9), 2)
+        with pytest.raises(ValueError, match="2 observed categories"):
+            mnl.cross_validate(d, [0.5], folds=2, seed=0)
+
     def test_fold_missing_category_is_scored(self):
         # Category 2 has a single row; some training folds will miss it.
         x = np.ones((12, 1))
@@ -351,3 +400,103 @@ def test_design_data_validation():
         mnl.DesignData(np.ones((3, 1)), np.array([0, 1, 5]), np.ones(3), 3)  # bad category
     with pytest.raises(ValueError):
         mnl.DesignData(np.ones((3, 1)), np.array([0, 1, 1]), np.array([1.0, -1.0, 1.0]), 2)
+
+
+def per_fold_stratified_folds(y, folds, seed):
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(len(y), dtype=int)
+    offset = 0
+    for cat in np.unique(y):
+        idx = np.flatnonzero(y == cat)
+        rng.shuffle(idx)
+        for pos, i in enumerate(idx):
+            assignment[i] = (offset + pos) % folds
+        offset += len(idx)
+    return assignment
+
+
+def per_fold_cross_validate(d, grid, folds, seed, constraint, repeats=1):
+    """Reference: one ``fit`` per fold and lambda, each on the fold's own regrouped rows."""
+    w_total = float(d.w.sum())
+    scores = np.zeros((folds * repeats, len(grid)))
+    for r in range(repeats):
+        assignment = per_fold_stratified_folds(d.y, folds, seed + 7919 * r)
+        for f in range(folds):
+            train = np.flatnonzero(assignment != f)
+            test = np.flatnonzero(assignment == f)
+            d_train = mnl.DesignData(d.x[train], d.y[train], d.w[train], d.n_categories)
+            fraction = float(d_train.w.sum()) / w_total
+            warm = None
+            for j, lam in enumerate(grid):
+                model, _ = mnl.fit(d_train, mnl.PenaltySpec.group_lasso(lam * fraction), constraint, start=warm)
+                warm = model.coefficients
+                held_out = 0.0
+                for i in test:
+                    scores_i = model.coefficients @ d.x[i]
+                    log_norm = scores_i.max() + math.log(np.exp(scores_i - scores_i.max()).sum())
+                    held_out -= d.w[i] * (scores_i[d.y[i]] - log_norm)
+                scores[r * folds + f, j] = held_out / d.w[test].sum()
+    means = scores.mean(axis=0)
+    best = min(range(len(grid)), key=lambda j: (means[j], j))
+    return grid[best], means
+
+
+def design_missing_a_category(seed):
+    """Category 3 has one row, so the training rows of the fold that holds it lack the category."""
+    d = random_design(seed, n=90, k=3, p=4)
+    y = d.y.copy()
+    y[0] = 3
+    return mnl.DesignData(d.x, y, d.w, 4)
+
+
+class TestStackedCrossValidation:
+    @pytest.mark.parametrize(
+        "seed,make_constraint,folds,repeats,missing",
+        [
+            (0, mnl.Constraint.symmetric, 3, 1, False),
+            (1, mnl.Constraint.symmetric, 5, 1, False),
+            (2, lambda: mnl.Constraint.reference(1), 3, 1, False),
+            (3, lambda: mnl.Constraint.reference(0), 4, 3, False),
+            (4, mnl.Constraint.symmetric, 2, 5, False),
+            (5, mnl.Constraint.symmetric, 3, 2, True),
+            (6, lambda: mnl.Constraint.reference(2), 3, 1, True),
+        ],
+    )
+    def test_matches_per_fold_fits(self, seed, make_constraint, folds, repeats, missing):
+        constraint = make_constraint()
+        d = design_missing_a_category(seed) if missing else random_design(seed, n=120, k=4, p=4)
+        grid = mnl.default_lambda_grid(d, constraint, 6)
+        best, means = mnl.cross_validate(d, grid, folds, seed, constraint, repeats=repeats)
+        ref_best, ref_means = per_fold_cross_validate(d, grid, folds, seed, constraint, repeats)
+        assert best == ref_best
+        assert np.max(np.abs(np.array(means) - ref_means)) <= 1e-12
+
+    def test_frozen_problems_match_their_solo_fits(self):
+        constraint = mnl.Constraint.symmetric()
+        d = random_design(41, n=200, k=4, p=5)
+        # Same rows, other weights: the same distinct rows, other counts.
+        other = mnl.DesignData(d.x, d.y, np.random.default_rng(42).uniform(0.1, 4.0, d.n), d.n_categories)
+        top = mnl.lambda_max(d, constraint)
+        # The first starts at its optimum and stops in iteration 1; the rest run long.
+        problems = [(d, 1.01 * top), (d, 0.01 * top), (other, 0.1 * top), (other, 1e-4 * top)]
+        xu = d.grouped[0]
+        assert np.array_equal(other.grouped[0], xu)
+        counts = np.stack([p.grouped[1] for p, _ in problems])
+        x, reports = mnl._fit_stack(
+            xu,
+            counts,
+            counts.sum(axis=2),
+            np.array([lam for _, lam in problems]),
+            mnl.RIDGE_FLOOR,
+            constraint,
+            mnl.FitOptions(),
+            np.stack([mnl.initial_coefficients(p, constraint) for p, _ in problems]),
+        )
+        for b, (p, lam) in enumerate(problems):
+            solo, solo_report = mnl.fit(p, mnl.PenaltySpec.group_lasso(lam), constraint)
+            coef = mnl.project_constraint(x[b], constraint)
+            assert np.max(np.abs(coef - solo.coefficients)) <= 1e-12
+            assert reports[b].iterations == solo_report.iterations
+            assert reports[b].stop_reason == solo_report.stop_reason
+        assert reports[0].iterations == 1
+        assert min(r.iterations for r in reports[1:]) > 20

@@ -17,6 +17,7 @@ from pollsets import (
     oracle_constrained_bounds,
     survey_to_csv,
 )
+from pollsets import simulate
 from pollsets.simulate import CoarsenStyle, SimConfig, default_true_coefficients, truth_to_csv
 from conftest import random_event, random_survey
 
@@ -59,6 +60,32 @@ class TestGeneratePopulation:
         s, g = generate_population(config(coarsen_prob=0.8, seed=3, style=CoarsenStyle.NEIGHBOR))
         for r, vote in zip(s.respondents, g.votes):
             assert r.set.contains_index(vote)
+
+    @pytest.mark.parametrize("style", list(CoarsenStyle))
+    def test_extra_party_frequencies_match_exact_inclusion(self, style):
+        # One vote-probability row for every respondent, K = 5.
+        p = np.array([0.4, 0.25, 0.17, 0.11, 0.07])
+        m, k = 200_000, len(p)
+        rng = np.random.default_rng(2024)
+        votes = rng.integers(0, k, m)
+        extras = simulate._extra_parties(rng, votes, np.tile(p, (m, 1)), style)
+        included = (extras[:, None] >> np.arange(k)) & 1
+        n_extra = included.sum(axis=1)
+        assert not included[np.arange(m), votes].any()
+        assert set(n_extra.tolist()) == {1, 2}
+        for vote in range(k):
+            others = [j for j in range(k) if j != vote]
+            q = p[others] / p[others].sum()
+            if style is CoarsenStyle.ADD_RANDOM:
+                q = np.full(len(others), 1.0 / len(others))
+            # Drawn one at a time in proportion to q, without replacement.
+            second = np.array([sum(q[i] * q[j] / (1.0 - q[i]) for i in range(len(q)) if i != j) for j in range(len(q))])
+            for size, exact in ((1, q), (2, q + second)):
+                here = (votes == vote) & (n_extra == size)
+                freq = included[here][:, others].mean(axis=0)
+                # Five binomial standard errors, fixed before the run.
+                tolerance = 5.0 * np.sqrt(exact * (1.0 - exact) / here.sum())
+                assert np.all(np.abs(freq - exact) <= tolerance), (vote, size, freq, exact)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
