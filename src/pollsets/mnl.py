@@ -28,14 +28,18 @@ sum rounds differently in the last bit.
 One core, ``_fit_stack``, fits a stack of B problems that share the
 distinct rows and differ in their counts, penalty weight and start.
 Each problem keeps its own step size, momentum and stop state, and a
-stopped problem leaves the running set with its coefficients frozen.
-Every array operation in the core works per problem and in the same
-order for any B, so a problem fitted in a stack ends bit-identical to
-the same problem fitted alone.  ``fit`` is the case B = 1.
-Cross-validation fits every fold of every repeat at one lambda as one
-stack over the full design's distinct rows, each fold's training counts
-summed from its own rows in respondent order.  Fold assignment, the
-per-fold penalty scaling and held-out scoring stay per respondent.
+stopped problem leaves the stack with its coefficients frozen.  Every
+array operation in the core works per problem and in the same order
+for any B, so a problem fitted in a stack ends bit-identical to the
+same problem fitted alone.  ``fit`` is the case B = 1.
+Cross-validation fits the folds of every repeat at one lambda as one
+stack over the distinct rows they train on, each fold's training counts
+summed from its own rows in respondent order.  A stack holds at most
+``STACK_CELLS`` count cells: past that, a fold's arithmetic outweighs
+the per-iteration overhead a stack shares, so a large design fits
+fewer folds per stack, down to one fold over its own rows, as a lone
+fit would.  Fold assignment, the per-fold penalty scaling and held-out
+scoring stay per respondent.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ from functools import cached_property
 import numpy as np
 
 RIDGE_FLOOR = 1e-8
+
+# Most G x K count cells in one cross-validation stack; see the module docstring.
+STACK_CELLS = 1 << 16
 
 
 class PenaltyKind(enum.Enum):
@@ -112,8 +119,7 @@ def project_constraint(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
     if constraint.kind == "reference":
         out[..., constraint.ref, :] = 0.0
     elif constraint.kind == "symmetric":
-        # The column means, as ndarray.mean takes them.
-        out -= np.add.reduce(out, axis=-2, keepdims=True) / out.shape[-2]
+        out -= out.mean(axis=-2, keepdims=True)
     else:
         raise ValueError(f"unknown constraint kind {constraint.kind!r}")
     return out
@@ -248,8 +254,10 @@ class FitOptions:
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    """Log-softmax over the last axis, computed in place on ``scores``."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= np.log(np.exp(scores).sum(axis=-1, keepdims=True))
+    return scores
 
 
 def _check_finite(values: list[float]) -> None:
@@ -266,13 +274,16 @@ def _stack_value(coef: np.ndarray, xu: np.ndarray, counts: np.ndarray, ridge: fl
     nll = -np.matmul(counts.reshape(n, 1, -1), logp.reshape(n, -1, 1)).reshape(n)
     if ridge:
         body = coef[..., 1:]
-        nll += 0.5 * ridge * np.add.reduce((body * body).reshape(n, -1), axis=1)
+        nll += 0.5 * ridge * (body * body).reshape(n, -1).sum(axis=1)
     return nll, logp
 
 
 def _stack_gradient(coef, logp, xu, counts, totals, ridge: float) -> np.ndarray:
     """Raw gradient of ``_stack_value`` per problem, from its log-probabilities."""
-    grad = (np.exp(logp) * totals[..., None] - counts).swapaxes(-1, -2) @ xu
+    resid = np.exp(logp)
+    resid *= totals[..., None]
+    resid -= counts
+    grad = resid.swapaxes(-1, -2) @ xu
     if ridge:
         grad[..., 1:] += ridge * coef[..., 1:]
     return grad
@@ -362,83 +373,95 @@ def _fit_stack(
     Problem b has G x K counts ``counts[b]``, row totals ``totals[b]``,
     group-lasso weight ``lams[b]`` and start ``x0[b]``, already on the
     constraint subspace.  The array work of an iteration (objective,
-    gradient, proximal step) runs once for the whole stack; the scalar
-    decisions (line search, momentum, restarts, stopping) run per
-    problem, on Python floats.  A problem that stops leaves ``running``
-    and its coefficients stop changing.  Returns the final (B, K, P)
-    iterates, before the last projection, and one report per problem.
+    gradient, proximal step) runs once over the stack of problems still
+    running, and a backtracking round only over the problems it retries;
+    the scalar decisions (line search, momentum, restarts, stopping) run
+    per problem, on Python floats.  A problem that stops leaves the
+    stack with its coefficients frozen, so it costs nothing more.
+    Returns the final (B, K, P) iterates, before the last projection,
+    and one report per problem.
     """
     n = len(x0)
     lam_list = lams.tolist()
     penalized = any(lam_list)
 
-    def objectives(nll: list[float], coef: np.ndarray) -> list[float]:
+    def objectives(nll: list[float], coef: np.ndarray, ids: list[int]) -> list[float]:
         if not penalized:
             return list(nll)
         sums = [math.fsum(row) for row in _column_norms(coef[..., 1:]).tolist()]
-        return [f + lam * s for f, lam, s in zip(nll, lam_list, sums)]
+        return [f + lam_list[b] * s for f, b, s in zip(nll, ids, sums)]
 
+    # Problem ``ids[i]`` sits at position i of the running stack.
+    ids = list(range(n))
     x = y = x0
     nll_x = _stack_value(x, xu, counts, ridge)[0].tolist()
     _check_finite(nll_x)
-    obj_x = objectives(nll_x, x)
+    obj_x = objectives(nll_x, x, ids)
     history = [[v] for v in obj_x]
     lipschitz = [1.0 / options.initial_step] * n
     momentum = [1.0] * n
     stop = ["max_iterations"] * n
     iterations, backtracks, restarts = [0] * n, [0] * n, [0] * n
-    running = list(range(n))
+    final = np.empty_like(x0)
 
     for it in range(1, options.max_iterations + 1):
-        for b in running:
+        m = len(ids)
+        for b in ids:
             iterations[b] = it
         f_y, logp = _stack_value(y, xu, counts, ridge)
         f_y = f_y.tolist()
-        _check_finite([f_y[b] for b in running])
+        _check_finite(f_y)
         grad = project_constraint(_stack_gradient(y, logp, xu, counts, totals, ridge), constraint)
+        del logp
 
-        cand, f_cand = None, [0.0] * n
-        searching = running
+        cand, f_cand = None, [0.0] * m
+        searching, lost = list(range(m)), []
         for _ in range(options.max_backtracks):
-            steps = np.array(lipschitz)
-            trial = y - grad / steps[:, None, None]
+            if len(searching) == m:
+                y_s, grad_s, counts_s, lams_s = y, grad, counts, lams
+            else:
+                y_s, grad_s, counts_s, lams_s = (a[searching] for a in (y, grad, counts, lams))
+            steps = np.array([lipschitz[ids[i]] for i in searching])
+            trial = y_s - grad_s / steps[:, None, None]
             if penalized:
-                trial = _stack_prox(trial, lams / steps)
+                trial = _stack_prox(trial, lams_s / steps)
             trial = project_constraint(trial, constraint)
-            diff = trial - y
-            f_trial = _stack_value(trial, xu, counts, ridge)[0].tolist()
-            _check_finite([f_trial[b] for b in searching])
-            linear = np.add.reduce((grad * diff).reshape(n, -1), axis=1).tolist()
-            square = np.add.reduce((diff * diff).reshape(n, -1), axis=1).tolist()
-            # The first trial holds every candidate row; a later round
-            # overwrites only the rows it accepts.
+            diff = trial - y_s
+            f_trial = _stack_value(trial, xu, counts_s, ridge)[0].tolist()
+            _check_finite(f_trial)
+            linear = (grad_s * diff).reshape(len(searching), -1).sum(axis=1).tolist()
+            square = (diff * diff).reshape(len(searching), -1).sum(axis=1).tolist()
+            # The first round tries every problem; a later round writes
+            # only the rows it accepts.
             if cand is None:
                 cand = trial
             failed = []
-            for b in searching:
-                quad = f_y[b] + linear[b] + 0.5 * lipschitz[b] * square[b]
-                if f_trial[b] <= quad + 1e-12 * max(1.0, abs(f_y[b])):
-                    f_cand[b] = f_trial[b]
+            for j, i in enumerate(searching):
+                quad = f_y[i] + linear[j] + 0.5 * lipschitz[ids[i]] * square[j]
+                if f_trial[j] <= quad + 1e-12 * max(1.0, abs(f_y[i])):
+                    f_cand[i] = f_trial[j]
                     if cand is not trial:
-                        cand[b] = trial[b]
+                        cand[i] = trial[j]
                 else:
-                    failed.append(b)
+                    failed.append(i)
             if not failed:
                 break
-            for b in failed:
-                lipschitz[b] *= options.backtrack_factor
-                backtracks[b] += 1
+            for i in failed:
+                lipschitz[ids[i]] *= options.backtrack_factor
+                backtracks[ids[i]] += 1
             searching = failed
         else:
-            for b in searching:
-                stop[b] = "line_search_failed"
-            running = [b for b in running if b not in searching]
+            lost = searching
+            for i in lost:
+                stop[ids[i]] = "line_search_failed"
 
-        obj_cand = objectives(f_cand, cand)
-        accepted, restarted, still = [], [], []
-        beta = [0.0] * n
-        for b in running:
-            if obj_cand[b] > obj_x[b]:
+        obj_cand = objectives(f_cand, cand, ids)
+        accepted, restarted, keep = [], [], []
+        beta = [0.0] * m
+        for i, b in enumerate(ids):
+            if i in lost:
+                continue
+            if obj_cand[i] > obj_x[b]:
                 if momentum[b] == 1.0:
                     # A step without momentum raised the objective: from the
                     # incumbent, an accepted proximal step can only lose to rounding.
@@ -447,24 +470,24 @@ def _fit_stack(
                 # Momentum overshot: keep the incumbent and restart acceleration.
                 momentum[b] = 1.0
                 restarts[b] += 1
-                restarted.append(b)
-                still.append(b)
+                restarted.append(i)
+                keep.append(i)
                 continue
             m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum[b] * momentum[b]))
-            beta[b] = (momentum[b] - 1.0) / m_next
-            change = obj_x[b] - obj_cand[b]
+            beta[i] = (momentum[b] - 1.0) / m_next
+            change = obj_x[b] - obj_cand[i]
             momentum[b] = m_next
-            nll_x[b], obj_x[b] = f_cand[b], obj_cand[b]
+            nll_x[b], obj_x[b] = f_cand[i], obj_cand[i]
             history[b].append(obj_x[b])
-            accepted.append(b)
+            accepted.append(i)
             if change <= options.tolerance * max(1.0, abs(obj_x[b])):
                 stop[b] = "converged"
             else:
-                still.append(b)
+                keep.append(i)
 
         if accepted:
             y_next = project_constraint(cand + np.array(beta)[:, None, None] * (cand - x), constraint)
-        if len(accepted) == n:
+        if len(accepted) == m:
             x, y = cand, y_next
         elif accepted or restarted:
             x, y = x.copy(), y.copy()
@@ -472,11 +495,18 @@ def _fit_stack(
                 x[accepted] = cand[accepted]
                 y[accepted] = y_next[accepted]
             y[restarted] = x[restarted]
-        running = still
-        if not running:
-            break
+        if len(keep) < m:
+            # Problems that stopped leave the stack with their iterates.
+            done = [i for i in range(m) if i not in keep]
+            final[[ids[i] for i in done]] = x[done]
+            ids = [ids[i] for i in keep]
+            if not ids:
+                break
+            x, y, counts, totals, lams = (a[keep] for a in (x, y, counts, totals, lams))
+    if ids:
+        final[ids] = x
 
-    norms = _column_norms(x[..., 1:]).tolist()
+    norms = _column_norms(final[..., 1:]).tolist()
     reports = [
         FitReport(
             nll=nll_x[b],
@@ -491,7 +521,7 @@ def _fit_stack(
         )
         for b in range(n)
     ]
-    return x, reports
+    return final, reports
 
 
 def fit(
@@ -600,8 +630,8 @@ def cross_validate(
     against the model's own (always positive) softmax probabilities,
     so it needs no special casing.
 
-    All folds x repeats at one lambda are fitted as one stack over the
-    full design's distinct rows; see the module docstring.
+    The folds x repeats at one lambda are fitted as stacks of up to
+    ``STACK_CELLS`` count cells; see the module docstring.
     """
     grid = [float(v) for v in lambda_grid]
     if not grid:
@@ -613,16 +643,19 @@ def cross_validate(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     xu, _, _, group = d.grouped
-    k, n = d.n_categories, folds * repeats
+    k = d.n_categories
     w_total = float(d.w.sum())
-    counts = np.empty((n, len(xu), k))
-    fractions = np.empty(n)
-    start = np.empty((n, k, d.n_predictors))
-    tests = []
-    for r in range(repeats):
-        assignment = _stratified_folds(d.y, folds, seed + 7919 * r)
-        for f in range(folds):
-            b = r * folds + f
+    assignments = [_stratified_folds(d.y, folds, seed + 7919 * r) for r in range(repeats)]
+    splits = [(assignment, f) for assignment in assignments for f in range(folds)]
+    per_stack = max(1, STACK_CELLS // (len(xu) * k))
+    scores = np.zeros((len(splits), len(grid)))
+    for lo in range(0, len(splits), per_stack):
+        stack = splits[lo : lo + per_stack]
+        counts = np.empty((len(stack), len(xu), k))
+        fractions = np.empty(len(stack))
+        start = np.empty((len(stack), k, d.n_predictors))
+        tests = []
+        for b, (assignment, f) in enumerate(stack):
             train = np.flatnonzero(assignment != f)
             y, w = d.y[train], d.w[train]
             if len(np.unique(y)) < 2:
@@ -632,17 +665,20 @@ def cross_validate(
             fractions[b] = float(w.sum()) / w_total
             start[b] = _intercept_start(y, w, k, d.n_predictors, constraint)
             tests.append(np.flatnonzero(assignment == f))
-    totals = counts.sum(axis=2)
-    scores = np.zeros((n, len(grid)))
-    for j, lam in enumerate(grid):
-        penalty = PenaltySpec.group_lasso(lam)
-        x, _ = _fit_stack(
-            xu, counts, totals, penalty.group_lambda * fractions, penalty.ridge_coefficient, constraint, options, start
-        )
-        coef = project_constraint(x, constraint)
-        scores[:, j] = [_holdout_nll(coef[b], d, test) for b, test in enumerate(tests)]
-        # Warm start, projected once more as ``fit`` projects a given start.
-        start = project_constraint(coef, constraint)
+        # Only the distinct rows some problem of the stack trains on.
+        rows = np.flatnonzero(counts.any(axis=(0, 2)))
+        stack_xu, counts = xu[rows], counts[:, rows]
+        totals = counts.sum(axis=2)
+        for j, lam in enumerate(grid):
+            penalty = PenaltySpec.group_lasso(lam)
+            x, _ = _fit_stack(
+                stack_xu, counts, totals, penalty.group_lambda * fractions, penalty.ridge_coefficient,
+                constraint, options, start,
+            )
+            coef = project_constraint(x, constraint)
+            scores[lo : lo + len(stack), j] = [_holdout_nll(coef[b], d, test) for b, test in enumerate(tests)]
+            # Warm start, projected once more as ``fit`` projects a given start.
+            start = project_constraint(coef, constraint)
     means = scores.mean(axis=0)
     best = 0
     for j in range(1, len(grid)):

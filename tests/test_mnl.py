@@ -207,9 +207,12 @@ class TestFit:
 
     def test_monotone_descent(self):
         d = random_design(13, n=70, k=3, p=4)
-        _, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(0.2), mnl.Constraint.symmetric())
+        model, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(0.2), mnl.Constraint.symmetric())
         hist = report.objective_history
         assert all(a >= b for a, b in zip(hist, hist[1:]))
+        # The model is the iterate the report describes, not an earlier one.
+        assert mnl.nll_and_gradient(model, d)[0] == pytest.approx(report.nll, rel=1e-12)
+        assert hist[-1] == report.objective < hist[0]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_start_at_optimum_stops_in_one_iteration(self, seed):
@@ -471,6 +474,21 @@ class TestStackedCrossValidation:
         assert best == ref_best
         assert np.max(np.abs(np.array(means) - ref_means)) <= 1e-12
 
+    @pytest.mark.parametrize("per_stack", [1, 2])
+    def test_split_stacks_match_per_fold_fits(self, monkeypatch, per_stack):
+        # Up to 64 distinct rows for 80 respondents: most folds miss some rows.
+        d = random_design(8, n=80, k=3, p=7)
+        xu, _, _, group = d.grouped
+        assert len(np.unique(group[mnl._stratified_folds(d.y, 3, 8) != 0])) < len(xu)
+        # The large-design path: stacks of one or two problems, each over the rows they train on.
+        monkeypatch.setattr(mnl, "STACK_CELLS", per_stack * len(xu) * d.n_categories)
+        constraint = mnl.Constraint.symmetric()
+        grid = mnl.default_lambda_grid(d, constraint, 6)
+        best, means = mnl.cross_validate(d, grid, 3, 8, constraint, repeats=2)
+        ref_best, ref_means = per_fold_cross_validate(d, grid, 3, 8, constraint, 2)
+        assert best == ref_best
+        assert np.max(np.abs(np.array(means) - ref_means)) <= 1e-12
+
     def test_frozen_problems_match_their_solo_fits(self):
         constraint = mnl.Constraint.symmetric()
         d = random_design(41, n=200, k=4, p=5)
@@ -494,9 +512,8 @@ class TestStackedCrossValidation:
         )
         for b, (p, lam) in enumerate(problems):
             solo, solo_report = mnl.fit(p, mnl.PenaltySpec.group_lasso(lam), constraint)
-            coef = mnl.project_constraint(x[b], constraint)
-            assert np.max(np.abs(coef - solo.coefficients)) <= 1e-12
-            assert reports[b].iterations == solo_report.iterations
-            assert reports[b].stop_reason == solo_report.stop_reason
+            # Bit-identical, not merely close: the stack works per problem.
+            assert np.array_equal(mnl.project_constraint(x[b], constraint), solo.coefficients)
+            assert reports[b] == solo_report
         assert reports[0].iterations == 1
         assert min(r.iterations for r in reports[1:]) > 20
