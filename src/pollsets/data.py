@@ -13,9 +13,14 @@ order, and each distinct set's raw weights.  Covariates are binary and
 sets are bitmasks, so a survey has at most 2^p x (2^K - 1) cells and
 usually far fewer than respondents; a bound or a forecast costs one
 step per distinct set or cell plus one exactly rounded sum, not one
-Python step per respondent.  ``parse_survey`` fills the columns as it
-reads, validating each distinct parties cell and covariate tuple once,
-and ``CellTable.build`` groups them; no per-row object is made.
+Python step per respondent.  ``parse_survey`` fills the columns
+directly and ``CellTable.build`` groups them; no per-row object is
+made.  A clean file is read by a columnar scan: numpy finds each
+block's newlines and commas, the covariates come out as one 0/1 matrix,
+and each distinct parties cell is validated once.  Anything else goes
+through the row parser, a ``csv.reader`` loop with one memo per field,
+which stays the reference for the format's semantics, error messages
+and line numbers.
 ``Survey.respondents`` is a view of one ``Respondent`` per row, built
 from the columns on first access for callers that want one; no
 estimator reads it.
@@ -38,11 +43,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_REGISTRY = 32
+_BINARY = frozenset((0, 1))
 
 
 class SurveyFormatError(ValueError):
@@ -161,7 +168,11 @@ class Covariates:
         object.__setattr__(self, "names", tuple(self.names))
         if len(self.values) != len(self.names):
             raise ValueError("covariate values and names differ in length")
-        if any(v not in (0, 1) for v in self.values):
+        try:
+            binary = set(self.values) <= _BINARY
+        except TypeError:  # an unhashable value is not 0 or 1 either
+            binary = False
+        if not binary:
             raise ValueError("covariates must be binary 0/1")
 
 
@@ -241,9 +252,13 @@ class CellTable:
         set_id = np.array(set_ids, dtype=np.intp)
         pattern_id = np.array(pattern_ids, dtype=np.intp)
         index, first = first_appearance(set_id * len(covariates) + pattern_id)
-        set_weights: list[list[float]] = [[] for _ in sets]
-        for w, j in zip(weights, set_ids):
-            set_weights[j].append(w)
+        # A stable sort by set keeps each set's weights in row order; on
+        # set ids narrowed to 8 or 16 bits numpy sorts by radix.  Taking
+        # from an object array keeps the given float objects.
+        order = np.argsort(set_id.astype(np.min_scalar_type(len(sets))), kind="stable")
+        by_set = np.array(weights, dtype=object)[order]
+        ends = np.cumsum(np.bincount(set_id, minlength=len(sets))).tolist()
+        set_weights = [by_set[start:end].tolist() for start, end in zip([0, *ends], ends)]
         return cls(sets, covariates, set_id[first], pattern_id[first], index, weights, set_weights)
 
     def __eq__(self, other):
@@ -415,6 +430,23 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     row starts on (a quoted field may span lines).  A leading UTF-8
     byte order mark, as spreadsheet exports write it, is skipped.
 
+    A clean document, with no quote, carriage return or blank line and
+    every row well formed, is read by a columnar scan over its bytes
+    (``_parse_clean``).  Any other document, and any document that scan
+    declines, goes through the row parser (``_parse_rows``), which
+    defines the format: its semantics, its error messages and their line
+    numbers.  Both give equal surveys wherever the scan accepts.
+    """
+    schema = tuple(schema)
+    survey = _parse_clean(text, registry, schema)
+    if survey is None:
+        survey = _parse_rows(text, registry, schema)
+    return survey
+
+
+def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey:
+    """Parse a survey CSV document row by row through ``csv.reader``.
+
     The rows go straight into the survey's cell table: each row appends
     its weight, a set id and a covariate-pattern id.  Each distinct
     parties cell and each distinct tuple of covariate cells is validated
@@ -422,7 +454,6 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     whole row, since sets and covariate patterns repeat far more often
     than whole rows do.
     """
-    schema = tuple(schema)
     expected = ["weight", "parties", *schema]
     width = len(expected)
     # Parties cell -> set id, or None to drop the row.  Spellings of one
@@ -490,6 +521,159 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
         raise SurveyFormatError(f"malformed CSV: {exc}", line=start) from None
     cells = CellTable.build(weights, set_ids, pattern_ids, sets, covariates)
     return Survey.from_cells(registry, schema, cells, dropped_rows=dropped)
+
+
+# The columnar scan reads a document in blocks of whole lines of about
+# this many characters, so its per-block index arrays stay small beside
+# the survey it builds.
+_BLOCK_CHARS = 1 << 18
+# A padded column of weight or parties cells may hold at most this many
+# bytes per byte of its block; a block with one far longer cell declines.
+_PAD_RATIO = 8
+# Covariate patterns are keyed by their bits packed into one int64.
+_MAX_KEY_BITS = 63
+
+
+def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey | None:
+    """Parse a clean survey CSV in one columnar pass over its bytes, or return None.
+
+    ``_scan_block`` finds the cells of each block of lines with numpy;
+    each distinct parties cell goes through ``_parse_parties`` once.
+    Sets and covariate patterns are numbered by first appearance among
+    the kept rows, as the row parser numbers them.
+
+    Returns a survey equal to ``_parse_rows``'s, or None wherever the
+    document is not clean (a quote, a carriage return, a NUL, a blank
+    line, a wrong column count, any cell the row parser would reject,
+    a non-binary covariate even on a dropped row, a field over
+    ``csv.field_size_limit()``, no data rows) or its shape does not
+    suit the scan.  It never raises and reports nothing: the row parser
+    is the one place that explains a fault.
+    """
+    if '"' in text or "\r" in text or "\0" in text or len(schema) > _MAX_KEY_BITS:
+        return None
+    text = text.removeprefix("\ufeff")
+    head = text.find("\n")
+    if head < 0 or text[:head].split(",") != ["weight", "parties", *schema]:
+        return None
+    limit = csv.field_size_limit()
+    if any(len(label) > limit for label in schema):
+        return None
+    # Parties cell -> set id, or -1 to drop the row; spellings of one set
+    # share the id kept in set_ids_by_mask.
+    parties: dict[bytes, int] = {}
+    set_ids_by_mask: dict[int, int] = {}
+    sets: list[PartySet] = []
+    weights: list[float] = []
+    set_ids, keys = [], []
+    rows = 0
+    pos = head + 1
+    while pos < len(text):
+        end = text.find("\n", pos + _BLOCK_CHARS)
+        end = len(text) if end < 0 else end + 1
+        scanned = _scan_block(text[pos:end], len(schema), limit)
+        pos = end
+        if scanned is None:
+            return None
+        row_weights, cells, key = scanned
+        for cell in dict.fromkeys(cells):
+            if cell not in parties:
+                try:
+                    # The line is never reported: a fault declines the scan.
+                    ps = _parse_parties(cell.decode(), registry, 0)
+                except (UnicodeDecodeError, SurveyFormatError):
+                    return None
+                si = -1
+                if ps is not None:
+                    si = set_ids_by_mask.setdefault(ps.mask, len(sets))
+                    if si == len(sets):
+                        sets.append(ps)
+                parties[cell] = si
+        set_id = np.fromiter(map(parties.__getitem__, cells), np.intp, len(cells))
+        keep = set_id >= 0
+        if not keep.all():
+            row_weights = compress(row_weights, keep.tolist())
+            set_id, key = set_id[keep], key[keep]
+        rows += len(cells)
+        weights.extend(row_weights)
+        set_ids.append(set_id)
+        keys.append(key)
+    if not rows:
+        return None
+    key = np.concatenate(keys)
+    pattern_ids, first = first_appearance(key)
+    if schema:
+        bits = key[first, None] >> np.arange(len(schema)) & 1
+        covariates = [Covariates(tuple(values), schema) for values in bits.tolist()]
+    else:
+        covariates = [None] * len(first)
+    cells = CellTable.build(weights, np.concatenate(set_ids), pattern_ids, sets, covariates)
+    return Survey.from_cells(registry, schema, cells, dropped_rows=rows - len(weights))
+
+
+def _scan_block(chunk: str, p: int, limit: int) -> tuple[list[float], list[bytes], np.ndarray] | None:
+    """Each data row's weight, parties cell and covariate-pattern key, or None.
+
+    ``chunk`` holds whole lines of rows with ``p`` covariates.  Every
+    row must have exactly ``p + 1`` commas, a weight that ``float``
+    takes and that is positive and finite, and each covariate cell one
+    byte ``0`` or ``1``; the pattern key packs a row's covariates as
+    bits.  Weight and parties cells come from padded ``S`` arrays.
+    """
+    try:
+        data = chunk.encode()
+    except UnicodeEncodeError:
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(buf == 44)
+    rows = len(ends)
+    if len(commas) != rows * (p + 1):
+        return None
+    # Commas are sorted, so a row whose first comma follows its start and
+    # whose last comma precedes its end holds exactly its p + 1 commas.
+    commas = commas.reshape(rows, p + 1)
+    if not (np.all(commas[:, 0] > starts) and np.all(commas[:, -1] < ends)):
+        return None
+    field_ends = np.concatenate((commas[:, 1:], ends[:, None]), axis=1)
+    if not np.all(field_ends[:, 1:] - commas[:, 1:] == 2):
+        return None
+    bits = buf[commas[:, 1:] + 1] - 48  # "0" -> 0, "1" -> 1; any other byte wraps above 1
+    if not np.all(bits <= 1):
+        return None
+    weight_len = commas[:, 0] - starts
+    parties_len = field_ends[:, 0] - commas[:, 0] - 1
+    if max(weight_len.max(), parties_len.max()) > limit:
+        return None
+    weight_cells = _padded(buf, starts, weight_len)
+    parties_cells = _padded(buf, commas[:, 0] + 1, parties_len)
+    if weight_cells is None or parties_cells is None:
+        return None
+    try:
+        weights = list(map(float, weight_cells.tolist()))
+    except ValueError:
+        return None
+    w = np.fromiter(weights, float, rows)
+    if not np.all((w > 0.0) & (w < math.inf)):
+        return None
+    return weights, parties_cells.tolist(), bits @ (1 << np.arange(p, dtype=np.int64))
+
+
+def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The cells ``buf[starts[i]:starts[i] + lengths[i]]`` as one NUL-padded ``S`` array.
+
+    None if the padded array would exceed ``_PAD_RATIO`` bytes per byte of ``buf``.
+    """
+    width = int(lengths.max())
+    if width == 0 or len(starts) * width > _PAD_RATIO * len(buf):
+        return None
+    windows = sliding_window_view(np.concatenate((buf, np.zeros(width, np.uint8))), width)
+    out = windows[starts]
+    out *= np.arange(width) < lengths[:, None]
+    return out.view(f"S{width}").ravel()
 
 
 def survey_to_csv(s: Survey) -> str:

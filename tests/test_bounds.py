@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pollsets import (
@@ -249,15 +249,21 @@ _WIDE_WEIGHTS = st.floats(1e-6, 1e6) | st.sampled_from([0.1, 0.2, 0.3, 1e-12, 1e
 
 
 @st.composite
-def _weighted_surveys(draw, weight=_WIDE_WEIGHTS):
-    """Random weighted surveys with repeated cells, some sharing set objects and some not."""
+def _weighted_surveys(draw, weight=_WIDE_WEIGHTS, min_decided=0):
+    """Random weighted surveys with repeated cells, some sharing set objects and some not.
+
+    At least ``min_decided`` distinct singleton sets each hold a respondent.
+    """
     reg = PartyRegistry(("A", "B", "C"))
     schema = ("x1", "x2")
     shared = {mask: PartySet(mask) for mask in _SET_POOL}
-    cells = draw(st.lists(st.tuples(st.sampled_from(_SET_POOL), st.integers(0, 3)), min_size=1, max_size=6))
+    decided = draw(st.lists(st.sampled_from(_SET_POOL[:3]), min_size=min_decided, max_size=min_decided, unique=True))
+    forced = [(mask, draw(st.integers(0, 3))) for mask in decided]
+    cells = forced + draw(st.lists(st.tuples(st.sampled_from(_SET_POOL), st.integers(0, 3)), min_size=1, max_size=6))
+    n = draw(st.integers(max(1, min_decided), 40))
+    picks = forced + [draw(st.sampled_from(cells)) for _ in range(n - min_decided)]
     respondents = []
-    for _ in range(draw(st.integers(1, 40))):
-        mask, pattern = draw(st.sampled_from(cells))
+    for mask, pattern in draw(st.permutations(picks)):
         ps = shared[mask] if draw(st.booleans()) else PartySet(mask)
         cov = Covariates((pattern & 1, pattern >> 1), schema)
         respondents.append(Respondent(draw(weight), ps, cov))
@@ -330,9 +336,9 @@ def test_counts_and_conventional_bit_identical_to_per_respondent_fsum(s):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_weighted_surveys(weight=st.floats(0.2, 5.0)))
+@given(_weighted_surveys(weight=st.floats(0.2, 5.0), min_decided=2))
 def test_homogeneity_matches_per_respondent_transition_rows(s):
-    assume(len({r.set.mask for r in s.respondents if r.decided}) >= 2)
+    assert len({r.set.mask for r in s.respondents if r.decided}) >= 2
     # A ridge keeps fits on these tiny, often separable designs short.
     penalty = mnl.PenaltySpec.ridge(0.5)
     model, _ = mnl.fit(decided_design(s), penalty, mnl.Constraint.symmetric())

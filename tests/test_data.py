@@ -1,4 +1,6 @@
+import csv
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from pollsets import (
     undecided_share,
     validate,
 )
+from pollsets import data
 from pollsets.data import CellTable
 from pollsets.simulate import SimConfig, default_true_coefficients, generate_population
 
@@ -189,8 +192,11 @@ class TestTypes:
             Respondent(float("nan"), abc_registry.singleton("A"))
 
     def test_covariates_binary(self):
-        with pytest.raises(ValueError):
-            Covariates((2,), ("east",))
+        for values in ((0, 1), (True, False), (1.0, 0.0)):
+            assert Covariates(values, ("east", "urban")).values == values
+        for bad in (2, -1, float("nan"), 0.5, "1", [0]):
+            with pytest.raises(ValueError, match="binary"):
+                Covariates((bad,), ("east",))
 
     def test_covariates_must_carry_the_schema_names(self, abc_registry):
         # Missing covariates under a schema are covered in test_forecast.
@@ -456,3 +462,125 @@ def test_build_keeps_the_given_weight_objects():
         [id(weights[0]), id(weights[2])],
         [id(weights[1]), id(weights[3])],
     ]
+
+
+# Differential check of the columnar scan against the row parser.
+
+
+def _parse_or_error(parse, text, schema=DIFF_SCHEMA):
+    try:
+        return parse(text, DIFF_REGISTRY, schema)
+    except SurveyFormatError as exc:
+        return str(exc)
+
+
+def _assert_same_survey(got, want):
+    assert got == want
+    assert got.dropped_rows == want.dropped_rows
+    assert got.total_weight == want.total_weight
+    assert got.cells.weights.tobytes() == want.cells.weights.tobytes()
+    assert [[w.hex() for w in ws] for ws in got.cells.set_weights] == [
+        [w.hex() for w in ws] for ws in want.cells.set_weights
+    ]
+
+
+@st.composite
+def _clean_documents(draw):
+    """(document, schema) pairs the columnar scan may take: no quote, CR or blank line, mostly clean rows."""
+    schema = draw(st.sampled_from([DIFF_SCHEMA, ()]))
+    width = 2 + len(schema)
+    weights = st.sampled_from(["1.0", "2.5", "0.25", "3", "1_0", " 1.5", "1e-3"])
+    parties = st.sampled_from(["A", "B", "C", "A;B", " B ; A ", "B;A", "A;B;C", "A\x0b", "Z", "A;Z", "\u00c9"])
+    bits = st.sampled_from(["0", "1"])
+    header = ",".join(["weight", "parties", *schema])
+    lines = ["\ufeff" + header if draw(st.booleans()) else header]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(weights), draw(parties), draw(bits), draw(bits)][:width]
+        fault = draw(st.integers(0, 39))
+        if fault == 0:
+            # An unknown code drops the row, and its covariates go unchecked.
+            row[1:3] = [draw(st.sampled_from(["Z", "A;Z"])), "2"][: width - 1]
+        elif fault == 1:
+            row[0] = draw(st.sampled_from(["inf", "0", "\u0661", "-1", "nan", "", "x"]))
+        elif fault == 2:
+            row[1] = draw(st.sampled_from(["A;A", "", ";"]))
+        elif fault == 3 and schema:
+            row[3] = draw(st.sampled_from(["2", "", "01", " 1"]))
+        elif fault == 4:
+            row = row[: draw(st.integers(1, width - 1))]
+        elif fault == 5:
+            row.append(draw(bits))
+        lines.append(",".join(row))
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else ""), schema
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clean_documents(), st.sampled_from([8, 32, data._BLOCK_CHARS]))
+@example(("weight,parties,x1,x2\n1.0,Z,2,0\n1.0,B;A,1,0\n2.0, A ; B ,0,1\n1.0,C,1,0", DIFF_SCHEMA), 8)
+def test_clean_scan_matches_row_parser(document, block_chars):
+    text, schema = document
+    want = _parse_or_error(data._parse_rows, text, schema)
+    # Small blocks number sets and patterns across many blocks.
+    with mock.patch.object(data, "_BLOCK_CHARS", block_chars):
+        fast = data._parse_clean(text, DIFF_REGISTRY, schema)
+        got = _parse_or_error(parse_survey, text, schema)
+    if fast is not None:
+        _assert_same_survey(fast, want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_survey(got, want)
+
+
+def _assert_scanned(text, registry, schema):
+    fast = data._parse_clean(text, registry, tuple(schema))
+    assert fast is not None
+    _assert_same_survey(fast, data._parse_rows(text, registry, tuple(schema)))
+    return fast
+
+
+def test_clean_scan_takes_the_fixture(wave3_path):
+    _assert_scanned(wave3_path.read_text(), REG6, WAVE3_SCHEMA)
+
+
+def test_clean_scan_takes_simulated_output():
+    config = SimConfig(REG6, 2000, default_true_coefficients(6, 2), ("u", "v"), coarsen_prob=0.3, seed=3)
+    simulated, _ = generate_population(config)
+    assert _assert_scanned(survey_to_csv(simulated), REG6, ("u", "v")).cells == simulated.cells
+
+
+def test_clean_scan_spans_blocks():
+    # C, the spelling "B;A" and the pattern (1, 1) first appear after the first block.
+    head = ["1.0,A,0,1", "2.5,B,1,0", "0.5,A;Z,0,0"] * (data._BLOCK_CHARS // 25)
+    tail = ["1.0,B;A,1,1", "2.0,C,0,0", "1.0,A;B,0,1", "3.0,Z,1,1"] * 100
+    assert sum(map(len, head)) > data._BLOCK_CHARS
+    text = "weight,parties,x1,x2\n" + "\n".join(head + tail)
+    s = _assert_scanned(text, DIFF_REGISTRY, DIFF_SCHEMA)
+    assert [ps.mask for ps in s.cells.sets] == [0b001, 0b010, 0b011, 0b100]
+    assert s.dropped_rows == len(head) // 3 + 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'weight,parties,x1,x2\n1.0,"A;B",0,1\n',
+        "weight,parties,x1,x2\r\n1.0,A,0,1\r\n",
+        "weight,parties,x1,x2\n1.0,A,0,1\n\n2.0,B,1,0\n",
+        "weight,parties,x1,x2\n",
+    ],
+    ids=["quoted", "crlf", "blank-line", "no-rows"],
+)
+def test_clean_scan_declines_and_the_row_parser_reads(text):
+    assert data._parse_clean(text, DIFF_REGISTRY, DIFF_SCHEMA) is None
+    want = data._parse_rows(text, DIFF_REGISTRY, DIFF_SCHEMA)
+    _assert_same_survey(parse_survey(text, DIFF_REGISTRY, DIFF_SCHEMA), want)
+
+
+def test_clean_scan_declines_a_field_over_the_csv_limit():
+    limit = csv.field_size_limit()
+    at_limit = "weight,parties,x1,x2\n" + "0" * (limit - 1) + "1,A,0,1\n"
+    _assert_scanned(at_limit, DIFF_REGISTRY, DIFF_SCHEMA)
+    over = "weight,parties,x1,x2\n" + "0" * limit + "1,A,0,1\n"
+    assert data._parse_clean(over, DIFF_REGISTRY, DIFF_SCHEMA) is None
+    with pytest.raises(SurveyFormatError, match="line 2: malformed CSV: field larger than field limit"):
+        parse_survey(over, DIFF_REGISTRY, DIFF_SCHEMA)
