@@ -197,8 +197,24 @@ def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct values of ``keys`` in order of first appearance.
 
     Returns each element's number and, for each number, the position of
-    the first element holding it.
+    the first element holding it.  Integer keys whose range is no wider
+    than their count are numbered through a table with one slot per value
+    in that range, in linear time; any other keys are sorted.
     """
+    n = len(keys)
+    if n and keys.dtype.kind in "iu":
+        low = keys.min()
+        if int(keys.max()) - int(low) < n:
+            slot = (keys - low).astype(np.intp)
+            span = int(slot.max()) + 1
+            first = np.full(span, n)
+            np.minimum.at(first, slot, np.arange(n))
+            is_first = np.zeros(n, dtype=bool)
+            is_first[first[first < n]] = True
+            first = np.flatnonzero(is_first)
+            number = np.empty(span, dtype=np.intp)
+            number[slot[first]] = np.arange(len(first))
+            return number[slot], first
     distinct, inverse = np.unique(keys, return_inverse=True)
     first = np.full(len(distinct), len(keys))
     np.minimum.at(first, inverse, np.arange(len(keys)))

@@ -138,10 +138,8 @@ def homogeneity_forecast(
     if constraint is None:
         constraint = mnl.Constraint.symmetric()
     model, report = mnl.fit(design, penalty, constraint, options)
-    table = transition_probabilities(model, s)
-    # Each cell's row, read at the cell's first respondent.
-    _, first = np.unique(s.cells.index, return_index=True)
-    rows = [table.rows[i] for i in first.tolist()]
+    rows = _cell_rows(model, s)
+    table = TransitionTable(tuple(map(rows.__getitem__, s.cells.index.tolist())))
     cell_weights = np.bincount(s.cells.index, weights=s.cells.weights, minlength=len(rows)).tolist()
     w_total = s.total_weight
     shares = {}

@@ -21,9 +21,18 @@ binary, so a design has at most 2^(P-1) distinct rows, often far fewer
 than respondents.  The weighted category counts per distinct row are
 sufficient statistics for the likelihood (Agresti, *Categorical Data
 Analysis*), so an iteration costs O(G K P) for G distinct rows instead
-of O(n K P).  ``lambda_max`` stays a per-row sum: it sets the top of
-the lambda grid, whose values reach the output exactly, and a grouped
-sum rounds differently in the last bit.
+of O(n K P).
+
+The fitter's per-row arrays are category-major: counts, scores and
+log-probabilities are K x G per problem, each category's G distinct
+rows contiguous.  The log-softmax's max and sum over categories are
+then K - 1 elementwise passes over length-G vectors rather than one
+short reduction per row, which costs most when G is large and K is
+about 10.  The sums over categories run in category order for any K,
+never pairwise.  Counts are laid out once per fit or stack, never per
+iteration.  ``lambda_max`` and held-out scoring stay per respondent and
+row-major, so their sums keep their bits: the top of the lambda grid
+reaches the output exactly, and the held-out scores pick the penalty.
 
 One core, ``_fit_stack``, fits a stack of B problems that share the
 distinct rows and differ in their counts, penalty weight and start.
@@ -158,17 +167,17 @@ class DesignData:
 
     @cached_property
     def grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct design rows ``xu``, their G x K weighted category counts, each row's total,
+        """Distinct design rows ``xu``, their K x G weighted category counts, each row's total,
         and each respondent's index into ``xu``."""
         # Rows as opaque byte strings: np.unique sorts these far faster than
         # it sorts rows with axis=0.
         rows = np.ascontiguousarray(self.x).view(np.dtype((np.void, self.x.itemsize * self.x.shape[1])))
         _, first, group = np.unique(rows.ravel(), return_index=True, return_inverse=True)
         xu = self.x[first]
-        k = self.n_categories
-        counts = np.bincount(group * k + self.y, weights=self.w, minlength=len(xu) * k)
-        counts = counts.reshape(len(xu), k)
-        totals = counts.sum(axis=1)
+        g = len(xu)
+        counts = np.bincount(self.y * g + group, weights=self.w, minlength=self.n_categories * g)
+        counts = counts.reshape(self.n_categories, g)
+        totals = counts.sum(axis=0)
         for arr in (xu, counts, totals, group):
             arr.flags.writeable = False
         return xu, counts, totals, group
@@ -253,10 +262,10 @@ class FitOptions:
             raise ValueError("max_backtracks must be >= 1")
 
 
-def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, computed in place on ``scores``."""
-    scores -= scores.max(axis=-1, keepdims=True)
-    scores -= np.log(np.exp(scores).sum(axis=-1, keepdims=True))
+def _log_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Log-softmax along the category axis ``axis``, computed in place on ``scores``."""
+    scores -= scores.max(axis=axis, keepdims=True)
+    scores -= np.log(np.exp(scores).sum(axis=axis, keepdims=True))
     return scores
 
 
@@ -267,9 +276,9 @@ def _check_finite(values: list[float]) -> None:
 
 def _stack_value(coef: np.ndarray, xu: np.ndarray, counts: np.ndarray, ridge: float):
     """Per problem of a (B, K, P) stack: weighted NLL + ridge on non-intercept columns,
-    and the (B, G, K) log-probabilities per distinct row."""
+    and the (B, K, G) log-probabilities per category and distinct row."""
     n = len(coef)
-    logp = _log_softmax(xu @ coef.swapaxes(-1, -2))
+    logp = _log_softmax(coef @ xu.T, axis=-2)
     # One BLAS dot per problem, as np.vdot would take it.
     nll = -np.matmul(counts.reshape(n, 1, -1), logp.reshape(n, -1, 1)).reshape(n)
     if ridge:
@@ -281,9 +290,9 @@ def _stack_value(coef: np.ndarray, xu: np.ndarray, counts: np.ndarray, ridge: fl
 def _stack_gradient(coef, logp, xu, counts, totals, ridge: float) -> np.ndarray:
     """Raw gradient of ``_stack_value`` per problem, from its log-probabilities."""
     resid = np.exp(logp)
-    resid *= totals[..., None]
+    resid *= totals[..., None, :]
     resid -= counts
-    grad = resid.swapaxes(-1, -2) @ xu
+    grad = resid @ xu
     if ridge:
         grad[..., 1:] += ridge * coef[..., 1:]
     return grad
@@ -370,7 +379,7 @@ def _fit_stack(
 ) -> tuple[np.ndarray, list[FitReport]]:
     """Fit B problems over the shared distinct rows ``xu`` in lockstep.
 
-    Problem b has G x K counts ``counts[b]``, row totals ``totals[b]``,
+    Problem b has K x G counts ``counts[b]``, row totals ``totals[b]``,
     group-lasso weight ``lams[b]`` and start ``x0[b]``, already on the
     constraint subspace.  The array work of an iteration (objective,
     gradient, proximal step) runs once over the stack of problems still
@@ -651,7 +660,7 @@ def cross_validate(
     scores = np.zeros((len(splits), len(grid)))
     for lo in range(0, len(splits), per_stack):
         stack = splits[lo : lo + per_stack]
-        counts = np.empty((len(stack), len(xu), k))
+        counts = np.empty((len(stack), k, len(xu)))
         fractions = np.empty(len(stack))
         start = np.empty((len(stack), k, d.n_predictors))
         tests = []
@@ -661,14 +670,14 @@ def cross_validate(
             if len(np.unique(y)) < 2:
                 raise ValueError("need at least 2 observed categories")
             # The training rows in respondent order: the same sums a regroup of them gives.
-            counts[b] = np.bincount(group[train] * k + y, weights=w, minlength=counts[b].size).reshape(-1, k)
+            counts[b] = np.bincount(y * len(xu) + group[train], weights=w, minlength=counts[b].size).reshape(k, -1)
             fractions[b] = float(w.sum()) / w_total
             start[b] = _intercept_start(y, w, k, d.n_predictors, constraint)
             tests.append(np.flatnonzero(assignment == f))
         # Only the distinct rows some problem of the stack trains on.
-        rows = np.flatnonzero(counts.any(axis=(0, 2)))
-        stack_xu, counts = xu[rows], counts[:, rows]
-        totals = counts.sum(axis=2)
+        rows = np.flatnonzero(counts.any(axis=(0, 1)))
+        stack_xu, counts = xu[rows], counts[:, :, rows]
+        totals = counts.sum(axis=1)
         for j, lam in enumerate(grid):
             penalty = PenaltySpec.group_lasso(lam)
             x, _ = _fit_stack(

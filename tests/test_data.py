@@ -2,6 +2,7 @@ import csv
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -462,6 +463,46 @@ def test_build_keeps_the_given_weight_objects():
         [id(weights[0]), id(weights[2])],
         [id(weights[1]), id(weights[3])],
     ]
+
+
+def _first_appearance_reference(keys):
+    number, first = {}, []
+    for i, key in enumerate(keys.tolist()):
+        if key not in number:
+            number[key] = len(first)
+            first.append(i)
+    return [number[key] for key in keys.tolist()], first
+
+
+@st.composite
+def _keys_about_as_wide_as_many(draw):
+    """Integer keys whose range, max - min + 1, lies within a factor of two of their count."""
+    n = draw(st.integers(1, 40))
+    span = draw(st.integers(max(1, n // 2), 2 * n))
+    dtype = np.dtype(draw(st.sampled_from(["int64", "int32", "uint8", "uint64"])))
+    info = np.iinfo(dtype)
+    if span > int(info.max) - int(info.min) + 1:
+        span = int(info.max) - int(info.min) + 1
+    low = draw(st.integers(int(info.min), int(info.max) - span + 1))
+    offsets = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+    # Both ends of the range appear, so the range is exactly ``span``.
+    offsets[draw(st.integers(0, n - 1))] = 0
+    offsets[draw(st.integers(0, n - 1))] = span - 1
+    return np.array([low + v for v in offsets], dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keys_about_as_wide_as_many())
+@example(np.array([5, 3, 5, 4], dtype=np.int64))  # range 3 of 4 keys: the slot table
+@example(np.array([7, 3, 7, 4], dtype=np.int64))  # range 5 of 4 keys: the sort
+@example(np.array([-(2**63), 2**63 - 1], dtype=np.int64))
+def test_first_appearance_slot_table_matches_the_sort(keys):
+    expected = _first_appearance_reference(keys)
+    number, first = data.first_appearance(keys)
+    assert (number.tolist(), first.tolist()) == expected
+    # Byte-string keys are always sorted.
+    number, first = data.first_appearance(keys.view(np.dtype((np.void, keys.itemsize))))
+    assert (number.tolist(), first.tolist()) == expected
 
 
 # Differential check of the columnar scan against the row parser.

@@ -86,14 +86,19 @@ def per_row_smooth_parts(coef, d, ridge):
 
 
 class TestGroupedObjective:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_per_row_reference(self, seed):
-        # 300 rows over at most 8 covariate patterns: almost every row repeats.
-        d = random_design(seed, n=300, k=4, p=4)
-        assert len(d.grouped[0]) <= 8
+    @pytest.mark.parametrize(
+        "seed,n,k,p",
+        [pytest.param(seed, 300, 4, 4, id=str(seed)) for seed in range(4)]
+        + [pytest.param(seed, 400, 10, 15, id=f"wide-{seed}") for seed in range(2)],
+    )
+    def test_matches_per_row_reference(self, seed, n, k, p):
+        # At most 2^(p-1) distinct rows: with p = 4 almost every row repeats;
+        # with p = 15 and K = 10, as on a wide survey, almost none does.
+        d = random_design(seed, n=n, k=k, p=p)
+        assert len(d.grouped[0]) <= 2 ** (p - 1)
         constraint = mnl.Constraint.symmetric()
         rng = np.random.default_rng(seed + 200)
-        coef = mnl.project_constraint(rng.normal(size=(4, 4)), constraint)
+        coef = mnl.project_constraint(rng.normal(size=(k, p)), constraint)
         model = mnl.MnlModel(coef, constraint, mnl.PenaltySpec.ridge(0.3))
         nll, grad = mnl.nll_and_gradient(model, d)
         ref_nll, ref_grad = per_row_smooth_parts(coef, d, model.penalty.ridge_coefficient)
@@ -106,12 +111,12 @@ class TestGroupedObjective:
         xu, counts, totals, group = d.grouped
         assert np.array_equal(xu[group], d.x)
         assert len(np.unique(xu, axis=0)) == len(xu)
-        assert counts.shape == (len(xu), 3)
+        assert counts.shape == (3, len(xu))
         assert abs(totals.sum() - d.w.sum()) < 1e-12 * d.w.sum()
         for g, row in enumerate(xu):
             here = np.all(d.x == row, axis=1)
             for k in range(3):
-                assert abs(counts[g, k] - d.w[here & (d.y == k)].sum()) < 1e-12
+                assert abs(counts[k, g] - d.w[here & (d.y == k)].sum()) < 1e-12
         column_major = mnl.DesignData(np.asfortranarray(d.x), d.y, d.w, 3)
         assert all(np.array_equal(a, b) for a, b in zip(column_major.grouped, d.grouped))
 
@@ -497,23 +502,42 @@ class TestStackedCrossValidation:
         top = mnl.lambda_max(d, constraint)
         # The first starts at its optimum and stops in iteration 1; the rest run long.
         problems = [(d, 1.01 * top), (d, 0.01 * top), (other, 0.1 * top), (other, 1e-4 * top)]
-        xu = d.grouped[0]
-        assert np.array_equal(other.grouped[0], xu)
-        counts = np.stack([p.grouped[1] for p, _ in problems])
-        x, reports = mnl._fit_stack(
-            xu,
-            counts,
-            counts.sum(axis=2),
-            np.array([lam for _, lam in problems]),
-            mnl.RIDGE_FLOOR,
-            constraint,
-            mnl.FitOptions(),
-            np.stack([mnl.initial_coefficients(p, constraint) for p, _ in problems]),
-        )
-        for b, (p, lam) in enumerate(problems):
-            solo, solo_report = mnl.fit(p, mnl.PenaltySpec.group_lasso(lam), constraint)
-            # Bit-identical, not merely close: the stack works per problem.
-            assert np.array_equal(mnl.project_constraint(x[b], constraint), solo.coefficients)
-            assert reports[b] == solo_report
+        reports = stack_matches_solo_fits(problems, constraint)
         assert reports[0].iterations == 1
         assert min(r.iterations for r in reports[1:]) > 20
+
+    def test_stacked_problems_match_their_solo_fits_with_eleven_categories(self):
+        # Sums over a short last axis go pairwise from nine elements up; the
+        # stack and the solo fit must still add each problem's terms alike.
+        constraint = mnl.Constraint.symmetric()
+        d = random_design(43, n=400, k=11, p=5)
+        other = mnl.DesignData(d.x, d.y, np.random.default_rng(44).uniform(0.1, 4.0, d.n), d.n_categories)
+        top = mnl.lambda_max(d, constraint)
+        problems = [(d, 0.05 * top), (other, 0.3 * top), (d, 0.0), (other, 1e-3 * top)]
+        reports = stack_matches_solo_fits(problems, constraint)
+        assert len({r.iterations for r in reports}) > 1
+
+
+def stack_matches_solo_fits(problems, constraint):
+    """Fit (design, lambda) problems over the same distinct rows as one stack, check
+    each against its solo fit, and return the stack's reports."""
+    xu = problems[0][0].grouped[0]
+    assert all(np.array_equal(p.grouped[0], xu) for p, _ in problems)
+    counts = np.stack([p.grouped[1] for p, _ in problems])
+    assert counts.shape == (len(problems), problems[0][0].n_categories, len(xu))
+    x, reports = mnl._fit_stack(
+        xu,
+        counts,
+        counts.sum(axis=1),
+        np.array([lam for _, lam in problems]),
+        mnl.RIDGE_FLOOR,
+        constraint,
+        mnl.FitOptions(),
+        np.stack([mnl.initial_coefficients(p, constraint) for p, _ in problems]),
+    )
+    for b, (p, lam) in enumerate(problems):
+        solo, solo_report = mnl.fit(p, mnl.PenaltySpec.group_lasso(lam), constraint)
+        # Bit-identical, not merely close: the stack works per problem.
+        assert np.array_equal(mnl.project_constraint(x[b], constraint), solo.coefficients)
+        assert reports[b] == solo_report
+    return reports
