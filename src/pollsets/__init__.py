@@ -21,7 +21,6 @@ from .bounds import (
     majority_classification,
 )
 from .data import (
-    Covariates,
     PartyRegistry,
     PartySet,
     Respondent,

@@ -312,7 +312,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
-        detail = exc.args[0] if exc.args else exc
+        # str() of a KeyError quotes its message, and an OSError's first
+        # argument is its errno; its str() names the file.
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return 2
 

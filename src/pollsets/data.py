@@ -13,17 +13,17 @@ order, and each distinct set's raw weights.  Covariates are binary and
 sets are bitmasks, so a survey has at most 2^p x (2^K - 1) cells and
 usually far fewer than respondents; a bound or a forecast costs one
 step per distinct set or cell plus one exactly rounded sum, not one
-Python step per respondent.  ``parse_survey`` fills the columns
-directly and ``CellTable.build`` groups them; no per-row object is
-made.  A clean file is read by a columnar scan: numpy finds each
-block's newlines and commas, the covariates come out as one 0/1 matrix,
-and each distinct parties cell is validated once.  Anything else goes
+Python step per respondent.  The distinct covariate patterns are the
+rows of one read-only 0/1 ``uint8`` matrix (``CellTable.patterns``),
+so a design matrix is that matrix behind an intercept column.
+``parse_survey`` fills the columns directly and ``CellTable.build``
+groups them; no object is made per row or per covariate pattern.  A
+clean file is read by a columnar scan: numpy finds each block's
+newlines and commas, the covariates come out as one 0/1 matrix, and
+each distinct parties cell is validated once.  Anything else goes
 through the row parser, a ``csv.reader`` loop with one memo per field,
 which stays the reference for the format's semantics, error messages
 and line numbers.
-``Survey.respondents`` is a view of one ``Respondent`` per row, built
-from the columns on first access for callers that want one; no
-estimator reads it.
 
 Weighted totals use exactly rounded summation (math.fsum).  fsum
 returns the correctly rounded sum of its inputs whatever their order,
@@ -41,8 +41,8 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, compress
 
 import numpy as np
@@ -157,40 +157,19 @@ class PartySet:
 
 
 @dataclass(frozen=True)
-class Covariates:
-    """Binary covariate vector with its shared label sequence."""
-
-    values: tuple[int, ...]
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(self.values) != len(self.names):
-            raise ValueError("covariate values and names differ in length")
-        try:
-            binary = set(self.values) <= _BINARY
-        except TypeError:  # an unhashable value is not 0 or 1 either
-            binary = False
-        if not binary:
-            raise ValueError("covariates must be binary 0/1")
-
-
-@dataclass(frozen=True)
 class Respondent:
-    """One weighted survey answer: a consideration set, plus covariates under a schema."""
+    """One weighted survey answer: a consideration set, plus 0/1 covariate values in schema order.
+
+    ``covariates`` is None for a survey without a covariate schema.
+    """
 
     weight: float
     set: PartySet
-    covariates: Covariates | None = None
+    covariates: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.weight) and self.weight > 0):
             raise ValueError(f"weight must be positive and finite, got {self.weight}")
-
-    @property
-    def decided(self) -> bool:
-        return self.set.is_singleton
 
 
 def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +207,12 @@ def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CellTable:
     """A survey's distinct (consideration set, covariate pattern) cells.
 
-    ``sets`` and ``covariates`` hold each distinct set and covariate
-    object once, in order of first appearance (``None`` stands for
-    the respondents of a survey without a covariate schema).  Cell g
-    pairs ``sets[cell_set[g]]`` with ``covariates[cell_covariates[g]]``;
-    cells are numbered in order of first appearance too.  Respondent i
+    ``sets`` holds each distinct set once and ``patterns`` each distinct
+    covariate pattern once, as the rows of a read-only (n_patterns, p)
+    ``uint8`` 0/1 matrix (p = 0 for a survey without a covariate
+    schema), both in order of first appearance.  Cell g pairs
+    ``sets[cell_set[g]]`` with ``patterns[cell_pattern[g]]``; cells are
+    numbered in order of first appearance too.  Respondent i
     falls in cell ``index[i]`` and weighs ``weights[i]``, so a cell's
     weights in respondent order are ``weights[index == g]``.
     ``set_weights[j]`` lists the raw weights of the respondents holding
@@ -241,33 +221,40 @@ class CellTable:
     """
 
     sets: tuple[PartySet, ...]
-    covariates: tuple[Covariates | None, ...]
+    patterns: np.ndarray
     cell_set: np.ndarray
-    cell_covariates: np.ndarray
+    cell_pattern: np.ndarray
     index: np.ndarray
     weights: np.ndarray
     set_weights: tuple[list[float], ...]
 
     def __post_init__(self):
-        for name, dtype in (("cell_set", np.intp), ("cell_covariates", np.intp), ("index", np.intp), ("weights", float)):
+        for name, dtype in (
+            ("patterns", np.uint8),
+            ("cell_set", np.intp),
+            ("cell_pattern", np.intp),
+            ("index", np.intp),
+            ("weights", float),
+        ):
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        for name in ("sets", "covariates", "set_weights"):
+        for name in ("sets", "set_weights"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @classmethod
-    def build(cls, weights: list[float], set_ids, pattern_ids, sets, covariates) -> CellTable:
+    def build(cls, weights: list[float], set_ids, pattern_ids, sets, patterns: np.ndarray) -> CellTable:
         """Group rows into cells.
 
         Row i weighs ``weights[i]`` and holds ``sets[set_ids[i]]`` and
-        ``covariates[pattern_ids[i]]``.  The ids number pairwise unequal
-        objects in order of first appearance.  ``set_weights`` holds the
-        float objects of ``weights`` themselves, not copies.
+        covariate pattern ``patterns[pattern_ids[i]]``, a row of an
+        (n_patterns, p) 0/1 matrix.  The ids number pairwise unequal sets
+        and pattern rows in order of first appearance.  ``set_weights``
+        holds the float objects of ``weights`` themselves, not copies.
         """
         set_id = np.array(set_ids, dtype=np.intp)
         pattern_id = np.array(pattern_ids, dtype=np.intp)
-        index, first = first_appearance(set_id * len(covariates) + pattern_id)
+        index, first = first_appearance(set_id * len(patterns) + pattern_id)
         # A stable sort by set keeps each set's weights in row order; on
         # set ids narrowed to 8 or 16 bits numpy sorts by radix.  Taking
         # from an object array keeps the given float objects.
@@ -275,28 +262,24 @@ class CellTable:
         by_set = np.array(weights, dtype=object)[order]
         ends = np.cumsum(np.bincount(set_id, minlength=len(sets))).tolist()
         set_weights = [by_set[start:end].tolist() for start, end in zip([0, *ends], ends)]
-        return cls(sets, covariates, set_id[first], pattern_id[first], index, weights, set_weights)
+        return cls(sets, patterns, set_id[first], pattern_id[first], index, weights, set_weights)
 
     def __eq__(self, other):
         if not isinstance(other, CellTable):
             return NotImplemented
-        return (
-            self.sets == other.sets
-            and self.covariates == other.covariates
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("cell_set", "cell_covariates", "index", "weights")
-            )
+        return self.sets == other.sets and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("patterns", "cell_set", "cell_pattern", "index", "weights")
         )
 
     def rows(self):
-        """Each respondent's (weight, set, covariates), in respondent order."""
-        pairs = zip(self.cell_set.tolist(), self.cell_covariates.tolist())
-        cells = [(self.sets[j], self.covariates[c]) for j, c in pairs]
+        """Each respondent's (weight, set, covariate values), in respondent order."""
+        patterns = list(map(tuple, self.patterns.tolist()))
+        cells = [(self.sets[j], patterns[c]) for j, c in zip(self.cell_set.tolist(), self.cell_pattern.tolist())]
         for w, g in zip(self.weights.tolist(), self.index.tolist()):
             yield (w, *cells[g])
 
-    def design_rows(self, category_of_set, n_covariates: int):
+    def design_rows(self, category_of_set):
         """Design arrays of the respondents whose set has a category, in respondent order.
 
         ``category_of_set[j]`` is the category of ``sets[j]``, or -1 to
@@ -307,25 +290,38 @@ class CellTable:
         cell_category = np.asarray(category_of_set, dtype=np.intp)[self.cell_set]
         keep = np.flatnonzero(cell_category[self.index] >= 0)
         cells = self.index[keep]
-        x = self.pattern_rows(n_covariates)[self.cell_covariates[cells]]
+        x = self.pattern_rows()[self.cell_pattern[cells]]
         return x, cell_category[cells], self.weights[keep]
 
-    def pattern_rows(self, n_covariates: int) -> np.ndarray:
-        """One design row per ``covariates`` entry: 1.0, then its values."""
-        rows = [(1, *cov.values) if cov is not None else (1,) for cov in self.covariates]
-        return np.array(rows, dtype=float).reshape(len(rows), 1 + n_covariates)
+    def pattern_rows(self) -> np.ndarray:
+        """One design row per covariate pattern: 1.0, then its values."""
+        return np.hstack((np.ones((len(self.patterns), 1)), self.patterns))
 
 
-def _group_by_value(rows) -> CellTable:
-    """The cell table of (weight, set, covariates) rows, matching sets and covariates by value."""
+def _group_by_value(rows, schema: tuple[str, ...]) -> CellTable:
+    """The cell table of (weight, set, covariates) rows, matching sets and covariate values by value.
+
+    Covariates are a sequence of 0/1 values in schema order, or None
+    for a survey without a schema.  This is where covariates that do not
+    come from a parser are checked, once per distinct pattern.
+    """
     sets: dict[PartySet, int] = {}
-    patterns: dict[Covariates | None, int] = {}
+    patterns: dict[tuple, int] = {}
     weights, set_ids, pattern_ids = [], [], []
     for weight, ps, cov in rows:
         weights.append(weight)
         set_ids.append(sets.setdefault(ps, len(sets)))
-        pattern_ids.append(patterns.setdefault(cov, len(patterns)))
-    return CellTable.build(weights, set_ids, pattern_ids, list(sets), list(patterns))
+        try:
+            pattern_ids.append(patterns.setdefault(() if cov is None else tuple(cov), len(patterns)))
+        except TypeError:  # an unhashable or scalar value is not 0 or 1 either
+            raise ValueError("covariates must be binary 0/1") from None
+    for values in patterns:
+        if len(values) != len(schema):
+            raise ValueError("respondent covariates do not match the survey schema")
+        if not set(values) <= _BINARY:
+            raise ValueError("covariates must be binary 0/1")
+    matrix = np.array(list(patterns), dtype=np.uint8).reshape(len(patterns), len(schema))
+    return CellTable.build(weights, set_ids, pattern_ids, list(sets), matrix)
 
 
 @dataclass(frozen=True, init=False)
@@ -333,10 +329,9 @@ class Survey:
     """One poll wave: a registry, a covariate schema, and weighted respondents.
 
     The survey stores its respondents as a cell table (``cells``), which
-    every estimator reads; ``respondents`` is a view built from it on
-    first access.  A respondent has covariates exactly when the schema
-    is nonempty, and they carry the schema's names; construction checks
-    this once per distinct covariate object, so no estimator has to.
+    every estimator reads.  Schema labels are unique, and the table's
+    covariate patterns have one column per label; construction checks
+    this once, so no estimator has to.
     """
 
     registry: PartyRegistry
@@ -348,7 +343,8 @@ class Survey:
 
     def __init__(self, registry: PartyRegistry, schema, respondents, wave: str = "", dropped_rows: int = 0):
         """A survey of ``respondents``, whose equal sets and covariates share one cell-table entry."""
-        cells = _group_by_value((r.weight, r.set, r.covariates) for r in respondents)
+        schema = tuple(schema)
+        cells = _group_by_value(((r.weight, r.set, r.covariates) for r in respondents), schema)
         self._store(registry, schema, cells, wave, dropped_rows)
 
     @classmethod
@@ -362,11 +358,17 @@ class Survey:
 
     def _store(self, registry, schema, cells, wave, dropped_rows):
         schema = tuple(schema)
+        repeated = [label for label, count in Counter(schema).items() if count > 1]
+        if repeated:
+            raise ValueError(f"schema labels must be unique, got {repeated[0]!r} more than once")
         if not all(ps.fits(registry) for ps in cells.sets):
             raise ValueError("respondent set references options outside the registry")
-        if any((cov.names if cov is not None else ()) != schema for cov in cells.covariates):
+        if cells.patterns.shape[1] != len(schema):
             raise ValueError("respondent covariates do not match the survey schema")
-        total = math.fsum(chain.from_iterable(cells.set_weights))
+        try:
+            total = math.fsum(chain.from_iterable(cells.set_weights))
+        except OverflowError:
+            raise ValueError("total weight exceeds the largest float") from None
         if len(cells.weights) and total <= 0:
             raise ValueError("total weight must be positive")
         object.__setattr__(self, "registry", registry)
@@ -375,11 +377,6 @@ class Survey:
         object.__setattr__(self, "wave", wave)
         object.__setattr__(self, "dropped_rows", dropped_rows)
         object.__setattr__(self, "total_weight", total)
-
-    @cached_property
-    def respondents(self) -> tuple[Respondent, ...]:
-        """One Respondent per row, in order, sharing the table's set and covariate objects."""
-        return tuple(Respondent(w, ps, cov) for w, ps, cov in self.cells.rows())
 
     def __len__(self) -> int:
         return len(self.cells.weights)
@@ -421,15 +418,12 @@ def _parse_parties(cell: str, registry: PartyRegistry, lineno: int) -> PartySet 
 _BITS = {"0": 0, "1": 1}
 
 
-def _parse_covariates(cells: tuple[str, ...], schema: tuple[str, ...], lineno: int) -> Covariates | None:
-    if not schema:
-        return None
+def _parse_covariates(cells: tuple[str, ...], schema: tuple[str, ...], lineno: int) -> tuple[int, ...]:
     try:
-        values = tuple(map(_BITS.__getitem__, cells))
+        return tuple(map(_BITS.__getitem__, cells))
     except KeyError:
         label, cell = next((label, cell) for label, cell in zip(schema, cells) if cell not in _BITS)
         raise SurveyFormatError(f"covariate {label!r} must be 0 or 1, got {cell!r}", line=lineno) from None
-    return Covariates(values, schema)
 
 
 def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
@@ -468,7 +462,8 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
     parties cell and each distinct tuple of covariate cells is validated
     once, at its first row; there is one memo per field, not one per
     whole row, since sets and covariate patterns repeat far more often
-    than whole rows do.
+    than whole rows do.  The distinct patterns' values are stacked into
+    one matrix at the end.
     """
     expected = ["weight", "parties", *schema]
     width = len(expected)
@@ -477,9 +472,9 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
     parties: dict[str, int | None] = {}
     set_ids_by_mask: dict[int, int] = {}
     sets: list[PartySet] = []
-    # Covariate cells -> pattern id.
+    # Covariate cells -> pattern id; values[id] holds the pattern's 0/1 values.
     patterns: dict[tuple[str, ...], int] = {}
-    covariates: list[Covariates | None] = []
+    values: list[tuple[int, ...]] = []
     weights: list[float] = []
     set_ids: list[int] = []
     pattern_ids: list[int] = []
@@ -527,15 +522,15 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
             try:
                 ci = patterns[key]
             except KeyError:
-                cov = _parse_covariates(key, schema, lineno)
-                ci = patterns[key] = len(covariates)
-                covariates.append(cov)
+                values.append(_parse_covariates(key, schema, lineno))
+                ci = patterns[key] = len(values) - 1
             weights.append(weight)
             set_ids.append(si)
             pattern_ids.append(ci)
     except csv.Error as exc:
         raise SurveyFormatError(f"malformed CSV: {exc}", line=start) from None
-    cells = CellTable.build(weights, set_ids, pattern_ids, sets, covariates)
+    matrix = np.array(values, dtype=np.uint8).reshape(len(values), len(schema))
+    cells = CellTable.build(weights, set_ids, pattern_ids, sets, matrix)
     return Survey.from_cells(registry, schema, cells, dropped_rows=dropped)
 
 
@@ -563,8 +558,10 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
     line, a wrong column count, any cell the row parser would reject,
     a non-binary covariate even on a dropped row, a field over
     ``csv.field_size_limit()``, no data rows) or its shape does not
-    suit the scan.  It never raises and reports nothing: the row parser
-    is the one place that explains a fault.
+    suit the scan.  It reports no fault in the rows: the row parser is
+    the one place that explains one.  Only ``Survey``'s own checks on the
+    finished table (unique schema labels, a finite total weight) raise,
+    with the error the row parser's survey would raise.
     """
     if '"' in text or "\r" in text or "\0" in text or len(schema) > _MAX_KEY_BITS:
         return None
@@ -618,12 +615,8 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
         return None
     key = np.concatenate(keys)
     pattern_ids, first = first_appearance(key)
-    if schema:
-        bits = key[first, None] >> np.arange(len(schema)) & 1
-        covariates = [Covariates(tuple(values), schema) for values in bits.tolist()]
-    else:
-        covariates = [None] * len(first)
-    cells = CellTable.build(weights, np.concatenate(set_ids), pattern_ids, sets, covariates)
+    patterns = key[first, None] >> np.arange(len(schema)) & 1
+    cells = CellTable.build(weights, np.concatenate(set_ids), pattern_ids, sets, patterns)
     return Survey.from_cells(registry, schema, cells, dropped_rows=rows - len(weights))
 
 
@@ -696,32 +689,34 @@ def survey_to_csv(s: Survey) -> str:
     """Serialize back to the parse_survey CSV format."""
     cells = s.cells
     parties = [";".join(s.registry.codes_of(ps)) for ps in cells.sets]
-    # "01"[int(v)] reuses the interpreter's one-character strings, where
-    # str(v) would allocate one per value, and writes 1.0 or True as 1.
-    values = [["01"[int(v)] for v in cov.values] if s.schema else [] for cov in cells.covariates]
+    # "01"[v] reuses the interpreter's one-character strings, where str(v)
+    # would allocate one per value.
+    values = [["01"[v] for v in row] for row in cells.patterns.tolist()]
     cell_set = cells.cell_set.tolist()
-    cell_covariates = cells.cell_covariates.tolist()
+    cell_pattern = cells.cell_pattern.tolist()
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["weight", "parties", *s.schema])
     writer.writerows(
-        [repr(w), parties[cell_set[g]], *values[cell_covariates[g]]]
+        [repr(w), parties[cell_set[g]], *values[cell_pattern[g]]]
         for w, g in zip(cells.weights.tolist(), cells.index.tolist())
     )
     return out.getvalue()
 
 
 def survey_to_json(s: Survey) -> str:
+    """Serialize to JSON; covariates are written as 0/1 integers, or null without a schema."""
+    cells = s.cells
+    parties = [list(s.registry.codes_of(ps)) for ps in cells.sets]
+    covariates = cells.patterns.tolist() if s.schema else [None] * len(cells.patterns)
+    cell_set = cells.cell_set.tolist()
+    cell_pattern = cells.cell_pattern.tolist()
     doc = {
         "registry": list(s.registry.options),
         "schema": list(s.schema),
         "respondents": [
-            {
-                "weight": w,
-                "parties": list(s.registry.codes_of(ps)),
-                "covariates": list(cov.values) if cov is not None else None,
-            }
-            for w, ps, cov in s.cells.rows()
+            {"weight": w, "parties": parties[cell_set[g]], "covariates": covariates[cell_pattern[g]]}
+            for w, g in zip(cells.weights.tolist(), cells.index.tolist())
         ],
         "wave": s.wave,
     }
@@ -729,23 +724,20 @@ def survey_to_json(s: Survey) -> str:
 
 
 def survey_from_json(text: str) -> Survey:
-    """Read a survey_to_json document; equal sets and covariates share one object."""
+    """Read a survey_to_json document; equal sets and covariate patterns share one table entry."""
     doc = json.loads(text)
     registry = PartyRegistry(tuple(doc["registry"]))
     schema = tuple(doc["schema"])
 
     def rows():
         for rec in doc["respondents"]:
-            cov = None
-            if rec.get("covariates") is not None:
-                cov = Covariates(tuple(rec["covariates"]), schema)
             weight = float(rec["weight"])
             ps = registry.set_of(rec["parties"])
             if not 0.0 < weight < math.inf:
                 raise ValueError(f"weight must be positive and finite, got {weight}")
-            yield weight, ps, cov
+            yield weight, ps, rec.get("covariates")
 
-    return Survey.from_cells(registry, schema, _group_by_value(rows()), wave=doc.get("wave", ""))
+    return Survey.from_cells(registry, schema, _group_by_value(rows(), schema), wave=doc.get("wave", ""))
 
 
 def undecided_share(s: Survey) -> tuple[float, float]:

@@ -84,8 +84,8 @@ def _cell_rows(m: mnl.MnlModel, s: Survey) -> list[dict[str, float]]:
     rows: list = [decided_rows[si] for si in cell_set]
     todo = [g for g, row in enumerate(rows) if row is None]
     # One prediction per covariate pattern; the cells holding it share it.
-    probs = mnl.predict_proba(m, cells.pattern_rows(m.n_predictors - 1))
-    for g, ci in zip(todo, cells.cell_covariates[todo].tolist()):
+    probs = mnl.predict_proba(m, cells.pattern_rows())
+    for g, ci in zip(todo, cells.cell_pattern[todo].tolist()):
         p = probs[ci].tolist()
         member = members[cell_set[g]]
         denom = math.fsum(p[i] for i in member)
@@ -113,7 +113,7 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
 def decided_design(s: Survey) -> mnl.DesignData:
     """Design data over decided respondents, categories in registry order."""
     category = [ps.indices()[0] if ps.is_singleton else -1 for ps in s.cells.sets]
-    x, y, w = s.cells.design_rows(category, len(s.schema))
+    x, y, w = s.cells.design_rows(category)
     if not len(y):
         raise ValueError("no decided respondents")
     return mnl.DesignData(x, y, w, len(s.registry))

@@ -81,7 +81,7 @@ def build_ontic_categories(s: Survey, k: int) -> tuple[OnticCategories, int]:
 def ontic_design(s: Survey, cats: OnticCategories) -> mnl.DesignData:
     """Design data mapping each retained respondent to its category index."""
     index = {ps: i for i, ps in enumerate(cats.categories)}
-    x, y, w = s.cells.design_rows([index.get(ps, -1) for ps in s.cells.sets], len(s.schema))
+    x, y, w = s.cells.design_rows([index.get(ps, -1) for ps in s.cells.sets])
     if not len(y):
         raise ValueError("no respondents fall into the ontic categories")
     return mnl.DesignData(x, y, w, len(cats))

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import AllocationConstraint, Interval, dempster_bounds, effective_allocation_limits, event_bounds
-from .data import CellTable, Covariates, PartyRegistry, PartySet, Survey, first_appearance
+from .data import _MAX_KEY_BITS, CellTable, PartyRegistry, PartySet, Survey, first_appearance
 
 COMPLETION_BUDGET = 1_000_000
 GRID_BUDGET = 2_000_000
@@ -58,9 +58,12 @@ class SimConfig:
         k, p = len(coef), len(coef[0]) if coef else 0
         if k != len(self.registry) or p != 1 + len(self.covariate_names):
             raise ValueError("coefficient matrix must be (registry size) x (1 + covariates)")
+        # Covariate patterns are keyed by their bits packed into one int64.
+        if len(self.covariate_names) > _MAX_KEY_BITS:
+            raise ValueError(f"at most {_MAX_KEY_BITS} covariates can be simulated")
         lo, hi = self.weight_range
-        if not 0 < lo <= hi:
-            raise ValueError("weight_range must satisfy 0 < low <= high")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError("weight_range must be finite and satisfy 0 < low <= high")
 
 
 @dataclass(frozen=True)
@@ -125,9 +128,8 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     rng = np.random.default_rng(config.seed)
     k = len(config.registry)
     n_cov = len(config.covariate_names)
-    x = np.ones((config.n, 1 + n_cov))
-    if n_cov:
-        x[:, 1:] = rng.integers(0, 2, size=(config.n, n_cov))
+    bits = rng.integers(0, 2, size=(config.n, n_cov)).astype(np.uint8)
+    x = np.hstack((np.ones((config.n, 1)), bits))
     coef = np.array(config.coefficients)
     # In place: the n x K arrays dominate a large population's memory.
     probs = x @ coef.T
@@ -149,17 +151,11 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     del probs
     set_ids, first = first_appearance(masks)
     sets = [PartySet(mask) for mask in masks[first].tolist()]
-    pattern_ids, covariates = [0] * config.n, [None]
-    if n_cov:
-        bits = x[:, 1:].astype(np.uint8)
-        # Each row's covariates as one opaque byte string.
-        pattern_ids, first = first_appearance(bits.view(np.dtype((np.void, n_cov))).ravel())
-        pattern_ids = pattern_ids.tolist()
-        covariates = [Covariates(tuple(values), config.covariate_names) for values in bits[first].tolist()]
-        del bits
+    pattern_ids, first = first_appearance(bits @ (1 << np.arange(n_cov, dtype=np.int64)))
+    patterns = bits[first]
     # Free the per-row arrays before the survey builds its cell table.
-    del x, masks
-    cells = CellTable.build(weights.tolist(), set_ids.tolist(), pattern_ids, sets, covariates)
+    del x, masks, bits
+    cells = CellTable.build(weights.tolist(), set_ids, pattern_ids, sets, patterns)
     survey = Survey.from_cells(config.registry, config.covariate_names, cells, wave=f"sim-seed-{config.seed}")
     shares = {
         code: min(math.fsum(weights[votes == idx].tolist()) / survey.total_weight, 1.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pollsets import Covariates, PartyRegistry, PartySet, Respondent, Survey
+from pollsets import PartyRegistry, PartySet, Respondent, Survey
 
 LETTERS = "ABCDEF"
 WAVE3_SCHEMA = ("female", "age_65plus", "east", "high_income", "urban")
@@ -76,7 +76,7 @@ def random_survey(
             mask = 1 << int(rng.integers(0, k))
         cov = None
         if schema:
-            cov = Covariates(tuple(int(v) for v in rng.integers(0, 2, len(schema))), schema)
+            cov = tuple(int(v) for v in rng.integers(0, 2, len(schema)))
         rows.append(Respondent(weight, PartySet(mask), cov))
     if ensure_decided or all_decided:
         decided_span = {r.set.mask for r in rows[n_undecided:]}

@@ -15,7 +15,6 @@ import pytest
 
 from pollsets import (
     AllocationConstraint,
-    Covariates,
     PartyRegistry,
     PartySet,
     Respondent,
@@ -282,7 +281,7 @@ def _recovery_survey(seed, n=800, amp=1.5, p_noise=0.005):
     for i in range(n):
         c = int(cats[i])
         mask = 1 << c if c < 6 else (1 << RECOVERY_PAIRS[c - 6][0]) | (1 << RECOVERY_PAIRS[c - 6][1])
-        cov = Covariates(tuple(int(v) for v in x[i, 1:]), RECOVERY_SCHEMA)
+        cov = tuple(int(v) for v in x[i, 1:])
         respondents.append(Respondent(1.0, PartySet(mask), cov))
     return Survey(RECOVERY_REGISTRY, RECOVERY_SCHEMA, tuple(respondents))
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pollsets import (
     AllocationConstraint,
     CoalitionSpec,
-    Covariates,
     Interval,
     Majority,
     PartyRegistry,
@@ -188,14 +187,13 @@ class TestProperties:
         for _ in range(15):
             s = random_survey(rng, max_n=10, max_undecided=5, completion_limit=200)
             f = dempster_bounds(s)
-            undecided = [r for r in s.respondents if not r.decided]
-            for combo in itertools.product(*(r.set.indices() for r in undecided)):
-                chosen = dict(zip((id(r) for r in undecided), combo))
+            rows = list(s.cells.rows())
+            undecided = [i for i, (_, ps, _) in enumerate(rows) if not ps.is_singleton]
+            for combo in itertools.product(*(rows[i][1].indices() for i in undecided)):
+                chosen = dict(zip(undecided, combo))
                 for i_opt, code in enumerate(s.registry.options):
                     share = math.fsum(
-                        r.weight
-                        for r in s.respondents
-                        if (chosen[id(r)] if not r.decided else r.set.indices()[0]) == i_opt
+                        w for i, (w, ps, _) in enumerate(rows) if chosen.get(i, ps.indices()[0]) == i_opt
                     ) / s.total_weight
                     assert f[code].contains(share, slack=1e-15)
 
@@ -212,18 +210,18 @@ class TestProperties:
             for code in s.registry.options:
                 idx = s.registry.index(code)
                 total = 0.0
-                for r in s.respondents:
-                    k = r.set.size
-                    if not r.set.contains_index(idx):
+                for w, ps, _ in s.cells.rows():
+                    k = ps.size
+                    if not ps.contains_index(idx):
                         continue
                     if k == 1:
-                        total += r.weight
+                        total += w
                         continue
                     a_eff, b_eff = effective_allocation_limits(k, c)
                     t = float(rng.random())
                     extreme = min(b_eff, 1.0 - (k - 1) * a_eff)
                     share = (1 - t) / k + t * extreme
-                    total += r.weight * share
+                    total += w * share
                 value = total / s.total_weight
                 assert f[code].lower - 1e-9 <= value <= f[code].upper + 1e-9
 
@@ -265,24 +263,24 @@ def _weighted_surveys(draw, weight=_WIDE_WEIGHTS, min_decided=0):
     respondents = []
     for mask, pattern in draw(st.permutations(picks)):
         ps = shared[mask] if draw(st.booleans()) else PartySet(mask)
-        cov = Covariates((pattern & 1, pattern >> 1), schema)
-        respondents.append(Respondent(draw(weight), ps, cov))
+        respondents.append(Respondent(draw(weight), ps, (pattern & 1, pattern >> 1)))
     return Survey(reg, schema, tuple(respondents))
 
 
 def _reference_event_bounds(s, event, c=None):
     lo_terms, hi_terms = [], []
-    for r in s.respondents:
+    rows = list(s.cells.rows())
+    for w, ps, _ in rows:
         if c is None:
-            lo_c = 1.0 if r.set.issubset(event) else 0.0
-            hi_c = 1.0 if r.set.intersects(event) else 0.0
+            lo_c = 1.0 if ps.issubset(event) else 0.0
+            hi_c = 1.0 if ps.intersects(event) else 0.0
         else:
-            lo_c, hi_c = _contribution_limits(r.set.size, r.set.intersection_size(event), c)
+            lo_c, hi_c = _contribution_limits(ps.size, ps.intersection_size(event), c)
         if lo_c:
-            lo_terms.append(r.weight * lo_c)
+            lo_terms.append(w * lo_c)
         if hi_c:
-            hi_terms.append(r.weight * hi_c)
-    total = math.fsum(r.weight for r in s.respondents)
+            hi_terms.append(w * hi_c)
+    total = math.fsum(w for w, _, _ in rows)
     return min(math.fsum(lo_terms) / total, 1.0), min(math.fsum(hi_terms) / total, 1.0)
 
 
@@ -304,32 +302,33 @@ def test_bounds_bit_identical_to_per_respondent_fsum(s, box):
 @settings(max_examples=150, deadline=None)
 @given(_weighted_surveys())
 def test_counts_and_conventional_bit_identical_to_per_respondent_fsum(s):
+    rows = list(s.cells.rows())
     by_set = {}
-    for r in s.respondents:
-        by_set.setdefault(r.set.mask, []).append(r.weight)
+    for w, ps, _ in rows:
+        by_set.setdefault(ps.mask, []).append(w)
     ordered = sorted(by_set, key=lambda mask: (-len(by_set[mask]), PartySet(mask).sort_key()))
     want_groups = [(mask, len(by_set[mask]), math.fsum(by_set[mask])) for mask in ordered]
     assert [(ps.mask, n, w) for ps, (n, w) in group_counts(s).items()] == want_groups
 
     report = validate(s)
-    undecided = [r for r in s.respondents if not r.decided]
-    assert report.n == len(s.respondents)
-    assert report.total_weight == math.fsum(r.weight for r in s.respondents)
-    assert report.undecided_unweighted == len(undecided) / len(s.respondents)
-    assert report.undecided_weighted == math.fsum(r.weight for r in undecided) / report.total_weight
+    undecided = [w for w, ps, _ in rows if not ps.is_singleton]
+    assert report.n == len(rows)
+    assert report.total_weight == math.fsum(w for w, _, _ in rows)
+    assert report.undecided_unweighted == len(undecided) / len(rows)
+    assert report.undecided_weighted == math.fsum(undecided) / report.total_weight
     assert report.option_counts == {
-        code: sum(1 for r in s.respondents if r.set.contains_index(i)) for i, code in enumerate(s.registry.options)
+        code: sum(1 for _, ps, _ in rows if ps.contains_index(i)) for i, code in enumerate(s.registry.options)
     }
     assert s.n_undecided == len(undecided)
 
-    decided = [r for r in s.respondents if r.decided]
+    decided = [(w, ps) for w, ps, _ in rows if ps.is_singleton]
     if not decided:
         with pytest.raises(ValueError):
             conventional_forecast(s)
         return
-    w_decided = math.fsum(r.weight for r in decided)
+    w_decided = math.fsum(w for w, _ in decided)
     want = {
-        code: math.fsum(r.weight for r in decided if r.set.contains_index(i)) / w_decided
+        code: math.fsum(w for w, ps in decided if ps.contains_index(i)) / w_decided
         for i, code in enumerate(s.registry.options)
     }
     assert conventional_forecast(s).shares == want
@@ -338,15 +337,16 @@ def test_counts_and_conventional_bit_identical_to_per_respondent_fsum(s):
 @settings(max_examples=40, deadline=None)
 @given(_weighted_surveys(weight=st.floats(0.2, 5.0), min_decided=2))
 def test_homogeneity_matches_per_respondent_transition_rows(s):
-    assert len({r.set.mask for r in s.respondents if r.decided}) >= 2
+    rows = list(s.cells.rows())
+    assert len({ps.mask for _, ps, _ in rows if ps.is_singleton}) >= 2
     # A ridge keeps fits on these tiny, often separable designs short.
     penalty = mnl.PenaltySpec.ridge(0.5)
     model, _ = mnl.fit(decided_design(s), penalty, mnl.Constraint.symmetric())
     table = transition_probabilities(model, s)
-    assert len(table.rows) == len(s.respondents)
-    for r, row in zip(s.respondents, table.rows):
-        members = r.set.indices()
-        probs = mnl.predict_proba(model, np.array([1.0, *r.covariates.values]))
+    assert len(table.rows) == len(rows)
+    for (_, ps, cov), row in zip(rows, table.rows):
+        members = ps.indices()
+        probs = mnl.predict_proba(model, np.array([1.0, *cov]))
         denom = float(np.sum(probs[list(members)]))
         want = {s.registry.options[i]: float(probs[i]) / denom for i in members}
         assert list(row) == list(want)
@@ -354,7 +354,7 @@ def test_homogeneity_matches_per_respondent_transition_rows(s):
 
     shares, table, _ = homogeneity_forecast(s, penalty=penalty)
     per_respondent = {
-        code: math.fsum(r.weight * row.get(code, 0.0) for r, row in zip(s.respondents, table.rows)) / s.total_weight
+        code: math.fsum(w * row.get(code, 0.0) for (w, _, _), row in zip(rows, table.rows)) / s.total_weight
         for code in s.registry.options
     }
     total = math.fsum(per_respondent.values())

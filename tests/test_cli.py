@@ -109,6 +109,22 @@ class TestMalformedInput:
         assert code == 2
         assert "registry code" in err
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["clean-scan", "row-parser"])
+    def test_weight_total_past_the_largest_float_exit_2(self, capsys, tmp_path, newline):
+        path = tmp_path / "huge.csv"
+        path.write_bytes(newline.join(["weight,parties", "1e308,A", "1e308,B", ""]).encode())
+        code, out, err = run(capsys, "describe", "--input", path, "--registry", REG)
+        assert (code, out, err) == (2, "", "error: total weight exceeds the largest float\n")
+
+    @pytest.mark.parametrize("flag", ["--input", "--registry"])
+    def test_missing_file_exit_2_names_it(self, capsys, fixture_csv, tmp_path, flag):
+        absent = tmp_path / "absent.txt"
+        args = {"--input": fixture_csv, "--registry": REG}
+        args[flag] = absent if flag == "--input" else f"@{absent}"
+        code, _, err = run(capsys, "describe", "--input", args["--input"], "--registry", args["--registry"])
+        assert code == 2
+        assert str(absent) in err
+
     def test_leading_byte_order_mark_accepted(self, capsys, fixture_csv, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_text("\ufeff" + FIXTURE, encoding="utf-8")
@@ -304,6 +320,23 @@ class TestSimulate:
         assert [row.split(",")[1] for row in survey_rows] == truth_rows
 
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--weight-high", "inf"], "weight_range must be finite and satisfy 0 < low <= high"),
+            (["--weight-high", "1e308"], "total weight exceeds the largest float"),
+            (["--covariates", "a,a"], "schema labels must be unique, got 'a' more than once"),
+            (["--covariates", ",".join(f"c{j}" for j in range(64))], "at most 63 covariates can be simulated"),
+        ],
+        ids=["infinite-weight", "weight-total-overflow", "repeated-covariate", "64-covariates"],
+    )
+    def test_bad_configuration_exit_2_and_writes_nothing(self, capsys, tmp_path, flags, message):
+        out = tmp_path / "s.csv"
+        code, stdout, err = run(capsys, "simulate", "--n", "20", *flags, "--out", out)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOntic:
     def test_deterministic_table_and_path(self, capsys, tmp_path):
         sim = tmp_path / "sim.csv"
@@ -324,6 +357,18 @@ class TestOntic:
             assert "selected lambda" in err
             outputs.append((table.read_bytes(), path.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_repeated_schema_label_exit_2(self, capsys, tmp_path):
+        # A repeated label once wrote a path header with fewer columns than
+        # coefficients and collapsed the JSON "zeroed" dict.
+        data = tmp_path / "dup.csv"
+        data.write_text("weight,parties,a,a,b\n1.0,A,0,1,1\n1.0,B,1,0,0\n1.0,A;B,1,1,0\n1.0,C,0,0,1\n")
+        path_out = tmp_path / "path.csv"
+        code, out, err = run(
+            capsys, "ontic", "--input", data, "--registry", REG, "--schema", "a,a,b", "--k", "1", "--path-out", path_out
+        )
+        assert (code, out, err) == (2, "", "error: schema labels must be unique, got 'a' more than once\n")
+        assert not path_out.exists()
 
     def test_requires_schema(self, capsys, fixture_csv):
         code, _, err = run(capsys, "ontic", "--input", fixture_csv, "--registry", REG)

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 from unittest import mock
 
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pollsets import (
-    Covariates,
     PartyRegistry,
     PartySet,
     Respondent,
@@ -34,14 +34,15 @@ class TestParse:
     def test_undecided_row(self):
         s = parse_survey("weight,parties,east\n1.0,SPD;GRUENE,1\n", REG6, ("east",))
         assert len(s) == 1
-        r = s.respondents[0]
-        assert not r.decided
-        assert REG6.codes_of(r.set) == ("SPD", "GRUENE")
-        assert r.covariates.values == (1,)
+        [(_, ps, cov)] = s.cells.rows()
+        assert not ps.is_singleton
+        assert REG6.codes_of(ps) == ("SPD", "GRUENE")
+        assert cov == (1,)
 
     def test_decided_singleton(self):
         s = parse_survey("weight,parties,east\n1.0,SPD,0\n", REG6, ("east",))
-        assert s.respondents[0].decided
+        [(_, ps, _)] = s.cells.rows()
+        assert ps.is_singleton
 
     def test_unknown_code_drops_row(self):
         text = "weight,parties,east\n1.0,SPD,0\n1.0,SPD;TIERSCHUTZ,0\n"
@@ -152,8 +153,8 @@ class TestValidate:
     def test_total_weight_matches_naive_sum(self, wave3_path):
         s = parse_survey(wave3_path.read_text(), REG6, ("female", "age_65plus", "east", "high_income", "urban"))
         naive = 0.0
-        for r in s.respondents:
-            naive += r.weight
+        for w, _, _ in s.cells.rows():
+            naive += w
         assert abs(validate(s).total_weight - naive) < 1e-9
 
     def test_never_raises_on_empty(self):
@@ -192,20 +193,30 @@ class TestTypes:
         with pytest.raises(ValueError):
             Respondent(float("nan"), abc_registry.singleton("A"))
 
-    def test_covariates_binary(self):
+    def test_covariates_binary(self, abc_registry):
+        a = abc_registry.singleton("A")
+
+        def from_json(values, schema):
+            doc = {"registry": ["A", "B", "C"], "schema": list(schema), "wave": ""}
+            doc["respondents"] = [{"weight": 1.0, "parties": ["A"], "covariates": list(values)}]
+            return survey_from_json(json.dumps(doc))
+
+        schema = ("east", "urban")
         for values in ((0, 1), (True, False), (1.0, 0.0)):
-            assert Covariates(values, ("east", "urban")).values == values
+            for s in (Survey(abc_registry, schema, (Respondent(1.0, a, values),)), from_json(values, schema)):
+                assert s.cells.patterns.dtype == np.uint8
+                assert s.cells.patterns.tolist() == [[int(v) for v in values]]
         for bad in (2, -1, float("nan"), 0.5, "1", [0]):
             with pytest.raises(ValueError, match="binary"):
-                Covariates((bad,), ("east",))
+                Survey(abc_registry, ("east",), (Respondent(1.0, a, (bad,)),))
+            with pytest.raises(ValueError, match="binary"):
+                from_json((bad,), ("east",))
 
     def test_covariates_must_carry_the_schema_names(self, abc_registry):
         # Missing covariates under a schema are covered in test_forecast.
         a = abc_registry.singleton("A")
         with pytest.raises(ValueError, match="schema"):
-            Survey(abc_registry, (), (Respondent(1.0, a, Covariates((1,), ("x1",))),))
-        with pytest.raises(ValueError, match="schema"):
-            Survey(abc_registry, ("x1",), (Respondent(1.0, a, Covariates((1,), ("x2",))),))
+            Survey(abc_registry, (), (Respondent(1.0, a, (1,)),))
 
     def test_set_must_fit_registry(self, abc_registry):
         with pytest.raises(ValueError):
@@ -227,8 +238,7 @@ def _survey_strategy():
             mask = 0
             for m in members:
                 mask |= 1 << m
-            cov = Covariates((draw(st.integers(0, 1)),), ("x1",))
-            respondents.append(Respondent(weight, PartySet(mask), cov))
+            respondents.append(Respondent(weight, PartySet(mask), (draw(st.integers(0, 1)),)))
         return Survey(registry, ("x1",), tuple(respondents))
 
     return build()
@@ -281,6 +291,17 @@ def test_json_float_covariates_write_csv():
     text = survey_to_csv(s)
     assert text == "weight,parties,x1,x2\n1.0,A,1,0\n2.0,A;B,1,0\n"
     assert parse_survey(text, s.registry, s.schema) == s
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["clean-scan", "row-parser"])
+def test_weight_total_past_the_largest_float_rejected(newline):
+    text = newline.join(["weight,parties,x1,x2", "1e308,A,0,1", "1e308,B,1,0", ""])
+    with pytest.raises(ValueError, match="^total weight exceeds the largest float$"):
+        parse_survey(text, DIFF_REGISTRY, DIFF_SCHEMA)
+    doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
+    doc["respondents"] = [{"weight": 1e308, "parties": ["A"], "covariates": None}] * 2
+    with pytest.raises(ValueError, match="^total weight exceeds the largest float$"):
+        survey_from_json(json.dumps(doc))
 
 
 def test_json_null_covariates_under_schema_rejected():
@@ -389,50 +410,47 @@ def test_parse_matches_per_row_reference(text):
         assert str(exc) == f"line {want[2]}: {want[1]}"
         return
     assert want[0] == "ok"
-    got = [(r.weight, r.set.mask, r.covariates.values) for r in s.respondents]
+    got = [(w, ps.mask, cov) for w, ps, cov in s.cells.rows()]
     assert got == want[1]
     assert s.dropped_rows == want[2]
-    assert all(r.covariates.names == DIFF_SCHEMA for r in s.respondents)
-    # Rows repeating a set or a covariate pattern share one object.
-    shared_sets, shared_covariates = {}, {}
-    for r in s.respondents:
-        assert shared_sets.setdefault(r.set.mask, r.set) is r.set
-        assert shared_covariates.setdefault(r.covariates.values, r.covariates) is r.covariates
+    # Rows repeating a set share one object.
+    shared_sets = {}
+    for _, ps, _ in s.cells.rows():
+        assert shared_sets.setdefault(ps.mask, ps) is ps
     # The survey's cell table must describe the same rows.
     cells = s.cells
+    patterns = list(dict.fromkeys(v for _, _, v in want[1]))
+    assert cells.patterns.dtype == np.uint8
+    assert cells.patterns.shape == (len(patterns), len(DIFF_SCHEMA))
     assert cells.weights.tolist() == [w for w, _, _ in want[1]]
     assert [
-        (cells.sets[cells.cell_set[g]].mask, cells.covariates[cells.cell_covariates[g]].values)
+        (cells.sets[cells.cell_set[g]].mask, tuple(cells.patterns[cells.cell_pattern[g]].tolist()))
         for g in cells.index.tolist()
     ] == [(mask, values) for _, mask, values in want[1]]
     assert {ps.mask: ws for ps, ws in zip(cells.sets, cells.set_weights)} == {
         mask: [w for w, m, _ in want[1] if m == mask] for mask in {m for _, m, _ in want[1]}
     }
-    assert len(set(zip(cells.cell_set.tolist(), cells.cell_covariates.tolist()))) == len(cells.cell_set)
+    assert len(set(zip(cells.cell_set.tolist(), cells.cell_pattern.tolist()))) == len(cells.cell_set)
     # Sets, covariate patterns and cells are numbered by first appearance.
     assert [ps.mask for ps in cells.sets] == list(dict.fromkeys(m for _, m, _ in want[1]))
-    assert [cov.values for cov in cells.covariates] == list(dict.fromkeys(v for _, _, v in want[1]))
+    assert cells.patterns.tolist() == [list(v) for v in patterns]
     assert [
-        (cells.sets[j].mask, cells.covariates[c].values)
-        for j, c in zip(cells.cell_set.tolist(), cells.cell_covariates.tolist())
+        (cells.sets[j].mask, tuple(cells.patterns[c].tolist()))
+        for j, c in zip(cells.cell_set.tolist(), cells.cell_pattern.tolist())
     ] == list(dict.fromkeys((m, v) for _, m, v in want[1]))
     # The public constructor, given the reference rows as Respondents, must
-    # store the same table, and the respondents view must give them back.
-    rows = tuple(Respondent(w, PartySet(mask), Covariates(values, DIFF_SCHEMA)) for w, mask, values in want[1])
+    # store the same table.
+    rows = tuple(Respondent(w, PartySet(mask), values) for w, mask, values in want[1])
     built = Survey(DIFF_REGISTRY, DIFF_SCHEMA, rows, dropped_rows=want[2])
     assert built == s
     other = built.cells
-    assert cells.sets == other.sets and cells.covariates == other.covariates
-    for name in ("cell_set", "cell_covariates", "index"):
+    assert cells.sets == other.sets
+    for name in ("patterns", "cell_set", "cell_pattern", "index"):
         assert getattr(cells, name).tolist() == getattr(other, name).tolist()
+    assert other.patterns.dtype == np.uint8 and other.patterns.shape == cells.patterns.shape
     assert cells.weights.tobytes() == other.weights.tobytes()
     assert [[w.hex() for w in ws] for ws in cells.set_weights] == [[w.hex() for w in ws] for ws in other.set_weights]
-    for survey in (s, built):
-        assert survey.respondents == rows
-        table = survey.cells
-        for r, g in zip(survey.respondents, table.index.tolist()):
-            assert r.set is table.sets[table.cell_set[g]]
-            assert r.covariates is table.covariates[table.cell_covariates[g]]
+    assert [(w, ps.mask, cov) for w, ps, cov in built.cells.rows()] == want[1]
 
 
 def test_readers_build_no_respondent_per_row(monkeypatch, wave3_path):
@@ -445,20 +463,17 @@ def test_readers_build_no_respondent_per_row(monkeypatch, wave3_path):
 
     monkeypatch.setattr(Respondent, "__init__", counting_init)
     s = parse_survey(wave3_path.read_text(), REG6, WAVE3_SCHEMA)
-    again = survey_from_json(survey_to_json(s))
+    survey_from_json(survey_to_json(s))
     config = SimConfig(REG6, 300, default_true_coefficients(6, 2), ("u", "v"), coarsen_prob=0.3, seed=1)
     simulated, _ = generate_population(config)
     survey_to_csv(simulated)
     assert made == []
-    # The respondents view is where they are made, one per row.
-    assert again.respondents == s.respondents
-    assert len(made) == 2 * len(s)
 
 
 def test_build_keeps_the_given_weight_objects():
     weights = [float(text) for text in ("0.5", "1.5", "0.5", "2.0")]
     sets = [PartySet(1), PartySet(3)]
-    table = CellTable.build(weights, [0, 1, 0, 1], [0, 0, 0, 0], sets, [None])
+    table = CellTable.build(weights, [0, 1, 0, 1], [0, 0, 0, 0], sets, np.zeros((1, 0), np.uint8))
     assert [[id(w) for w in ws] for ws in table.set_weights] == [
         [id(weights[0]), id(weights[2])],
         [id(weights[1]), id(weights[3])],
@@ -517,6 +532,10 @@ def _parse_or_error(parse, text, schema=DIFF_SCHEMA):
 
 def _assert_same_survey(got, want):
     assert got == want
+    for survey in (got, want):
+        patterns = survey.cells.patterns
+        assert patterns.dtype == np.uint8
+        assert patterns.shape == (len(set(survey.cells.cell_pattern.tolist())), len(survey.schema))
     assert got.dropped_rows == want.dropped_rows
     assert got.total_weight == want.total_weight
     assert got.cells.weights.tobytes() == want.cells.weights.tobytes()

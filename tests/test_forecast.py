@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pollsets import (
-    Covariates,
     PartyRegistry,
     ProbabilityVector,
     Respondent,
@@ -84,9 +83,9 @@ class TestTransitionProbabilities:
                 Respondent(1.0, abc_registry.singleton("B")),
             ),
         )
-        for r, row in zip(s.respondents, transition_probabilities(model, s).rows):
+        for (_, ps, _), row in zip(s.cells.rows(), transition_probabilities(model, s).rows):
             assert abs(math.fsum(row.values()) - 1.0) < 1e-12
-            member_codes = set(abc_registry.codes_of(r.set))
+            member_codes = set(abc_registry.codes_of(ps))
             assert set(row) <= member_codes
 
     def test_missing_covariates_rejected_by_survey(self):
@@ -94,7 +93,7 @@ class TestTransitionProbabilities:
         # no transition row is ever predicted without them.
         reg = PartyRegistry(("A", "B"))
         schema = ("x1",)
-        with_cov = Respondent(1.0, reg.singleton("A"), Covariates((1,), schema))
+        with_cov = Respondent(1.0, reg.singleton("A"), (1,))
         without = Respondent(1.0, reg.set_of(["A", "B"]), None)
         with pytest.raises(ValueError, match="schema"):
             Survey(reg, schema, (with_cov, without))
@@ -104,7 +103,7 @@ class TestTransitionProbabilities:
         s = Survey(
             abc_registry,
             ("x1",),
-            (Respondent(1.0, abc_registry.singleton("A"), Covariates((1,), ("x1",))),),
+            (Respondent(1.0, abc_registry.singleton("A"), (1,)),),
         )
         with pytest.raises(ValueError, match="schema"):
             transition_probabilities(model, s)
@@ -143,7 +142,7 @@ class TestHomogeneity:
         scaled = Survey(
             abc_survey.registry,
             abc_survey.schema,
-            tuple(Respondent(7.0 * r.weight, r.set, r.covariates) for r in abc_survey.respondents),
+            tuple(Respondent(7.0 * w, ps, cov) for w, ps, cov in abc_survey.cells.rows()),
         )
         base, _, _ = homogeneity_forecast(abc_survey)
         rescaled, _, _ = homogeneity_forecast(scaled)
@@ -186,16 +185,17 @@ class TestSeatShare:
         included = reg.set_of(["A", "B"])
         out = seat_share(dempster_bounds(s), included, reg)
 
-        undecided = [r for r in s.respondents if not r.decided]
+        rows = list(s.cells.rows())
+        undecided = [ps for _, ps, _ in rows if not ps.is_singleton]
         extremes = {code: [1.0, 0.0] for code in ("A", "B")}
-        for combo in itertools.product(*(r.set.indices() for r in undecided)):
+        for combo in itertools.product(*(ps.indices() for ps in undecided)):
             votes = []
             it = iter(combo)
-            for r in s.respondents:
-                votes.append(next(it) if not r.decided else r.set.indices()[0])
+            for _, ps, _ in rows:
+                votes.append(next(it) if not ps.is_singleton else ps.indices()[0])
             mass = {c: 0.0 for c in reg.options}
-            for r, v in zip(s.respondents, votes):
-                mass[reg.options[v]] += r.weight
+            for (w, _, _), v in zip(rows, votes):
+                mass[reg.options[v]] += w
             total_inc = mass["A"] + mass["B"]
             for code in ("A", "B"):
                 seats = mass[code] / total_inc

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pollsets import (
-    Covariates,
     PartyRegistry,
     Respondent,
     Survey,
@@ -21,7 +20,7 @@ def survey_with_covariates(seed=0, n=150, n_options=3, pair_sets=((0, 1), (1, 2)
     registry = PartyRegistry(tuple("ABCDEF"[:n_options]))
     respondents = []
     for _ in range(n):
-        cov = Covariates(tuple(int(b) for b in rng.integers(0, 2, len(SCHEMA))), SCHEMA)
+        cov = tuple(int(b) for b in rng.integers(0, 2, len(SCHEMA)))
         roll = rng.random()
         if roll < 0.7:
             mask = 1 << int(rng.integers(0, n_options))

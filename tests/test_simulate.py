@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from pollsets import (
     oracle_constrained_bounds,
     survey_to_csv,
 )
-from pollsets import simulate
+from pollsets import data, simulate
 from pollsets.simulate import CoarsenStyle, SimConfig, default_true_coefficients, truth_to_csv
 from conftest import random_event, random_survey
 
@@ -48,7 +50,7 @@ class TestGeneratePopulation:
 
     def test_full_coarsening_all_undecided(self):
         s, _ = generate_population(config(coarsen_prob=1.0, seed=2))
-        assert all(r.set.size >= 2 for r in s.respondents)
+        assert all(ps.size >= 2 for _, ps, _ in s.cells.rows())
 
     def test_same_seed_byte_identical(self):
         a, ga = generate_population(config(seed=9))
@@ -58,8 +60,8 @@ class TestGeneratePopulation:
 
     def test_reported_set_contains_latent_vote(self):
         s, g = generate_population(config(coarsen_prob=0.8, seed=3, style=CoarsenStyle.NEIGHBOR))
-        for r, vote in zip(s.respondents, g.votes):
-            assert r.set.contains_index(vote)
+        for (_, ps, _), vote in zip(s.cells.rows(), g.votes):
+            assert ps.contains_index(vote)
 
     @pytest.mark.parametrize("style", list(CoarsenStyle))
     def test_extra_party_frequencies_match_exact_inclusion(self, style):
@@ -94,6 +96,30 @@ class TestGeneratePopulation:
             config(coarsen_prob=1.5)
         with pytest.raises(ValueError):
             config(coefficients=((0.0, 0.0),))
+
+    def test_config_rejects_more_covariates_than_a_key_holds(self):
+        names = tuple(f"c{j}" for j in range(64))
+        with pytest.raises(ValueError, match="at most 63 covariates"):
+            config(covariate_names=names, coefficients=default_true_coefficients(4, 64))
+
+    def test_config_requires_finite_weights(self):
+        with pytest.raises(ValueError, match="weight_range must be finite"):
+            config(weight_range=(1.0, math.inf))
+
+    def test_weight_total_past_the_largest_float_rejected(self):
+        with pytest.raises(ValueError, match="^total weight exceeds the largest float$"):
+            generate_population(config(n=20, weight_range=(1.0, 1e308)))
+
+    @pytest.mark.parametrize("p", [0, 2, 63])
+    def test_patterns_numbered_by_first_appearance(self, p):
+        # At p = 63 every row's pattern is distinct and its key uses bit 62.
+        names = tuple(f"c{j}" for j in range(p))
+        s, _ = generate_population(config(n=300, covariate_names=names, coefficients=default_true_coefficients(4, p)))
+        patterns = s.cells.patterns
+        assert patterns.dtype == np.uint8
+        assert patterns.shape[1] == p
+        # The row parser numbers the written patterns by first appearance of their cells.
+        assert data._parse_rows(survey_to_csv(s), REG, names).cells == s.cells
 
 
 class TestCompletionOracle:
