@@ -13,9 +13,13 @@ is repaired to stay feasible for any set size (see
 ``effective_allocation_limits``), and per-respondent extremes then have
 a closed form because the constraint never couples different sets.
 
-All weight sums use math.fsum, so results are exactly rounded and
-independent of respondent order.  Each bound is computed per distinct
-consideration set from the survey's cell table (see ``pollsets.data``).
+Every weight sum is exact until one final rounding (``data.exact_sums``
+and ``data.rounded``), so results are correctly rounded, as math.fsum
+would round them, and independent of respondent order.  Each bound is
+computed per distinct consideration set from the survey's cell table
+(see ``pollsets.data``): a set counted at full weight adds its cached
+exact sum, and only a set counted at a fraction of its weight is summed
+again, over its slice of the table's by-set weight column.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain
 
-from .data import PartyRegistry, PartySet, Survey
+import numpy as np
+
+from .data import PartyRegistry, PartySet, Survey, exact_sums, rounded
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,8 @@ def event_bounds(s: Survey, event: PartySet, c: AllocationConstraint | None = No
     constraint each respondent contributes its closed-form extremal
     in-event mass instead.  Both loop over distinct sets and sum the
     matching respondents' weights (or the same per-weight products)
-    with fsum, so the result equals a per-respondent sum bit for bit.
+    exactly before one rounding, so the result equals a per-respondent
+    ``math.fsum`` bit for bit.
     """
     if not len(s):
         raise ValueError("event_bounds of an empty survey")
@@ -145,22 +151,36 @@ def event_bounds(s: Survey, event: PartySet, c: AllocationConstraint | None = No
         raise ValueError("event references options outside the registry")
     w_total = s.total_weight
     cells = s.cells
-    lo_terms: list = []
-    hi_terms: list = []
-    for ps, weights in zip(cells.sets, cells.set_weights):
+    # Per bound: the exact sums of sets counted at full weight, and the
+    # weights of sets counted at a fraction, times that fraction.
+    lo_sums: list[int] = []
+    hi_sums: list[int] = []
+    lo_parts: list[np.ndarray] = []
+    hi_parts: list[np.ndarray] = []
+    start = 0
+    for ps, count, total in zip(cells.sets, cells.set_counts.tolist(), cells.set_sums):
         if c is None:
             lo_c = 1.0 if ps.issubset(event) else 0.0
             hi_c = 1.0 if ps.intersects(event) else 0.0
         else:
             lo_c, hi_c = _contribution_limits(ps.size, ps.intersection_size(event), c)
-        for terms, factor in ((lo_terms, lo_c), (hi_terms, hi_c)):
+        for sums, parts, factor in ((lo_sums, lo_parts, lo_c), (hi_sums, hi_parts, hi_c)):
             if factor == 1.0:
-                terms.append(weights)
+                sums.append(total)
             elif factor:
-                terms.append([w * factor for w in weights])
-    lower = min(math.fsum(chain.from_iterable(lo_terms)) / w_total, 1.0)
-    upper = min(math.fsum(chain.from_iterable(hi_terms)) / w_total, 1.0)
+                parts.append(cells.by_set[start : start + count] * factor)
+        start += count
+    lower = min(_rounded_sum(lo_sums, lo_parts) / w_total, 1.0)
+    upper = min(_rounded_sum(hi_sums, hi_parts) / w_total, 1.0)
     return Interval(lower, upper)
+
+
+def _rounded_sum(sums: list[int], parts: list[np.ndarray]) -> float:
+    """The correctly rounded total of exact sums and of float arrays."""
+    total = sum(sums)
+    if parts:
+        total += exact_sums(np.concatenate(parts))[0]
+    return rounded(total)
 
 
 def _per_option_forecast(s: Survey, c: AllocationConstraint | None) -> IntervalForecast:

@@ -31,17 +31,35 @@ from .data import PartyRegistry, group_counts, parse_survey, undecided_share, va
 DEFAULT_REGISTRY = "SPD,CDU_CSU,GRUENE,FDP,AFD,LINKE"
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 text file's contents with universal newlines, as ``open`` reads it in text mode.
+
+    Bytes that are not UTF-8 raise ValueError naming the file and the
+    line of the first bad byte.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks at \n, \r and \r\n, the newlines read as one.
+        line = len((data[:exc.start] + b"x").splitlines())
+        raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _parse_list(value: str) -> tuple[str, ...]:
     """Comma-separated inline list, or @file with one entry per line."""
     if value.startswith("@"):
-        lines = Path(value[1:]).read_text(encoding="utf-8").splitlines()
+        lines = _read_text(Path(value[1:])).splitlines()
         return tuple(line.strip() for line in lines if line.strip())
     return tuple(item.strip() for item in value.split(",") if item.strip())
 
 
 def _load_survey(args):
     path = Path(args.input)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     if not text.strip():
         raise ValueError(f"input file {path} is empty")
     registry = PartyRegistry(_parse_list(args.registry))
@@ -160,7 +178,7 @@ def cmd_bounds(args) -> int:
 def cmd_coalitions(args) -> int:
     survey = _load_survey(args)
     constraint = _constraint(args)
-    specs = parse_coalitions(Path(args.coalitions).read_text(encoding="utf-8"), survey.registry)
+    specs = parse_coalitions(_read_text(Path(args.coalitions)), survey.registry)
     report = coalition_report(survey, specs, constraint, threshold=args.threshold)
     guaranteed = sum(1 for _, _, m in report if m is Majority.GUARANTEED)
     possible = sum(1 for _, _, m in report if m is Majority.POSSIBLE)

@@ -8,28 +8,32 @@ operations.
 
 A survey is stored as its cell table (``Survey.cells``, a
 ``CellTable``): the distinct (consideration set, covariate pattern)
-cells, each respondent's cell and weight as columns in respondent
-order, and each distinct set's raw weights.  Covariates are binary and
-sets are bitmasks, so a survey has at most 2^p x (2^K - 1) cells and
-usually far fewer than respondents; a bound or a forecast costs one
-step per distinct set or cell plus one exactly rounded sum, not one
-Python step per respondent.  The distinct covariate patterns are the
-rows of one read-only 0/1 ``uint8`` matrix (``CellTable.patterns``),
-so a design matrix is that matrix behind an intercept column.
-``parse_survey`` fills the columns directly and ``CellTable.build``
-groups them; no object is made per row or per covariate pattern.  A
-clean file is read by a columnar scan: numpy finds each block's
-newlines and commas, the covariates come out as one 0/1 matrix, and
-each distinct parties cell is validated once.  Anything else goes
-through the row parser, a ``csv.reader`` loop with one memo per field,
-which stays the reference for the format's semantics, error messages
-and line numbers.
+cells, each respondent's cell and weight as float64 columns in
+respondent order, the weight column grouped by set, and each set's
+count and exact weight sum.  Covariates are binary and sets are
+bitmasks, so a survey has at most 2^p x (2^K - 1) cells and usually far
+fewer than respondents; a bound or a forecast costs one step per
+distinct set or cell plus one exactly rounded sum, not one Python step
+per respondent.  The distinct covariate patterns are the rows of one
+read-only 0/1 ``uint8`` matrix (``CellTable.patterns``), so a design
+matrix is that matrix behind an intercept column.  ``parse_survey``
+fills the columns directly and ``CellTable.build`` groups them; no
+object is made per row or per covariate pattern.  A clean file is read
+by a columnar scan: numpy finds each block's newlines and commas, the
+covariates come out as one 0/1 matrix, parties cells are numbered by
+integer keys, and each distinct parties cell is validated once.
+Anything else goes through the row parser, a ``csv.reader`` loop with
+one memo per field, which stays the reference for the format's
+semantics, error messages and line numbers.
 
-Weighted totals use exactly rounded summation (math.fsum).  fsum
-returns the correctly rounded sum of its inputs whatever their order,
-so summing the concatenated weight lists of the matching sets gives the
-same bits as summing the matching respondents one by one: the table
-keeps each set's raw weights for that reason, not a rounded total.
+Weighted totals are exactly rounded, as ``math.fsum`` rounds them.
+``exact_sums`` adds float64 weights per group into Python integers
+without rounding (every finite float64 is an integer multiple of
+2**-1126), and ``rounded`` turns the sum of any union of groups into a
+float by one correctly rounded integer division.  The result does not
+depend on the order of the respondents, so a total summed per set
+carries the same bits as one summed respondent by respondent; the
+table keeps each set's exact sum for that reason, not a rounded total.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -41,9 +45,9 @@ import csv
 import io
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -203,6 +207,57 @@ def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse], first[order]
 
 
+# Exact sums.  A nonzero finite float64 is M * 2**(e - 53), where M is
+# its frexp mantissa scaled to an integer below 2**53 and e >= -1073 (the
+# smallest subnormal, 2**-1074, has e = -1073).  So every float64 is an
+# integer number of units of 2**-1126, and a sum of them is a Python int.
+_UNIT_EXP = 1126
+_HALF_BITS = 26
+# bincount adds its weights as float64, exactly while every partial sum
+# is an integer below 2**53: the high halves are below 2**27, so one
+# pass takes fewer than 2**26 values.
+_EXACT_ROWS = 1 << 25
+
+
+def exact_sums(values: np.ndarray, groups: np.ndarray | None = None, n_groups: int = 1) -> list[int]:
+    """Each group's exact sum of the finite float64 ``values``, in units of 2**-1126.
+
+    Value i belongs to group ``groups[i]`` (group 0 if ``groups`` is
+    None).  Each mantissa is split into halves of at most 27 bits, which
+    ``np.bincount`` adds exactly per (group, exponent); the buckets are
+    then shifted into place as Python ints.  ``rounded`` of the sum over
+    any union of groups equals ``math.fsum`` of their values bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    groups = np.zeros(len(values), np.intp) if groups is None else np.asarray(groups, dtype=np.intp)
+    sums = [0] * n_groups
+    for start in range(0, len(values), _EXACT_ROWS):
+        mantissa, exponent = np.frexp(values[start : start + _EXACT_ROWS])
+        scaled = np.ldexp(mantissa, 53).astype(np.int64)
+        low = int(exponent.min())
+        span = int(exponent.max()) - low + 1
+        key = groups[start : start + _EXACT_ROWS] * span + (exponent - low)
+        buckets = None
+        if n_groups * span > 2 * len(key):
+            buckets, key = np.unique(key, return_inverse=True)
+        bins = n_groups * span if buckets is None else len(buckets)
+        high = np.bincount(key, weights=scaled >> _HALF_BITS, minlength=bins)
+        low_half = np.bincount(key, weights=scaled & ((1 << _HALF_BITS) - 1), minlength=bins)
+        used = np.flatnonzero((high != 0) | (low_half != 0))
+        for b, h, l in zip(used.tolist(), high[used].tolist(), low_half[used].tolist()):
+            g, e = divmod(b if buckets is None else int(buckets[b]), span)
+            sums[g] += ((int(h) << _HALF_BITS) + int(l)) << (e + low + _UNIT_EXP - 53)
+    return sums
+
+
+def rounded(total: int) -> float:
+    """The float nearest an exact sum from ``exact_sums`` (ties to even), as math.fsum rounds.
+
+    Raises OverflowError if it lies beyond the largest float.
+    """
+    return total / (1 << _UNIT_EXP)
+
+
 @dataclass(frozen=True, eq=False)
 class CellTable:
     """A survey's distinct (consideration set, covariate pattern) cells.
@@ -215,9 +270,11 @@ class CellTable:
     numbered in order of first appearance too.  Respondent i
     falls in cell ``index[i]`` and weighs ``weights[i]``, so a cell's
     weights in respondent order are ``weights[index == g]``.
-    ``set_weights[j]`` lists the raw weights of the respondents holding
-    ``sets[j]``, for exactly rounded sums.  Two tables are equal when
-    they describe equal respondents in the same order.
+    ``by_set`` is the weight column grouped by set, respondent order
+    kept within a set: ``set_counts[j]`` respondents hold ``sets[j]``,
+    and their weights' exact sum (see ``exact_sums``) is
+    ``set_sums[j]``.  Two tables are equal when they describe equal
+    respondents in the same order.
     """
 
     sets: tuple[PartySet, ...]
@@ -226,7 +283,9 @@ class CellTable:
     cell_pattern: np.ndarray
     index: np.ndarray
     weights: np.ndarray
-    set_weights: tuple[list[float], ...]
+    by_set: np.ndarray
+    set_counts: np.ndarray
+    set_sums: tuple[int, ...]
 
     def __post_init__(self):
         for name, dtype in (
@@ -235,34 +294,43 @@ class CellTable:
             ("cell_pattern", np.intp),
             ("index", np.intp),
             ("weights", float),
+            ("by_set", float),
+            ("set_counts", np.intp),
         ):
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        for name in ("sets", "set_weights"):
+        for name in ("sets", "set_sums"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @classmethod
-    def build(cls, weights: list[float], set_ids, pattern_ids, sets, patterns: np.ndarray) -> CellTable:
+    def build(cls, weights: np.ndarray, set_ids, pattern_ids, sets, patterns: np.ndarray) -> CellTable:
         """Group rows into cells.
 
-        Row i weighs ``weights[i]`` and holds ``sets[set_ids[i]]`` and
-        covariate pattern ``patterns[pattern_ids[i]]``, a row of an
-        (n_patterns, p) 0/1 matrix.  The ids number pairwise unequal sets
-        and pattern rows in order of first appearance.  ``set_weights``
-        holds the float objects of ``weights`` themselves, not copies.
+        Row i weighs ``weights[i]`` (a float64 column) and holds
+        ``sets[set_ids[i]]`` and covariate pattern
+        ``patterns[pattern_ids[i]]``, a row of an (n_patterns, p) 0/1
+        matrix.  The ids number pairwise unequal sets and pattern rows in
+        order of first appearance.
         """
-        set_id = np.array(set_ids, dtype=np.intp)
-        pattern_id = np.array(pattern_ids, dtype=np.intp)
+        weights = np.asarray(weights, dtype=float)
+        set_id = np.asarray(set_ids, dtype=np.intp)
+        pattern_id = np.asarray(pattern_ids, dtype=np.intp)
         index, first = first_appearance(set_id * len(patterns) + pattern_id)
         # A stable sort by set keeps each set's weights in row order; on
-        # set ids narrowed to 8 or 16 bits numpy sorts by radix.  Taking
-        # from an object array keeps the given float objects.
+        # set ids narrowed to 8 or 16 bits numpy sorts by radix.
         order = np.argsort(set_id.astype(np.min_scalar_type(len(sets))), kind="stable")
-        by_set = np.array(weights, dtype=object)[order]
-        ends = np.cumsum(np.bincount(set_id, minlength=len(sets))).tolist()
-        set_weights = [by_set[start:end].tolist() for start, end in zip([0, *ends], ends)]
-        return cls(sets, patterns, set_id[first], pattern_id[first], index, weights, set_weights)
+        return cls(
+            sets,
+            patterns,
+            set_id[first],
+            pattern_id[first],
+            index,
+            weights,
+            weights[order],
+            np.bincount(set_id, minlength=len(sets)),
+            exact_sums(weights, set_id, len(sets)),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, CellTable):
@@ -307,7 +375,8 @@ def _group_by_value(rows, schema: tuple[str, ...]) -> CellTable:
     """
     sets: dict[PartySet, int] = {}
     patterns: dict[tuple, int] = {}
-    weights, set_ids, pattern_ids = [], [], []
+    weights = array("d")
+    set_ids, pattern_ids = [], []
     for weight, ps, cov in rows:
         weights.append(weight)
         set_ids.append(sets.setdefault(ps, len(sets)))
@@ -366,7 +435,7 @@ class Survey:
         if cells.patterns.shape[1] != len(schema):
             raise ValueError("respondent covariates do not match the survey schema")
         try:
-            total = math.fsum(chain.from_iterable(cells.set_weights))
+            total = rounded(sum(cells.set_sums))
         except OverflowError:
             raise ValueError("total weight exceeds the largest float") from None
         if len(cells.weights) and total <= 0:
@@ -384,7 +453,7 @@ class Survey:
     @property
     def n_undecided(self) -> int:
         cells = self.cells
-        return sum(len(ws) for ps, ws in zip(cells.sets, cells.set_weights) if not ps.is_singleton)
+        return sum(n for ps, n in zip(cells.sets, cells.set_counts.tolist()) if not ps.is_singleton)
 
     @property
     def n_decided(self) -> int:
@@ -475,7 +544,7 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
     # Covariate cells -> pattern id; values[id] holds the pattern's 0/1 values.
     patterns: dict[tuple[str, ...], int] = {}
     values: list[tuple[int, ...]] = []
-    weights: list[float] = []
+    weights = array("d")
     set_ids: list[int] = []
     pattern_ids: list[int] = []
     dropped = 0
@@ -577,8 +646,7 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
     parties: dict[bytes, int] = {}
     set_ids_by_mask: dict[int, int] = {}
     sets: list[PartySet] = []
-    weights: list[float] = []
-    set_ids, keys = [], []
+    weights, set_ids, keys = [], [], []
     rows = 0
     pos = head + 1
     while pos < len(text):
@@ -588,8 +656,8 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
         pos = end
         if scanned is None:
             return None
-        row_weights, cells, key = scanned
-        for cell in dict.fromkeys(cells):
+        row_weights, distinct, number, key = scanned
+        for cell in distinct:
             if cell not in parties:
                 try:
                     # The line is never reported: a fault declines the scan.
@@ -602,13 +670,12 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
                     if si == len(sets):
                         sets.append(ps)
                 parties[cell] = si
-        set_id = np.fromiter(map(parties.__getitem__, cells), np.intp, len(cells))
+        set_id = np.array([parties[cell] for cell in distinct], dtype=np.intp)[number]
         keep = set_id >= 0
         if not keep.all():
-            row_weights = compress(row_weights, keep.tolist())
-            set_id, key = set_id[keep], key[keep]
-        rows += len(cells)
-        weights.extend(row_weights)
+            row_weights, set_id, key = row_weights[keep], set_id[keep], key[keep]
+        rows += len(number)
+        weights.append(row_weights)
         set_ids.append(set_id)
         keys.append(key)
     if not rows:
@@ -616,11 +683,11 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
     key = np.concatenate(keys)
     pattern_ids, first = first_appearance(key)
     patterns = key[first, None] >> np.arange(len(schema)) & 1
-    cells = CellTable.build(weights, np.concatenate(set_ids), pattern_ids, sets, patterns)
-    return Survey.from_cells(registry, schema, cells, dropped_rows=rows - len(weights))
+    cells = CellTable.build(np.concatenate(weights), np.concatenate(set_ids), pattern_ids, sets, patterns)
+    return Survey.from_cells(registry, schema, cells, dropped_rows=rows - len(key))
 
 
-def _scan_block(chunk: str, p: int, limit: int) -> tuple[list[float], list[bytes], np.ndarray] | None:
+def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes], np.ndarray, np.ndarray] | None:
     """Each data row's weight, parties cell and covariate-pattern key, or None.
 
     ``chunk`` holds whole lines of rows with ``p`` covariates.  Every
@@ -628,6 +695,8 @@ def _scan_block(chunk: str, p: int, limit: int) -> tuple[list[float], list[bytes
     takes and that is positive and finite, and each covariate cell one
     byte ``0`` or ``1``; the pattern key packs a row's covariates as
     bits.  Weight and parties cells come from padded ``S`` arrays.
+    Returns the weights, the distinct parties cells in order of first
+    appearance, each row's number into them, and the pattern keys.
     """
     try:
         data = chunk.encode()
@@ -658,25 +727,27 @@ def _scan_block(chunk: str, p: int, limit: int) -> tuple[list[float], list[bytes
     if max(weight_len.max(), parties_len.max()) > limit:
         return None
     weight_cells = _padded(buf, starts, weight_len)
-    parties_cells = _padded(buf, commas[:, 0] + 1, parties_len)
+    parties_cells = _padded(buf, commas[:, 0] + 1, parties_len, word=8)
     if weight_cells is None or parties_cells is None:
         return None
     try:
-        weights = list(map(float, weight_cells.tolist()))
+        weights = np.fromiter(map(float, weight_cells.tolist()), float, rows)
     except ValueError:
         return None
-    w = np.fromiter(weights, float, rows)
-    if not np.all((w > 0.0) & (w < math.inf)):
+    if not np.all((weights > 0.0) & (weights < math.inf)):
         return None
-    return weights, parties_cells.tolist(), bits @ (1 << np.arange(p, dtype=np.int64))
+    number, first = _number_cells(parties_cells)
+    return weights, parties_cells[first].tolist(), number, bits @ (1 << np.arange(p, dtype=np.int64))
 
 
-def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, word: int = 1) -> np.ndarray | None:
     """The cells ``buf[starts[i]:starts[i] + lengths[i]]`` as one NUL-padded ``S`` array.
 
-    None if the padded array would exceed ``_PAD_RATIO`` bytes per byte of ``buf``.
+    Its width is a multiple of ``word`` bytes, so each cell is a whole
+    number of ``word``-byte words.  None if the padded array would exceed
+    ``_PAD_RATIO`` bytes per byte of ``buf``.
     """
-    width = int(lengths.max())
+    width = -(-int(lengths.max()) // word) * word
     if width == 0 or len(starts) * width > _PAD_RATIO * len(buf):
         return None
     windows = sliding_window_view(np.concatenate((buf, np.zeros(width, np.uint8))), width)
@@ -685,23 +756,59 @@ def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndar
     return out.view(f"S{width}").ravel()
 
 
+def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``first_appearance`` of the padded cells of an ``S`` array, keyed by integers.
+
+    A cell of one 8-byte word is its own key.  Longer cells are keyed by
+    ``_cell_hash`` of their words, and every cell is compared with the
+    first cell of its key; if a hash collision made any of them differ,
+    the cells are numbered by their bytes instead.
+    """
+    words = cells.view(np.uint64).reshape(len(cells), -1)
+    if words.shape[1] == 1:
+        return first_appearance(words[:, 0])
+    number, first = first_appearance(_cell_hash(words))
+    if not np.array_equal(words, words[first[number]]):
+        return first_appearance(cells)
+    return number, first
+
+
+def _cell_hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of a 2-D ``uint64`` array."""
+    key = words[:, 0].copy()
+    for column in words.T[1:]:
+        key ^= column
+        key *= np.uint64(0x9E3779B97F4A7C15)
+    return key
+
+
 def survey_to_csv(s: Survey) -> str:
     """Serialize back to the parse_survey CSV format."""
     cells = s.cells
-    parties = [";".join(s.registry.codes_of(ps)) for ps in cells.sets]
-    # "01"[v] reuses the interpreter's one-character strings, where str(v)
-    # would allocate one per value.
-    values = [["01"[v] for v in row] for row in cells.patterns.tolist()]
-    cell_set = cells.cell_set.tolist()
-    cell_pattern = cells.cell_pattern.tolist()
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["weight", "parties", *s.schema])
-    writer.writerows(
-        [repr(w), parties[cell_set[g]], *values[cell_pattern[g]]]
-        for w, g in zip(cells.weights.tolist(), cells.index.tolist())
-    )
+    csv.writer(out, lineterminator="\n").writerow(["weight", "parties", *s.schema])
+    # Each cell's text after the weight is built once: its parties cell,
+    # quoted as csv.writer quotes it, and its pattern as "0,1,...", made
+    # for all patterns at once as one byte matrix with the bits at even columns.
+    cell_text = [_csv_field(";".join(s.registry.codes_of(ps))) for ps in cells.sets]
+    cell_text = [cell_text[j] for j in cells.cell_set.tolist()]
+    p = cells.patterns.shape[1]
+    if p:
+        text = np.full((len(cells.patterns), 2 * p - 1), ord(","), np.uint8)
+        text[:, ::2] = cells.patterns + ord("0")
+        values = [v.decode() for v in text.view(f"S{2 * p - 1}").ravel().tolist()]
+        cell_text = [f"{t},{values[c]}" for t, c in zip(cell_text, cells.cell_pattern.tolist())]
+    if len(cells.weights):
+        rows = map("{!r},{}".format, cells.weights.tolist(), map(cell_text.__getitem__, cells.index.tolist()))
+        out.write("\n".join(rows) + "\n")
     return out.getvalue()
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it in a row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text])
+    return out.getvalue()[:-1]
 
 
 def survey_to_json(s: Survey) -> str:
@@ -745,10 +852,8 @@ def undecided_share(s: Survey) -> tuple[float, float]:
     if not len(s):
         raise ValueError("undecided_share of an empty survey")
     cells = s.cells
-    undecided = [ws for ps, ws in zip(cells.sets, cells.set_weights) if not ps.is_singleton]
-    n_und = sum(map(len, undecided))
-    w_und = math.fsum(chain.from_iterable(undecided))
-    return n_und / len(s), w_und / s.total_weight
+    w_und = rounded(sum(total for ps, total in zip(cells.sets, cells.set_sums) if not ps.is_singleton))
+    return s.n_undecided / len(s), w_und / s.total_weight
 
 
 def group_counts(s: Survey, top: int | None = None) -> dict[PartySet, tuple[int, float]]:
@@ -761,10 +866,11 @@ def group_counts(s: Survey, top: int | None = None) -> dict[PartySet, tuple[int,
     if top is not None and top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
     cells = s.cells
-    groups = sorted(zip(cells.sets, cells.set_weights), key=lambda g: (-len(g[1]), g[0].sort_key()))
+    counts = cells.set_counts.tolist()
+    groups = sorted(range(len(cells.sets)), key=lambda j: (-counts[j], cells.sets[j].sort_key()))
     if top is not None:
         groups = groups[:top]
-    return {ps: (len(ws), math.fsum(ws)) for ps, ws in groups}
+    return {cells.sets[j]: (counts[j], rounded(cells.set_sums[j])) for j in groups}
 
 
 def validate(s: Survey) -> SurveyDiagnostics:
@@ -776,7 +882,7 @@ def validate(s: Survey) -> SurveyDiagnostics:
         unw = wgt = 0.0
     cells = s.cells
     option_counts = {
-        code: sum(len(ws) for ps, ws in zip(cells.sets, cells.set_weights) if ps.contains_index(i))
+        code: sum(n for ps, n in zip(cells.sets, cells.set_counts.tolist()) if ps.contains_index(i))
         for i, code in enumerate(s.registry.options)
     }
     return SurveyDiagnostics(

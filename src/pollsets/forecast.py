@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import mnl
 from .bounds import Interval, IntervalForecast
-from .data import PartySet, Survey
+from .data import PartySet, Survey, rounded
 
 _ROW_SUM_TOL = 1e-9
 
@@ -64,13 +63,11 @@ class TransitionTable:
 def conventional_forecast(s: Survey) -> ProbabilityVector:
     """Weighted shares among decided respondents only."""
     cells = s.cells
-    decided = {ps.mask: ws for ps, ws in zip(cells.sets, cells.set_weights) if ps.is_singleton}
+    decided = {ps.mask: total for ps, total in zip(cells.sets, cells.set_sums) if ps.is_singleton}
     if not decided:
         raise ValueError("no decided respondents")
-    w_total = math.fsum(chain.from_iterable(decided.values()))
-    shares = {
-        code: math.fsum(decided.get(1 << i, ())) / w_total for i, code in enumerate(s.registry.options)
-    }
+    w_total = rounded(sum(decided.values()))
+    shares = {code: rounded(decided.get(1 << i, 0)) / w_total for i, code in enumerate(s.registry.options)}
     return ProbabilityVector(shares)
 
 

@@ -67,14 +67,15 @@ def build_ontic_categories(s: Survey, k: int) -> tuple[OnticCategories, int]:
     if k < 0:
         raise ValueError("k must be >= 0")
     cells = s.cells
-    counts = {ps: len(ws) for ps, ws in zip(cells.sets, cells.set_weights) if not ps.is_singleton}
+    set_counts = dict(zip(cells.sets, cells.set_counts.tolist()))
+    counts = {ps: n for ps, n in set_counts.items() if not ps.is_singleton}
     if k > len(counts):
         raise ValueError(f"k={k} exceeds the {len(counts)} distinct non-singleton sets observed")
     top = sorted(counts, key=lambda ps: (-counts[ps], ps.sort_key()))[:k]
     singles = tuple(s.registry.singleton(code) for code in s.registry.options)
     cats = OnticCategories(singles + tuple(top))
     kept = set(cats.categories)
-    dropped = sum(len(ws) for ps, ws in zip(cells.sets, cells.set_weights) if ps not in kept)
+    dropped = sum(n for ps, n in set_counts.items() if ps not in kept)
     return cats, dropped
 
 

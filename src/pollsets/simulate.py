@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import AllocationConstraint, Interval, dempster_bounds, effective_allocation_limits, event_bounds
-from .data import _MAX_KEY_BITS, CellTable, PartyRegistry, PartySet, Survey, first_appearance
+from .data import _MAX_KEY_BITS, CellTable, PartyRegistry, PartySet, Survey, exact_sums, first_appearance, rounded
 
 COMPLETION_BUDGET = 1_000_000
 GRID_BUDGET = 2_000_000
@@ -155,11 +155,11 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     patterns = bits[first]
     # Free the per-row arrays before the survey builds its cell table.
     del x, masks, bits
-    cells = CellTable.build(weights.tolist(), set_ids, pattern_ids, sets, patterns)
+    cells = CellTable.build(weights, set_ids, pattern_ids, sets, patterns)
     survey = Survey.from_cells(config.registry, config.covariate_names, cells, wave=f"sim-seed-{config.seed}")
     shares = {
-        code: min(math.fsum(weights[votes == idx].tolist()) / survey.total_weight, 1.0)
-        for idx, code in enumerate(config.registry.options)
+        code: min(rounded(total) / survey.total_weight, 1.0)
+        for code, total in zip(config.registry.options, exact_sums(weights, votes, k))
     }
     return survey, GroundTruth(tuple(votes.tolist()), shares)
 

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pollsets import PartyRegistry, PartySet, Respondent, Survey
+
+# CI runs with --hypothesis-profile=ci, so a failure there draws the same
+# examples on every rerun; local runs keep drawing new ones.
+settings.register_profile("ci", derandomize=True)
 
 LETTERS = "ABCDEF"
 WAVE3_SCHEMA = ("female", "age_65plus", "east", "high_income", "urban")

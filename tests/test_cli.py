@@ -125,6 +125,33 @@ class TestMalformedInput:
         assert code == 2
         assert str(absent) in err
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("flag", ["--input", "--registry", "--coalitions"])
+    def test_bytes_not_utf8_exit_2_names_file_and_line(self, capsys, fixture_csv, tmp_path, flag, newline):
+        bad = tmp_path / "latin1.txt"
+        contents = {
+            "--input": b"weight,parties\n1.0,A\n1.0,\xff\n",
+            "--registry": b"A\nB\n\xffC\n",
+            "--coalitions": b"# two coalitions\nab,A;B\nc\xff,C\n",
+        }
+        bad.write_bytes(contents[flag].replace(b"\n", newline))
+        coalitions = tmp_path / "coalitions.txt"
+        coalitions.write_text("ab,A;B\n")
+        args = {"--input": fixture_csv, "--registry": REG, "--coalitions": coalitions}
+        args[flag] = f"@{bad}" if flag == "--registry" else bad
+        argv = [f for pair in args.items() for f in pair]
+        code, out, err = run(capsys, "coalitions", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: line 3: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_any_newline_reads_as_lf(self, capsys, fixture_csv, tmp_path, newline):
+        path = tmp_path / "newlines.csv"
+        path.write_bytes(FIXTURE.replace("\n", newline).encode())
+        code, out, _ = run(capsys, "bounds", "--input", path, "--registry", REG)
+        _, plain, _ = run(capsys, "bounds", "--input", fixture_csv, "--registry", REG)
+        assert (code, out) == (0, plain)
+
     def test_leading_byte_order_mark_accepted(self, capsys, fixture_csv, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_text("\ufeff" + FIXTURE, encoding="utf-8")

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 from unittest import mock
@@ -23,7 +24,6 @@ from pollsets import (
     validate,
 )
 from pollsets import data
-from pollsets.data import CellTable
 from pollsets.simulate import SimConfig, default_true_coefficients, generate_population
 
 REG6 = PartyRegistry(("SPD", "CDU_CSU", "GRUENE", "FDP", "AFD", "LINKE"))
@@ -396,6 +396,12 @@ def _survey_documents(draw):
 CELL_ORDER = "weight,parties,x1,x2\n1.0,B,0,0\n1.0,A,1,0\n1.0,B,1,0\n1.0,A,0,0\n"
 
 
+def _weights_by_set(cells):
+    """Each set's weights in respondent order, read from the table's by-set column."""
+    ends = np.cumsum(cells.set_counts)
+    return [part.tolist() for part in np.split(cells.by_set, ends[:-1])] if len(ends) else []
+
+
 @settings(max_examples=300, deadline=None)
 @given(_survey_documents())
 @example(MULTILINE_THEN_FAULT)
@@ -427,9 +433,11 @@ def test_parse_matches_per_row_reference(text):
         (cells.sets[cells.cell_set[g]].mask, tuple(cells.patterns[cells.cell_pattern[g]].tolist()))
         for g in cells.index.tolist()
     ] == [(mask, values) for _, mask, values in want[1]]
-    assert {ps.mask: ws for ps, ws in zip(cells.sets, cells.set_weights)} == {
+    assert {ps.mask: ws for ps, ws in zip(cells.sets, _weights_by_set(cells))} == {
         mask: [w for w, m, _ in want[1] if m == mask] for mask in {m for _, m, _ in want[1]}
     }
+    assert cells.set_counts.tolist() == [len(ws) for ws in _weights_by_set(cells)]
+    assert [data.rounded(total) for total in cells.set_sums] == [math.fsum(ws) for ws in _weights_by_set(cells)]
     assert len(set(zip(cells.cell_set.tolist(), cells.cell_pattern.tolist()))) == len(cells.cell_set)
     # Sets, covariate patterns and cells are numbered by first appearance.
     assert [ps.mask for ps in cells.sets] == list(dict.fromkeys(m for _, m, _ in want[1]))
@@ -449,7 +457,10 @@ def test_parse_matches_per_row_reference(text):
         assert getattr(cells, name).tolist() == getattr(other, name).tolist()
     assert other.patterns.dtype == np.uint8 and other.patterns.shape == cells.patterns.shape
     assert cells.weights.tobytes() == other.weights.tobytes()
-    assert [[w.hex() for w in ws] for ws in cells.set_weights] == [[w.hex() for w in ws] for ws in other.set_weights]
+    assert [[w.hex() for w in ws] for ws in _weights_by_set(cells)] == [
+        [w.hex() for w in ws] for ws in _weights_by_set(other)
+    ]
+    assert cells.set_sums == other.set_sums
     assert [(w, ps.mask, cov) for w, ps, cov in built.cells.rows()] == want[1]
 
 
@@ -468,16 +479,6 @@ def test_readers_build_no_respondent_per_row(monkeypatch, wave3_path):
     simulated, _ = generate_population(config)
     survey_to_csv(simulated)
     assert made == []
-
-
-def test_build_keeps_the_given_weight_objects():
-    weights = [float(text) for text in ("0.5", "1.5", "0.5", "2.0")]
-    sets = [PartySet(1), PartySet(3)]
-    table = CellTable.build(weights, [0, 1, 0, 1], [0, 0, 0, 0], sets, np.zeros((1, 0), np.uint8))
-    assert [[id(w) for w in ws] for ws in table.set_weights] == [
-        [id(weights[0]), id(weights[2])],
-        [id(weights[1]), id(weights[3])],
-    ]
 
 
 def _first_appearance_reference(keys):
@@ -539,9 +540,10 @@ def _assert_same_survey(got, want):
     assert got.dropped_rows == want.dropped_rows
     assert got.total_weight == want.total_weight
     assert got.cells.weights.tobytes() == want.cells.weights.tobytes()
-    assert [[w.hex() for w in ws] for ws in got.cells.set_weights] == [
-        [w.hex() for w in ws] for ws in want.cells.set_weights
+    assert [[w.hex() for w in ws] for ws in _weights_by_set(got.cells)] == [
+        [w.hex() for w in ws] for ws in _weights_by_set(want.cells)
     ]
+    assert got.cells.set_sums == want.cells.set_sums
 
 
 @st.composite
@@ -644,3 +646,123 @@ def test_clean_scan_declines_a_field_over_the_csv_limit():
     assert data._parse_clean(over, DIFF_REGISTRY, DIFF_SCHEMA) is None
     with pytest.raises(SurveyFormatError, match="line 2: malformed CSV: field larger than field limit"):
         parse_survey(over, DIFF_REGISTRY, DIFF_SCHEMA)
+
+
+# Exact sums: every union of groups must round as math.fsum rounds it.
+
+_MAX = np.finfo(float).max
+_TINY = np.finfo(float).tiny
+
+
+@st.composite
+def _exact_sum_values(draw):
+    """Nonnegative finite floats: subnormal, zero, anywhere in the exponent range, near max / n, and w * factor."""
+    n = draw(st.integers(0, 24))
+    kind = draw(st.sampled_from(["any", "subnormal", "near-max", "products", "mixed"]))
+    anywhere = st.floats(0.0, _MAX)
+    subnormal = st.floats(0.0, _TINY, exclude_max=True)
+    near_max = st.floats(_MAX / max(n, 1) * 0.99, _MAX / max(n, 1))
+    weights = st.floats(0.0, 1e300)
+    factors = st.floats(0.0, 1.0) | st.sampled_from([0.5, 1 / 3, 2 / 3, 0.25, 0.7])
+    products = st.builds(lambda w, f: w * f, weights, factors)
+    pick = {
+        "any": anywhere,
+        "subnormal": subnormal,
+        "near-max": near_max,
+        "products": products,
+        "mixed": anywhere | subnormal | near_max | products | st.just(0.0),
+    }[kind]
+    return draw(st.lists(pick, min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _exact_sum_values(),
+    st.integers(1, 4),
+    st.data(),
+    st.sampled_from([1, 3, data._EXACT_ROWS]),
+)
+@example([_MAX, _MAX], 1, None, data._EXACT_ROWS)
+@example([5e-324, 5e-324, 1e-308], 2, None, 1)
+@example([1.0, 2.0**-53, 2.0**-53 * (1 + 2.0**-52)], 1, None, data._EXACT_ROWS)
+def test_exact_sums_round_as_fsum_over_any_union_of_groups(values, n_groups, draw, rows_per_pass):
+    if draw is None:
+        groups = [i % n_groups for i in range(len(values))]
+        union = list(range(n_groups))
+    else:
+        groups = draw.draw(st.lists(st.integers(0, n_groups - 1), min_size=len(values), max_size=len(values)))
+        union = draw.draw(st.lists(st.integers(0, n_groups - 1), unique=True))
+    with mock.patch.object(data, "_EXACT_ROWS", rows_per_pass):
+        sums = data.exact_sums(np.array(values, dtype=float), np.array(groups, dtype=np.intp), n_groups)
+    assert len(sums) == n_groups
+    selected = [v for v, g in zip(values, groups) if g in union]
+    try:
+        want = math.fsum(selected)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            data.rounded(sum(sums[g] for g in union))
+        return
+    assert data.rounded(sum(sums[g] for g in union)).hex() == want.hex()
+
+
+def test_exact_sums_of_one_group_by_default():
+    values = np.array([0.1, 0.2, 0.3])
+    assert data.exact_sums(values) == data.exact_sums(values, np.zeros(3, np.intp), 1)
+    assert data.rounded(data.exact_sums(values)[0]) == math.fsum(values.tolist()) != sum(values.tolist())
+
+
+def test_scan_numbers_long_cells_when_every_hash_collides(monkeypatch):
+    cells = ["SPD;GRUENE", "GRUENE;SPD", "CDU_CSU;FDP", "SPD", "AFD;LINKE;SPD", "FDP;CDU_CSU", "SPD;XYZ;FDP"]
+    rng = np.random.default_rng(0)
+    rows = [f"{rng.integers(1, 9) / 4},{cells[i]},{i % 2}" for i in rng.integers(0, len(cells), 300)]
+    text = "weight,parties,x\n" + "\n".join(rows) + "\n"
+    want = data._parse_rows(text, REG6, ("x",))
+    hashed = []
+
+    def colliding_hash(words):
+        hashed.append(words.shape)
+        return np.zeros(len(words), np.uint64)
+
+    monkeypatch.setattr(data, "_cell_hash", colliding_hash)
+    with mock.patch.object(data, "_BLOCK_CHARS", 256):
+        got = data._parse_clean(text, REG6, ("x",))
+    assert hashed and all(width > 1 for _, width in hashed)
+    assert got is not None
+    _assert_same_survey(got, want)
+    assert got.dropped_rows > 0
+
+
+def _csv_writer_reference(s):
+    """survey_to_csv as one csv.writer row per respondent."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["weight", "parties", *s.schema])
+    for w, ps, cov in s.cells.rows():
+        writer.writerow([repr(w), ";".join(s.registry.codes_of(ps)), *map(str, cov)])
+    return out.getvalue()
+
+
+def _writer_survey(name):
+    if name == "schema":
+        config = SimConfig(
+            REG6, 500, default_true_coefficients(6, 3), ("u", "v", "w"), coarsen_prob=0.4, seed=2,
+            weight_range=(0.1, 3.0),
+        )
+        return generate_population(config)[0]
+    if name == "no-schema":
+        return Survey(REG6, (), [Respondent(1.5, REG6.set_of(["SPD", "FDP"])), Respondent(1.0, REG6.singleton("AFD"))])
+    if name == "quoted":
+        # A code holding a quote or a newline, and labels holding a quote or a comma, must be quoted.
+        quoted = PartyRegistry(('A"1', "B", "C\nD"))
+        respondents = [
+            Respondent(0.1 * (i + 1), quoted.set_of(codes), (i % 2, i // 2 % 2))
+            for i, codes in enumerate([['A"1'], ["B", 'A"1'], ["C\nD"], ["B"], ['A"1'], ["C\nD", "B"]])
+        ]
+        return Survey(quoted, ('x"1', "y,2"), respondents)
+    return Survey(REG6, ("u",), [])
+
+
+@pytest.mark.parametrize("name", ["schema", "no-schema", "quoted", "empty"])
+def test_survey_to_csv_matches_csv_writer(name):
+    s = _writer_survey(name)
+    assert survey_to_csv(s).encode() == _csv_writer_reference(s).encode()
