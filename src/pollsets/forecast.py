@@ -3,10 +3,10 @@
 Two estimators are provided.  The conventional forecast simply drops
 every undecided respondent and reports weighted shares among the
 decided.  The homogeneity forecast instead keeps the undecided: a
-choice model fitted on the decided predicts each undecided respondent's
-affinity to every party, the prediction is restricted to their
-consideration set and renormalized, and those per-respondent transition
-rows are aggregated together with the decided votes.
+choice model fitted on the decided predicts each covariate pattern's
+affinity to every party, the prediction is restricted to each cell's
+consideration set and renormalized, and the forecast is the cells'
+total weights times that one (cells x parties) transition matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mnl
 from .bounds import Interval, IntervalForecast
-from .data import PartySet, Survey, rounded
+from .data import CellTable, PartySet, Survey, exact_sums, rounded
 
 _ROW_SUM_TOL = 1e-9
 
@@ -40,24 +40,35 @@ class ProbabilityVector:
         return self.shares[option]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionTable:
-    """Per-respondent choice distributions restricted to each consideration set.
+    """Choice distributions restricted to each cell's consideration set.
 
-    ``rows[i]`` maps option code to probability for respondent i; options
-    outside the respondent's set are omitted and implicitly zero.
-    Respondents in the same cell share one row object, and each distinct
-    row object is checked once.
+    ``probs`` is a read-only (n_cells, K) float64 matrix over the cells of
+    the cell table ``cells`` and the ``options``, zero outside each cell's
+    set, each row summing to one.  Respondent i's row is ``probs[cells.index[i]]``.
     """
 
-    rows: tuple[dict[str, float], ...]
+    options: tuple[str, ...]
+    probs: np.ndarray
+    cells: CellTable
 
     def __post_init__(self):
-        # Distinct row objects in order of first use.
-        for row in dict(zip(map(id, self.rows), self.rows)).values():
-            if abs(math.fsum(row.values()) - 1.0) > _ROW_SUM_TOL:
-                i = next(i for i, other in enumerate(self.rows) if other is row)
-                raise ValueError(f"transition row {i} does not sum to 1")
+        probs = np.array(self.probs, dtype=float)
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        if probs.shape != (len(self.cells.cell_set), len(self.options)):
+            raise ValueError("transition matrix must have one row per cell and one column per option")
+        bad = np.flatnonzero(~(np.abs(probs.sum(axis=1) - 1.0) <= _ROW_SUM_TOL))
+        if len(bad):  # named by the first respondent in the first failing cell
+            raise ValueError(f"transition row {int(np.argmax(self.cells.index == bad[0]))} does not sum to 1")
+
+    @property
+    def rows(self) -> tuple[dict[str, float], ...]:
+        """Respondent i's row as {option code: probability} over the members of their set, in registry order."""
+        members = [self.cells.sets[j].indices() for j in self.cells.cell_set.tolist()]
+        cell_rows = [{self.options[k]: p[k] for k in ks} for p, ks in zip(self.probs.tolist(), members)]
+        return tuple(map(cell_rows.__getitem__, self.cells.index.tolist()))
 
 
 def conventional_forecast(s: Survey) -> ProbabilityVector:
@@ -71,40 +82,33 @@ def conventional_forecast(s: Survey) -> ProbabilityVector:
     return ProbabilityVector(shares)
 
 
-def _cell_rows(m: mnl.MnlModel, s: Survey) -> list[dict[str, float]]:
-    """One transition row per cell."""
-    cells = s.cells
-    options = s.registry.options
-    members = [ps.indices() for ps in cells.sets]
-    cell_set = cells.cell_set.tolist()
-    decided_rows = [{options[idx[0]]: 1.0} if len(idx) == 1 else None for idx in members]
-    rows: list = [decided_rows[si] for si in cell_set]
-    todo = [g for g, row in enumerate(rows) if row is None]
-    # One prediction per covariate pattern; the cells holding it share it.
-    probs = mnl.predict_proba(m, cells.pattern_rows())
-    for g, ci in zip(todo, cells.cell_pattern[todo].tolist()):
-        p = probs[ci].tolist()
-        member = members[cell_set[g]]
-        denom = math.fsum(p[i] for i in member)
-        if denom < 1e-12:
-            raise ValueError("restricted prediction mass vanished; model is degenerate")
-        rows[g] = {options[i]: p[i] / denom for i in member}
-    return rows
-
-
 def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
-    """Model predictions restricted to each respondent's set and renormalized.
+    """Model predictions restricted to each cell's set and renormalized.
 
-    Predicts once per distinct covariate pattern and builds one row per
-    distinct cell; respondents in the same cell share its row.  Decided
-    respondents get a degenerate row.
+    Predicts once per distinct covariate pattern.  A decided cell gets
+    1.0 on its party and uses no prediction; an undecided cell divides
+    its members' predictions by their ``math.fsum``.
     """
-    if m.n_categories != len(s.registry):
+    options = s.registry.options
+    if m.n_categories != len(options):
         raise ValueError("model categories do not match the registry")
     if m.n_predictors != 1 + len(s.schema):
         raise ValueError("model predictors do not match the survey covariate schema")
-    rows = _cell_rows(m, s)
-    return TransitionTable(tuple(map(rows.__getitem__, s.cells.index.tolist())))
+    cells = s.cells
+    masks = np.array([ps.mask for ps in cells.sets], dtype=np.int64)
+    member = (masks[:, None] >> np.arange(len(options)) & 1).astype(bool)[cells.cell_set]
+    size = member.sum(axis=1)
+    probs = np.where((size == 1)[:, None], member, 0.0)
+    # The undecided cells' member predictions, cell after cell, each in registry order.
+    g, k = np.nonzero(member & (size > 1)[:, None])
+    p = mnl.predict_proba(m, cells.pattern_rows())[cells.cell_pattern[g], k]
+    values, ends = p.tolist(), np.cumsum(size[size > 1]).tolist()
+    denom = np.array([math.fsum(values[a:b]) for a, b in zip([0, *ends], ends)])
+    del values, ends  # before the table copies ``probs``
+    if np.any(denom < 1e-12):
+        raise ValueError("restricted prediction mass vanished; model is degenerate")
+    probs[g, k] = p / np.repeat(denom, size[size > 1])
+    return TransitionTable(options, probs, cells)
 
 
 def decided_design(s: Survey) -> mnl.DesignData:
@@ -125,24 +129,19 @@ def homogeneity_forecast(
     """Forecast assuming the undecided choose within their sets like the decided.
 
     Fits the choice model on decided respondents, builds the transition
-    table, and aggregates decided votes with undecided transition rows,
-    all weighted, one term per cell: the cell's total weight times its
-    row.
+    table, and sums each party's column of the table weighted by the
+    cells' total weights, exactly rounded as ``math.fsum`` rounds.
     """
-    design = decided_design(s)
-    if penalty is None:
-        penalty = mnl.PenaltySpec.none()
-    if constraint is None:
-        constraint = mnl.Constraint.symmetric()
-    model, report = mnl.fit(design, penalty, constraint, options)
-    rows = _cell_rows(model, s)
-    table = TransitionTable(tuple(map(rows.__getitem__, s.cells.index.tolist())))
-    cell_weights = np.bincount(s.cells.index, weights=s.cells.weights, minlength=len(rows)).tolist()
-    w_total = s.total_weight
-    shares = {}
-    for code in s.registry.options:
-        terms = [w * row[code] for w, row in zip(cell_weights, rows) if code in row]
-        shares[code] = math.fsum(terms) / w_total
+    penalty = mnl.PenaltySpec.none() if penalty is None else penalty
+    constraint = mnl.Constraint.symmetric() if constraint is None else constraint
+    # The design is dropped after the fit, before the table is built.
+    model, report = mnl.fit(decided_design(s), penalty, constraint, options)
+    table = transition_probabilities(model, s)
+    cell_weights = np.bincount(s.cells.index, weights=s.cells.weights, minlength=len(table.probs))
+    # Only the nonzero entries: a dense product would cost exact_sums several (cells x K) temporaries.
+    g, k = np.nonzero(table.probs)
+    sums = exact_sums(cell_weights[g] * table.probs[g, k], k, len(table.options))
+    shares = {code: rounded(total) / s.total_weight for code, total in zip(table.options, sums)}
     # Exact renormalization absorbs accumulated float error in the row products.
     total = math.fsum(shares.values())
     shares = {code: v / total for code, v in shares.items()}

@@ -54,7 +54,6 @@ scoring stay per respondent.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -694,27 +693,3 @@ def cross_validate(
         if means[j] < means[best]:
             best = j
     return grid[best], tuple(float(v) for v in means)
-
-
-def model_to_json(m: MnlModel) -> str:
-    doc = {
-        "coefficients": [float(v) for v in m.coefficients.ravel()],
-        "shape": list(m.coefficients.shape),
-        "constraint": m.constraint.kind,
-        "reference": m.constraint.ref,
-        "penalty": m.penalty.kind.value,
-        "lambda": m.penalty.lam,
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def model_from_json(text: str) -> MnlModel:
-    doc = json.loads(text)
-    shape = tuple(doc["shape"])
-    coef = np.array(doc["coefficients"], dtype=float).reshape(shape)
-    if doc["constraint"] == "reference":
-        constraint = Constraint.reference(int(doc["reference"]))
-    else:
-        constraint = Constraint.symmetric()
-    penalty = PenaltySpec(PenaltyKind(doc["penalty"]), float(doc["lambda"]))
-    return MnlModel(coef, constraint, penalty)

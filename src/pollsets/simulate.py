@@ -66,12 +66,21 @@ class SimConfig:
             raise ValueError("weight_range must be finite and satisfy 0 < low <= high")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Latent vote per respondent and the resulting weighted population shares."""
+    """Latent vote per respondent and the resulting weighted population shares.
 
-    votes: tuple[int, ...]
+    ``votes`` is a read-only ``intp`` array of registry indices, one per
+    respondent in survey order.
+    """
+
+    votes: np.ndarray
     shares: dict[str, float]
+
+    def __post_init__(self):
+        votes = np.array(self.votes, dtype=np.intp)
+        votes.flags.writeable = False
+        object.__setattr__(self, "votes", votes)
 
 
 @dataclass(frozen=True)
@@ -161,12 +170,20 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
         code: min(rounded(total) / survey.total_weight, 1.0)
         for code, total in zip(config.registry.options, exact_sums(weights, votes, k))
     }
-    return survey, GroundTruth(tuple(votes.tolist()), shares)
+    return survey, GroundTruth(votes, shares)
+
+
+def _checked_votes(s: Survey, g: GroundTruth) -> np.ndarray:
+    if len(g.votes) != len(s):
+        raise ValueError("ground truth does not align with the survey")
+    if len(g.votes) and not 0 <= g.votes.min() <= g.votes.max() < len(s.registry):
+        raise ValueError("a latent vote lies outside the registry")
+    return g.votes
 
 
 def truth_to_csv(s: Survey, g: GroundTruth) -> str:
     lines = ["vote"]
-    lines.extend(s.registry.options[v] for v in g.votes)
+    lines.extend(map(s.registry.options.__getitem__, _checked_votes(s, g).tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -278,8 +295,7 @@ def coverage_check(s: Survey, g: GroundTruth, coalitions=()) -> CoverageReport:
     Checks every option and every supplied coalition; a violation would
     contradict the construction and is reported rather than raised.
     """
-    if len(g.votes) != len(s):
-        raise ValueError("ground truth does not align with the survey")
+    votes = _checked_votes(s, g)
     forecast = dempster_bounds(s)
     violations = []
     margins = {}
@@ -291,8 +307,8 @@ def coverage_check(s: Survey, g: GroundTruth, coalitions=()) -> CoverageReport:
             violations.append(code)
     for spec in coalitions:
         iv = event_bounds(s, spec.members)
-        selected = [w for w, v in zip(s.cells.weights.tolist(), g.votes) if spec.members.contains_index(v)]
-        share = min(math.fsum(selected) / s.total_weight, 1.0)
+        member_vote = (spec.members.mask >> votes & 1).astype(bool)
+        share = min(rounded(exact_sums(s.cells.weights[member_vote])[0]) / s.total_weight, 1.0)
         margins[spec.name] = min(share - iv.lower, iv.upper - share)
         if not iv.contains(share):
             violations.append(spec.name)

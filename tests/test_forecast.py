@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pollsets import (
     PartyRegistry,
+    PartySet,
     ProbabilityVector,
     Respondent,
     Survey,
+    TransitionTable,
     conventional_forecast,
     dempster_bounds,
     homogeneity_forecast,
@@ -16,6 +20,7 @@ from pollsets import (
     seat_share,
     transition_probabilities,
 )
+from pollsets.forecast import decided_design
 from conftest import random_survey
 
 
@@ -23,6 +28,12 @@ def intercept_model(shares, registry):
     """Intercept-only model whose predictions equal the given shares exactly."""
     coef = np.log(np.array([shares[c] for c in registry.options]))[:, None]
     coef -= coef.mean()
+    return mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+
+
+def underflow_model():
+    """Intercept-only model over A, B, C whose predictions for A and B, exp(-1200), underflow to 0."""
+    coef = np.array([[-400.0], [-400.0], [800.0]])
     return mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
 
 
@@ -88,6 +99,42 @@ class TestTransitionProbabilities:
             member_codes = set(abc_registry.codes_of(ps))
             assert set(row) <= member_codes
 
+    def test_vanished_restricted_mass_is_degenerate(self, abc_registry):
+        model = underflow_model()
+        s = Survey(abc_registry, (), (Respondent(1.0, abc_registry.set_of(["A", "B"])),))
+        with pytest.raises(ValueError, match="model is degenerate"):
+            transition_probabilities(model, s)
+
+    def test_decided_row_ignores_an_underflowing_prediction(self, abc_registry, monkeypatch):
+        reg = abc_registry
+        model = underflow_model()
+        s = Survey(
+            reg,
+            (),
+            tuple(Respondent(1.0, reg.set_of(codes)) for codes in (["A"], ["B"], ["C"], ["B", "C"])),
+        )
+        fit = mnl.fit
+        monkeypatch.setattr(mnl, "fit", lambda *args: (model, fit(*args)[1]))
+        shares, table, _ = homogeneity_forecast(s)
+        assert table.rows == ({"A": 1.0}, {"B": 1.0}, {"C": 1.0}, {"B": 0.0, "C": 1.0})
+        assert shares.shares == {"A": 0.25, "B": 0.25, "C": 0.5}
+
+    def test_row_not_summing_to_one_names_first_respondent_of_its_cell(self, abc_registry):
+        reg = abc_registry
+        sets = (["A"], ["C"], ["A"], ["A", "B"], ["A", "B"])
+        s = Survey(reg, (), tuple(Respondent(1.0, reg.set_of(codes)) for codes in sets))
+        good = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        table = TransitionTable(reg.options, good, s.cells)
+        assert not table.probs.flags.writeable
+        assert table.rows[4] == {"A": 0.5, "B": 0.5}
+        # Cell 2 starts at respondent 3.
+        with pytest.raises(ValueError, match="^transition row 3 does not sum to 1$"):
+            TransitionTable(reg.options, good * [[1.0], [1.0], [0.9]], s.cells)
+        with pytest.raises(ValueError, match="^transition row 1 does not sum to 1$"):
+            TransitionTable(reg.options, good * [[1.0], [np.nan], [0.9]], s.cells)
+        with pytest.raises(ValueError, match="one row per cell"):
+            TransitionTable(reg.options, good[:2], s.cells)
+
     def test_missing_covariates_rejected_by_survey(self):
         # Covariates are required exactly when the schema is nonempty, so
         # no transition row is ever predicted without them.
@@ -148,6 +195,55 @@ class TestHomogeneity:
         rescaled, _, _ = homogeneity_forecast(scaled)
         for code in abc_survey.registry.options:
             assert abs(base[code] - rescaled[code]) < 1e-8
+
+
+@st.composite
+def _homogeneity_surveys(draw):
+    """Weighted surveys over 2-5 parties in which every party has a decided respondent."""
+    k = draw(st.integers(2, 5))
+    reg = PartyRegistry(tuple("ABCDE"[:k]))
+    forced = [(1 << i, draw(st.integers(0, 3))) for i in range(k)]
+    cells = forced + draw(st.lists(st.tuples(st.integers(1, (1 << k) - 1), st.integers(0, 3)), min_size=1, max_size=8))
+    picks = forced + draw(st.lists(st.sampled_from(cells), max_size=30))
+    weight = st.floats(1e-3, 1e3) | st.sampled_from([0.1, 0.2, 0.3])
+    picks = draw(st.permutations(picks))
+    respondents = [Respondent(draw(weight), PartySet(mask), (p & 1, p >> 1)) for mask, p in picks]
+    return Survey(reg, ("x1", "x2"), tuple(respondents))
+
+
+def _reference_homogeneity(s, model):
+    """Per-cell dict rows with an fsum denominator each, then one fsum of w * row per party."""
+    cells = s.cells
+    options = s.registry.options
+    probs = mnl.predict_proba(model, cells.pattern_rows())
+    rows = []
+    for j, c in zip(cells.cell_set.tolist(), cells.cell_pattern.tolist()):
+        member = cells.sets[j].indices()
+        if len(member) == 1:
+            rows.append({options[member[0]]: 1.0})
+            continue
+        p = probs[c].tolist()
+        denom = math.fsum(p[i] for i in member)
+        rows.append({options[i]: p[i] / denom for i in member})
+    cell_weights = np.bincount(cells.index, weights=cells.weights, minlength=len(rows)).tolist()
+    shares = {
+        code: math.fsum(w * row[code] for w, row in zip(cell_weights, rows) if code in row) / s.total_weight
+        for code in options
+    }
+    total = math.fsum(shares.values())
+    return {code: v / total for code, v in shares.items()}, tuple(rows[g] for g in cells.index.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_homogeneity_surveys())
+def test_homogeneity_bit_identical_to_per_cell_fsum_rows(s):
+    # A ridge keeps fits on these tiny, often separable designs short.
+    penalty = mnl.PenaltySpec.ridge(0.5)
+    model, _ = mnl.fit(decided_design(s), penalty, mnl.Constraint.symmetric())
+    want_shares, want_rows = _reference_homogeneity(s, model)
+    shares, table, _ = homogeneity_forecast(s, penalty=penalty)
+    assert shares.shares == want_shares
+    assert table.rows == want_rows
 
 
 class TestSeatShare:

@@ -391,16 +391,6 @@ class TestCrossValidate:
         assert all(np.isfinite(means))
 
 
-def test_model_json_round_trip():
-    rng = np.random.default_rng(29)
-    coef = mnl.project_constraint(rng.normal(size=(3, 4)), mnl.Constraint.symmetric())
-    model = mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.group_lasso(0.3))
-    again = mnl.model_from_json(mnl.model_to_json(model))
-    assert np.array_equal(again.coefficients, model.coefficients)
-    assert again.constraint == model.constraint
-    assert again.penalty == model.penalty
-
-
 def test_design_data_validation():
     with pytest.raises(ValueError):
         mnl.DesignData(np.zeros((3, 2)), np.zeros(3, dtype=int), np.ones(3), 2)  # no intercept

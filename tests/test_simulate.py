@@ -60,6 +60,7 @@ class TestGeneratePopulation:
 
     def test_reported_set_contains_latent_vote(self):
         s, g = generate_population(config(coarsen_prob=0.8, seed=3, style=CoarsenStyle.NEIGHBOR))
+        assert g.votes.dtype == np.intp and not g.votes.flags.writeable
         for (_, ps, _), vote in zip(s.cells.rows(), g.votes):
             assert ps.contains_index(vote)
 
@@ -203,10 +204,27 @@ class TestCoverage:
         specs = [CoalitionSpec("AB", REG.set_of(["A", "B"])), CoalitionSpec("CD", REG.set_of(["C", "D"]))]
         report = coverage_check(s, g, coalitions=specs)
         assert report.ok
-        assert "AB" in report.margins and "CD" in report.margins
+        for spec in specs:
+            votes = zip(s.cells.weights.tolist(), g.votes.tolist())
+            share = min(math.fsum(w for w, v in votes if spec.members.contains_index(v)) / s.total_weight, 1.0)
+            iv = event_bounds(s, spec.members)
+            assert report.margins[spec.name] == min(share - iv.lower, iv.upper - share)
+
+    @pytest.mark.parametrize("bad_vote", [-1, 3])
+    def test_vote_outside_registry_errors(self, abc_survey, bad_vote):
+        from pollsets import GroundTruth
+
+        truth = GroundTruth((0, 0, 1, 0, bad_vote), {"A": 0.6, "B": 0.2, "C": 0.2})
+        with pytest.raises(ValueError, match="outside the registry"):
+            truth_to_csv(abc_survey, truth)
+        with pytest.raises(ValueError, match="outside the registry"):
+            coverage_check(abc_survey, truth)
 
     def test_misaligned_truth_errors(self, abc_survey):
         from pollsets import GroundTruth
 
-        with pytest.raises(ValueError):
-            coverage_check(abc_survey, GroundTruth((0,), {"A": 1.0, "B": 0.0, "C": 0.0}))
+        truth = GroundTruth((0,), {"A": 1.0, "B": 0.0, "C": 0.0})
+        with pytest.raises(ValueError, match="does not align"):
+            coverage_check(abc_survey, truth)
+        with pytest.raises(ValueError, match="does not align"):
+            truth_to_csv(abc_survey, truth)
