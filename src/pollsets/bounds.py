@@ -68,9 +68,6 @@ class IntervalForecast:
     def __getitem__(self, option: str) -> Interval:
         return self.intervals[option]
 
-    def options(self) -> tuple[str, ...]:
-        return tuple(self.intervals)
-
 
 @dataclass(frozen=True)
 class AllocationConstraint:

@@ -232,7 +232,7 @@ def cmd_simulate(args) -> int:
     registry = PartyRegistry(_parse_list(args.registry))
     names = _parse_list(args.covariates) if args.covariates else ()
     if args.coef_file:
-        coef = tuple(tuple(row) for row in json.loads(Path(args.coef_file).read_text()))
+        coef = json.loads(_read_text(Path(args.coef_file)))
     else:
         coef = simulate.default_true_coefficients(len(registry), len(names))
     config = simulate.SimConfig(

@@ -16,12 +16,14 @@ fewer than respondents; a bound or a forecast costs one step per
 distinct set or cell plus one exactly rounded sum, not one Python step
 per respondent.  The distinct covariate patterns are the rows of one
 read-only 0/1 ``uint8`` matrix (``CellTable.patterns``), so a design
-matrix is that matrix behind an intercept column.  ``parse_survey``
-fills the columns directly and ``CellTable.build`` groups them; no
-object is made per row or per covariate pattern.  A clean file is read
-by a columnar scan: numpy finds each block's newlines and commas, the
-covariates come out as one 0/1 matrix, parties cells are numbered by
-integer keys, and each distinct parties cell is validated once.
+matrix is that matrix behind an intercept column.  Every producer of a
+survey hands ``CellTable.build`` its rows as columns (weights, set
+bitmasks, 0/1 covariate rows), and ``build`` alone numbers the sets,
+covariate patterns and cells; no object is made per row or per
+covariate pattern.  A clean file, with any number of covariates, is
+read by a columnar scan: numpy finds each block's newlines and commas,
+the covariates come out as one 0/1 matrix, parties cells are numbered
+by integer keys, and each distinct parties cell is validated once.
 Anything else goes through the row parser, a ``csv.reader`` loop with
 one memo per field, which stays the reference for the format's
 semantics, error messages and line numbers.
@@ -304,18 +306,30 @@ class CellTable:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @classmethod
-    def build(cls, weights: np.ndarray, set_ids, pattern_ids, sets, patterns: np.ndarray) -> CellTable:
-        """Group rows into cells.
+    def build(cls, weights: np.ndarray, masks: np.ndarray, patterns: np.ndarray) -> CellTable:
+        """Number the sets, covariate patterns and cells of rows, and group the rows into cells.
 
-        Row i weighs ``weights[i]`` (a float64 column) and holds
-        ``sets[set_ids[i]]`` and covariate pattern
-        ``patterns[pattern_ids[i]]``, a row of an (n_patterns, p) 0/1
-        matrix.  The ids number pairwise unequal sets and pattern rows in
-        order of first appearance.
+        Row i weighs ``weights[i]`` (a float64 column), holds the set
+        whose bitmask is ``masks[i]`` (an int64 column) and has covariate
+        values ``patterns[i]``, a row of an (n, p) 0/1 ``uint8`` matrix.
+        This is the one place that numbers sets, patterns and cells, each
+        in order of first appearance among the rows.  A pattern is keyed
+        by its bits packed into one int64 when they fit, else by its bytes.
         """
         weights = np.asarray(weights, dtype=float)
-        set_id = np.asarray(set_ids, dtype=np.intp)
-        pattern_id = np.asarray(pattern_ids, dtype=np.intp)
+        masks = np.asarray(masks, dtype=np.int64)
+        set_id, first = first_appearance(masks)
+        sets = [PartySet(mask) for mask in masks[first].tolist()]
+        del masks
+        patterns = np.ascontiguousarray(patterns, dtype=np.uint8)
+        p = patterns.shape[1]
+        if p < 64:
+            keys = patterns @ (1 << np.arange(p, dtype=np.int64))
+        else:
+            keys = patterns.view(np.dtype((np.void, p))).ravel()
+        pattern_id, first = first_appearance(keys)
+        del keys
+        patterns = patterns[first]
         index, first = first_appearance(set_id * len(patterns) + pattern_id)
         # A stable sort by set keeps each set's weights in row order; on
         # set ids narrowed to 8 or 16 bits numpy sorts by radix.
@@ -367,19 +381,21 @@ class CellTable:
 
 
 def _group_by_value(rows, schema: tuple[str, ...]) -> CellTable:
-    """The cell table of (weight, set, covariates) rows, matching sets and covariate values by value.
+    """The cell table of (weight, set, covariates) rows.
 
     Covariates are a sequence of 0/1 values in schema order, or None
     for a survey without a schema.  This is where covariates that do not
-    come from a parser are checked, once per distinct pattern.
+    come from a parser are checked, once per distinct value.
     """
-    sets: dict[PartySet, int] = {}
     patterns: dict[tuple, int] = {}
-    weights = array("d")
-    set_ids, pattern_ids = [], []
+    weights, masks = array("d"), array("q")
+    pattern_ids = []
     for weight, ps, cov in rows:
         weights.append(weight)
-        set_ids.append(sets.setdefault(ps, len(sets)))
+        try:
+            masks.append(ps.mask)
+        except OverflowError:  # no registry holds a 64th option
+            raise ValueError("respondent set references options outside the registry") from None
         try:
             pattern_ids.append(patterns.setdefault(() if cov is None else tuple(cov), len(patterns)))
         except TypeError:  # an unhashable or scalar value is not 0 or 1 either
@@ -390,7 +406,7 @@ def _group_by_value(rows, schema: tuple[str, ...]) -> CellTable:
         if not set(values) <= _BINARY:
             raise ValueError("covariates must be binary 0/1")
     matrix = np.array(list(patterns), dtype=np.uint8).reshape(len(patterns), len(schema))
-    return CellTable.build(weights, set_ids, pattern_ids, list(sets), matrix)
+    return CellTable.build(weights, masks, matrix[pattern_ids])
 
 
 @dataclass(frozen=True, init=False)
@@ -526,26 +542,21 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
 def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey:
     """Parse a survey CSV document row by row through ``csv.reader``.
 
-    The rows go straight into the survey's cell table: each row appends
-    its weight, a set id and a covariate-pattern id.  Each distinct
-    parties cell and each distinct tuple of covariate cells is validated
-    once, at its first row; there is one memo per field, not one per
-    whole row, since sets and covariate patterns repeat far more often
-    than whole rows do.  The distinct patterns' values are stacked into
-    one matrix at the end.
+    Each kept row appends its weight, its set's bitmask and an id of
+    its tuple of covariate cells, and ``CellTable.build`` numbers the
+    rows' sets and patterns.  Each distinct parties cell and each
+    distinct tuple of covariate cells is validated once, at its first
+    row; there is one memo per field, not one per whole row, since sets
+    and covariate patterns repeat far more often than whole rows do.
     """
     expected = ["weight", "parties", *schema]
     width = len(expected)
-    # Parties cell -> set id, or None to drop the row.  Spellings of one
-    # set (``A;B``, ``B;A``) share the id kept in set_ids_by_mask.
-    parties: dict[str, int | None] = {}
-    set_ids_by_mask: dict[int, int] = {}
-    sets: list[PartySet] = []
-    # Covariate cells -> pattern id; values[id] holds the pattern's 0/1 values.
+    # Parties cell -> its set's bitmask, or 0 to drop the row.
+    parties: dict[str, int] = {}
+    # Covariate cells -> id; values[id] holds their 0/1 values.
     patterns: dict[tuple[str, ...], int] = {}
     values: list[tuple[int, ...]] = []
-    weights = array("d")
-    set_ids: list[int] = []
+    weights, masks = array("d"), array("q")
     pattern_ids: list[int] = []
     dropped = 0
     # Strict mode rejects a quote left open at the end of the document
@@ -574,17 +585,11 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
             if not 0.0 < weight < math.inf:
                 raise SurveyFormatError(f"weight must be positive and finite, got {row[0]}", line=lineno)
             try:
-                si = parties[row[1]]
+                mask = parties[row[1]]
             except KeyError:
                 ps = _parse_parties(row[1], registry, lineno)
-                si = None
-                if ps is not None:
-                    si = set_ids_by_mask.get(ps.mask)
-                    if si is None:
-                        si = set_ids_by_mask[ps.mask] = len(sets)
-                        sets.append(ps)
-                parties[row[1]] = si
-            if si is None:
+                mask = parties[row[1]] = 0 if ps is None else ps.mask
+            if not mask:
                 dropped += 1
                 continue
             key = tuple(row[2:])
@@ -594,12 +599,12 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
                 values.append(_parse_covariates(key, schema, lineno))
                 ci = patterns[key] = len(values) - 1
             weights.append(weight)
-            set_ids.append(si)
+            masks.append(mask)
             pattern_ids.append(ci)
     except csv.Error as exc:
         raise SurveyFormatError(f"malformed CSV: {exc}", line=start) from None
     matrix = np.array(values, dtype=np.uint8).reshape(len(values), len(schema))
-    cells = CellTable.build(weights, set_ids, pattern_ids, sets, matrix)
+    cells = CellTable.build(weights, masks, matrix[pattern_ids])
     return Survey.from_cells(registry, schema, cells, dropped_rows=dropped)
 
 
@@ -610,8 +615,6 @@ _BLOCK_CHARS = 1 << 18
 # A padded column of weight or parties cells may hold at most this many
 # bytes per byte of its block; a block with one far longer cell declines.
 _PAD_RATIO = 8
-# Covariate patterns are keyed by their bits packed into one int64.
-_MAX_KEY_BITS = 63
 
 
 def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey | None:
@@ -619,8 +622,8 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
 
     ``_scan_block`` finds the cells of each block of lines with numpy;
     each distinct parties cell goes through ``_parse_parties`` once.
-    Sets and covariate patterns are numbered by first appearance among
-    the kept rows, as the row parser numbers them.
+    The kept rows' weights, set bitmasks and covariate rows go to
+    ``CellTable.build``, as the row parser's do.
 
     Returns a survey equal to ``_parse_rows``'s, or None wherever the
     document is not clean (a quote, a carriage return, a NUL, a blank
@@ -632,7 +635,7 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
     finished table (unique schema labels, a finite total weight) raise,
     with the error the row parser's survey would raise.
     """
-    if '"' in text or "\r" in text or "\0" in text or len(schema) > _MAX_KEY_BITS:
+    if '"' in text or "\r" in text or "\0" in text:
         return None
     text = text.removeprefix("\ufeff")
     head = text.find("\n")
@@ -641,12 +644,9 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
     limit = csv.field_size_limit()
     if any(len(label) > limit for label in schema):
         return None
-    # Parties cell -> set id, or -1 to drop the row; spellings of one set
-    # share the id kept in set_ids_by_mask.
+    # Parties cell -> its set's bitmask, or 0 to drop the row.
     parties: dict[bytes, int] = {}
-    set_ids_by_mask: dict[int, int] = {}
-    sets: list[PartySet] = []
-    weights, set_ids, keys = [], [], []
+    weights, masks, bits = [], [], []
     rows = 0
     pos = head + 1
     while pos < len(text):
@@ -656,7 +656,7 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
         pos = end
         if scanned is None:
             return None
-        row_weights, distinct, number, key = scanned
+        row_weights, distinct, number, row_bits = scanned
         for cell in distinct:
             if cell not in parties:
                 try:
@@ -664,39 +664,33 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
                     ps = _parse_parties(cell.decode(), registry, 0)
                 except (UnicodeDecodeError, SurveyFormatError):
                     return None
-                si = -1
-                if ps is not None:
-                    si = set_ids_by_mask.setdefault(ps.mask, len(sets))
-                    if si == len(sets):
-                        sets.append(ps)
-                parties[cell] = si
-        set_id = np.array([parties[cell] for cell in distinct], dtype=np.intp)[number]
-        keep = set_id >= 0
+                parties[cell] = 0 if ps is None else ps.mask
+        mask = np.array([parties[cell] for cell in distinct], dtype=np.int64)[number]
+        keep = mask != 0
         if not keep.all():
-            row_weights, set_id, key = row_weights[keep], set_id[keep], key[keep]
+            row_weights, mask, row_bits = row_weights[keep], mask[keep], row_bits[keep]
         rows += len(number)
         weights.append(row_weights)
-        set_ids.append(set_id)
-        keys.append(key)
+        masks.append(mask)
+        bits.append(row_bits)
     if not rows:
         return None
-    key = np.concatenate(keys)
-    pattern_ids, first = first_appearance(key)
-    patterns = key[first, None] >> np.arange(len(schema)) & 1
-    cells = CellTable.build(np.concatenate(weights), np.concatenate(set_ids), pattern_ids, sets, patterns)
-    return Survey.from_cells(registry, schema, cells, dropped_rows=rows - len(key))
+    # The joined columns replace the blocks' arrays before the table is built.
+    weights, masks, bits = map(np.concatenate, (weights, masks, bits))
+    cells = CellTable.build(weights, masks, bits)
+    return Survey.from_cells(registry, schema, cells, dropped_rows=rows - len(weights))
 
 
 def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes], np.ndarray, np.ndarray] | None:
-    """Each data row's weight, parties cell and covariate-pattern key, or None.
+    """Each data row's weight, parties cell and covariate values, or None.
 
     ``chunk`` holds whole lines of rows with ``p`` covariates.  Every
     row must have exactly ``p + 1`` commas, a weight that ``float``
     takes and that is positive and finite, and each covariate cell one
-    byte ``0`` or ``1``; the pattern key packs a row's covariates as
-    bits.  Weight and parties cells come from padded ``S`` arrays.
-    Returns the weights, the distinct parties cells in order of first
-    appearance, each row's number into them, and the pattern keys.
+    byte ``0`` or ``1``.  Weight and parties cells come from padded
+    ``S`` arrays.  Returns the weights, the distinct parties cells in
+    order of first appearance, each row's number into them, and the
+    covariates as an (rows, p) 0/1 ``uint8`` matrix.
     """
     try:
         data = chunk.encode()
@@ -737,7 +731,7 @@ def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes]
     if not np.all((weights > 0.0) & (weights < math.inf)):
         return None
     number, first = _number_cells(parties_cells)
-    return weights, parties_cells[first].tolist(), number, bits @ (1 << np.arange(p, dtype=np.int64))
+    return weights, parties_cells[first].tolist(), number, bits
 
 
 def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, word: int = 1) -> np.ndarray | None:

@@ -31,9 +31,10 @@ class ProbabilityVector:
 
     def __post_init__(self):
         total = math.fsum(self.shares.values())
-        if abs(total - 1.0) > _ROW_SUM_TOL:
+        # Written so that NaN fails both checks.
+        if not abs(total - 1.0) <= _ROW_SUM_TOL:
             raise ValueError(f"shares sum to {total}, expected 1")
-        if any(v < 0 or v > 1 for v in self.shares.values()):
+        if not all(0 <= v <= 1 for v in self.shares.values()):
             raise ValueError("shares must lie in [0, 1]")
 
     def __getitem__(self, option: str) -> float:

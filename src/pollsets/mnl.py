@@ -80,8 +80,8 @@ class PenaltySpec:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
 
     @classmethod
     def none(cls) -> PenaltySpec:

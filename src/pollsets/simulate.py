@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import AllocationConstraint, Interval, dempster_bounds, effective_allocation_limits, event_bounds
-from .data import _MAX_KEY_BITS, CellTable, PartyRegistry, PartySet, Survey, exact_sums, first_appearance, rounded
+from .data import CellTable, PartyRegistry, PartySet, Survey, exact_sums, rounded
 
 COMPLETION_BUDGET = 1_000_000
 GRID_BUDGET = 2_000_000
@@ -53,14 +53,16 @@ class SimConfig:
             raise ValueError("n must be >= 1")
         if not 0.0 <= self.coarsen_prob <= 1.0:
             raise ValueError("coarsen_prob must lie in [0, 1]")
-        coef = tuple(tuple(float(v) for v in row) for row in self.coefficients)
+        try:
+            coef = tuple(tuple(float(v) for v in row) for row in self.coefficients)
+        except (TypeError, ValueError):
+            raise ValueError("coefficients must be a matrix of numbers") from None
         object.__setattr__(self, "coefficients", coef)
-        k, p = len(coef), len(coef[0]) if coef else 0
-        if k != len(self.registry) or p != 1 + len(self.covariate_names):
+        p = 1 + len(self.covariate_names)
+        if len(coef) != len(self.registry) or any(len(row) != p for row in coef):
             raise ValueError("coefficient matrix must be (registry size) x (1 + covariates)")
-        # Covariate patterns are keyed by their bits packed into one int64.
-        if len(self.covariate_names) > _MAX_KEY_BITS:
-            raise ValueError(f"at most {_MAX_KEY_BITS} covariates can be simulated")
+        if not all(map(math.isfinite, itertools.chain.from_iterable(coef))):
+            raise ValueError("coefficients must be finite")
         lo, hi = self.weight_range
         if not 0 < lo <= hi < math.inf:
             raise ValueError("weight_range must be finite and satisfy 0 < low <= high")
@@ -138,11 +140,14 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     k = len(config.registry)
     n_cov = len(config.covariate_names)
     bits = rng.integers(0, 2, size=(config.n, n_cov)).astype(np.uint8)
-    x = np.hstack((np.ones((config.n, 1)), bits))
     coef = np.array(config.coefficients)
     # In place: the n x K arrays dominate a large population's memory.
-    probs = x @ coef.T
-    probs -= probs.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = np.hstack((np.ones((config.n, 1)), bits)) @ coef.T
+        if not np.isfinite(probs).all():
+            raise ValueError("choice scores overflow: the coefficients are too large")
+        # A score far below its row's best may fall to -inf; its exp is 0.
+        probs -= probs.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
 
@@ -158,13 +163,7 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     rows = np.flatnonzero(coarsen)
     masks[rows] |= _extra_parties(rng, votes[rows], probs[rows], config.style)
     del probs
-    set_ids, first = first_appearance(masks)
-    sets = [PartySet(mask) for mask in masks[first].tolist()]
-    pattern_ids, first = first_appearance(bits @ (1 << np.arange(n_cov, dtype=np.int64)))
-    patterns = bits[first]
-    # Free the per-row arrays before the survey builds its cell table.
-    del x, masks, bits
-    cells = CellTable.build(weights, set_ids, pattern_ids, sets, patterns)
+    cells = CellTable.build(weights, masks, bits)
     survey = Survey.from_cells(config.registry, config.covariate_names, cells, wave=f"sim-seed-{config.seed}")
     shares = {
         code: min(rounded(total) / survey.total_weight, 1.0)

@@ -353,15 +353,48 @@ class TestSimulate:
             (["--weight-high", "inf"], "weight_range must be finite and satisfy 0 < low <= high"),
             (["--weight-high", "1e308"], "total weight exceeds the largest float"),
             (["--covariates", "a,a"], "schema labels must be unique, got 'a' more than once"),
-            (["--covariates", ",".join(f"c{j}" for j in range(64))], "at most 63 covariates can be simulated"),
         ],
-        ids=["infinite-weight", "weight-total-overflow", "repeated-covariate", "64-covariates"],
+        ids=["infinite-weight", "weight-total-overflow", "repeated-covariate"],
     )
     def test_bad_configuration_exit_2_and_writes_nothing(self, capsys, tmp_path, flags, message):
         out = tmp_path / "s.csv"
         code, stdout, err = run(capsys, "simulate", "--n", "20", *flags, "--out", out)
         assert (code, stdout, err) == (2, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ("[[NaN, 0.5], [0.0, -0.5]]", "coefficients must be finite"),
+            ("[[1e308, 1e308], [-1e308, -1e308]]", "choice scores overflow: the coefficients are too large"),
+            ("[[0.5, 0.5], [0.0]]", "coefficient matrix must be (registry size) x (1 + covariates)"),
+            ("[0.5, 0.5]", "coefficients must be a matrix of numbers"),
+            ("[[0.5, \xff]]", "{coef}: line 1: not UTF-8 text (invalid start byte)"),
+        ],
+        ids=["nan", "overflow", "short-row", "not-a-matrix", "not-utf8"],
+    )
+    def test_bad_coefficient_file_exit_2_and_writes_nothing(self, capsys, tmp_path, document, message):
+        coef = tmp_path / "coef.json"
+        coef.write_bytes(document.encode("latin-1"))
+        message = message.format(coef=coef)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, stdout, err = run(
+            capsys, "simulate", "--n", "20", "--registry", "A,B", "--covariates", "x",
+            "--coef-file", coef, "--out", out_dir / "s.csv",
+        )
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert list(out_dir.iterdir()) == []
+
+    def test_seventy_covariates_simulate_and_describe(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        names = ",".join(f"c{j}" for j in range(70))
+        code, _, err = run(capsys, "simulate", "--n", "40", "--covariates", names, "--out", out)
+        assert (code, err) == (0, "violations: 0\n")
+        assert out.read_text().splitlines()[0] == f"weight,parties,{names}"
+        code, stdout, _ = run(capsys, "describe", "--input", out, "--schema", names)
+        assert code == 0
+        assert json.loads(stdout)["n"] == 40
 
 
 class TestOntic:

@@ -222,6 +222,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             Survey(abc_registry, (), (Respondent(1.0, PartySet(1 << 5)),))
 
+    def test_set_wider_than_any_registry_rejected(self, abc_registry):
+        with pytest.raises(ValueError, match="^respondent set references options outside the registry$"):
+            Survey(abc_registry, (), (Respondent(1.0, PartySet(1 << 70)),))
+
 
 def _survey_strategy():
     codes = st.sampled_from(["A", "B", "C", "D"])
@@ -636,6 +640,18 @@ def test_clean_scan_declines_and_the_row_parser_reads(text):
     assert data._parse_clean(text, DIFF_REGISTRY, DIFF_SCHEMA) is None
     want = data._parse_rows(text, DIFF_REGISTRY, DIFF_SCHEMA)
     _assert_same_survey(parse_survey(text, DIFF_REGISTRY, DIFF_SCHEMA), want)
+
+
+def test_clean_scan_takes_more_covariates_than_an_int64_key_holds():
+    schema = tuple(f"c{j}" for j in range(70))
+    rng = np.random.default_rng(8)
+    bits = rng.integers(0, 2, (4, 70))
+    heads = [("1.0", "A"), ("2.5", "B;A"), ("0.5", "Z"), ("1.0", "A;B"), ("2.0", "C"), ("1.5", "A")] * 3
+    rows = [f"{w},{parties},{','.join(map(str, bits[r % 4]))}" for r, (w, parties) in enumerate(heads)]
+    text = f"weight,parties,{','.join(schema)}\n" + "\n".join(rows) + "\n"
+    s = _assert_scanned(text, DIFF_REGISTRY, schema)
+    assert s.cells.patterns.shape == (4, 70)
+    assert s.dropped_rows == 3
 
 
 def test_clean_scan_declines_a_field_over_the_csv_limit():

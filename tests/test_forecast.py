@@ -246,6 +246,20 @@ def test_homogeneity_bit_identical_to_per_cell_fsum_rows(s):
     assert table.rows == want_rows
 
 
+@pytest.mark.parametrize(
+    "shares,message",
+    [
+        ({"A": math.nan, "B": 1.0}, "^shares sum to nan, expected 1$"),
+        ({"A": 0.5, "B": math.nan, "C": 0.5}, "^shares sum to nan, expected 1$"),
+        ({"A": 1.5, "B": -0.5}, r"^shares must lie in \[0, 1\]$"),
+    ],
+    ids=["nan-first", "nan-middle", "outside-unit"],
+)
+def test_probability_vector_rejects_bad_shares(shares, message):
+    with pytest.raises(ValueError, match=message):
+        ProbabilityVector(shares)
+
+
 class TestSeatShare:
     def test_point_full_registry_identity(self, abc_registry):
         p = ProbabilityVector({"A": 0.5, "B": 0.3, "C": 0.2})

@@ -531,3 +531,10 @@ def stack_matches_solo_fits(problems, constraint):
         assert np.array_equal(mnl.project_constraint(x[b], constraint), solo.coefficients)
         assert reports[b] == solo_report
     return reports
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("make", [mnl.PenaltySpec.ridge, mnl.PenaltySpec.group_lasso])
+def test_penalty_rejects_a_lambda_that_is_negative_or_not_finite(make, lam):
+    with pytest.raises(ValueError, match="^lambda must be finite and >= 0"):
+        make(lam)

@@ -98,10 +98,24 @@ class TestGeneratePopulation:
         with pytest.raises(ValueError):
             config(coefficients=((0.0, 0.0),))
 
-    def test_config_rejects_more_covariates_than_a_key_holds(self):
-        names = tuple(f"c{j}" for j in range(64))
-        with pytest.raises(ValueError, match="at most 63 covariates"):
-            config(covariate_names=names, coefficients=default_true_coefficients(4, 64))
+    @pytest.mark.parametrize(
+        "coefficients,message",
+        [
+            (((0.0, 0.0, math.nan),) * 4, "^coefficients must be finite$"),
+            (((0.0, 0.0, math.inf),) * 4, "^coefficients must be finite$"),
+            (((0.0, 0.0, 0.0),) * 3 + ((0.0, 0.0),), r"^coefficient matrix must be \(registry size\)"),
+            ((1.0, 2.0, 3.0, 4.0), "^coefficients must be a matrix of numbers$"),
+        ],
+        ids=["nan", "inf", "short-row", "not-a-matrix"],
+    )
+    def test_config_rejects_bad_coefficients(self, coefficients, message):
+        with pytest.raises(ValueError, match=message):
+            config(coefficients=coefficients)
+
+    def test_overflowing_choice_scores_rejected(self):
+        huge = ((1e308, 1e308, 1e308),) * 2 + ((-1e308, -1e308, -1e308),) * 2
+        with pytest.raises(ValueError, match="^choice scores overflow"):
+            generate_population(config(coefficients=huge))
 
     def test_config_requires_finite_weights(self):
         with pytest.raises(ValueError, match="weight_range must be finite"):
@@ -111,9 +125,10 @@ class TestGeneratePopulation:
         with pytest.raises(ValueError, match="^total weight exceeds the largest float$"):
             generate_population(config(n=20, weight_range=(1.0, 1e308)))
 
-    @pytest.mark.parametrize("p", [0, 2, 63])
+    @pytest.mark.parametrize("p", [0, 2, 63, 64, 70])
     def test_patterns_numbered_by_first_appearance(self, p):
-        # At p = 63 every row's pattern is distinct and its key uses bit 62.
+        # From p = 63 on every row's pattern is distinct.  At p = 63 its
+        # packed key uses bit 62; from p = 64 patterns are keyed by their bytes.
         names = tuple(f"c{j}" for j in range(p))
         s, _ = generate_population(config(n=300, covariate_names=names, coefficients=default_true_coefficients(4, p)))
         patterns = s.cells.patterns
