@@ -58,7 +58,6 @@ from .mnl import (
 )
 from .ontic import (
     CoefficientTable,
-    OnticCategories,
     build_ontic_categories,
     fit_ontic,
     regularization_path,

@@ -13,13 +13,12 @@ is repaired to stay feasible for any set size (see
 ``effective_allocation_limits``), and per-respondent extremes then have
 a closed form because the constraint never couples different sets.
 
-Every weight sum is exact until one final rounding (``data.exact_sums``
-and ``data.rounded``), so results are correctly rounded, as math.fsum
-would round them, and independent of respondent order.  Each bound is
-computed per distinct consideration set from the survey's cell table
-(see ``pollsets.data``): a set counted at full weight adds its cached
-exact sum, and only a set counted at a fraction of its weight is summed
-again, over its slice of the table's by-set weight column.
+A bound depends on each distinct consideration set only through its
+total weight, so it is computed per set from the survey's cell table
+(see ``pollsets.data``): each set's exact weight sum times the fraction
+of it the bound counts, added exactly and rounded once
+(``data.weighted_total``).  Results are therefore correctly rounded and
+independent of respondent order.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .data import PartyRegistry, PartySet, Survey, exact_sums, rounded
+from .data import PartyRegistry, PartySet, Survey, weighted_total
 
 
 @dataclass(frozen=True)
@@ -136,48 +133,25 @@ def event_bounds(s: Survey, event: PartySet, c: AllocationConstraint | None = No
 
     Without a constraint these are the belief/plausibility sums: sets
     fully inside the event versus sets intersecting it.  With a
-    constraint each respondent contributes its closed-form extremal
-    in-event mass instead.  Both loop over distinct sets and sum the
-    matching respondents' weights (or the same per-weight products)
-    exactly before one rounding, so the result equals a per-respondent
-    ``math.fsum`` bit for bit.
+    constraint each set counts at its closed-form extremal in-event
+    mass per unit weight instead.  Both loop over distinct sets and
+    round the exact sum of each set's weight times that factor once:
+    without a constraint the factors are 0 or 1, so the result equals a
+    per-respondent ``math.fsum`` bit for bit.
     """
     if not len(s):
         raise ValueError("event_bounds of an empty survey")
     if not event.fits(s.registry):
         raise ValueError("event references options outside the registry")
-    w_total = s.total_weight
     cells = s.cells
-    # Per bound: the exact sums of sets counted at full weight, and the
-    # weights of sets counted at a fraction, times that fraction.
-    lo_sums: list[int] = []
-    hi_sums: list[int] = []
-    lo_parts: list[np.ndarray] = []
-    hi_parts: list[np.ndarray] = []
-    start = 0
-    for ps, count, total in zip(cells.sets, cells.set_counts.tolist(), cells.set_sums):
-        if c is None:
-            lo_c = 1.0 if ps.issubset(event) else 0.0
-            hi_c = 1.0 if ps.intersects(event) else 0.0
-        else:
-            lo_c, hi_c = _contribution_limits(ps.size, ps.intersection_size(event), c)
-        for sums, parts, factor in ((lo_sums, lo_parts, lo_c), (hi_sums, hi_parts, hi_c)):
-            if factor == 1.0:
-                sums.append(total)
-            elif factor:
-                parts.append(cells.by_set[start : start + count] * factor)
-        start += count
-    lower = min(_rounded_sum(lo_sums, lo_parts) / w_total, 1.0)
-    upper = min(_rounded_sum(hi_sums, hi_parts) / w_total, 1.0)
+    if c is None:
+        limits = [(float(ps.issubset(event)), float(ps.intersects(event))) for ps in cells.sets]
+    else:
+        limits = [_contribution_limits(ps.size, ps.intersection_size(event), c) for ps in cells.sets]
+    lo_factors, hi_factors = zip(*limits)
+    lower = min(weighted_total(cells.set_sums, lo_factors) / s.total_weight, 1.0)
+    upper = min(weighted_total(cells.set_sums, hi_factors) / s.total_weight, 1.0)
     return Interval(lower, upper)
-
-
-def _rounded_sum(sums: list[int], parts: list[np.ndarray]) -> float:
-    """The correctly rounded total of exact sums and of float arrays."""
-    total = sum(sums)
-    if parts:
-        total += exact_sums(np.concatenate(parts))[0]
-    return rounded(total)
 
 
 def _per_option_forecast(s: Survey, c: AllocationConstraint | None) -> IntervalForecast:

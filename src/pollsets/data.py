@@ -9,10 +9,9 @@ operations.
 A survey is stored as its cell table (``Survey.cells``, a
 ``CellTable``): the distinct (consideration set, covariate pattern)
 cells, each respondent's cell and weight as float64 columns in
-respondent order, the weight column grouped by set, and each set's
-count and exact weight sum.  Covariates are binary and sets are
-bitmasks, so a survey has at most 2^p x (2^K - 1) cells and usually far
-fewer than respondents; a bound or a forecast costs one step per
+respondent order, and each set's count and exact weight sum.
+Covariates are binary and sets are bitmasks, so a survey has at most
+2^p x (2^K - 1) cells and usually far fewer than respondents; a bound or a forecast costs one step per
 distinct set or cell plus one exactly rounded sum, not one Python step
 per respondent.  The distinct covariate patterns are the rows of one
 read-only 0/1 ``uint8`` matrix (``CellTable.patterns``), so a design
@@ -36,6 +35,9 @@ float by one correctly rounded integer division.  The result does not
 depend on the order of the respondents, so a total summed per set
 carries the same bits as one summed respondent by respondent; the
 table keeps each set's exact sum for that reason, not a rounded total.
+``weighted_total`` rounds a sum of such sums times factors in [0, 1]
+once, so an estimator counting each set at a fraction of its weight
+never goes back to the respondents.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -260,6 +262,29 @@ def rounded(total: int) -> float:
     return total / (1 << _UNIT_EXP)
 
 
+_FACTOR_EXP = 1074
+
+
+def weighted_total(sums, factors) -> float:
+    """The float nearest the exact total of ``factors[j] * sums[j]`` (ties to even).
+
+    ``sums`` are exact sums from ``exact_sums``.  A factor, a float in
+    [0, 1], is num / 2**d with d <= 1074, so each product is a whole
+    number of units of 2**-(1126 + 1074), and the total is rounded once.
+    Raises OverflowError, as ``rounded`` does.
+    """
+    whole = part = 0
+    for total, f in zip(sums, factors):
+        if f == 1.0:
+            whole += total
+        elif f:
+            num, den = f.as_integer_ratio()
+            part += total * num << (_FACTOR_EXP + 1 - den.bit_length())
+    if not part:
+        return rounded(whole)
+    return ((whole << _FACTOR_EXP) + part) / (1 << (_UNIT_EXP + _FACTOR_EXP))
+
+
 @dataclass(frozen=True, eq=False)
 class CellTable:
     """A survey's distinct (consideration set, covariate pattern) cells.
@@ -272,11 +297,9 @@ class CellTable:
     numbered in order of first appearance too.  Respondent i
     falls in cell ``index[i]`` and weighs ``weights[i]``, so a cell's
     weights in respondent order are ``weights[index == g]``.
-    ``by_set`` is the weight column grouped by set, respondent order
-    kept within a set: ``set_counts[j]`` respondents hold ``sets[j]``,
-    and their weights' exact sum (see ``exact_sums``) is
-    ``set_sums[j]``.  Two tables are equal when they describe equal
-    respondents in the same order.
+    ``set_counts[j]`` respondents hold ``sets[j]``, and their weights'
+    exact sum (see ``exact_sums``) is ``set_sums[j]``.  Two tables are
+    equal when they describe equal respondents in the same order.
     """
 
     sets: tuple[PartySet, ...]
@@ -285,7 +308,6 @@ class CellTable:
     cell_pattern: np.ndarray
     index: np.ndarray
     weights: np.ndarray
-    by_set: np.ndarray
     set_counts: np.ndarray
     set_sums: tuple[int, ...]
 
@@ -296,7 +318,6 @@ class CellTable:
             ("cell_pattern", np.intp),
             ("index", np.intp),
             ("weights", float),
-            ("by_set", float),
             ("set_counts", np.intp),
         ):
             arr = np.array(getattr(self, name), dtype=dtype)
@@ -331,9 +352,6 @@ class CellTable:
         del keys
         patterns = patterns[first]
         index, first = first_appearance(set_id * len(patterns) + pattern_id)
-        # A stable sort by set keeps each set's weights in row order; on
-        # set ids narrowed to 8 or 16 bits numpy sorts by radix.
-        order = np.argsort(set_id.astype(np.min_scalar_type(len(sets))), kind="stable")
         return cls(
             sets,
             patterns,
@@ -341,7 +359,6 @@ class CellTable:
             pattern_id[first],
             index,
             weights,
-            weights[order],
             np.bincount(set_id, minlength=len(sets)),
             exact_sums(weights, set_id, len(sets)),
         )

@@ -65,6 +65,12 @@ RIDGE_FLOOR = 1e-8
 # Most G x K count cells in one cross-validation stack; see the module docstring.
 STACK_CELLS = 1 << 16
 
+# Line search: the first step is INITIAL_STEP, and each failed trial
+# divides the step by BACKTRACK_FACTOR, at most MAX_BACKTRACKS times.
+INITIAL_STEP = 1.0
+BACKTRACK_FACTOR = 2.0
+MAX_BACKTRACKS = 60
+
 
 class PenaltyKind(enum.Enum):
     NONE = "none"
@@ -240,25 +246,16 @@ class FitReport:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Stopping and line-search settings; a value the fitter cannot run with raises ValueError."""
+    """Stopping settings; a value the fitter cannot run with raises ValueError."""
 
     max_iterations: int = 10_000
     tolerance: float = 1e-8
-    initial_step: float = 1.0
-    backtrack_factor: float = 2.0
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError("tolerance must be finite and >= 0")
-        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
-            raise ValueError("initial_step must be finite and > 0")
-        if not (math.isfinite(self.backtrack_factor) and self.backtrack_factor > 1):
-            raise ValueError("backtrack_factor must be finite and > 1")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
 
 
 def _log_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -406,7 +403,7 @@ def _fit_stack(
     _check_finite(nll_x)
     obj_x = objectives(nll_x, x, ids)
     history = [[v] for v in obj_x]
-    lipschitz = [1.0 / options.initial_step] * n
+    lipschitz = [1.0 / INITIAL_STEP] * n
     momentum = [1.0] * n
     stop = ["max_iterations"] * n
     iterations, backtracks, restarts = [0] * n, [0] * n, [0] * n
@@ -424,7 +421,7 @@ def _fit_stack(
 
         cand, f_cand = None, [0.0] * m
         searching, lost = list(range(m)), []
-        for _ in range(options.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             if len(searching) == m:
                 y_s, grad_s, counts_s, lams_s = y, grad, counts, lams
             else:
@@ -455,7 +452,7 @@ def _fit_stack(
             if not failed:
                 break
             for i in failed:
-                lipschitz[ids[i]] *= options.backtrack_factor
+                lipschitz[ids[i]] *= BACKTRACK_FACTOR
                 backtracks[ids[i]] += 1
             searching = failed
         else:
@@ -542,7 +539,7 @@ def fit(
     """Fit by monotone accelerated proximal gradient with backtracking.
 
     Deterministic given identical inputs and options.  A line search
-    that cannot make progress within ``max_backtracks`` step halvings
+    that cannot make progress within ``MAX_BACKTRACKS`` step halvings
     ends the fit with ``converged=False`` instead of raising.  A step
     without momentum that raises the objective ends it as stationary:
     from the incumbent, an accepted proximal step can only lose to

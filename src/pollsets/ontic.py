@@ -21,16 +21,6 @@ from .data import PartySet, Survey
 
 
 @dataclass(frozen=True)
-class OnticCategories:
-    """Extended category list: all singletons in registry order, then top sets."""
-
-    categories: tuple[PartySet, ...]
-
-    def __len__(self) -> int:
-        return len(self.categories)
-
-
-@dataclass(frozen=True)
 class CoefficientTable:
     """Fitted coefficients by category and covariate, with zeroed-group flags."""
 
@@ -57,8 +47,8 @@ class CoefficientTable:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def build_ontic_categories(s: Survey, k: int) -> tuple[OnticCategories, int]:
-    """All registry singletons plus the k most frequent non-singleton sets.
+def build_ontic_categories(s: Survey, k: int) -> tuple[tuple[PartySet, ...], int]:
+    """All registry singletons in registry order, then the k most frequent non-singleton sets.
 
     Frequency ties break by registry-index lexicographic order of the
     set.  Returns the categories and the count of respondents whose set
@@ -73,23 +63,23 @@ def build_ontic_categories(s: Survey, k: int) -> tuple[OnticCategories, int]:
         raise ValueError(f"k={k} exceeds the {len(counts)} distinct non-singleton sets observed")
     top = sorted(counts, key=lambda ps: (-counts[ps], ps.sort_key()))[:k]
     singles = tuple(s.registry.singleton(code) for code in s.registry.options)
-    cats = OnticCategories(singles + tuple(top))
-    kept = set(cats.categories)
+    cats = singles + tuple(top)
+    kept = set(cats)
     dropped = sum(n for ps, n in set_counts.items() if ps not in kept)
     return cats, dropped
 
 
-def ontic_design(s: Survey, cats: OnticCategories) -> mnl.DesignData:
+def ontic_design(s: Survey, cats: tuple[PartySet, ...]) -> mnl.DesignData:
     """Design data mapping each retained respondent to its category index."""
-    index = {ps: i for i, ps in enumerate(cats.categories)}
+    index = {ps: i for i, ps in enumerate(cats)}
     x, y, w = s.cells.design_rows([index.get(ps, -1) for ps in s.cells.sets])
     if not len(y):
         raise ValueError("no respondents fall into the ontic categories")
     return mnl.DesignData(x, y, w, len(cats))
 
 
-def _coefficient_table(s: Survey, cats: OnticCategories, model: mnl.MnlModel) -> CoefficientTable:
-    labels = tuple(s.registry.label_of(ps) for ps in cats.categories)
+def _coefficient_table(s: Survey, cats: tuple[PartySet, ...], model: mnl.MnlModel) -> CoefficientTable:
+    labels = tuple(s.registry.label_of(ps) for ps in cats)
     covariates = ("intercept", *s.schema)
     coef = model.coefficients
     zeroed = {
@@ -102,7 +92,7 @@ def _coefficient_table(s: Survey, cats: OnticCategories, model: mnl.MnlModel) ->
 
 def fit_ontic(
     s: Survey,
-    cats: OnticCategories,
+    cats: tuple[PartySet, ...],
     lambda_grid=None,
     folds: int = 5,
     seed: int = 0,
@@ -121,7 +111,7 @@ def fit_ontic(
 
 def regularization_path(
     s: Survey,
-    cats: OnticCategories,
+    cats: tuple[PartySet, ...],
     lambda_grid,
     options: mnl.FitOptions = mnl.FitOptions(),
 ) -> list[tuple[float, dict[str, float]]]:

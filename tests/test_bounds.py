@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,20 +269,28 @@ def _weighted_surveys(draw, weight=_WIDE_WEIGHTS, min_decided=0):
 
 
 def _reference_event_bounds(s, event, c=None):
-    lo_terms, hi_terms = [], []
+    """Per-respondent bounds: the counted weights' ``math.fsum``, or with a
+    constraint the exact sum of each weight times its factor, rounded once."""
     rows = list(s.cells.rows())
-    for w, ps, _ in rows:
-        if c is None:
-            lo_c = 1.0 if ps.issubset(event) else 0.0
-            hi_c = 1.0 if ps.intersects(event) else 0.0
-        else:
-            lo_c, hi_c = _contribution_limits(ps.size, ps.intersection_size(event), c)
-        if lo_c:
-            lo_terms.append(w * lo_c)
-        if hi_c:
-            hi_terms.append(w * hi_c)
     total = math.fsum(w for w, _, _ in rows)
-    return min(math.fsum(lo_terms) / total, 1.0), min(math.fsum(hi_terms) / total, 1.0)
+    if c is None:
+        lo = math.fsum(w for w, ps, _ in rows if ps.issubset(event))
+        hi = math.fsum(w for w, ps, _ in rows if ps.intersects(event))
+    else:
+        limits = [(w, _contribution_limits(ps.size, ps.intersection_size(event), c)) for w, ps, _ in rows]
+        lo = float(sum(Fraction(w) * Fraction(f) for w, (f, _) in limits))
+        hi = float(sum(Fraction(w) * Fraction(f) for w, (_, f) in limits))
+    return min(lo / total, 1.0), min(hi / total, 1.0)
+
+
+def test_constrained_bounds_sum_exact_products():
+    # 3 x 0.1 x 0.2 rounds to a different float than the sum of the three
+    # rounded products 0.1 x 0.2 does; the bounds take the exact sum.
+    reg = PartyRegistry(("A", "B", "C"))
+    s = Survey(reg, (), (*[Respondent(0.1, reg.set_of("AB"))] * 3, Respondent(1.0, reg.singleton("C"))))
+    f = constrained_bounds(s, AllocationConstraint(0.2, 0.8))
+    for code in "AB":
+        assert (f[code].lower.hex(), f[code].upper.hex()) == ("0x1.7a17a17a17a18p-5", "0x1.7a17a17a17a18p-3")
 
 
 @settings(max_examples=150, deadline=None)

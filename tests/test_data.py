@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -401,9 +402,9 @@ CELL_ORDER = "weight,parties,x1,x2\n1.0,B,0,0\n1.0,A,1,0\n1.0,B,1,0\n1.0,A,0,0\n
 
 
 def _weights_by_set(cells):
-    """Each set's weights in respondent order, read from the table's by-set column."""
-    ends = np.cumsum(cells.set_counts)
-    return [part.tolist() for part in np.split(cells.by_set, ends[:-1])] if len(ends) else []
+    """Each set's weights in respondent order, read from the table's weight column."""
+    set_of_row = cells.cell_set[cells.index]
+    return [cells.weights[set_of_row == j].tolist() for j in range(len(cells.sets))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -725,6 +726,26 @@ def test_exact_sums_of_one_group_by_default():
     values = np.array([0.1, 0.2, 0.3])
     assert data.exact_sums(values) == data.exact_sums(values, np.zeros(3, np.intp), 1)
     assert data.rounded(data.exact_sums(values)[0]) == math.fsum(values.tolist()) != sum(values.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_sum_values(), st.data())
+@example([_MAX, _MAX], None)
+@example([5e-324, 0.1, 0.1, 0.1], None)
+def test_weighted_total_rounds_the_exact_weighted_sum(values, draw):
+    if draw is None:
+        factors = [1.0, 0.2, 0.2, 0.2][: len(values)]
+    else:
+        factor = st.sampled_from([0.0, 1.0, 0.2, 0.8, 1 / 3]) | st.floats(0.0, 1.0)
+        factors = draw.draw(st.lists(factor, min_size=len(values), max_size=len(values)))
+    sums = data.exact_sums(np.array(values, dtype=float), np.arange(len(values)), len(values))
+    try:
+        want = float(sum(Fraction(v) * Fraction(f) for v, f in zip(values, factors)))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            data.weighted_total(sums, factors)
+        return
+    assert data.weighted_total(sums, factors).hex() == want.hex()
 
 
 def test_scan_numbers_long_cells_when_every_hash_collides(monkeypatch):

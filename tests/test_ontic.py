@@ -34,7 +34,7 @@ def survey_with_covariates(seed=0, n=150, n_options=3, pair_sets=((0, 1), (1, 2)
 class TestBuildCategories:
     def test_single_pair_fixture(self, abc_survey):
         cats, dropped = build_ontic_categories(abc_survey, 1)
-        labels = [abc_survey.registry.label_of(ps) for ps in cats.categories]
+        labels = [abc_survey.registry.label_of(ps) for ps in cats]
         assert labels == ["A", "B", "C", "A+B"]
         assert dropped == 0
 
@@ -59,7 +59,7 @@ class TestBuildCategories:
             ),
         )
         cats, _ = build_ontic_categories(s, 2)
-        labels = [reg.label_of(ps) for ps in cats.categories]
+        labels = [reg.label_of(ps) for ps in cats]
         assert labels == ["A", "B", "C", "A+B", "B+C"]
 
     def test_wave3_shape(self, wave3_path):
