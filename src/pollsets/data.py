@@ -20,9 +20,13 @@ survey hands ``CellTable.build`` its rows as columns (weights, set
 bitmasks, 0/1 covariate rows), and ``build`` alone numbers the sets,
 covariate patterns and cells; no object is made per row or per
 covariate pattern.  A clean file, with any number of covariates, is
-read by a columnar scan: numpy finds each block's newlines and commas,
-the covariates come out as one 0/1 matrix, parties cells are numbered
-by integer keys, and each distinct parties cell is validated once.
+read by a columnar scan: one numpy pass finds each block's commas and
+newlines, the covariates come out as one 0/1 matrix, a plain decimal
+weight (at most 16 bytes of ASCII digits, 1 to 15 of them, and at most
+one ".") is decoded by array passes into the float ``float`` gives,
+any other weight goes through ``float`` on its bytes, parties cells are
+numbered by integer keys, and each distinct parties cell is validated
+once.
 Anything else goes through the row parser, a ``csv.reader`` loop with
 one memo per field, which stays the reference for the format's
 semantics, error messages and line numbers.
@@ -629,9 +633,41 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
 # this many characters, so its per-block index arrays stay small beside
 # the survey it builds.
 _BLOCK_CHARS = 1 << 18
-# A padded column of weight or parties cells may hold at most this many
-# bytes per byte of its block; a block with one far longer cell declines.
+# A padded column of cells may hold at most this many bytes per byte of
+# its block; a block with one far longer cell declines.
 _PAD_RATIO = 8
+# A weight cell of at most _DECIMAL_BYTES bytes that holds only ASCII
+# digits, 1 to _DECIMAL_DIGITS of them, and at most one "." is decoded by
+# array passes (``_decimals``); every other weight cell goes through
+# ``float``.  Below 10**15 < 2**53 the digits are an exact float64, and
+# so is 10.0**k for k <= 22, so their one correctly rounded quotient is
+# the float nearest the decimal, which is what ``float`` returns
+# (Clinger, "How to read floating point numbers accurately", 1990).
+_DECIMAL_BYTES = 16  # two 64-bit words
+_DECIMAL_DIGITS = 15
+_CELL = np.dtype((np.void, _DECIMAL_BYTES))
+_WORD = np.dtype("<u8")
+# _LAST_BYTES[n] keeps the last n bytes of a row.
+_LAST_BYTES = np.frombuffer(
+    b"".join(bytes(_DECIMAL_BYTES - n) + b"\xff" * n for n in range(_DECIMAL_BYTES + 1)), _CELL
+)
+_ONES = np.uint64(0x0101010101010101)
+_TOP = np.uint64(56)
+# Word 0 of a row holds its bytes 0-7, word 1 bytes 8-15.  Byte m of word
+# w's factor is k + 1 for a "." at byte 7 - m of word w, k digits from
+# the right: a product's top byte is the factor's byte 7 - (the "."'s byte).
+_RANK = (np.uint64(0x100F0E0D0C0B0A09), np.uint64(0x0807060504030201))
+# Digits -> 2-digit bytes -> 4-digit 16-bit lanes -> one 8-digit number per word.
+_SWAR_STEPS = tuple(
+    (np.uint64(10**n), np.uint64(8 * n), np.uint64(mask))
+    for n, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF))
+)
+# Indexed by k + 1 for a "." k digits from the right: the place
+# 10**(k + 1) above the ".", 9 * 10**k, and the divisor 10.0**k.  Index 0,
+# for no ".", holds a place above any row's integer, 0 and 1.0.
+_SPLIT = np.array([10**_DECIMAL_BYTES] + [10**r for r in range(1, _DECIMAL_BYTES + 1)], dtype=np.int64)
+_NINES = np.array([0] + [9 * 10 ** (r - 1) for r in range(1, _DECIMAL_BYTES + 1)], dtype=np.int64)
+_SCALE = np.array([1.0] + [10.0 ** (r - 1) for r in range(1, _DECIMAL_BYTES + 1)])
 
 
 def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey | None:
@@ -701,12 +737,14 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
 def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes], np.ndarray, np.ndarray] | None:
     """Each data row's weight, parties cell and covariate values, or None.
 
-    ``chunk`` holds whole lines of rows with ``p`` covariates.  Every
-    row must have exactly ``p + 1`` commas, a weight that ``float``
-    takes and that is positive and finite, and each covariate cell one
-    byte ``0`` or ``1``.  Weight and parties cells come from padded
-    ``S`` arrays.  Returns the weights, the distinct parties cells in
-    order of first appearance, each row's number into them, and the
+    ``chunk`` holds whole lines of rows with ``p`` covariates.  One pass
+    finds every comma and newline; each row must hold exactly ``p + 1``
+    commas before its newline, a weight that ``float`` takes and that is
+    positive and finite, and each covariate cell one byte ``0`` or ``1``.
+    A plain decimal weight cell is decoded by ``_decimals``, and any
+    other goes through ``float`` on its bytes, taken from a padded ``S``
+    array as the parties cells are.  Returns the weights, the distinct parties cells
+    in order of first appearance, each row's number into them, and the
     covariates as an (rows, p) 0/1 ``uint8`` matrix.
     """
     try:
@@ -716,49 +754,104 @@ def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes]
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == 10)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    commas = np.flatnonzero(buf == 44)
-    rows = len(ends)
-    if len(commas) != rows * (p + 1):
+    newline = buf == 10
+    seps = np.flatnonzero(newline | (buf == 44))
+    rows = np.count_nonzero(newline)
+    if len(seps) != rows * (p + 2):
         return None
-    # Commas are sorted, so a row whose first comma follows its start and
-    # whose last comma precedes its end holds exactly its p + 1 commas.
-    commas = commas.reshape(rows, p + 1)
-    if not (np.all(commas[:, 0] > starts) and np.all(commas[:, -1] < ends)):
+    # Row i's separators: p + 1 commas, then its newline.  When every
+    # row's last separator is a newline, the others are the commas, as the
+    # block holds no other newline.
+    seps = seps.reshape(rows, p + 2)
+    if not np.all(newline[seps[:, -1]]):
         return None
-    field_ends = np.concatenate((commas[:, 1:], ends[:, None]), axis=1)
-    if not np.all(field_ends[:, 1:] - commas[:, 1:] == 2):
-        return None
-    bits = buf[commas[:, 1:] + 1] - 48  # "0" -> 0, "1" -> 1; any other byte wraps above 1
+    bits = buf[seps[:, 1:-1] + 1] - 48  # "0" -> 0, "1" -> 1; any other byte wraps above 1
     if not np.all(bits <= 1):
         return None
-    weight_len = commas[:, 0] - starts
-    parties_len = field_ends[:, 0] - commas[:, 0] - 1
+    # Each covariate cell starts with a bit, so it holds at least one byte;
+    # together they hold p bytes only if each holds one.
+    if not np.all(seps[:, -1] - seps[:, 1] == 2 * p):
+        return None
+    starts = np.concatenate(([0], seps[:-1, -1] + 1))
+    weight_len = seps[:, 0] - starts
+    parties_len = seps[:, 1] - seps[:, 0] - 1
     if max(weight_len.max(), parties_len.max()) > limit:
         return None
-    weight_cells = _padded(buf, starts, weight_len)
-    parties_cells = _padded(buf, commas[:, 0] + 1, parties_len, word=8)
-    if weight_cells is None or parties_cells is None:
+    parties_cells = _padded(buf, seps[:, 0] + 1, parties_len)
+    if parties_cells is None:
         return None
-    try:
-        weights = np.fromiter(map(float, weight_cells.tolist()), float, rows)
-    except ValueError:
-        return None
+    weights, decoded = _decimals(buf, seps[:, 0], weight_len)
+    rest = np.flatnonzero(~decoded)
+    if len(rest):
+        cells = _padded(buf, starts[rest], weight_len[rest])
+        if cells is None:
+            return None
+        try:
+            weights[rest] = np.fromiter(map(float, cells.tolist()), float, len(rest))
+        except ValueError:
+            return None
     if not np.all((weights > 0.0) & (weights < math.inf)):
         return None
     number, first = _number_cells(parties_cells)
     return weights, parties_cells[first].tolist(), number, bits
 
 
-def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, word: int = 1) -> np.ndarray | None:
+def _decimals(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the plain decimal cells ``buf[ends[i] - lengths[i]:ends[i]]`` in array passes.
+
+    Returns each cell's value and whether it was decoded.  A cell is
+    decoded when it has at most ``_DECIMAL_BYTES`` bytes, only ASCII
+    digits, 1 to ``_DECIMAL_DIGITS`` of them, and at most one "."; its
+    value is then bit for bit ``float`` of the cell.  The value of any
+    other cell is undefined.
+
+    Each cell of at most 16 bytes is read right-aligned into a 16-byte
+    row, two little-endian 64-bit words, with the bytes before the cell
+    and its "." cleared to digit 0.  Combining adjacent digits, then
+    pairs, then quads within each word (SWAR) gives the row's 16-digit
+    integer ``a``.  A "." with k digits after it left a 0 at 10**k, so
+    the cell's digits are the integer ``a - 9 * (a // 10**(k + 1)) *
+    10**k``, and the value is that integer divided once by ``10.0**k``.
+    """
+    values, decoded = np.zeros(len(ends)), np.zeros(len(ends), bool)
+    short = np.flatnonzero(lengths <= _DECIMAL_BYTES)
+    ends, lengths = ends[short], lengths[short]
+    # Row e of windows is buf[e - 16:e], behind 16 bytes of padding.
+    padded = np.concatenate((np.zeros(_DECIMAL_BYTES, np.uint8), buf))
+    windows = np.ndarray((len(buf) + 1,), _CELL, padded, 0, (1,))
+    digits = windows[ends].view(np.uint8).reshape(len(ends), _DECIMAL_BYTES)
+    digits -= np.uint8(48)  # ASCII digits -> 0..9, "." -> 254, any other byte above 9
+    words = digits.view(_WORD)
+    words &= _LAST_BYTES[lengths].view(_WORD).reshape(-1, 2)
+    dot = digits == 254
+    other = digits > 9
+    other ^= dot
+    dot, other = dot.view(_WORD), other.view(_WORD)
+    words &= ~(dot * np.uint64(0xFF))
+    for factor, shift, mask in _SWAR_STEPS:
+        words = (words * factor + (words >> shift)) & mask
+    words = words.astype(np.int64)
+    a = words[:, 0] * 10**8 + words[:, 1]
+    # Byte j of a dot word is 1 where a "." is.  Times 0x0101...01, the
+    # top byte adds them up; times _RANK, it holds k + 1 for one ".".
+    dots = ((dot[:, 0] + dot[:, 1]) * _ONES >> _TOP).astype(np.intp)
+    rank = (dot[:, 0] * _RANK[0] >> _TOP) + (dot[:, 1] * _RANK[1] >> _TOP)
+    rank = np.minimum(rank, _DECIMAL_BYTES).astype(np.intp)  # several "." add up past 16
+    a -= a // _SPLIT[rank] * _NINES[rank]
+    count = lengths - dots
+    values[short] = a / _SCALE[rank]
+    decoded[short] = ((other[:, 0] | other[:, 1]) == 0) & (dots <= 1) & (count >= 1) & (count <= _DECIMAL_DIGITS)
+    return values, decoded
+
+
+def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
     """The cells ``buf[starts[i]:starts[i] + lengths[i]]`` as one NUL-padded ``S`` array.
 
-    Its width is a multiple of ``word`` bytes, so each cell is a whole
-    number of ``word``-byte words.  None if the padded array would exceed
-    ``_PAD_RATIO`` bytes per byte of ``buf``.
+    Its width is a multiple of 8 bytes, so each cell is a whole number of
+    8-byte words.  None if the padded array would exceed ``_PAD_RATIO``
+    bytes per byte of ``buf``.
     """
-    width = -(-int(lengths.max()) // word) * word
+    width = -(-int(lengths.max()) // 8) * 8
     if width == 0 or len(starts) * width > _PAD_RATIO * len(buf):
         return None
     windows = sliding_window_view(np.concatenate((buf, np.zeros(width, np.uint8))), width)
@@ -793,25 +886,34 @@ def _cell_hash(words: np.ndarray) -> np.ndarray:
     return key
 
 
+# survey_to_csv composes and writes this many rows at a time.
+_CSV_BLOCK_ROWS = 4096
+
+
 def survey_to_csv(s: Survey) -> str:
     """Serialize back to the parse_survey CSV format."""
     cells = s.cells
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(["weight", "parties", *s.schema])
-    # Each cell's text after the weight is built once: its parties cell,
-    # quoted as csv.writer quotes it, and its pattern as "0,1,...", made
-    # for all patterns at once as one byte matrix with the bits at even columns.
-    cell_text = [_csv_field(";".join(s.registry.codes_of(ps))) for ps in cells.sets]
-    cell_text = [cell_text[j] for j in cells.cell_set.tolist()]
+    # Each set's parties cell, quoted as csv.writer quotes it, and each
+    # pattern's "0,1,..." are made once; the patterns' text comes from one
+    # byte matrix with the bits at even columns.
+    parties = [_csv_field(";".join(s.registry.codes_of(ps))) for ps in cells.sets]
     p = cells.patterns.shape[1]
-    if p:
-        text = np.full((len(cells.patterns), 2 * p - 1), ord(","), np.uint8)
-        text[:, ::2] = cells.patterns + ord("0")
-        values = [v.decode() for v in text.view(f"S{2 * p - 1}").ravel().tolist()]
-        cell_text = [f"{t},{values[c]}" for t, c in zip(cell_text, cells.cell_pattern.tolist())]
-    if len(cells.weights):
-        rows = map("{!r},{}".format, cells.weights.tolist(), map(cell_text.__getitem__, cells.index.tolist()))
-        out.write("\n".join(rows) + "\n")
+    text = np.full((len(cells.patterns), 2 * p), ord(","), np.uint8)
+    text[:, 1::2] = cells.patterns + ord("0")
+    values = [v.decode() for v in text.view(f"S{2 * p}").ravel().tolist()] if p else [""] * len(cells.patterns)
+    # Rows are composed and written a block at a time, so no list of every
+    # row's text is held.
+    for start in range(0, len(cells.weights), _CSV_BLOCK_ROWS):
+        index = cells.index[start : start + _CSV_BLOCK_ROWS]
+        rows = map(
+            "{!r},{}{}\n".format,
+            cells.weights[start : start + _CSV_BLOCK_ROWS].tolist(),
+            map(parties.__getitem__, cells.cell_set[index].tolist()),
+            map(values.__getitem__, cells.cell_pattern[index].tolist()),
+        )
+        out.write("".join(rows))
     return out.getvalue()
 
 

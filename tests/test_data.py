@@ -551,12 +551,26 @@ def _assert_same_survey(got, want):
     assert got.cells.set_sums == want.cells.set_sums
 
 
+# Weight cells at the edges of the scan's decimal decode: plain decimals it
+# takes, and cells it leaves to float() (too many digits or bytes, "_", a
+# sign, a space, an exponent, "nan", two "." or no digit).
+_DECIMAL_EDGES = [
+    "1.", ".5", "007.50", "00000000000000001.5", "123456789012345", "9007199254740993",
+    "0.30000000000000004", "1_0", "+1", " 1.5", "1e-3", "nan", "0.000", "1.2.3", ".",
+]
+# Edge cells no parser takes as a weight.
+_NOT_WEIGHTS = ["nan", "0.000", "1.2.3", "."]
+# 16 and 17 significant digits whose integer, divided by 10**k in float64,
+# rounds twice and misses float(): a decode that took them would fail.
+_DOUBLE_ROUNDED = ["95142426273599.37", "1.0164697501428709"]
+
+
 @st.composite
 def _clean_documents(draw):
     """(document, schema) pairs the columnar scan may take: no quote, CR or blank line, mostly clean rows."""
     schema = draw(st.sampled_from([DIFF_SCHEMA, ()]))
     width = 2 + len(schema)
-    weights = st.sampled_from(["1.0", "2.5", "0.25", "3", "1_0", " 1.5", "1e-3"])
+    weights = st.sampled_from(["1.0", "2.5", "0.25", "3", "1_0", " 1.5", "1e-3", *_DECIMAL_EDGES, *_DOUBLE_ROUNDED])
     parties = st.sampled_from(["A", "B", "C", "A;B", " B ; A ", "B;A", "A;B;C", "A\x0b", "Z", "A;Z", "\u00c9"])
     bits = st.sampled_from(["0", "1"])
     header = ",".join(["weight", "parties", *schema])
@@ -663,6 +677,83 @@ def test_clean_scan_declines_a_field_over_the_csv_limit():
     assert data._parse_clean(over, DIFF_REGISTRY, DIFF_SCHEMA) is None
     with pytest.raises(SurveyFormatError, match="line 2: malformed CSV: field larger than field limit"):
         parse_survey(over, DIFF_REGISTRY, DIFF_SCHEMA)
+
+
+@st.composite
+def _decimal_cells(draw):
+    """1 to 20 ASCII digits, leading zeros included, with an optional "." anywhere."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=20))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(digits)))
+        digits = digits[:at] + "." + digits[at:]
+    return digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_decimal_cells() | st.sampled_from(_DECIMAL_EDGES + _DOUBLE_ROUNDED), min_size=1, max_size=6))
+@example([cell for cell in _DECIMAL_EDGES if cell not in _NOT_WEIGHTS])
+@example(["1.5", "nan"])
+@example(["1.5", "0.000"])
+@example(["1.5", "1.2.3"])
+@example(["1.5", "."])
+@example(_DOUBLE_ROUNDED)
+def test_clean_scan_decodes_weights_as_float_does(cells):
+    # The decode takes exactly the plain decimals within its caps, and gives float()'s bits.
+    buf = np.frombuffer("".join(f"{cell}\n" for cell in cells).encode(), np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    values, decoded = data._decimals(buf, ends, ends - np.concatenate(([0], ends[:-1] + 1)))
+    for cell, value, was_decoded in zip(cells, values.tolist(), decoded.tolist()):
+        digits = len(cell) - cell.count(".")
+        plain = set(cell) <= set("0123456789.") and cell.count(".") <= 1 and len(cell) <= 16 and 1 <= digits <= 15
+        assert was_decoded == plain, cell
+        if plain:
+            assert value.hex() == float(cell).hex(), cell
+    text = "weight,parties\n" + "".join(f"{cell},A\n" for cell in cells)
+    fast = data._parse_clean(text, DIFF_REGISTRY, ())
+    if fast is not None:
+        assert [w.hex() for w in fast.cells.weights.tolist()] == [float(cell).hex() for cell in cells]
+    want = _parse_or_error(data._parse_rows, text, ())
+    got = _parse_or_error(parse_survey, text, ())
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_survey(got, want)
+
+
+def test_double_rounded_cells_miss_float():
+    for cell in _DOUBLE_ROUNDED:
+        whole, frac = cell.split(".")
+        assert float(int(whole + frac)) / 10.0 ** len(frac) != float(cell)
+
+
+# Codes that make parties cells of 7, 8, 9, 16 and 17 bytes: one 64-bit
+# word less, exactly, more, two words exactly, and more.
+_LONG_CODES = PartyRegistry(tuple(letter * n for letter, n in zip("ABCDE", (7, 8, 9, 16, 17))))
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("p", [0, 2])
+@pytest.mark.parametrize("last", _LONG_CODES.options)
+def test_clean_scan_finds_separators_around_long_parties_cells(last, p, final_newline):
+    schema = DIFF_SCHEMA[:p]
+    codes = [*_LONG_CODES.options, last]
+    rows = [",".join([f"{i % 4 + 1}.25", code, *(str((i + j) % 2) for j in range(p))]) for i, code in enumerate(codes * 3)]
+    header = ",".join(["weight", "parties", *schema])
+    text = "\n".join([header, *rows]) + ("\n" if final_newline else "")
+    extra = rows[4] + ",1"
+    missing = rows[6].rpartition(",")[0] if p else rows[6].replace(",", "")
+    # A line break one cell late leaves a line a comma over and the next a
+    # comma short, with as many commas in all and each cell well formed.
+    moved = rows[4] + "," + rows[5].replace(",", "\n", 1)
+    faulty = [[*rows[:4], extra, *rows[5:]], [*rows[:6], missing, *rows[7:]], [*rows[:4], moved, *rows[6:]]]
+    if p:
+        faulty.append([*rows[:6], rows[6] + "1", *rows[7:]])  # a two-byte covariate cell
+    for block_chars in (1, 30, data._BLOCK_CHARS):
+        with mock.patch.object(data, "_BLOCK_CHARS", block_chars):
+            s = _assert_scanned(text, _LONG_CODES, schema)
+            for lines in faulty:
+                assert data._parse_clean("\n".join([header, *lines]) + "\n", _LONG_CODES, schema) is None
+    assert [_LONG_CODES.label_of(ps) for ps in s.cells.sets] == list(_LONG_CODES.options)
 
 
 # Exact sums: every union of groups must round as math.fsum rounds it.
