@@ -26,7 +26,7 @@ from .bounds import (
     coalition_report,
     parse_coalitions,
 )
-from .data import PartyRegistry, group_counts, parse_survey, undecided_share, validate
+from .data import PartyRegistry, group_counts, parse_survey, survey_to_csv, undecided_share, validate
 
 DEFAULT_REGISTRY = "SPD,CDU_CSU,GRUENE,FDP,AFD,LINKE"
 
@@ -82,6 +82,15 @@ def _constraint(args) -> AllocationConstraint | None:
     return AllocationConstraint(args.alpha, args.beta)
 
 
+def _seat_share(args, survey, shares):
+    """``shares`` renormalized over the parties ``--seats`` names, or unchanged without it."""
+    if not args.seats:
+        return shares
+    registry = survey.registry
+    included = registry.full_set() if args.seats == "all" else registry.set_of(_parse_list(args.seats))
+    return fc.seat_share(shares, included, registry)
+
+
 def _interval_rows(f: IntervalForecast) -> list[tuple[str, float, float]]:
     return [(code, iv.lower, iv.upper) for code, iv in f.intervals.items()]
 
@@ -135,11 +144,7 @@ def cmd_forecast(args) -> int:
                 f" after {report.iterations} iterations",
                 file=sys.stderr,
             )
-    if args.seats:
-        included = survey.registry.full_set() if args.seats == "all" else survey.registry.set_of(
-            _parse_list(args.seats)
-        )
-        vector = fc.seat_share(vector, included, survey.registry)
+    vector = _seat_share(args, survey, vector)
     if args.format == "json":
         doc = {
             "method": args.method,
@@ -157,11 +162,7 @@ def cmd_bounds(args) -> int:
     survey = _load_survey(args)
     constraint = _constraint(args)
     result = constrained_bounds(survey, constraint) if constraint else dempster_bounds(survey)
-    if args.seats:
-        included = survey.registry.full_set() if args.seats == "all" else survey.registry.set_of(
-            _parse_list(args.seats)
-        )
-        result = fc.seat_share(result, included, survey.registry)
+    result = _seat_share(args, survey, result)
     if args.format == "json":
         doc = {code: {"lower": iv.lower, "upper": iv.upper} for code, iv in result.intervals.items()}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -246,8 +247,6 @@ def cmd_simulate(args) -> int:
         weight_range=(args.weight_low, args.weight_high),
     )
     survey, truth = simulate.generate_population(config)
-    from .data import survey_to_csv
-
     out = Path(args.out)
     truth_out = Path(args.truth_out) if args.truth_out else out.with_suffix(".truth.csv")
     out.write_text(survey_to_csv(survey), encoding="utf-8")

@@ -18,15 +18,16 @@ read-only 0/1 ``uint8`` matrix (``CellTable.patterns``), so a design
 matrix is that matrix behind an intercept column.  Every producer of a
 survey hands ``CellTable.build`` its rows as columns (weights, set
 bitmasks, 0/1 covariate rows), and ``build`` alone numbers the sets,
-covariate patterns and cells; no object is made per row or per
-covariate pattern.  A clean file, with any number of covariates, is
-read by a columnar scan: one numpy pass finds each block's commas and
-newlines, the covariates come out as one 0/1 matrix, a plain decimal
-weight (at most 16 bytes of ASCII digits, 1 to 15 of them, and at most
-one ".") is decoded by array passes into the float ``float`` gives,
-any other weight goes through ``float`` on its bytes, parties cells are
-numbered by integer keys, and each distinct parties cell is validated
-once.
+covariate patterns and cells, in key order (``key_order``); a model
+fit numbers its design rows by the same ``number_patterns``.  No
+object is made per row or per covariate pattern.  A clean file, with
+any number of covariates, is read by a columnar scan: one numpy pass
+finds each block's commas and newlines, the covariates come out as one
+0/1 matrix, a plain decimal weight (at most 16 bytes of ASCII digits,
+1 to 15 of them, and at most one ".") is decoded by array passes into
+the float ``float`` gives, any other weight goes through ``float`` on
+its bytes, parties cells are numbered by integer keys, and each
+distinct parties cell is validated once.
 Anything else goes through the row parser, a ``csv.reader`` loop with
 one memo per field, which stays the reference for the format's
 semantics, error messages and line numbers.
@@ -184,35 +185,41 @@ class Respondent:
             raise ValueError(f"weight must be positive and finite, got {self.weight}")
 
 
-def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct values of ``keys`` in order of first appearance.
+def key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's number among the distinct values of the 1-D ``keys``, in increasing order, and those values.
 
-    Returns each element's number and, for each number, the position of
-    the first element holding it.  Integer keys whose range is no wider
-    than their count are numbered through a table with one slot per value
-    in that range, in linear time; any other keys are sorted.
+    Integer keys whose range is smaller than their count are numbered
+    through a presence table, in linear time; any others by ``np.unique``.
     """
     n = len(keys)
     if n and keys.dtype.kind in "iu":
-        low = keys.min()
-        if int(keys.max()) - int(low) < n:
-            slot = (keys - low).astype(np.intp)
-            span = int(slot.max()) + 1
-            first = np.full(span, n)
-            np.minimum.at(first, slot, np.arange(n))
-            is_first = np.zeros(n, dtype=bool)
-            is_first[first[first < n]] = True
-            first = np.flatnonzero(is_first)
-            number = np.empty(span, dtype=np.intp)
-            number[slot[first]] = np.arange(len(first))
-            return number[slot], first
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    first = np.full(len(distinct), len(keys))
-    np.minimum.at(first, inverse, np.arange(len(keys)))
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], first[order]
+        smallest = int(np.argmin(keys))
+        if int(keys.max()) - int(keys[smallest]) < n:
+            # Differences modulo 2**64 are exact below the range.
+            wide = keys.astype(np.uint64)
+            slot = (wide - wide[smallest]).astype(np.intp)
+            present = np.zeros(n, dtype=bool)
+            present[slot] = True
+            distinct = (wide[smallest] + np.flatnonzero(present).astype(np.uint64)).astype(keys.dtype)
+            return np.cumsum(present, dtype=np.intp)[slot] - 1, distinct
+    distinct, number = np.unique(keys, return_inverse=True)
+    return number, distinct
+
+
+def number_patterns(bits) -> tuple[np.ndarray, np.ndarray]:
+    """``key_order`` of the rows of an (n, p) 0/1 matrix: each row's number, and the distinct rows as ``uint8``.
+
+    A row is keyed by its bits packed into one int64, first column
+    highest, or by its bytes when p >= 64: key order is lexicographic order.
+    """
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    p = bits.shape[1]
+    if p < 64:
+        place = np.arange(p - 1, -1, -1, dtype=np.int64)
+        number, distinct = key_order(bits @ (1 << place))
+        return number, (distinct[:, None] >> place & 1).astype(np.uint8)
+    number, distinct = key_order(bits.view(np.dtype((np.void, p))).ravel())
+    return number, distinct.view(np.uint8).reshape(len(distinct), p)
 
 
 # Exact sums.  A nonzero finite float64 is M * 2**(e - 53), where M is
@@ -293,13 +300,13 @@ def weighted_total(sums, factors) -> float:
 class CellTable:
     """A survey's distinct (consideration set, covariate pattern) cells.
 
-    ``sets`` holds each distinct set once and ``patterns`` each distinct
-    covariate pattern once, as the rows of a read-only (n_patterns, p)
-    ``uint8`` 0/1 matrix (p = 0 for a survey without a covariate
-    schema), both in order of first appearance.  Cell g pairs
+    ``sets`` holds each distinct set once, by increasing bitmask, and
+    ``patterns`` each distinct covariate pattern once, as the rows of a
+    read-only (n_patterns, p) ``uint8`` 0/1 matrix (p = 0 for a survey
+    without a covariate schema) in lexicographic order.  Cell g pairs
     ``sets[cell_set[g]]`` with ``patterns[cell_pattern[g]]``; cells are
-    numbered in order of first appearance too.  Respondent i
-    falls in cell ``index[i]`` and weighs ``weights[i]``, so a cell's
+    ordered by set, then pattern.  Respondent i falls in cell
+    ``index[i]`` and weighs ``weights[i]``, so a cell's
     weights in respondent order are ``weights[index == g]``.
     ``set_counts[j]`` respondents hold ``sets[j]``, and their weights'
     exact sum (see ``exact_sums``) is ``set_sums[j]``.  Two tables are
@@ -338,33 +345,22 @@ class CellTable:
         whose bitmask is ``masks[i]`` (an int64 column) and has covariate
         values ``patterns[i]``, a row of an (n, p) 0/1 ``uint8`` matrix.
         This is the one place that numbers sets, patterns and cells, each
-        in order of first appearance among the rows.  A pattern is keyed
-        by its bits packed into one int64 when they fit, else by its bytes.
+        in key order (``key_order``): a set by its bitmask, a pattern by
+        ``number_patterns``, and a cell by set number x n_patterns +
+        pattern number.
         """
         weights = np.asarray(weights, dtype=float)
-        masks = np.asarray(masks, dtype=np.int64)
-        set_id, first = first_appearance(masks)
-        sets = [PartySet(mask) for mask in masks[first].tolist()]
-        del masks
-        patterns = np.ascontiguousarray(patterns, dtype=np.uint8)
-        p = patterns.shape[1]
-        if p < 64:
-            keys = patterns @ (1 << np.arange(p, dtype=np.int64))
-        else:
-            keys = patterns.view(np.dtype((np.void, p))).ravel()
-        pattern_id, first = first_appearance(keys)
-        del keys
-        patterns = patterns[first]
-        index, first = first_appearance(set_id * len(patterns) + pattern_id)
+        set_id, masks = key_order(np.asarray(masks, dtype=np.int64))
+        pattern_id, patterns = number_patterns(patterns)
+        index, cells = key_order(set_id * len(patterns) + pattern_id)
         return cls(
-            sets,
+            [PartySet(mask) for mask in masks.tolist()],
             patterns,
-            set_id[first],
-            pattern_id[first],
+            *np.divmod(cells, max(len(patterns), 1)),
             index,
             weights,
-            np.bincount(set_id, minlength=len(sets)),
-            exact_sums(weights, set_id, len(sets)),
+            np.bincount(set_id, minlength=len(masks)),
+            exact_sums(weights, set_id, len(masks)),
         )
 
     def __eq__(self, other):
@@ -744,7 +740,7 @@ def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes]
     A plain decimal weight cell is decoded by ``_decimals``, and any
     other goes through ``float`` on its bytes, taken from a padded ``S``
     array as the parties cells are.  Returns the weights, the distinct parties cells
-    in order of first appearance, each row's number into them, and the
+    (numbered by ``_number_cells``), each row's number into them, and the
     covariates as an (rows, p) 0/1 ``uint8`` matrix.
     """
     try:
@@ -792,8 +788,8 @@ def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes]
             return None
     if not np.all((weights > 0.0) & (weights < math.inf)):
         return None
-    number, first = _number_cells(parties_cells)
-    return weights, parties_cells[first].tolist(), number, bits
+    number, distinct = _number_cells(parties_cells)
+    return weights, distinct.tolist(), number, bits
 
 
 def _decimals(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -856,25 +852,29 @@ def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndar
         return None
     windows = sliding_window_view(np.concatenate((buf, np.zeros(width, np.uint8))), width)
     out = windows[starts]
-    out *= np.arange(width) < lengths[:, None]
+    # Row r of keep is edge[r:r + width], so row width - n holds n bytes
+    # 0xff, then zeros: each cell is masked by one gathered row.
+    edge = np.repeat(np.array([0xFF, 0], np.uint8), width)
+    keep = np.ndarray((width + 1,), f"V{width}", edge, 0, (1,))
+    out &= keep[width - lengths].view(np.uint8).reshape(out.shape)
     return out.view(f"S{width}").ravel()
 
 
 def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``first_appearance`` of the padded cells of an ``S`` array, keyed by integers.
+    """``key_order`` of the padded cells of an ``S`` array, keyed by integers.
 
-    A cell of one 8-byte word is its own key.  Longer cells are keyed by
-    ``_cell_hash`` of their words, and every cell is compared with the
-    first cell of its key; if a hash collision made any of them differ,
-    the cells are numbered by their bytes instead.
+    A cell is keyed by ``_cell_hash`` of its 8-byte words (a cell of one
+    word is its own key), and every cell is compared with one cell of
+    its key; if a hash collision made any of them differ, the cells are
+    numbered by their bytes instead.
     """
     words = cells.view(np.uint64).reshape(len(cells), -1)
-    if words.shape[1] == 1:
-        return first_appearance(words[:, 0])
-    number, first = first_appearance(_cell_hash(words))
-    if not np.array_equal(words, words[first[number]]):
-        return first_appearance(cells)
-    return number, first
+    number, distinct = key_order(_cell_hash(words))
+    some = np.empty(len(distinct), np.intp)
+    some[number] = np.arange(len(cells))
+    if not np.array_equal(words, words[some[number]]):
+        return key_order(cells)
+    return number, cells[some]
 
 
 def _cell_hash(words: np.ndarray) -> np.ndarray:
@@ -944,15 +944,26 @@ def survey_to_json(s: Survey) -> str:
 
 
 def survey_from_json(text: str) -> Survey:
-    """Read a survey_to_json document; equal sets and covariate patterns share one table entry."""
+    """Read a survey_to_json document; equal sets and covariate patterns share one table entry.
+
+    A weight must be a JSON number and ``parties`` a list of distinct
+    codes; anything else raises ValueError naming the respondent's index.
+    """
     doc = json.loads(text)
     registry = PartyRegistry(tuple(doc["registry"]))
     schema = tuple(doc["schema"])
 
     def rows():
-        for rec in doc["respondents"]:
-            weight = float(rec["weight"])
-            ps = registry.set_of(rec["parties"])
+        for i, rec in enumerate(doc["respondents"]):
+            weight, codes = rec["weight"], rec["parties"]
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                raise ValueError(f"respondent {i}: weight must be a number, got {weight!r}")
+            if not (isinstance(codes, list) and all(isinstance(code, str) for code in codes)):
+                raise ValueError(f"respondent {i}: parties must be a list of codes, got {codes!r}")
+            if len(set(codes)) != len(codes):
+                raise ValueError(f"respondent {i}: party code repeated in {codes!r}")
+            weight = float(weight)
+            ps = registry.set_of(codes)
             if not 0.0 < weight < math.inf:
                 raise ValueError(f"weight must be positive and finite, got {weight}")
             yield weight, ps, rec.get("covariates")

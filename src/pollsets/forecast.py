@@ -60,9 +60,9 @@ class TransitionTable:
         object.__setattr__(self, "probs", probs)
         if probs.shape != (len(self.cells.cell_set), len(self.options)):
             raise ValueError("transition matrix must have one row per cell and one column per option")
-        bad = np.flatnonzero(~(np.abs(probs.sum(axis=1) - 1.0) <= _ROW_SUM_TOL))
-        if len(bad):  # named by the first respondent in the first failing cell
-            raise ValueError(f"transition row {int(np.argmax(self.cells.index == bad[0]))} does not sum to 1")
+        bad = np.flatnonzero(~(np.abs(probs.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)[self.cells.index])
+        if len(bad):  # named by the first respondent whose row fails
+            raise ValueError(f"transition row {bad[0]} does not sum to 1")
 
     @property
     def rows(self) -> tuple[dict[str, float], ...]:

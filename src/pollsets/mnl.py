@@ -18,10 +18,11 @@ perfect separation; binary covariates alone do not rule it out.
 
 Fits run on grouped counts, not on respondent rows.  Covariates are
 binary, so a design has at most 2^(P-1) distinct rows, often far fewer
-than respondents.  The weighted category counts per distinct row are
-sufficient statistics for the likelihood (Agresti, *Categorical Data
-Analysis*), so an iteration costs O(G K P) for G distinct rows instead
-of O(n K P).
+than respondents, numbered in lexicographic order as a cell table's
+covariate patterns are (``data.number_patterns``).  The weighted
+category counts per distinct row are sufficient statistics for the
+likelihood (Agresti, *Categorical Data Analysis*), so an iteration
+costs O(G K P) for G distinct rows instead of O(n K P).
 
 The fitter's per-row arrays are category-major: counts, scores and
 log-probabilities are K x G per problem, each category's G distinct
@@ -59,6 +60,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .data import number_patterns
 
 RIDGE_FLOOR = 1e-8
 
@@ -141,7 +144,7 @@ def project_constraint(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignData:
-    """Estimation rows: design matrix with leading intercept, category index, weight."""
+    """Estimation rows: design matrix with leading intercept and 0/1 covariates, category index, weight."""
 
     x: np.ndarray
     y: np.ndarray
@@ -158,6 +161,8 @@ class DesignData:
             raise ValueError("need at least 2 categories")
         if x.shape[0] and not np.all(x[:, 0] == 1.0):
             raise ValueError("design matrix must carry a leading intercept column of ones")
+        if not np.all((x[:, 1:] == 0.0) | (x[:, 1:] == 1.0)):  # NaN fails too
+            raise ValueError("covariates must be binary 0/1")
         if np.any((y < 0) | (y >= self.n_categories)):
             raise ValueError("category index out of range")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
@@ -173,12 +178,9 @@ class DesignData:
     @cached_property
     def grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Distinct design rows ``xu``, their K x G weighted category counts, each row's total,
-        and each respondent's index into ``xu``."""
-        # Rows as opaque byte strings: np.unique sorts these far faster than
-        # it sorts rows with axis=0.
-        rows = np.ascontiguousarray(self.x).view(np.dtype((np.void, self.x.itemsize * self.x.shape[1])))
-        _, first, group = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-        xu = self.x[first]
+        and each respondent's index into ``xu``; ``data.number_patterns`` numbers the rows."""
+        group, patterns = number_patterns(self.x[:, 1:])
+        xu = np.hstack((np.ones((len(patterns), 1)), patterns))
         g = len(xu)
         counts = np.bincount(self.y * g + group, weights=self.w, minlength=self.n_categories * g)
         counts = counts.reshape(self.n_categories, g)

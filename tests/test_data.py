@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -318,6 +319,31 @@ def test_json_null_covariates_under_schema_rejected():
         survey_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("parties", "AB", "parties must be a list of codes, got 'AB'"),
+        ("parties", ["A", 1], "parties must be a list of codes, got ['A', 1]"),
+        ("parties", ["A", "A"], "party code repeated in ['A', 'A']"),
+        ("weight", True, "weight must be a number, got True"),
+        ("weight", "2.5", "weight must be a number, got '2.5'"),
+    ],
+)
+def test_json_misread_fields_rejected(field, value, message):
+    doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
+    doc["respondents"] = [{"weight": 1.0, "parties": ["A"], "covariates": None} for _ in range(2)]
+    doc["respondents"][1][field] = value
+    with pytest.raises(ValueError, match=f"^respondent 1: {re.escape(message)}$"):
+        survey_from_json(json.dumps(doc))
+
+
+def test_json_integer_weight_read_as_float():
+    doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
+    doc["respondents"] = [{"weight": 2, "parties": ["B", "A"], "covariates": None}]
+    s = survey_from_json(json.dumps(doc))
+    assert [(w, ps.mask) for w, ps, _ in s.cells.rows()] == [(2.0, 3)]
+
+
 # Differential check of the memoized parser against a plain per-row parser.
 
 DIFF_REGISTRY = PartyRegistry(("A", "B", "C"))
@@ -397,7 +423,7 @@ def _survey_documents(draw):
     return "\n".join(lines) + "\n"
 
 
-# Cells in order of first appearance differ from cells sorted by (set, pattern).
+# Cells in key order, sorted by (set, pattern), differ from cells in order of first appearance.
 CELL_ORDER = "weight,parties,x1,x2\n1.0,B,0,0\n1.0,A,1,0\n1.0,B,1,0\n1.0,A,0,0\n"
 
 
@@ -430,7 +456,7 @@ def test_parse_matches_per_row_reference(text):
         assert shared_sets.setdefault(ps.mask, ps) is ps
     # The survey's cell table must describe the same rows.
     cells = s.cells
-    patterns = list(dict.fromkeys(v for _, _, v in want[1]))
+    patterns = sorted({v for _, _, v in want[1]})
     assert cells.patterns.dtype == np.uint8
     assert cells.patterns.shape == (len(patterns), len(DIFF_SCHEMA))
     assert cells.weights.tolist() == [w for w, _, _ in want[1]]
@@ -444,13 +470,14 @@ def test_parse_matches_per_row_reference(text):
     assert cells.set_counts.tolist() == [len(ws) for ws in _weights_by_set(cells)]
     assert [data.rounded(total) for total in cells.set_sums] == [math.fsum(ws) for ws in _weights_by_set(cells)]
     assert len(set(zip(cells.cell_set.tolist(), cells.cell_pattern.tolist()))) == len(cells.cell_set)
-    # Sets, covariate patterns and cells are numbered by first appearance.
-    assert [ps.mask for ps in cells.sets] == list(dict.fromkeys(m for _, m, _ in want[1]))
+    # Sets are numbered by increasing bitmask, covariate patterns in
+    # lexicographic order, and cells by set, then pattern.
+    assert [ps.mask for ps in cells.sets] == sorted({m for _, m, _ in want[1]})
     assert cells.patterns.tolist() == [list(v) for v in patterns]
     assert [
         (cells.sets[j].mask, tuple(cells.patterns[c].tolist()))
         for j, c in zip(cells.cell_set.tolist(), cells.cell_pattern.tolist())
-    ] == list(dict.fromkeys((m, v) for _, m, v in want[1]))
+    ] == sorted({(m, v) for _, m, v in want[1]})
     # The public constructor, given the reference rows as Respondents, must
     # store the same table.
     rows = tuple(Respondent(w, PartySet(mask), values) for w, mask, values in want[1])
@@ -486,27 +513,23 @@ def test_readers_build_no_respondent_per_row(monkeypatch, wave3_path):
     assert made == []
 
 
-def _first_appearance_reference(keys):
-    number, first = {}, []
-    for i, key in enumerate(keys.tolist()):
-        if key not in number:
-            number[key] = len(first)
-            first.append(i)
-    return [number[key] for key in keys.tolist()], first
+_INTEGER_DTYPES = ("int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64")
 
 
 @st.composite
 def _keys_about_as_wide_as_many(draw):
-    """Integer keys whose range, max - min + 1, lies within a factor of two of their count."""
+    """Integer keys whose range, max - min, lies within a factor of two of their count.
+
+    Keys whose range is smaller than their count take ``key_order``'s
+    presence table, and the others the sort, so both paths are drawn.
+    """
     n = draw(st.integers(1, 40))
-    span = draw(st.integers(max(1, n // 2), 2 * n))
-    dtype = np.dtype(draw(st.sampled_from(["int64", "int32", "uint8", "uint64"])))
+    dtype = np.dtype(draw(st.sampled_from(_INTEGER_DTYPES)))
     info = np.iinfo(dtype)
-    if span > int(info.max) - int(info.min) + 1:
-        span = int(info.max) - int(info.min) + 1
-    low = draw(st.integers(int(info.min), int(info.max) - span + 1))
+    span = min(draw(st.integers(max(1, n // 2), 2 * n)), int(info.max) - int(info.min) + 1)
+    low = draw(st.sampled_from([int(info.min), int(info.max) - span + 1]) | st.integers(int(info.min), int(info.max) - span + 1))
     offsets = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
-    # Both ends of the range appear, so the range is exactly ``span``.
+    # Both ends of the range appear, so the range is exactly ``span - 1``.
     offsets[draw(st.integers(0, n - 1))] = 0
     offsets[draw(st.integers(0, n - 1))] = span - 1
     return np.array([low + v for v in offsets], dtype=dtype)
@@ -514,16 +537,23 @@ def _keys_about_as_wide_as_many(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_keys_about_as_wide_as_many())
-@example(np.array([5, 3, 5, 4], dtype=np.int64))  # range 3 of 4 keys: the slot table
-@example(np.array([7, 3, 7, 4], dtype=np.int64))  # range 5 of 4 keys: the sort
+@example(np.array([5, 3, 5, 4], dtype=np.int64))  # range 2 of 4 keys: the presence table
+@example(np.array([7, 3, 7, 4], dtype=np.int64))  # range 4 of 4 keys: the sort
 @example(np.array([-(2**63), 2**63 - 1], dtype=np.int64))
-def test_first_appearance_slot_table_matches_the_sort(keys):
-    expected = _first_appearance_reference(keys)
-    number, first = data.first_appearance(keys)
-    assert (number.tolist(), first.tolist()) == expected
-    # Byte-string keys are always sorted.
-    number, first = data.first_appearance(keys.view(np.dtype((np.void, keys.itemsize))))
-    assert (number.tolist(), first.tolist()) == expected
+@example(np.array([-128, 127] + [0] * 254, dtype=np.int8))  # range 255 of 256 keys: the presence table
+@example(np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64))
+def test_key_order_matches_np_unique(keys):
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    number, got = data.key_order(keys)
+    assert number.tolist() == inverse.tolist()
+    assert got.dtype == keys.dtype and got.tolist() == distinct.tolist()
+    # Byte-string keys are always sorted, as np.unique sorts them.
+    for view in (np.dtype((np.void, keys.itemsize)), np.dtype(f"S{keys.itemsize}")):
+        byte_keys = keys.view(view)
+        distinct, inverse = np.unique(byte_keys, return_inverse=True)
+        number, got = data.key_order(byte_keys)
+        assert number.tolist() == inverse.tolist()
+        assert got.dtype == view and got.tobytes() == distinct.tobytes()
 
 
 # Differential check of the columnar scan against the row parser.

@@ -123,15 +123,22 @@ class TestTransitionProbabilities:
         reg = abc_registry
         sets = (["A"], ["C"], ["A"], ["A", "B"], ["A", "B"])
         s = Survey(reg, (), tuple(Respondent(1.0, reg.set_of(codes)) for codes in sets))
-        good = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        cell_sets = [s.cells.sets[j] for j in s.cells.cell_set.tolist()]
+        # Each cell's row spreads its mass evenly over its set.
+        good = np.array([[ps.contains_index(k) / ps.size for k in range(len(reg))] for ps in cell_sets])
+
+        def scaled(factors):
+            return good * np.array([[factors.get(reg.label_of(ps), 1.0)] for ps in cell_sets])
+
         table = TransitionTable(reg.options, good, s.cells)
         assert not table.probs.flags.writeable
         assert table.rows[4] == {"A": 0.5, "B": 0.5}
-        # Cell 2 starts at respondent 3.
+        # The A+B cell starts at respondent 3.
         with pytest.raises(ValueError, match="^transition row 3 does not sum to 1$"):
-            TransitionTable(reg.options, good * [[1.0], [1.0], [0.9]], s.cells)
+            TransitionTable(reg.options, scaled({"A+B": 0.9}), s.cells)
+        # Respondent 1, in the C cell, is named whatever the order of the failing cells.
         with pytest.raises(ValueError, match="^transition row 1 does not sum to 1$"):
-            TransitionTable(reg.options, good * [[1.0], [np.nan], [0.9]], s.cells)
+            TransitionTable(reg.options, scaled({"C": np.nan, "A+B": 0.9}), s.cells)
         with pytest.raises(ValueError, match="one row per cell"):
             TransitionTable(reg.options, good[:2], s.cells)
 

@@ -129,6 +129,42 @@ class TestGroupedObjective:
         assert np.max(np.abs(model.coefficients - again.coefficients)) < 1e-10
 
 
+def void_row_grouping(d):
+    """Distinct rows, counts, totals and groups as ``np.unique`` over the rows' float64 bytes numbers them."""
+    rows = np.ascontiguousarray(d.x).view(np.dtype((np.void, d.x.itemsize * d.x.shape[1])))
+    _, first, group = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    xu = d.x[first]
+    g = len(xu)
+    counts = np.bincount(d.y * g + group, weights=d.w, minlength=d.n_categories * g).reshape(d.n_categories, g)
+    return xu, counts, counts.sum(axis=0), group
+
+
+@st.composite
+def binary_designs(draw):
+    """A design over a few distinct 0/1 rows, each repeated, in C or Fortran order."""
+    p = draw(st.sampled_from([0, 1, 5, 14, 62, 63, 64, 70]))
+    pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=p, max_size=p), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=30))
+    x = np.hstack((np.ones((len(picks), 1)), np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), p)))
+    if draw(st.booleans()):
+        x = np.asfortranarray(x)
+    k = draw(st.integers(2, 4))
+    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=len(picks), max_size=len(picks))), dtype=int)
+    w = np.array(draw(st.lists(st.floats(0.01, 100.0), min_size=len(picks), max_size=len(picks))))
+    return mnl.DesignData(x, y, w, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(binary_designs())
+def test_grouped_matches_void_row_sort_bit_for_bit(d):
+    xu, counts, totals, group = d.grouped
+    want_xu, want_counts, want_totals, want_group = void_row_grouping(d)
+    assert xu.shape == want_xu.shape and xu.tobytes() == want_xu.tobytes()
+    assert counts.shape == want_counts.shape and counts.tobytes() == want_counts.tobytes()
+    assert totals.tobytes() == want_totals.tobytes()
+    assert group.tolist() == want_group.tolist()
+
+
 class TestProx:
     def test_inside_threshold_zeroes(self):
         v = np.array([0.3, 0.4])
@@ -392,6 +428,14 @@ def test_design_data_validation():
         mnl.DesignData(np.ones((3, 1)), np.array([0, 1, 5]), np.ones(3), 3)  # bad category
     with pytest.raises(ValueError):
         mnl.DesignData(np.ones((3, 1)), np.array([0, 1, 1]), np.array([1.0, -1.0, 1.0]), 2)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
+def test_design_data_rejects_non_binary_covariates(bad):
+    x = np.ones((3, 3))
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="^covariates must be binary 0/1$"):
+        mnl.DesignData(x, np.array([0, 1, 1]), np.ones(3), 2)
 
 
 def per_fold_stratified_folds(y, folds, seed):

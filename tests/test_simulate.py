@@ -126,7 +126,7 @@ class TestGeneratePopulation:
             generate_population(config(n=20, weight_range=(1.0, 1e308)))
 
     @pytest.mark.parametrize("p", [0, 2, 63, 64, 70])
-    def test_patterns_numbered_by_first_appearance(self, p):
+    def test_patterns_numbered_in_key_order(self, p):
         # From p = 63 on every row's pattern is distinct.  At p = 63 its
         # packed key uses bit 62; from p = 64 patterns are keyed by their bytes.
         names = tuple(f"c{j}" for j in range(p))
@@ -134,7 +134,9 @@ class TestGeneratePopulation:
         patterns = s.cells.patterns
         assert patterns.dtype == np.uint8
         assert patterns.shape[1] == p
-        # The row parser numbers the written patterns by first appearance of their cells.
+        # Distinct rows, in lexicographic order.
+        assert list(map(tuple, patterns.tolist())) == sorted({tuple(row) for _, _, row in s.cells.rows()})
+        # The row parser numbers the written rows the same way.
         assert data._parse_rows(survey_to_csv(s), REG, names).cells == s.cells
 
 
