@@ -216,12 +216,14 @@ def cmd_ontic(args) -> int:
     cats, dropped = ontic.build_ontic_categories(survey, args.k)
     design = ontic.ontic_design(survey, cats)
     grid = mnl.default_lambda_grid(design, mnl.Constraint.symmetric(), points=args.grid_points)
-    model, table, best_lam = ontic.fit_ontic(survey, cats, grid, folds=args.folds, seed=args.seed)
+    fitted = ontic.fit_ontic(
+        survey, cats, grid, folds=args.folds, seed=args.seed, design=design, return_path=bool(args.path_out)
+    )
+    table, best_lam = fitted[1:3]
     print(f"categories: {len(cats)}, respondents dropped: {dropped}", file=sys.stderr)
     print(f"selected lambda: {best_lam!r}", file=sys.stderr)
     if args.path_out:
-        path = ontic.regularization_path(survey, cats, grid)
-        Path(args.path_out).write_text(ontic.path_to_csv(path), encoding="utf-8")
+        Path(args.path_out).write_text(ontic.path_to_csv(fitted[3]), encoding="utf-8")
     if args.format == "json":
         _emit(table.to_json(), args.out)
     else:

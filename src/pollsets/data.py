@@ -962,10 +962,13 @@ def survey_from_json(text: str) -> Survey:
                 raise ValueError(f"respondent {i}: parties must be a list of codes, got {codes!r}")
             if len(set(codes)) != len(codes):
                 raise ValueError(f"respondent {i}: party code repeated in {codes!r}")
-            weight = float(weight)
+            try:
+                weight = float(weight)
+            except OverflowError:  # an integer past the largest float
+                weight = math.inf if weight > 0 else -math.inf
             ps = registry.set_of(codes)
             if not 0.0 < weight < math.inf:
-                raise ValueError(f"weight must be positive and finite, got {weight}")
+                raise ValueError(f"respondent {i}: weight must be positive and finite, got {weight}")
             yield weight, ps, rec.get("covariates")
 
     return Survey.from_cells(registry, schema, _group_by_value(rows(), schema), wave=doc.get("wave", ""))

@@ -41,7 +41,10 @@ Each problem keeps its own step size, momentum and stop state, and a
 stopped problem leaves the stack with its coefficients frozen.  Every
 array operation in the core works per problem and in the same order
 for any B, so a problem fitted in a stack ends bit-identical to the
-same problem fitted alone.  ``fit`` is the case B = 1.
+same problem fitted alone over the same distinct rows with the same
+counts and row totals.  The totals must be the same floats, not merely
+equal sums: ``DesignData.grouped`` adds them up one way and a sum over
+a stacked array may add them another.  ``fit`` is the case B = 1.
 Cross-validation fits the folds of every repeat at one lambda as one
 stack over the distinct rows they train on, each fold's training counts
 summed from its own rows in respondent order.  A stack holds at most
@@ -50,6 +53,15 @@ the per-iteration overhead a stack shares, so a large design fits
 fewer folds per stack, down to one fold over its own rows, as a lone
 fit would.  Fold assignment, the per-fold penalty scaling and held-out
 scoring stay per respondent.
+
+The regularization path (the full-data fit at every lambda, warm-started
+along the grid) rides in the same stacks with ``cross_validate(...,
+return_path=True)``: one more problem after the last fold, with penalty
+fraction 1 and the grouped counts and totals, not scored.  It shares
+the last stack only if that stack's folds train on every distinct row,
+since more rows would change the folds' sums, and is a stack of its
+own otherwise; either way it ends bit-identical to ``fit_path`` and
+changes no fold.
 """
 
 from __future__ import annotations
@@ -132,14 +144,19 @@ class Constraint:
 
 def project_constraint(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
     """A copy of a K x P matrix, or of each matrix in a stack, on the constraint subspace."""
-    out = np.array(mat, dtype=float)
+    return _project_in_place(np.array(mat, dtype=float), constraint)
+
+
+def _project_in_place(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
+    """``project_constraint`` without the copy: ``mat`` is overwritten and returned."""
     if constraint.kind == "reference":
-        out[..., constraint.ref, :] = 0.0
+        mat[..., constraint.ref, :] = 0.0
     elif constraint.kind == "symmetric":
-        out -= out.mean(axis=-2, keepdims=True)
+        # The column means as ``mat.mean`` takes them, bit for bit, without its wrapper.
+        mat -= np.add.reduce(mat, axis=-2, keepdims=True) / mat.shape[-2]
     else:
         raise ValueError(f"unknown constraint kind {constraint.kind!r}")
-    return out
+    return mat
 
 
 @dataclass(frozen=True)
@@ -418,7 +435,7 @@ def _fit_stack(
         f_y, logp = _stack_value(y, xu, counts, ridge)
         f_y = f_y.tolist()
         _check_finite(f_y)
-        grad = project_constraint(_stack_gradient(y, logp, xu, counts, totals, ridge), constraint)
+        grad = _project_in_place(_stack_gradient(y, logp, xu, counts, totals, ridge), constraint)
         del logp
 
         cand, f_cand = None, [0.0] * m
@@ -432,7 +449,7 @@ def _fit_stack(
             trial = y_s - grad_s / steps[:, None, None]
             if penalized:
                 trial = _stack_prox(trial, lams_s / steps)
-            trial = project_constraint(trial, constraint)
+            trial = _project_in_place(trial, constraint)
             diff = trial - y_s
             f_trial = _stack_value(trial, xu, counts_s, ridge)[0].tolist()
             _check_finite(f_trial)
@@ -493,7 +510,7 @@ def _fit_stack(
                 keep.append(i)
 
         if accepted:
-            y_next = project_constraint(cand + np.array(beta)[:, None, None] * (cand - x), constraint)
+            y_next = _project_in_place(cand + np.array(beta)[:, None, None] * (cand - x), constraint)
         if len(accepted) == m:
             x, y = cand, y_next
         elif accepted or restarted:
@@ -616,6 +633,95 @@ def _holdout_nll(coef: np.ndarray, d: DesignData, idx: np.ndarray) -> float:
     return -float(np.dot(w, picked)) / float(w.sum())
 
 
+def _descending(lambda_grid) -> list[float]:
+    grid = [float(v) for v in lambda_grid]
+    if any(b > a for a, b in zip(grid, grid[1:])):
+        raise ValueError("lambda grid must be descending")
+    return grid
+
+
+def _fold_stack(d: DesignData, stack: list, constraint: Constraint):
+    """The training problems of the (assignment, fold) pairs in ``stack``, over the distinct
+    rows they train on: those rows, counts, totals, penalty fractions, starts, held-out rows."""
+    xu, _, _, group = d.grouped
+    k = d.n_categories
+    w_total = float(d.w.sum())
+    counts = np.empty((len(stack), k, len(xu)))
+    fractions = np.empty(len(stack))
+    start = np.empty((len(stack), k, d.n_predictors))
+    tests = []
+    for b, (assignment, f) in enumerate(stack):
+        train = np.flatnonzero(assignment != f)
+        y, w = d.y[train], d.w[train]
+        if len(np.unique(y)) < 2:
+            raise ValueError("need at least 2 observed categories")
+        # The training rows in respondent order: the same sums a regroup of them gives.
+        counts[b] = np.bincount(y * len(xu) + group[train], weights=w, minlength=counts[b].size).reshape(k, -1)
+        fractions[b] = float(w.sum()) / w_total
+        start[b] = _intercept_start(y, w, k, d.n_predictors, constraint)
+        tests.append(np.flatnonzero(assignment == f))
+    # Only the distinct rows some problem of the stack trains on.
+    rows = np.flatnonzero(counts.any(axis=(0, 1)))
+    counts = counts[:, :, rows]
+    return xu[rows], counts, counts.sum(axis=1), fractions, start, tests
+
+
+def _fit_grid(
+    d: DesignData, grid: list[float], splits: list, constraint: Constraint, options: FitOptions, path: bool
+) -> tuple[np.ndarray, list[FitReport]]:
+    """The warm-started loop over a descending grid behind ``cross_validate`` and ``fit_path``.
+
+    Fits the training rows of each (assignment, fold) pair in ``splits``
+    and, if ``path``, all of ``d`` at every grid value, each problem
+    warm-started from its own fit at the value before, in stacks laid
+    out as the module docstring says.  Returns each split's held-out
+    score at each value, and the full-data fit's report at each value
+    (none without ``path``).
+    """
+    xu, counts_all, totals_all, _ = d.grouped
+    per_stack = max(1, STACK_CELLS // (len(xu) * d.n_categories))
+    scores = np.zeros((len(splits), len(grid)))
+    path_reports = [None] * len(grid) if path else []
+    for lo in range(0, len(splits) + path, per_stack):
+        stacks = [_fold_stack(d, splits[lo : lo + per_stack], constraint)] if lo < len(splits) else []
+        if path and lo + per_stack > len(splits):
+            # The full-data fit, after the last split.
+            full = (counts_all[None], totals_all[None], np.ones(1), initial_coefficients(d, constraint)[None])
+            if stacks and len(stacks[0][0]) == len(xu):
+                stack_xu, *arrays, tests = stacks[0]
+                stacks[0] = (stack_xu, *map(np.concatenate, zip(arrays, full)), tests)
+            else:
+                stacks.append((xu, *full, []))
+        for stack_xu, counts, totals, fractions, start, tests in stacks:
+            for j, lam in enumerate(grid):
+                penalty = PenaltySpec.group_lasso(lam)
+                x, reports = _fit_stack(
+                    stack_xu, counts, totals, penalty.group_lambda * fractions, penalty.ridge_coefficient,
+                    constraint, options, start,
+                )
+                coef = project_constraint(x, constraint)
+                scores[lo : lo + len(tests), j] = [_holdout_nll(coef[b], d, test) for b, test in enumerate(tests)]
+                if len(reports) > len(tests):
+                    path_reports[j] = reports[-1]
+                # Warm start, projected once more as ``fit`` projects a given start.
+                start = project_constraint(coef, constraint)
+    return scores, path_reports
+
+
+def fit_path(
+    d: DesignData,
+    lambda_grid,
+    constraint: Constraint = Constraint.symmetric(),
+    options: FitOptions = FitOptions(),
+) -> list[FitReport]:
+    """Group-lasso fits of ``d`` along a descending grid, each started where the one before
+    ended: one report per grid value, bit-identical to ``fit`` warm-started the same way."""
+    grid = _descending(lambda_grid)
+    if len(np.unique(d.y)) < 2:
+        raise ValueError("need at least 2 observed categories")
+    return _fit_grid(d, grid, [], constraint, options, path=True)[1]
+
+
 def cross_validate(
     d: DesignData,
     lambda_grid,
@@ -624,7 +730,9 @@ def cross_validate(
     constraint: Constraint = Constraint.symmetric(),
     options: FitOptions = FitOptions(),
     repeats: int = 1,
-) -> tuple[float, tuple[float, ...]]:
+    *,
+    return_path: bool = False,
+):
     """Pick the group-lasso lambda by weighted held-out NLL.
 
     The grid must be descending; fits warm-start along it within each
@@ -637,58 +745,28 @@ def cross_validate(
     against the model's own (always positive) softmax probabilities,
     so it needs no special casing.
 
+    Returns the selected lambda and the mean score at each grid value.
+    With ``return_path`` a third item holds ``fit_path``'s reports for
+    the same grid, fitted in the cross-validation stacks without
+    changing any fold's result; see the module docstring.
+
     The folds x repeats at one lambda are fitted as stacks of up to
     ``STACK_CELLS`` count cells; see the module docstring.
     """
-    grid = [float(v) for v in lambda_grid]
+    grid = _descending(lambda_grid)
     if not grid:
         raise ValueError("lambda grid is empty")
-    if any(b > a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be descending")
     if folds < 2 or d.n < folds:
         raise ValueError("need 2 <= folds <= n")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    xu, _, _, group = d.grouped
-    k = d.n_categories
-    w_total = float(d.w.sum())
     assignments = [_stratified_folds(d.y, folds, seed + 7919 * r) for r in range(repeats)]
     splits = [(assignment, f) for assignment in assignments for f in range(folds)]
-    per_stack = max(1, STACK_CELLS // (len(xu) * k))
-    scores = np.zeros((len(splits), len(grid)))
-    for lo in range(0, len(splits), per_stack):
-        stack = splits[lo : lo + per_stack]
-        counts = np.empty((len(stack), k, len(xu)))
-        fractions = np.empty(len(stack))
-        start = np.empty((len(stack), k, d.n_predictors))
-        tests = []
-        for b, (assignment, f) in enumerate(stack):
-            train = np.flatnonzero(assignment != f)
-            y, w = d.y[train], d.w[train]
-            if len(np.unique(y)) < 2:
-                raise ValueError("need at least 2 observed categories")
-            # The training rows in respondent order: the same sums a regroup of them gives.
-            counts[b] = np.bincount(y * len(xu) + group[train], weights=w, minlength=counts[b].size).reshape(k, -1)
-            fractions[b] = float(w.sum()) / w_total
-            start[b] = _intercept_start(y, w, k, d.n_predictors, constraint)
-            tests.append(np.flatnonzero(assignment == f))
-        # Only the distinct rows some problem of the stack trains on.
-        rows = np.flatnonzero(counts.any(axis=(0, 1)))
-        stack_xu, counts = xu[rows], counts[:, :, rows]
-        totals = counts.sum(axis=1)
-        for j, lam in enumerate(grid):
-            penalty = PenaltySpec.group_lasso(lam)
-            x, _ = _fit_stack(
-                stack_xu, counts, totals, penalty.group_lambda * fractions, penalty.ridge_coefficient,
-                constraint, options, start,
-            )
-            coef = project_constraint(x, constraint)
-            scores[lo : lo + len(stack), j] = [_holdout_nll(coef[b], d, test) for b, test in enumerate(tests)]
-            # Warm start, projected once more as ``fit`` projects a given start.
-            start = project_constraint(coef, constraint)
+    scores, path = _fit_grid(d, grid, splits, constraint, options, return_path)
     means = scores.mean(axis=0)
     best = 0
     for j in range(1, len(grid)):
         if means[j] < means[best]:
             best = j
-    return grid[best], tuple(float(v) for v in means)
+    selected = grid[best], tuple(float(v) for v in means)
+    return (*selected, path) if return_path else selected

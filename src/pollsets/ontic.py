@@ -98,15 +98,25 @@ def fit_ontic(
     seed: int = 0,
     options: mnl.FitOptions = mnl.FitOptions(),
     repeats: int = 1,
-) -> tuple[mnl.MnlModel, CoefficientTable, float]:
-    """Cross-validated group-lasso fit over the ontic categories."""
-    design = ontic_design(s, cats)
+    *,
+    design: mnl.DesignData | None = None,
+    return_path: bool = False,
+):
+    """Cross-validated group-lasso fit over the ontic categories.
+
+    ``design`` is ``ontic_design(s, cats)``, built here if not given.
+    With ``return_path`` a fourth item holds ``regularization_path``
+    over the same grid, fitted in the cross-validation stacks.
+    """
+    if design is None:
+        design = ontic_design(s, cats)
     constraint = mnl.Constraint.symmetric()
-    if lambda_grid is None:
-        lambda_grid = mnl.default_lambda_grid(design, constraint)
-    best_lam, _ = mnl.cross_validate(design, lambda_grid, folds, seed, constraint, options, repeats)
+    grid = mnl.default_lambda_grid(design, constraint) if lambda_grid is None else [float(v) for v in lambda_grid]
+    cv = mnl.cross_validate(design, grid, folds, seed, constraint, options, repeats, return_path=return_path)
+    best_lam = cv[0]
     model, _ = mnl.fit(design, mnl.PenaltySpec.group_lasso(best_lam), constraint, options)
-    return model, _coefficient_table(s, cats, model), best_lam
+    fitted = model, _coefficient_table(s, cats, model), best_lam
+    return (*fitted, _path(s, grid, cv[2])) if return_path else fitted
 
 
 def regularization_path(
@@ -117,17 +127,11 @@ def regularization_path(
 ) -> list[tuple[float, dict[str, float]]]:
     """Per-covariate group norms along a descending lambda grid, warm-started."""
     grid = [float(v) for v in lambda_grid]
-    if any(b > a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be descending")
-    design = ontic_design(s, cats)
-    constraint = mnl.Constraint.symmetric()
-    path = []
-    warm = None
-    for lam in grid:
-        model, report = mnl.fit(design, mnl.PenaltySpec.group_lasso(lam), constraint, options, start=warm)
-        warm = model.coefficients
-        path.append((lam, dict(zip(s.schema, report.group_norms))))
-    return path
+    return _path(s, grid, mnl.fit_path(ontic_design(s, cats), grid, mnl.Constraint.symmetric(), options))
+
+
+def _path(s: Survey, grid: list[float], reports: list[mnl.FitReport]) -> list[tuple[float, dict[str, float]]]:
+    return [(lam, dict(zip(s.schema, r.group_norms))) for lam, r in zip(grid, reports)]
 
 
 def path_to_csv(path: list[tuple[float, dict[str, float]]]) -> str:

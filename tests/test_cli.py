@@ -418,6 +418,26 @@ class TestOntic:
             outputs.append((table.read_bytes(), path.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_fixture_path_and_table_match_the_library(self, capsys, tmp_path, wave3_path, seed):
+        # The path is fitted in the cross-validation stacks; it must write what
+        # the library's own path fit gives, and the table must not move.
+        from pollsets import PartyRegistry, mnl, ontic, parse_survey
+
+        registry, schema = "SPD,CDU_CSU,GRUENE,FDP,AFD,LINKE", "female,age_65plus,east,high_income,urban"
+        path_out = tmp_path / "path.csv"
+        code, out, _ = run(
+            capsys, "ontic", "--input", wave3_path, "--registry", registry, "--schema", schema,
+            "--k", "5", "--grid-points", "5", "--folds", "3", "--seed", seed, "--path-out", path_out,
+        )
+        assert code == 0
+        survey = parse_survey(wave3_path.read_text(), PartyRegistry(tuple(registry.split(","))), tuple(schema.split(",")))
+        cats, _ = ontic.build_ontic_categories(survey, 5)
+        grid = mnl.default_lambda_grid(ontic.ontic_design(survey, cats), mnl.Constraint.symmetric(), points=5)
+        want = ontic.path_to_csv(ontic.regularization_path(survey, cats, grid))
+        assert path_out.read_text(encoding="utf-8") == want
+        assert out == ontic.fit_ontic(survey, cats, grid, folds=3, seed=seed)[1].to_json()
+
     def test_repeated_schema_label_exit_2(self, capsys, tmp_path):
         # A repeated label once wrote a path header with fewer columns than
         # coefficients and collapsed the JSON "zeroed" dict.

@@ -337,6 +337,21 @@ def test_json_misread_fields_rejected(field, value, message):
         survey_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "weight, shown",
+    [(10**400, "inf"), (-(10**400), "-inf"), (0, "0.0"), (-1.5, "-1.5")],
+    ids=["huge-int", "huge-negative-int", "zero", "negative"],
+)
+def test_json_weight_out_of_range_names_the_respondent(weight, shown):
+    # An integer past the largest float once escaped as OverflowError.
+    doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
+    doc["respondents"] = [{"weight": 1.0, "parties": ["A"], "covariates": None} for _ in range(2)]
+    doc["respondents"][1]["weight"] = weight
+    message = f"respondent 1: weight must be positive and finite, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        survey_from_json(json.dumps(doc))
+
+
 def test_json_integer_weight_read_as_float():
     doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
     doc["respondents"] = [{"weight": 2, "parties": ["B", "A"], "covariates": None}]

@@ -1,8 +1,9 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -576,3 +577,83 @@ def stack_matches_solo_fits(problems, constraint):
 def test_penalty_rejects_a_lambda_that_is_negative_or_not_finite(make, lam):
     with pytest.raises(ValueError, match="^lambda must be finite and >= 0"):
         make(lam)
+
+
+def warm_started_fits(d, grid, constraint, options):
+    """Reference path: one ``fit`` per grid value, each started where the one before ended."""
+    reports, warm = [], None
+    for lam in grid:
+        model, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(lam), constraint, options, start=warm)
+        reports.append(report)
+        warm = model.coefficients
+    return reports
+
+
+def record_stack_sizes(monkeypatch):
+    """The number of problems of every ``_fit_stack`` call made from here on."""
+    sizes = []
+    fit_stack = mnl._fit_stack
+
+    def spy(xu, counts, *args):
+        sizes.append(len(counts))
+        return fit_stack(xu, counts, *args)
+
+    monkeypatch.setattr(mnl, "_fit_stack", spy)
+    return sizes
+
+
+class TestPathInTheStacks:
+    @settings(max_examples=25, deadline=None)
+    # 504 distinct rows, and the last stack's one fold misses some: a stack
+    # over every row would change that fold's sums, and so its bits.
+    @example(seed=4, n=2000, k=5, p=10, folds=3, repeats=1, reference=False, per_stack=2)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(20, 120),
+        k=st.integers(3, 11),
+        p=st.integers(2, 6),
+        folds=st.integers(2, 4),
+        repeats=st.integers(1, 3),
+        reference=st.booleans(),
+        per_stack=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_changes_no_fold_and_matches_warm_started_fits(self, seed, n, k, p, folds, repeats, reference, per_stack):
+        d = random_design(seed, n=n, k=k, p=p)
+        # Every training fold needs two categories: two with two rows or more.
+        assume(np.sum(np.bincount(d.y) >= 2) >= 2)
+        constraint = mnl.Constraint.reference(0) if reference else mnl.Constraint.symmetric()
+        grid = mnl.default_lambda_grid(d, constraint, 4)
+        # Near-separable draws would run long at the bottom of the grid; a
+        # stop at max_iterations must match too.
+        options = mnl.FitOptions(max_iterations=100)
+        cells = mnl.STACK_CELLS if per_stack is None else per_stack * len(d.grouped[0]) * k
+        with patch.object(mnl, "STACK_CELLS", cells):
+            plain = mnl.cross_validate(d, grid, folds, seed, constraint, options, repeats)
+            best, means, path = mnl.cross_validate(d, grid, folds, seed, constraint, options, repeats, return_path=True)
+            alone = mnl.fit_path(d, grid, constraint, options)
+        # Bit for bit: == on finite floats.
+        assert (best, means) == plain
+        assert path == alone == warm_started_fits(d, grid, constraint, options)
+
+    @pytest.mark.parametrize("per_stack", [None, 1, 3, 4])
+    def test_joins_the_last_stack_if_its_folds_train_on_every_row(self, monkeypatch, per_stack):
+        # Two distinct rows, both in every training fold.
+        d = random_design(50, n=60, k=4, p=2)
+        if per_stack is not None:
+            monkeypatch.setattr(mnl, "STACK_CELLS", per_stack * len(d.grouped[0]) * d.n_categories)
+        sizes = record_stack_sizes(monkeypatch)
+        grid = mnl.default_lambda_grid(d, mnl.Constraint.symmetric(), 2)
+        mnl.cross_validate(d, grid, 3, 0, repeats=2, return_path=True)
+        # Six folds; the full-data fit takes a free slot of the last stack, or a stack of its own.
+        want = {None: [7], 1: [1] * 7, 3: [3, 3, 1], 4: [4, 3]}[per_stack]
+        assert sizes == [size for size in want for _ in grid]
+
+    def test_fits_alone_if_the_last_stack_misses_a_row(self, monkeypatch):
+        d = random_design(8, n=80, k=3, p=7)
+        xu, _, _, group = d.grouped
+        # Stacks of two folds: the last holds fold 2 alone, which misses rows.
+        assert len(np.unique(group[mnl._stratified_folds(d.y, 3, 8) != 2])) < len(xu)
+        monkeypatch.setattr(mnl, "STACK_CELLS", 2 * len(xu) * d.n_categories)
+        sizes = record_stack_sizes(monkeypatch)
+        mnl.cross_validate(d, [0.5], 3, 8, return_path=True)
+        assert sizes == [2, 1, 1]

@@ -127,6 +127,18 @@ class TestRegularizationPath:
             norms = [entry[1][name] for entry in path]
             assert all(a <= b + 1e-6 for a, b in zip(norms, norms[1:]))
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_fitted_in_the_cross_validation_stacks(self, seed):
+        s = survey_with_covariates(seed=8)
+        cats, _ = build_ontic_categories(s, 2)
+        design = ontic.ontic_design(s, cats)
+        grid = mnl.default_lambda_grid(design, mnl.Constraint.symmetric(), 5)
+        model, table, lam, path = fit_ontic(s, cats, grid, folds=3, seed=seed, design=design, return_path=True)
+        plain_model, plain_table, plain_lam = fit_ontic(s, cats, grid, folds=3, seed=seed)
+        assert np.array_equal(model.coefficients, plain_model.coefficients)
+        assert (table, lam) == (plain_table, plain_lam)
+        assert path == regularization_path(s, cats, grid)
+
     def test_grid_must_descend(self):
         s = survey_with_covariates(seed=6)
         cats, _ = build_ontic_categories(s, 1)
