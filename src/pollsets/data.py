@@ -14,14 +14,14 @@ Covariates are binary and sets are bitmasks, so a survey has at most
 2^p x (2^K - 1) cells and usually far fewer than respondents; a bound or a forecast costs one step per
 distinct set or cell plus one exactly rounded sum, not one Python step
 per respondent.  The distinct covariate patterns are the rows of one
-read-only 0/1 ``uint8`` matrix (``CellTable.patterns``), so a design
-matrix is that matrix behind an intercept column.  Every producer of a
-survey hands ``CellTable.build`` its rows as columns (weights, set
-bitmasks, 0/1 covariate rows), and ``build`` alone numbers the sets,
-covariate patterns and cells, in key order (``key_order``); a model
-fit numbers its design rows by the same ``number_patterns``.  No
-object is made per row or per covariate pattern.  A clean file, with
-any number of covariates, is read by a columnar scan: one numpy pass
+read-only 0/1 ``uint8`` matrix (``CellTable.patterns``).  Every
+producer of a survey hands ``CellTable.build`` its rows as columns
+(weights, set bitmasks, 0/1 covariate rows), and ``build`` alone
+numbers the sets, covariate patterns and cells, in key order
+(``key_order``); a model design keeps those pattern numbers
+(``CellTable.design_groups``).  No object is made per row or per
+covariate pattern.  A clean file, with any number of covariates, is
+read by a columnar scan: one numpy pass
 finds each block's commas and newlines, the covariates come out as one
 0/1 matrix, a plain decimal weight (at most 16 bytes of ASCII digits,
 1 to 15 of them, and at most one ".") is decoded by array passes into
@@ -378,19 +378,19 @@ class CellTable:
         for w, g in zip(self.weights.tolist(), self.index.tolist()):
             yield (w, *cells[g])
 
-    def design_rows(self, category_of_set):
-        """Design arrays of the respondents whose set has a category, in respondent order.
+    def design_groups(self, category_of_set):
+        """The respondents whose set has a category, in respondent order, by covariate pattern.
 
         ``category_of_set[j]`` is the category of ``sets[j]``, or -1 to
-        leave its respondents out.  Returns ``x`` (an intercept column,
-        then the covariate values), ``y`` (the category) and ``w`` (the
-        weight).
+        leave its respondents out.  Returns each kept respondent's number
+        among the patterns the kept hold, those patterns in key order,
+        and each kept respondent's category and weight.
         """
         cell_category = np.asarray(category_of_set, dtype=np.intp)[self.cell_set]
         keep = np.flatnonzero(cell_category[self.index] >= 0)
         cells = self.index[keep]
-        x = self.pattern_rows()[self.cell_pattern[cells]]
-        return x, cell_category[cells], self.weights[keep]
+        group, used = key_order(self.cell_pattern[cells])
+        return group, self.patterns[used], cell_category[cells], self.weights[keep]
 
     def pattern_rows(self) -> np.ndarray:
         """One design row per covariate pattern: 1.0, then its values."""

@@ -115,10 +115,10 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
 def decided_design(s: Survey) -> mnl.DesignData:
     """Design data over decided respondents, categories in registry order."""
     category = [ps.indices()[0] if ps.is_singleton else -1 for ps in s.cells.sets]
-    x, y, w = s.cells.design_rows(category)
-    if not len(y):
+    d = mnl.DesignData.from_groups(*s.cells.design_groups(category), len(s.registry))
+    if not d.n:
         raise ValueError("no decided respondents")
-    return mnl.DesignData(x, y, w, len(s.registry))
+    return d
 
 
 def homogeneity_forecast(

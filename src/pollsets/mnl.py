@@ -18,11 +18,11 @@ perfect separation; binary covariates alone do not rule it out.
 
 Fits run on grouped counts, not on respondent rows.  Covariates are
 binary, so a design has at most 2^(P-1) distinct rows, often far fewer
-than respondents, numbered in lexicographic order as a cell table's
-covariate patterns are (``data.number_patterns``).  The weighted
-category counts per distinct row are sufficient statistics for the
-likelihood (Agresti, *Categorical Data Analysis*), so an iteration
-costs O(G K P) for G distinct rows instead of O(n K P).
+than respondents, in lexicographic order as a survey's cell table
+numbers them (``CellTable.design_groups``).  The weighted category
+counts per distinct row are sufficient statistics for the likelihood
+(Agresti, *Categorical Data Analysis*), so an iteration costs O(G K P)
+for G distinct rows instead of O(n K P).
 
 The fitter's per-row arrays are category-major: counts, scores and
 log-probabilities are K x G per problem, each category's G distinct
@@ -32,8 +32,9 @@ short reduction per row, which costs most when G is large and K is
 about 10.  The sums over categories run in category order for any K,
 never pairwise.  Counts are laid out once per fit or stack, never per
 iteration.  ``lambda_max`` and held-out scoring stay per respondent and
-row-major, so their sums keep their bits: the top of the lambda grid
-reaches the output exactly, and the held-out scores pick the penalty.
+row-major (``xu[group]``), so their sums keep their bits: the top of
+the lambda grid reaches the output exactly, and the held-out scores
+pick the penalty.
 
 One core, ``_fit_stack``, fits a stack of B problems that share the
 distinct rows and differ in their counts, penalty weight and start.
@@ -43,7 +44,7 @@ array operation in the core works per problem and in the same order
 for any B, so a problem fitted in a stack ends bit-identical to the
 same problem fitted alone over the same distinct rows with the same
 counts and row totals.  The totals must be the same floats, not merely
-equal sums: ``DesignData.grouped`` adds them up one way and a sum over
+equal sums: ``DesignData.totals`` adds them up one way and a sum over
 a stacked array may add them another.  ``fit`` is the case B = 1.
 Cross-validation fits the folds of every repeat at one lambda as one
 stack over the distinct rows they train on, each fold's training counts
@@ -57,7 +58,7 @@ scoring stay per respondent.
 The regularization path (the full-data fit at every lambda, warm-started
 along the grid) rides in the same stacks with ``cross_validate(...,
 return_path=True)``: one more problem after the last fold, with penalty
-fraction 1 and the grouped counts and totals, not scored.  It shares
+fraction 1 and the design's counts and totals, not scored.  It shares
 the last stack only if that stack's folds train on every distinct row,
 since more rows would change the folds' sums, and is a stack of its
 own otherwise; either way it ends bit-identical to ``fit_path`` and
@@ -69,7 +70,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -159,56 +159,62 @@ def _project_in_place(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DesignData:
-    """Estimation rows: design matrix with leading intercept and 0/1 covariates, category index, weight."""
+    """Estimation data by distinct design row: the G rows ``xu`` (intercept, then 0/1 covariates)
+    in lexicographic order; respondent i's row ``group[i]``, category ``y[i]`` and weight ``w[i]``;
+    the K x G weighted category ``counts``, summed in respondent order, and their column ``totals``."""
 
-    x: np.ndarray
+    xu: np.ndarray
+    group: np.ndarray
     y: np.ndarray
     w: np.ndarray
     n_categories: int
+    counts: np.ndarray
+    totals: np.ndarray
 
-    def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        y = np.array(self.y, dtype=int)
-        w = np.array(self.w, dtype=float)
+    def __init__(self, x, y, w, n_categories: int):
+        """Check respondent rows ``x``, categories ``y`` and weights ``w``; number the rows by ``number_patterns``."""
+        x, y, w = np.asarray(x, dtype=float), np.array(y), np.array(w, dtype=float)
         if x.ndim != 2 or y.shape != (x.shape[0],) or w.shape != (x.shape[0],):
             raise ValueError("design shapes disagree")
-        if self.n_categories < 2:
-            raise ValueError("need at least 2 categories")
-        if x.shape[0] and not np.all(x[:, 0] == 1.0):
+        if not isinstance(n_categories, (int, np.integer)) or n_categories < 2:
+            raise ValueError(f"number of categories must be an integer >= 2, got {n_categories!r}")
+        if x.shape[0] and not (x.shape[1] and np.all(x[:, 0] == 1.0)):
             raise ValueError("design matrix must carry a leading intercept column of ones")
         if not np.all((x[:, 1:] == 0.0) | (x[:, 1:] == 1.0)):  # NaN fails too
             raise ValueError("covariates must be binary 0/1")
-        if np.any((y < 0) | (y >= self.n_categories)):
+        if y.dtype.kind not in "biu" and not (y.dtype.kind == "f" and np.all(y == np.trunc(y))):
+            raise ValueError("category indices must be integers")
+        if np.any((y < 0) | (y >= n_categories)):
             raise ValueError("category index out of range")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be positive and finite")
-        for name, arr in (("x", x), ("y", y), ("w", w)):
+        self._store(*number_patterns(x[:, 1:]), y.astype(int), w, n_categories)
+
+    @classmethod
+    def from_groups(cls, group, patterns, y, w, n_categories: int) -> DesignData:
+        """Unchecked: the design of ``data.CellTable.design_groups``'s respondents."""
+        d = object.__new__(cls)
+        d._store(group, patterns, y, w, n_categories)
+        return d
+
+    def _store(self, group, patterns, y, w, k):
+        xu = np.hstack((np.ones((len(patterns), 1)), patterns))
+        counts = np.bincount(y * len(xu) + group, weights=w, minlength=k * len(xu)).reshape(k, len(xu))
+        arrays = (xu, group, y, w, counts, counts.sum(axis=0))
+        for name, arr in zip(("xu", "group", "y", "w", "counts", "totals"), arrays):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n_categories", k)
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
-
-    @cached_property
-    def grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct design rows ``xu``, their K x G weighted category counts, each row's total,
-        and each respondent's index into ``xu``; ``data.number_patterns`` numbers the rows."""
-        group, patterns = number_patterns(self.x[:, 1:])
-        xu = np.hstack((np.ones((len(patterns), 1)), patterns))
-        g = len(xu)
-        counts = np.bincount(self.y * g + group, weights=self.w, minlength=self.n_categories * g)
-        counts = counts.reshape(self.n_categories, g)
-        totals = counts.sum(axis=0)
-        for arr in (xu, counts, totals, group):
-            arr.flags.writeable = False
-        return xu, counts, totals, group
+        return len(self.y)
 
     @property
     def n_predictors(self) -> int:
-        return self.x.shape[1]
+        return self.xu.shape[1]
 
 
 @dataclass(frozen=True)
@@ -315,11 +321,10 @@ def _stack_gradient(coef, logp, xu, counts, totals, ridge: float) -> np.ndarray:
 
 def _smooth_parts(coef: np.ndarray, d: DesignData, ridge: float):
     """Weighted NLL + ridge on non-intercept columns of one K x P matrix, and its raw gradient."""
-    xu, counts, totals, _ = d.grouped
     coef = np.asarray(coef, dtype=float)[None]
-    nll, logp = _stack_value(coef, xu, counts[None], ridge)
+    nll, logp = _stack_value(coef, d.xu, d.counts[None], ridge)
     _check_finite(nll.tolist())
-    return float(nll[0]), _stack_gradient(coef, logp, xu, counts[None], totals[None], ridge)[0]
+    return float(nll[0]), _stack_gradient(coef, logp, d.xu, d.counts[None], d.totals[None], ridge)[0]
 
 
 def nll_and_gradient(m: MnlModel, d: DesignData) -> tuple[float, np.ndarray]:
@@ -369,11 +374,9 @@ def group_norms(coef: np.ndarray) -> tuple[float, ...]:
 
 
 def _intercept_start(y: np.ndarray, w: np.ndarray, k: int, p: int, constraint: Constraint) -> np.ndarray:
-    counts = np.zeros(k)
-    np.add.at(counts, y, w)
-    freqs = np.maximum(counts / counts.sum(), 1e-12)
+    counts = np.bincount(y, weights=w, minlength=k)
     coef = np.zeros((k, p))
-    coef[:, 0] = np.log(freqs)
+    coef[:, 0] = np.log(np.maximum(counts / counts.sum(), 1e-12))
     return project_constraint(coef, constraint)
 
 
@@ -559,18 +562,15 @@ def fit(
 
     Deterministic given identical inputs and options.  A line search
     that cannot make progress within ``MAX_BACKTRACKS`` step halvings
-    ends the fit with ``converged=False`` instead of raising.  A step
-    without momentum that raises the objective ends it as stationary:
-    from the incumbent, an accepted proximal step can only lose to
-    rounding.
+    ends the fit with ``converged=False`` instead of raising; a step
+    without momentum that raises the objective ends it as stationary.
     """
     if len(np.unique(d.y)) < 2:
         raise ValueError("need at least 2 observed categories")
     x0 = project_constraint(start, constraint) if start is not None else initial_coefficients(d, constraint)
-    xu, counts, totals, _ = d.grouped
     lams = np.array([penalty.group_lambda])
     x, (report,) = _fit_stack(
-        xu, counts[None], totals[None], lams, penalty.ridge_coefficient, constraint, options, x0[None]
+        d.xu, d.counts[None], d.totals[None], lams, penalty.ridge_coefficient, constraint, options, x0[None]
     )
     return MnlModel(project_constraint(x[0], constraint), constraint, penalty), report
 
@@ -598,15 +598,17 @@ def lambda_max(d: DesignData, constraint: Constraint) -> float:
     coef = initial_coefficients(d, constraint)
     # Per respondent row, not grouped: see the module docstring.  The
     # ridge term vanishes here, since every non-intercept column is zero.
-    resid = np.exp(_log_softmax(d.x @ coef.T))
+    x = d.xu[d.group]
+    resid = np.exp(_log_softmax(x @ coef.T))
     resid[np.arange(d.n), d.y] -= 1.0
-    grad = project_constraint((resid * d.w[:, None]).T @ d.x, constraint)
-    norms = group_norms(grad)
-    return max(norms) if norms else 0.0
+    grad = project_constraint((resid * d.w[:, None]).T @ x, constraint)
+    return max(group_norms(grad), default=0.0)
 
 
 def default_lambda_grid(d: DesignData, constraint: Constraint, points: int = 20) -> tuple[float, ...]:
     """Log-spaced descending grid from lambda_max down to lambda_max / 1000."""
+    if points < 1:
+        raise ValueError(f"grid points must be >= 1, got {points}")
     top = lambda_max(d, constraint)
     if top <= 0:
         return (0.0,)
@@ -627,7 +629,7 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
 
 
 def _holdout_nll(coef: np.ndarray, d: DesignData, idx: np.ndarray) -> float:
-    logp = _log_softmax(d.x[idx] @ coef.T)
+    logp = _log_softmax(d.xu[d.group[idx]] @ coef.T)
     picked = logp[np.arange(len(idx)), d.y[idx]]
     w = d.w[idx]
     return -float(np.dot(w, picked)) / float(w.sum())
@@ -643,8 +645,7 @@ def _descending(lambda_grid) -> list[float]:
 def _fold_stack(d: DesignData, stack: list, constraint: Constraint):
     """The training problems of the (assignment, fold) pairs in ``stack``, over the distinct
     rows they train on: those rows, counts, totals, penalty fractions, starts, held-out rows."""
-    xu, _, _, group = d.grouped
-    k = d.n_categories
+    xu, k = d.xu, d.n_categories
     w_total = float(d.w.sum())
     counts = np.empty((len(stack), k, len(xu)))
     fractions = np.empty(len(stack))
@@ -656,7 +657,7 @@ def _fold_stack(d: DesignData, stack: list, constraint: Constraint):
         if len(np.unique(y)) < 2:
             raise ValueError("need at least 2 observed categories")
         # The training rows in respondent order: the same sums a regroup of them gives.
-        counts[b] = np.bincount(y * len(xu) + group[train], weights=w, minlength=counts[b].size).reshape(k, -1)
+        counts[b] = np.bincount(y * len(xu) + d.group[train], weights=w, minlength=counts[b].size).reshape(k, -1)
         fractions[b] = float(w.sum()) / w_total
         start[b] = _intercept_start(y, w, k, d.n_predictors, constraint)
         tests.append(np.flatnonzero(assignment == f))
@@ -678,20 +679,19 @@ def _fit_grid(
     score at each value, and the full-data fit's report at each value
     (none without ``path``).
     """
-    xu, counts_all, totals_all, _ = d.grouped
-    per_stack = max(1, STACK_CELLS // (len(xu) * d.n_categories))
+    per_stack = max(1, STACK_CELLS // (len(d.xu) * d.n_categories))
     scores = np.zeros((len(splits), len(grid)))
     path_reports = [None] * len(grid) if path else []
     for lo in range(0, len(splits) + path, per_stack):
         stacks = [_fold_stack(d, splits[lo : lo + per_stack], constraint)] if lo < len(splits) else []
         if path and lo + per_stack > len(splits):
             # The full-data fit, after the last split.
-            full = (counts_all[None], totals_all[None], np.ones(1), initial_coefficients(d, constraint)[None])
-            if stacks and len(stacks[0][0]) == len(xu):
+            full = (d.counts[None], d.totals[None], np.ones(1), initial_coefficients(d, constraint)[None])
+            if stacks and len(stacks[0][0]) == len(d.xu):
                 stack_xu, *arrays, tests = stacks[0]
                 stacks[0] = (stack_xu, *map(np.concatenate, zip(arrays, full)), tests)
             else:
-                stacks.append((xu, *full, []))
+                stacks.append((d.xu, *full, []))
         for stack_xu, counts, totals, fractions, start, tests in stacks:
             for j, lam in enumerate(grid):
                 penalty = PenaltySpec.group_lasso(lam)
@@ -748,10 +748,9 @@ def cross_validate(
     Returns the selected lambda and the mean score at each grid value.
     With ``return_path`` a third item holds ``fit_path``'s reports for
     the same grid, fitted in the cross-validation stacks without
-    changing any fold's result; see the module docstring.
-
-    The folds x repeats at one lambda are fitted as stacks of up to
-    ``STACK_CELLS`` count cells; see the module docstring.
+    changing any fold's result.  The folds x repeats at one lambda are
+    fitted as stacks of up to ``STACK_CELLS`` count cells; see the
+    module docstring.
     """
     grid = _descending(lambda_grid)
     if not grid:

@@ -72,10 +72,10 @@ def build_ontic_categories(s: Survey, k: int) -> tuple[tuple[PartySet, ...], int
 def ontic_design(s: Survey, cats: tuple[PartySet, ...]) -> mnl.DesignData:
     """Design data mapping each retained respondent to its category index."""
     index = {ps: i for i, ps in enumerate(cats)}
-    x, y, w = s.cells.design_rows([index.get(ps, -1) for ps in s.cells.sets])
-    if not len(y):
+    d = mnl.DesignData.from_groups(*s.cells.design_groups([index.get(ps, -1) for ps in s.cells.sets]), len(cats))
+    if not d.n:
         raise ValueError("no respondents fall into the ontic categories")
-    return mnl.DesignData(x, y, w, len(cats))
+    return d
 
 
 def _coefficient_table(s: Survey, cats: tuple[PartySet, ...], model: mnl.MnlModel) -> CoefficientTable:

@@ -116,6 +116,17 @@ class TestMalformedInput:
         code, out, err = run(capsys, "describe", "--input", path, "--registry", REG)
         assert (code, out, err) == (2, "", "error: total weight exceeds the largest float\n")
 
+    @pytest.mark.parametrize("points", ["-3", "0"])
+    def test_grid_points_below_one_exit_2(self, capsys, tmp_path, points):
+        # -3 used to exit with numpy's "Number of samples" message, and 0
+        # with "lambda grid is empty".
+        data = tmp_path / "cov.csv"
+        data.write_text("weight,parties,u\n1.0,A,0\n1.0,B,1\n1.0,A;B,1\n1.0,C,0\n")
+        code, out, err = run(
+            capsys, "ontic", "--input", data, "--registry", REG, "--schema", "u", "--k", "1", "--grid-points", points
+        )
+        assert (code, out, err) == (2, "", f"error: grid points must be >= 1, got {points}\n")
+
     @pytest.mark.parametrize("flag", ["--input", "--registry"])
     def test_missing_file_exit_2_names_it(self, capsys, fixture_csv, tmp_path, flag):
         absent = tmp_path / "absent.txt"

@@ -10,14 +10,23 @@ from hypothesis.extra.numpy import arrays
 from pollsets import mnl
 
 
-def random_design(seed, n=5, k=3, p=3, weights=None):
+def random_rows(seed, n=5, k=3, p=3):
+    """Respondent rows (intercept first, 0/1 covariates), categories and weights."""
     rng = np.random.default_rng(seed)
     x = np.hstack([np.ones((n, 1)), rng.integers(0, 2, (n, p - 1)).astype(float)])
     y = rng.integers(0, k, n)
     while len(np.unique(y)) < 2:
         y = rng.integers(0, k, n)
-    w = weights if weights is not None else rng.uniform(0.5, 2.0, n)
-    return mnl.DesignData(x, y, w, k)
+    return x, y, rng.uniform(0.5, 2.0, n)
+
+
+def random_design(seed, n=5, k=3, p=3):
+    return mnl.DesignData(*random_rows(seed, n, k, p), k)
+
+
+def rows(d):
+    """Each respondent's design row, rebuilt from the distinct rows."""
+    return d.xu[d.group]
 
 
 def fd_gradient(coef, d, ridge, constraint, h=1e-5):
@@ -53,7 +62,7 @@ class TestNllAndGradient:
 
     def test_weights_scale_linearly(self):
         d = random_design(3)
-        doubled = mnl.DesignData(d.x, d.y, 2 * d.w, d.n_categories)
+        doubled = mnl.DesignData(rows(d), d.y, 2 * d.w, d.n_categories)
         coef = mnl.project_constraint(np.random.default_rng(3).normal(size=(3, 3)), mnl.Constraint.symmetric())
         model = mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
         nll1, g1 = mnl.nll_and_gradient(model, d)
@@ -73,7 +82,7 @@ def per_row_smooth_parts(coef, d, ridge):
     """Reference objective summed over respondent rows, not grouped counts."""
     nll = 0.0
     grad = np.zeros_like(coef)
-    for x, y, w in zip(d.x, d.y, d.w):
+    for x, y, w in zip(rows(d), d.y, d.w):
         scores = coef @ x
         log_norm = scores.max() + math.log(np.exp(scores - scores.max()).sum())
         nll -= w * (scores[y] - log_norm)
@@ -96,7 +105,7 @@ class TestGroupedObjective:
         # At most 2^(p-1) distinct rows: with p = 4 almost every row repeats;
         # with p = 15 and K = 10, as on a wide survey, almost none does.
         d = random_design(seed, n=n, k=k, p=p)
-        assert len(d.grouped[0]) <= 2 ** (p - 1)
+        assert len(d.xu) <= 2 ** (p - 1)
         constraint = mnl.Constraint.symmetric()
         rng = np.random.default_rng(seed + 200)
         coef = mnl.project_constraint(rng.normal(size=(k, p)), constraint)
@@ -108,41 +117,42 @@ class TestGroupedObjective:
         assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
 
     def test_grouped_table_sums_weights(self):
-        d = random_design(5, n=50, k=3, p=3)
-        xu, counts, totals, group = d.grouped
-        assert np.array_equal(xu[group], d.x)
+        x, y, w = random_rows(5, n=50, k=3, p=3)
+        d = mnl.DesignData(x, y, w, 3)
+        xu, counts, totals, group = d.xu, d.counts, d.totals, d.group
+        assert np.array_equal(xu[group], x)
         assert len(np.unique(xu, axis=0)) == len(xu)
         assert counts.shape == (3, len(xu))
         assert abs(totals.sum() - d.w.sum()) < 1e-12 * d.w.sum()
         for g, row in enumerate(xu):
-            here = np.all(d.x == row, axis=1)
+            here = np.all(x == row, axis=1)
             for k in range(3):
                 assert abs(counts[k, g] - d.w[here & (d.y == k)].sum()) < 1e-12
-        column_major = mnl.DesignData(np.asfortranarray(d.x), d.y, d.w, 3)
-        assert all(np.array_equal(a, b) for a, b in zip(column_major.grouped, d.grouped))
+        column_major = mnl.DesignData(np.asfortranarray(x), y, w, 3)
+        assert all(np.array_equal(getattr(column_major, f), getattr(d, f)) for f in ("xu", "counts", "totals", "group"))
 
     def test_doubled_rows_at_half_weight_fit_the_same(self):
         d = random_design(31, n=120, k=3, p=4)
-        doubled = mnl.DesignData(np.repeat(d.x, 2, axis=0), np.repeat(d.y, 2), np.repeat(d.w / 2, 2), 3)
+        doubled = mnl.DesignData(np.repeat(rows(d), 2, axis=0), np.repeat(d.y, 2), np.repeat(d.w / 2, 2), 3)
         penalty, constraint = mnl.PenaltySpec.group_lasso(0.4), mnl.Constraint.symmetric()
         model, _ = mnl.fit(d, penalty, constraint)
         again, _ = mnl.fit(doubled, penalty, constraint)
         assert np.max(np.abs(model.coefficients - again.coefficients)) < 1e-10
 
 
-def void_row_grouping(d):
+def void_row_grouping(x, y, w, k):
     """Distinct rows, counts, totals and groups as ``np.unique`` over the rows' float64 bytes numbers them."""
-    rows = np.ascontiguousarray(d.x).view(np.dtype((np.void, d.x.itemsize * d.x.shape[1])))
-    _, first, group = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-    xu = d.x[first]
+    keys = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1])))
+    _, first, group = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    xu = x[first]
     g = len(xu)
-    counts = np.bincount(d.y * g + group, weights=d.w, minlength=d.n_categories * g).reshape(d.n_categories, g)
+    counts = np.bincount(y * g + group, weights=w, minlength=k * g).reshape(k, g)
     return xu, counts, counts.sum(axis=0), group
 
 
 @st.composite
 def binary_designs(draw):
-    """A design over a few distinct 0/1 rows, each repeated, in C or Fortran order."""
+    """Rows of a design over a few distinct 0/1 rows, each repeated, in C or Fortran order."""
     p = draw(st.sampled_from([0, 1, 5, 14, 62, 63, 64, 70]))
     pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=p, max_size=p), min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=30))
@@ -152,14 +162,15 @@ def binary_designs(draw):
     k = draw(st.integers(2, 4))
     y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=len(picks), max_size=len(picks))), dtype=int)
     w = np.array(draw(st.lists(st.floats(0.01, 100.0), min_size=len(picks), max_size=len(picks))))
-    return mnl.DesignData(x, y, w, k)
+    return x, y, w, k
 
 
 @settings(max_examples=200, deadline=None)
 @given(binary_designs())
-def test_grouped_matches_void_row_sort_bit_for_bit(d):
-    xu, counts, totals, group = d.grouped
-    want_xu, want_counts, want_totals, want_group = void_row_grouping(d)
+def test_grouped_matches_void_row_sort_bit_for_bit(design_rows):
+    d = mnl.DesignData(*design_rows)
+    xu, counts, totals, group = d.xu, d.counts, d.totals, d.group
+    want_xu, want_counts, want_totals, want_group = void_row_grouping(*design_rows)
     assert xu.shape == want_xu.shape and xu.tobytes() == want_xu.tobytes()
     assert counts.shape == want_counts.shape and counts.tobytes() == want_counts.tobytes()
     assert totals.tobytes() == want_totals.tobytes()
@@ -425,10 +436,42 @@ class TestCrossValidate:
 def test_design_data_validation():
     with pytest.raises(ValueError):
         mnl.DesignData(np.zeros((3, 2)), np.zeros(3, dtype=int), np.ones(3), 2)  # no intercept
+    with pytest.raises(ValueError, match="intercept"):
+        mnl.DesignData(np.ones((3, 0)), np.zeros(3, dtype=int), np.ones(3), 2)  # no columns at all
     with pytest.raises(ValueError):
         mnl.DesignData(np.ones((3, 1)), np.array([0, 1, 5]), np.ones(3), 3)  # bad category
     with pytest.raises(ValueError):
         mnl.DesignData(np.ones((3, 1)), np.array([0, 1, 1]), np.array([1.0, -1.0, 1.0]), 2)
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, np.nan, "1", None])
+def test_design_data_rejects_non_integer_categories(bad):
+    # 1.7 used to be read as category 1, and "1" as 1.
+    with pytest.raises(ValueError, match="^category indices must be integers$"):
+        mnl.DesignData(np.ones((3, 1)), [0, bad, 1], np.ones(3), 2)
+
+
+def test_design_data_takes_whole_float_categories():
+    d = mnl.DesignData(np.ones((3, 1)), [0.0, 1.0, 1.0], np.ones(3), 2)
+    assert d.y.tolist() == [0, 1, 1] and d.y.dtype == int
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", None, 1, 0])
+def test_design_data_rejects_a_category_count_that_is_not_an_integer_of_two_or_more(k):
+    with pytest.raises(ValueError, match="^number of categories must be an integer >= 2, got "):
+        mnl.DesignData(np.ones((3, 1)), [0, 1, 1], np.ones(3), k)
+
+
+def test_design_data_leaves_the_callers_arrays_writable():
+    x, y, w = random_rows(1, n=8)
+    mnl.DesignData(x, y, w, 3)
+    assert x.flags.writeable and y.flags.writeable and w.flags.writeable
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_lambda_grid_needs_a_point(points):
+    with pytest.raises(ValueError, match=f"^grid points must be >= 1, got {points}$"):
+        mnl.default_lambda_grid(random_design(0, n=20), mnl.Constraint.symmetric(), points)
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
@@ -455,13 +498,14 @@ def per_fold_stratified_folds(y, folds, seed):
 def per_fold_cross_validate(d, grid, folds, seed, constraint, repeats=1):
     """Reference: one ``fit`` per fold and lambda, each on the fold's own regrouped rows."""
     w_total = float(d.w.sum())
+    x = rows(d)
     scores = np.zeros((folds * repeats, len(grid)))
     for r in range(repeats):
         assignment = per_fold_stratified_folds(d.y, folds, seed + 7919 * r)
         for f in range(folds):
             train = np.flatnonzero(assignment != f)
             test = np.flatnonzero(assignment == f)
-            d_train = mnl.DesignData(d.x[train], d.y[train], d.w[train], d.n_categories)
+            d_train = mnl.DesignData(x[train], d.y[train], d.w[train], d.n_categories)
             fraction = float(d_train.w.sum()) / w_total
             warm = None
             for j, lam in enumerate(grid):
@@ -469,7 +513,7 @@ def per_fold_cross_validate(d, grid, folds, seed, constraint, repeats=1):
                 warm = model.coefficients
                 held_out = 0.0
                 for i in test:
-                    scores_i = model.coefficients @ d.x[i]
+                    scores_i = model.coefficients @ x[i]
                     log_norm = scores_i.max() + math.log(np.exp(scores_i - scores_i.max()).sum())
                     held_out -= d.w[i] * (scores_i[d.y[i]] - log_norm)
                 scores[r * folds + f, j] = held_out / d.w[test].sum()
@@ -483,7 +527,7 @@ def design_missing_a_category(seed):
     d = random_design(seed, n=90, k=3, p=4)
     y = d.y.copy()
     y[0] = 3
-    return mnl.DesignData(d.x, y, d.w, 4)
+    return mnl.DesignData(rows(d), y, d.w, 4)
 
 
 class TestStackedCrossValidation:
@@ -512,7 +556,7 @@ class TestStackedCrossValidation:
     def test_split_stacks_match_per_fold_fits(self, monkeypatch, per_stack):
         # Up to 64 distinct rows for 80 respondents: most folds miss some rows.
         d = random_design(8, n=80, k=3, p=7)
-        xu, _, _, group = d.grouped
+        xu, group = d.xu, d.group
         assert len(np.unique(group[mnl._stratified_folds(d.y, 3, 8) != 0])) < len(xu)
         # The large-design path: stacks of one or two problems, each over the rows they train on.
         monkeypatch.setattr(mnl, "STACK_CELLS", per_stack * len(xu) * d.n_categories)
@@ -527,7 +571,7 @@ class TestStackedCrossValidation:
         constraint = mnl.Constraint.symmetric()
         d = random_design(41, n=200, k=4, p=5)
         # Same rows, other weights: the same distinct rows, other counts.
-        other = mnl.DesignData(d.x, d.y, np.random.default_rng(42).uniform(0.1, 4.0, d.n), d.n_categories)
+        other = mnl.DesignData(rows(d), d.y, np.random.default_rng(42).uniform(0.1, 4.0, d.n), d.n_categories)
         top = mnl.lambda_max(d, constraint)
         # The first starts at its optimum and stops in iteration 1; the rest run long.
         problems = [(d, 1.01 * top), (d, 0.01 * top), (other, 0.1 * top), (other, 1e-4 * top)]
@@ -540,7 +584,7 @@ class TestStackedCrossValidation:
         # stack and the solo fit must still add each problem's terms alike.
         constraint = mnl.Constraint.symmetric()
         d = random_design(43, n=400, k=11, p=5)
-        other = mnl.DesignData(d.x, d.y, np.random.default_rng(44).uniform(0.1, 4.0, d.n), d.n_categories)
+        other = mnl.DesignData(rows(d), d.y, np.random.default_rng(44).uniform(0.1, 4.0, d.n), d.n_categories)
         top = mnl.lambda_max(d, constraint)
         problems = [(d, 0.05 * top), (other, 0.3 * top), (d, 0.0), (other, 1e-3 * top)]
         reports = stack_matches_solo_fits(problems, constraint)
@@ -550,9 +594,9 @@ class TestStackedCrossValidation:
 def stack_matches_solo_fits(problems, constraint):
     """Fit (design, lambda) problems over the same distinct rows as one stack, check
     each against its solo fit, and return the stack's reports."""
-    xu = problems[0][0].grouped[0]
-    assert all(np.array_equal(p.grouped[0], xu) for p, _ in problems)
-    counts = np.stack([p.grouped[1] for p, _ in problems])
+    xu = problems[0][0].xu
+    assert all(np.array_equal(p.xu, xu) for p, _ in problems)
+    counts = np.stack([p.counts for p, _ in problems])
     assert counts.shape == (len(problems), problems[0][0].n_categories, len(xu))
     x, reports = mnl._fit_stack(
         xu,
@@ -626,7 +670,7 @@ class TestPathInTheStacks:
         # Near-separable draws would run long at the bottom of the grid; a
         # stop at max_iterations must match too.
         options = mnl.FitOptions(max_iterations=100)
-        cells = mnl.STACK_CELLS if per_stack is None else per_stack * len(d.grouped[0]) * k
+        cells = mnl.STACK_CELLS if per_stack is None else per_stack * len(d.xu) * k
         with patch.object(mnl, "STACK_CELLS", cells):
             plain = mnl.cross_validate(d, grid, folds, seed, constraint, options, repeats)
             best, means, path = mnl.cross_validate(d, grid, folds, seed, constraint, options, repeats, return_path=True)
@@ -640,7 +684,7 @@ class TestPathInTheStacks:
         # Two distinct rows, both in every training fold.
         d = random_design(50, n=60, k=4, p=2)
         if per_stack is not None:
-            monkeypatch.setattr(mnl, "STACK_CELLS", per_stack * len(d.grouped[0]) * d.n_categories)
+            monkeypatch.setattr(mnl, "STACK_CELLS", per_stack * len(d.xu) * d.n_categories)
         sizes = record_stack_sizes(monkeypatch)
         grid = mnl.default_lambda_grid(d, mnl.Constraint.symmetric(), 2)
         mnl.cross_validate(d, grid, 3, 0, repeats=2, return_path=True)
@@ -650,7 +694,7 @@ class TestPathInTheStacks:
 
     def test_fits_alone_if_the_last_stack_misses_a_row(self, monkeypatch):
         d = random_design(8, n=80, k=3, p=7)
-        xu, _, _, group = d.grouped
+        xu, group = d.xu, d.group
         # Stacks of two folds: the last holds fold 2 alone, which misses rows.
         assert len(np.unique(group[mnl._stratified_folds(d.y, 3, 8) != 2])) < len(xu)
         monkeypatch.setattr(mnl, "STACK_CELLS", 2 * len(xu) * d.n_categories)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pollsets import (
     PartyRegistry,
@@ -11,6 +13,8 @@ from pollsets import (
     ontic,
     regularization_path,
 )
+from pollsets.data import CellTable
+from pollsets.forecast import decided_design
 
 SCHEMA = ("u", "v")
 
@@ -94,8 +98,6 @@ class TestFitOntic:
         s = survey_with_covariates(seed=3)
         cats, _ = build_ontic_categories(s, 0)
         model, _, _ = fit_ontic(s, cats, lambda_grid=[0.3], folds=3, seed=0)
-        from pollsets.forecast import decided_design
-
         direct, _ = mnl.fit(
             decided_design(s), mnl.PenaltySpec.group_lasso(0.3), mnl.Constraint.symmetric()
         )
@@ -165,3 +167,99 @@ def test_ontic_design_requires_covariates(abc_survey):
     design = ontic.ontic_design(abc_survey, cats)
     assert design.n == len(abc_survey)
     assert design.n_predictors == 1
+
+
+def table_survey(n_parties, patterns, picks, masks, weights):
+    """A survey from columns: respondent i holds set ``masks[i]`` and covariate row ``patterns[picks[i]]``."""
+    p = len(patterns[0])
+    rows = np.array([patterns[i] for i in picks], dtype=np.uint8).reshape(len(picks), p)
+    cells = CellTable.build(np.array(weights, dtype=float), np.array(masks), rows)
+    return Survey.from_cells(PartyRegistry(tuple("ABCD"[:n_parties])), tuple(f"c{j}" for j in range(p)), cells)
+
+
+@st.composite
+def table_surveys(draw):
+    """Up to 40 respondents over 2-4 parties and a few patterns of 0, 1, 3 or 63-70 covariates."""
+    n_parties = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([0, 1, 3, 63, 64, 70]))
+    patterns = draw(st.lists(st.lists(st.integers(0, 1), min_size=p, max_size=p), min_size=1, max_size=6))
+    n = draw(st.integers(1, 40))
+    sized = dict(min_size=n, max_size=n)
+    picks = draw(st.lists(st.integers(0, len(patterns) - 1), **sized))
+    masks = draw(st.lists(st.integers(1, (1 << n_parties) - 1), **sized))
+    return table_survey(n_parties, patterns, picks, masks, draw(st.lists(st.floats(0.01, 100.0), **sized)))
+
+
+def row_design(s, categories):
+    """The row constructor's ``DesignData`` over the rows of ``s.cells.rows()`` whose set is in ``categories``."""
+    index = {ps: i for i, ps in enumerate(categories)}
+    kept = [(w, index[ps], cov) for w, ps, cov in s.cells.rows() if ps in index]
+    x = np.array([(1, *cov) for _, _, cov in kept], dtype=float).reshape(len(kept), 1 + len(s.schema))
+    return mnl.DesignData(x, [c for _, c, _ in kept], [w for w, _, _ in kept], len(categories))
+
+
+def assert_same_design(got, want):
+    for name in ("xu", "group", "y", "w", "counts", "totals"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert got.n_categories == want.n_categories
+    if len(np.unique(want.y)) >= 2:
+        penalty, options = mnl.PenaltySpec.group_lasso(0.05), mnl.FitOptions(max_iterations=50)
+        model, report = mnl.fit(got, penalty, mnl.Constraint.symmetric(), options)
+        want_model, want_report = mnl.fit(want, penalty, mnl.Constraint.symmetric(), options)
+        assert model.coefficients.tobytes() == want_model.coefficients.tobytes()
+        assert report == want_report
+
+
+def assert_table_designs_match_rows(s, k):
+    """The decided design and the ontic design of the k most frequent sets, from the table and from the rows."""
+    singles = tuple(s.registry.singleton(code) for code in s.registry.options)
+    cats, _ = build_ontic_categories(s, k)
+    for build, categories, empty in (
+        (decided_design, singles, "no decided respondents"),
+        (lambda s: ontic.ontic_design(s, cats), cats, "no respondents fall into the ontic categories"),
+    ):
+        want = row_design(s, categories)
+        if want.n:
+            assert_same_design(build(s), want)
+        else:
+            with pytest.raises(ValueError, match=empty):
+                build(s)
+
+
+SOME_PATTERNS = table_survey(3, [[0, 1], [1, 0], [1, 1]], [0, 2, 1, 1, 0, 2], [1, 3, 2, 1, 4, 6], [1, 2, 3, 4, 5, 6])
+
+
+@pytest.mark.parametrize(
+    "s,k",
+    [
+        pytest.param(table_survey(3, [[]], [0] * 5, [1, 2, 3, 1, 4], [1.0, 2.5, 0.5, 1.5, 3.0]), 1, id="no-schema"),
+        # 64 or more covariates are keyed by their bytes, not by packed bits.
+        pytest.param(
+            table_survey(2, [[0] * 64, [0] * 63 + [1], [1] + [0] * 63], [2, 0, 1, 1, 2], [1, 2, 3, 2, 1], [0.5, 1, 2, 3, 4]),
+            1,
+            id="64-covariates",
+        ),
+        pytest.param(
+            table_survey(3, [[1, 0] * 35, [0, 1] * 35], [1, 0, 0, 1], [4, 2, 1, 6], [1, 1, 2, 0.25]), 1, id="70-covariates"
+        ),
+        pytest.param(SOME_PATTERNS, 0, id="some-patterns"),
+        pytest.param(SOME_PATTERNS, 1, id="all-patterns"),
+    ],
+)
+def test_table_designs_match_rows_on_each_edge(s, k):
+    assert_table_designs_match_rows(s, k)
+
+
+def test_design_keeps_only_the_patterns_its_respondents_hold():
+    # The decided respondents hold the first two of three patterns; the undecided, the third.
+    assert decided_design(SOME_PATTERNS).xu.tolist() == [[1, 0, 1], [1, 1, 0]]
+    cats, _ = build_ontic_categories(SOME_PATTERNS, 1)
+    assert ontic.ontic_design(SOME_PATTERNS, cats).xu.tolist() == [[1, 0, 1], [1, 1, 0], [1, 1, 1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=table_surveys(), data=st.data())
+def test_table_designs_match_rows(s, data):
+    undecided = sum(not ps.is_singleton for ps in s.cells.sets)
+    assert_table_designs_match_rows(s, data.draw(st.integers(0, undecided)))
