@@ -34,12 +34,12 @@ DEFAULT_REGISTRY = "SPD,CDU_CSU,GRUENE,FDP,AFD,LINKE"
 def _read_text(path: Path) -> str:
     """A UTF-8 text file's contents with universal newlines, as ``open`` reads it in text mode.
 
-    Bytes that are not UTF-8 raise ValueError naming the file and the
-    line of the first bad byte.
+    A leading byte order mark is dropped.  Bytes that are not UTF-8
+    raise ValueError naming the file and the line of the first bad byte.
     """
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # bytes.splitlines breaks at \n, \r and \r\n, the newlines read as one.
         line = len((data[:exc.start] + b"x").splitlines())

@@ -31,10 +31,10 @@ then K - 1 elementwise passes over length-G vectors rather than one
 short reduction per row, which costs most when G is large and K is
 about 10.  The sums over categories run in category order for any K,
 never pairwise.  Counts are laid out once per fit or stack, never per
-iteration.  ``lambda_max`` and held-out scoring stay per respondent and
-row-major (``xu[group]``), so their sums keep their bits: the top of
-the lambda grid reaches the output exactly, and the held-out scores
-pick the penalty.
+iteration.  ``lambda_max`` and held-out scoring run on the same kernel:
+the top of the lambda grid is the projected gradient at the
+intercept-only start, and a fold's held-out score its held-out counts'
+NLL, so neither reads a respondent row.
 
 One core, ``_fit_stack``, fits a stack of B problems that share the
 distinct rows and differ in their counts, penalty weight and start.
@@ -52,8 +52,8 @@ summed from its own rows in respondent order.  A stack holds at most
 ``STACK_CELLS`` count cells: past that, a fold's arithmetic outweighs
 the per-iteration overhead a stack shares, so a large design fits
 fewer folds per stack, down to one fold over its own rows, as a lone
-fit would.  Fold assignment, the per-fold penalty scaling and held-out
-scoring stay per respondent.
+fit would.  Fold assignment, each fold's training and held-out counts,
+its penalty scaling and its start are summed from its own respondents.
 
 The regularization path (the full-data fit at every lambda, warm-started
 along the grid) rides in the same stacks with ``cross_validate(...,
@@ -283,10 +283,10 @@ class FitOptions:
             raise ValueError("tolerance must be finite and >= 0")
 
 
-def _log_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Log-softmax along the category axis ``axis``, computed in place on ``scores``."""
-    scores -= scores.max(axis=axis, keepdims=True)
-    scores -= np.log(np.exp(scores).sum(axis=axis, keepdims=True))
+def _log_softmax(scores: np.ndarray) -> np.ndarray:
+    """Log-softmax along the category axis -2, computed in place on ``scores``."""
+    scores -= scores.max(axis=-2, keepdims=True)
+    scores -= np.log(np.exp(scores).sum(axis=-2, keepdims=True))
     return scores
 
 
@@ -299,7 +299,7 @@ def _stack_value(coef: np.ndarray, xu: np.ndarray, counts: np.ndarray, ridge: fl
     """Per problem of a (B, K, P) stack: weighted NLL + ridge on non-intercept columns,
     and the (B, K, G) log-probabilities per category and distinct row."""
     n = len(coef)
-    logp = _log_softmax(coef @ xu.T, axis=-2)
+    logp = _log_softmax(coef @ xu.T)
     # One BLAS dot per problem, as np.vdot would take it.
     nll = -np.matmul(counts.reshape(n, 1, -1), logp.reshape(n, -1, 1)).reshape(n)
     if ridge:
@@ -595,14 +595,9 @@ def predict_proba(m: MnlModel, x) -> np.ndarray:
 
 def lambda_max(d: DesignData, constraint: Constraint) -> float:
     """Smallest group-lasso lambda that keeps every non-intercept group at zero."""
-    coef = initial_coefficients(d, constraint)
-    # Per respondent row, not grouped: see the module docstring.  The
-    # ridge term vanishes here, since every non-intercept column is zero.
-    x = d.xu[d.group]
-    resid = np.exp(_log_softmax(x @ coef.T))
-    resid[np.arange(d.n), d.y] -= 1.0
-    grad = project_constraint((resid * d.w[:, None]).T @ x, constraint)
-    return max(group_norms(grad), default=0.0)
+    # The null-model gradient's largest group norm (Friedman, Hastie & Tibshirani 2010).
+    grad = _smooth_parts(initial_coefficients(d, constraint), d, 0.0)[1]
+    return max(group_norms(_project_in_place(grad, constraint)), default=0.0)
 
 
 def default_lambda_grid(d: DesignData, constraint: Constraint, points: int = 20) -> tuple[float, ...]:
@@ -628,13 +623,6 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _holdout_nll(coef: np.ndarray, d: DesignData, idx: np.ndarray) -> float:
-    logp = _log_softmax(d.xu[d.group[idx]] @ coef.T)
-    picked = logp[np.arange(len(idx)), d.y[idx]]
-    w = d.w[idx]
-    return -float(np.dot(w, picked)) / float(w.sum())
-
-
 def _descending(lambda_grid) -> list[float]:
     grid = [float(v) for v in lambda_grid]
     if any(b > a for a, b in zip(grid, grid[1:])):
@@ -644,27 +632,31 @@ def _descending(lambda_grid) -> list[float]:
 
 def _fold_stack(d: DesignData, stack: list, constraint: Constraint):
     """The training problems of the (assignment, fold) pairs in ``stack``, over the distinct
-    rows they train on: those rows, counts, totals, penalty fractions, starts, held-out rows."""
+    rows they train on: those rows, counts, totals, penalty fractions and starts; then each
+    fold's held-out K x G counts over all of ``d.xu`` and its held-out weight."""
     xu, k = d.xu, d.n_categories
     w_total = float(d.w.sum())
     counts = np.empty((len(stack), k, len(xu)))
+    test_counts = np.empty_like(counts)
     fractions = np.empty(len(stack))
+    test_weights = np.empty(len(stack))
     start = np.empty((len(stack), k, d.n_predictors))
-    tests = []
     for b, (assignment, f) in enumerate(stack):
-        train = np.flatnonzero(assignment != f)
+        train, test = assignment != f, assignment == f
         y, w = d.y[train], d.w[train]
         if len(np.unique(y)) < 2:
             raise ValueError("need at least 2 observed categories")
-        # The training rows in respondent order: the same sums a regroup of them gives.
-        counts[b] = np.bincount(y * len(xu) + d.group[train], weights=w, minlength=counts[b].size).reshape(k, -1)
+        # Each side's rows in respondent order: the same sums a regroup of them gives.
+        for out, part in ((counts, train), (test_counts, test)):
+            cells = d.y[part] * len(xu) + d.group[part]
+            out[b] = np.bincount(cells, weights=d.w[part], minlength=out[b].size).reshape(k, -1)
         fractions[b] = float(w.sum()) / w_total
+        test_weights[b] = float(d.w[test].sum())
         start[b] = _intercept_start(y, w, k, d.n_predictors, constraint)
-        tests.append(np.flatnonzero(assignment == f))
     # Only the distinct rows some problem of the stack trains on.
     rows = np.flatnonzero(counts.any(axis=(0, 1)))
     counts = counts[:, :, rows]
-    return xu[rows], counts, counts.sum(axis=1), fractions, start, tests
+    return xu[rows], counts, counts.sum(axis=1), fractions, start, test_counts, test_weights
 
 
 def _fit_grid(
@@ -688,11 +680,12 @@ def _fit_grid(
             # The full-data fit, after the last split.
             full = (d.counts[None], d.totals[None], np.ones(1), initial_coefficients(d, constraint)[None])
             if stacks and len(stacks[0][0]) == len(d.xu):
-                stack_xu, *arrays, tests = stacks[0]
-                stacks[0] = (stack_xu, *map(np.concatenate, zip(arrays, full)), tests)
+                stack_xu, *arrays, test_counts, test_weights = stacks[0]
+                stacks[0] = (stack_xu, *map(np.concatenate, zip(arrays, full)), test_counts, test_weights)
             else:
-                stacks.append((d.xu, *full, []))
-        for stack_xu, counts, totals, fractions, start, tests in stacks:
+                stacks.append((d.xu, *full, None, np.empty(0)))
+        for stack_xu, counts, totals, fractions, start, test_counts, test_weights in stacks:
+            n_tests = len(test_weights)
             for j, lam in enumerate(grid):
                 penalty = PenaltySpec.group_lasso(lam)
                 x, reports = _fit_stack(
@@ -700,8 +693,11 @@ def _fit_grid(
                     constraint, options, start,
                 )
                 coef = project_constraint(x, constraint)
-                scores[lo : lo + len(tests), j] = [_holdout_nll(coef[b], d, test) for b, test in enumerate(tests)]
-                if len(reports) > len(tests):
+                if n_tests:
+                    # Held-out NLL per unit held-out weight; a path-only stack has none to score.
+                    held_out = _stack_value(coef[:n_tests], d.xu, test_counts, 0.0)[0]
+                    scores[lo : lo + n_tests, j] = held_out / test_weights
+                if len(reports) > n_tests:
                     path_reports[j] = reports[-1]
                 # Warm start, projected once more as ``fit`` projects a given start.
                 start = project_constraint(coef, constraint)

@@ -55,6 +55,8 @@ class SimConfig:
             raise ValueError("coarsen_prob must lie in [0, 1]")
         try:
             coef = tuple(tuple(float(v) for v in row) for row in self.coefficients)
+        except OverflowError:  # an integer too large for a float, as 1e400 reads as inf
+            raise ValueError("coefficients must be finite") from None
         except (TypeError, ValueError):
             raise ValueError("coefficients must be a matrix of numbers") from None
         object.__setattr__(self, "coefficients", coef)

@@ -171,6 +171,36 @@ class TestMalformedInput:
         assert code == 0
         assert out == plain
 
+    @pytest.mark.parametrize("flag", ["--registry", "--schema", "--coalitions", "--coef-file"])
+    def test_leading_byte_order_mark_skipped_in_every_file(self, capsys, tmp_path, flag):
+        files = {
+            "--input": "weight,parties,u\n1.0,A,0\n1.0,A,1\n1.0,B,1\n1.0,A;B,0\n1.0,C,1\n",
+            "--registry": "A\nB\nC\n",
+            "--schema": "u\n",
+            # A comment first: a mark in front of its '#' used to make it a coalition line.
+            "--coalitions": "# two coalitions\nab,A;B\nc,C\n",
+            "--coef-file": "[[0.5, 0.5], [0.0, 0.0], [-0.5, -0.5]]",
+        }
+
+        def invoke(bom):
+            folder = tmp_path / ("bom" if bom else "plain")
+            folder.mkdir()
+            paths = {name: folder / name.strip("-") for name in files}
+            for name, text in files.items():
+                paths[name].write_text(("\ufeff" if bom and name == flag else "") + text, encoding="utf-8")
+            if flag == "--coef-file":
+                out = folder / "s.csv"
+                argv = ["simulate", "--n", "30", "--registry", "A,B,C", "--covariates", "u", "--coef-file", paths[flag]]
+                return (*run(capsys, *argv, "--out", out), out.read_text())
+            return run(
+                capsys, "coalitions", "--input", paths["--input"], "--registry", f"@{paths['--registry']}",
+                "--schema", f"@{paths['--schema']}", "--coalitions", paths["--coalitions"],
+            )
+
+        plain = invoke(bom=False)
+        assert plain[0] == 0
+        assert invoke(bom=True) == plain
+
 
 class TestForecast:
     def test_conventional_fixture(self, capsys, fixture_csv):
@@ -377,12 +407,13 @@ class TestSimulate:
         "document,message",
         [
             ("[[NaN, 0.5], [0.0, -0.5]]", "coefficients must be finite"),
+            ("[[1" + "0" * 400 + ", 0.5], [0.0, -0.5]]", "coefficients must be finite"),
             ("[[1e308, 1e308], [-1e308, -1e308]]", "choice scores overflow: the coefficients are too large"),
             ("[[0.5, 0.5], [0.0]]", "coefficient matrix must be (registry size) x (1 + covariates)"),
             ("[0.5, 0.5]", "coefficients must be a matrix of numbers"),
             ("[[0.5, \xff]]", "{coef}: line 1: not UTF-8 text (invalid start byte)"),
         ],
-        ids=["nan", "overflow", "short-row", "not-a-matrix", "not-utf8"],
+        ids=["nan", "integer-past-float", "overflow", "short-row", "not-a-matrix", "not-utf8"],
     )
     def test_bad_coefficient_file_exit_2_and_writes_nothing(self, capsys, tmp_path, document, message):
         coef = tmp_path / "coef.json"

@@ -399,6 +399,45 @@ def test_fixture_lambda_grid_bits(wave3_path):
     )
 
 
+def per_respondent_lambda_max(d, constraint):
+    """Reference: the largest group norm of the null-model gradient, summed over respondent rows."""
+    coef = mnl.initial_coefficients(d, constraint)
+    x = rows(d)
+    scores = x @ coef.T
+    scores -= scores.max(axis=1, keepdims=True)
+    resid = np.exp(scores - np.log(np.exp(scores).sum(axis=1, keepdims=True)))
+    resid[np.arange(d.n), d.y] -= 1.0
+    grad = mnl.project_constraint((resid * d.w[:, None]).T @ x, constraint)
+    return max(mnl.group_norms(grad), default=0.0)
+
+
+@st.composite
+def null_model_designs(draw):
+    """A design with K 2-11 and no, few or 64 covariates, and a constraint."""
+    p = draw(st.sampled_from([0, *range(1, 9), 64]))
+    k = draw(st.integers(2, 11))
+    n = draw(st.integers(1, 40))
+    bits = draw(arrays(np.int8, (n, p), elements=st.integers(0, 1)))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    w = draw(arrays(float, n, elements=st.floats(0.1, 10.0)))
+    reference = st.integers(0, k - 1).map(mnl.Constraint.reference)
+    constraint = draw(st.one_of(st.just(mnl.Constraint.symmetric()), reference))
+    return mnl.DesignData(np.hstack((np.ones((n, 1)), bits)), y, w, k), constraint
+
+
+@settings(max_examples=300, deadline=None)
+@given(null_model_designs())
+def test_lambda_max_matches_per_respondent_reference(case):
+    d, constraint = case
+    got, want = mnl.lambda_max(d, constraint), per_respondent_lambda_max(d, constraint)
+    if d.n_predictors == 1:
+        assert got == want == 0.0
+    # A gradient entry is a difference of weight sums, so where the categories
+    # barely depend on the covariates it is rounding at the scale of the
+    # weights: a sum of n <= 40 terms rounds by up to about n ulps of the total.
+    assert abs(got - want) <= 1e-12 * want + 1e-14 * float(d.w.sum())
+
+
 class TestCrossValidate:
     def test_single_value_grid(self):
         d = random_design(21, n=40, k=3, p=3)
