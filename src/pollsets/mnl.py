@@ -6,15 +6,26 @@ reference category whose row is pinned at zero or a symmetric
 constraint keeping every column sum at zero.  Both are linear
 subspaces, so they are enforced by projection at every iterate.
 
-The fitter is a monotone accelerated proximal gradient method with
-backtracking: the smooth part is the weighted negative log-likelihood
-plus a small ridge term, the nonsmooth part an optional group-lasso
-penalty with one group per non-intercept column.  Because the group
-proximal operator rescales whole columns, it preserves both constraint
-subspaces, and the composite iteration never leaves them.
+The objective's smooth part is the weighted negative log-likelihood
+plus a ridge term, its nonsmooth part an optional group-lasso penalty
+with one group per non-intercept column.  ``fit`` picks the solver by
+the penalty's kind, never by its value.  Without a group lasso (no
+penalty or a ridge) the objective is smooth and ``fit`` takes damped
+Newton steps on the constraint subspace (``_fit_newton``), which
+converge quadratically: the Hessian, sum over distinct rows of
+t_g (diag p_g - p_g p_g') kron x_g x_g', is one GEMM per block of
+distinct rows over category pairs and predictor pairs, and the fit stops
+on the Newton decrement.  A group-lasso fit, at any lambda, runs a
+monotone accelerated proximal gradient method with backtracking
+(``_fit_stack``), as cross-validation and ``fit_path`` do.  Because the
+group proximal operator rescales whole columns, it preserves both
+constraint subspaces, and the composite iteration never leaves them.
 
 A mandatory ridge floor on non-intercept coefficients guards against
-perfect separation; binary covariates alone do not rule it out.
+perfect separation; binary covariates alone do not rule it out.  A
+category no respondent chose has no finite maximum-likelihood row:
+Newton leaves that row where it starts, at the intercept-only start a
+probability of about 1e-12.
 
 Fits run on grouped counts, not on respondent rows.  Covariates are
 binary, so a design has at most 2^(P-1) distinct rows, often far fewer
@@ -36,16 +47,18 @@ the top of the lambda grid is the projected gradient at the
 intercept-only start, and a fold's held-out score its held-out counts'
 NLL, so neither reads a respondent row.
 
-One core, ``_fit_stack``, fits a stack of B problems that share the
-distinct rows and differ in their counts, penalty weight and start.
-Each problem keeps its own step size, momentum and stop state, and a
-stopped problem leaves the stack with its coefficients frozen.  Every
-array operation in the core works per problem and in the same order
-for any B, so a problem fitted in a stack ends bit-identical to the
-same problem fitted alone over the same distinct rows with the same
-counts and row totals.  The totals must be the same floats, not merely
+The proximal-gradient core, ``_fit_stack``, fits a stack of B problems
+that share the distinct rows and differ in their counts, penalty weight
+and start.  Each problem keeps its own step size, momentum and stop
+state, and a stopped problem leaves the stack with its coefficients
+frozen.  Every array operation in the core works per problem and in the
+same order for any B, so a problem fitted in a stack ends bit-identical
+to the same problem fitted alone over the same distinct rows with the
+same counts and row totals.  The totals must be the same floats, not merely
 equal sums: ``DesignData.totals`` adds them up one way and a sum over
-a stacked array may add them another.  ``fit`` is the case B = 1.
+a stacked array may add them another.  ``fit`` of a group lasso is the
+case B = 1.  Newton's per-row arrays follow the same layout, and its
+gradient is the same kernel's.
 Cross-validation fits the folds of every repeat at one lambda as one
 stack over the distinct rows they train on, each fold's training counts
 summed from its own rows in respondent order.  A stack holds at most
@@ -80,8 +93,9 @@ RIDGE_FLOOR = 1e-8
 # Most G x K count cells in one cross-validation stack; see the module docstring.
 STACK_CELLS = 1 << 16
 
-# Line search: the first step is INITIAL_STEP, and each failed trial
-# divides the step by BACKTRACK_FACTOR, at most MAX_BACKTRACKS times.
+# Line search: a proximal-gradient step starts at INITIAL_STEP, a Newton
+# step at the full step, and each failed trial divides the step by
+# BACKTRACK_FACTOR, at most MAX_BACKTRACKS times.
 INITIAL_STEP = 1.0
 BACKTRACK_FACTOR = 2.0
 MAX_BACKTRACKS = 60
@@ -251,11 +265,16 @@ class MnlModel:
 class FitReport:
     """How a fit ended.
 
-    ``stop_reason`` is ``converged`` (objective change within tolerance),
-    ``stationary`` (a step without momentum could not lower the
-    objective), ``max_iterations`` or ``line_search_failed``;
-    ``converged`` is true for the first two.  ``backtracks`` counts step
-    halvings, ``restarts`` momentum restarts.
+    ``stop_reason`` is ``converged``, ``stationary``, ``max_iterations``
+    or ``line_search_failed``.  A Newton fit (no penalty or a ridge) is
+    ``converged`` when half its Newton decrement is within tolerance,
+    and only then; it never stops as ``stationary``, and its
+    ``restarts`` is 0.  A proximal-gradient fit (group lasso) is
+    ``converged`` when its objective change is within tolerance, and
+    ``stationary`` when a step without momentum could not lower the
+    objective; ``converged`` is true for both.  ``backtracks`` counts step
+    halvings, ``restarts`` momentum restarts, and ``iterations`` Newton
+    or proximal-gradient steps.
     """
 
     nll: float
@@ -551,6 +570,129 @@ def _fit_stack(
     return final, reports
 
 
+def _hessian(xu: np.ndarray, totals: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The NLL's KP x KP Hessian, sum over distinct rows g of t_g (diag p_g - p_g p_g') kron x_g x_g'.
+
+    Both factors are symmetric, so only category pairs k <= l and
+    predictor pairs i <= j are formed: per block of distinct rows, one
+    GEMM of the pairs' weights t_g p_kg (delta_kl - p_lg) by the rows'
+    0/1 column products.  Each of a block's temporaries is no larger
+    than the K x G ``probs``.
+    """
+    k, g = probs.shape
+    p = xu.shape[1]
+    ku, lu = np.triu_indices(k)
+    iu, ju = np.triu_indices(p)
+    same = (ku == lu)[:, None]
+    rows = max(1, k * g // max(len(ku), len(iu)))
+    tri = np.zeros((len(ku), len(iu)))
+    for lo in range(0, g, rows):
+        block = slice(lo, lo + rows)
+        weights = same - probs[lu, block]
+        weights *= (probs[:, block] * totals[block])[ku]
+        x = xu[block]
+        pairs = x[:, iu]
+        pairs *= x[:, ju]
+        tri += weights @ pairs
+    # Entry ((k, i), (l, j)) is pair (min(k, l), max(k, l)) by pair (min(i, j), max(i, j)).
+    pair_k, pair_p = np.empty((k, k), dtype=int), np.empty((p, p), dtype=int)
+    pair_k[ku, lu] = pair_k[lu, ku] = np.arange(len(ku))
+    pair_p[iu, ju] = pair_p[ju, iu] = np.arange(len(iu))
+    return tri[pair_k[:, None, :, None], pair_p[None, :, None, :]].reshape(k * p, k * p)
+
+
+def _fit_newton(
+    d: DesignData, ridge: float, constraint: Constraint, options: FitOptions, x0: np.ndarray
+) -> tuple[np.ndarray, FitReport]:
+    """Fit the smooth objective (NLL + ridge) by damped Newton steps from ``x0``.
+
+    A category with no count has no finite maximum-likelihood row, so its
+    row stays where it starts, as does a reference's pinned row; the
+    other, free rows move, and under the symmetric constraint their sum
+    stays fixed.  Each step solves the Hessian system with that subspace's
+    complement shifted to the identity (the identity on fixed rows, cut
+    loose from the rest, and (1/F) 1 1' kron I over the F free rows
+    for the symmetric constraint), so the solution lies in the subspace,
+    and projects it there.  Armijo backtracking halves the step at most
+    ``MAX_BACKTRACKS`` times.  The fit stops when half the Newton
+    decrement, -g'step / 2, is within ``tolerance * max(1, |f|)``, after
+    taking that last step unless it raises f.  Returns the final iterate,
+    before the last projection, and its report.
+    """
+    k, p = x0.shape
+    counts, totals = d.counts[None], d.totals[None]
+    symmetric = constraint.kind == "symmetric"
+    free = d.counts.any(axis=1)
+    if not symmetric:
+        free[constraint.ref] = False
+    diagonal = np.arange(k * p)
+    fixed = diagonal[np.repeat(~free, p)]
+    # Entries ((a, i), (b, i)) for free rows a, b: the symmetric shift's (1/F) 1 1' kron I.
+    rows, cols = np.flatnonzero(free), np.arange(p)
+    centre = (rows[:, None, None], cols, rows[None, :, None], cols)
+
+    def restrict(mat: np.ndarray) -> np.ndarray:
+        """``mat`` projected in place onto the directions a step may take."""
+        mat[~free] = 0.0
+        if symmetric:
+            mat[free] -= mat[free].mean(axis=0)
+        return mat
+
+    def value(coef: np.ndarray) -> tuple[float, np.ndarray]:
+        nll, logp = _stack_value(coef[None], d.xu, counts, ridge)
+        return float(nll[0]), logp
+
+    x = x0
+    f, logp = value(x)
+    _check_finite([f])
+    history = [f]
+    stop, backtracks = "max_iterations", 0
+    for it in range(1, options.max_iterations + 1):
+        grad = restrict(_stack_gradient(x[None], logp, d.xu, counts, totals, ridge)[0])
+        hess = _hessian(d.xu, d.totals, np.exp(logp[0]))
+        hess[diagonal, diagonal] += ridge * (diagonal % p > 0)
+        hess[fixed] = hess[:, fixed] = 0.0
+        hess[fixed, fixed] = 1.0
+        if symmetric:
+            hess.reshape(k, p, k, p)[centre] += 1.0 / len(rows)
+        step = restrict(np.linalg.solve(hess, -grad.reshape(-1)).reshape(k, p))
+        slope = float(np.vdot(grad, step))
+        if -0.5 * slope <= options.tolerance * max(1.0, abs(f)):
+            stop = "converged"
+            f_last, _ = value(x + step)
+            if f_last <= f:
+                x, f = x + step, f_last
+                history.append(f)
+            break
+        alpha = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = x + alpha * step
+            f_trial, logp = value(trial)
+            # Armijo: at least a quarter of the decrease the slope promises.
+            if f_trial <= f + 0.25 * alpha * slope:
+                break
+            alpha /= BACKTRACK_FACTOR
+            backtracks += 1
+        else:
+            stop = "line_search_failed"
+            break
+        x, f = trial, f_trial
+        history.append(f)
+
+    report = FitReport(
+        nll=f,
+        objective=f,
+        iterations=it,
+        converged=stop == "converged",
+        stop_reason=stop,
+        backtracks=backtracks,
+        restarts=0,
+        group_norms=group_norms(x),
+        objective_history=tuple(history),
+    )
+    return x, report
+
+
 def fit(
     d: DesignData,
     penalty: PenaltySpec,
@@ -558,21 +700,36 @@ def fit(
     options: FitOptions = FitOptions(),
     start: np.ndarray | None = None,
 ) -> tuple[MnlModel, FitReport]:
-    """Fit by monotone accelerated proximal gradient with backtracking.
+    """Fit by damped Newton steps (no penalty or ridge) or by monotone accelerated proximal
+    gradient with backtracking (group lasso, at any lambda).
 
     Deterministic given identical inputs and options.  A line search
     that cannot make progress within ``MAX_BACKTRACKS`` step halvings
-    ends the fit with ``converged=False`` instead of raising; a step
-    without momentum that raises the objective ends it as stationary.
+    ends the fit with ``converged=False`` instead of raising; a
+    proximal-gradient step without momentum that raises the objective
+    ends it as stationary.  ``start`` must be a finite K x P matrix.
     """
     if len(np.unique(d.y)) < 2:
         raise ValueError("need at least 2 observed categories")
-    x0 = project_constraint(start, constraint) if start is not None else initial_coefficients(d, constraint)
-    lams = np.array([penalty.group_lambda])
-    x, (report,) = _fit_stack(
-        d.xu, d.counts[None], d.totals[None], lams, penalty.ridge_coefficient, constraint, options, x0[None]
-    )
-    return MnlModel(project_constraint(x[0], constraint), constraint, penalty), report
+    shape = (d.n_categories, d.n_predictors)
+    if start is None:
+        x0 = initial_coefficients(d, constraint)
+    else:
+        x0 = np.asarray(start, dtype=float)
+        if x0.shape != shape:
+            raise ValueError(f"start must be a {shape[0]} x {shape[1]} matrix, got shape {x0.shape}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("start must be finite")
+        x0 = project_constraint(x0, constraint)
+    if penalty.kind is PenaltyKind.GROUP_LASSO:
+        lams = np.array([penalty.group_lambda])
+        x, (report,) = _fit_stack(
+            d.xu, d.counts[None], d.totals[None], lams, penalty.ridge_coefficient, constraint, options, x0[None]
+        )
+        x = x[0]
+    else:
+        x, report = _fit_newton(d, penalty.ridge_coefficient, constraint, options, x0)
+    return MnlModel(project_constraint(x, constraint), constraint, penalty), report
 
 
 def predict_proba(m: MnlModel, x) -> np.ndarray:

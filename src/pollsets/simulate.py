@@ -30,6 +30,8 @@ from .data import CellTable, PartyRegistry, PartySet, Survey, exact_sums, rounde
 
 COMPLETION_BUDGET = 1_000_000
 GRID_BUDGET = 2_000_000
+# Rows of random keys ``_extra_parties`` draws at a time.
+_KEY_ROWS = 1 << 12
 
 
 class CoarsenStyle(enum.Enum):
@@ -108,8 +110,10 @@ def default_true_coefficients(k_categories: int, n_covariates: int) -> tuple[tup
     return tuple(tuple(float(v) for v in row) for row in coef)
 
 
-def _extra_parties(rng: np.random.Generator, votes: np.ndarray, probs: np.ndarray, style: CoarsenStyle) -> np.ndarray:
-    """Bitmask of the parties each coarsened row adds to its vote, drawn for all rows at once.
+def _extra_parties(
+    rng: np.random.Generator, votes: np.ndarray, probs: np.ndarray, rows: np.ndarray, style: CoarsenStyle
+) -> np.ndarray:
+    """Bitmask of the parties each coarsened row in ``rows`` adds to its vote.
 
     A row adds 1 or 2 parties (fewer if there are not that many), the
     ones with the largest keys among those other than its vote.
@@ -117,22 +121,26 @@ def _extra_parties(rng: np.random.Generator, votes: np.ndarray, probs: np.ndarra
     are Efraimidis-Spirakis keys log(u)/p over the row's vote
     probabilities p, which select with the same distribution as drawing
     parties one at a time with probability proportional to p, without
-    replacement.
+    replacement.  The keys are drawn ``_KEY_ROWS`` rows at a time, each
+    block's probabilities gathered from ``probs``; consecutive draws
+    continue one stream, so the keys are those of one (len(rows), K) draw.
     """
-    m, k = probs.shape
+    m, k = len(rows), probs.shape[1]
     n_extra = np.minimum(rng.integers(1, 3, size=m), k - 1)
-    keys = rng.random((m, k))
-    if style is CoarsenStyle.NEIGHBOR:
-        with np.errstate(divide="ignore"):
-            np.log(keys, out=keys)
-            keys /= probs
-    rows = np.arange(m)
-    keys[rows, votes] = -np.inf
     extras = np.zeros(m, dtype=np.int64)
-    for j in range(2):
-        best = keys.argmax(axis=1)
-        extras |= np.where(n_extra > j, np.left_shift(1, best), 0)
-        keys[rows, best] = -np.inf
+    for lo in range(0, m, _KEY_ROWS):
+        block = rows[lo : lo + _KEY_ROWS]
+        keys = rng.random((len(block), k))
+        if style is CoarsenStyle.NEIGHBOR:
+            with np.errstate(divide="ignore"):
+                np.log(keys, out=keys)
+                keys /= probs[block]
+        at = np.arange(len(block))
+        keys[at, votes[block]] = -np.inf
+        for j in range(2):
+            best = keys.argmax(axis=1)
+            extras[lo : lo + len(block)] |= np.where(n_extra[lo : lo + len(block)] > j, np.left_shift(1, best), 0)
+            keys[at, best] = -np.inf
     return extras
 
 
@@ -163,7 +171,7 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     # Each row's set starts as its vote; coarsened rows add 1 or 2 other parties.
     masks = np.left_shift(1, votes)
     rows = np.flatnonzero(coarsen)
-    masks[rows] |= _extra_parties(rng, votes[rows], probs[rows], config.style)
+    masks[rows] |= _extra_parties(rng, votes, probs, rows, config.style)
     del probs
     cells = CellTable.build(weights, masks, bits)
     survey = Survey.from_cells(config.registry, config.covariate_names, cells, wave=f"sim-seed-{config.seed}")

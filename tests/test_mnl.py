@@ -279,8 +279,10 @@ class TestFit:
         assert report.stop_reason in ("converged", "stationary")
 
     def test_stop_reasons(self, monkeypatch):
+        # Proximal gradient: a group-lasso fit, however small its lambda.
         d = random_design(9, n=80, k=4, p=3)
-        penalty, constraint = mnl.PenaltySpec.none(), mnl.Constraint.symmetric()
+        constraint = mnl.Constraint.symmetric()
+        penalty = mnl.PenaltySpec.group_lasso(1e-3 * mnl.lambda_max(d, constraint))
         _, report = mnl.fit(d, penalty, constraint)
         assert (report.stop_reason, report.converged) == ("converged", True)
         assert report.backtracks > 0 and report.restarts > 0
@@ -302,6 +304,46 @@ class TestFit:
             _, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(1.01 * lam), constraint)
             stationary.append(report.stop_reason == "stationary")
         assert any(stationary)
+
+    @pytest.mark.parametrize("penalty", [mnl.PenaltySpec.none(), mnl.PenaltySpec.ridge(0.5)])
+    def test_newton_stop_reasons(self, monkeypatch, penalty):
+        d = random_design(9, n=80, k=4, p=3)
+        constraint = mnl.Constraint.symmetric()
+        _, report = mnl.fit(d, penalty, constraint)
+        assert (report.stop_reason, report.converged, report.restarts) == ("converged", True, 0)
+        assert 2 < report.iterations < 10
+
+        for cap in (1, 2):
+            _, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(max_iterations=cap))
+            assert (report.stop_reason, report.converged, report.iterations) == ("max_iterations", False, cap)
+
+        # Far from the optimum a full Newton step overshoots; allowed that one trial, the search fails.
+        start = 2.0 * np.array([[1, -1, 1], [-1, 1, -1], [1, 1, -1], [-1, -1, 1]])
+        _, report = mnl.fit(d, penalty, constraint, start=start)
+        assert report.converged and report.backtracks > 1
+        with monkeypatch.context() as patch:
+            patch.setattr(mnl, "MAX_BACKTRACKS", 1)
+            _, report = mnl.fit(d, penalty, constraint, start=start)
+        assert (report.stop_reason, report.converged, report.backtracks, report.iterations) == (
+            "line_search_failed", False, 1, 1
+        )
+
+    @pytest.mark.parametrize("make", [mnl.PenaltySpec.none, lambda: mnl.PenaltySpec.group_lasso(0.1)])
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (12,), (1, 4, 3)])
+    def test_start_of_the_wrong_shape_raises(self, make, shape):
+        d = random_design(9, n=80, k=4, p=3)
+        want = rf"^start must be a 4 x 3 matrix, got shape \({', '.join(map(str, shape))},?\)$"
+        with pytest.raises(ValueError, match=want):
+            mnl.fit(d, make(), mnl.Constraint.symmetric(), start=np.zeros(shape))
+
+    @pytest.mark.parametrize("make", [mnl.PenaltySpec.none, lambda: mnl.PenaltySpec.group_lasso(0.1)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_start_that_is_not_finite_raises(self, make, bad):
+        d = random_design(9, n=80, k=4, p=3)
+        start = np.zeros((4, 3))
+        start[2, 1] = bad
+        with pytest.raises(ValueError, match="^start must be finite$"):
+            mnl.fit(d, make(), mnl.Constraint.reference(0), start=start)
 
     @pytest.mark.parametrize(
         "options",
@@ -326,6 +368,96 @@ class TestFit:
                 mnl.PenaltySpec.none(),
                 mnl.Constraint.symmetric(),
             )
+
+
+def cell_design(patterns, k, seed, missing=()):
+    """Respondents in every (pattern, category) cell but the ``missing`` ones, one to three per
+    cell at random weights; patterns are 0/1 covariate rows without the intercept."""
+    rng = np.random.default_rng(seed)
+    patterns = np.asarray(patterns, dtype=float).reshape(len(patterns), -1)
+    cells = [(g, c) for g in range(len(patterns)) for c in range(k) if (g, c) not in missing]
+    cells = [cell for cell in cells for _ in range(rng.integers(1, 4))]
+    x = np.hstack([np.ones((len(cells), 1)), patterns[[g for g, _ in cells]]])
+    return mnl.DesignData(x, [c for _, c in cells], rng.uniform(0.1, 5.0, len(cells)), k)
+
+
+@st.composite
+def smooth_fits(draw):
+    """A design with every category in every distinct row, a smooth penalty, a constraint, no start."""
+    k = draw(st.integers(2, 11))
+    p = draw(st.one_of(st.integers(0, 8), st.sampled_from([64, 70])))
+    seed = draw(st.integers(0, 2**32 - 1))
+    patterns = np.unique(np.random.default_rng(seed).integers(0, 2, (draw(st.integers(1, 6)), p)), axis=0)
+    penalty = draw(st.one_of(st.just(mnl.PenaltySpec.none()), st.floats(1e-3, 10.0).map(mnl.PenaltySpec.ridge)))
+    references = st.integers(0, k - 1).map(mnl.Constraint.reference)
+    constraint = draw(st.one_of(st.just(mnl.Constraint.symmetric()), references))
+    return cell_design(patterns, k, seed), penalty, constraint, None
+
+
+NONE, SYMMETRIC = mnl.PenaltySpec.none(), mnl.Constraint.symmetric()
+# Party 0 has no decided respondent: its row has no finite optimum.
+UNOBSERVED = cell_design([[0, 0], [0, 1], [1, 1]], 4, 1, missing={(g, 0) for g in range(3)})
+# Category 0 only in the first row, category 1 only in the second: no finite optimum without the ridge floor.
+SEPARABLE = cell_design([[0], [1]], 2, 2, missing={(0, 1), (1, 0)})
+INTERCEPT_ONLY = cell_design(np.empty((1, 0)), 5, 3)
+WIDE = cell_design(np.random.default_rng(4).integers(0, 2, (5, 70)), 3, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=(UNOBSERVED, NONE, SYMMETRIC, None))
+@example(case=(UNOBSERVED, mnl.PenaltySpec.ridge(0.3), mnl.Constraint.reference(2), None))
+@example(case=(SEPARABLE, NONE, SYMMETRIC, None))
+@example(case=(SEPARABLE, NONE, mnl.Constraint.reference(1), None))
+@example(case=(INTERCEPT_ONLY, NONE, SYMMETRIC, None))
+@example(case=(INTERCEPT_ONLY, NONE, mnl.Constraint.reference(4), None))
+@example(case=(WIDE, mnl.PenaltySpec.ridge(0.1), SYMMETRIC, np.full((3, 71), 0.2)))
+@example(case=(WIDE, NONE, mnl.Constraint.reference(1), np.random.default_rng(5).normal(0, 2, (3, 71))))
+@given(case=smooth_fits())
+def test_newton_fit_matches_proximal_gradient(case):
+    d, penalty, constraint, start = case
+    model, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(tolerance=1e-13), start)
+    assert report.converged and report.stop_reason == "converged"
+    history = report.objective_history
+    assert all(a >= b for a, b in zip(history, history[1:])) and history[-1] == report.objective == report.nll
+    nll, grad = mnl.nll_and_gradient(model, d)
+    assert nll == pytest.approx(report.nll, rel=1e-12)
+    # First-order optimality, whatever the reference below reaches.
+    assert np.max(np.abs(grad)) <= 1e-8 * d.w.sum()
+
+    # The proximal-gradient core on the same problem at the same tolerance.
+    # Its objective-change stop is not certified: on draws of this strategy
+    # it stopped as converged up to 2e-6 above in relative objective and
+    # 7e-6 off in probability, most where only a small ridge curves a
+    # direction.  So from the same start Newton must do no worse, and
+    # started at Newton's fit the core must find nothing to gain.
+    options = mnl.FitOptions(tolerance=1e-13)
+    x0 = mnl.initial_coefficients(d, constraint) if start is None else mnl.project_constraint(start, constraint)
+    scale, core = max(1.0, abs(report.objective)), (d.xu, d.counts[None], d.totals[None], np.zeros(1))
+    for begin in (x0, model.coefficients):
+        x, (want,) = mnl._fit_stack(*core, penalty.ridge_coefficient, constraint, options, begin[None])
+        assert report.objective <= want.objective + 1e-12 * scale
+    assert want.iterations == 1 and want.objective <= report.objective + 1e-12 * scale
+    reference = mnl.MnlModel(mnl.project_constraint(x[0], constraint), constraint, penalty)
+    assert np.max(np.abs(mnl.predict_proba(model, d.xu) - mnl.predict_proba(reference, d.xu))) <= 1e-7
+
+
+def test_newton_drives_an_unobserved_reference_category_to_zero():
+    # The pinned row cannot move, so every free row's intercept climbs:
+    # along that direction the objective is about T p_ref, and each Newton
+    # step lowers p_ref by a factor of about e, from 1/2 at the start until
+    # T p_ref / 2 is within tolerance * f.
+    constraint = mnl.Constraint.reference(0)
+    for tolerance, steps in ((1e-8, 18), (1e-13, 29)):
+        model, report = mnl.fit(UNOBSERVED, NONE, constraint, mnl.FitOptions(tolerance=tolerance))
+        assert report.converged and report.iterations == steps and report.backtracks == 0
+        assert np.max(mnl.predict_proba(model, UNOBSERVED.xu)[:, 0]) <= 10 * tolerance
+        assert np.max(np.abs(mnl.nll_and_gradient(model, UNOBSERVED)[1])) <= 1e-8 * UNOBSERVED.w.sum()
+    # Any other category stays where it starts: its row has no finite optimum.
+    for constraint in (SYMMETRIC, mnl.Constraint.reference(3)):
+        model, report = mnl.fit(UNOBSERVED, NONE, constraint)
+        start = mnl.initial_coefficients(UNOBSERVED, constraint)
+        assert np.max(np.abs(model.coefficients[0] - start[0])) <= 1e-12
+        assert report.converged and report.iterations <= 5
 
 
 class TestPredictProba:

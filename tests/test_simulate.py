@@ -71,7 +71,7 @@ class TestGeneratePopulation:
         m, k = 200_000, len(p)
         rng = np.random.default_rng(2024)
         votes = rng.integers(0, k, m)
-        extras = simulate._extra_parties(rng, votes, np.tile(p, (m, 1)), style)
+        extras = simulate._extra_parties(rng, votes, np.tile(p, (m, 1)), np.arange(m), style)
         included = (extras[:, None] >> np.arange(k)) & 1
         n_extra = included.sum(axis=1)
         assert not included[np.arange(m), votes].any()
