@@ -12,6 +12,7 @@ total weights times that one (cells x parties) transition matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,10 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
 
     Predicts once per distinct covariate pattern.  A decided cell gets
     1.0 on its party and uses no prediction; an undecided cell divides
-    its members' predictions by their ``math.fsum``.
+    its members' predictions by their ``math.fsum``, which must be a
+    positive normal float.  A party no decided respondent chose keeps
+    its row where the fit starts (see ``mnl``), so a set made only of
+    such parties splits evenly: their held rows are equal.
     """
     options = s.registry.options
     if m.n_categories != len(options):
@@ -106,7 +110,7 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
     values, ends = p.tolist(), np.cumsum(size[size > 1]).tolist()
     denom = np.array([math.fsum(values[a:b]) for a, b in zip([0, *ends], ends)])
     del values, ends  # before the table copies ``probs``
-    if np.any(denom < 1e-12):
+    if not np.all(denom >= sys.float_info.min):
         raise ValueError("restricted prediction mass vanished; model is degenerate")
     probs[g, k] = p / np.repeat(denom, size[size > 1])
     return TransitionTable(options, probs, cells)
@@ -121,22 +125,15 @@ def decided_design(s: Survey) -> mnl.DesignData:
     return d
 
 
-def homogeneity_forecast(
-    s: Survey,
-    options: mnl.FitOptions = mnl.FitOptions(),
-    penalty: mnl.PenaltySpec | None = None,
-    constraint: mnl.Constraint | None = None,
-) -> tuple[ProbabilityVector, TransitionTable, mnl.FitReport]:
+def homogeneity_forecast(s: Survey) -> tuple[ProbabilityVector, TransitionTable, mnl.FitReport]:
     """Forecast assuming the undecided choose within their sets like the decided.
 
-    Fits the choice model on decided respondents, builds the transition
-    table, and sums each party's column of the table weighted by the
-    cells' total weights, exactly rounded as ``math.fsum`` rounds.
+    Fits the unpenalized symmetric choice model on the decided, builds the
+    transition table, and sums each party's column weighted by the cells'
+    total weights, exactly rounded as ``math.fsum`` rounds.
     """
-    penalty = mnl.PenaltySpec.none() if penalty is None else penalty
-    constraint = mnl.Constraint.symmetric() if constraint is None else constraint
     # The design is dropped after the fit, before the table is built.
-    model, report = mnl.fit(decided_design(s), penalty, constraint, options)
+    model, report = mnl.fit(decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
     table = transition_probabilities(model, s)
     cell_weights = np.bincount(s.cells.index, weights=s.cells.weights, minlength=len(table.probs))
     # Only the nonzero entries: a dense product would cost exact_sums several (cells x K) temporaries.

@@ -14,18 +14,20 @@ penalty or a ridge) the objective is smooth and ``fit`` takes damped
 Newton steps on the constraint subspace (``_fit_newton``), which
 converge quadratically: the Hessian, sum over distinct rows of
 t_g (diag p_g - p_g p_g') kron x_g x_g', is one GEMM per block of
-distinct rows over category pairs and predictor pairs, and the fit stops
-on the Newton decrement.  A group-lasso fit, at any lambda, runs a
-monotone accelerated proximal gradient method with backtracking
-(``_fit_stack``), as cross-validation and ``fit_path`` do.  Because the
-group proximal operator rescales whole columns, it preserves both
-constraint subspaces, and the composite iteration never leaves them.
+distinct rows over category pairs and predictor pairs, each step is
+solved in the coordinates of the rows free to move (the null-space
+method), and the fit stops on the Newton decrement.  A group-lasso fit,
+at any lambda, runs a monotone accelerated proximal gradient method
+with backtracking (``_fit_stack``), as cross-validation and
+``fit_path`` do.  Because the group proximal operator rescales whole
+columns, it preserves both constraint subspaces, and the composite
+iteration never leaves them.
 
 A mandatory ridge floor on non-intercept coefficients guards against
 perfect separation; binary covariates alone do not rule it out.  A
 category no respondent chose has no finite maximum-likelihood row:
-Newton leaves that row where it starts, at the intercept-only start a
-probability of about 1e-12.
+Newton holds that row where it starts, at the intercept-only start a
+probability of about 1e-12, so two such categories keep equal rows.
 
 Fits run on grouped counts, not on respondent rows.  Covariates are
 binary, so a design has at most 2^(P-1) distinct rows, often far fewer
@@ -607,36 +609,27 @@ def _fit_newton(
     """Fit the smooth objective (NLL + ridge) by damped Newton steps from ``x0``.
 
     A category with no count has no finite maximum-likelihood row, so its
-    row stays where it starts, as does a reference's pinned row; the
+    row stays where it starts, as does a reference's pinned row; only the
     other, free rows move, and under the symmetric constraint their sum
-    stays fixed.  Each step solves the Hessian system with that subspace's
-    complement shifted to the identity (the identity on fixed rows, cut
-    loose from the rest, and (1/F) 1 1' kron I over the F free rows
-    for the symmetric constraint), so the solution lies in the subspace,
-    and projects it there.  Armijo backtracking halves the step at most
-    ``MAX_BACKTRACKS`` times.  The fit stops when half the Newton
-    decrement, -g'step / 2, is within ``tolerance * max(1, |f|)``, after
-    taking that last step unless it raises f.  Returns the final iterate,
-    before the last projection, and its report.
+    stays fixed.  Each step is solved in the free rows' coordinates (the
+    null-space method; Nocedal & Wright, *Numerical Optimization*, 16.2):
+    the Hessian covers the free rows only, and under the symmetric
+    constraint the last free row is minus the sum of the others, so the
+    system is E'HE z = -E'g for E = [I; -1'] kron I, and the step E z.
+    Armijo backtracking halves the step at most ``MAX_BACKTRACKS`` times.
+    The fit stops when half the Newton decrement, -g'step / 2, is within
+    ``tolerance * max(1, |f|)``, after taking that last step unless it
+    raises f.  Returns the final iterate, before the last projection, and
+    its report.
     """
-    k, p = x0.shape
+    p = x0.shape[1]
     counts, totals = d.counts[None], d.totals[None]
     symmetric = constraint.kind == "symmetric"
     free = d.counts.any(axis=1)
     if not symmetric:
         free[constraint.ref] = False
-    diagonal = np.arange(k * p)
-    fixed = diagonal[np.repeat(~free, p)]
-    # Entries ((a, i), (b, i)) for free rows a, b: the symmetric shift's (1/F) 1 1' kron I.
-    rows, cols = np.flatnonzero(free), np.arange(p)
-    centre = (rows[:, None, None], cols, rows[None, :, None], cols)
-
-    def restrict(mat: np.ndarray) -> np.ndarray:
-        """``mat`` projected in place onto the directions a step may take."""
-        mat[~free] = 0.0
-        if symmetric:
-            mat[free] -= mat[free].mean(axis=0)
-        return mat
+    rows = np.flatnonzero(free)
+    diagonal = np.arange(len(rows) * p)
 
     def value(coef: np.ndarray) -> tuple[float, np.ndarray]:
         nll, logp = _stack_value(coef[None], d.xu, counts, ridge)
@@ -648,15 +641,23 @@ def _fit_newton(
     history = [f]
     stop, backtracks = "max_iterations", 0
     for it in range(1, options.max_iterations + 1):
-        grad = restrict(_stack_gradient(x[None], logp, d.xu, counts, totals, ridge)[0])
-        hess = _hessian(d.xu, d.totals, np.exp(logp[0]))
+        grad = _stack_gradient(x[None], logp, d.xu, counts, totals, ridge)[0, rows]
+        probs = logp[0, rows]
+        hess = _hessian(d.xu, d.totals, np.exp(probs, out=probs))
         hess[diagonal, diagonal] += ridge * (diagonal % p > 0)
-        hess[fixed] = hess[:, fixed] = 0.0
-        hess[fixed, fixed] = 1.0
         if symmetric:
-            hess.reshape(k, p, k, p)[centre] += 1.0 / len(rows)
-        step = restrict(np.linalg.solve(hess, -grad.reshape(-1)).reshape(k, p))
-        slope = float(np.vdot(grad, step))
+            blocks = hess.reshape(len(rows), p, len(rows), p)
+            blocks[:, :, :-1] -= blocks[:, :, -1:]
+            blocks[:-1] -= blocks[-1:]
+            grad = grad[:-1] - grad[-1]
+        # E'HE is the leading block of the eliminated matrix, a view.
+        solution = np.linalg.solve(hess[: grad.size, : grad.size], -grad.reshape(-1)).reshape(-1, p)
+        hess = blocks = None  # before the next step's Hessian is built
+        step = np.zeros_like(x)
+        step[rows[: len(solution)]] = solution
+        if symmetric:
+            step[rows[-1]] = -solution.sum(axis=0)
+        slope = float(np.vdot(grad, solution))
         if -0.5 * slope <= options.tolerance * max(1.0, abs(f)):
             stop = "converged"
             f_last, _ = value(x + step)

@@ -96,7 +96,6 @@ def fit_ontic(
     lambda_grid=None,
     folds: int = 5,
     seed: int = 0,
-    options: mnl.FitOptions = mnl.FitOptions(),
     repeats: int = 1,
     *,
     design: mnl.DesignData | None = None,
@@ -112,9 +111,9 @@ def fit_ontic(
         design = ontic_design(s, cats)
     constraint = mnl.Constraint.symmetric()
     grid = mnl.default_lambda_grid(design, constraint) if lambda_grid is None else [float(v) for v in lambda_grid]
-    cv = mnl.cross_validate(design, grid, folds, seed, constraint, options, repeats, return_path=return_path)
+    cv = mnl.cross_validate(design, grid, folds, seed, constraint, repeats=repeats, return_path=return_path)
     best_lam = cv[0]
-    model, _ = mnl.fit(design, mnl.PenaltySpec.group_lasso(best_lam), constraint, options)
+    model, _ = mnl.fit(design, mnl.PenaltySpec.group_lasso(best_lam), constraint)
     fitted = model, _coefficient_table(s, cats, model), best_lam
     return (*fitted, _path(s, grid, cv[2])) if return_path else fitted
 

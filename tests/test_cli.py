@@ -235,9 +235,9 @@ class TestForecast:
     def test_unconverged_fit_warning_names_stop_reason(self, capsys, wave3_path, monkeypatch):
         from pollsets import cli, mnl
 
-        homogeneity = cli.fc.homogeneity_forecast
+        fit = mnl.fit
         monkeypatch.setattr(
-            cli.fc, "homogeneity_forecast", lambda s: homogeneity(s, mnl.FitOptions(max_iterations=2))
+            mnl, "fit", lambda d, penalty, constraint: fit(d, penalty, constraint, mnl.FitOptions(max_iterations=2))
         )
         code, _, err = run(
             capsys, "forecast", "--input", wave3_path, "--schema", "female,age_65plus,east,high_income,urban",
@@ -245,6 +245,20 @@ class TestForecast:
         )
         assert code == 0
         assert "did not converge: stopped on max_iterations after 2 iterations" in err
+
+    def test_homogeneity_splits_a_set_of_unchosen_parties(self, capsys, tmp_path):
+        # B and C have no decided respondent; at x = 1 the decided favour A
+        # about 20 to 1, so B's and C's held probabilities sum to less than 1e-12.
+        rows = ["1,A,1"] * 20 + ["1,D,0"] * 20 + ["1,D,1", "1,A,0", "1,B;C,1"]
+        path = tmp_path / "unchosen.csv"
+        path.write_text("weight,parties,x\n" + "\n".join(rows) + "\n")
+        code, out, err = run(
+            capsys, "forecast", "--input", path, "--registry", "A,B,C,D", "--schema", "x", "--method", "homogeneity",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["shares"] == {
+            "A": 0.4883720930232558, "B": 0.011627906976744186, "C": 0.011627906976744186, "D": 0.4883720930232558,
+        }
 
     @pytest.mark.parametrize("text", [FIXTURE, "weight,parties\n0.3,A\n0.7,B\n1.1,C\n1.0,A;B\n"])
     def test_fit_at_its_start_optimum_gives_no_warning(self, capsys, tmp_path, text):

@@ -203,6 +203,56 @@ class TestHomogeneity:
         for code in abc_survey.registry.options:
             assert abs(base[code] - rescaled[code]) < 1e-8
 
+    def test_set_of_unchosen_parties_splits_evenly(self):
+        # B and C have no decided respondent, so their rows stay at the fit's
+        # start; at x = 1 the decided favour A about 20 to 1, and B's and C's
+        # probabilities there sum to less than 1e-12.
+        reg = PartyRegistry(("A", "B", "C", "D"))
+        rows = [("A", 1)] * 20 + [("D", 0)] * 20 + [("D", 1), ("A", 0)]
+        respondents = [Respondent(1.0, reg.singleton(code), (x,)) for code, x in rows]
+        s = Survey(reg, ("x",), (*respondents, Respondent(1.0, reg.set_of(["B", "C"]), (1,))))
+        shares, table, report = homogeneity_forecast(s)
+        assert report.converged and table.rows[-1] == {"B": 0.5, "C": 0.5}
+        assert shares.shares == {
+            "A": 0.4883720930232558, "B": 0.011627906976744186, "C": 0.011627906976744186, "D": 0.4883720930232558,
+        }
+
+
+@pytest.mark.parametrize(
+    "unchosen,constraint",
+    [
+        ("DE", mnl.Constraint.symmetric()),  # the last category: the eliminated free row is C, not E
+        ("AC", mnl.Constraint.symmetric()),  # the first and a middle one
+        ("CE", mnl.Constraint.reference(1)),  # beside a reference
+    ],
+)
+def test_newton_holds_the_rows_of_unchosen_parties(unchosen, constraint):
+    reg = PartyRegistry(tuple("ABCDE"))
+    rng = np.random.default_rng(11)
+    respondents = [
+        Respondent(float(rng.uniform(0.5, 2.0)), reg.singleton(code), (a, b))
+        for a in (0, 1)
+        for b in (0, 1)
+        for code in reg.options
+        if code not in unchosen
+        for _ in range(rng.integers(1, 4))
+    ]
+    s = Survey(reg, ("a", "b"), (*respondents, Respondent(1.0, reg.set_of(list(unchosen)), (1, 0))))
+    d = decided_design(s)
+    start = mnl.initial_coefficients(d, constraint)
+    x, report = mnl._fit_newton(d, mnl.RIDGE_FLOOR, constraint, mnl.FitOptions(), start)
+    assert report.converged
+    held = [reg.options.index(code) for code in unchosen] + ([constraint.ref] if constraint.kind == "reference" else [])
+    free = [i for i in range(len(reg)) if i not in held]
+    assert np.all(x[held] == start[held])
+    # First-order optimal in the free rows, centred among themselves under the symmetric constraint.
+    grad = mnl._smooth_parts(x, d, mnl.RIDGE_FLOOR)[1][free]
+    if constraint.kind == "symmetric":
+        grad -= grad.mean(axis=0)
+    assert np.max(np.abs(grad)) <= 1e-8 * d.w.sum()
+    model = mnl.MnlModel(mnl.project_constraint(x, constraint), constraint, mnl.PenaltySpec.none())
+    assert transition_probabilities(model, s).rows[-1] == dict.fromkeys(unchosen, 0.5)
+
 
 @st.composite
 def _homogeneity_surveys(draw):
@@ -244,11 +294,9 @@ def _reference_homogeneity(s, model):
 @settings(max_examples=60, deadline=None)
 @given(_homogeneity_surveys())
 def test_homogeneity_bit_identical_to_per_cell_fsum_rows(s):
-    # A ridge keeps fits on these tiny, often separable designs short.
-    penalty = mnl.PenaltySpec.ridge(0.5)
-    model, _ = mnl.fit(decided_design(s), penalty, mnl.Constraint.symmetric())
+    model, _ = mnl.fit(decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
     want_shares, want_rows = _reference_homogeneity(s, model)
-    shares, table, _ = homogeneity_forecast(s, penalty=penalty)
+    shares, table, _ = homogeneity_forecast(s)
     assert shares.shares == want_shares
     assert table.rows == want_rows
 
