@@ -19,6 +19,7 @@ from .bounds import (
     effective_allocation_limits,
     event_bounds,
     majority_classification,
+    seat_bounds,
 )
 from .data import (
     PartyRegistry,

@@ -18,7 +18,8 @@ total weight, so it is computed per set from the survey's cell table
 (see ``pollsets.data``): each set's exact weight sum times the fraction
 of it the bound counts, added exactly and rounded once
 (``data.weighted_total``).  Results are therefore correctly rounded and
-independent of respondent order.
+independent of respondent order.  Seat shares over a subset of parties
+(``seat_bounds``) are ratios of two such sums.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ class Interval:
 
 @dataclass(frozen=True)
 class IntervalForecast:
-    """Per-option intervals plus the total weight they were computed from."""
+    """Per-option intervals."""
 
     intervals: dict[str, Interval]
-    total_weight: float
 
     def __post_init__(self):
         lowers = math.fsum(iv.lower for iv in self.intervals.values())
@@ -128,6 +128,18 @@ def _contribution_limits(k: int, m: int, c: AllocationConstraint) -> tuple[float
     return lo, hi
 
 
+def _limits(s: Survey, mask: int, c: AllocationConstraint | None) -> tuple[list[float], list[float]]:
+    """Per distinct set, the least and the most of a unit of its weight that can fall in the parties of ``mask``.
+
+    Without a constraint: whether the set lies inside them, and whether it touches them (0 for an empty ``mask``).
+    """
+    masks = [ps.mask for ps in s.cells.sets]
+    if c is None:
+        return [float(m & ~mask == 0) for m in masks], [float(m & mask != 0) for m in masks]
+    limits = [_contribution_limits(m.bit_count(), (m & mask).bit_count(), c) for m in masks]
+    return [lo for lo, _ in limits], [hi for _, hi in limits]
+
+
 def event_bounds(s: Survey, event: PartySet, c: AllocationConstraint | None = None) -> Interval:
     """Lower/upper bounds for the share of votes falling inside `event`.
 
@@ -143,22 +155,15 @@ def event_bounds(s: Survey, event: PartySet, c: AllocationConstraint | None = No
         raise ValueError("event_bounds of an empty survey")
     if not event.fits(s.registry):
         raise ValueError("event references options outside the registry")
-    cells = s.cells
-    if c is None:
-        limits = [(float(ps.issubset(event)), float(ps.intersects(event))) for ps in cells.sets]
-    else:
-        limits = [_contribution_limits(ps.size, ps.intersection_size(event), c) for ps in cells.sets]
-    lo_factors, hi_factors = zip(*limits)
-    lower = min(weighted_total(cells.set_sums, lo_factors) / s.total_weight, 1.0)
-    upper = min(weighted_total(cells.set_sums, hi_factors) / s.total_weight, 1.0)
+    sums = s.cells.set_sums
+    lo_factors, hi_factors = _limits(s, event.mask, c)
+    lower = min(weighted_total(sums, lo_factors) / s.total_weight, 1.0)
+    upper = min(weighted_total(sums, hi_factors) / s.total_weight, 1.0)
     return Interval(lower, upper)
 
 
 def _per_option_forecast(s: Survey, c: AllocationConstraint | None) -> IntervalForecast:
-    intervals = {
-        code: event_bounds(s, s.registry.singleton(code), c) for code in s.registry.options
-    }
-    return IntervalForecast(intervals, s.total_weight)
+    return IntervalForecast({code: event_bounds(s, s.registry.singleton(code), c) for code in s.registry.options})
 
 
 def dempster_bounds(s: Survey) -> IntervalForecast:
@@ -169,6 +174,36 @@ def dempster_bounds(s: Survey) -> IntervalForecast:
 def constrained_bounds(s: Survey, c: AllocationConstraint) -> IntervalForecast:
     """Per-option intervals narrowed by the within-set allocation box."""
     return _per_option_forecast(s, c)
+
+
+def seat_bounds(s: Survey, included: PartySet, c: AllocationConstraint | None = None) -> IntervalForecast:
+    """Each included party's share of the included parties' votes, sharp over every completion.
+
+    For party j and the other included parties R, some allocation gives
+    j its least mass and R its most in every set at once, and
+    j / (j + R) rises in j and falls in R.  So the lower bound is
+    sum(lo_j) / sum(lo_j + hi_R) over the sets' extremal factors and the
+    upper bound is sum(hi_j) / sum(hi_j + lo_R), each sum exact and
+    rounded once (Fagin & Halpern 1991 without a constraint).  Without a
+    constraint over the full registry, this is ``dempster_bounds`` bit for bit.
+    """
+    if not included.fits(s.registry):
+        raise ValueError("included set references options outside the registry")
+    sums = s.cells.set_sums
+    intervals = {}
+    for i in included.indices():
+        code = s.registry.options[i]
+        j_lo, j_hi = _limits(s, 1 << i, c)
+        rest_lo, rest_hi = _limits(s, included.mask & ~(1 << i), c)
+        # Concatenated factor lists give the exact sum of both terms, rounded once.
+        denominators = weighted_total(sums * 2, j_lo + rest_hi), weighted_total(sums * 2, j_hi + rest_lo)
+        if not all(denominators):
+            raise ValueError(f"seat share of {code} is undefined: a completion gives the included parties no votes")
+        lower = weighted_total(sums, j_lo) / denominators[0]
+        upper = weighted_total(sums, j_hi) / denominators[1]
+        # Separately rounded sums can cross the two ratios by an ulp where the exact ones are that close.
+        intervals[code] = Interval(min(lower, upper), upper)
+    return IntervalForecast(intervals)
 
 
 def majority_classification(i: Interval, threshold: float = 0.5) -> Majority:
@@ -220,5 +255,10 @@ def parse_coalitions(text: str, registry: PartyRegistry) -> list[CoalitionSpec]:
         codes = [c.strip() for c in members.split(";") if c.strip()]
         if not codes:
             raise ValueError(f"coalition line {lineno}: no member codes")
-        specs.append(CoalitionSpec(name.strip(), registry.set_of(codes)))
+        if len(set(codes)) != len(codes):
+            raise ValueError(f"coalition line {lineno}: party code repeated in {members.strip()!r}")
+        try:
+            specs.append(CoalitionSpec(name.strip(), registry.set_of(codes)))
+        except KeyError as exc:
+            raise ValueError(f"coalition line {lineno}: {exc.args[0]}") from None
     return specs

@@ -17,16 +17,9 @@ from pathlib import Path
 
 from . import forecast as fc
 from . import mnl, ontic, simulate, svgplot
-from .bounds import (
-    AllocationConstraint,
-    IntervalForecast,
-    Majority,
-    dempster_bounds,
-    constrained_bounds,
-    coalition_report,
-    parse_coalitions,
-)
-from .data import PartyRegistry, group_counts, parse_survey, survey_to_csv, undecided_share, validate
+from .bounds import AllocationConstraint, Majority, coalition_report, constrained_bounds, dempster_bounds
+from .bounds import parse_coalitions, seat_bounds
+from .data import PartyRegistry, PartySet, group_counts, parse_survey, survey_to_csv, validate
 
 DEFAULT_REGISTRY = "SPD,CDU_CSU,GRUENE,FDP,AFD,LINKE"
 
@@ -82,17 +75,9 @@ def _constraint(args) -> AllocationConstraint | None:
     return AllocationConstraint(args.alpha, args.beta)
 
 
-def _seat_share(args, survey, shares):
-    """``shares`` renormalized over the parties ``--seats`` names, or unchanged without it."""
-    if not args.seats:
-        return shares
-    registry = survey.registry
-    included = registry.full_set() if args.seats == "all" else registry.set_of(_parse_list(args.seats))
-    return fc.seat_share(shares, included, registry)
-
-
-def _interval_rows(f: IntervalForecast) -> list[tuple[str, float, float]]:
-    return [(code, iv.lower, iv.upper) for code, iv in f.intervals.items()]
+def _seats(args, registry: PartyRegistry) -> PartySet:
+    """The parties ``--seats`` names."""
+    return registry.full_set() if args.seats == "all" else registry.set_of(_parse_list(args.seats))
 
 
 def _csv_text(header, rows) -> str:
@@ -144,7 +129,8 @@ def cmd_forecast(args) -> int:
                 f" after {report.iterations} iterations",
                 file=sys.stderr,
             )
-    vector = _seat_share(args, survey, vector)
+    if args.seats:
+        vector = fc.seat_share(vector, _seats(args, survey.registry), survey.registry)
     if args.format == "json":
         doc = {
             "method": args.method,
@@ -161,18 +147,19 @@ def cmd_forecast(args) -> int:
 def cmd_bounds(args) -> int:
     survey = _load_survey(args)
     constraint = _constraint(args)
-    result = constrained_bounds(survey, constraint) if constraint else dempster_bounds(survey)
-    result = _seat_share(args, survey, result)
+    if args.seats:
+        result = seat_bounds(survey, _seats(args, survey.registry), constraint)
+    else:
+        result = constrained_bounds(survey, constraint) if constraint else dempster_bounds(survey)
+    rows = [(code, iv.lower, iv.upper) for code, iv in result.intervals.items()]
     if args.format == "json":
-        doc = {code: {"lower": iv.lower, "upper": iv.upper} for code, iv in result.intervals.items()}
+        doc = {code: {"lower": lower, "upper": upper} for code, lower, upper in rows}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        _emit(_csv_text(["option", "lower", "upper"], _interval_rows(result)), args.out)
+        _emit(_csv_text(["option", "lower", "upper"], rows), args.out)
     else:
-        title = "Vote share bounds" + (
-            f" (alpha={constraint.alpha:g}, beta={constraint.beta:g})" if constraint else ""
-        )
-        _emit(svgplot.render_interval_bars(list(result.intervals.items()), title=title), args.out)
+        box = f" (alpha={constraint.alpha:g}, beta={constraint.beta:g})" if constraint else ""
+        _emit(svgplot.render_interval_bars(list(result.intervals.items()), title="Vote share bounds" + box), args.out)
     return 0
 
 
@@ -289,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, ("json", "csv", "svg"))
     p.add_argument("--alpha", type=float, help="within-set lower allocation share")
     p.add_argument("--beta", type=float, help="within-set upper allocation share")
-    p.add_argument("--seats", help="renormalize over these codes ('all' for the full registry)")
+    p.add_argument("--seats", help="seat shares over these codes ('all' for the full registry)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("coalitions", help="bounds and majority classification per coalition")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mnl
-from .bounds import Interval, IntervalForecast
 from .data import CellTable, PartySet, Survey, exact_sums, rounded
 
 _ROW_SUM_TOL = 1e-9
@@ -146,38 +145,10 @@ def homogeneity_forecast(s: Survey) -> tuple[ProbabilityVector, TransitionTable,
     return ProbabilityVector(shares), table, report
 
 
-def seat_share(p: ProbabilityVector | IntervalForecast, included: PartySet, registry) -> ProbabilityVector | IntervalForecast:
-    """Renormalize shares over the included parties.
-
-    For a point vector this is plain renormalization.  For intervals,
-    each bound is divided by the extreme attainable total of the other
-    included parties, capped by simplex feasibility, which is the exact
-    image of the interval credal set and keeps lower <= upper.
-    """
+def seat_share(p: ProbabilityVector, included: PartySet, registry) -> ProbabilityVector:
+    """Renormalize a point forecast's shares over the included parties (for intervals see ``bounds.seat_bounds``)."""
     codes = registry.codes_of(included)
-    if not codes:
-        raise ValueError("included set is empty")
-    if isinstance(p, ProbabilityVector):
-        total = math.fsum(p.shares[c] for c in codes)
-        if total <= 0:
-            raise ValueError("included shares sum to zero")
-        return ProbabilityVector({c: p.shares[c] / total for c in codes})
-
-    excluded = [c for c in p.intervals if c not in set(codes)]
-    out = {}
-    for code in codes:
-        iv = p.intervals[code]
-        rest_upper = math.fsum(p.intervals[c].upper for c in codes if c != code)
-        rest_lower = math.fsum(p.intervals[c].lower for c in codes if c != code)
-        out_lower = math.fsum(p.intervals[c].lower for c in excluded)
-        out_upper = math.fsum(p.intervals[c].upper for c in excluded)
-        rest_max = min(rest_upper, 1.0 - iv.lower - out_lower)
-        rest_min = max(rest_lower, 1.0 - iv.upper - out_upper)
-        denom_lo = iv.lower + rest_max
-        denom_hi = iv.upper + rest_min
-        if denom_lo <= 0 or denom_hi <= 0:
-            raise ValueError("seat renormalization denominator vanished")
-        lo = iv.lower / denom_lo
-        hi = iv.upper / denom_hi
-        out[code] = Interval(min(lo, hi), max(lo, hi))
-    return IntervalForecast(out, p.total_weight)
+    total = math.fsum(p.shares[c] for c in codes)
+    if total <= 0:
+        raise ValueError("included shares sum to zero")
+    return ProbabilityVector({c: p.shares[c] / total for c in codes})

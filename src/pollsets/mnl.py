@@ -913,6 +913,8 @@ def cross_validate(
         raise ValueError("need 2 <= folds <= n")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     assignments = [_stratified_folds(d.y, folds, seed + 7919 * r) for r in range(repeats)]
     splits = [(assignment, f) for assignment in assignments for f in range(folds)]
     scores, path = _fit_grid(d, grid, splits, constraint, options, return_path)

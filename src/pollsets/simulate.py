@@ -55,6 +55,8 @@ class SimConfig:
             raise ValueError("n must be >= 1")
         if not 0.0 <= self.coarsen_prob <= 1.0:
             raise ValueError("coarsen_prob must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         try:
             coef = tuple(tuple(float(v) for v in row) for row in self.coefficients)
         except OverflowError:  # an integer too large for a float, as 1e400 reads as inf

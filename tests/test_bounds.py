@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pollsets import (
@@ -26,10 +26,11 @@ from pollsets import (
     homogeneity_forecast,
     majority_classification,
     mnl,
+    seat_bounds,
     transition_probabilities,
     validate,
 )
-from pollsets.bounds import _contribution_limits
+from pollsets.bounds import _contribution_limits, parse_coalitions
 from pollsets.forecast import decided_design
 from conftest import random_event, random_survey
 
@@ -145,6 +146,97 @@ class TestCoalitionReport:
         assert report[0][1].lower == 0.8 and report[0][2] is Majority.GUARANTEED
         assert report[1][1].upper == 0.2 and report[1][2] is Majority.EXCLUDED
         assert report[2][1].lower == 1.0 and report[2][2] is Majority.GUARANTEED
+
+
+class TestParseCoalitions:
+    def test_names_and_members_in_order(self, abc_registry):
+        specs = parse_coalitions("# comment\n\nAB, A ; B\nC_ALONE,C\n", abc_registry)
+        assert specs == [CoalitionSpec("AB", abc_registry.set_of("AB")), CoalitionSpec("C_ALONE", abc_registry.singleton("C"))]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("AB,A;B\nX,A;XX\n", "coalition line 2: unknown party code 'XX'"),
+            ("# c\nX,A;A\n", "coalition line 2: party code repeated in 'A;A'"),
+            ("X, B ; A;B \n", "coalition line 1: party code repeated in 'B ; A;B'"),
+            ("X\n", "coalition line 1: expected 'name,CODE;CODE;...'"),
+            ("X, ;\n", "coalition line 1: no member codes"),
+        ],
+        ids=["unknown-code", "repeated-code", "repeated-code-spaced", "no-comma", "no-members"],
+    )
+    def test_bad_line_named(self, abc_registry, text, message):
+        # Unknown codes used to raise without a line number; repeated ones were accepted.
+        with pytest.raises(ValueError) as info:
+            parse_coalitions(text, abc_registry)
+        assert str(info.value) == message
+
+
+class TestSeatBounds:
+    def test_interval_full_registry_identity(self, abc_survey, abc_registry):
+        f = dempster_bounds(abc_survey)
+        out = seat_bounds(abc_survey, abc_registry.full_set())
+        for code in abc_registry.options:
+            assert abs(out[code].lower - f[code].lower) < 1e-12
+            assert abs(out[code].upper - f[code].upper) < 1e-12
+
+    def test_interval_case_matches_completion_enumeration(self, abc_registry):
+        reg = abc_registry
+        s = Survey(
+            reg,
+            (),
+            (
+                Respondent(1.0, reg.singleton("A")),
+                Respondent(1.0, reg.singleton("A")),
+                Respondent(1.0, reg.singleton("B")),
+                Respondent(1.0, reg.set_of(["A", "B"])),
+                Respondent(1.0, reg.singleton("C")),
+                Respondent(1.0, reg.set_of(["B", "C"])),
+            ),
+        )
+        included = reg.set_of(["A", "B"])
+        out = seat_bounds(s, included)
+
+        rows = list(s.cells.rows())
+        undecided = [ps for _, ps, _ in rows if not ps.is_singleton]
+        extremes = {code: [1.0, 0.0] for code in ("A", "B")}
+        for combo in itertools.product(*(ps.indices() for ps in undecided)):
+            votes = []
+            it = iter(combo)
+            for _, ps, _ in rows:
+                votes.append(next(it) if not ps.is_singleton else ps.indices()[0])
+            mass = {c: 0.0 for c in reg.options}
+            for (w, _, _), v in zip(rows, votes):
+                mass[reg.options[v]] += w
+            total_inc = mass["A"] + mass["B"]
+            for code in ("A", "B"):
+                seats = mass[code] / total_inc
+                extremes[code][0] = min(extremes[code][0], seats)
+                extremes[code][1] = max(extremes[code][1], seats)
+        for code in ("A", "B"):
+            assert abs(out[code].lower - extremes[code][0]) < 1e-12
+            assert abs(out[code].upper - extremes[code][1]) < 1e-12
+
+    def test_sharper_than_renormalized_intervals(self):
+        # Renormalizing the per-party intervals gives C [0, 1]: A and B may
+        # each get no votes, but not both, as one voter chooses between them.
+        reg = PartyRegistry(("A", "B", "C", "D"))
+        s = Survey(reg, (), (Respondent(1.0, reg.set_of("AB")), Respondent(1.0, reg.set_of("CD"))))
+        out = seat_bounds(s, reg.set_of("ABC"))
+        assert out.intervals == {"A": Interval(0.0, 1.0), "B": Interval(0.0, 1.0), "C": Interval(0.0, 0.5)}
+
+    def test_undefined_share_errors(self, abc_registry):
+        reg = abc_registry
+        s = Survey(reg, (), (Respondent(1.0, reg.singleton("A")), Respondent(1.0, reg.set_of("BC"))))
+        with pytest.raises(ValueError, match="^seat share of B is undefined: a completion gives the included parties no votes$"):
+            seat_bounds(s, reg.singleton("B"))
+        # Shares stay defined while some completion gives B or A votes.
+        assert seat_bounds(s, reg.set_of("AB"))["B"] == Interval(0.0, 0.5)
+        with pytest.raises(ValueError, match="^seat share of A is undefined"):
+            seat_bounds(Survey(reg, (), ()), reg.full_set())
+
+    def test_included_must_fit_registry(self, abc_survey):
+        with pytest.raises(ValueError, match="outside the registry"):
+            seat_bounds(abc_survey, PartySet(1 << 5))
 
 
 class TestProperties:
@@ -367,3 +459,102 @@ def test_homogeneity_matches_per_respondent_transition_rows(s):
     total = math.fsum(per_respondent.values())
     for code in s.registry.options:
         assert abs(shares[code] - per_respondent[code] / total) <= 1e-12
+
+
+# Seat-share oracles: exact enumeration, independent of the closed form.
+
+
+def _box_vertices(k, c):
+    """Vertices of {x in [alpha_eff, beta_eff]^k : sum(x) = 1}: every coordinate at a limit but at most one.
+
+    The limits are the exact values of the floats the bounds use.  They
+    meet 1/k only up to rounding, so the free coordinate is accepted
+    within 1e-15 of them and clamped into them.
+    """
+    a, b = map(Fraction, effective_allocation_limits(k, c))
+    slack = Fraction(1, 10**15)
+    vertices = set()
+    for free in range(k):
+        for fixed in itertools.product((a, b), repeat=k - 1):
+            x = 1 - sum(fixed)
+            if a - slack <= x <= b + slack:
+                vertices.add((*fixed[:free], min(max(x, a), b), *fixed[free:]))
+    return vertices
+
+
+def _seat_oracle(s, included, c=None):
+    """Per included code, the exact least and greatest share of the included parties' votes, or None if undefined.
+
+    Without ``c`` every completion is enumerated: each respondent votes
+    for one member of their set.  With ``c`` each distinct set's weight
+    is split at every vertex of its allocation box, where a ratio of
+    linear functions attains its extremes.  A share is undefined where
+    it has no least or no greatest value: j or the rest never get votes,
+    and some split gives the included parties none.
+    """
+    rows = list(s.cells.rows())
+    if c is None:
+        units = [(Fraction(w), [{i: 1} for i in ps.indices()]) for w, ps, _ in rows]
+    else:
+        by_set = {}
+        for w, ps, _ in rows:
+            by_set[ps] = by_set.get(ps, 0) + Fraction(w)
+        units = [
+            (w, [dict(zip(ps.indices(), x)) for x in _box_vertices(ps.size, c)]) for ps, w in by_set.items()
+        ]
+    out = {}
+    for j in included.indices():
+        rest = [i for i in included.indices() if i != j]
+        # Every (votes of j, votes of the rest) pair over the units' choices, built unit by unit.
+        points = {(Fraction(0), Fraction(0))}
+        for w, splits in units:
+            steps = {(x.get(j, 0), sum(x.get(i, 0) for i in rest)) for x in splits}
+            points = {(a + w * dj, b + w * dr) for a, b in points for dj, dr in steps}
+        mine, others = [a for a, _ in points], [b for _, b in points]
+        if (min(mine) == max(others) == 0) or (max(mine) == min(others) == 0):
+            out[s.registry.options[j]] = None
+        else:
+            shares = [a / (a + b) for a, b in points if a + b]
+            out[s.registry.options[j]] = (min(shares), max(shares))
+    return out
+
+
+@st.composite
+def _seat_cases(draw):
+    """A small survey over 2-4 parties, an included set, and no box or a box on a 1/20 grid."""
+    k = draw(st.integers(2, 4))
+    reg = PartyRegistry(tuple("ABCD"[:k]))
+    full = (1 << k) - 1
+    decided = draw(st.lists(st.integers(0, k - 1).map(lambda i: 1 << i), max_size=4))
+    undecided = draw(st.lists(st.integers(3, full).filter(lambda m: m & (m - 1)), max_size=4))
+    assume(decided or undecided)
+    weight = st.sampled_from([0.1, 0.2, 0.3, 1.0]) | st.floats(0.1, 10.0)
+    s = Survey(reg, (), tuple(Respondent(draw(weight), PartySet(m)) for m in draw(st.permutations(decided + undecided))))
+    included = draw(st.integers(1, full) | st.just(full))
+    box = draw(st.none() | st.lists(st.integers(0, 20), min_size=2, max_size=2).map(sorted))
+    return s, PartySet(included), box and AllocationConstraint(box[0] / 20, box[1] / 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_seat_cases())
+def test_seat_bounds_match_exact_oracles(case):
+    s, included, c = case
+    want = _seat_oracle(s, included, c)
+    if None in want.values():
+        with pytest.raises(ValueError, match="is undefined"):
+            seat_bounds(s, included, c)
+        return
+    got = seat_bounds(s, included, c)
+    assert list(got.intervals) == list(want)
+    for code, (lower, upper) in want.items():
+        assert abs(got[code].lower - lower) <= 1e-12 and abs(got[code].upper - upper) <= 1e-12, (code, got[code])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_surveys())
+def test_seat_bounds_over_full_registry_bit_identical_to_dempster(s):
+    got, want = seat_bounds(s, s.registry.full_set()), dempster_bounds(s)
+    assert [(iv.lower.hex(), iv.upper.hex()) for iv in got.intervals.values()] == [
+        (iv.lower.hex(), iv.upper.hex()) for iv in want.intervals.values()
+    ]
+    assert list(got.intervals) == list(want.intervals)

@@ -14,6 +14,7 @@ from test_data import MULTILINE_THEN_FAULT, _reference_parse, _survey_documents
 
 FIXTURE = "weight,parties\n1.0,A\n1.0,A\n1.0,B\n1.0,A;B\n1.0,C\n"
 REG = "A,B,C"
+WAVE3_SCHEMA = "female,age_65plus,east,high_income,urban"
 
 
 @pytest.fixture
@@ -312,6 +313,24 @@ class TestBounds:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("box", [[], ["--alpha", "0.2", "--beta", "0.8"]], ids=["dempster", "box"])
+    def test_seats_all_equals_plain_bounds_on_wave3(self, capsys, wave3_path, box):
+        argv = ["bounds", "--input", wave3_path, "--schema", WAVE3_SCHEMA, *box]
+        _, plain, _ = run(capsys, *argv)
+        code, seats, _ = run(capsys, *argv, "--seats", "all")
+        assert code == 0
+        assert seats == plain
+
+    def test_seats_sharp_on_wave3(self, capsys, wave3_path):
+        # Renormalizing the per-party intervals gave SPD [0.2926, 0.3808].
+        code, out, _ = run(
+            capsys, "bounds", "--input", wave3_path, "--schema", WAVE3_SCHEMA, "--seats", "SPD,CDU_CSU,GRUENE,FDP",
+        )
+        doc = json.loads(out)
+        assert (code, list(doc)) == (0, ["SPD", "CDU_CSU", "GRUENE", "FDP"])
+        assert abs(doc["SPD"]["lower"] - 0.29567112416322) <= 1e-12
+        assert abs(doc["SPD"]["upper"] - 0.37550661565535) <= 1e-12
+
     def test_svg_output(self, capsys, fixture_csv):
         code, out, _ = run(
             capsys, "bounds", "--input", fixture_csv, "--registry", REG, "--format", "svg",
@@ -371,12 +390,22 @@ class TestCoalitions:
     def test_unknown_party_exit_2(self, capsys, fixture_csv, tmp_path):
         coal = tmp_path / "bad.csv"
         coal.write_text("X,A;ZZZ\n")
-        code, _, err = run(
+        code, out, err = run(
             capsys, "coalitions", "--input", fixture_csv, "--registry", REG,
             "--coalitions", coal,
         )
         assert code == 2
         assert "ZZZ" in err
+        # The message used to name neither the line nor the file.
+        assert (out, err) == ("", "error: coalition line 1: unknown party code 'ZZZ'\n")
+
+
+    def test_repeated_party_exit_2(self, capsys, fixture_csv, tmp_path):
+        # A repeated code used to be accepted silently.
+        coal = tmp_path / "bad.csv"
+        coal.write_text("# c\nX,A;A\n")
+        code, out, err = run(capsys, "coalitions", "--input", fixture_csv, "--registry", REG, "--coalitions", coal)
+        assert (code, out, err) == (2, "", "error: coalition line 2: party code repeated in 'A;A'\n")
 
 
 class TestSimulate:
@@ -408,8 +437,9 @@ class TestSimulate:
             (["--weight-high", "inf"], "weight_range must be finite and satisfy 0 < low <= high"),
             (["--weight-high", "1e308"], "total weight exceeds the largest float"),
             (["--covariates", "a,a"], "schema labels must be unique, got 'a' more than once"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
-        ids=["infinite-weight", "weight-total-overflow", "repeated-covariate"],
+        ids=["infinite-weight", "weight-total-overflow", "repeated-covariate", "negative-seed"],
     )
     def test_bad_configuration_exit_2_and_writes_nothing(self, capsys, tmp_path, flags, message):
         out = tmp_path / "s.csv"
@@ -505,6 +535,11 @@ class TestOntic:
         )
         assert (code, out, err) == (2, "", "error: schema labels must be unique, got 'a' more than once\n")
         assert not path_out.exists()
+
+    def test_negative_seed_exit_2(self, capsys, wave3_path):
+        # numpy's own "expected non-negative integer" used to be the message.
+        code, out, err = run(capsys, "ontic", "--input", wave3_path, "--schema", WAVE3_SCHEMA, "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
     def test_requires_schema(self, capsys, fixture_csv):
         code, _, err = run(capsys, "ontic", "--input", fixture_csv, "--registry", REG)

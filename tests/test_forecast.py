@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -325,50 +324,6 @@ class TestSeatShare:
         p = ProbabilityVector({"A": 0.4, "B": 0.4, "C": 0.2})
         out = seat_share(p, abc_registry.set_of(["A", "B"]), abc_registry)
         assert out.shares == {"A": 0.5, "B": 0.5}
-
-    def test_interval_full_registry_identity(self, abc_survey, abc_registry):
-        f = dempster_bounds(abc_survey)
-        out = seat_share(f, abc_registry.full_set(), abc_registry)
-        for code in abc_registry.options:
-            assert abs(out[code].lower - f[code].lower) < 1e-12
-            assert abs(out[code].upper - f[code].upper) < 1e-12
-
-    def test_interval_case_matches_completion_enumeration(self, abc_registry):
-        reg = abc_registry
-        s = Survey(
-            reg,
-            (),
-            (
-                Respondent(1.0, reg.singleton("A")),
-                Respondent(1.0, reg.singleton("A")),
-                Respondent(1.0, reg.singleton("B")),
-                Respondent(1.0, reg.set_of(["A", "B"])),
-                Respondent(1.0, reg.singleton("C")),
-                Respondent(1.0, reg.set_of(["B", "C"])),
-            ),
-        )
-        included = reg.set_of(["A", "B"])
-        out = seat_share(dempster_bounds(s), included, reg)
-
-        rows = list(s.cells.rows())
-        undecided = [ps for _, ps, _ in rows if not ps.is_singleton]
-        extremes = {code: [1.0, 0.0] for code in ("A", "B")}
-        for combo in itertools.product(*(ps.indices() for ps in undecided)):
-            votes = []
-            it = iter(combo)
-            for _, ps, _ in rows:
-                votes.append(next(it) if not ps.is_singleton else ps.indices()[0])
-            mass = {c: 0.0 for c in reg.options}
-            for (w, _, _), v in zip(rows, votes):
-                mass[reg.options[v]] += w
-            total_inc = mass["A"] + mass["B"]
-            for code in ("A", "B"):
-                seats = mass[code] / total_inc
-                extremes[code][0] = min(extremes[code][0], seats)
-                extremes[code][1] = max(extremes[code][1], seats)
-        for code in ("A", "B"):
-            assert abs(out[code].lower - extremes[code][0]) < 1e-12
-            assert abs(out[code].upper - extremes[code][1]) < 1e-12
 
     def test_zero_denominator_errors(self, abc_registry):
         p = ProbabilityVector({"A": 0.0, "B": 0.0, "C": 1.0})

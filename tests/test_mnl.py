@@ -584,6 +584,11 @@ class TestCrossValidate:
         b = mnl.cross_validate(d, grid, folds=5, seed=42)
         assert a == b
 
+    def test_negative_seed_rejected(self):
+        d = random_design(25, n=30)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            mnl.cross_validate(d, [0.5], folds=3, seed=-1)
+
     def test_grid_must_be_descending(self):
         d = random_design(25, n=30)
         with pytest.raises(ValueError):

@@ -97,6 +97,8 @@ class TestGeneratePopulation:
             config(coarsen_prob=1.5)
         with pytest.raises(ValueError):
             config(coefficients=((0.0, 0.0),))
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            config(seed=-1)
 
     @pytest.mark.parametrize(
         "coefficients,message",
