@@ -242,7 +242,9 @@ def coalition_report(
 def parse_coalitions(text: str, registry: PartyRegistry) -> list[CoalitionSpec]:
     """Parse a coalition list: one `name,CODE;CODE;...` line each.
 
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped.  The codes are
+    checked by ``PartyRegistry.set_of``; a fault raises ValueError naming
+    the line.
     """
     specs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -252,13 +254,8 @@ def parse_coalitions(text: str, registry: PartyRegistry) -> list[CoalitionSpec]:
         name, sep, members = line.partition(",")
         if not sep or not name.strip():
             raise ValueError(f"coalition line {lineno}: expected 'name,CODE;CODE;...'")
-        codes = [c.strip() for c in members.split(";") if c.strip()]
-        if not codes:
-            raise ValueError(f"coalition line {lineno}: no member codes")
-        if len(set(codes)) != len(codes):
-            raise ValueError(f"coalition line {lineno}: party code repeated in {members.strip()!r}")
         try:
-            specs.append(CoalitionSpec(name.strip(), registry.set_of(codes)))
-        except KeyError as exc:
-            raise ValueError(f"coalition line {lineno}: {exc.args[0]}") from None
+            specs.append(CoalitionSpec(name.strip(), registry.set_of(members.split(";"))))
+        except ValueError as exc:
+            raise ValueError(f"coalition line {lineno}: {exc}") from None
     return specs

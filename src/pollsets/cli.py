@@ -9,8 +9,6 @@ input error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -19,7 +17,7 @@ from . import forecast as fc
 from . import mnl, ontic, simulate, svgplot
 from .bounds import AllocationConstraint, Majority, coalition_report, constrained_bounds, dempster_bounds
 from .bounds import parse_coalitions, seat_bounds
-from .data import PartyRegistry, PartySet, group_counts, parse_survey, survey_to_csv, validate
+from .data import PartyRegistry, PartySet, csv_table, group_counts, parse_survey, survey_to_csv, validate
 
 DEFAULT_REGISTRY = "SPD,CDU_CSU,GRUENE,FDP,AFD,LINKE"
 
@@ -53,7 +51,7 @@ def _parse_list(value: str) -> tuple[str, ...]:
 def _load_survey(args):
     path = Path(args.input)
     text = _read_text(path)
-    if not text.strip():
+    if not text or text.isspace():
         raise ValueError(f"input file {path} is empty")
     registry = PartyRegistry(_parse_list(args.registry))
     schema = _parse_list(args.schema) if args.schema else ()
@@ -77,16 +75,10 @@ def _constraint(args) -> AllocationConstraint | None:
 
 def _seats(args, registry: PartyRegistry) -> PartySet:
     """The parties ``--seats`` names."""
-    return registry.full_set() if args.seats == "all" else registry.set_of(_parse_list(args.seats))
-
-
-def _csv_text(header, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else repr(cell) for cell in row])
-    return out.getvalue()
+    try:
+        return registry.full_set() if args.seats == "all" else registry.set_of(_parse_list(args.seats))
+    except ValueError as exc:
+        raise ValueError(f"--seats: {exc}") from None
 
 
 def cmd_describe(args) -> int:
@@ -113,7 +105,7 @@ def cmd_describe(args) -> int:
             f" / {report.undecided_weighted:.4f} weighted, dropped rows: {report.dropped_rows}",
             file=sys.stderr,
         )
-        _emit(_csv_text(["parties", "count", "weight"], rows), args.out)
+        _emit(csv_table(["parties", "count", "weight"], rows), args.out)
     return 0
 
 
@@ -129,7 +121,7 @@ def cmd_forecast(args) -> int:
                 f" after {report.iterations} iterations",
                 file=sys.stderr,
             )
-    if args.seats:
+    if args.seats is not None:
         vector = fc.seat_share(vector, _seats(args, survey.registry), survey.registry)
     if args.format == "json":
         doc = {
@@ -140,14 +132,14 @@ def cmd_forecast(args) -> int:
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        _emit(_csv_text(["option", "share"], list(vector.shares.items())), args.out)
+        _emit(csv_table(["option", "share"], list(vector.shares.items())), args.out)
     return 0
 
 
 def cmd_bounds(args) -> int:
     survey = _load_survey(args)
     constraint = _constraint(args)
-    if args.seats:
+    if args.seats is not None:
         result = seat_bounds(survey, _seats(args, survey.registry), constraint)
     else:
         result = constrained_bounds(survey, constraint) if constraint else dempster_bounds(survey)
@@ -156,7 +148,7 @@ def cmd_bounds(args) -> int:
         doc = {code: {"lower": lower, "upper": upper} for code, lower, upper in rows}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        _emit(_csv_text(["option", "lower", "upper"], rows), args.out)
+        _emit(csv_table(["option", "lower", "upper"], rows), args.out)
     else:
         box = f" (alpha={constraint.alpha:g}, beta={constraint.beta:g})" if constraint else ""
         _emit(svgplot.render_interval_bars(list(result.intervals.items()), title="Vote share bounds" + box), args.out)
@@ -183,7 +175,7 @@ def cmd_coalitions(args) -> int:
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.format == "csv":
         rows = [(n, iv.lower, iv.upper, m.value) for n, iv, m in report]
-        _emit(_csv_text(["coalition", "lower", "upper", "classification"], rows), args.out)
+        _emit(csv_table(["coalition", "lower", "upper", "classification"], rows), args.out)
     else:
         _emit(
             svgplot.render_interval_bars(

@@ -75,6 +75,10 @@ class SurveyFormatError(ValueError):
         super().__init__(message)
 
 
+class UnknownPartyError(ValueError):
+    """Raised when a list of party codes names a code outside the registry."""
+
+
 @dataclass(frozen=True)
 class PartyRegistry:
     """Ordered, fixed set of party codes all indices refer to."""
@@ -99,9 +103,6 @@ class PartyRegistry:
     def __len__(self) -> int:
         return len(self.options)
 
-    def __contains__(self, code: str) -> bool:
-        return code in self._index
-
     def index(self, code: str) -> int:
         try:
             return self._index[code]
@@ -109,11 +110,23 @@ class PartyRegistry:
             raise KeyError(f"unknown party code {code!r}") from None
 
     def set_of(self, codes) -> PartySet:
-        """Build a PartySet from an iterable of registered codes."""
-        mask = 0
-        for code in codes:
-            mask |= 1 << self.index(code)
-        return PartySet(mask)
+        """The set a list of party codes names; the one check on such a list, wherever it comes from.
+
+        Codes are stripped and empty ones skipped; those left must be
+        nonempty, distinct and registered.  A fault raises ValueError
+        (UnknownPartyError for an unregistered code) that does not say
+        where the list came from: each reader adds that.
+        """
+        codes = [code for code in map(str.strip, codes) if code]
+        repeated = [code for code, count in Counter(codes).items() if count > 1]
+        unknown = [code for code in codes if code not in self._index]
+        if not codes:
+            raise ValueError("no party codes")
+        if repeated:
+            raise ValueError(f"party code {repeated[0]!r} repeated")
+        if unknown:
+            raise UnknownPartyError(f"unknown party code {unknown[0]!r}")
+        return PartySet(sum(1 << self._index[code] for code in codes))
 
     def singleton(self, code: str) -> PartySet:
         return PartySet(1 << self.index(code))
@@ -505,16 +518,14 @@ class SurveyDiagnostics:
     option_counts: dict[str, int]
 
 
-def _parse_parties(cell: str, registry: PartyRegistry, lineno: int) -> PartySet | None:
-    """The set a parties cell names, or None if it names a code outside the registry."""
-    codes = [c.strip() for c in cell.split(";") if c.strip()]
-    if not codes:
-        raise SurveyFormatError("empty parties cell", line=lineno)
-    if len(set(codes)) != len(codes):
-        raise SurveyFormatError(f"party code repeated in {cell!r}", line=lineno)
-    if any(code not in registry for code in codes):
-        return None
-    return registry.set_of(codes)
+def _parse_parties(cell: str, registry: PartyRegistry, lineno: int) -> int:
+    """The bitmask of the set a parties cell names, or 0 if it names a code outside the registry."""
+    try:
+        return registry.set_of(cell.split(";")).mask
+    except UnknownPartyError:
+        return 0
+    except ValueError as exc:
+        raise SurveyFormatError(str(exc), line=lineno) from None
 
 
 _BITS = {"0": 0, "1": 1}
@@ -537,10 +548,11 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     analysis is restricted to the registered options, and truncating a
     consideration set would change its meaning).  Structural problems
     (malformed CSV such as an unterminated quote, bad weight,
-    non-binary covariate, empty parties cell, a code repeated within one
-    cell) raise SurveyFormatError with the physical line the offending
-    row starts on (a quoted field may span lines).  A leading UTF-8
-    byte order mark, as spreadsheet exports write it, is skipped.
+    non-binary covariate, a parties cell ``PartyRegistry.set_of`` rejects
+    other than for an unregistered code) raise SurveyFormatError with the
+    physical line the offending row starts on (a quoted field may span
+    lines).  A leading UTF-8 byte order mark, as spreadsheet exports
+    write it, is skipped.
 
     A clean document, with no quote, carriage return or blank line and
     every row well formed, is read by a columnar scan over its bytes
@@ -604,8 +616,7 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
             try:
                 mask = parties[row[1]]
             except KeyError:
-                ps = _parse_parties(row[1], registry, lineno)
-                mask = parties[row[1]] = 0 if ps is None else ps.mask
+                mask = parties[row[1]] = _parse_parties(row[1], registry, lineno)
             if not mask:
                 dropped += 1
                 continue
@@ -710,10 +721,9 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
             if cell not in parties:
                 try:
                     # The line is never reported: a fault declines the scan.
-                    ps = _parse_parties(cell.decode(), registry, 0)
+                    parties[cell] = _parse_parties(cell.decode(), registry, 0)
                 except (UnicodeDecodeError, SurveyFormatError):
                     return None
-                parties[cell] = 0 if ps is None else ps.mask
         mask = np.array([parties[cell] for cell in distinct], dtype=np.int64)[number]
         keep = mask != 0
         if not keep.all():
@@ -886,6 +896,19 @@ def _cell_hash(words: np.ndarray) -> np.ndarray:
     return key
 
 
+def csv_table(header, rows) -> str:
+    """A CSV table: the ``header`` row, then ``rows``, each line ended by a bare newline.
+
+    A cell that is not a string is written as its ``repr``, so a float
+    reads back as the same float.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell if isinstance(cell, str) else repr(cell) for cell in row] for row in rows)
+    return out.getvalue()
+
+
 # survey_to_csv composes and writes this many rows at a time.
 _CSV_BLOCK_ROWS = 4096
 
@@ -894,11 +917,11 @@ def survey_to_csv(s: Survey) -> str:
     """Serialize back to the parse_survey CSV format."""
     cells = s.cells
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(["weight", "parties", *s.schema])
+    out.write(csv_table(["weight", "parties", *s.schema], ()))
     # Each set's parties cell, quoted as csv.writer quotes it, and each
     # pattern's "0,1,..." are made once; the patterns' text comes from one
     # byte matrix with the bits at even columns.
-    parties = [_csv_field(";".join(s.registry.codes_of(ps))) for ps in cells.sets]
+    parties = [csv_table([";".join(s.registry.codes_of(ps))], ())[:-1] for ps in cells.sets]
     p = cells.patterns.shape[1]
     text = np.full((len(cells.patterns), 2 * p), ord(","), np.uint8)
     text[:, 1::2] = cells.patterns + ord("0")
@@ -915,13 +938,6 @@ def survey_to_csv(s: Survey) -> str:
         )
         out.write("".join(rows))
     return out.getvalue()
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as csv.writer writes it in a row."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([text])
-    return out.getvalue()[:-1]
 
 
 def survey_to_json(s: Survey) -> str:
@@ -946,8 +962,9 @@ def survey_to_json(s: Survey) -> str:
 def survey_from_json(text: str) -> Survey:
     """Read a survey_to_json document; equal sets and covariate patterns share one table entry.
 
-    A weight must be a JSON number and ``parties`` a list of distinct
-    codes; anything else raises ValueError naming the respondent's index.
+    A weight must be a JSON number and ``parties`` a list of codes that
+    ``PartyRegistry.set_of`` takes; anything else raises ValueError
+    naming the respondent's index.
     """
     doc = json.loads(text)
     registry = PartyRegistry(tuple(doc["registry"]))
@@ -956,19 +973,20 @@ def survey_from_json(text: str) -> Survey:
     def rows():
         for i, rec in enumerate(doc["respondents"]):
             weight, codes = rec["weight"], rec["parties"]
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-                raise ValueError(f"respondent {i}: weight must be a number, got {weight!r}")
-            if not (isinstance(codes, list) and all(isinstance(code, str) for code in codes)):
-                raise ValueError(f"respondent {i}: parties must be a list of codes, got {codes!r}")
-            if len(set(codes)) != len(codes):
-                raise ValueError(f"respondent {i}: party code repeated in {codes!r}")
             try:
-                weight = float(weight)
-            except OverflowError:  # an integer past the largest float
-                weight = math.inf if weight > 0 else -math.inf
-            ps = registry.set_of(codes)
-            if not 0.0 < weight < math.inf:
-                raise ValueError(f"respondent {i}: weight must be positive and finite, got {weight}")
+                if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                    raise ValueError(f"weight must be a number, got {weight!r}")
+                if not (isinstance(codes, list) and all(isinstance(code, str) for code in codes)):
+                    raise ValueError(f"parties must be a list of codes, got {codes!r}")
+                ps = registry.set_of(codes)
+                try:
+                    weight = float(weight)
+                except OverflowError:  # an integer past the largest float
+                    weight = math.inf if weight > 0 else -math.inf
+                if not 0.0 < weight < math.inf:
+                    raise ValueError(f"weight must be positive and finite, got {weight}")
+            except ValueError as exc:
+                raise ValueError(f"respondent {i}: {exc}") from None
             yield weight, ps, rec.get("covariates")
 
     return Survey.from_cells(registry, schema, _group_by_value(rows(), schema), wave=doc.get("wave", ""))

@@ -9,15 +9,13 @@ characterizes which socioeconomic variables separate those groups.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mnl
-from .data import PartySet, Survey
+from .data import PartySet, Survey, csv_table
 
 
 @dataclass(frozen=True)
@@ -30,12 +28,8 @@ class CoefficientTable:
     zeroed: dict[str, bool]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["category", *self.covariates])
-        for label, row in zip(self.categories, self.values):
-            writer.writerow([label, *(repr(v) for v in row)])
-        return out.getvalue()
+        rows = ((label, *row) for label, row in zip(self.categories, self.values))
+        return csv_table(["category", *self.covariates], rows)
 
     def to_json(self) -> str:
         doc = {
@@ -134,12 +128,7 @@ def _path(s: Survey, grid: list[float], reports: list[mnl.FitReport]) -> list[tu
 
 
 def path_to_csv(path: list[tuple[float, dict[str, float]]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if not path:
         return ""
     names = list(path[0][1])
-    writer.writerow(["lambda", *names])
-    for lam, norms in path:
-        writer.writerow([repr(lam), *(repr(norms[n]) for n in names)])
-    return out.getvalue()
+    return csv_table(["lambda", *names], ((lam, *(norms[n] for n in names)) for lam, norms in path))

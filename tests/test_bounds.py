@@ -157,10 +157,10 @@ class TestParseCoalitions:
         "text,message",
         [
             ("AB,A;B\nX,A;XX\n", "coalition line 2: unknown party code 'XX'"),
-            ("# c\nX,A;A\n", "coalition line 2: party code repeated in 'A;A'"),
-            ("X, B ; A;B \n", "coalition line 1: party code repeated in 'B ; A;B'"),
+            ("# c\nX,A;A\n", "coalition line 2: party code 'A' repeated"),
+            ("X, B ; A;B \n", "coalition line 1: party code 'B' repeated"),
             ("X\n", "coalition line 1: expected 'name,CODE;CODE;...'"),
-            ("X, ;\n", "coalition line 1: no member codes"),
+            ("X, ;\n", "coalition line 1: no party codes"),
         ],
         ids=["unknown-code", "repeated-code", "repeated-code-spaced", "no-comma", "no-members"],
     )

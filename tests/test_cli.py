@@ -68,6 +68,21 @@ class TestDescribe:
 
 
 class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, seats, message",
+        [
+            ("bounds", ",", "no party codes"),
+            ("bounds", "SPD,XX", "unknown party code 'XX'"),
+            ("bounds", "LINKE,LINKE", "party code 'LINKE' repeated"),
+            ("forecast", "LINKE,LINKE", "party code 'LINKE' repeated"),
+        ],
+        ids=["bounds-empty", "bounds-unknown", "bounds-repeated", "forecast-repeated"],
+    )
+    def test_bad_seats_exit_2_naming_the_flag(self, capsys, wave3_path, command, seats, message):
+        # The first two once named no flag, and a repeated code was accepted.
+        code, out, err = run(capsys, command, "--input", wave3_path, "--schema", WAVE3_SCHEMA, "--seats", seats)
+        assert (code, out, err) == (2, "", f"error: --seats: {message}\n")
+
     def test_oversized_field_exit_2_with_line(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text("weight,parties\n1.0,A\n1.0,\"" + "A" * 140_000 + "\"\n")
@@ -405,7 +420,7 @@ class TestCoalitions:
         coal = tmp_path / "bad.csv"
         coal.write_text("# c\nX,A;A\n")
         code, out, err = run(capsys, "coalitions", "--input", fixture_csv, "--registry", REG, "--coalitions", coal)
-        assert (code, out, err) == (2, "", "error: coalition line 2: party code repeated in 'A;A'\n")
+        assert (code, out, err) == (2, "", "error: coalition line 2: party code 'A' repeated\n")
 
 
 class TestSimulate:

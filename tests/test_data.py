@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+from argparse import Namespace
 from fractions import Fraction
 from unittest import mock
 
@@ -26,6 +27,8 @@ from pollsets import (
     validate,
 )
 from pollsets import data
+from pollsets.bounds import parse_coalitions
+from pollsets.cli import _seats
 from pollsets.simulate import SimConfig, default_true_coefficients, generate_population
 
 REG6 = PartyRegistry(("SPD", "CDU_CSU", "GRUENE", "FDP", "AFD", "LINKE"))
@@ -60,7 +63,7 @@ class TestParse:
             parse_survey("weight,parties\nx,SPD\n", REG6, ())
 
     def test_empty_parties_rejected(self):
-        with pytest.raises(SurveyFormatError, match="empty parties"):
+        with pytest.raises(SurveyFormatError, match="^line 2: no party codes$"):
             parse_survey("weight,parties\n1.0,\n", REG6, ())
 
     def test_non_binary_covariate_rejected(self):
@@ -324,7 +327,9 @@ def test_json_null_covariates_under_schema_rejected():
     [
         ("parties", "AB", "parties must be a list of codes, got 'AB'"),
         ("parties", ["A", 1], "parties must be a list of codes, got ['A', 1]"),
-        ("parties", ["A", "A"], "party code repeated in ['A', 'A']"),
+        ("parties", ["A", "A"], "party code 'A' repeated"),
+        ("parties", ["A", "XX"], "unknown party code 'XX'"),
+        ("parties", [], "no party codes"),
         ("weight", True, "weight must be a number, got True"),
         ("weight", "2.5", "weight must be a number, got '2.5'"),
     ],
@@ -350,6 +355,52 @@ def test_json_weight_out_of_range_names_the_respondent(weight, shown):
     message = f"respondent 1: weight must be positive and finite, got {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         survey_from_json(json.dumps(doc))
+
+
+# Every reader of a list of party codes takes it through PartyRegistry.set_of.
+# Codes hold no separator (",", ";") and no quote, so each reader's format
+# can carry them unquoted.
+_CODES = st.sampled_from(["A", "B", "C", "D", "XX", " A", "B  ", "\tC", "", " "])
+
+
+def _outcome(read, prefix):
+    """("ok", mask) for the set ``read()`` returns, or ("error", its message less ``prefix``)."""
+    try:
+        return ("ok", read().mask)
+    except ValueError as exc:
+        assert str(exc).startswith(prefix), (str(exc), prefix)
+        return ("error", str(exc).removeprefix(prefix))
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes=st.lists(_CODES, max_size=4))
+def test_code_list_readers_agree(codes):
+    registry = PartyRegistry(("A", "B", "C"))
+    want = _outcome(lambda: registry.set_of(codes), "")
+    cell = ";".join(codes)
+    doc = {"registry": list(registry.options), "schema": [], "wave": ""}
+    doc["respondents"] = [{"weight": 1.0, "parties": codes, "covariates": None}]
+    readers = {
+        "coalition line": _outcome(lambda: parse_coalitions(f"X,{cell}\n", registry)[0].members, "coalition line 1: "),
+        "JSON respondent": _outcome(lambda: next(survey_from_json(json.dumps(doc)).cells.rows())[1], "respondent 0: "),
+        "--seats": _outcome(lambda: _seats(Namespace(seats=",".join(codes)), registry), "--seats: "),
+    }
+    assert readers == dict.fromkeys(readers, want)
+    # A survey parties cell: the row parser rejects as the others do, and the
+    # columnar scan declines, except that a row naming an unregistered code
+    # is dropped and counted.  Where the row parser accepts, so does the scan.
+    text = f"weight,parties\n1.0,{cell}\n"
+    try:
+        rows = data._parse_rows(text, registry, ())
+    except SurveyFormatError as exc:
+        assert str(exc).startswith("line 2: ") and want == ("error", str(exc).removeprefix("line 2: "))
+        assert data._parse_clean(text, registry, ()) is None
+        return
+    if want[0] == "ok":
+        assert (rows.dropped_rows, [ps.mask for _, ps, _ in rows.cells.rows()]) == (0, [want[1]])
+    else:
+        assert want[1].startswith("unknown party code ") and (rows.dropped_rows, len(rows)) == (1, 0)
+    assert data._parse_clean(text, registry, ()) == rows
 
 
 def test_json_integer_weight_read_as_float():
@@ -394,10 +445,11 @@ def _reference_parse(text):
                 return ("error", f"weight must be positive and finite, got {row[0]}", lineno)
             codes = [c.strip() for c in row[1].split(";") if c.strip()]
             if not codes:
-                return ("error", "empty parties cell", lineno)
+                return ("error", "no party codes", lineno)
             if len(set(codes)) != len(codes):
-                return ("error", f"party code repeated in {row[1]!r}", lineno)
-            if any(code not in DIFF_REGISTRY for code in codes):
+                repeated = next(code for code in codes if codes.count(code) > 1)
+                return ("error", f"party code {repeated!r} repeated", lineno)
+            if any(code not in DIFF_REGISTRY.options for code in codes):
                 dropped += 1
                 continue
             for label, cell in zip(DIFF_SCHEMA, row[2:]):
