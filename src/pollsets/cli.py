@@ -58,11 +58,26 @@ def _load_survey(args):
     return parse_survey(text, registry, schema)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _render(args, doc, header, rows, bars=None, note: str = "") -> int:
+    """Write a command's result in ``--format`` to ``--out`` or stdout; returns exit code 0.
+
+    JSON is ``doc``, CSV is the table of ``header`` and ``rows``, and SVG
+    is ``svgplot.render_interval_bars(**bars)``.  ``note``, a summary the
+    CSV table leaves out, goes to stderr before a CSV table is written.
+    """
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
+        if note:
+            print(note, file=sys.stderr)
+        text = csv_table(header, rows)
+    else:
+        text = svgplot.render_interval_bars(**bars)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _constraint(args) -> AllocationConstraint | None:
@@ -89,24 +104,19 @@ def cmd_describe(args) -> int:
         (survey.registry.label_of(ps), count, weight)
         for ps, (count, weight) in groups.items()
     ]
-    if args.format == "json":
-        doc = {
-            "n": report.n,
-            "total_weight": report.total_weight,
-            "undecided_unweighted": report.undecided_unweighted,
-            "undecided_weighted": report.undecided_weighted,
-            "dropped_rows": report.dropped_rows,
-            "groups": [{"parties": p, "count": c, "weight": w} for p, c, w in rows],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        print(
-            f"n: {report.n}, undecided share: {report.undecided_unweighted:.4f} unweighted"
-            f" / {report.undecided_weighted:.4f} weighted, dropped rows: {report.dropped_rows}",
-            file=sys.stderr,
-        )
-        _emit(csv_table(["parties", "count", "weight"], rows), args.out)
-    return 0
+    doc = {
+        "n": report.n,
+        "total_weight": report.total_weight,
+        "undecided_unweighted": report.undecided_unweighted,
+        "undecided_weighted": report.undecided_weighted,
+        "dropped_rows": report.dropped_rows,
+        "groups": [{"parties": p, "count": c, "weight": w} for p, c, w in rows],
+    }
+    note = (
+        f"n: {report.n}, undecided share: {report.undecided_unweighted:.4f} unweighted"
+        f" / {report.undecided_weighted:.4f} weighted, dropped rows: {report.dropped_rows}"
+    )
+    return _render(args, doc, ["parties", "count", "weight"], rows, note=note)
 
 
 def cmd_forecast(args) -> int:
@@ -123,17 +133,13 @@ def cmd_forecast(args) -> int:
             )
     if args.seats is not None:
         vector = fc.seat_share(vector, _seats(args, survey.registry), survey.registry)
-    if args.format == "json":
-        doc = {
-            "method": args.method,
-            "shares": dict(vector.shares),
-            "n_decided": survey.n_decided,
-            "n_undecided": survey.n_undecided,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        _emit(csv_table(["option", "share"], list(vector.shares.items())), args.out)
-    return 0
+    doc = {
+        "method": args.method,
+        "shares": dict(vector.shares),
+        "n_decided": survey.n_decided,
+        "n_undecided": survey.n_undecided,
+    }
+    return _render(args, doc, ["option", "share"], vector.shares.items())
 
 
 def cmd_bounds(args) -> int:
@@ -144,15 +150,10 @@ def cmd_bounds(args) -> int:
     else:
         result = constrained_bounds(survey, constraint) if constraint else dempster_bounds(survey)
     rows = [(code, iv.lower, iv.upper) for code, iv in result.intervals.items()]
-    if args.format == "json":
-        doc = {code: {"lower": lower, "upper": upper} for code, lower, upper in rows}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(csv_table(["option", "lower", "upper"], rows), args.out)
-    else:
-        box = f" (alpha={constraint.alpha:g}, beta={constraint.beta:g})" if constraint else ""
-        _emit(svgplot.render_interval_bars(list(result.intervals.items()), title="Vote share bounds" + box), args.out)
-    return 0
+    doc = {code: {"lower": lower, "upper": upper} for code, lower, upper in rows}
+    box = f" (alpha={constraint.alpha:g}, beta={constraint.beta:g})" if constraint else ""
+    bars = dict(items=list(result.intervals.items()), title="Vote share bounds" + box)
+    return _render(args, doc, ["option", "lower", "upper"], rows, bars)
 
 
 def cmd_coalitions(args) -> int:
@@ -163,29 +164,14 @@ def cmd_coalitions(args) -> int:
     guaranteed = sum(1 for _, _, m in report if m is Majority.GUARANTEED)
     possible = sum(1 for _, _, m in report if m is Majority.POSSIBLE)
     print(f"guaranteed: {guaranteed}, possible: {possible}", file=sys.stderr)
-    if args.format == "json":
-        doc = {
-            "coalitions": [
-                {"name": n, "lower": iv.lower, "upper": iv.upper, "classification": m.value}
-                for n, iv, m in report
-            ],
-            "guaranteed": guaranteed,
-            "possible": possible,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        rows = [(n, iv.lower, iv.upper, m.value) for n, iv, m in report]
-        _emit(csv_table(["coalition", "lower", "upper", "classification"], rows), args.out)
-    else:
-        _emit(
-            svgplot.render_interval_bars(
-                [(n, iv) for n, iv, _ in report],
-                title="Coalition share bounds",
-                threshold=args.threshold,
-            ),
-            args.out,
-        )
-    return 0
+    rows = [(n, iv.lower, iv.upper, m.value) for n, iv, m in report]
+    doc = {
+        "coalitions": [{"name": n, "lower": lo, "upper": up, "classification": c} for n, lo, up, c in rows],
+        "guaranteed": guaranteed,
+        "possible": possible,
+    }
+    bars = dict(items=[(n, iv) for n, iv, _ in report], title="Coalition share bounds", threshold=args.threshold)
+    return _render(args, doc, ["coalition", "lower", "upper", "classification"], rows, bars)
 
 
 def cmd_ontic(args) -> int:
@@ -203,11 +189,14 @@ def cmd_ontic(args) -> int:
     print(f"selected lambda: {best_lam!r}", file=sys.stderr)
     if args.path_out:
         Path(args.path_out).write_text(ontic.path_to_csv(fitted[3]), encoding="utf-8")
-    if args.format == "json":
-        _emit(table.to_json(), args.out)
-    else:
-        _emit(table.to_csv(), args.out)
-    return 0
+    doc = {
+        "categories": list(table.categories),
+        "covariates": list(table.covariates),
+        "coefficients": [list(row) for row in table.values],
+        "zeroed": dict(table.zeroed),
+    }
+    rows = [(label, *row) for label, row in zip(table.categories, table.values)]
+    return _render(args, doc, ["category", *table.covariates], rows)
 
 
 def cmd_simulate(args) -> int:
@@ -253,6 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="write data here instead of stdout")
 
+    def add_box(p):
+        p.add_argument("--alpha", type=float, help="within-set lower allocation share")
+        p.add_argument("--beta", type=float, help="within-set upper allocation share")
+
     p = sub.add_parser("describe", help="sample size, undecided share, biggest undecided groups")
     add_io(p)
     p.add_argument("--top", type=int, default=15, help="number of group rows")
@@ -266,16 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="interval-valued vote share bounds")
     add_io(p, ("json", "csv", "svg"))
-    p.add_argument("--alpha", type=float, help="within-set lower allocation share")
-    p.add_argument("--beta", type=float, help="within-set upper allocation share")
+    add_box(p)
     p.add_argument("--seats", help="seat shares over these codes ('all' for the full registry)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("coalitions", help="bounds and majority classification per coalition")
     add_io(p, ("json", "csv", "svg"))
     p.add_argument("--coalitions", required=True, help="file with one 'name,CODE;CODE' line per coalition")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    add_box(p)
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_coalitions)
 

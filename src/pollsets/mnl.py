@@ -710,7 +710,7 @@ def fit(
     proximal-gradient step without momentum that raises the objective
     ends it as stationary.  ``start`` must be a finite K x P matrix.
     """
-    if len(np.unique(d.y)) < 2:
+    if np.count_nonzero(d.counts.any(axis=1)) < 2:
         raise ValueError("need at least 2 observed categories")
     shape = (d.n_categories, d.n_predictors)
     if start is None:
@@ -802,12 +802,12 @@ def _fold_stack(d: DesignData, stack: list, constraint: Constraint):
     for b, (assignment, f) in enumerate(stack):
         train, test = assignment != f, assignment == f
         y, w = d.y[train], d.w[train]
-        if len(np.unique(y)) < 2:
-            raise ValueError("need at least 2 observed categories")
         # Each side's rows in respondent order: the same sums a regroup of them gives.
         for out, part in ((counts, train), (test_counts, test)):
             cells = d.y[part] * len(xu) + d.group[part]
             out[b] = np.bincount(cells, weights=d.w[part], minlength=out[b].size).reshape(k, -1)
+        if np.count_nonzero(counts[b].any(axis=1)) < 2:
+            raise ValueError("need at least 2 observed categories")
         fractions[b] = float(w.sum()) / w_total
         test_weights[b] = float(d.w[test].sum())
         start[b] = _intercept_start(y, w, k, d.n_predictors, constraint)
@@ -871,7 +871,7 @@ def fit_path(
     """Group-lasso fits of ``d`` along a descending grid, each started where the one before
     ended: one report per grid value, bit-identical to ``fit`` warm-started the same way."""
     grid = _descending(lambda_grid)
-    if len(np.unique(d.y)) < 2:
+    if np.count_nonzero(d.counts.any(axis=1)) < 2:
         raise ValueError("need at least 2 observed categories")
     return _fit_grid(d, grid, [], constraint, options, path=True)[1]
 

@@ -9,7 +9,6 @@ characterizes which socioeconomic variables separate those groups.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +25,6 @@ class CoefficientTable:
     covariates: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
     zeroed: dict[str, bool]
-
-    def to_csv(self) -> str:
-        rows = ((label, *row) for label, row in zip(self.categories, self.values))
-        return csv_table(["category", *self.covariates], rows)
-
-    def to_json(self) -> str:
-        doc = {
-            "categories": list(self.categories),
-            "covariates": list(self.covariates),
-            "coefficients": [list(row) for row in self.values],
-            "zeroed": dict(self.zeroed),
-        }
-        return json.dumps(doc, indent=2) + "\n"
 
 
 def build_ontic_categories(s: Survey, k: int) -> tuple[tuple[PartySet, ...], int]:

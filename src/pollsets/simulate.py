@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +33,13 @@ COMPLETION_BUDGET = 1_000_000
 GRID_BUDGET = 2_000_000
 # Rows of random keys ``_extra_parties`` draws at a time.
 _KEY_ROWS = 1 << 12
+
+
+def _real(v) -> float:
+    """``v`` as a float if it is a real number; a string or a boolean, which ``float`` would read, raises TypeError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"not a real number: {v!r}")
+    return float(v)
 
 
 class CoarsenStyle(enum.Enum):
@@ -58,7 +66,7 @@ class SimConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         try:
-            coef = tuple(tuple(float(v) for v in row) for row in self.coefficients)
+            coef = tuple(tuple(map(_real, row)) for row in self.coefficients)
         except OverflowError:  # an integer too large for a float, as 1e400 reads as inf
             raise ValueError("coefficients must be finite") from None
         except (TypeError, ValueError):

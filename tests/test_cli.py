@@ -15,6 +15,7 @@ from test_data import MULTILINE_THEN_FAULT, _reference_parse, _survey_documents
 FIXTURE = "weight,parties\n1.0,A\n1.0,A\n1.0,B\n1.0,A;B\n1.0,C\n"
 REG = "A,B,C"
 WAVE3_SCHEMA = "female,age_65plus,east,high_income,urban"
+COALITIONS_2021 = Path(__file__).resolve().parents[1] / "data" / "coalitions_2021.csv"
 
 
 @pytest.fixture
@@ -296,6 +297,10 @@ class TestForecast:
         assert set(doc["shares"]) == {"A", "B"}
         assert abs(sum(doc["shares"].values()) - 1.0) < 1e-9
 
+    def test_csv_format(self, capsys, fixture_csv):
+        code, out, err = run(capsys, "forecast", "--input", fixture_csv, "--registry", REG, "--format", "csv")
+        assert (code, out, err) == (0, "option,share\nA,0.5\nB,0.25\nC,0.25\n", "")
+
 
 class TestBounds:
     def test_unconstrained_fixture(self, capsys, fixture_csv):
@@ -354,6 +359,10 @@ class TestBounds:
         bars = [el for el in root.iter() if el.get("class") == "interval-bar"]
         assert len(bars) == 3
 
+    def test_csv_format(self, capsys, fixture_csv):
+        code, out, err = run(capsys, "bounds", "--input", fixture_csv, "--registry", REG, "--format", "csv")
+        assert (code, out, err) == (0, "option,lower,upper\nA,0.4,0.6\nB,0.2,0.4\nC,0.2,0.2\n", "")
+
 
 class TestCoalitions:
     def test_fixture_report(self, capsys, fixture_csv, tmp_path):
@@ -391,6 +400,22 @@ class TestCoalitions:
         assert code == 2
         assert out == ""
         assert "threshold must lie in [0, 1)" in err
+
+    def test_svg_output(self, capsys, fixture_csv, tmp_path):
+        coal = tmp_path / "coal.csv"
+        coal.write_text("AB,A;B\nC_ALONE,C\n")
+        code, out, _ = run(
+            capsys, "coalitions", "--input", fixture_csv, "--registry", REG,
+            "--coalitions", coal, "--format", "svg", "--threshold", "0.5",
+        )
+        assert code == 0
+        root = ET.fromstring(out)
+        bars = [el.get("data-name") for el in root.iter() if el.get("class") == "interval-bar"]
+        assert bars == ["AB", "C_ALONE"]
+        # The dashed threshold line sits at the middle of the 0-1 axis.
+        (line,) = [el for el in root.iter() if el.get("stroke-dasharray")]
+        assert line.get("x1") == line.get("x2") == "355.00"
+        assert "Coalition share bounds" in out
 
     def test_threshold_zero_accepted(self, capsys, fixture_csv, tmp_path):
         coal = tmp_path / "coal.csv"
@@ -470,9 +495,11 @@ class TestSimulate:
             ("[[1e308, 1e308], [-1e308, -1e308]]", "choice scores overflow: the coefficients are too large"),
             ("[[0.5, 0.5], [0.0]]", "coefficient matrix must be (registry size) x (1 + covariates)"),
             ("[0.5, 0.5]", "coefficients must be a matrix of numbers"),
+            ('[["1.5", 0], [0, 0]]', "coefficients must be a matrix of numbers"),
+            ("[[true, 0], [0, 0]]", "coefficients must be a matrix of numbers"),
             ("[[0.5, \xff]]", "{coef}: line 1: not UTF-8 text (invalid start byte)"),
         ],
-        ids=["nan", "integer-past-float", "overflow", "short-row", "not-a-matrix", "not-utf8"],
+        ids=["nan", "integer-past-float", "overflow", "short-row", "not-a-matrix", "string", "boolean", "not-utf8"],
     )
     def test_bad_coefficient_file_exit_2_and_writes_nothing(self, capsys, tmp_path, document, message):
         coef = tmp_path / "coef.json"
@@ -537,7 +564,36 @@ class TestOntic:
         grid = mnl.default_lambda_grid(ontic.ontic_design(survey, cats), mnl.Constraint.symmetric(), points=5)
         want = ontic.path_to_csv(ontic.regularization_path(survey, cats, grid))
         assert path_out.read_text(encoding="utf-8") == want
-        assert out == ontic.fit_ontic(survey, cats, grid, folds=3, seed=seed)[1].to_json()
+        table = ontic.fit_ontic(survey, cats, grid, folds=3, seed=seed)[1]
+        assert json.loads(out) == {
+            "categories": list(table.categories),
+            "covariates": list(table.covariates),
+            "coefficients": [list(row) for row in table.values],
+            "zeroed": table.zeroed,
+        }
+
+    def test_table_serialization_round_trip(self, capsys, tmp_path):
+        from pollsets import build_ontic_categories, fit_ontic, mnl, ontic, survey_to_csv
+        from test_ontic import survey_with_covariates
+
+        s = survey_with_covariates(seed=7)
+        path = tmp_path / "s.csv"
+        path.write_text(survey_to_csv(s))
+        cats, _ = build_ontic_categories(s, 1)
+        grid = mnl.default_lambda_grid(ontic.ontic_design(s, cats), mnl.Constraint.symmetric(), points=3)
+        _, table, _ = fit_ontic(s, cats, lambda_grid=grid, folds=3, seed=0)
+        argv = [
+            "ontic", "--input", path, "--registry", "A,B,C", "--schema", "u,v", "--k", "1", "--grid-points", "3", "--folds", "3",
+        ]
+        code, csv_text, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert csv_text.splitlines()[0] == "category,intercept,u,v"
+        assert len(csv_text.splitlines()) == 1 + len(table.categories)
+        code, json_text, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(json_text)
+        assert doc["categories"] == list(table.categories)
+        assert doc["zeroed"] == table.zeroed
 
     def test_repeated_schema_label_exit_2(self, capsys, tmp_path):
         # A repeated label once wrote a path header with fewer columns than
@@ -578,6 +634,37 @@ def test_unknown_flag_is_an_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["describe", "--input", "x.csv", "--registry", REG, "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["coalitions", "--coalitions", COALITIONS_2021]], ids=lambda a: a[0])
+@pytest.mark.parametrize("given", [["--alpha", "0.2"], ["--beta", "0.8"]], ids=["alpha", "beta"])
+def test_half_an_allocation_box_exit_2(capsys, wave3_path, argv, given):
+    code, out, err = run(capsys, *argv, "--input", wave3_path, "--schema", WAVE3_SCHEMA, *given)
+    assert (code, out, err) == (2, "", "error: --alpha and --beta must be given together\n")
+
+
+# Every command in every format it takes, on the fixture wave.
+WRITER_RUNS = [
+    (argv, fmt)
+    for argv, formats in [
+        (["describe"], ("json", "csv")),
+        (["forecast"], ("json", "csv")),
+        (["bounds"], ("json", "csv", "svg")),
+        (["coalitions", "--coalitions", COALITIONS_2021], ("json", "csv", "svg")),
+        (["ontic", "--k", "2", "--grid-points", "2", "--folds", "2"], ("json", "csv")),
+    ]
+    for fmt in formats
+]
+
+
+@pytest.mark.parametrize("argv, fmt", WRITER_RUNS, ids=[f"{argv[0]}-{fmt}" for argv, fmt in WRITER_RUNS])
+def test_out_file_gets_the_bytes_stdout_gets(capsys, tmp_path, wave3_path, argv, fmt):
+    argv = [*argv, "--input", wave3_path, "--schema", WAVE3_SCHEMA, "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    target = tmp_path / f"result.{fmt}"
+    assert (code, bool(out)) == (0, True)
+    assert run(capsys, *argv, "--out", target) == (0, "", err)
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("command", ["describe", "forecast", "ontic"])

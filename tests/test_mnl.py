@@ -369,6 +369,11 @@ class TestFit:
                 mnl.Constraint.symmetric(),
             )
 
+    def test_path_of_a_single_category_errors(self):
+        d = mnl.DesignData(np.hstack([np.ones((4, 1)), np.eye(4, 1)]), np.ones(4, dtype=int), np.ones(4), 3)
+        with pytest.raises(ValueError, match="^need at least 2 observed categories$"):
+            mnl.fit_path(d, [0.5, 0.1])
+
 
 def cell_design(patterns, k, seed, missing=()):
     """Respondents in every (pattern, category) cell but the ``missing`` ones, one to three per
@@ -594,6 +599,21 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             mnl.cross_validate(d, [0.1, 0.5], folds=3, seed=0)
 
+    @pytest.mark.parametrize(
+        "grid, folds, repeats, message",
+        [
+            ([], 3, 1, "^lambda grid is empty$"),
+            ([0.5], 1, 1, r"^need 2 <= folds <= n$"),
+            ([0.5], 31, 1, r"^need 2 <= folds <= n$"),
+            ([0.5], 3, 0, "^repeats must be >= 1$"),
+        ],
+        ids=["empty-grid", "one-fold", "more-folds-than-rows", "no-repeats"],
+    )
+    def test_bad_settings_rejected(self, grid, folds, repeats, message):
+        d = random_design(25, n=30)
+        with pytest.raises(ValueError, match=message):
+            mnl.cross_validate(d, grid, folds=folds, seed=0, repeats=repeats)
+
     def test_training_fold_with_one_category_errors(self):
         # The lone category-1 row sits in one fold, so the other fold trains on category 0 only.
         d = mnl.DesignData(np.ones((9, 1)), np.array([0] * 8 + [1]), np.ones(9), 2)
@@ -642,6 +662,14 @@ def test_design_data_leaves_the_callers_arrays_writable():
     x, y, w = random_rows(1, n=8)
     mnl.DesignData(x, y, w, 3)
     assert x.flags.writeable and y.flags.writeable and w.flags.writeable
+
+
+def test_lambda_grid_of_a_covariate_that_is_always_zero():
+    # Its gradient column is exactly zero, so no penalty is needed to hold it at zero.
+    x = np.hstack([np.ones((6, 1)), np.zeros((6, 1))])
+    d = mnl.DesignData(x, np.array([0, 0, 1, 1, 2, 2]), np.ones(6), 3)
+    assert mnl.lambda_max(d, mnl.Constraint.symmetric()) == 0.0
+    assert mnl.default_lambda_grid(d, mnl.Constraint.symmetric(), 5) == (0.0,)
 
 
 @pytest.mark.parametrize("points", [0, -3])

@@ -107,12 +107,22 @@ class TestGeneratePopulation:
             (((0.0, 0.0, math.inf),) * 4, "^coefficients must be finite$"),
             (((0.0, 0.0, 0.0),) * 3 + ((0.0, 0.0),), r"^coefficient matrix must be \(registry size\)"),
             ((1.0, 2.0, 3.0, 4.0), "^coefficients must be a matrix of numbers$"),
+            ((("1.5", 0.0, 0.0),) + ((0.0, 0.0, 0.0),) * 3, "^coefficients must be a matrix of numbers$"),
+            (("100",) * 4, "^coefficients must be a matrix of numbers$"),
+            (((True, 0.0, 0.0),) + ((0.0, 0.0, 0.0),) * 3, "^coefficients must be a matrix of numbers$"),
+            (np.zeros((4, 3), dtype=bool), "^coefficients must be a matrix of numbers$"),
         ],
-        ids=["nan", "inf", "short-row", "not-a-matrix"],
+        ids=["nan", "inf", "short-row", "not-a-matrix", "string", "string-rows", "boolean", "numpy-booleans"],
     )
     def test_config_rejects_bad_coefficients(self, coefficients, message):
         with pytest.raises(ValueError, match=message):
             config(coefficients=coefficients)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_config_takes_numpy_numbers(self, dtype):
+        coefficients = np.array(default_true_coefficients(4, 2)).astype(dtype)
+        want = tuple(tuple(float(v) for v in row) for row in coefficients.tolist())
+        assert config(coefficients=coefficients).coefficients == want
 
     def test_overflowing_choice_scores_rejected(self):
         huge = ((1e308, 1e308, 1e308),) * 2 + ((-1e308, -1e308, -1e308),) * 2
