@@ -6,6 +6,7 @@ grid, and calls one check at a time:
 
     python scripts/check_large_design.py path PATH_CSV COVARIATES
     python scripts/check_large_design.py scan REGISTRY COVARIATES SURVEY_CSV...
+    python scripts/check_large_design.py json REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py designs REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py homogeneity REGISTRY COVARIATES SURVEY_CSV...
 
@@ -41,7 +42,7 @@ def _read(path: str) -> str:
 
 
 def check_scan(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
-    """The columnar scan takes each file and reads it as the row parser does, into equal cell tables.
+    """The columnar scan takes each file and reads it as the row parser does, into equal surveys.
 
     Weights of "1.0" go through the decimal decode; 16-17 digit reprs go through float().
     """
@@ -50,10 +51,21 @@ def check_scan(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
         fast, rows = data._parse_clean(text, registry, schema), data._parse_rows(text, registry, schema)
         if fast is None:
             sys.exit(f"{path}: the columnar scan declined")
-        same = fast.cells == rows.cells and fast.dropped_rows == rows.dropped_rows
-        same = same and fast.cells.weights.tobytes() == rows.cells.weights.tobytes()
-        if not same or fast.cells.set_sums != rows.cells.set_sums:
+        if not _same(fast, rows):
             sys.exit(f"{path}: the columnar scan and the row parser differ")
+
+
+def check_json(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
+    """Each parsed file survives ``survey_to_json`` and ``survey_from_json`` unchanged, weight bytes included."""
+    for path in paths:
+        s = parse_survey(_read(path), registry, schema)
+        if not _same(data.survey_from_json(data.survey_to_json(s)), s):
+            sys.exit(f"{path}: the JSON round trip changed the survey")
+
+
+def _same(a, b) -> bool:
+    """Equal surveys, with equal weight bytes and equal exact per-set sums."""
+    return a == b and a.weights.tobytes() == b.weights.tobytes() and a.set_sums == b.set_sums
 
 
 def check_designs(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
@@ -69,7 +81,7 @@ def check_designs(registry: PartyRegistry, schema: tuple[str, ...], paths) -> No
         decided, ontic_design = forecast.decided_design(s), ontic.ontic_design(s, cats)
         for name, d, kept in (("decided", decided, cats[: len(registry)]), ("ontic", ontic_design, cats)):
             index = {ps: i for i, ps in enumerate(kept)}
-            rows = [(w, index[ps], (1, *cov)) for w, ps, cov in s.cells.rows() if ps in index]
+            rows = [(w, index[ps], (1, *cov)) for w, ps, cov in s.rows() if ps in index]
             want = mnl.DesignData([x for *_, x in rows], [c for _, c, _ in rows], [w for w, *_ in rows], len(kept))
             for field in ("xu", "group", "y", "w", "counts", "totals"):
                 a, b = getattr(d, field), getattr(want, field)
@@ -113,7 +125,7 @@ def check_homogeneity(registry: PartyRegistry, schema: tuple[str, ...], paths) -
                 sys.exit(f"{path}: the homogeneity fit ({fit}) is not at its optimum")
 
 
-SURVEY_CHECKS = {"scan": check_scan, "designs": check_designs, "homogeneity": check_homogeneity}
+SURVEY_CHECKS = {"scan": check_scan, "json": check_json, "designs": check_designs, "homogeneity": check_homogeneity}
 
 
 def main(argv: list[str]) -> None:

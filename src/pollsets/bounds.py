@@ -132,8 +132,11 @@ def _limits(s: Survey, mask: int, c: AllocationConstraint | None) -> tuple[list[
     """Per distinct set, the least and the most of a unit of its weight that can fall in the parties of ``mask``.
 
     Without a constraint: whether the set lies inside them, and whether it touches them (0 for an empty ``mask``).
+    A survey with no respondents has no shares, so it raises ValueError.
     """
-    masks = [ps.mask for ps in s.cells.sets]
+    if not len(s):
+        raise ValueError("the survey has no respondents")
+    masks = [ps.mask for ps in s.sets]
     if c is None:
         return [float(m & ~mask == 0) for m in masks], [float(m & mask != 0) for m in masks]
     limits = [_contribution_limits(m.bit_count(), (m & mask).bit_count(), c) for m in masks]
@@ -151,11 +154,9 @@ def event_bounds(s: Survey, event: PartySet, c: AllocationConstraint | None = No
     without a constraint the factors are 0 or 1, so the result equals a
     per-respondent ``math.fsum`` bit for bit.
     """
-    if not len(s):
-        raise ValueError("event_bounds of an empty survey")
     if not event.fits(s.registry):
         raise ValueError("event references options outside the registry")
-    sums = s.cells.set_sums
+    sums = s.set_sums
     lo_factors, hi_factors = _limits(s, event.mask, c)
     lower = min(weighted_total(sums, lo_factors) / s.total_weight, 1.0)
     upper = min(weighted_total(sums, hi_factors) / s.total_weight, 1.0)
@@ -189,7 +190,7 @@ def seat_bounds(s: Survey, included: PartySet, c: AllocationConstraint | None = 
     """
     if not included.fits(s.registry):
         raise ValueError("included set references options outside the registry")
-    sums = s.cells.set_sums
+    sums = s.set_sums
     intervals = {}
     for i in included.indices():
         code = s.registry.options[i]

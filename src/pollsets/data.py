@@ -6,23 +6,22 @@ as bitmasks over a fixed party registry, so a whole consideration set
 fits in one machine word and subset/intersection tests are single AND
 operations.
 
-A survey is stored as its cell table (``Survey.cells``, a
-``CellTable``): the distinct (consideration set, covariate pattern)
-cells, each respondent's cell and weight as float64 columns in
-respondent order, and each set's count and exact weight sum.
-Covariates are binary and sets are bitmasks, so a survey has at most
-2^p x (2^K - 1) cells and usually far fewer than respondents; a bound or a forecast costs one step per
-distinct set or cell plus one exactly rounded sum, not one Python step
-per respondent.  The distinct covariate patterns are the rows of one
-read-only 0/1 ``uint8`` matrix (``CellTable.patterns``).  Every
-producer of a survey hands ``CellTable.build`` its rows as columns
-(weights, set bitmasks, 0/1 covariate rows), and ``build`` alone
-numbers the sets, covariate patterns and cells, in key order
-(``key_order``); a model design keeps those pattern numbers
-(``CellTable.design_groups``).  No object is made per row or per
-covariate pattern.  A clean file, with any number of covariates, is
-read by a columnar scan: one numpy pass
-finds each block's commas and newlines, the covariates come out as one
+A survey is its cell table: ``Survey`` stores the distinct
+(consideration set, covariate pattern) cells, each respondent's cell
+and weight as columns in respondent order, and each set's count and
+exact weight sum.  Covariates are binary and sets are bitmasks, so a
+survey has at most 2^p x (2^K - 1) cells and usually far fewer than
+respondents; a bound or a forecast costs one step per distinct set or
+cell plus one exactly rounded sum, not one Python step per respondent.
+The distinct covariate patterns are the rows of one read-only 0/1
+``uint8`` matrix (``Survey.patterns``).  Every producer of a survey
+hands ``Survey.build`` its rows as columns (weights, set bitmasks, 0/1
+covariate rows), and ``build`` alone numbers the sets, covariate
+patterns and cells, in key order (``key_order``); a model design keeps
+those pattern numbers (``Survey.design_groups``).  No object is made
+per row or per covariate pattern.  A clean file, with any number of
+covariates, is read by a columnar scan: one numpy pass finds each
+block's commas and newlines, the covariates come out as one
 0/1 matrix, a plain decimal weight (at most 16 bytes of ASCII digits,
 1 to 15 of them, and at most one ".") is decoded by array passes into
 the float ``float`` gives, any other weight goes through ``float`` on
@@ -309,9 +308,49 @@ def weighted_total(sums, factors) -> float:
     return ((whole << _FACTOR_EXP) + part) / (1 << (_UNIT_EXP + _FACTOR_EXP))
 
 
-@dataclass(frozen=True, eq=False)
-class CellTable:
-    """A survey's distinct (consideration set, covariate pattern) cells.
+def _columns(rows, schema: tuple[str, ...]) -> tuple[array, array, np.ndarray]:
+    """The weights, set bitmasks and 0/1 covariate matrix of (weight, set, covariates) rows.
+
+    Covariates are a sequence of 0/1 values in schema order, or None
+    for a survey without a schema.  This is where covariates that do not
+    come from a parser are checked, once per distinct value.
+    """
+    patterns: dict[tuple, int] = {}
+    weights, masks = array("d"), array("q")
+    pattern_ids = []
+    for weight, ps, cov in rows:
+        weights.append(weight)
+        try:
+            masks.append(ps.mask)
+        except OverflowError:  # no registry holds a 64th option
+            raise ValueError("respondent set references options outside the registry") from None
+        try:
+            pattern_ids.append(patterns.setdefault(() if cov is None else tuple(cov), len(patterns)))
+        except TypeError:  # an unhashable or scalar value is not 0 or 1 either
+            raise ValueError("covariates must be binary 0/1") from None
+    for values in patterns:
+        if len(values) != len(schema):
+            raise ValueError("respondent covariates do not match the survey schema")
+        if not set(values) <= _BINARY:
+            raise ValueError("covariates must be binary 0/1")
+    matrix = np.array(list(patterns), dtype=np.uint8).reshape(len(patterns), len(schema))
+    return weights, masks, matrix[pattern_ids]
+
+
+# Survey's array fields and their dtypes; equal surveys have equal arrays.
+_ARRAYS = (
+    ("patterns", np.uint8),
+    ("cell_set", np.intp),
+    ("cell_pattern", np.intp),
+    ("index", np.intp),
+    ("weights", float),
+    ("set_counts", np.intp),
+)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Survey:
+    """One poll wave: a registry, a covariate schema, and its distinct (consideration set, covariate pattern) cells.
 
     ``sets`` holds each distinct set once, by increasing bitmask, and
     ``patterns`` each distinct covariate pattern once, as the rows of a
@@ -319,70 +358,100 @@ class CellTable:
     without a covariate schema) in lexicographic order.  Cell g pairs
     ``sets[cell_set[g]]`` with ``patterns[cell_pattern[g]]``; cells are
     ordered by set, then pattern.  Respondent i falls in cell
-    ``index[i]`` and weighs ``weights[i]``, so a cell's
-    weights in respondent order are ``weights[index == g]``.
-    ``set_counts[j]`` respondents hold ``sets[j]``, and their weights'
-    exact sum (see ``exact_sums``) is ``set_sums[j]``.  Two tables are
-    equal when they describe equal respondents in the same order.
+    ``index[i]`` and weighs ``weights[i]``, so a cell's weights in
+    respondent order are ``weights[index == g]``.  ``set_counts[j]``
+    respondents hold ``sets[j]``, and their weights' exact sum (see
+    ``exact_sums``) is ``set_sums[j]``.  The arrays are read-only.
+
+    Schema labels are unique, and ``patterns`` has one column per label;
+    construction checks this once, so no estimator has to.  Two surveys
+    are equal when they have equal registries, schemas, waves and dropped
+    rows, and describe equal respondents in the same order.
     """
 
-    sets: tuple[PartySet, ...]
-    patterns: np.ndarray
-    cell_set: np.ndarray
-    cell_pattern: np.ndarray
-    index: np.ndarray
-    weights: np.ndarray
-    set_counts: np.ndarray
-    set_sums: tuple[int, ...]
+    registry: PartyRegistry
+    schema: tuple[str, ...]
+    sets: tuple[PartySet, ...] = field(repr=False)
+    patterns: np.ndarray = field(repr=False)
+    cell_set: np.ndarray = field(repr=False)
+    cell_pattern: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    set_counts: np.ndarray = field(repr=False)
+    set_sums: tuple[int, ...] = field(repr=False)
+    wave: str = ""
+    dropped_rows: int = 0
+    total_weight: float
 
-    def __post_init__(self):
-        for name, dtype in (
-            ("patterns", np.uint8),
-            ("cell_set", np.intp),
-            ("cell_pattern", np.intp),
-            ("index", np.intp),
-            ("weights", float),
-            ("set_counts", np.intp),
-        ):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        for name in ("sets", "set_sums"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(self, registry: PartyRegistry, schema, respondents, wave: str = "", dropped_rows: int = 0):
+        """A survey of ``respondents``: their ``_columns``, then ``Survey.build``."""
+        schema = tuple(schema)
+        columns = _columns(((r.weight, r.set, r.covariates) for r in respondents), schema)
+        # Frozen: the built survey's fields are taken over whole.
+        self.__dict__.update(Survey.build(registry, schema, *columns, wave, dropped_rows).__dict__)
 
     @classmethod
-    def build(cls, weights: np.ndarray, masks: np.ndarray, patterns: np.ndarray) -> CellTable:
-        """Number the sets, covariate patterns and cells of rows, and group the rows into cells.
+    def build(
+        cls, registry: PartyRegistry, schema, weights, masks, patterns, wave: str = "", dropped_rows: int = 0
+    ) -> Survey:
+        """The survey of rows given as columns; the one place that numbers sets, covariate patterns and cells.
 
         Row i weighs ``weights[i]`` (a float64 column), holds the set
         whose bitmask is ``masks[i]`` (an int64 column) and has covariate
         values ``patterns[i]``, a row of an (n, p) 0/1 ``uint8`` matrix.
-        This is the one place that numbers sets, patterns and cells, each
-        in key order (``key_order``): a set by its bitmask, a pattern by
-        ``number_patterns``, and a cell by set number x n_patterns +
-        pattern number.
+        Each is numbered in key order (``key_order``): a set by its
+        bitmask, a pattern by ``number_patterns``, and a cell by set
+        number x n_patterns + pattern number.
         """
+        schema = tuple(schema)
         weights = np.asarray(weights, dtype=float)
         set_id, masks = key_order(np.asarray(masks, dtype=np.int64))
         pattern_id, patterns = number_patterns(patterns)
         index, cells = key_order(set_id * len(patterns) + pattern_id)
-        return cls(
-            [PartySet(mask) for mask in masks.tolist()],
-            patterns,
-            *np.divmod(cells, max(len(patterns), 1)),
-            index,
-            weights,
-            np.bincount(set_id, minlength=len(masks)),
-            exact_sums(weights, set_id, len(masks)),
+        sets = tuple(PartySet(mask) for mask in masks.tolist())
+        repeated = [label for label, count in Counter(schema).items() if count > 1]
+        if repeated:
+            raise ValueError(f"schema labels must be unique, got {repeated[0]!r} more than once")
+        if not all(ps.fits(registry) for ps in sets):
+            raise ValueError("respondent set references options outside the registry")
+        if patterns.shape[1] != len(schema):
+            raise ValueError("respondent covariates do not match the survey schema")
+        set_sums = tuple(exact_sums(weights, set_id, len(masks)))
+        try:
+            total = rounded(sum(set_sums))
+        except OverflowError:
+            raise ValueError("total weight exceeds the largest float") from None
+        if len(weights) and total <= 0:
+            raise ValueError("total weight must be positive")
+        survey = object.__new__(cls)
+        arrays = (patterns, *np.divmod(cells, max(len(patterns), 1)), index, weights, np.bincount(set_id))
+        for (name, dtype), values in zip(_ARRAYS, arrays):
+            survey.__dict__[name] = values = np.array(values, dtype=dtype)
+            values.flags.writeable = False
+        survey.__dict__.update(
+            registry=registry, schema=schema, sets=sets, set_sums=set_sums, wave=wave, dropped_rows=dropped_rows,
+            total_weight=total,
         )
+        return survey
 
     def __eq__(self, other):
-        if not isinstance(other, CellTable):
+        if not isinstance(other, Survey):
             return NotImplemented
-        return self.sets == other.sets and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("patterns", "cell_set", "cell_pattern", "index", "weights")
+        names = ("registry", "schema", "wave", "dropped_rows", "sets")
+        return all(getattr(self, name) == getattr(other, name) for name in names) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _ARRAYS
         )
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    @property
+    def n_undecided(self) -> int:
+        return sum(n for ps, n in zip(self.sets, self.set_counts.tolist()) if not ps.is_singleton)
+
+    @property
+    def n_decided(self) -> int:
+        return len(self) - self.n_undecided
 
     def rows(self):
         """Each respondent's (weight, set, covariate values), in respondent order."""
@@ -408,102 +477,6 @@ class CellTable:
     def pattern_rows(self) -> np.ndarray:
         """One design row per covariate pattern: 1.0, then its values."""
         return np.hstack((np.ones((len(self.patterns), 1)), self.patterns))
-
-
-def _group_by_value(rows, schema: tuple[str, ...]) -> CellTable:
-    """The cell table of (weight, set, covariates) rows.
-
-    Covariates are a sequence of 0/1 values in schema order, or None
-    for a survey without a schema.  This is where covariates that do not
-    come from a parser are checked, once per distinct value.
-    """
-    patterns: dict[tuple, int] = {}
-    weights, masks = array("d"), array("q")
-    pattern_ids = []
-    for weight, ps, cov in rows:
-        weights.append(weight)
-        try:
-            masks.append(ps.mask)
-        except OverflowError:  # no registry holds a 64th option
-            raise ValueError("respondent set references options outside the registry") from None
-        try:
-            pattern_ids.append(patterns.setdefault(() if cov is None else tuple(cov), len(patterns)))
-        except TypeError:  # an unhashable or scalar value is not 0 or 1 either
-            raise ValueError("covariates must be binary 0/1") from None
-    for values in patterns:
-        if len(values) != len(schema):
-            raise ValueError("respondent covariates do not match the survey schema")
-        if not set(values) <= _BINARY:
-            raise ValueError("covariates must be binary 0/1")
-    matrix = np.array(list(patterns), dtype=np.uint8).reshape(len(patterns), len(schema))
-    return CellTable.build(weights, masks, matrix[pattern_ids])
-
-
-@dataclass(frozen=True, init=False)
-class Survey:
-    """One poll wave: a registry, a covariate schema, and weighted respondents.
-
-    The survey stores its respondents as a cell table (``cells``), which
-    every estimator reads.  Schema labels are unique, and the table's
-    covariate patterns have one column per label; construction checks
-    this once, so no estimator has to.
-    """
-
-    registry: PartyRegistry
-    schema: tuple[str, ...]
-    cells: CellTable = field(repr=False)
-    wave: str = ""
-    dropped_rows: int = 0
-    total_weight: float = field(compare=False)
-
-    def __init__(self, registry: PartyRegistry, schema, respondents, wave: str = "", dropped_rows: int = 0):
-        """A survey of ``respondents``, whose equal sets and covariates share one cell-table entry."""
-        schema = tuple(schema)
-        cells = _group_by_value(((r.weight, r.set, r.covariates) for r in respondents), schema)
-        self._store(registry, schema, cells, wave, dropped_rows)
-
-    @classmethod
-    def from_cells(
-        cls, registry: PartyRegistry, schema, cells: CellTable, wave: str = "", dropped_rows: int = 0
-    ) -> Survey:
-        """A survey stored as ``cells``, with the same checks as the constructor."""
-        survey = object.__new__(cls)
-        survey._store(registry, schema, cells, wave, dropped_rows)
-        return survey
-
-    def _store(self, registry, schema, cells, wave, dropped_rows):
-        schema = tuple(schema)
-        repeated = [label for label, count in Counter(schema).items() if count > 1]
-        if repeated:
-            raise ValueError(f"schema labels must be unique, got {repeated[0]!r} more than once")
-        if not all(ps.fits(registry) for ps in cells.sets):
-            raise ValueError("respondent set references options outside the registry")
-        if cells.patterns.shape[1] != len(schema):
-            raise ValueError("respondent covariates do not match the survey schema")
-        try:
-            total = rounded(sum(cells.set_sums))
-        except OverflowError:
-            raise ValueError("total weight exceeds the largest float") from None
-        if len(cells.weights) and total <= 0:
-            raise ValueError("total weight must be positive")
-        object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "wave", wave)
-        object.__setattr__(self, "dropped_rows", dropped_rows)
-        object.__setattr__(self, "total_weight", total)
-
-    def __len__(self) -> int:
-        return len(self.cells.weights)
-
-    @property
-    def n_undecided(self) -> int:
-        cells = self.cells
-        return sum(n for ps, n in zip(cells.sets, cells.set_counts.tolist()) if not ps.is_singleton)
-
-    @property
-    def n_decided(self) -> int:
-        return len(self) - self.n_undecided
 
 
 @dataclass(frozen=True)
@@ -572,7 +545,7 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
     """Parse a survey CSV document row by row through ``csv.reader``.
 
     Each kept row appends its weight, its set's bitmask and an id of
-    its tuple of covariate cells, and ``CellTable.build`` numbers the
+    its tuple of covariate cells, and ``Survey.build`` numbers the
     rows' sets and patterns.  Each distinct parties cell and each
     distinct tuple of covariate cells is validated once, at its first
     row; there is one memo per field, not one per whole row, since sets
@@ -632,8 +605,7 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
     except csv.Error as exc:
         raise SurveyFormatError(f"malformed CSV: {exc}", line=start) from None
     matrix = np.array(values, dtype=np.uint8).reshape(len(values), len(schema))
-    cells = CellTable.build(weights, masks, matrix[pattern_ids])
-    return Survey.from_cells(registry, schema, cells, dropped_rows=dropped)
+    return Survey.build(registry, schema, weights, masks, matrix[pattern_ids], dropped_rows=dropped)
 
 
 # The columnar scan reads a document in blocks of whole lines of about
@@ -683,7 +655,7 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
     ``_scan_block`` finds the cells of each block of lines with numpy;
     each distinct parties cell goes through ``_parse_parties`` once.
     The kept rows' weights, set bitmasks and covariate rows go to
-    ``CellTable.build``, as the row parser's do.
+    ``Survey.build``, as the row parser's do.
 
     Returns a survey equal to ``_parse_rows``'s, or None wherever the
     document is not clean (a quote, a carriage return, a NUL, a blank
@@ -734,10 +706,9 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
         bits.append(row_bits)
     if not rows:
         return None
-    # The joined columns replace the blocks' arrays before the table is built.
+    # The joined columns replace the blocks' arrays before the survey is built.
     weights, masks, bits = map(np.concatenate, (weights, masks, bits))
-    cells = CellTable.build(weights, masks, bits)
-    return Survey.from_cells(registry, schema, cells, dropped_rows=rows - len(weights))
+    return Survey.build(registry, schema, weights, masks, bits, dropped_rows=rows - len(weights))
 
 
 def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes], np.ndarray, np.ndarray] | None:
@@ -915,26 +886,25 @@ _CSV_BLOCK_ROWS = 4096
 
 def survey_to_csv(s: Survey) -> str:
     """Serialize back to the parse_survey CSV format."""
-    cells = s.cells
     out = io.StringIO()
     out.write(csv_table(["weight", "parties", *s.schema], ()))
     # Each set's parties cell, quoted as csv.writer quotes it, and each
     # pattern's "0,1,..." are made once; the patterns' text comes from one
     # byte matrix with the bits at even columns.
-    parties = [csv_table([";".join(s.registry.codes_of(ps))], ())[:-1] for ps in cells.sets]
-    p = cells.patterns.shape[1]
-    text = np.full((len(cells.patterns), 2 * p), ord(","), np.uint8)
-    text[:, 1::2] = cells.patterns + ord("0")
-    values = [v.decode() for v in text.view(f"S{2 * p}").ravel().tolist()] if p else [""] * len(cells.patterns)
+    parties = [csv_table([";".join(s.registry.codes_of(ps))], ())[:-1] for ps in s.sets]
+    p = s.patterns.shape[1]
+    text = np.full((len(s.patterns), 2 * p), ord(","), np.uint8)
+    text[:, 1::2] = s.patterns + ord("0")
+    values = [v.decode() for v in text.view(f"S{2 * p}").ravel().tolist()] if p else [""] * len(s.patterns)
     # Rows are composed and written a block at a time, so no list of every
     # row's text is held.
-    for start in range(0, len(cells.weights), _CSV_BLOCK_ROWS):
-        index = cells.index[start : start + _CSV_BLOCK_ROWS]
+    for start in range(0, len(s.weights), _CSV_BLOCK_ROWS):
+        index = s.index[start : start + _CSV_BLOCK_ROWS]
         rows = map(
             "{!r},{}{}\n".format,
-            cells.weights[start : start + _CSV_BLOCK_ROWS].tolist(),
-            map(parties.__getitem__, cells.cell_set[index].tolist()),
-            map(values.__getitem__, cells.cell_pattern[index].tolist()),
+            s.weights[start : start + _CSV_BLOCK_ROWS].tolist(),
+            map(parties.__getitem__, s.cell_set[index].tolist()),
+            map(values.__getitem__, s.cell_pattern[index].tolist()),
         )
         out.write("".join(rows))
     return out.getvalue()
@@ -942,17 +912,16 @@ def survey_to_csv(s: Survey) -> str:
 
 def survey_to_json(s: Survey) -> str:
     """Serialize to JSON; covariates are written as 0/1 integers, or null without a schema."""
-    cells = s.cells
-    parties = [list(s.registry.codes_of(ps)) for ps in cells.sets]
-    covariates = cells.patterns.tolist() if s.schema else [None] * len(cells.patterns)
-    cell_set = cells.cell_set.tolist()
-    cell_pattern = cells.cell_pattern.tolist()
+    parties = [list(s.registry.codes_of(ps)) for ps in s.sets]
+    covariates = s.patterns.tolist() if s.schema else [None] * len(s.patterns)
+    cell_set = s.cell_set.tolist()
+    cell_pattern = s.cell_pattern.tolist()
     doc = {
         "registry": list(s.registry.options),
         "schema": list(s.schema),
         "respondents": [
             {"weight": w, "parties": parties[cell_set[g]], "covariates": covariates[cell_pattern[g]]}
-            for w, g in zip(cells.weights.tolist(), cells.index.tolist())
+            for w, g in zip(s.weights.tolist(), s.index.tolist())
         ],
         "wave": s.wave,
     }
@@ -989,15 +958,14 @@ def survey_from_json(text: str) -> Survey:
                 raise ValueError(f"respondent {i}: {exc}") from None
             yield weight, ps, rec.get("covariates")
 
-    return Survey.from_cells(registry, schema, _group_by_value(rows(), schema), wave=doc.get("wave", ""))
+    return Survey.build(registry, schema, *_columns(rows(), schema), wave=doc.get("wave", ""))
 
 
 def undecided_share(s: Survey) -> tuple[float, float]:
     """Unweighted and weighted fraction of undecided respondents."""
     if not len(s):
         raise ValueError("undecided_share of an empty survey")
-    cells = s.cells
-    w_und = rounded(sum(total for ps, total in zip(cells.sets, cells.set_sums) if not ps.is_singleton))
+    w_und = rounded(sum(total for ps, total in zip(s.sets, s.set_sums) if not ps.is_singleton))
     return s.n_undecided / len(s), w_und / s.total_weight
 
 
@@ -1010,12 +978,11 @@ def group_counts(s: Survey, top: int | None = None) -> dict[PartySet, tuple[int,
     """
     if top is not None and top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
-    cells = s.cells
-    counts = cells.set_counts.tolist()
-    groups = sorted(range(len(cells.sets)), key=lambda j: (-counts[j], cells.sets[j].sort_key()))
+    counts = s.set_counts.tolist()
+    groups = sorted(range(len(s.sets)), key=lambda j: (-counts[j], s.sets[j].sort_key()))
     if top is not None:
         groups = groups[:top]
-    return {cells.sets[j]: (counts[j], rounded(cells.set_sums[j])) for j in groups}
+    return {s.sets[j]: (counts[j], rounded(s.set_sums[j])) for j in groups}
 
 
 def validate(s: Survey) -> SurveyDiagnostics:
@@ -1025,9 +992,8 @@ def validate(s: Survey) -> SurveyDiagnostics:
         unw, wgt = undecided_share(s)
     else:
         unw = wgt = 0.0
-    cells = s.cells
     option_counts = {
-        code: sum(n for ps, n in zip(cells.sets, cells.set_counts.tolist()) if ps.contains_index(i))
+        code: sum(n for ps, n in zip(s.sets, s.set_counts.tolist()) if ps.contains_index(i))
         for i, code in enumerate(s.registry.options)
     }
     return SurveyDiagnostics(

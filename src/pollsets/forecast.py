@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mnl
-from .data import CellTable, PartySet, Survey, exact_sums, rounded
+from .data import PartySet, Survey, exact_sums, rounded
 
 _ROW_SUM_TOL = 1e-9
 
@@ -46,36 +46,39 @@ class TransitionTable:
     """Choice distributions restricted to each cell's consideration set.
 
     ``probs`` is a read-only (n_cells, K) float64 matrix over the cells of
-    the cell table ``cells`` and the ``options``, zero outside each cell's
-    set, each row summing to one.  Respondent i's row is ``probs[cells.index[i]]``.
+    ``survey`` and its registry's ``options``, zero outside each cell's
+    set, each row summing to one.  Respondent i's row is ``probs[survey.index[i]]``.
     """
 
-    options: tuple[str, ...]
+    survey: Survey
     probs: np.ndarray
-    cells: CellTable
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=float)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        if probs.shape != (len(self.cells.cell_set), len(self.options)):
+        if probs.shape != (len(self.survey.cell_set), len(self.options)):
             raise ValueError("transition matrix must have one row per cell and one column per option")
-        bad = np.flatnonzero(~(np.abs(probs.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)[self.cells.index])
+        bad = np.flatnonzero(~(np.abs(probs.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)[self.survey.index])
         if len(bad):  # named by the first respondent whose row fails
             raise ValueError(f"transition row {bad[0]} does not sum to 1")
 
     @property
+    def options(self) -> tuple[str, ...]:
+        return self.survey.registry.options
+
+    @property
     def rows(self) -> tuple[dict[str, float], ...]:
         """Respondent i's row as {option code: probability} over the members of their set, in registry order."""
-        members = [self.cells.sets[j].indices() for j in self.cells.cell_set.tolist()]
+        s = self.survey
+        members = [s.sets[j].indices() for j in s.cell_set.tolist()]
         cell_rows = [{self.options[k]: p[k] for k in ks} for p, ks in zip(self.probs.tolist(), members)]
-        return tuple(map(cell_rows.__getitem__, self.cells.index.tolist()))
+        return tuple(map(cell_rows.__getitem__, s.index.tolist()))
 
 
 def conventional_forecast(s: Survey) -> ProbabilityVector:
     """Weighted shares among decided respondents only."""
-    cells = s.cells
-    decided = {ps.mask: total for ps, total in zip(cells.sets, cells.set_sums) if ps.is_singleton}
+    decided = {ps.mask: total for ps, total in zip(s.sets, s.set_sums) if ps.is_singleton}
     if not decided:
         raise ValueError("no decided respondents")
     w_total = rounded(sum(decided.values()))
@@ -98,27 +101,26 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
         raise ValueError("model categories do not match the registry")
     if m.n_predictors != 1 + len(s.schema):
         raise ValueError("model predictors do not match the survey covariate schema")
-    cells = s.cells
-    masks = np.array([ps.mask for ps in cells.sets], dtype=np.int64)
-    member = (masks[:, None] >> np.arange(len(options)) & 1).astype(bool)[cells.cell_set]
+    masks = np.array([ps.mask for ps in s.sets], dtype=np.int64)
+    member = (masks[:, None] >> np.arange(len(options)) & 1).astype(bool)[s.cell_set]
     size = member.sum(axis=1)
     probs = np.where((size == 1)[:, None], member, 0.0)
     # The undecided cells' member predictions, cell after cell, each in registry order.
     g, k = np.nonzero(member & (size > 1)[:, None])
-    p = mnl.predict_proba(m, cells.pattern_rows())[cells.cell_pattern[g], k]
+    p = mnl.predict_proba(m, s.pattern_rows())[s.cell_pattern[g], k]
     values, ends = p.tolist(), np.cumsum(size[size > 1]).tolist()
     denom = np.array([math.fsum(values[a:b]) for a, b in zip([0, *ends], ends)])
     del values, ends  # before the table copies ``probs``
     if not np.all(denom >= sys.float_info.min):
         raise ValueError("restricted prediction mass vanished; model is degenerate")
     probs[g, k] = p / np.repeat(denom, size[size > 1])
-    return TransitionTable(options, probs, cells)
+    return TransitionTable(s, probs)
 
 
 def decided_design(s: Survey) -> mnl.DesignData:
     """Design data over decided respondents, categories in registry order."""
-    category = [ps.indices()[0] if ps.is_singleton else -1 for ps in s.cells.sets]
-    d = mnl.DesignData.from_groups(*s.cells.design_groups(category), len(s.registry))
+    category = [ps.indices()[0] if ps.is_singleton else -1 for ps in s.sets]
+    d = mnl.DesignData.from_groups(*s.design_groups(category), len(s.registry))
     if not d.n:
         raise ValueError("no decided respondents")
     return d
@@ -134,7 +136,7 @@ def homogeneity_forecast(s: Survey) -> tuple[ProbabilityVector, TransitionTable,
     # The design is dropped after the fit, before the table is built.
     model, report = mnl.fit(decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
     table = transition_probabilities(model, s)
-    cell_weights = np.bincount(s.cells.index, weights=s.cells.weights, minlength=len(table.probs))
+    cell_weights = np.bincount(s.index, weights=s.weights, minlength=len(table.probs))
     # Only the nonzero entries: a dense product would cost exact_sums several (cells x K) temporaries.
     g, k = np.nonzero(table.probs)
     sums = exact_sums(cell_weights[g] * table.probs[g, k], k, len(table.options))

@@ -32,7 +32,7 @@ probability of about 1e-12, so two such categories keep equal rows.
 Fits run on grouped counts, not on respondent rows.  Covariates are
 binary, so a design has at most 2^(P-1) distinct rows, often far fewer
 than respondents, in lexicographic order as a survey's cell table
-numbers them (``CellTable.design_groups``).  The weighted category
+numbers them (``Survey.design_groups``).  The weighted category
 counts per distinct row are sufficient statistics for the likelihood
 (Agresti, *Categorical Data Analysis*), so an iteration costs O(G K P)
 for G distinct rows instead of O(n K P).
@@ -210,7 +210,7 @@ class DesignData:
 
     @classmethod
     def from_groups(cls, group, patterns, y, w, n_categories: int) -> DesignData:
-        """Unchecked: the design of ``data.CellTable.design_groups``'s respondents."""
+        """Unchecked: the design of ``data.Survey.design_groups``'s respondents."""
         d = object.__new__(cls)
         d._store(group, patterns, y, w, n_categories)
         return d

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mnl
-from .data import PartySet, Survey, csv_table
+from .data import PartySet, Survey, csv_table, group_counts
 
 
 @dataclass(frozen=True)
@@ -28,33 +28,41 @@ class CoefficientTable:
 
 
 def build_ontic_categories(s: Survey, k: int) -> tuple[tuple[PartySet, ...], int]:
-    """All registry singletons in registry order, then the k most frequent non-singleton sets.
+    """All registry singletons in registry order, then the first k non-singleton sets of ``group_counts``.
 
-    Frequency ties break by registry-index lexicographic order of the
+    So frequency ties break by registry-index lexicographic order of the
     set.  Returns the categories and the count of respondents whose set
     falls outside them (they are excluded from ontic fitting).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    cells = s.cells
-    set_counts = dict(zip(cells.sets, cells.set_counts.tolist()))
-    counts = {ps: n for ps, n in set_counts.items() if not ps.is_singleton}
-    if k > len(counts):
-        raise ValueError(f"k={k} exceeds the {len(counts)} distinct non-singleton sets observed")
-    top = sorted(counts, key=lambda ps: (-counts[ps], ps.sort_key()))[:k]
-    singles = tuple(s.registry.singleton(code) for code in s.registry.options)
-    cats = singles + tuple(top)
+    groups = group_counts(s)
+    undecided = [ps for ps in groups if not ps.is_singleton]
+    if k > len(undecided):
+        raise ValueError(f"k={k} exceeds the {len(undecided)} distinct non-singleton sets observed")
+    cats = tuple(s.registry.singleton(code) for code in s.registry.options) + tuple(undecided[:k])
     kept = set(cats)
-    dropped = sum(n for ps, n in set_counts.items() if ps not in kept)
+    dropped = sum(n for ps, (n, _) in groups.items() if ps not in kept)
     return cats, dropped
 
 
 def ontic_design(s: Survey, cats: tuple[PartySet, ...]) -> mnl.DesignData:
-    """Design data mapping each retained respondent to its category index."""
+    """Design data mapping each retained respondent to its category index.
+
+    A covariate that is 1 for every retained respondent duplicates the
+    intercept, so no penalty can tell the two apart; it raises ValueError.
+    A covariate that is 0 for all of them is kept, and its group is zeroed.
+    """
     index = {ps: i for i, ps in enumerate(cats)}
-    d = mnl.DesignData.from_groups(*s.cells.design_groups([index.get(ps, -1) for ps in s.cells.sets]), len(cats))
+    d = mnl.DesignData.from_groups(*s.design_groups([index.get(ps, -1) for ps in s.sets]), len(cats))
     if not d.n:
         raise ValueError("no respondents fall into the ontic categories")
+    constant = [name for name, ones in zip(s.schema, d.xu[:, 1:].all(axis=0).tolist()) if ones]
+    if constant:
+        raise ValueError(
+            f"covariate {constant[0]!r} is 1 for every respondent in the ontic categories,"
+            " so it duplicates the intercept"
+        )
     return d
 
 

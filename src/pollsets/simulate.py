@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import AllocationConstraint, Interval, dempster_bounds, effective_allocation_limits, event_bounds
-from .data import CellTable, PartyRegistry, PartySet, Survey, exact_sums, rounded
+from .data import PartyRegistry, PartySet, Survey, exact_sums, rounded
 
 COMPLETION_BUDGET = 1_000_000
 GRID_BUDGET = 2_000_000
@@ -183,8 +183,7 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     rows = np.flatnonzero(coarsen)
     masks[rows] |= _extra_parties(rng, votes, probs, rows, config.style)
     del probs
-    cells = CellTable.build(weights, masks, bits)
-    survey = Survey.from_cells(config.registry, config.covariate_names, cells, wave=f"sim-seed-{config.seed}")
+    survey = Survey.build(config.registry, config.covariate_names, weights, masks, bits, wave=f"sim-seed-{config.seed}")
     shares = {
         code: min(rounded(total) / survey.total_weight, 1.0)
         for code, total in zip(config.registry.options, exact_sums(weights, votes, k))
@@ -216,7 +215,7 @@ def oracle_completion_bounds(s: Survey, event: PartySet) -> Interval:
     """
     if not len(s):
         raise ValueError("oracle on an empty survey")
-    rows = [(w, ps) for w, ps, _ in s.cells.rows()]
+    rows = [(w, ps) for w, ps, _ in s.rows()]
     undecided = [(w, ps) for w, ps in rows if not ps.is_singleton]
     budget = 1
     for _, ps in undecided:
@@ -287,7 +286,7 @@ def oracle_constrained_bounds(
     w_total = s.total_weight
     lo_terms = []
     hi_terms = []
-    for w, ps, _ in s.cells.rows():
+    for w, ps, _ in s.rows():
         k = ps.size
         m = ps.intersection_size(event)
         if k == 1:
@@ -327,7 +326,7 @@ def coverage_check(s: Survey, g: GroundTruth, coalitions=()) -> CoverageReport:
     for spec in coalitions:
         iv = event_bounds(s, spec.members)
         member_vote = (spec.members.mask >> votes & 1).astype(bool)
-        share = min(rounded(exact_sums(s.cells.weights[member_vote])[0]) / s.total_weight, 1.0)
+        share = min(rounded(exact_sums(s.weights[member_vote])[0]) / s.total_weight, 1.0)
         margins[spec.name] = min(share - iv.lower, iv.upper - share)
         if not iv.contains(share):
             violations.append(spec.name)

@@ -196,7 +196,7 @@ class TestSeatBounds:
         included = reg.set_of(["A", "B"])
         out = seat_bounds(s, included)
 
-        rows = list(s.cells.rows())
+        rows = list(s.rows())
         undecided = [ps for _, ps, _ in rows if not ps.is_singleton]
         extremes = {code: [1.0, 0.0] for code in ("A", "B")}
         for combo in itertools.product(*(ps.indices() for ps in undecided)):
@@ -231,7 +231,8 @@ class TestSeatBounds:
             seat_bounds(s, reg.singleton("B"))
         # Shares stay defined while some completion gives B or A votes.
         assert seat_bounds(s, reg.set_of("AB"))["B"] == Interval(0.0, 0.5)
-        with pytest.raises(ValueError, match="^seat share of A is undefined"):
+        # A survey with no respondents has no shares at all.
+        with pytest.raises(ValueError, match="^the survey has no respondents$"):
             seat_bounds(Survey(reg, (), ()), reg.full_set())
 
     def test_included_must_fit_registry(self, abc_survey):
@@ -280,7 +281,7 @@ class TestProperties:
         for _ in range(15):
             s = random_survey(rng, max_n=10, max_undecided=5, completion_limit=200)
             f = dempster_bounds(s)
-            rows = list(s.cells.rows())
+            rows = list(s.rows())
             undecided = [i for i, (_, ps, _) in enumerate(rows) if not ps.is_singleton]
             for combo in itertools.product(*(rows[i][1].indices() for i in undecided)):
                 chosen = dict(zip(undecided, combo))
@@ -303,7 +304,7 @@ class TestProperties:
             for code in s.registry.options:
                 idx = s.registry.index(code)
                 total = 0.0
-                for w, ps, _ in s.cells.rows():
+                for w, ps, _ in s.rows():
                     k = ps.size
                     if not ps.contains_index(idx):
                         continue
@@ -363,7 +364,7 @@ def _weighted_surveys(draw, weight=_WIDE_WEIGHTS, min_decided=0):
 def _reference_event_bounds(s, event, c=None):
     """Per-respondent bounds: the counted weights' ``math.fsum``, or with a
     constraint the exact sum of each weight times its factor, rounded once."""
-    rows = list(s.cells.rows())
+    rows = list(s.rows())
     total = math.fsum(w for w, _, _ in rows)
     if c is None:
         lo = math.fsum(w for w, ps, _ in rows if ps.issubset(event))
@@ -403,7 +404,7 @@ def test_bounds_bit_identical_to_per_respondent_fsum(s, box):
 @settings(max_examples=150, deadline=None)
 @given(_weighted_surveys())
 def test_counts_and_conventional_bit_identical_to_per_respondent_fsum(s):
-    rows = list(s.cells.rows())
+    rows = list(s.rows())
     by_set = {}
     for w, ps, _ in rows:
         by_set.setdefault(ps.mask, []).append(w)
@@ -438,7 +439,7 @@ def test_counts_and_conventional_bit_identical_to_per_respondent_fsum(s):
 @settings(max_examples=40, deadline=None)
 @given(_weighted_surveys(weight=st.floats(0.2, 5.0), min_decided=2))
 def test_homogeneity_matches_per_respondent_transition_rows(s):
-    rows = list(s.cells.rows())
+    rows = list(s.rows())
     assert len({ps.mask for _, ps, _ in rows if ps.is_singleton}) >= 2
     model, _ = mnl.fit(decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
     table = transition_probabilities(model, s)
@@ -492,7 +493,7 @@ def _seat_oracle(s, included, c=None):
     it has no least or no greatest value: j or the rest never get votes,
     and some split gives the included parties none.
     """
-    rows = list(s.cells.rows())
+    rows = list(s.rows())
     if c is None:
         units = [(Fraction(w), [{i: 1} for i in ps.indices()]) for w, ps, _ in rows]
     else:

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -616,6 +617,33 @@ class TestOntic:
         code, _, err = run(capsys, "ontic", "--input", fixture_csv, "--registry", REG)
         assert code == 2
         assert "schema" in err
+
+    def test_covariate_duplicating_the_intercept_exit_2(self, capsys, tmp_path):
+        # x = 1 in every row once gave a lambda grid of rounding noise
+        # (6.4e-15 ... 6.4e-18) and exit 0.
+        sets = ("A", "B", "C", "A;B", "B;C")
+        rows = "".join(f"1,{sets[i]},1\n" for i in np.random.default_rng(0).integers(0, len(sets), 300))
+        data = tmp_path / "constant.csv"
+        data.write_text("weight,parties,x\n" + rows)
+        code, out, err = run(
+            capsys, "ontic", "--input", data, "--registry", "A,B,C", "--schema", "x",
+            "--k", "2", "--grid-points", "3", "--folds", "3",
+        )
+        message = "covariate 'x' is 1 for every respondent in the ontic categories, so it duplicates the intercept"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds"], ["bounds", "--seats", "all"], ["coalitions", "--coalitions", COALITIONS_2021]],
+    ids=["bounds", "bounds-seats", "coalitions"],
+)
+def test_bounds_of_a_survey_with_no_respondents_exit_2(capsys, tmp_path, argv):
+    # These once named an internal function, or blamed a completion for the seat shares.
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(f"weight,parties,{WAVE3_SCHEMA}\n")
+    code, out, err = run(capsys, *argv, "--input", header_only, "--schema", WAVE3_SCHEMA)
+    assert (code, out, err) == (2, "", "error: the survey has no respondents\n")
 
 
 def test_console_entry_point(tmp_path):

@@ -39,14 +39,14 @@ class TestParse:
     def test_undecided_row(self):
         s = parse_survey("weight,parties,east\n1.0,SPD;GRUENE,1\n", REG6, ("east",))
         assert len(s) == 1
-        [(_, ps, cov)] = s.cells.rows()
+        [(_, ps, cov)] = s.rows()
         assert not ps.is_singleton
         assert REG6.codes_of(ps) == ("SPD", "GRUENE")
         assert cov == (1,)
 
     def test_decided_singleton(self):
         s = parse_survey("weight,parties,east\n1.0,SPD,0\n", REG6, ("east",))
-        [(_, ps, _)] = s.cells.rows()
+        [(_, ps, _)] = s.rows()
         assert ps.is_singleton
 
     def test_unknown_code_drops_row(self):
@@ -158,7 +158,7 @@ class TestValidate:
     def test_total_weight_matches_naive_sum(self, wave3_path):
         s = parse_survey(wave3_path.read_text(), REG6, ("female", "age_65plus", "east", "high_income", "urban"))
         naive = 0.0
-        for w, _, _ in s.cells.rows():
+        for w, _, _ in s.rows():
             naive += w
         assert abs(validate(s).total_weight - naive) < 1e-9
 
@@ -209,8 +209,8 @@ class TestTypes:
         schema = ("east", "urban")
         for values in ((0, 1), (True, False), (1.0, 0.0)):
             for s in (Survey(abc_registry, schema, (Respondent(1.0, a, values),)), from_json(values, schema)):
-                assert s.cells.patterns.dtype == np.uint8
-                assert s.cells.patterns.tolist() == [[int(v) for v in values]]
+                assert s.patterns.dtype == np.uint8
+                assert s.patterns.tolist() == [[int(v) for v in values]]
         for bad in (2, -1, float("nan"), 0.5, "1", [0]):
             with pytest.raises(ValueError, match="binary"):
                 Survey(abc_registry, ("east",), (Respondent(1.0, a, (bad,)),))
@@ -382,7 +382,7 @@ def test_code_list_readers_agree(codes):
     doc["respondents"] = [{"weight": 1.0, "parties": codes, "covariates": None}]
     readers = {
         "coalition line": _outcome(lambda: parse_coalitions(f"X,{cell}\n", registry)[0].members, "coalition line 1: "),
-        "JSON respondent": _outcome(lambda: next(survey_from_json(json.dumps(doc)).cells.rows())[1], "respondent 0: "),
+        "JSON respondent": _outcome(lambda: next(survey_from_json(json.dumps(doc)).rows())[1], "respondent 0: "),
         "--seats": _outcome(lambda: _seats(Namespace(seats=",".join(codes)), registry), "--seats: "),
     }
     assert readers == dict.fromkeys(readers, want)
@@ -397,7 +397,7 @@ def test_code_list_readers_agree(codes):
         assert data._parse_clean(text, registry, ()) is None
         return
     if want[0] == "ok":
-        assert (rows.dropped_rows, [ps.mask for _, ps, _ in rows.cells.rows()]) == (0, [want[1]])
+        assert (rows.dropped_rows, [ps.mask for _, ps, _ in rows.rows()]) == (0, [want[1]])
     else:
         assert want[1].startswith("unknown party code ") and (rows.dropped_rows, len(rows)) == (1, 0)
     assert data._parse_clean(text, registry, ()) == rows
@@ -407,7 +407,7 @@ def test_json_integer_weight_read_as_float():
     doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
     doc["respondents"] = [{"weight": 2, "parties": ["B", "A"], "covariates": None}]
     s = survey_from_json(json.dumps(doc))
-    assert [(w, ps.mask) for w, ps, _ in s.cells.rows()] == [(2.0, 3)]
+    assert [(w, ps.mask) for w, ps, _ in s.rows()] == [(2.0, 3)]
 
 
 # Differential check of the memoized parser against a plain per-row parser.
@@ -514,15 +514,15 @@ def test_parse_matches_per_row_reference(text):
         assert str(exc) == f"line {want[2]}: {want[1]}"
         return
     assert want[0] == "ok"
-    got = [(w, ps.mask, cov) for w, ps, cov in s.cells.rows()]
+    got = [(w, ps.mask, cov) for w, ps, cov in s.rows()]
     assert got == want[1]
     assert s.dropped_rows == want[2]
     # Rows repeating a set share one object.
     shared_sets = {}
-    for _, ps, _ in s.cells.rows():
+    for _, ps, _ in s.rows():
         assert shared_sets.setdefault(ps.mask, ps) is ps
     # The survey's cell table must describe the same rows.
-    cells = s.cells
+    cells = s
     patterns = sorted({v for _, _, v in want[1]})
     assert cells.patterns.dtype == np.uint8
     assert cells.patterns.shape == (len(patterns), len(DIFF_SCHEMA))
@@ -550,7 +550,7 @@ def test_parse_matches_per_row_reference(text):
     rows = tuple(Respondent(w, PartySet(mask), values) for w, mask, values in want[1])
     built = Survey(DIFF_REGISTRY, DIFF_SCHEMA, rows, dropped_rows=want[2])
     assert built == s
-    other = built.cells
+    other = built
     assert cells.sets == other.sets
     for name in ("patterns", "cell_set", "cell_pattern", "index"):
         assert getattr(cells, name).tolist() == getattr(other, name).tolist()
@@ -560,7 +560,7 @@ def test_parse_matches_per_row_reference(text):
         [w.hex() for w in ws] for ws in _weights_by_set(other)
     ]
     assert cells.set_sums == other.set_sums
-    assert [(w, ps.mask, cov) for w, ps, cov in built.cells.rows()] == want[1]
+    assert [(w, ps.mask, cov) for w, ps, cov in built.rows()] == want[1]
 
 
 def test_readers_build_no_respondent_per_row(monkeypatch, wave3_path):
@@ -636,16 +636,16 @@ def _parse_or_error(parse, text, schema=DIFF_SCHEMA):
 def _assert_same_survey(got, want):
     assert got == want
     for survey in (got, want):
-        patterns = survey.cells.patterns
+        patterns = survey.patterns
         assert patterns.dtype == np.uint8
-        assert patterns.shape == (len(set(survey.cells.cell_pattern.tolist())), len(survey.schema))
+        assert patterns.shape == (len(set(survey.cell_pattern.tolist())), len(survey.schema))
     assert got.dropped_rows == want.dropped_rows
     assert got.total_weight == want.total_weight
-    assert got.cells.weights.tobytes() == want.cells.weights.tobytes()
-    assert [[w.hex() for w in ws] for ws in _weights_by_set(got.cells)] == [
-        [w.hex() for w in ws] for ws in _weights_by_set(want.cells)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert [[w.hex() for w in ws] for ws in _weights_by_set(got)] == [
+        [w.hex() for w in ws] for ws in _weights_by_set(want)
     ]
-    assert got.cells.set_sums == want.cells.set_sums
+    assert got.set_sums == want.set_sums
 
 
 # Weight cells at the edges of the scan's decimal decode: plain decimals it
@@ -724,7 +724,7 @@ def test_clean_scan_takes_the_fixture(wave3_path):
 def test_clean_scan_takes_simulated_output():
     config = SimConfig(REG6, 2000, default_true_coefficients(6, 2), ("u", "v"), coarsen_prob=0.3, seed=3)
     simulated, _ = generate_population(config)
-    assert _assert_scanned(survey_to_csv(simulated), REG6, ("u", "v")).cells == simulated.cells
+    assert list(_assert_scanned(survey_to_csv(simulated), REG6, ("u", "v")).rows()) == list(simulated.rows())
 
 
 def test_clean_scan_spans_blocks():
@@ -734,7 +734,7 @@ def test_clean_scan_spans_blocks():
     assert sum(map(len, head)) > data._BLOCK_CHARS
     text = "weight,parties,x1,x2\n" + "\n".join(head + tail)
     s = _assert_scanned(text, DIFF_REGISTRY, DIFF_SCHEMA)
-    assert [ps.mask for ps in s.cells.sets] == [0b001, 0b010, 0b011, 0b100]
+    assert [ps.mask for ps in s.sets] == [0b001, 0b010, 0b011, 0b100]
     assert s.dropped_rows == len(head) // 3 + 100
 
 
@@ -762,7 +762,7 @@ def test_clean_scan_takes_more_covariates_than_an_int64_key_holds():
     rows = [f"{w},{parties},{','.join(map(str, bits[r % 4]))}" for r, (w, parties) in enumerate(heads)]
     text = f"weight,parties,{','.join(schema)}\n" + "\n".join(rows) + "\n"
     s = _assert_scanned(text, DIFF_REGISTRY, schema)
-    assert s.cells.patterns.shape == (4, 70)
+    assert s.patterns.shape == (4, 70)
     assert s.dropped_rows == 3
 
 
@@ -808,7 +808,7 @@ def test_clean_scan_decodes_weights_as_float_does(cells):
     text = "weight,parties\n" + "".join(f"{cell},A\n" for cell in cells)
     fast = data._parse_clean(text, DIFF_REGISTRY, ())
     if fast is not None:
-        assert [w.hex() for w in fast.cells.weights.tolist()] == [float(cell).hex() for cell in cells]
+        assert [w.hex() for w in fast.weights.tolist()] == [float(cell).hex() for cell in cells]
     want = _parse_or_error(data._parse_rows, text, ())
     got = _parse_or_error(parse_survey, text, ())
     if isinstance(want, str):
@@ -850,7 +850,7 @@ def test_clean_scan_finds_separators_around_long_parties_cells(last, p, final_ne
             s = _assert_scanned(text, _LONG_CODES, schema)
             for lines in faulty:
                 assert data._parse_clean("\n".join([header, *lines]) + "\n", _LONG_CODES, schema) is None
-    assert [_LONG_CODES.label_of(ps) for ps in s.cells.sets] == list(_LONG_CODES.options)
+    assert [_LONG_CODES.label_of(ps) for ps in s.sets] == list(_LONG_CODES.options)
 
 
 # Exact sums: every union of groups must round as math.fsum rounds it.
@@ -962,7 +962,7 @@ def _csv_writer_reference(s):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["weight", "parties", *s.schema])
-    for w, ps, cov in s.cells.rows():
+    for w, ps, cov in s.rows():
         writer.writerow([repr(w), ";".join(s.registry.codes_of(ps)), *map(str, cov)])
     return out.getvalue()
 

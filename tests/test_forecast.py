@@ -93,7 +93,7 @@ class TestTransitionProbabilities:
                 Respondent(1.0, abc_registry.singleton("B")),
             ),
         )
-        for (_, ps, _), row in zip(s.cells.rows(), transition_probabilities(model, s).rows):
+        for (_, ps, _), row in zip(s.rows(), transition_probabilities(model, s).rows):
             assert abs(math.fsum(row.values()) - 1.0) < 1e-12
             member_codes = set(abc_registry.codes_of(ps))
             assert set(row) <= member_codes
@@ -122,24 +122,24 @@ class TestTransitionProbabilities:
         reg = abc_registry
         sets = (["A"], ["C"], ["A"], ["A", "B"], ["A", "B"])
         s = Survey(reg, (), tuple(Respondent(1.0, reg.set_of(codes)) for codes in sets))
-        cell_sets = [s.cells.sets[j] for j in s.cells.cell_set.tolist()]
+        cell_sets = [s.sets[j] for j in s.cell_set.tolist()]
         # Each cell's row spreads its mass evenly over its set.
         good = np.array([[ps.contains_index(k) / ps.size for k in range(len(reg))] for ps in cell_sets])
 
         def scaled(factors):
             return good * np.array([[factors.get(reg.label_of(ps), 1.0)] for ps in cell_sets])
 
-        table = TransitionTable(reg.options, good, s.cells)
+        table = TransitionTable(s, good)
         assert not table.probs.flags.writeable
         assert table.rows[4] == {"A": 0.5, "B": 0.5}
         # The A+B cell starts at respondent 3.
         with pytest.raises(ValueError, match="^transition row 3 does not sum to 1$"):
-            TransitionTable(reg.options, scaled({"A+B": 0.9}), s.cells)
+            TransitionTable(s, scaled({"A+B": 0.9}))
         # Respondent 1, in the C cell, is named whatever the order of the failing cells.
         with pytest.raises(ValueError, match="^transition row 1 does not sum to 1$"):
-            TransitionTable(reg.options, scaled({"C": np.nan, "A+B": 0.9}), s.cells)
+            TransitionTable(s, scaled({"C": np.nan, "A+B": 0.9}))
         with pytest.raises(ValueError, match="one row per cell"):
-            TransitionTable(reg.options, good[:2], s.cells)
+            TransitionTable(s, good[:2])
 
     def test_missing_covariates_rejected_by_survey(self):
         # Covariates are required exactly when the schema is nonempty, so
@@ -195,7 +195,7 @@ class TestHomogeneity:
         scaled = Survey(
             abc_survey.registry,
             abc_survey.schema,
-            tuple(Respondent(7.0 * w, ps, cov) for w, ps, cov in abc_survey.cells.rows()),
+            tuple(Respondent(7.0 * w, ps, cov) for w, ps, cov in abc_survey.rows()),
         )
         base, _, _ = homogeneity_forecast(abc_survey)
         rescaled, _, _ = homogeneity_forecast(scaled)
@@ -269,7 +269,7 @@ def _homogeneity_surveys(draw):
 
 def _reference_homogeneity(s, model):
     """Per-cell dict rows with an fsum denominator each, then one fsum of w * row per party."""
-    cells = s.cells
+    cells = s
     options = s.registry.options
     probs = mnl.predict_proba(model, cells.pattern_rows())
     rows = []

@@ -13,7 +13,6 @@ from pollsets import (
     ontic,
     regularization_path,
 )
-from pollsets.data import CellTable
 from pollsets.forecast import decided_design
 
 SCHEMA = ("u", "v")
@@ -152,6 +151,45 @@ def test_empty_path_writes_nothing():
     assert ontic.path_to_csv([]) == ""
 
 
+def constant_covariate_survey(x_of_set, varying=False):
+    """300 respondents over A, B, C, A+B and B+C, and 20 over A+C; covariate x is ``x_of_set[set]``.
+
+    With ``varying``, a second covariate v is drawn at random.
+    """
+    rng = np.random.default_rng(0)
+    registry = PartyRegistry(("A", "B", "C"))
+    sets = [registry.set_of(codes.split(";")) for codes in ("A", "B", "C", "A;B", "B;C")]
+    picks = [sets[i] for i in rng.integers(0, len(sets), 300)] + [registry.set_of(["A", "C"])] * 20
+    schema = ("x", "v") if varying else ("x",)
+    rows = [(x_of_set(ps), int(rng.integers(0, 2))) if varying else (x_of_set(ps),) for ps in picks]
+    return Survey(registry, schema, tuple(Respondent(1.0, ps, cov) for ps, cov in zip(picks, rows)))
+
+
+@pytest.mark.parametrize("varying", [False, True], ids=["alone", "beside-a-varying-covariate"])
+def test_covariate_duplicating_the_intercept_rejected(varying):
+    # x = 1 for every respondent in the categories; the A+C respondents, left
+    # out at k = 2, hold x = 0.  Alone, x once gave a lambda grid of rounding
+    # noise; beside v, a nonzero group norm at small lambda.
+    s = constant_covariate_survey(lambda ps: int(ps.mask != 0b101), varying)
+    cats, dropped = build_ontic_categories(s, 2)
+    assert dropped == 20
+    message = "^covariate 'x' is 1 for every respondent in the ontic categories, so it duplicates the intercept$"
+    with pytest.raises(ValueError, match=message):
+        ontic.ontic_design(s, cats)
+    with pytest.raises(ValueError, match=message):
+        fit_ontic(s, cats, [0.1, 0.0], folds=3)
+    # With the A+C respondents kept, x varies and the design is built.
+    cats, _ = build_ontic_categories(s, 3)
+    assert ontic.ontic_design(s, cats).n == len(s)
+
+
+def test_covariate_of_zeros_kept_and_zeroed():
+    s = constant_covariate_survey(lambda ps: 0)
+    cats, _ = build_ontic_categories(s, 2)
+    assert ontic.ontic_design(s, cats).n_predictors == 2
+    assert fit_ontic(s, cats, [0.1, 0.0], folds=3)[1].zeroed == {"x": True}
+
+
 def test_ontic_design_requires_covariates(abc_survey):
     cats, _ = build_ontic_categories(abc_survey, 1)
     design = ontic.ontic_design(abc_survey, cats)
@@ -163,8 +201,8 @@ def table_survey(n_parties, patterns, picks, masks, weights):
     """A survey from columns: respondent i holds set ``masks[i]`` and covariate row ``patterns[picks[i]]``."""
     p = len(patterns[0])
     rows = np.array([patterns[i] for i in picks], dtype=np.uint8).reshape(len(picks), p)
-    cells = CellTable.build(np.array(weights, dtype=float), np.array(masks), rows)
-    return Survey.from_cells(PartyRegistry(tuple("ABCD"[:n_parties])), tuple(f"c{j}" for j in range(p)), cells)
+    registry, schema = PartyRegistry(tuple("ABCD"[:n_parties])), tuple(f"c{j}" for j in range(p))
+    return Survey.build(registry, schema, np.array(weights, dtype=float), np.array(masks), rows)
 
 
 @st.composite
@@ -181,9 +219,9 @@ def table_surveys(draw):
 
 
 def row_design(s, categories):
-    """The row constructor's ``DesignData`` over the rows of ``s.cells.rows()`` whose set is in ``categories``."""
+    """The row constructor's ``DesignData`` over the rows of ``s.rows()`` whose set is in ``categories``."""
     index = {ps: i for i, ps in enumerate(categories)}
-    kept = [(w, index[ps], cov) for w, ps, cov in s.cells.rows() if ps in index]
+    kept = [(w, index[ps], cov) for w, ps, cov in s.rows() if ps in index]
     x = np.array([(1, *cov) for _, _, cov in kept], dtype=float).reshape(len(kept), 1 + len(s.schema))
     return mnl.DesignData(x, [c for _, c, _ in kept], [w for w, _, _ in kept], len(categories))
 
@@ -202,15 +240,21 @@ def assert_same_design(got, want):
 
 
 def assert_table_designs_match_rows(s, k):
-    """The decided design and the ontic design of the k most frequent sets, from the table and from the rows."""
+    """The decided design and the ontic design of the k most frequent sets, from the table and from the rows.
+
+    The ontic design rejects a covariate that is 1 in every row it keeps.
+    """
     singles = tuple(s.registry.singleton(code) for code in s.registry.options)
     cats, _ = build_ontic_categories(s, k)
-    for build, categories, empty in (
-        (decided_design, singles, "no decided respondents"),
-        (lambda s: ontic.ontic_design(s, cats), cats, "no respondents fall into the ontic categories"),
+    for build, categories, empty, rejects_constant in (
+        (decided_design, singles, "no decided respondents", False),
+        (lambda s: ontic.ontic_design(s, cats), cats, "no respondents fall into the ontic categories", True),
     ):
         want = row_design(s, categories)
-        if want.n:
+        if want.n and rejects_constant and want.xu[:, 1:].all(axis=0).any():
+            with pytest.raises(ValueError, match="is 1 for every respondent in the ontic categories"):
+                build(s)
+        elif want.n:
             assert_same_design(build(s), want)
         else:
             with pytest.raises(ValueError, match=empty):
@@ -251,5 +295,5 @@ def test_design_keeps_only_the_patterns_its_respondents_hold():
 @settings(max_examples=150, deadline=None)
 @given(s=table_surveys(), data=st.data())
 def test_table_designs_match_rows(s, data):
-    undecided = sum(not ps.is_singleton for ps in s.cells.sets)
+    undecided = sum(not ps.is_singleton for ps in s.sets)
     assert_table_designs_match_rows(s, data.draw(st.integers(0, undecided)))

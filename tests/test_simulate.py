@@ -50,7 +50,7 @@ class TestGeneratePopulation:
 
     def test_full_coarsening_all_undecided(self):
         s, _ = generate_population(config(coarsen_prob=1.0, seed=2))
-        assert all(ps.size >= 2 for _, ps, _ in s.cells.rows())
+        assert all(ps.size >= 2 for _, ps, _ in s.rows())
 
     def test_same_seed_byte_identical(self):
         a, ga = generate_population(config(seed=9))
@@ -61,7 +61,7 @@ class TestGeneratePopulation:
     def test_reported_set_contains_latent_vote(self):
         s, g = generate_population(config(coarsen_prob=0.8, seed=3, style=CoarsenStyle.NEIGHBOR))
         assert g.votes.dtype == np.intp and not g.votes.flags.writeable
-        for (_, ps, _), vote in zip(s.cells.rows(), g.votes):
+        for (_, ps, _), vote in zip(s.rows(), g.votes):
             assert ps.contains_index(vote)
 
     @pytest.mark.parametrize("style", list(CoarsenStyle))
@@ -143,13 +143,13 @@ class TestGeneratePopulation:
         # packed key uses bit 62; from p = 64 patterns are keyed by their bytes.
         names = tuple(f"c{j}" for j in range(p))
         s, _ = generate_population(config(n=300, covariate_names=names, coefficients=default_true_coefficients(4, p)))
-        patterns = s.cells.patterns
+        patterns = s.patterns
         assert patterns.dtype == np.uint8
         assert patterns.shape[1] == p
         # Distinct rows, in lexicographic order.
-        assert list(map(tuple, patterns.tolist())) == sorted({tuple(row) for _, _, row in s.cells.rows()})
+        assert list(map(tuple, patterns.tolist())) == sorted({tuple(row) for _, _, row in s.rows()})
         # The row parser numbers the written rows the same way.
-        assert data._parse_rows(survey_to_csv(s), REG, names).cells == s.cells
+        assert list(data._parse_rows(survey_to_csv(s), REG, names).rows()) == list(s.rows())
 
 
 class TestCompletionOracle:
@@ -234,7 +234,7 @@ class TestCoverage:
         report = coverage_check(s, g, coalitions=specs)
         assert report.ok
         for spec in specs:
-            votes = zip(s.cells.weights.tolist(), g.votes.tolist())
+            votes = zip(s.weights.tolist(), g.votes.tolist())
             share = min(math.fsum(w for w, v in votes if spec.members.contains_index(v)) / s.total_weight, 1.0)
             iv = event_bounds(s, spec.members)
             assert report.margins[spec.name] == min(share - iv.lower, iv.upper - share)
