@@ -521,45 +521,43 @@ def test_parse_matches_per_row_reference(text):
     shared_sets = {}
     for _, ps, _ in s.rows():
         assert shared_sets.setdefault(ps.mask, ps) is ps
-    # The survey's cell table must describe the same rows.
-    cells = s
+    # The survey's cells must describe the same rows.
     patterns = sorted({v for _, _, v in want[1]})
-    assert cells.patterns.dtype == np.uint8
-    assert cells.patterns.shape == (len(patterns), len(DIFF_SCHEMA))
-    assert cells.weights.tolist() == [w for w, _, _ in want[1]]
+    assert s.patterns.dtype == np.uint8
+    assert s.patterns.shape == (len(patterns), len(DIFF_SCHEMA))
+    assert s.weights.tolist() == [w for w, _, _ in want[1]]
     assert [
-        (cells.sets[cells.cell_set[g]].mask, tuple(cells.patterns[cells.cell_pattern[g]].tolist()))
-        for g in cells.index.tolist()
+        (s.sets[s.cell_set[g]].mask, tuple(s.patterns[s.cell_pattern[g]].tolist()))
+        for g in s.index.tolist()
     ] == [(mask, values) for _, mask, values in want[1]]
-    assert {ps.mask: ws for ps, ws in zip(cells.sets, _weights_by_set(cells))} == {
+    assert {ps.mask: ws for ps, ws in zip(s.sets, _weights_by_set(s))} == {
         mask: [w for w, m, _ in want[1] if m == mask] for mask in {m for _, m, _ in want[1]}
     }
-    assert cells.set_counts.tolist() == [len(ws) for ws in _weights_by_set(cells)]
-    assert [data.rounded(total) for total in cells.set_sums] == [math.fsum(ws) for ws in _weights_by_set(cells)]
-    assert len(set(zip(cells.cell_set.tolist(), cells.cell_pattern.tolist()))) == len(cells.cell_set)
+    assert s.set_counts.tolist() == [len(ws) for ws in _weights_by_set(s)]
+    assert [data.rounded(total) for total in s.set_sums] == [math.fsum(ws) for ws in _weights_by_set(s)]
+    assert len(set(zip(s.cell_set.tolist(), s.cell_pattern.tolist()))) == len(s.cell_set)
     # Sets are numbered by increasing bitmask, covariate patterns in
     # lexicographic order, and cells by set, then pattern.
-    assert [ps.mask for ps in cells.sets] == sorted({m for _, m, _ in want[1]})
-    assert cells.patterns.tolist() == [list(v) for v in patterns]
+    assert [ps.mask for ps in s.sets] == sorted({m for _, m, _ in want[1]})
+    assert s.patterns.tolist() == [list(v) for v in patterns]
     assert [
-        (cells.sets[j].mask, tuple(cells.patterns[c].tolist()))
-        for j, c in zip(cells.cell_set.tolist(), cells.cell_pattern.tolist())
+        (s.sets[j].mask, tuple(s.patterns[c].tolist()))
+        for j, c in zip(s.cell_set.tolist(), s.cell_pattern.tolist())
     ] == sorted({(m, v) for _, m, v in want[1]})
     # The public constructor, given the reference rows as Respondents, must
     # store the same table.
     rows = tuple(Respondent(w, PartySet(mask), values) for w, mask, values in want[1])
     built = Survey(DIFF_REGISTRY, DIFF_SCHEMA, rows, dropped_rows=want[2])
     assert built == s
-    other = built
-    assert cells.sets == other.sets
+    assert s.sets == built.sets
     for name in ("patterns", "cell_set", "cell_pattern", "index"):
-        assert getattr(cells, name).tolist() == getattr(other, name).tolist()
-    assert other.patterns.dtype == np.uint8 and other.patterns.shape == cells.patterns.shape
-    assert cells.weights.tobytes() == other.weights.tobytes()
-    assert [[w.hex() for w in ws] for ws in _weights_by_set(cells)] == [
-        [w.hex() for w in ws] for ws in _weights_by_set(other)
+        assert getattr(s, name).tolist() == getattr(built, name).tolist()
+    assert built.patterns.dtype == np.uint8 and built.patterns.shape == s.patterns.shape
+    assert s.weights.tobytes() == built.weights.tobytes()
+    assert [[w.hex() for w in ws] for ws in _weights_by_set(s)] == [
+        [w.hex() for w in ws] for ws in _weights_by_set(built)
     ]
-    assert cells.set_sums == other.set_sums
+    assert s.set_sums == built.set_sums
     assert [(w, ps.mask, cov) for w, ps, cov in built.rows()] == want[1]
 
 

@@ -269,25 +269,24 @@ def _homogeneity_surveys(draw):
 
 def _reference_homogeneity(s, model):
     """Per-cell dict rows with an fsum denominator each, then one fsum of w * row per party."""
-    cells = s
     options = s.registry.options
-    probs = mnl.predict_proba(model, cells.pattern_rows())
+    probs = mnl.predict_proba(model, s.pattern_rows())
     rows = []
-    for j, c in zip(cells.cell_set.tolist(), cells.cell_pattern.tolist()):
-        member = cells.sets[j].indices()
+    for j, c in zip(s.cell_set.tolist(), s.cell_pattern.tolist()):
+        member = s.sets[j].indices()
         if len(member) == 1:
             rows.append({options[member[0]]: 1.0})
             continue
         p = probs[c].tolist()
         denom = math.fsum(p[i] for i in member)
         rows.append({options[i]: p[i] / denom for i in member})
-    cell_weights = np.bincount(cells.index, weights=cells.weights, minlength=len(rows)).tolist()
+    cell_weights = np.bincount(s.index, weights=s.weights, minlength=len(rows)).tolist()
     shares = {
         code: math.fsum(w * row[code] for w, row in zip(cell_weights, rows) if code in row) / s.total_weight
         for code in options
     }
     total = math.fsum(shares.values())
-    return {code: v / total for code, v in shares.items()}, tuple(rows[g] for g in cells.index.tolist())
+    return {code: v / total for code, v in shares.items()}, tuple(rows[g] for g in s.index.tolist())
 
 
 @settings(max_examples=60, deadline=None)

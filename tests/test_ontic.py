@@ -242,16 +242,20 @@ def assert_same_design(got, want):
 def assert_table_designs_match_rows(s, k):
     """The decided design and the ontic design of the k most frequent sets, from the table and from the rows.
 
-    The ontic design rejects a covariate that is 1 in every row it keeps.
+    The ontic design rejects a covariate that is 1 in every row it keeps; the
+    design it builds before that check must still match the rows.
     """
     singles = tuple(s.registry.singleton(code) for code in s.registry.options)
     cats, _ = build_ontic_categories(s, k)
+    index = {ps: i for i, ps in enumerate(cats)}
     for build, categories, empty, rejects_constant in (
         (decided_design, singles, "no decided respondents", False),
         (lambda s: ontic.ontic_design(s, cats), cats, "no respondents fall into the ontic categories", True),
     ):
         want = row_design(s, categories)
         if want.n and rejects_constant and want.xu[:, 1:].all(axis=0).any():
+            unchecked = mnl.DesignData.from_groups(*s.design_groups([index.get(ps, -1) for ps in s.sets]), len(cats))
+            assert_same_design(unchecked, want)
             with pytest.raises(ValueError, match="is 1 for every respondent in the ontic categories"):
                 build(s)
         elif want.n:
