@@ -20,6 +20,7 @@ from .bounds import (
     event_bounds,
     majority_classification,
     seat_bounds,
+    share_bounds,
 )
 from .data import (
     PartyRegistry,

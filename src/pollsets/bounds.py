@@ -1,30 +1,35 @@
 """Interval-valued vote share bounds from set-valued responses.
 
-The lower bound of an event counts only respondents whose whole
-consideration set lies inside the event; the upper bound counts every
-respondent whose set touches it.  Between those extremes lies every
-share reachable by assigning each undecided respondent to one member of
-their set, so the intervals cover all completions by construction.
+Every interval is one quantity, ``share_bounds``: the share of the
+included parties' votes that falls in an event C, over every completion
+of the undecided.  Per unit of a consideration set's weight, lo_C and
+hi_C are the least and the most that can fall in C.  Some completion
+gives C its least and the rest R of the included parties their most in
+every set at once, and C / (C + R) rises in C and falls in R, so the
+sharp bounds are sum(lo_C) / sum(lo_C + hi_R) and sum(hi_C) /
+sum(hi_C + lo_R): Bel(C | I) = Bel(C) / (Bel(C) + Pl(I - C)) (Fagin &
+Halpern 1991).  Over the full registry lo_C + hi_R = 1 in every set, so
+both denominators are the total weight and the bounds are belief and
+plausibility (Shafer 1976).  Over fewer parties they are seat shares.
 
 An optional allocation constraint narrows the intervals: within every
-consideration set, each option is assumed to receive at least ``alpha``
-and at most ``beta`` of that group's eventual votes.  The per-set box
-is repaired to stay feasible for any set size (see
-``effective_allocation_limits``), and per-respondent extremes then have
-a closed form because the constraint never couples different sets.
+consideration set, each option receives at least ``alpha`` and at most
+``beta`` of that group's eventual votes.  The box is repaired to stay
+feasible for any set size (``effective_allocation_limits``), and the
+factors have a closed form because it never couples different sets.  No
+constraint is the vacuous box (0, 1), whose factors are 0 or 1: whether
+a set lies inside C, and whether it touches C.
 
-A bound depends on each distinct consideration set only through its
-total weight, so it is computed per set from the survey's cell table
-(see ``pollsets.data``): each set's exact weight sum times the fraction
-of it the bound counts, added exactly and rounded once
-(``data.weighted_total``).  Results are therefore correctly rounded and
-independent of respondent order.  Seat shares over a subset of parties
-(``seat_bounds``) are ratios of two such sums.
+Each sum weighs each distinct set's exact weight sum (see
+``pollsets.data``) by its factor, added exactly and rounded once
+(``data.weighted_total``), so results are correctly rounded and
+independent of respondent order.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,83 +133,69 @@ def _contribution_limits(k: int, m: int, c: AllocationConstraint) -> tuple[float
     return lo, hi
 
 
-def _limits(s: Survey, mask: int, c: AllocationConstraint | None) -> tuple[list[float], list[float]]:
-    """Per distinct set, the least and the most of a unit of its weight that can fall in the parties of ``mask``.
+def _limits(s: Survey, mask: int, factors) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per distinct set, the least and the most of a unit of its weight that can fall in the parties of ``mask``."""
+    return tuple(zip(*(factors(ps.mask.bit_count(), (ps.mask & mask).bit_count()) for ps in s.sets)))
 
-    Without a constraint: whether the set lies inside them, and whether it touches them (0 for an empty ``mask``).
-    A survey with no respondents has no shares, so it raises ValueError.
+
+def share_bounds(s: Survey, event: PartySet, included: PartySet, c: AllocationConstraint | None = None) -> Interval:
+    """The least and the greatest share of the ``included`` parties' votes that falls in ``event``.
+
+    Over every allocation in the box ``c``, None being the vacuous box.
+    Raises ValueError if the event or ``included`` names options outside
+    the registry, if the event is not inside ``included``, if the survey
+    has no respondents, or if the share is undefined: a completion gives
+    the included parties no votes.
     """
+    if not (event.fits(s.registry) and included.fits(s.registry)):
+        raise ValueError("event or included parties reference options outside the registry")
+    if not event.issubset(included):
+        raise ValueError("event references options outside the included parties")
     if not len(s):
         raise ValueError("the survey has no respondents")
-    masks = [ps.mask for ps in s.sets]
-    if c is None:
-        return [float(m & ~mask == 0) for m in masks], [float(m & mask != 0) for m in masks]
-    limits = [_contribution_limits(m.bit_count(), (m & mask).bit_count(), c) for m in masks]
-    return [lo for lo, _ in limits], [hi for _, hi in limits]
+    box = c or AllocationConstraint(0.0, 1.0)
+    factors = functools.cache(lambda k, m: _contribution_limits(k, m, box))
+    sums = s.set_sums
+    lo_c, hi_c = _limits(s, event.mask, factors)
+    if included == s.registry.full_set():
+        # lo_C + hi_R = hi_C + lo_R = 1 in every set; summing the float factors would miss that by rounding.
+        denominators = s.total_weight, s.total_weight
+    else:
+        lo_r, hi_r = _limits(s, included.mask & ~event.mask, factors)
+        # Concatenated factor lists give the exact sum of both terms, rounded once.
+        denominators = weighted_total(sums * 2, lo_c + hi_r), weighted_total(sums * 2, hi_c + lo_r)
+    if not all(denominators):
+        label = s.registry.label_of(event)
+        raise ValueError(f"seat share of {label} is undefined: a completion gives the included parties no votes")
+    lower = weighted_total(sums, lo_c) / denominators[0]
+    upper = weighted_total(sums, hi_c) / denominators[1]
+    # Separately rounded sums can cross the two ratios by an ulp where the exact ones are that close.
+    return Interval(min(lower, upper), upper)
 
 
 def event_bounds(s: Survey, event: PartySet, c: AllocationConstraint | None = None) -> Interval:
-    """Lower/upper bounds for the share of votes falling inside `event`.
-
-    Without a constraint these are the belief/plausibility sums: sets
-    fully inside the event versus sets intersecting it.  With a
-    constraint each set counts at its closed-form extremal in-event
-    mass per unit weight instead.  Both loop over distinct sets and
-    round the exact sum of each set's weight times that factor once:
-    without a constraint the factors are 0 or 1, so the result equals a
-    per-respondent ``math.fsum`` bit for bit.
-    """
-    if not event.fits(s.registry):
-        raise ValueError("event references options outside the registry")
-    sums = s.set_sums
-    lo_factors, hi_factors = _limits(s, event.mask, c)
-    lower = min(weighted_total(sums, lo_factors) / s.total_weight, 1.0)
-    upper = min(weighted_total(sums, hi_factors) / s.total_weight, 1.0)
-    return Interval(lower, upper)
-
-
-def _per_option_forecast(s: Survey, c: AllocationConstraint | None) -> IntervalForecast:
-    return IntervalForecast({code: event_bounds(s, s.registry.singleton(code), c) for code in s.registry.options})
-
-
-def dempster_bounds(s: Survey) -> IntervalForecast:
-    """Per-option intervals covering every completion of the undecided."""
-    return _per_option_forecast(s, None)
-
-
-def constrained_bounds(s: Survey, c: AllocationConstraint) -> IntervalForecast:
-    """Per-option intervals narrowed by the within-set allocation box."""
-    return _per_option_forecast(s, c)
+    """Lower/upper bounds for the share of all votes falling inside ``event``: belief and plausibility without ``c``."""
+    return share_bounds(s, event, s.registry.full_set(), c)
 
 
 def seat_bounds(s: Survey, included: PartySet, c: AllocationConstraint | None = None) -> IntervalForecast:
     """Each included party's share of the included parties' votes, sharp over every completion.
 
-    For party j and the other included parties R, some allocation gives
-    j its least mass and R its most in every set at once, and
-    j / (j + R) rises in j and falls in R.  So the lower bound is
-    sum(lo_j) / sum(lo_j + hi_R) over the sets' extremal factors and the
-    upper bound is sum(hi_j) / sum(hi_j + lo_R), each sum exact and
-    rounded once (Fagin & Halpern 1991 without a constraint).  Without a
-    constraint over the full registry, this is ``dempster_bounds`` bit for bit.
+    Over the full registry this is ``dempster_bounds``, or with ``c``
+    ``constrained_bounds``, bit for bit.
     """
-    if not included.fits(s.registry):
-        raise ValueError("included set references options outside the registry")
-    sums = s.set_sums
-    intervals = {}
-    for i in included.indices():
-        code = s.registry.options[i]
-        j_lo, j_hi = _limits(s, 1 << i, c)
-        rest_lo, rest_hi = _limits(s, included.mask & ~(1 << i), c)
-        # Concatenated factor lists give the exact sum of both terms, rounded once.
-        denominators = weighted_total(sums * 2, j_lo + rest_hi), weighted_total(sums * 2, j_hi + rest_lo)
-        if not all(denominators):
-            raise ValueError(f"seat share of {code} is undefined: a completion gives the included parties no votes")
-        lower = weighted_total(sums, j_lo) / denominators[0]
-        upper = weighted_total(sums, j_hi) / denominators[1]
-        # Separately rounded sums can cross the two ratios by an ulp where the exact ones are that close.
-        intervals[code] = Interval(min(lower, upper), upper)
-    return IntervalForecast(intervals)
+    bounds = [share_bounds(s, PartySet(1 << i), included, c) for i in included.indices()]
+    return IntervalForecast(dict(zip(s.registry.codes_of(included), bounds)))
+
+
+def dempster_bounds(s: Survey) -> IntervalForecast:
+    """Per-option intervals covering every completion of the undecided."""
+    return seat_bounds(s, s.registry.full_set())
+
+
+def constrained_bounds(s: Survey, c: AllocationConstraint) -> IntervalForecast:
+    """Per-option intervals narrowed by the within-set allocation box."""
+    return seat_bounds(s, s.registry.full_set(), c)
 
 
 def majority_classification(i: Interval, threshold: float = 0.5) -> Majority:

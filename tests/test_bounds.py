@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pollsets import (
@@ -27,6 +27,7 @@ from pollsets import (
     majority_classification,
     mnl,
     seat_bounds,
+    share_bounds,
     transition_probabilities,
     validate,
 )
@@ -238,6 +239,21 @@ class TestSeatBounds:
     def test_included_must_fit_registry(self, abc_survey):
         with pytest.raises(ValueError, match="outside the registry"):
             seat_bounds(abc_survey, PartySet(1 << 5))
+
+
+class TestShareBounds:
+    def test_event_must_lie_inside_included(self, abc_survey, abc_registry):
+        with pytest.raises(ValueError, match="^event references options outside the included parties$"):
+            share_bounds(abc_survey, abc_registry.set_of("AC"), abc_registry.set_of("AB"))
+
+    @pytest.mark.parametrize("event, included", [(1 << 5, 0b111), (0b001, 1 << 5 | 0b001)])
+    def test_event_and_included_must_fit_registry(self, abc_survey, event, included):
+        with pytest.raises(ValueError, match="^event or included parties reference options outside the registry$"):
+            share_bounds(abc_survey, PartySet(event), PartySet(included))
+
+    def test_empty_survey_errors(self, abc_registry):
+        with pytest.raises(ValueError, match="^the survey has no respondents$"):
+            share_bounds(Survey(abc_registry, (), ()), abc_registry.singleton("A"), abc_registry.set_of("AB"))
 
 
 class TestProperties:
@@ -483,15 +499,16 @@ def _box_vertices(k, c):
     return vertices
 
 
-def _seat_oracle(s, included, c=None):
-    """Per included code, the exact least and greatest share of the included parties' votes, or None if undefined.
+def _seat_oracle(s, event, included, c=None):
+    """The exact least and greatest share of the included parties' votes in ``event``, or None if undefined.
 
     Without ``c`` every completion is enumerated: each respondent votes
     for one member of their set.  With ``c`` each distinct set's weight
     is split at every vertex of its allocation box, where a ratio of
     linear functions attains its extremes.  A share is undefined where
-    it has no least or no greatest value: j or the rest never get votes,
-    and some split gives the included parties none.
+    it has no least or no greatest value: the event or the rest of the
+    included parties never get votes, and some split gives the included
+    parties none.
     """
     rows = list(s.rows())
     if c is None:
@@ -503,21 +520,22 @@ def _seat_oracle(s, included, c=None):
         units = [
             (w, [dict(zip(ps.indices(), x)) for x in _box_vertices(ps.size, c)]) for ps, w in by_set.items()
         ]
-    out = {}
-    for j in included.indices():
-        rest = [i for i in included.indices() if i != j]
-        # Every (votes of j, votes of the rest) pair over the units' choices, built unit by unit.
-        points = {(Fraction(0), Fraction(0))}
-        for w, splits in units:
-            steps = {(x.get(j, 0), sum(x.get(i, 0) for i in rest)) for x in splits}
-            points = {(a + w * dj, b + w * dr) for a, b in points for dj, dr in steps}
-        mine, others = [a for a, _ in points], [b for _, b in points]
-        if (min(mine) == max(others) == 0) or (max(mine) == min(others) == 0):
-            out[s.registry.options[j]] = None
-        else:
-            shares = [a / (a + b) for a, b in points if a + b]
-            out[s.registry.options[j]] = (min(shares), max(shares))
-    return out
+    rest = [i for i in included.indices() if not event.contains_index(i)]
+    # Every (votes of the event, votes of the rest) pair over the units' choices, built unit by unit.
+    points = {(Fraction(0), Fraction(0))}
+    for w, splits in units:
+        steps = {(sum(x.get(i, 0) for i in event.indices()), sum(x.get(i, 0) for i in rest)) for x in splits}
+        points = {(a + w * dc, b + w * dr) for a, b in points for dc, dr in steps}
+    mine, others = [a for a, _ in points], [b for _, b in points]
+    if (min(mine) == max(others) == 0) or (max(mine) == min(others) == 0):
+        return None
+    shares = [a / (a + b) for a, b in points if a + b]
+    return min(shares), max(shares)
+
+
+_BOXES = st.none() | st.lists(st.integers(0, 20), min_size=2, max_size=2).map(
+    lambda box: AllocationConstraint(min(box) / 20, max(box) / 20)
+)
 
 
 @st.composite
@@ -532,15 +550,14 @@ def _seat_cases(draw):
     weight = st.sampled_from([0.1, 0.2, 0.3, 1.0]) | st.floats(0.1, 10.0)
     s = Survey(reg, (), tuple(Respondent(draw(weight), PartySet(m)) for m in draw(st.permutations(decided + undecided))))
     included = draw(st.integers(1, full) | st.just(full))
-    box = draw(st.none() | st.lists(st.integers(0, 20), min_size=2, max_size=2).map(sorted))
-    return s, PartySet(included), box and AllocationConstraint(box[0] / 20, box[1] / 20)
+    return s, PartySet(included), draw(_BOXES)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_seat_cases())
 def test_seat_bounds_match_exact_oracles(case):
     s, included, c = case
-    want = _seat_oracle(s, included, c)
+    want = {s.registry.options[i]: _seat_oracle(s, PartySet(1 << i), included, c) for i in included.indices()}
     if None in want.values():
         with pytest.raises(ValueError, match="is undefined"):
             seat_bounds(s, included, c)
@@ -551,10 +568,33 @@ def test_seat_bounds_match_exact_oracles(case):
         assert abs(got[code].lower - lower) <= 1e-12 and abs(got[code].upper - upper) <= 1e-12, (code, got[code])
 
 
+@settings(max_examples=200, deadline=None)
+@given(_seat_cases(), st.data())
+def test_share_bounds_match_exact_oracles(case, data):
+    s, included, c = case
+    event = PartySet(sum(1 << i for i in data.draw(st.sets(st.sampled_from(included.indices()), min_size=1))))
+    want = _seat_oracle(s, event, included, c)
+    if want is None:
+        with pytest.raises(ValueError, match="is undefined"):
+            share_bounds(s, event, included, c)
+        return
+    got = share_bounds(s, event, included, c)
+    assert abs(got.lower - want[0]) <= 1e-12 and abs(got.upper - want[1]) <= 1e-12, got
+
+
+_ABCD = PartyRegistry(tuple("ABCD"))
+
+
 @settings(max_examples=150, deadline=None)
-@given(_weighted_surveys())
-def test_seat_bounds_over_full_registry_bit_identical_to_dempster(s):
-    got, want = seat_bounds(s, s.registry.full_set()), dempster_bounds(s)
+@given(_weighted_surveys(), _BOXES)
+# Per-party denominators summed over the sets miss the total weight by rounding here.
+@example(
+    Survey(_ABCD, (), tuple(Respondent(w, _ABCD.set_of(codes)) for w, codes in ((3.0, "BD"), (0.1, "B"), (1.0, "BCD")))),
+    AllocationConstraint(0.1, 1.0),
+)
+def test_seat_bounds_over_full_registry_bit_identical_to_dempster(s, c):
+    got = seat_bounds(s, s.registry.full_set(), c)
+    want = constrained_bounds(s, c) if c else dempster_bounds(s)
     assert [(iv.lower.hex(), iv.upper.hex()) for iv in got.intervals.values()] == [
         (iv.lower.hex(), iv.upper.hex()) for iv in want.intervals.values()
     ]
