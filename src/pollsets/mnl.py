@@ -58,9 +58,12 @@ same order for any B, so a problem fitted in a stack ends bit-identical
 to the same problem fitted alone over the same distinct rows with the
 same counts and row totals.  The totals must be the same floats, not merely
 equal sums: ``DesignData.totals`` adds them up one way and a sum over
-a stacked array may add them another.  ``fit`` of a group lasso is the
-case B = 1.  Newton's per-row arrays follow the same layout, and its
-gradient is the same kernel's.
+a stacked array may add them another.  Since each problem's arithmetic
+is its own, a backtracking round tries every running problem: one whose
+step already passed keeps its step size, so it gets the same trial and
+verdict again.  ``fit`` of a group lasso is the case B = 1.  Newton's
+per-row arrays follow the same layout, and its gradient is the same
+kernel's.
 Cross-validation fits the folds of every repeat at one lambda as one
 stack over the distinct rows they train on, each fold's training counts
 summed from its own rows in respondent order.  A stack holds at most
@@ -84,6 +87,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,10 +302,17 @@ class FitOptions:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        _check_integer("max_iterations", self.max_iterations)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError("tolerance must be finite and >= 0")
+        if not (isinstance(self.tolerance, numbers.Real) and math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int or a numpy integer."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -421,10 +432,13 @@ def _fit_stack(
     Problem b has K x G counts ``counts[b]``, row totals ``totals[b]``,
     group-lasso weight ``lams[b]`` and start ``x0[b]``, already on the
     constraint subspace.  The array work of an iteration (objective,
-    gradient, proximal step) runs once over the stack of problems still
-    running, and a backtracking round only over the problems it retries;
-    the scalar decisions (line search, momentum, restarts, stopping) run
-    per problem, on Python floats.  A problem that stops leaves the
+    gradient, each backtracking round's proximal step) runs once over the
+    stack of problems still running; the scalar decisions (line search,
+    momentum, restarts, stopping) run per problem, on Python floats.  A
+    round tries the whole stack, since trying again a problem whose step
+    passed changes nothing: that step size is kept, and a trial depends
+    only on the problem's own y, gradient and step, so it gets the same
+    trial and verdict, bit for bit.  A problem that stops leaves the
     stack with its coefficients frozen, so it costs nothing more.
     Returns the final (B, K, P) iterates, before the last projection,
     and one report per problem.
@@ -462,87 +476,60 @@ def _fit_stack(
         grad = _project_in_place(_stack_gradient(y, logp, xu, counts, totals, ridge), constraint)
         del logp
 
-        cand, f_cand = None, [0.0] * m
-        searching, lost = list(range(m)), []
+        searching = list(range(m))
         for _ in range(MAX_BACKTRACKS):
-            if len(searching) == m:
-                y_s, grad_s, counts_s, lams_s = y, grad, counts, lams
-            else:
-                y_s, grad_s, counts_s, lams_s = (a[searching] for a in (y, grad, counts, lams))
-            steps = np.array([lipschitz[ids[i]] for i in searching])
-            trial = y_s - grad_s / steps[:, None, None]
+            steps = np.array([lipschitz[b] for b in ids])
+            cand = y - grad / steps[:, None, None]
             if penalized:
-                trial = _stack_prox(trial, lams_s / steps)
-            trial = _project_in_place(trial, constraint)
-            diff = trial - y_s
-            f_trial = _stack_value(trial, xu, counts_s, ridge)[0].tolist()
-            _check_finite(f_trial)
-            linear = (grad_s * diff).reshape(len(searching), -1).sum(axis=1).tolist()
-            square = (diff * diff).reshape(len(searching), -1).sum(axis=1).tolist()
-            # The first round tries every problem; a later round writes
-            # only the rows it accepts.
-            if cand is None:
-                cand = trial
-            failed = []
-            for j, i in enumerate(searching):
-                quad = f_y[i] + linear[j] + 0.5 * lipschitz[ids[i]] * square[j]
-                if f_trial[j] <= quad + 1e-12 * max(1.0, abs(f_y[i])):
-                    f_cand[i] = f_trial[j]
-                    if cand is not trial:
-                        cand[i] = trial[j]
-                else:
-                    failed.append(i)
-            if not failed:
+                cand = _stack_prox(cand, lams / steps)
+            cand = _project_in_place(cand, constraint)
+            diff = cand - y
+            f_cand = _stack_value(cand, xu, counts, ridge)[0].tolist()
+            _check_finite(f_cand)
+            linear = (grad * diff).reshape(m, -1).sum(axis=1).tolist()
+            square = (diff * diff).reshape(m, -1).sum(axis=1).tolist()
+            quad = [f + a + 0.5 * lipschitz[b] * s for f, a, s, b in zip(f_y, linear, square, ids)]
+            searching = [i for i in searching if not f_cand[i] <= quad[i] + 1e-12 * max(1.0, abs(f_y[i]))]
+            if not searching:
                 break
-            for i in failed:
+            for i in searching:
                 lipschitz[ids[i]] *= BACKTRACK_FACTOR
                 backtracks[ids[i]] += 1
-            searching = failed
-        else:
-            lost = searching
-            for i in lost:
-                stop[ids[i]] = "line_search_failed"
 
         obj_cand = objectives(f_cand, cand, ids)
-        accepted, restarted, keep = [], [], []
-        beta = [0.0] * m
+        accepted, beta, keep = [False] * m, [0.0] * m, []
         for i, b in enumerate(ids):
-            if i in lost:
-                continue
-            if obj_cand[i] > obj_x[b]:
+            if i in searching:  # every halving failed
+                stop[b] = "line_search_failed"
+            elif obj_cand[i] > obj_x[b]:
                 if momentum[b] == 1.0:
                     # A step without momentum raised the objective: from the
                     # incumbent, an accepted proximal step can only lose to rounding.
                     stop[b] = "stationary"
-                    continue
-                # Momentum overshot: keep the incumbent and restart acceleration.
-                momentum[b] = 1.0
-                restarts[b] += 1
-                restarted.append(i)
-                keep.append(i)
-                continue
-            m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum[b] * momentum[b]))
-            beta[i] = (momentum[b] - 1.0) / m_next
-            change = obj_x[b] - obj_cand[i]
-            momentum[b] = m_next
-            nll_x[b], obj_x[b] = f_cand[i], obj_cand[i]
-            history[b].append(obj_x[b])
-            accepted.append(i)
-            if change <= options.tolerance * max(1.0, abs(obj_x[b])):
-                stop[b] = "converged"
+                else:
+                    # Momentum overshot: keep the incumbent and restart acceleration.
+                    momentum[b] = 1.0
+                    restarts[b] += 1
+                    keep.append(i)
             else:
-                keep.append(i)
+                m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum[b] * momentum[b]))
+                beta[i] = (momentum[b] - 1.0) / m_next
+                change = obj_x[b] - obj_cand[i]
+                momentum[b] = m_next
+                nll_x[b], obj_x[b] = f_cand[i], obj_cand[i]
+                history[b].append(obj_x[b])
+                accepted[i] = True
+                if change <= options.tolerance * max(1.0, abs(obj_x[b])):
+                    stop[b] = "converged"
+                else:
+                    keep.append(i)
 
-        if accepted:
-            y_next = _project_in_place(cand + np.array(beta)[:, None, None] * (cand - x), constraint)
-        if len(accepted) == m:
-            x, y = cand, y_next
-        elif accepted or restarted:
-            x, y = x.copy(), y.copy()
-            if accepted:
-                x[accepted] = cand[accepted]
-                y[accepted] = y_next[accepted]
-            y[restarted] = x[restarted]
+        # Accepted problems move to the candidate; the rest keep x, and a restarted one takes y = x.
+        held = ~np.array(accepted)[:, None, None]
+        y = _project_in_place(cand + np.array(beta)[:, None, None] * (cand - x), constraint)
+        np.copyto(cand, x, where=held)
+        x = cand
+        np.copyto(y, x, where=held)
         if len(keep) < m:
             # Problems that stopped leave the stack with their iterates.
             done = [i for i in range(m) if i not in keep]
@@ -760,6 +747,7 @@ def lambda_max(d: DesignData, constraint: Constraint) -> float:
 
 def default_lambda_grid(d: DesignData, constraint: Constraint, points: int = 20) -> tuple[float, ...]:
     """Log-spaced descending grid from lambda_max down to lambda_max / 1000."""
+    _check_integer("grid points", points)
     if points < 1:
         raise ValueError(f"grid points must be >= 1, got {points}")
     top = lambda_max(d, constraint)
@@ -909,6 +897,8 @@ def cross_validate(
     grid = _descending(lambda_grid)
     if not grid:
         raise ValueError("lambda grid is empty")
+    for name, value in (("folds", folds), ("repeats", repeats), ("seed", seed)):
+        _check_integer(name, value)
     if folds < 2 or d.n < folds:
         raise ValueError("need 2 <= folds <= n")
     if repeats < 1:

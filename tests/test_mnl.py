@@ -1,4 +1,5 @@
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -353,12 +354,19 @@ class TestFit:
             dict(tolerance=-1e-9),
             dict(tolerance=math.nan),
             dict(tolerance=math.inf),
+            dict(max_iterations=2.5),
+            dict(max_iterations=3.0),
+            dict(max_iterations="3"),
+            dict(tolerance="1e-8"),
+            dict(tolerance=None),
         ],
     )
     def test_invalid_options_raise(self, options):
-        # Values the fitter cannot run with: fewer than one iteration, or a
-        # tolerance that is negative or not finite.
-        with pytest.raises(ValueError):
+        # Values the fitter cannot run with: fewer than one iteration, an
+        # iteration cap that is not an integer, or a tolerance that is not a
+        # number, negative or not finite.
+        [(name, _)] = options.items()
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             mnl.FitOptions(**options)
 
     def test_single_category_errors(self):
@@ -600,19 +608,26 @@ class TestCrossValidate:
             mnl.cross_validate(d, [0.1, 0.5], folds=3, seed=0)
 
     @pytest.mark.parametrize(
-        "grid, folds, repeats, message",
+        "grid, folds, repeats, seed, message",
         [
-            ([], 3, 1, "^lambda grid is empty$"),
-            ([0.5], 1, 1, r"^need 2 <= folds <= n$"),
-            ([0.5], 31, 1, r"^need 2 <= folds <= n$"),
-            ([0.5], 3, 0, "^repeats must be >= 1$"),
+            ([], 3, 1, 0, "^lambda grid is empty$"),
+            ([0.5], 1, 1, 0, r"^need 2 <= folds <= n$"),
+            ([0.5], 31, 1, 0, r"^need 2 <= folds <= n$"),
+            ([0.5], 3, 0, 0, "^repeats must be >= 1$"),
+            ([0.5], 2.5, 1, 0, r"^folds must be an integer, got 2\.5$"),
+            ([0.5], 3.0, 1, 0, r"^folds must be an integer, got 3\.0$"),
+            ([0.5], 3, 1.5, 0, r"^repeats must be an integer, got 1\.5$"),
+            ([0.5], 3, 1, 1.5, r"^seed must be an integer, got 1\.5$"),
         ],
-        ids=["empty-grid", "one-fold", "more-folds-than-rows", "no-repeats"],
+        ids=[
+            "empty-grid", "one-fold", "more-folds-than-rows", "no-repeats",
+            "fractional-folds", "float-folds", "fractional-repeats", "fractional-seed",
+        ],
     )
-    def test_bad_settings_rejected(self, grid, folds, repeats, message):
+    def test_bad_settings_rejected(self, grid, folds, repeats, seed, message):
         d = random_design(25, n=30)
         with pytest.raises(ValueError, match=message):
-            mnl.cross_validate(d, grid, folds=folds, seed=0, repeats=repeats)
+            mnl.cross_validate(d, grid, folds=folds, seed=seed, repeats=repeats)
 
     def test_training_fold_with_one_category_errors(self):
         # The lone category-1 row sits in one fold, so the other fold trains on category 0 only.
@@ -672,9 +687,10 @@ def test_lambda_grid_of_a_covariate_that_is_always_zero():
     assert mnl.default_lambda_grid(d, mnl.Constraint.symmetric(), 5) == (0.0,)
 
 
-@pytest.mark.parametrize("points", [0, -3])
+@pytest.mark.parametrize("points", [0, -3, 2.5, 5.0, "5"])
 def test_lambda_grid_needs_a_point(points):
-    with pytest.raises(ValueError, match=f"^grid points must be >= 1, got {points}$"):
+    want = ">= 1" if isinstance(points, int) else "an integer"
+    with pytest.raises(ValueError, match=f"^grid points must be {want}, got {re.escape(repr(points))}$"):
         mnl.default_lambda_grid(random_design(0, n=20), mnl.Constraint.symmetric(), points)
 
 
@@ -793,6 +809,32 @@ class TestStackedCrossValidation:
         problems = [(d, 0.05 * top), (other, 0.3 * top), (d, 0.0), (other, 1e-3 * top)]
         reports = stack_matches_solo_fits(problems, constraint)
         assert len({r.iterations for r in reports}) > 1
+
+    def test_problems_needing_different_halvings_match_their_solo_fits(self):
+        # The same rows at weights scaled by 1 and by 1e-3: the heavier
+        # problem's step is halved where the lighter one's passes at once, so
+        # a backtracking round tries again a problem whose step has passed.
+        constraint = mnl.Constraint.symmetric()
+        d = random_design(41, n=200, k=4, p=5)
+        light = mnl.DesignData(rows(d), d.y, 1e-3 * d.w, d.n_categories)
+        top = mnl.lambda_max(d, constraint)
+        reports = stack_matches_solo_fits([(d, 0.1 * top), (light, 1e-4 * top)], constraint)
+        assert len({r.backtracks for r in reports}) > 1
+
+    def test_a_lost_line_search_changes_no_other_problem(self, monkeypatch):
+        # With four halvings allowed, the heaviest problem's first line search
+        # fails while the others, which need fewer, run on and converge.
+        monkeypatch.setattr(mnl, "MAX_BACKTRACKS", 4)
+        constraint = mnl.Constraint.symmetric()
+        d = random_design(41, n=200, k=4, p=5)
+        top = mnl.lambda_max(d, constraint)
+        problems = [
+            (mnl.DesignData(rows(d), d.y, scale * d.w, d.n_categories), 0.1 * scale * top)
+            for scale in (1.0, 0.03, 1e-3)
+        ]
+        reports = stack_matches_solo_fits(problems, constraint)
+        assert [r.stop_reason for r in reports] == ["line_search_failed", "converged", "converged"]
+        assert reports[0].iterations == 1 and reports[1].backtracks > 0
 
 
 def stack_matches_solo_fits(problems, constraint):
