@@ -21,12 +21,12 @@ patterns and cells, in key order (``key_order``); a model design keeps
 those pattern numbers (``Survey.design_groups``).  No object is made
 per row or per covariate pattern.  A clean file, with any number of
 covariates, is read by a columnar scan: one numpy pass finds each
-block's commas and newlines, the covariates come out as one
-0/1 matrix, a plain decimal weight (at most 16 bytes of ASCII digits,
-1 to 15 of them, and at most one ".") is decoded by array passes into
-the float ``float`` gives, any other weight goes through ``float`` on
-its bytes, parties cells are numbered by integer keys, and each
-distinct parties cell is validated once.
+block's commas and newlines, and every fixed-width run of bytes it reads
+(a row's covariate bits, a weight's last 16 bytes, a padded parties
+cell) is one item of one view of the block (``_items``).  A plain decimal
+weight (1 to 15 ASCII digits and at most one ".") is decoded by array
+passes into the float ``float`` gives, any other weight goes through
+``float`` on its bytes, and each distinct parties cell is checked once.
 Anything else goes through the row parser, a ``csv.reader`` loop with
 one memo per field, which stays the reference for the format's
 semantics, error messages and line numbers.
@@ -58,7 +58,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_REGISTRY = 32
 _BINARY = frozenset((0, 1))
@@ -396,17 +395,23 @@ class Survey:
     ) -> Survey:
         """The survey of rows given as columns; the one place that numbers sets, covariate patterns and cells.
 
-        Row i weighs ``weights[i]`` (a float64 column), holds the set
-        whose bitmask is ``masks[i]`` (an int64 column) and has covariate
-        values ``patterns[i]``, a row of an (n, p) 0/1 ``uint8`` matrix.
+        Row i weighs ``weights[i]`` (a float64 column, positive and finite),
+        holds the set whose bitmask is ``masks[i]`` (an int64 column) and has
+        covariate values ``patterns[i]``, a row of an (n, p) 0/1 matrix.
         Each is numbered in key order (``key_order``): a set by its
         bitmask, a pattern by ``number_patterns``, and a cell by set
         number x n_patterns + pattern number.
         """
         schema = tuple(schema)
-        weights = np.asarray(weights, dtype=float)
-        set_id, masks = key_order(np.asarray(masks, dtype=np.int64))
-        pattern_id, patterns = number_patterns(patterns)
+        weights, masks, bits = np.asarray(weights, dtype=float), np.asarray(masks, dtype=np.int64), np.asarray(patterns)
+        if not (weights.ndim == masks.ndim == 1 and bits.ndim == 2 and len(weights) == len(masks) == len(bits)):
+            raise ValueError("columns must hold one weight, one set and one covariate row per respondent")
+        if not np.all((bits == 0) | (bits == 1)):  # before the uint8 cast, so 0.5, 2 and -1 fail too
+            raise ValueError("covariates must be binary 0/1")
+        if not np.all((weights > 0.0) & (weights < math.inf)):  # NaN fails too
+            raise ValueError("weights must be positive and finite")
+        set_id, masks = key_order(masks)
+        pattern_id, patterns = number_patterns(bits)
         index, cells = key_order(set_id * len(patterns) + pattern_id)
         sets = tuple(PartySet(mask) for mask in masks.tolist())
         repeated = [label for label, count in Counter(schema).items() if count > 1]
@@ -421,8 +426,6 @@ class Survey:
             total = rounded(sum(set_sums))
         except OverflowError:
             raise ValueError("total weight exceeds the largest float") from None
-        if len(weights) and total <= 0:
-            raise ValueError("total weight must be positive")
         survey = object.__new__(cls)
         arrays = (patterns, *np.divmod(cells, max(len(patterns), 1)), index, weights, np.bincount(set_id))
         for (name, dtype), values in zip(_ARRAYS, arrays):
@@ -624,12 +627,7 @@ _PAD_RATIO = 8
 # (Clinger, "How to read floating point numbers accurately", 1990).
 _DECIMAL_BYTES = 16  # two 64-bit words
 _DECIMAL_DIGITS = 15
-_CELL = np.dtype((np.void, _DECIMAL_BYTES))
 _WORD = np.dtype("<u8")
-# _LAST_BYTES[n] keeps the last n bytes of a row.
-_LAST_BYTES = np.frombuffer(
-    b"".join(bytes(_DECIMAL_BYTES - n) + b"\xff" * n for n in range(_DECIMAL_BYTES + 1)), _CELL
-)
 _ONES = np.uint64(0x0101010101010101)
 _TOP = np.uint64(56)
 # Word 0 of a row holds its bytes 0-7, word 1 bytes 8-15.  Byte m of word
@@ -717,12 +715,12 @@ def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes]
     ``chunk`` holds whole lines of rows with ``p`` covariates.  One pass
     finds every comma and newline; each row must hold exactly ``p + 1``
     commas before its newline, a weight that ``float`` takes and that is
-    positive and finite, and each covariate cell one byte ``0`` or ``1``.
-    A plain decimal weight cell is decoded by ``_decimals``, and any
-    other goes through ``float`` on its bytes, taken from a padded ``S``
-    array as the parties cells are.  Returns the weights, the distinct parties cells
-    (numbered by ``_number_cells``), each row's number into them, and the
-    covariates as an (rows, p) 0/1 ``uint8`` matrix.
+    positive and finite, and each covariate cell one byte ``0`` or ``1``,
+    read from the row's ``_items`` tail.  A plain decimal weight is decoded
+    by ``_decimals``, any other goes through ``float`` on its bytes, taken
+    from a ``_padded`` array as the parties cells are.  Returns the weights,
+    the distinct parties cells (numbered by ``_number_cells``), each row's
+    number into them, and the covariates as an (rows, p) 0/1 ``uint8`` matrix.
     """
     try:
         data = chunk.encode()
@@ -736,18 +734,18 @@ def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes]
     rows = np.count_nonzero(newline)
     if len(seps) != rows * (p + 2):
         return None
-    # Row i's separators: p + 1 commas, then its newline.  When every
-    # row's last separator is a newline, the others are the commas, as the
-    # block holds no other newline.
+    # Row i's separators: p + 1 commas, then its newline.  With 2p bytes
+    # from its second to its last, its tail (2p + 1 bytes from its second)
+    # lies in the block.  If every tail ends in a newline, the other
+    # separators are the commas, as the block holds no other newline.  If a
+    # tail's odd bytes are bits, each of its cells is one byte: a cell of
+    # any other length puts a separator at an odd offset.
     seps = seps.reshape(rows, p + 2)
-    if not np.all(newline[seps[:, -1]]):
-        return None
-    bits = buf[seps[:, 1:-1] + 1] - 48  # "0" -> 0, "1" -> 1; any other byte wraps above 1
-    if not np.all(bits <= 1):
-        return None
-    # Each covariate cell starts with a bit, so it holds at least one byte;
-    # together they hold p bytes only if each holds one.
     if not np.all(seps[:, -1] - seps[:, 1] == 2 * p):
+        return None
+    tail = _items(buf, 2 * p + 1)[seps[:, 1]].view(np.uint8).reshape(rows, 2 * p + 1)
+    bits = tail[:, 1::2] - 48  # "0" -> 0, "1" -> 1; any other byte wraps above 1
+    if not (np.all(tail[:, -1] == 10) and np.all(bits <= 1)):
         return None
     starts = np.concatenate(([0], seps[:-1, -1] + 1))
     weight_len = seps[:, 0] - starts
@@ -782,9 +780,9 @@ def _decimals(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple[n
     value is then bit for bit ``float`` of the cell.  The value of any
     other cell is undefined.
 
-    Each cell of at most 16 bytes is read right-aligned into a 16-byte
-    row, two little-endian 64-bit words, with the bytes before the cell
-    and its "." cleared to digit 0.  Combining adjacent digits, then
+    Each cell of at most 16 bytes is read as the 16-byte ``_items`` item
+    that ends with it, two little-endian 64-bit words, with the bytes before
+    the cell and its "." cleared to digit 0.  Combining adjacent digits, then
     pairs, then quads within each word (SWAR) gives the row's 16-digit
     integer ``a``.  A "." with k digits after it left a 0 at 10**k, so
     the cell's digits are the integer ``a - 9 * (a // 10**(k + 1)) *
@@ -793,13 +791,13 @@ def _decimals(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple[n
     values, decoded = np.zeros(len(ends)), np.zeros(len(ends), bool)
     short = np.flatnonzero(lengths <= _DECIMAL_BYTES)
     ends, lengths = ends[short], lengths[short]
-    # Row e of windows is buf[e - 16:e], behind 16 bytes of padding.
-    padded = np.concatenate((np.zeros(_DECIMAL_BYTES, np.uint8), buf))
-    windows = np.ndarray((len(buf) + 1,), _CELL, padded, 0, (1,))
+    # Item e of windows is buf[e - 16:e]; item n of last keeps a row's last n bytes.
+    windows = _items(np.concatenate((np.zeros(_DECIMAL_BYTES, np.uint8), buf)), _DECIMAL_BYTES)
+    last = _items(np.repeat(np.array([0, 0xFF], np.uint8), _DECIMAL_BYTES), _DECIMAL_BYTES)
     digits = windows[ends].view(np.uint8).reshape(len(ends), _DECIMAL_BYTES)
     digits -= np.uint8(48)  # ASCII digits -> 0..9, "." -> 254, any other byte above 9
     words = digits.view(_WORD)
-    words &= _LAST_BYTES[lengths].view(_WORD).reshape(-1, 2)
+    words &= last[lengths].view(_WORD).reshape(-1, 2)
     dot = digits == 254
     other = digits > 9
     other ^= dot
@@ -825,20 +823,22 @@ def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndar
     """The cells ``buf[starts[i]:starts[i] + lengths[i]]`` as one NUL-padded ``S`` array.
 
     Its width is a multiple of 8 bytes, so each cell is a whole number of
-    8-byte words.  None if the padded array would exceed ``_PAD_RATIO``
-    bytes per byte of ``buf``.
+    8-byte words: the ``_items`` item at its start, with the bytes past it
+    cleared.  None if the array would exceed ``_PAD_RATIO`` bytes per byte of ``buf``.
     """
     width = -(-int(lengths.max()) // 8) * 8
     if width == 0 or len(starts) * width > _PAD_RATIO * len(buf):
         return None
-    windows = sliding_window_view(np.concatenate((buf, np.zeros(width, np.uint8))), width)
-    out = windows[starts]
-    # Row r of keep is edge[r:r + width], so row width - n holds n bytes
-    # 0xff, then zeros: each cell is masked by one gathered row.
-    edge = np.repeat(np.array([0xFF, 0], np.uint8), width)
-    keep = np.ndarray((width + 1,), f"V{width}", edge, 0, (1,))
-    out &= keep[width - lengths].view(np.uint8).reshape(out.shape)
-    return out.view(f"S{width}").ravel()
+    # Item i of the padded block is buf[i:i + width]; item width - n of first keeps a row's first n bytes.
+    out = _items(np.concatenate((buf, np.zeros(width, np.uint8))), width)[starts].view(np.uint8)
+    first = _items(np.repeat(np.array([0xFF, 0], np.uint8), width), width)
+    out &= first[width - lengths].view(np.uint8)
+    return out.view(f"S{width}")
+
+
+def _items(buf: np.ndarray, width: int) -> np.ndarray:
+    """A view of the 1-D ``uint8`` array ``buf`` whose item i is ``buf[i:i + width]``, as one ``V{width}``."""
+    return np.ndarray((len(buf) - width + 1,), f"V{width}", buf, 0, (1,))
 
 
 def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ from pollsets import (
     transition_probabilities,
     validate,
 )
-from pollsets.bounds import _contribution_limits, parse_coalitions
+from pollsets.bounds import IntervalForecast, _contribution_limits, parse_coalitions
 from pollsets.forecast import decided_design
 from conftest import random_event, random_survey
 
@@ -341,6 +341,27 @@ def test_interval_validation():
         Interval(0.6, 0.4)
     with pytest.raises(ValueError):
         Interval(-0.1, 0.5)
+
+
+def test_interval_forecast_must_hold_one():
+    with pytest.raises(ValueError, match=r"^per-option intervals must satisfy sum\(lower\) <= 1 <= sum\(upper\)$"):
+        IntervalForecast({"A": Interval(0.6, 0.7), "B": Interval(0.6, 0.7)})
+    with pytest.raises(ValueError, match=r"^per-option intervals must satisfy"):
+        IntervalForecast({"A": Interval(0.2, 0.3), "B": Interval(0.2, 0.3)})
+
+
+def test_allocation_limits_need_a_set():
+    with pytest.raises(ValueError, match="^set size must be >= 1$"):
+        effective_allocation_limits(0, AllocationConstraint(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "k,m,alpha,beta,limit", [(25, 5, 0.19, 0.31, 0.19999999999999996), (25, 11, 0.28, 0.39, 0.43999999999999995)]
+)
+def test_contribution_limits_meet_at_a_float_tie(k, m, alpha, beta, limit):
+    # The repaired box is the uniform allocation, 1/25 each, but its float upper end lies above 0.04: the two
+    # limits, equal in exact arithmetic, round a few ulps apart with the lower above, and meet at the smaller.
+    assert _contribution_limits(k, m, AllocationConstraint(alpha, beta)) == (limit, limit)
 
 
 def test_event_must_fit_registry(abc_survey):

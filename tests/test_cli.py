@@ -463,6 +463,14 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "s1.truth.csv").read_bytes() == (tmp_path / "s2.truth.csv").read_bytes()
 
+    def test_violations_are_named(self, capsys, tmp_path, monkeypatch):
+        from pollsets import simulate
+
+        monkeypatch.setattr(simulate, "coverage_check", lambda s, g: simulate.CoverageReport(("A", "B"), {}))
+        code, stdout, stderr = run(capsys, "simulate", "--n", "20", "--out", tmp_path / "s.csv")
+        assert (code, stdout) == (0, "")
+        assert stderr.endswith("violations: 2\nviolated: A, B\n")
+
     def test_zero_coarsening_truth_equals_survey(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
         code, _, _ = run(capsys, "simulate", "--n", "60", "--q", "0", "--seed", "1", "--out", out)

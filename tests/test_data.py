@@ -175,10 +175,13 @@ class TestTypes:
 
     @pytest.mark.parametrize(
         "code,reason",
-        [("A,B", "separate"), ("A;B", "separate"), (" A", "whitespace"), ("A ", "whitespace"), ("A\t", "whitespace")],
+        [
+            ("A,B", "separate"), ("A;B", "separate"), (" A", "whitespace"), ("A ", "whitespace"), ("A\t", "whitespace"),
+            pytest.param("", "^registry codes must be nonempty$", id="empty"),
+        ],
     )
     def test_registry_rejects_unmatchable_codes(self, code, reason):
-        # A code holding a separator or edge whitespace can never match a parsed cell.
+        # A code holding a separator or edge whitespace, or none, can never match a parsed cell.
         with pytest.raises(ValueError, match=reason):
             PartyRegistry((code, "C"))
 
@@ -187,6 +190,14 @@ class TestTypes:
             PartyRegistry(("A",))
         with pytest.raises(ValueError):
             PartyRegistry(tuple(f"P{i}" for i in range(33)))
+
+    def test_unregistered_code_has_no_index(self, abc_registry):
+        with pytest.raises(KeyError, match="unknown party code 'Z'"):
+            abc_registry.singleton("Z")
+
+    def test_survey_equals_only_surveys(self, abc_survey):
+        assert abc_survey.__eq__(list(abc_survey.rows())) is NotImplemented
+        assert abc_survey != list(abc_survey.rows())
 
     def test_party_set_nonempty(self):
         with pytest.raises(ValueError):
@@ -230,6 +241,63 @@ class TestTypes:
     def test_set_wider_than_any_registry_rejected(self, abc_registry):
         with pytest.raises(ValueError, match="^respondent set references options outside the registry$"):
             Survey(abc_registry, (), (Respondent(1.0, PartySet(1 << 70)),))
+
+
+ABC = PartyRegistry(("A", "B", "C"))
+_COLUMNS = "^columns must hold one weight, one set and one covariate row per respondent$"
+_BINARY = "^covariates must be binary 0/1$"
+_WEIGHTS = "^weights must be positive and finite$"
+
+
+@pytest.mark.parametrize(
+    "weights,masks,patterns,message",
+    [
+        ([1.0, 2.0], [1, 2], [[0]], _COLUMNS),
+        ([1.0], [1, 2], [[0], [1]], _COLUMNS),
+        ([1.0, 2.0], [1], [[0], [1]], _COLUMNS),
+        ([1.0, 2.0], [1, 2], [0, 1], _COLUMNS),
+        (1.0, [1], [[0]], _COLUMNS),
+        ([1.0, 1.0, 1.0], [1, 2, 4], [[2], [3], [255]], _BINARY),
+        ([1.0], [1], [[0.5]], _BINARY),
+        ([1.0], [1], [[-1]], _BINARY),
+        ([1.0], [1], [[0, 1]], "^respondent covariates do not match the survey schema$"),
+        ([1.0, -1.0], [1, 2], [[0], [1]], _WEIGHTS),
+        ([1.0, 0.0], [1, 2], [[0], [1]], _WEIGHTS),
+        ([1.0, math.nan], [1, 2], [[0], [1]], _WEIGHTS),
+        ([1.0, math.inf], [1, 2], [[0], [1]], _WEIGHTS),
+    ],
+    ids=[
+        "one-row-for-two", "one-weight-for-two", "one-set-for-two", "flat-patterns", "scalar-weight",
+        "covariates-2-3-255", "covariate-half", "covariate-minus-one", "two-covariates-for-one-label",
+        "weight-negative", "weight-zero", "weight-nan", "weight-inf",
+    ],
+)
+def test_build_rejects_malformed_columns(weights, masks, patterns, message):
+    # Nothing is broadcast or cast away: a NaN weight raises no RuntimeWarning on the way either.
+    with pytest.raises(ValueError, match=message):
+        Survey.build(ABC, ("x",), weights, masks, np.array(patterns))
+
+
+@st.composite
+def _column_sets(draw):
+    p = draw(st.integers(0, 2))
+    weights = draw(st.lists(st.floats() | st.sampled_from([0.5, 1.0, 2.5]), max_size=3))
+    masks = draw(st.lists(st.integers(-1, 9), max_size=3))
+    rows = draw(st.lists(st.lists(st.sampled_from([0, 1, 0, 1, 2, 255, -1, 0.5]), min_size=p, max_size=p), max_size=3))
+    return p, weights, masks, np.array(rows).reshape(len(rows), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_column_sets())
+def test_build_keeps_its_columns_or_raises(columns):
+    p, weights, masks, patterns = columns
+    try:
+        s = Survey.build(ABC, tuple(f"x{j}" for j in range(p)), weights, masks, patterns)
+    except ValueError:
+        return
+    assert len(weights) == len(masks) == len(patterns)
+    assert all(0.0 < w < math.inf for w in weights)
+    assert list(s.rows()) == [(w, PartySet(m), tuple(row)) for w, m, row in zip(weights, masks, patterns.tolist())]
 
 
 def _survey_strategy():
@@ -743,8 +811,11 @@ def test_clean_scan_spans_blocks():
         "weight,parties,x1,x2\r\n1.0,A,0,1\r\n",
         "weight,parties,x1,x2\n1.0,A,0,1\n\n2.0,B,1,0\n",
         "weight,parties,x1,x2\n",
+        "weight,parties,x1,x2\n1.0,A,0,1\n2.0,B\ud800,1,0\n",
+        # 21 weights go through float(); padded to the longest, they would take over 8 bytes per byte of the block.
+        "weight,parties,x1,x2\n" + "1e0,A,0,1\n" * 20 + "0" * 199 + "1,B,1,0\n",
     ],
-    ids=["quoted", "crlf", "blank-line", "no-rows"],
+    ids=["quoted", "crlf", "blank-line", "no-rows", "not-utf8-encodable", "float-weights-too-wide-to-pad"],
 )
 def test_clean_scan_declines_and_the_row_parser_reads(text):
     assert data._parse_clean(text, DIFF_REGISTRY, DIFF_SCHEMA) is None
@@ -772,6 +843,11 @@ def test_clean_scan_declines_a_field_over_the_csv_limit():
     assert data._parse_clean(over, DIFF_REGISTRY, DIFF_SCHEMA) is None
     with pytest.raises(SurveyFormatError, match="line 2: malformed CSV: field larger than field limit"):
         parse_survey(over, DIFF_REGISTRY, DIFF_SCHEMA)
+    label = "x" * (limit + 1)
+    long_label = f"weight,parties,{label}\n1.0,A,0\n"
+    assert data._parse_clean(long_label, DIFF_REGISTRY, (label,)) is None
+    with pytest.raises(SurveyFormatError, match="^line 1: malformed CSV: field larger than field limit"):
+        parse_survey(long_label, DIFF_REGISTRY, (label,))
 
 
 @st.composite

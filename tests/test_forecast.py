@@ -161,6 +161,12 @@ class TestTransitionProbabilities:
         with pytest.raises(ValueError, match="schema"):
             transition_probabilities(model, s)
 
+    def test_category_mismatch_is_hard_error(self, abc_registry):
+        model = intercept_model({"A": 0.5, "B": 0.5}, PartyRegistry(("A", "B")))
+        s = Survey(abc_registry, (), (Respondent(1.0, abc_registry.singleton("A")),))
+        with pytest.raises(ValueError, match="^model categories do not match the registry$"):
+            transition_probabilities(model, s)
+
 
 class TestHomogeneity:
     def test_worked_fixture(self, abc_survey):

@@ -694,6 +694,41 @@ def test_lambda_grid_needs_a_point(points):
         mnl.default_lambda_grid(random_design(0, n=20), mnl.Constraint.symmetric(), points)
 
 
+_SYMMETRIC, _NO_PENALTY = mnl.Constraint.symmetric(), mnl.PenaltySpec.none()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: mnl.project_constraint(np.zeros((2, 2)), mnl.Constraint("bogus")), "^unknown constraint kind 'bogus'$"),
+        (lambda: mnl.DesignData(np.ones((3, 1)), [0, 1], np.ones(3), 2), "^design shapes disagree$"),
+        (lambda: mnl.DesignData(np.ones(3), [0, 1, 1], np.ones(3), 2), "^design shapes disagree$"),
+        (lambda: mnl.MnlModel(np.zeros(3), _SYMMETRIC, _NO_PENALTY), "^coefficients must be a K x P matrix$"),
+        (
+            lambda: mnl.MnlModel(np.ones((2, 1)), mnl.Constraint.reference(0), _NO_PENALTY),
+            "^reference row must be identically zero$",
+        ),
+        (lambda: mnl.MnlModel(np.ones((2, 1)), _SYMMETRIC, _NO_PENALTY), "^symmetric constraint violated"),
+        (lambda: mnl.prox_group(np.ones(2), -1.0), "^threshold must be >= 0$"),
+    ],
+    ids=["constraint-kind", "short-y", "flat-x", "flat-coefficients", "reference-row", "symmetric-sums", "threshold"],
+)
+def test_malformed_model_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("penalty", [mnl.PenaltySpec.none(), mnl.PenaltySpec.group_lasso(0.1)], ids=["newton", "lasso"])
+def test_fit_from_an_overflowing_start_raises(penalty):
+    # Each start entry is finite, but the scores of the last row overflow.
+    x = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    d = mnl.DesignData(x, [0, 1, 1, 0], np.ones(4), 2)
+    start = np.array([[0.0, 1e308, 1e308], [0.0, -1e308, -1e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^non-finite objective; coefficients diverged$"):
+            mnl.fit(d, penalty, _SYMMETRIC, start=start)
+
+
 @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
 def test_design_data_rejects_non_binary_covariates(bad):
     x = np.ones((3, 3))

@@ -50,6 +50,10 @@ class TestBuildCategories:
         with pytest.raises(ValueError):
             build_ontic_categories(abc_survey, 2)
 
+    def test_negative_k_errors(self, abc_survey):
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            build_ontic_categories(abc_survey, -1)
+
     def test_frequency_ties_break_lexicographically(self, abc_registry):
         reg = abc_registry
         s = Survey(

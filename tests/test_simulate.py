@@ -178,6 +178,10 @@ class TestCompletionOracle:
         with pytest.raises(ValueError, match="budget"):
             oracle_completion_bounds(s, reg.singleton("A"))
 
+    def test_empty_survey_errors(self, abc_registry):
+        with pytest.raises(ValueError, match="^oracle on an empty survey$"):
+            oracle_completion_bounds(Survey(abc_registry, (), ()), abc_registry.singleton("A"))
+
 
 class TestConstrainedOracle:
     def test_worked_fixture_within_one_step(self, abc_survey, abc_registry):
@@ -215,6 +219,18 @@ class TestConstrainedOracle:
         with pytest.raises(ValueError):
             oracle_constrained_bounds(abc_survey, abc_registry.singleton("A"), AllocationConstraint(0.2, 0.8), step=0.7)
 
+    def test_box_between_grid_points_errors(self, abc_survey, abc_registry):
+        # Thirds of a vote: the pair {A, B} needs a share in [0.4, 0.6], and no third lies there.
+        with pytest.raises(ValueError, match="^no grid allocation satisfies the box; refine the step$"):
+            oracle_constrained_bounds(abc_survey, abc_registry.singleton("A"), AllocationConstraint(0.4, 0.6), step=0.3)
+
+    def test_grid_budget_guard(self, abc_survey, abc_registry, monkeypatch):
+        # The pair {A, B} has 101 allocations in hundredths.
+        monkeypatch.setattr(simulate, "GRID_BUDGET", 100)
+        simulate._grid_extremes.cache_clear()
+        with pytest.raises(ValueError, match="^allocation grid budget exceeded; use a coarser step$"):
+            oracle_constrained_bounds(abc_survey, abc_registry.singleton("A"), AllocationConstraint(0.0, 1.0))
+
 
 class TestCoverage:
     def test_generated_population_never_violates(self):
@@ -238,6 +254,15 @@ class TestCoverage:
             share = min(math.fsum(w for w, v in votes if spec.members.contains_index(v)) / s.total_weight, 1.0)
             iv = event_bounds(s, spec.members)
             assert report.margins[spec.name] == min(share - iv.lower, iv.upper - share)
+
+    def test_forged_truth_is_reported(self, abc_survey, abc_registry):
+        # A's interval is [0.4, 0.6] and the pair A+B's is [0.8, 0.8]; every latent vote goes to C.
+        from pollsets import GroundTruth
+
+        truth = GroundTruth((2, 2, 2, 2, 2), {"A": 0.0, "B": 0.3, "C": 0.2})
+        report = coverage_check(abc_survey, truth, [CoalitionSpec("AB", abc_registry.set_of(["A", "B"]))])
+        assert report.violations == ("A", "AB")
+        assert report.margins["A"] == pytest.approx(-0.4) and report.margins["AB"] == pytest.approx(-0.8)
 
     @pytest.mark.parametrize("bad_vote", [-1, 3])
     def test_vote_outside_registry_errors(self, abc_survey, bad_vote):
