@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--k", type=int, default=5, help="number of non-singleton categories")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the stratified fold split")
     p.add_argument("--grid-points", type=int, default=20)
     p.add_argument("--path-out", help="also write the regularization path CSV here")
     p.set_defaults(func=cmd_ontic)

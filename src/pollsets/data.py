@@ -396,29 +396,32 @@ class Survey:
         """The survey of rows given as columns; the one place that numbers sets, covariate patterns and cells.
 
         Row i weighs ``weights[i]`` (a float64 column, positive and finite),
-        holds the set whose bitmask is ``masks[i]`` (an int64 column) and has
-        covariate values ``patterns[i]``, a row of an (n, p) 0/1 matrix.
+        holds the set whose bitmask is ``masks[i]`` (a whole number in
+        [1, 2^K) for K registry options) and has covariate values
+        ``patterns[i]``, a row of an (n, p) 0/1 matrix.
         Each is numbered in key order (``key_order``): a set by its
         bitmask, a pattern by ``number_patterns``, and a cell by set
         number x n_patterns + pattern number.
         """
         schema = tuple(schema)
-        weights, masks, bits = np.asarray(weights, dtype=float), np.asarray(masks, dtype=np.int64), np.asarray(patterns)
+        weights, masks, bits = np.asarray(weights, dtype=float), np.asarray(masks), np.asarray(patterns)
         if not (weights.ndim == masks.ndim == 1 and bits.ndim == 2 and len(weights) == len(masks) == len(bits)):
             raise ValueError("columns must hold one weight, one set and one covariate row per respondent")
+        # Before the int64 cast, so 0, 1.5, 2**63, True and "1" fail too; NaN fails every comparison.
+        whole = masks.dtype.kind in "iu" or masks.dtype.kind == "f" and np.all(masks == np.floor(masks))
+        if not (whole and np.all((masks >= 1) & (masks < 1 << len(registry)))):
+            raise ValueError(f"set bitmasks must be whole numbers in [1, 2^{len(registry)})")
         if not np.all((bits == 0) | (bits == 1)):  # before the uint8 cast, so 0.5, 2 and -1 fail too
             raise ValueError("covariates must be binary 0/1")
         if not np.all((weights > 0.0) & (weights < math.inf)):  # NaN fails too
             raise ValueError("weights must be positive and finite")
-        set_id, masks = key_order(masks)
+        set_id, masks = key_order(masks.astype(np.int64, copy=False))
         pattern_id, patterns = number_patterns(bits)
         index, cells = key_order(set_id * len(patterns) + pattern_id)
         sets = tuple(PartySet(mask) for mask in masks.tolist())
         repeated = [label for label, count in Counter(schema).items() if count > 1]
         if repeated:
             raise ValueError(f"schema labels must be unique, got {repeated[0]!r} more than once")
-        if not all(ps.fits(registry) for ps in sets):
-            raise ValueError("respondent set references options outside the registry")
         if patterns.shape[1] != len(schema):
             raise ValueError("respondent covariates do not match the survey schema")
         set_sums = tuple(exact_sums(weights, set_id, len(masks)))

@@ -153,6 +153,12 @@ class Constraint:
     kind: str
     ref: int | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("reference", "symmetric"):
+            raise ValueError(f"constraint kind must be 'reference' or 'symmetric', got {self.kind!r}")
+        if self.kind == "reference":
+            _check_integer("reference category", self.ref)
+
     @classmethod
     def reference(cls, category: int) -> Constraint:
         return cls("reference", category)
@@ -163,7 +169,12 @@ class Constraint:
 
 
 def project_constraint(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
-    """A copy of a K x P matrix, or of each matrix in a stack, on the constraint subspace."""
+    """A copy of a K x P matrix, or of each matrix in a stack, on the constraint subspace.
+
+    Every fit, path, cross-validation and lambda grid projects its start
+    here first, so this is where a reference outside the K rows raises.
+    """
+    _check_reference(constraint, np.shape(mat)[-2])
     return _project_in_place(np.array(mat, dtype=float), constraint)
 
 
@@ -171,12 +182,16 @@ def _project_in_place(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
     """``project_constraint`` without the copy: ``mat`` is overwritten and returned."""
     if constraint.kind == "reference":
         mat[..., constraint.ref, :] = 0.0
-    elif constraint.kind == "symmetric":
+    else:
         # The column means as ``mat.mean`` takes them, bit for bit, without its wrapper.
         mat -= np.add.reduce(mat, axis=-2, keepdims=True) / mat.shape[-2]
-    else:
-        raise ValueError(f"unknown constraint kind {constraint.kind!r}")
     return mat
+
+
+def _check_reference(constraint: Constraint, k: int) -> None:
+    """Raise ValueError unless a reference constraint pins one of the ``k`` category rows."""
+    if constraint.kind == "reference" and not 0 <= constraint.ref < k:
+        raise ValueError(f"reference category must be in [0, {k}), got {constraint.ref!r}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -249,6 +264,7 @@ class MnlModel:
         coef = np.asarray(self.coefficients, dtype=float)
         if coef.ndim != 2:
             raise ValueError("coefficients must be a K x P matrix")
+        _check_reference(self.constraint, coef.shape[0])
         if self.constraint.kind == "reference":
             if np.any(coef[self.constraint.ref, :] != 0.0):
                 raise ValueError("reference row must be identically zero")
@@ -757,15 +773,22 @@ def default_lambda_grid(d: DesignData, constraint: Constraint, points: int = 20)
 
 
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
-    """Seeded fold ids, stratified by category so small categories spread out."""
-    rng = np.random.default_rng(seed)
+    """Seeded fold ids, stratified by category so small categories spread out.
+
+    Row i's key is SplitMix64's output for state ``seed + (i + 1) *
+    0x9E3779B97F4A7C15`` mod 2^64 (Steele, Lea & Flood 2014).  Its
+    finalizer is a bijection and the states are distinct, so no two keys
+    tie.  Rows sorted by category, then key, are dealt to the folds in
+    turn, the count carrying across categories, so within a category
+    fold sizes differ by at most 1.  The arithmetic is plain uint64, so
+    a seed gives the same folds under every numpy release.
+    """
+    z = np.arange(1, len(y) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(int(seed) % 2**64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     assignment = np.empty(len(y), dtype=int)
-    offset = 0
-    for cat in np.unique(y):
-        idx = np.flatnonzero(y == cat)
-        rng.shuffle(idx)
-        assignment[idx] = (offset + np.arange(len(idx))) % folds
-        offset += len(idx)
+    assignment[np.lexsort((z ^ (z >> np.uint64(31)), y))] = np.arange(len(y)) % folds
     return assignment
 
 
@@ -881,11 +904,14 @@ def cross_validate(
     fold.  Each fold's penalty is scaled by its training-weight
     fraction, so a grid value always means the same penalty per unit
     weight whether it is applied to a fold or to the full-data refit.
-    ``repeats`` averages the score over that many independent seeded
-    fold splits, reducing selection variance.  Ties in the mean score
-    go to the larger lambda.  A fold missing a category is scored
-    against the model's own (always positive) softmax probabilities,
-    so it needs no special casing.
+    Folds are stratified by category: ``_stratified_folds`` orders each
+    category's rows by a SplitMix64 key of the seed and the row and deals
+    them to the folds in turn, so a seed gives the same folds under every
+    numpy release.  ``repeats`` averages the score over that many seeded
+    splits (seeds ``seed + 7919 r``), reducing selection variance.  Ties
+    in the mean score go to the larger lambda.  A fold missing a
+    category is scored against the model's own (always positive) softmax
+    probabilities, so it needs no special casing.
 
     Returns the selected lambda and the mean score at each grid value.
     With ``return_path`` a third item holds ``fit_path``'s reports for

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -664,6 +665,42 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["A"] == {"lower": 0.4, "upper": 0.6}
+
+
+_LAZY_MODULES = """
+import contextlib, io, json, sys
+from pollsets.cli import main
+lazy = ("numpy.random", "numpy.ma")
+loaded = set(sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps([name for name in lazy if name in sys.modules and name not in loaded]))
+"""
+
+
+def test_fixture_commands_load_neither_numpy_random_nor_numpy_ma(tmp_path, wave3_path):
+    # The benchmark's fixture commands in one fresh interpreter load neither module after
+    # `import pollsets.cli`.  numpy >= 2.0 loads both lazily, so there the fold split and set
+    # numbering must need neither; numpy 1.x imports both with numpy itself.
+    io_args = ["--input", str(wave3_path), "--registry", "SPD,CDU_CSU,GRUENE,FDP,AFD,LINKE", "--schema", WAVE3_SCHEMA]
+    box = ["--alpha", "0.2", "--beta", "0.8"]
+    commands = [
+        ["ontic", *io_args, "--k", "5", "--grid-points", "5", "--folds", "3", "--path-out", str(tmp_path / "path.csv")],
+        ["describe", *io_args],
+        ["forecast", *io_args, "--method", "conventional"],
+        ["forecast", *io_args, "--method", "homogeneity", "--seats", "SPD,CDU_CSU,GRUENE,FDP"],
+        ["bounds", *io_args],
+        ["bounds", *io_args, *box, "--seats", "all"],
+        ["coalitions", *io_args, "--coalitions", str(COALITIONS_2021), *box, "--format", "svg"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-c", _LAZY_MODULES, json.dumps(commands)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
 
 
 def test_unknown_flag_is_an_error(capsys):

@@ -247,6 +247,7 @@ ABC = PartyRegistry(("A", "B", "C"))
 _COLUMNS = "^columns must hold one weight, one set and one covariate row per respondent$"
 _BINARY = "^covariates must be binary 0/1$"
 _WEIGHTS = "^weights must be positive and finite$"
+_MASKS = r"^set bitmasks must be whole numbers in \[1, 2\^3\)$"
 
 
 @pytest.mark.parametrize(
@@ -265,11 +266,18 @@ _WEIGHTS = "^weights must be positive and finite$"
         ([1.0, 0.0], [1, 2], [[0], [1]], _WEIGHTS),
         ([1.0, math.nan], [1, 2], [[0], [1]], _WEIGHTS),
         ([1.0, math.inf], [1, 2], [[0], [1]], _WEIGHTS),
+        ([1.0], [1.5], [[0]], _MASKS),
+        ([1.0], [0], [[0]], _MASKS),
+        ([1.0], [2**63], [[0]], _MASKS),
+        ([1.0], [8], [[0]], _MASKS),
+        ([1.0], ["1"], [[0]], _MASKS),
+        ([1.0], [True], [[0]], _MASKS),
     ],
     ids=[
         "one-row-for-two", "one-weight-for-two", "one-set-for-two", "flat-patterns", "scalar-weight",
         "covariates-2-3-255", "covariate-half", "covariate-minus-one", "two-covariates-for-one-label",
         "weight-negative", "weight-zero", "weight-nan", "weight-inf",
+        "mask-half", "mask-zero", "mask-2**63", "mask-past-the-registry", "mask-text", "mask-bool",
     ],
 )
 def test_build_rejects_malformed_columns(weights, masks, patterns, message):

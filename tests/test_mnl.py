@@ -583,6 +583,22 @@ def test_lambda_max_matches_per_respondent_reference(case):
     assert abs(got - want) <= 1e-12 * want + 1e-14 * float(d.w.sum())
 
 
+def splitmix64(seed, i):
+    """SplitMix64's output i (from 0) for ``seed``, in Python integers."""
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+def splitmix64_folds(y, folds, seed):
+    """Reference split: rows sorted by category, then SplitMix64 key, dealt to the folds in turn."""
+    ids = [0] * len(y)
+    for pos, i in enumerate(sorted(range(len(y)), key=lambda i: (y[i], splitmix64(seed, i)))):
+        ids[i] = pos % folds
+    return ids
+
+
 class TestCrossValidate:
     def test_single_value_grid(self):
         d = random_design(21, n=40, k=3, p=3)
@@ -643,6 +659,24 @@ class TestCrossValidate:
         best, means = mnl.cross_validate(d, [0.5, 0.05], folds=3, seed=1)
         assert all(np.isfinite(means))
 
+    def test_stratified_folds_are_balanced_seeded_and_pinned(self):
+        assert splitmix64(0, 0) == 0xE220A8397B1DCDAF  # the generator's published first output
+        y = np.random.default_rng(27).integers(0, 5, 200)
+        for folds in (2, 3, 7):
+            for seed in (0, 1, 2**63 + 5):
+                ids = mnl._stratified_folds(y, folds, seed)
+                per_category = np.array([np.bincount(ids[y == c], minlength=folds) for c in range(5)])
+                assert np.all(per_category.max(axis=1) - per_category.min(axis=1) <= 1)
+                sizes = np.bincount(ids, minlength=folds)
+                assert sizes.max() - sizes.min() <= 1
+                assert np.array_equal(ids, mnl._stratified_folds(y, folds, seed))
+                assert np.array_equal(ids, mnl._stratified_folds(y, folds, seed + 2**64))
+                assert ids.tolist() == splitmix64_folds(y.tolist(), folds, seed)
+        # SplitMix64 in plain uint64 arithmetic: the same ids under every numpy release.
+        y = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 1, 0])
+        assert mnl._stratified_folds(y, 3, 0).tolist() == [0, 2, 0, 0, 1, 0, 1, 1, 2, 2, 1]
+        assert mnl._stratified_folds(y, 3, 1).tolist() == [1, 2, 0, 2, 1, 0, 1, 2, 1, 0, 0]
+
 
 def test_design_data_validation():
     with pytest.raises(ValueError):
@@ -700,7 +734,8 @@ _SYMMETRIC, _NO_PENALTY = mnl.Constraint.symmetric(), mnl.PenaltySpec.none()
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: mnl.project_constraint(np.zeros((2, 2)), mnl.Constraint("bogus")), "^unknown constraint kind 'bogus'$"),
+        (lambda: mnl.Constraint("bogus"), "^constraint kind must be 'reference' or 'symmetric', got 'bogus'$"),
+        (lambda: mnl.Constraint.reference(1.0), r"^reference category must be an integer, got 1\.0$"),
         (lambda: mnl.DesignData(np.ones((3, 1)), [0, 1], np.ones(3), 2), "^design shapes disagree$"),
         (lambda: mnl.DesignData(np.ones(3), [0, 1, 1], np.ones(3), 2), "^design shapes disagree$"),
         (lambda: mnl.MnlModel(np.zeros(3), _SYMMETRIC, _NO_PENALTY), "^coefficients must be a K x P matrix$"),
@@ -711,11 +746,34 @@ _SYMMETRIC, _NO_PENALTY = mnl.Constraint.symmetric(), mnl.PenaltySpec.none()
         (lambda: mnl.MnlModel(np.ones((2, 1)), _SYMMETRIC, _NO_PENALTY), "^symmetric constraint violated"),
         (lambda: mnl.prox_group(np.ones(2), -1.0), "^threshold must be >= 0$"),
     ],
-    ids=["constraint-kind", "short-y", "flat-x", "flat-coefficients", "reference-row", "symmetric-sums", "threshold"],
+    ids=[
+        "constraint-kind", "reference-not-integer", "short-y", "flat-x", "flat-coefficients", "reference-row",
+        "symmetric-sums", "threshold",
+    ],
 )
 def test_malformed_model_arguments_raise(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("ref", [2, 7, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, c: mnl.fit(d, _NO_PENALTY, c),
+        lambda d, c: mnl.fit(d, mnl.PenaltySpec.group_lasso(0.1), c),
+        lambda d, c: mnl.fit_path(d, [0.1], c),
+        lambda d, c: mnl.cross_validate(d, [0.1], 2, 0, c),
+        lambda d, c: mnl.default_lambda_grid(d, c),
+        lambda d, c: mnl.MnlModel(np.zeros((2, 1)), c, _NO_PENALTY),
+    ],
+    ids=["fit-newton", "fit-lasso", "fit_path", "cross_validate", "default_lambda_grid", "MnlModel"],
+)
+def test_reference_outside_the_categories_raises(call, ref):
+    # -1 once pinned the last row through negative indexing, and 2 or 7 raised IndexError.
+    d = mnl.DesignData(np.ones((4, 1)), [0, 1, 1, 0], np.ones(4), 2)
+    with pytest.raises(ValueError, match=rf"^reference category must be in \[0, 2\), got {ref}$"):
+        call(d, mnl.Constraint.reference(ref))
 
 
 @pytest.mark.parametrize("penalty", [mnl.PenaltySpec.none(), mnl.PenaltySpec.group_lasso(0.1)], ids=["newton", "lasso"])
@@ -737,26 +795,13 @@ def test_design_data_rejects_non_binary_covariates(bad):
         mnl.DesignData(x, np.array([0, 1, 1]), np.ones(3), 2)
 
 
-def per_fold_stratified_folds(y, folds, seed):
-    rng = np.random.default_rng(seed)
-    assignment = np.empty(len(y), dtype=int)
-    offset = 0
-    for cat in np.unique(y):
-        idx = np.flatnonzero(y == cat)
-        rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            assignment[i] = (offset + pos) % folds
-        offset += len(idx)
-    return assignment
-
-
 def per_fold_cross_validate(d, grid, folds, seed, constraint, repeats=1):
     """Reference: one ``fit`` per fold and lambda, each on the fold's own regrouped rows."""
     w_total = float(d.w.sum())
     x = rows(d)
     scores = np.zeros((folds * repeats, len(grid)))
     for r in range(repeats):
-        assignment = per_fold_stratified_folds(d.y, folds, seed + 7919 * r)
+        assignment = mnl._stratified_folds(d.y, folds, seed + 7919 * r)
         for f in range(folds):
             train = np.flatnonzero(assignment != f)
             test = np.flatnonzero(assignment == f)
