@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -42,17 +43,19 @@ def _read(path: str) -> str:
 
 
 def check_scan(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
-    """The columnar scan takes each file and reads it as the row parser does, into equal surveys.
+    """The columnar scan takes each file, as text and as its bytes, and reads it as the row parser does.
 
     Weights of "1.0" go through the decimal decode; 16-17 digit reprs go through float().
     """
     for path in paths:
         text = _read(path)
-        fast, rows = data._parse_clean(text, registry, schema), data._parse_rows(text, registry, schema)
-        if fast is None:
-            sys.exit(f"{path}: the columnar scan declined")
-        if not _same(fast, rows):
-            sys.exit(f"{path}: the columnar scan and the row parser differ")
+        rows = data._parse_rows(text, registry, schema)
+        for kind, document in (("text", text), ("bytes", Path(path).read_bytes())):
+            fast = data._parse_clean(document, registry, schema)
+            if fast is None:
+                sys.exit(f"{path}: the columnar scan declined its {kind}")
+            if not _same(fast, rows):
+                sys.exit(f"{path}: the columnar scan of its {kind} and the row parser differ")
 
 
 def check_json(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:

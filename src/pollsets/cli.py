@@ -17,9 +17,12 @@ from . import forecast as fc
 from . import mnl, ontic, simulate, svgplot
 from .bounds import AllocationConstraint, Majority, coalition_report, constrained_bounds, dempster_bounds
 from .bounds import parse_coalitions, seat_bounds
-from .data import PartyRegistry, PartySet, csv_table, group_counts, parse_survey, survey_to_csv, validate
+from .data import PartyRegistry, PartySet, SurveyFormatError, _utf8_text, csv_table, group_counts, parse_survey
+from .data import survey_to_csv, validate
 
 DEFAULT_REGISTRY = "SPD,CDU_CSU,GRUENE,FDP,AFD,LINKE"
+# The ASCII characters str.isspace() takes.
+_ASCII_SPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 
 
 def _read_text(path: Path) -> str:
@@ -28,13 +31,15 @@ def _read_text(path: Path) -> str:
     A leading byte order mark is dropped.  Bytes that are not UTF-8
     raise ValueError naming the file and the line of the first bad byte.
     """
-    data = path.read_bytes()
+    return _text(path, path.read_bytes())
+
+
+def _text(path: Path, data: bytes) -> str:
+    """``_read_text`` of the file at ``path``, whose bytes are ``data``."""
     try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        # bytes.splitlines breaks at \n, \r and \r\n, the newlines read as one.
-        line = len((data[:exc.start] + b"x").splitlines())
-        raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+        text = _utf8_text(data).removeprefix("\ufeff")
+    except SurveyFormatError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -50,12 +55,19 @@ def _parse_list(value: str) -> tuple[str, ...]:
 
 def _load_survey(args):
     path = Path(args.input)
-    text = _read_text(path)
-    if not text or text.isspace():
+    data = path.read_bytes()
+    # ASCII bytes without a carriage return are the text _read_text would
+    # return, so they go to the parser as they are, with no decoded copy.
+    if data.isascii() and b"\r" not in data:
+        document, blank = data, not data.lstrip(_ASCII_SPACE)
+    else:
+        document = _text(path, data)
+        blank = not document or document.isspace()
+    if blank:
         raise ValueError(f"input file {path} is empty")
     registry = PartyRegistry(_parse_list(args.registry))
     schema = _parse_list(args.schema) if args.schema else ()
-    return parse_survey(text, registry, schema)
+    return parse_survey(document, registry, schema)
 
 
 def _render(args, doc, header, rows, bars=None, note: str = "") -> int:

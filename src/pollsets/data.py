@@ -20,13 +20,15 @@ covariate rows), and ``build`` alone numbers the sets, covariate
 patterns and cells, in key order (``key_order``); a model design keeps
 those pattern numbers (``Survey.design_groups``).  No object is made
 per row or per covariate pattern.  A clean file, with any number of
-covariates, is read by a columnar scan: one numpy pass finds each
-block's commas and newlines, and every fixed-width run of bytes it reads
-(a row's covariate bits, a weight's last 16 bytes, a padded parties
-cell) is one item of one view of the block (``_items``).  A plain decimal
-weight (1 to 15 ASCII digits and at most one ".") is decoded by array
-passes into the float ``float`` gives, any other weight goes through
-``float`` on its bytes, and each distinct parties cell is checked once.
+covariates, is read by a columnar scan, in place when it is given as
+bytes: one numpy pass finds each block's commas and newlines, and every
+fixed-width run of bytes it reads (a row's covariate bits, a weight's
+last 8 or 16 bytes, a padded parties cell) is one item of one view of
+the block (``_items``).  A plain decimal weight (1 to 15 ASCII digits
+and at most one ".") is decoded by array passes into the float
+``float`` gives, any other weight goes through ``float`` on its bytes,
+and each distinct parties cell, numbered by hashing without a sort, is
+checked once.
 Anything else goes through the row parser, a ``csv.reader`` loop with
 one memo per field, which stays the reference for the format's
 semantics, error messages and line numbers.
@@ -200,18 +202,23 @@ def key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each key's number among the distinct values of the 1-D ``keys``, in increasing order, and those values.
 
     Integer keys whose range is smaller than their count are numbered
-    through a presence table, in linear time; any others by ``np.unique``.
+    through a presence table over that range, in linear time; any others
+    by ``np.unique``.
     """
     n = len(keys)
     if n and keys.dtype.kind in "iu":
-        smallest = int(np.argmin(keys))
-        if int(keys.max()) - int(keys[smallest]) < n:
-            # Differences modulo 2**64 are exact below the range.
-            wide = keys.astype(np.uint64)
-            slot = (wide - wide[smallest]).astype(np.intp)
-            present = np.zeros(n, dtype=bool)
+        low = keys.min()
+        span = int(keys.max()) - int(low) + 1
+        if span <= n:
+            # Differences in the unsigned type of the keys' width are exact below the range.
+            unsigned = np.dtype(f"u{keys.itemsize}")
+            low = low.view(unsigned)
+            slot = keys.view(unsigned) - low
+            # A view, where the widths match, skips numpy's slow unsigned-to-signed cast.
+            slot = slot.view(np.intp) if slot.dtype == np.uintp else slot.astype(np.intp)
+            present = np.zeros(span, dtype=bool)
             present[slot] = True
-            distinct = (wide[smallest] + np.flatnonzero(present).astype(np.uint64)).astype(keys.dtype)
+            distinct = (np.flatnonzero(present).astype(unsigned) + low).view(keys.dtype)
             return np.cumsum(present, dtype=np.intp)[slot] - 1, distinct
     distinct, number = np.unique(keys, return_inverse=True)
     return number, distinct
@@ -220,14 +227,19 @@ def key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def number_patterns(bits) -> tuple[np.ndarray, np.ndarray]:
     """``key_order`` of the rows of an (n, p) 0/1 matrix: each row's number, and the distinct rows as ``uint8``.
 
-    A row is keyed by its bits packed into one int64, first column
-    highest, or by its bytes when p >= 64: key order is lexicographic order.
+    A row is keyed by its bits shifted into one int64 a column at a time,
+    first column highest, or by its bytes when p >= 64: key order is
+    lexicographic order.
     """
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
     p = bits.shape[1]
     if p < 64:
+        key = np.zeros(len(bits), np.int64)
+        for column in bits.T:
+            key <<= 1
+            key |= column
+        number, distinct = key_order(key)
         place = np.arange(p - 1, -1, -1, dtype=np.int64)
-        number, distinct = key_order(bits @ (1 << place))
         return number, (distinct[:, None] >> place & 1).astype(np.uint8)
     number, distinct = key_order(bits.view(np.dtype((np.void, p))).ravel())
     return number, distinct.view(np.uint8).reshape(len(distinct), p)
@@ -518,8 +530,8 @@ def _parse_covariates(cells: tuple[str, ...], schema: tuple[str, ...], lineno: i
         raise SurveyFormatError(f"covariate {label!r} must be 0 or 1, got {cell!r}", line=lineno) from None
 
 
-def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
-    """Parse a survey CSV document.
+def parse_survey(document: str | bytes, registry: PartyRegistry, schema) -> Survey:
+    """Parse a survey CSV document, given as text or as UTF-8 bytes.
 
     Expected header: ``weight,parties,<one column per schema label>``.
     The ``parties`` cell holds semicolon-separated registry codes.  Rows
@@ -531,20 +543,37 @@ def parse_survey(text: str, registry: PartyRegistry, schema) -> Survey:
     other than for an unregistered code) raise SurveyFormatError with the
     physical line the offending row starts on (a quoted field may span
     lines).  A leading UTF-8 byte order mark, as spreadsheet exports
-    write it, is skipped.
+    write it, is skipped.  Bytes parse as their UTF-8 text does; bytes
+    that are not UTF-8 raise SurveyFormatError with the line of the first
+    bad byte.
 
     A clean document, with no quote, carriage return or blank line and
     every row well formed, is read by a columnar scan over its bytes
-    (``_parse_clean``).  Any other document, and any document that scan
-    declines, goes through the row parser (``_parse_rows``), which
-    defines the format: its semantics, its error messages and their line
-    numbers.  Both give equal surveys wherever the scan accepts.
+    (``_parse_clean``), which reads bytes in place.  Any other document,
+    and any document that scan declines, goes through the row parser
+    (``_parse_rows``) as text, which defines the format: its semantics,
+    its error messages and their line numbers.  Both give equal surveys
+    wherever the scan accepts.
     """
     schema = tuple(schema)
-    survey = _parse_clean(text, registry, schema)
+    survey = _parse_clean(document, registry, schema)
     if survey is None:
+        text = document if isinstance(document, str) else _utf8_text(document)
         survey = _parse_rows(text, registry, schema)
     return survey
+
+
+def _utf8_text(data: bytes) -> str:
+    """``data`` decoded as UTF-8; bytes that are not UTF-8 raise SurveyFormatError with the line of the first bad one.
+
+    Lines break at ``\\n``, ``\\r`` and ``\\r\\n``, the newlines a text
+    reader takes, so a line number means the same as the row parser's.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b"x").splitlines())
+        raise SurveyFormatError(f"not UTF-8 text ({exc.reason})", line=line) from None
 
 
 def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey:
@@ -615,8 +644,8 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
 
 
 # The columnar scan reads a document in blocks of whole lines of about
-# this many characters, so its per-block index arrays stay small beside
-# the survey it builds.
+# this many characters (bytes, of a bytes document), so its per-block
+# index arrays stay small beside the survey it builds.
 _BLOCK_CHARS = 1 << 18
 # A padded column of cells may hold at most this many bytes per byte of
 # its block; a block with one far longer cell declines.
@@ -648,31 +677,43 @@ _SWAR_STEPS = tuple(
 _SPLIT = np.array([10**_DECIMAL_BYTES] + [10**r for r in range(1, _DECIMAL_BYTES + 1)], dtype=np.int64)
 _NINES = np.array([0] + [9 * 10 ** (r - 1) for r in range(1, _DECIMAL_BYTES + 1)], dtype=np.int64)
 _SCALE = np.array([1.0] + [10.0 ** (r - 1) for r in range(1, _DECIMAL_BYTES + 1)])
+# 2**64 divided by the golden ratio, odd: the multiplier of Fibonacci hashing.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey | None:
+def _parse_clean(document: str | bytes, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey | None:
     """Parse a clean survey CSV in one columnar pass over its bytes, or return None.
 
-    ``_scan_block`` finds the cells of each block of lines with numpy;
-    each distinct parties cell goes through ``_parse_parties`` once.
-    The kept rows' weights, set bitmasks and covariate rows go to
-    ``Survey.build``, as the row parser's do.
+    ``_scan_block`` finds the cells of each block of lines with numpy:
+    a view of the bytes of a ``bytes`` document, or the UTF-8 encoding
+    of a block of a ``str``.  Each distinct parties cell goes through
+    ``_parse_parties`` once.  The kept rows' weights, set bitmasks and
+    covariate rows go to ``Survey.build``, as the row parser's do.
 
-    Returns a survey equal to ``_parse_rows``'s, or None wherever the
-    document is not clean (a quote, a carriage return, a NUL, a blank
-    line, a wrong column count, any cell the row parser would reject,
-    a non-binary covariate even on a dropped row, a field over
-    ``csv.field_size_limit()``, no data rows) or its shape does not
-    suit the scan.  It reports no fault in the rows: the row parser is
-    the one place that explains one.  Only ``Survey``'s own checks on the
-    finished table (unique schema labels, a finite total weight) raise,
-    with the error the row parser's survey would raise.
+    Returns a survey equal to ``_parse_rows``'s of the document's text,
+    or None wherever the document is not clean (a quote, a carriage
+    return, a NUL, a blank line, a wrong column count, any cell the row
+    parser would reject, a non-binary covariate even on a dropped row, a
+    field over ``csv.field_size_limit()``, no data rows, bytes that are
+    not UTF-8) or its shape does not suit the scan.  It reports no fault
+    in the rows: the row parser is the one place that explains one.  Only
+    ``Survey``'s own checks on the finished table (unique schema labels,
+    a finite total weight) raise, with the error the row parser's survey
+    would raise.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    text = isinstance(document, str)
+    bom, newline, unclean = ("\ufeff", "\n", '"\r\0') if text else (b"\xef\xbb\xbf", b"\n", b'"\r\0')
+    if any(c in document for c in unclean):  # a byte of bytes is an int, which ``in`` takes
         return None
-    text = text.removeprefix("\ufeff")
-    head = text.find("\n")
-    if head < 0 or text[:head].split(",") != ["weight", "parties", *schema]:
+    pos = len(bom) if document.startswith(bom) else 0
+    head = document.find(newline, pos)
+    if head < 0:
+        return None
+    try:
+        header = document[pos:head] if text else document[pos:head].decode()
+    except UnicodeDecodeError:
+        return None
+    if header.split(",") != ["weight", "parties", *schema]:
         return None
     limit = csv.field_size_limit()
     if any(len(label) > limit for label in schema):
@@ -682,10 +723,17 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
     weights, masks, bits = [], [], []
     rows = 0
     pos = head + 1
-    while pos < len(text):
-        end = text.find("\n", pos + _BLOCK_CHARS)
-        end = len(text) if end < 0 else end + 1
-        scanned = _scan_block(text[pos:end], len(schema), limit)
+    while pos < len(document):
+        end = document.find(newline, pos + _BLOCK_CHARS)
+        end = len(document) if end < 0 else end + 1
+        if text:
+            try:
+                block = np.frombuffer(document[pos:end].encode(), np.uint8)
+            except UnicodeEncodeError:
+                return None
+        else:
+            block = np.frombuffer(document, np.uint8, end - pos, pos)
+        scanned = _scan_block(block, len(schema), limit)
         pos = end
         if scanned is None:
             return None
@@ -712,10 +760,11 @@ def _parse_clean(text: str, registry: PartyRegistry, schema: tuple[str, ...]) ->
     return Survey.build(registry, schema, weights, masks, bits, dropped_rows=rows - len(weights))
 
 
-def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes], np.ndarray, np.ndarray] | None:
+def _scan_block(buf: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[bytes], np.ndarray, np.ndarray] | None:
     """Each data row's weight, parties cell and covariate values, or None.
 
-    ``chunk`` holds whole lines of rows with ``p`` covariates.  One pass
+    ``buf`` holds the bytes of whole lines of rows with ``p`` covariates
+    (the last line's newline may be missing).  One pass
     finds every comma and newline; each row must hold exactly ``p + 1``
     commas before its newline, a weight that ``float`` takes and that is
     positive and finite, and each covariate cell one byte ``0`` or ``1``,
@@ -725,13 +774,8 @@ def _scan_block(chunk: str, p: int, limit: int) -> tuple[np.ndarray, list[bytes]
     the distinct parties cells (numbered by ``_number_cells``), each row's
     number into them, and the covariates as an (rows, p) 0/1 ``uint8`` matrix.
     """
-    try:
-        data = chunk.encode()
-    except UnicodeEncodeError:
-        return None
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, np.uint8)
+    if buf[-1] != 10:
+        buf = np.append(buf, np.uint8(10))
     newline = buf == 10
     seps = np.flatnonzero(newline | (buf == 44))
     rows = np.count_nonzero(newline)
@@ -783,24 +827,26 @@ def _decimals(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple[n
     value is then bit for bit ``float`` of the cell.  The value of any
     other cell is undefined.
 
-    Each cell of at most 16 bytes is read as the 16-byte ``_items`` item
-    that ends with it, two little-endian 64-bit words, with the bytes before
-    the cell and its "." cleared to digit 0.  Combining adjacent digits, then
-    pairs, then quads within each word (SWAR) gives the row's 16-digit
-    integer ``a``.  A "." with k digits after it left a 0 at 10**k, so
-    the cell's digits are the integer ``a - 9 * (a // 10**(k + 1)) *
-    10**k``, and the value is that integer divided once by ``10.0**k``.
+    Each cell of at most 16 bytes is read as the ``_items`` item of one
+    or two little-endian 64-bit words that ends with it (one word when
+    every such cell has at most 8 bytes), with the bytes before the cell
+    and its "." cleared to digit 0.  Combining adjacent digits, then
+    pairs, then quads within each word (SWAR) gives the row's 8- or
+    16-digit integer ``a``.  A "." with k digits after it left a 0 at
+    10**k, so the cell's digits are the integer ``a - 9 * (a // 10**(k +
+    1)) * 10**k``, and the value is that integer divided once by ``10.0**k``.
     """
     values, decoded = np.zeros(len(ends)), np.zeros(len(ends), bool)
     short = np.flatnonzero(lengths <= _DECIMAL_BYTES)
     ends, lengths = ends[short], lengths[short]
-    # Item e of windows is buf[e - 16:e]; item n of last keeps a row's last n bytes.
-    windows = _items(np.concatenate((np.zeros(_DECIMAL_BYTES, np.uint8), buf)), _DECIMAL_BYTES)
-    last = _items(np.repeat(np.array([0, 0xFF], np.uint8), _DECIMAL_BYTES), _DECIMAL_BYTES)
-    digits = windows[ends].view(np.uint8).reshape(len(ends), _DECIMAL_BYTES)
+    width = 8 if lengths.max(initial=0) <= 8 else _DECIMAL_BYTES
+    # Item e of windows is buf[e - width:e]; item n of last keeps a row's last n bytes.
+    windows = _items(np.concatenate((np.zeros(width, np.uint8), buf)), width)
+    last = _items(np.repeat(np.array([0, 0xFF], np.uint8), width), width)
+    digits = windows[ends].view(np.uint8).reshape(len(ends), width)
     digits -= np.uint8(48)  # ASCII digits -> 0..9, "." -> 254, any other byte above 9
     words = digits.view(_WORD)
-    words &= last[lengths].view(_WORD).reshape(-1, 2)
+    words &= last[lengths].view(_WORD).reshape(words.shape)
     dot = digits == 254
     other = digits > 9
     other ^= dot
@@ -808,17 +854,20 @@ def _decimals(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple[n
     words &= ~(dot * np.uint64(0xFF))
     for factor, shift, mask in _SWAR_STEPS:
         words = (words * factor + (words >> shift)) & mask
-    words = words.astype(np.int64)
-    a = words[:, 0] * 10**8 + words[:, 1]
+    words = words.view(np.int64)  # 8 digits per word fit
+    a = words[:, 0]
+    if width > 8:
+        a = a * 10**8 + words[:, 1]
     # Byte j of a dot word is 1 where a "." is.  Times 0x0101...01, the
-    # top byte adds them up; times _RANK, it holds k + 1 for one ".".
-    dots = ((dot[:, 0] + dot[:, 1]) * _ONES >> _TOP).astype(np.intp)
-    rank = (dot[:, 0] * _RANK[0] >> _TOP) + (dot[:, 1] * _RANK[1] >> _TOP)
-    rank = np.minimum(rank, _DECIMAL_BYTES).astype(np.intp)  # several "." add up past 16
+    # top byte adds them up; times _RANK, it holds k + 1 for one ".".  The
+    # one word of a cell read as one word is the last word of two.
+    dots = sum(word * _ONES >> _TOP for word in dot.T).view(np.intp)
+    rank = sum(word * place >> _TOP for word, place in zip(dot.T, _RANK[-len(dot.T) :]))
+    rank = np.minimum(rank, _DECIMAL_BYTES).view(np.intp)  # several "." add up past 16
     a -= a // _SPLIT[rank] * _NINES[rank]
     count = lengths - dots
     values[short] = a / _SCALE[rank]
-    decoded[short] = ((other[:, 0] | other[:, 1]) == 0) & (dots <= 1) & (count >= 1) & (count <= _DECIMAL_DIGITS)
+    decoded[short] = ~other.any(axis=1) & (dots <= 1) & (count >= 1) & (count <= _DECIMAL_DIGITS)
     return values, decoded
 
 
@@ -845,20 +894,38 @@ def _items(buf: np.ndarray, width: int) -> np.ndarray:
 
 
 def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``key_order`` of the padded cells of an ``S`` array, keyed by integers.
+    """Each padded cell's number among the distinct cells of an ``S`` array, and those cells.
 
     A cell is keyed by ``_cell_hash`` of its 8-byte words (a cell of one
-    word is its own key), and every cell is compared with one cell of
-    its key; if a hash collision made any of them differ, the cells are
-    numbered by their bytes instead.
+    word is its own key), and its ``_table_slots`` slot in a table of
+    at least 2n slots records the last row written there: that row, the
+    slot's representative, stands for every row of the slot.  The
+    representatives are numbered by row, through ``key_order``'s
+    presence table, so distinct cells come in representative-row order.
+    Every cell is compared with its representative's; if two distinct
+    cells shared a slot, the cells are numbered in key order by their
+    hashes, and if two distinct cells shared a hash, by their bytes.
     """
-    words = cells.view(np.uint64).reshape(len(cells), -1)
-    number, distinct = key_order(_cell_hash(words))
-    some = np.empty(len(distinct), np.intp)
-    some[number] = np.arange(len(cells))
+    n = len(cells)
+    words = cells.view(np.uint64).reshape(n, -1)
+    hashes = _cell_hash(words)
+    bits = max(1, (2 * n - 1).bit_length())
+    slots = _table_slots(hashes, bits)
+    table = np.empty(1 << bits, np.intp)
+    table[slots] = np.arange(n)
+    number, some = key_order(table[slots])
     if not np.array_equal(words, words[some[number]]):
-        return key_order(cells)
+        number, distinct = key_order(hashes)
+        some = np.empty(len(distinct), np.intp)
+        some[number] = np.arange(n)
+        if not np.array_equal(words, words[some[number]]):
+            return key_order(cells)
     return number, cells[some]
+
+
+def _table_slots(hashes: np.ndarray, bits: int) -> np.ndarray:
+    """Each 64-bit hash's slot in a table of 2**bits: the top bits of its product with 2**64 / golden ratio (Knuth's multiplicative hashing)."""
+    return (hashes * _GOLDEN >> np.uint64(64 - bits)).view(np.intp)
 
 
 def _cell_hash(words: np.ndarray) -> np.ndarray:
@@ -866,7 +933,7 @@ def _cell_hash(words: np.ndarray) -> np.ndarray:
     key = words[:, 0].copy()
     for column in words.T[1:]:
         key ^= column
-        key *= np.uint64(0x9E3779B97F4A7C15)
+        key *= _GOLDEN
     return key
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from pollsets import cli
 from pollsets.cli import main
 from test_data import MULTILINE_THEN_FAULT, _reference_parse, _survey_documents
 
@@ -220,6 +221,48 @@ class TestMalformedInput:
         assert plain[0] == 0
         assert invoke(bom=True) == plain
 
+    @pytest.mark.parametrize(
+        "command", [["describe"], ["bounds"], ["forecast", "--method", "homogeneity"]],
+        ids=["describe", "bounds", "homogeneity"],
+    )
+    def test_bom_and_crlf_files_print_the_ascii_files_bytes(self, capsys, tmp_path, wave3_path, command):
+        ascii_bytes = wave3_path.read_bytes()
+        assert ascii_bytes.isascii() and b"\r" not in ascii_bytes
+        outputs = []
+        for name, contents in (
+            ("ascii", ascii_bytes),
+            ("bom", b"\xef\xbb\xbf" + ascii_bytes),
+            ("crlf", ascii_bytes.replace(b"\n", b"\r\n")),
+        ):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(contents)
+            outputs.append(run(capsys, *command, "--input", path, "--schema", WAVE3_SCHEMA))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_only_an_ascii_file_without_cr_is_parsed_as_bytes(self, capsys, tmp_path, monkeypatch):
+        parsed = []
+        parse_survey = cli.parse_survey
+
+        def spy(document, registry, schema):
+            parsed.append(type(document))
+            return parse_survey(document, registry, schema)
+
+        monkeypatch.setattr(cli, "parse_survey", spy)
+        files = {
+            "ascii": FIXTURE.encode(),
+            "bom": b"\xef\xbb\xbf" + FIXTURE.encode(),
+            "crlf": FIXTURE.replace("\n", "\r\n").encode(),
+            "cr": FIXTURE.replace("\n", "\r").encode(),
+            "non-ascii": FIXTURE.replace("C", "\u00c9").encode(),
+        }
+        for name, contents in files.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(contents)
+            registry = REG.replace("C", "\u00c9") if name == "non-ascii" else REG
+            assert run(capsys, "describe", "--input", path, "--registry", registry)[0] == 0
+        assert parsed == [bytes, str, str, str, str]
+
 
 class TestForecast:
     def test_conventional_fixture(self, capsys, fixture_csv):
@@ -252,7 +295,7 @@ class TestForecast:
         assert json.loads(out1)["shares"] == json.loads(out2)["shares"]
 
     def test_unconverged_fit_warning_names_stop_reason(self, capsys, wave3_path, monkeypatch):
-        from pollsets import cli, mnl
+        from pollsets import mnl
 
         fit = mnl.fit
         monkeypatch.setattr(

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -683,6 +684,7 @@ def _keys_about_as_wide_as_many(draw):
 @example(np.array([-(2**63), 2**63 - 1], dtype=np.int64))
 @example(np.array([-128, 127] + [0] * 254, dtype=np.int8))  # range 255 of 256 keys: the presence table
 @example(np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64))
+@example(np.array([-(2**63), -(2**63) + 1, -(2**63)], dtype=np.int64))  # the presence table at the int64 floor
 def test_key_order_matches_np_unique(keys):
     distinct, inverse = np.unique(keys, return_inverse=True)
     number, got = data.key_order(keys)
@@ -769,19 +771,31 @@ def _clean_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(_clean_documents(), st.sampled_from([8, 32, data._BLOCK_CHARS]))
 @example(("weight,parties,x1,x2\n1.0,Z,2,0\n1.0,B;A,1,0\n2.0, A ; B ,0,1\n1.0,C,1,0", DIFF_SCHEMA), 8)
+@example(("\ufeffweight,parties,x1,x2\n1.0,A;B,0,1\n2.5,C,1,1\n0.25,B,1,0", DIFF_SCHEMA), 8)  # BOM bytes
+@example((b"weight,parties,x1,x2\n1.0,A,0,1\n2.5,C,1,1\n1.0,\xc9,1,0\n", DIFF_SCHEMA), 8)  # not UTF-8
+@example((b"weight,parties\n1.0,A\n2.5,C\xff\n", ()), data._BLOCK_CHARS)  # not UTF-8, scanned whole
 def test_clean_scan_matches_row_parser(document, block_chars):
-    text, schema = document
-    want = _parse_or_error(data._parse_rows, text, schema)
-    # Small blocks number sets and patterns across many blocks.
-    with mock.patch.object(data, "_BLOCK_CHARS", block_chars):
-        fast = data._parse_clean(text, DIFF_REGISTRY, schema)
-        got = _parse_or_error(parse_survey, text, schema)
-    if fast is not None:
-        _assert_same_survey(fast, want)
-    if isinstance(want, str):
-        assert got == want
+    source, schema = document
+    raw = source.encode() if isinstance(source, str) else source
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        # Only bytes parse; they name the line of the first bad byte (these documents hold no CR).
+        line = raw[: exc.start].count(b"\n") + 1
+        text, want = None, f"line {line}: not UTF-8 text ({exc.reason})"
     else:
-        _assert_same_survey(got, want)
+        want = _parse_or_error(data._parse_rows, text, schema)
+    # Small blocks number sets and patterns across many blocks.  Bytes parse as their text does.
+    for document in (text, raw) if text is not None else (raw,):
+        with mock.patch.object(data, "_BLOCK_CHARS", block_chars):
+            fast = data._parse_clean(document, DIFF_REGISTRY, schema)
+            got = _parse_or_error(parse_survey, document, schema)
+        if fast is not None:
+            _assert_same_survey(fast, want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            _assert_same_survey(got, want)
 
 
 def _assert_scanned(text, registry, schema):
@@ -1037,6 +1051,50 @@ def test_scan_numbers_long_cells_when_every_hash_collides(monkeypatch):
     assert got is not None
     _assert_same_survey(got, want)
     assert got.dropped_rows > 0
+
+
+def test_scan_numbers_cells_that_share_a_table_slot(monkeypatch):
+    cells = ["SPD", "FDP", "SPD;GRUENE", "GRUENE;SPD", "AFD;LINKE;SPD", "SPD;XYZ;FDP"]
+    rng = np.random.default_rng(1)
+    rows = [f"{rng.integers(1, 9) / 4},{cells[i]},{i % 2}" for i in rng.integers(0, len(cells), 300)]
+    text = "weight,parties,x\n" + "\n".join(rows) + "\n"
+    want = data._parse_rows(text, REG6, ("x",))
+    hashed = []
+    key_order = data.key_order
+
+    def hash_order(keys):
+        hashed.append(keys.dtype == np.uint64)
+        return key_order(keys)
+
+    # Every cell in slot 0: the representatives disagree, so the cells are numbered by their hashes.
+    monkeypatch.setattr(data, "_table_slots", lambda hashes, bits: np.zeros(len(hashes), np.intp))
+    monkeypatch.setattr(data, "key_order", hash_order)
+    with mock.patch.object(data, "_BLOCK_CHARS", 256):
+        got = data._parse_clean(text, REG6, ("x",))
+    assert any(hashed)
+    assert got is not None
+    _assert_same_survey(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([b"A", b"B;A", b"", b"A" * 8, b"A" * 9, b"B" * 20, b"\xff" * 8]), min_size=1, max_size=60),
+    st.sampled_from([None, "_table_slots", "_cell_hash"]),
+)
+def test_number_cells_numbers_each_distinct_cell_once(values, clash):
+    """Each path, the hashed table, a shared slot and a shared hash, numbers the same partition of the rows."""
+    width = max(8, -(-max(map(len, values)) // 8) * 8)
+    cells = np.array(values, dtype=f"S{width}")
+    patches = {
+        "_table_slots": lambda hashes, bits: np.zeros(len(hashes), np.intp),
+        "_cell_hash": lambda words: np.zeros(len(words), np.uint64),
+    }
+    with mock.patch.object(data, clash, patches[clash]) if clash else contextlib.nullcontext():
+        number, distinct = data._number_cells(cells)
+    assert distinct.dtype == cells.dtype
+    assert distinct[number].tobytes() == cells.tobytes()
+    assert sorted(set(number.tolist())) == list(range(len(distinct)))
+    assert len(set(distinct.tolist())) == len(distinct)
 
 
 def _csv_writer_reference(s):
