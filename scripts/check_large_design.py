@@ -5,6 +5,7 @@ That step simulates 50,000 rows over 10 parties and 14 covariates (about
 grid, and calls one check at a time:
 
     python scripts/check_large_design.py path PATH_CSV COVARIATES
+    python scripts/check_large_design.py csv REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py scan REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py json REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py designs REGISTRY COVARIATES SURVEY_CSV...
@@ -17,6 +18,7 @@ message naming the file; ``homogeneity`` also prints one line per fit.
 from __future__ import annotations
 
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -40,6 +42,33 @@ def check_path(path: str, covariates: str) -> None:
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as f:
         return f.read()
+
+
+def check_csv(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
+    """Each simulated file is, byte for byte, ``csv.writer`` of its rows with each weight's ``repr``.
+
+    Then ``repr``'s text of 10^6 random positive finite float64 bit
+    patterns must equal the writer's array formatter's.
+    """
+    for path in paths:
+        document = Path(path).read_bytes()
+        s = parse_survey(document, registry, schema)
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["weight", "parties", *schema])
+        for w, ps, cov in s.rows():
+            writer.writerow([repr(w), ";".join(registry.codes_of(ps)), *map(str, cov)])
+        if out.getvalue().encode() != document:
+            sys.exit(f"{path}: the file is not csv.writer's rows with repr weights")
+    rng = np.random.default_rng(0)
+    bits = rng.integers(1, 0x7FF0000000000000, size=10**6, dtype=np.uint64)
+    for start in range(0, len(bits), 1 << 14):
+        values = bits[start : start + (1 << 14)].view(float)
+        text, bounds = data._repr_text(values)
+        keep = data._runs(bounds, text.shape[1])
+        for value, row, mask in zip(values.tolist(), text, keep):
+            if row[mask].tobytes().decode() != repr(value):
+                sys.exit(f"the array formatter writes {row[mask].tobytes().decode()!r} for {value!r}")
 
 
 def check_scan(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
@@ -128,7 +157,9 @@ def check_homogeneity(registry: PartyRegistry, schema: tuple[str, ...], paths) -
                 sys.exit(f"{path}: the homogeneity fit ({fit}) is not at its optimum")
 
 
-SURVEY_CHECKS = {"scan": check_scan, "json": check_json, "designs": check_designs, "homogeneity": check_homogeneity}
+SURVEY_CHECKS = {
+    "csv": check_csv, "scan": check_scan, "json": check_json, "designs": check_designs, "homogeneity": check_homogeneity,
+}
 
 
 def main(argv: list[str]) -> None:

@@ -212,6 +212,10 @@ def cmd_ontic(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out = Path(args.out)
+    truth_out = Path(args.truth_out) if args.truth_out else out.with_suffix(".truth.csv")
+    if out.resolve() == truth_out.resolve() or out.exists() and truth_out.exists() and out.samefile(truth_out):
+        raise ValueError(f"--out and --truth-out name the same file: {out}")
     registry = PartyRegistry(_parse_list(args.registry))
     names = _parse_list(args.covariates) if args.covariates else ()
     if args.coef_file:
@@ -229,10 +233,10 @@ def cmd_simulate(args) -> int:
         weight_range=(args.weight_low, args.weight_high),
     )
     survey, truth = simulate.generate_population(config)
-    out = Path(args.out)
-    truth_out = Path(args.truth_out) if args.truth_out else out.with_suffix(".truth.csv")
-    out.write_text(survey_to_csv(survey), encoding="utf-8")
-    truth_out.write_text(simulate.truth_to_csv(survey, truth), encoding="utf-8")
+    # Both files are opened before either is written, so a path that cannot be written fails first.
+    with open(out, "w", encoding="utf-8") as survey_file, open(truth_out, "w", encoding="utf-8") as truth_file:
+        survey_file.write(survey_to_csv(survey))
+        truth_file.write(simulate.truth_to_csv(survey, truth))
     report = simulate.coverage_check(survey, truth)
     print(f"violations: {len(report.violations)}", file=sys.stderr)
     if report.violations:

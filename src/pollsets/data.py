@@ -31,7 +31,12 @@ and each distinct parties cell, numbered by hashing without a sort, is
 checked once.
 Anything else goes through the row parser, a ``csv.reader`` loop with
 one memo per field, which stays the reference for the format's
-semantics, error messages and line numbers.
+semantics, error messages and line numbers.  The writer,
+``survey_to_csv``, is the scan run backwards: each weight's shortest
+round-trip digits come from a vectorized Schubfach (``_shortest``), and
+a block of rows is one byte matrix of [``repr`` text | parties cell |
+covariates] that one mask compacts, so it writes ``csv.writer``'s bytes
+with no Python object per row.
 
 Weighted totals are exactly rounded, as ``math.fsum`` rounds them.
 ``exact_sums`` adds float64 weights per group into Python integers
@@ -52,6 +57,7 @@ threads.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -871,6 +877,206 @@ def _decimals(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple[n
     return values, decoded
 
 
+# Shortest round-trip digits (Schubfach: R. Giulietti, "The Schubfach way
+# to render doubles", 2020).  A positive finite float64 is c * 2**q; its
+# decimal neighbours at 10**k come from vb, vbl and vbr, which are 4 times
+# it and its rounding interval's ends in units of 10**k, each the top bits
+# of c * 2**(q + 2 + h) times a 126-bit g(k) ~ 10**-k, rounded to odd.
+_U64 = np.uint64
+_LOW32, _LOW63 = _U64(0xFFFFFFFF), _U64((1 << 63) - 1)
+_MANTISSA, _EXPONENT_SHIFT = _U64((1 << 52) - 1), _U64(52)
+_SHIFT1, _SHIFT32, _SHIFT63, _SHIFT64 = _U64(1), _U64(32), _U64(63), _U64(64)
+_HIDDEN = 1 << 52
+_Q_MIN = -1074  # q of the subnormals
+# floor(q log10 2), floor(log10(3/4 * 2**q)) and floor(e log2 10) as
+# (x * multiplier + offset) >> shift, exact over every float64's range.
+_LOG10_2, _LOG10_3_4, _LOG2_10 = 661971961083, -274743187321, 913124641741
+# repr's notation: fixed while -4 < (the decimal point's place) <= 16, else d.ddde+XX.
+_FIXED_LOW, _FIXED_HIGH = -4, 16
+_ZEROS = _U64(0x3030303030303030)  # eight ASCII "0"
+# A row of the digit buffer: 8 words of "0", the 17 digits from byte _LEAD on.
+_LEAD = 23
+
+
+def _g_table(kmin: int, kmax: int) -> np.ndarray:
+    """Schubfach's g(k) for k in [kmin, kmax], as 6 rows of ``uint64``: g1 = g >> 63 and g0 = g mod 2**63, then the 32-bit halves of each.
+
+    g(k) = floor(10**-k / 2**r) + 1, for the r that puts 10**-k / 2**r in
+    [2**125, 2**126); made from Python ints, for the k asked only.
+    """
+    rows = []
+    for k in range(kmin, kmax + 1):
+        power = 10 ** abs(k)
+        if k <= 0:  # 2**(L - 1) <= 10**-k < 2**L for L = bit_length, so r = L - 126
+            shift = 126 - power.bit_length()
+            beta = power << shift if shift >= 0 else power >> -shift
+        else:  # 2**-L < 10**-k < 2**(1 - L), so r = -L - 125
+            beta = (1 << 125 + power.bit_length()) // power
+        g1, g0 = divmod(beta + 1, 1 << 63)
+        rows.append((g1, g0, g1 & 0xFFFFFFFF, g1 >> 32, g0 & 0xFFFFFFFF, g0 >> 32))
+    return np.array(rows, dtype=np.uint64).T.copy()
+
+
+def _product_high(a_low, a_high, b_low, b_high) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of two ``uint64`` arrays, each given as its 32-bit halves."""
+    low = a_low * b_low
+    cross = a_high * b_low
+    middle = (low >> _SHIFT32) + (cross & _LOW32) + a_low * b_high  # at most 2**64 - 1
+    return a_high * b_high + (cross >> _SHIFT32) + (middle >> _SHIFT32)
+
+
+def _round_to_odd(y0: np.ndarray, y1: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Schubfach's rop: floor(g * cp / 2**127), its lowest bit set if the quotient is not whole.
+
+    g1 * cp is the 128-bit (y1, y0), and x1 the high word of g0 * cp.
+    """
+    z = (y0 >> _SHIFT1) + x1
+    return (y1 + (z >> _SHIFT63) | ((z & _LOW63) + _LOW63) >> _SHIFT63).view(np.int64)
+
+
+def _moved(low: np.ndarray, high: np.ndarray, g: np.ndarray, t: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit (low, high) plus ``sign`` (1 or -1) times g * 2**t, for 0 < t < 64, wrapping."""
+    if sign > 0:
+        moved = low + (g << t)
+        return moved, high + (g >> (_SHIFT64 - t)) + (moved < low)
+    moved = low - (g << t)
+    return moved, high - (g >> (_SHIFT64 - t)) - (moved > low)
+
+
+def _shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each positive finite float64 as f * 10**e, with the fewest digits that read back as it, closest to it on a tie.
+
+    These are the digits ``repr`` writes.  Schubfach (see above) picks
+    them from the candidates s and s + 1, where s = floor(vb / 4), or
+    from their multiples of 10 when one of those alone lies in the
+    rounding interval.  That shorter pair is tried whenever s >= 10 (Java,
+    which wants two digits, tries it from s >= 100), and the two smallest
+    subnormals are worked at 10 c with e one lower on both branches.
+    Against v's 4c, the interval's ends are 4c - 2 (4c - 1 at a power of
+    two) and 4c + 2, all shifted left by h, so their products with g are
+    v's moved by g * 2**t, for t = h + 1 (h at a power of two's lower end).
+    """
+    bits = values.view(_U64)
+    biased = (bits >> _EXPONENT_SHIFT).view(np.int64)
+    c = (bits & _MANTISSA).view(np.int64) | (biased > 0).astype(np.int64) << 52
+    q = np.maximum(biased, 1) - 1075
+    tiny = c < 3  # 5e-324 and 1e-323
+    c = np.where(tiny, 10 * c, c)
+    irregular = (c == _HIDDEN) & (q != _Q_MIN)  # a power of two: its interval's lower half is half as wide
+    k = (q * _LOG10_2 + irregular * _LOG10_3_4) >> 41
+    h = q + ((-k * _LOG2_10) >> 38) + 2  # in [1, 4]
+    low, high = int(k.min()), int(k.max())
+    g = _g_table(low, high)
+    if high > low:  # else g's one column broadcasts
+        g = g[:, k - low]
+    cp = (c << 2 << h).view(_U64)
+    cp_low, cp_high = cp & _LOW32, cp >> _SHIFT32
+    y = g[0] * cp, _product_high(g[2], g[3], cp_low, cp_high)  # g1 * cp
+    x = g[1] * cp, _product_high(g[4], g[5], cp_low, cp_high)  # g0 * cp
+    t = (h + 1).view(_U64)
+    odd = c & 1  # an even c's interval holds its ends
+    vb = _round_to_odd(*y, x[1])
+    t_low = t - irregular
+    vbl = _round_to_odd(*_moved(*y, g[0], t_low, -1), _moved(*x, g[1], t_low, -1)[1]) + odd
+    vbr = _round_to_odd(*_moved(*y, g[0], t, 1), _moved(*x, g[1], t, 1)[1]) - odd
+    s = vb >> 2
+    short = s - s % 10
+    up = vbl <= short << 2
+    shorter = (s >= 10) & (up != ((short + 10) << 2 <= vbr))
+    inside = vbl <= s << 2
+    above = (s + 1) << 2 <= vbr
+    nearer = vb - (s << 2) - 2  # vb against 4 s + 2, the middle of s and s + 1
+    keep_s = np.where(inside != above, inside, (nearer < 0) | (nearer == 0) & (s & 1 == 0))
+    f = np.where(shorter, short + 10 * ~up, s + ~keep_s)
+    return f, k - tiny
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """The 4 ASCII digits of each number below 10**4, zero-padded, first digit in the lowest byte of a ``uint32``; made on first use, read-only."""
+    numbers = np.arange(10**4, dtype=np.uint32)
+    text = np.full(10**4, 0x30303030, np.uint32)
+    for place, shift in ((1000, 0), (100, 8), (10, 16), (1, 24)):
+        text |= numbers // np.uint32(place) % np.uint32(10) << np.uint32(shift)
+    text.flags.writeable = False
+    return text
+
+
+def _repr_text(values: np.ndarray, tail: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``repr`` of each positive finite float64, as the rows of a ``uint8`` matrix and the bounds of each row's runs of bytes.
+
+    A row reads [integer digits | "." | fraction digits | "e", sign and
+    exponent digits], the exponent field only if some value needs it,
+    then ``tail`` columns left to the caller.  Its bytes in the runs
+    between the bounds (``_runs``) are ``repr`` of the value: one run, or
+    two with an exponent, ending before the tail.  Each value's 17
+    digits, zero-padded, sit in one row of a digit buffer from byte
+    ``_LEAD`` on, and the digits on either side of the point are one
+    ``_items`` window of it, around the point's place in the digits.
+    """
+    f, e = _shortest(values)
+    n = len(values)
+    powers = 10 ** np.arange(18, dtype=np.int64)  # a float64's digits number at most 17
+    count = np.searchsorted(powers, f, side="right")  # f's digits
+    point = e + count  # value = 0.ddd * 10**point
+    top, rest = np.divmod(f * powers[17 - count], 10**8)
+    first, middle = np.divmod(top, 10**8)
+    quads = np.empty((n, 2, 2), np.int64)  # digits 1-4, 5-8, 9-12, 13-16
+    np.divmod(np.stack((middle, rest), axis=1), 10**4, out=(quads[..., 0], quads[..., 1]))
+    words = _quads()[quads].view(_U64).reshape(n, 2)
+    # Less its "0"s, a word's top set bit lies in the byte of its last
+    # nonzero digit; a digit is below 16, so float's rounding stays in that byte.
+    last = (np.frexp((words - _ZEROS).astype(float))[1] + 7) // 8  # 1 + that byte, 0 for no digit
+    significant = np.where(last[:, 1] > 0, 9 + last[:, 1], 1 + last[:, 0])
+    buffer = np.full((n, 8), _ZEROS)
+    buffer[:, (_LEAD + 1) // 8 : (_LEAD + 17) // 8] = words
+    digits = buffer.view(np.uint8)
+    digits[:, _LEAD] += first.astype(np.uint8)
+    fixed = (point > _FIXED_LOW) & (point <= _FIXED_HIGH)
+    lead = np.where(fixed, point, 1)  # digits before the point
+    whole = np.maximum(lead, 1)
+    fraction = np.where(fixed, np.maximum(significant - lead, 1), significant - 1)
+    wide_whole, wide_fraction = int(whole.max()), int(fraction.max())
+    width = wide_whole + 1 + wide_fraction
+    exponent = not fixed.all()
+    text = np.empty((n, width + 5 * exponent + tail), np.uint8)
+    starts = np.arange(0, 64 * n, 64) + (_LEAD - wide_whole) + lead
+    window = _items(digits.ravel(), width - 1)[starts].view(np.uint8).reshape(n, -1)
+    text[:, :wide_whole] = window[:, :wide_whole]
+    text[:, wide_whole] = ord(".")
+    text[:, wide_whole + 1 : width] = window[:, wide_whole:]
+    # From the integer digits to the last fraction digit; an exponent row of one digit drops the ".".
+    bounds = [wide_whole - whole, wide_whole + (fixed | (significant > 1)) + fraction]
+    if exponent:
+        # Right-aligned before the tail: "e", the sign, then two or three digits.
+        power = np.abs(point - 1)
+        big = power >= 100
+        sign = np.where(point > 0, ord("+"), ord("-"))
+        text[:, width] = ord("e")
+        text[:, width + 1] = np.where(big, sign, ord("e"))
+        text[:, width + 2] = np.where(big, power // 100 + ord("0"), sign)
+        text[:, width + 3] = power // 10 % 10 + ord("0")
+        text[:, width + 4] = power % 10 + ord("0")
+        bounds += [np.where(fixed, width + 5, width + 1 - big), np.full(n, width + 5)]
+    return text, bounds
+
+
+def _runs(bounds: list[np.ndarray], width: int) -> np.ndarray:
+    """An (n, width) bool matrix, true in row i from column ``bounds[0][i]`` to ``bounds[1][i]``, and so on.
+
+    Runs pair the bounds in order (the second runs from ``bounds[2][i]``
+    to ``bounds[3][i]``).  A row's bounds ascend; with an odd number of
+    them, the last run ends at the row's end.  Each run is the XOR of two
+    rows of an ``_items`` view of [width zeros | width ones], true from a
+    column on.
+    """
+    ramp = _items(np.repeat(np.array([0, 1], np.uint8), width), width)
+    runs = np.zeros((len(bounds[0]), width), np.uint8)
+    for bound in bounds:
+        runs ^= ramp[width - bound].view(np.uint8).reshape(runs.shape)
+    return runs.view(bool)
+
+
 def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
     """The cells ``buf[starts[i]:starts[i] + lengths[i]]`` as one NUL-padded ``S`` array.
 
@@ -950,34 +1156,39 @@ def csv_table(header, rows) -> str:
     return out.getvalue()
 
 
-# survey_to_csv composes and writes this many rows at a time.
+# survey_to_csv composes this many rows at a time.
 _CSV_BLOCK_ROWS = 4096
 
 
 def survey_to_csv(s: Survey) -> str:
-    """Serialize back to the parse_survey CSV format."""
-    out = io.StringIO()
-    out.write(csv_table(["weight", "parties", *s.schema], ()))
-    # Each set's parties cell, quoted as csv.writer quotes it, and each
-    # pattern's "0,1,..." are made once; the patterns' text comes from one
-    # byte matrix with the bits at even columns.
-    parties = [csv_table([";".join(s.registry.codes_of(ps))], ())[:-1] for ps in s.sets]
+    """Serialize back to the parse_survey CSV format, as ``csv.writer`` writes each row with its weight's ``repr``.
+
+    Each set's parties cell (quoted as ``csv.writer`` quotes it) and each
+    covariate pattern's text are made once.  A block of rows is one
+    ``uint8`` matrix, [the weights' ``_repr_text`` | "," and the set's
+    cell, padded | the pattern's ",0,1,...\\n"], and one mask of its bytes
+    compacts it into the block's text, so no object is made per row.
+    """
+    cells = [("," + csv_table([";".join(s.registry.codes_of(ps))], ())[:-1]).encode() for ps in s.sets]
+    width = max(map(len, cells), default=1)
+    # Right-aligned, so a row's bytes from its cell on are one run.
+    parties = np.frombuffer(b"".join(cell.rjust(width, b"\0") for cell in cells), np.uint8).reshape(-1, width)
+    pad = width - np.array(list(map(len, cells)), dtype=np.intp)
     p = s.patterns.shape[1]
-    text = np.full((len(s.patterns), 2 * p), ord(","), np.uint8)
-    text[:, 1::2] = s.patterns + ord("0")
-    values = [v.decode() for v in text.view(f"S{2 * p}").ravel().tolist()] if p else [""] * len(s.patterns)
-    # Rows are composed and written a block at a time, so no list of every
-    # row's text is held.
+    patterns = np.full((len(s.patterns), 2 * p + 1), ord(","), np.uint8)
+    patterns[:, 1::2] = s.patterns + ord("0")
+    patterns[:, -1] = ord("\n")
+    tail = width + patterns.shape[1]
+    chunks = [csv_table(["weight", "parties", *s.schema], ())]
     for start in range(0, len(s.weights), _CSV_BLOCK_ROWS):
         index = s.index[start : start + _CSV_BLOCK_ROWS]
-        rows = map(
-            "{!r},{}{}\n".format,
-            s.weights[start : start + _CSV_BLOCK_ROWS].tolist(),
-            map(parties.__getitem__, s.cell_set[index].tolist()),
-            map(values.__getitem__, s.cell_pattern[index].tolist()),
-        )
-        out.write("".join(rows))
-    return out.getvalue()
+        sets = s.cell_set[index]
+        rows, bounds = _repr_text(s.weights[start : start + _CSV_BLOCK_ROWS], tail)
+        w = rows.shape[1] - tail
+        rows[:, w : w + width] = np.take(parties, sets, axis=0)
+        rows[:, w + width :] = np.take(patterns, s.cell_pattern[index], axis=0)
+        chunks.append(str(rows[_runs([*bounds, w + pad[sets]], rows.shape[1])], "utf-8"))
+    return "".join(chunks)
 
 
 def survey_to_json(s: Survey) -> str:

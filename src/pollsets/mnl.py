@@ -575,17 +575,25 @@ def _fit_stack(
     return final, reports
 
 
-def _hessian(xu: np.ndarray, totals: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def _pair_table(xu: np.ndarray) -> np.ndarray:
+    """The 0/1 products x_i x_j of each distinct row's predictor pairs i <= j, as a G x P(P+1)/2 ``uint8`` matrix: ``_hessian``'s constant factor."""
+    x = xu.astype(np.uint8)
+    iu, ju = np.triu_indices(xu.shape[1])
+    pairs = x[:, iu]
+    pairs &= x[:, ju]
+    return pairs
+
+
+def _hessian(pairs: np.ndarray, p: int, totals: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """The NLL's KP x KP Hessian, sum over distinct rows g of t_g (diag p_g - p_g p_g') kron x_g x_g'.
 
     Both factors are symmetric, so only category pairs k <= l and
     predictor pairs i <= j are formed: per block of distinct rows, one
     GEMM of the pairs' weights t_g p_kg (delta_kl - p_lg) by the rows'
-    0/1 column products.  Each of a block's temporaries is no larger
-    than the K x G ``probs``.
+    0/1 column products, ``pairs`` (``_pair_table`` of the P predictors).
+    Each of a block's temporaries is no larger than the K x G ``probs``.
     """
     k, g = probs.shape
-    p = xu.shape[1]
     ku, lu = np.triu_indices(k)
     iu, ju = np.triu_indices(p)
     same = (ku == lu)[:, None]
@@ -595,10 +603,7 @@ def _hessian(xu: np.ndarray, totals: np.ndarray, probs: np.ndarray) -> np.ndarra
         block = slice(lo, lo + rows)
         weights = same - probs[lu, block]
         weights *= (probs[:, block] * totals[block])[ku]
-        x = xu[block]
-        pairs = x[:, iu]
-        pairs *= x[:, ju]
-        tri += weights @ pairs
+        tri += weights @ pairs[block].astype(float)
     # Entry ((k, i), (l, j)) is pair (min(k, l), max(k, l)) by pair (min(i, j), max(i, j)).
     pair_k, pair_p = np.empty((k, k), dtype=int), np.empty((p, p), dtype=int)
     pair_k[ku, lu] = pair_k[lu, ku] = np.arange(len(ku))
@@ -633,6 +638,7 @@ def _fit_newton(
         free[constraint.ref] = False
     rows = np.flatnonzero(free)
     diagonal = np.arange(len(rows) * p)
+    pairs = _pair_table(d.xu)
 
     def value(coef: np.ndarray) -> tuple[float, np.ndarray]:
         nll, logp = _stack_value(coef[None], d.xu, counts, ridge)
@@ -646,7 +652,7 @@ def _fit_newton(
     for it in range(1, options.max_iterations + 1):
         grad = _stack_gradient(x[None], logp, d.xu, counts, totals, ridge)[0, rows]
         probs = logp[0, rows]
-        hess = _hessian(d.xu, d.totals, np.exp(probs, out=probs))
+        hess = _hessian(pairs, p, d.totals, np.exp(probs, out=probs))
         hess[diagonal, diagonal] += ridge * (diagonal % p > 0)
         if symmetric:
             blocks = hess.reshape(len(rows), p, len(rows), p)

@@ -524,6 +524,29 @@ class TestSimulate:
         assert [row.split(",")[1] for row in survey_rows] == truth_rows
 
 
+    @pytest.mark.parametrize("alias", ["dot-segment", "symlink", "hard-link"])
+    def test_shared_output_path_exit_2_and_keeps_file(self, capsys, tmp_path, alias):
+        out = tmp_path / "same.csv"
+        out.write_text("keep\n")
+        truth = tmp_path / "." / "same.csv"
+        if alias == "symlink":
+            truth = tmp_path / "link.csv"
+            truth.symlink_to(out)
+        elif alias == "hard-link":
+            truth = tmp_path / "link.csv"
+            os.link(out, truth)
+        code, stdout, err = run(capsys, "simulate", "--n", "20", "--out", out, "--truth-out", truth)
+        assert (code, stdout, err) == (2, "", f"error: --out and --truth-out name the same file: {out}\n")
+        assert out.read_text() == "keep\n"
+
+    def test_unwritable_truth_out_writes_no_survey(self, capsys, tmp_path):
+        out, truth = tmp_path / "s.csv", tmp_path / "missing" / "t.csv"
+        code, stdout, err = run(capsys, "simulate", "--n", "20", "--out", out, "--truth-out", truth)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and str(truth) in err
+        # Both files are opened before either is written: the survey file holds nothing.
+        assert out.read_text() == ""
+
     @pytest.mark.parametrize(
         "flags,message",
         [

@@ -1097,6 +1097,59 @@ def test_number_cells_numbers_each_distinct_cell_once(values, clash):
     assert len(set(distinct.tolist())) == len(distinct)
 
 
+def _repr_texts(values) -> list[str]:
+    """data._repr_text of a float64 column, each row's kept bytes as a string."""
+    text, bounds = data._repr_text(np.asarray(values, dtype=float))
+    keep = data._runs(bounds, text.shape[1])
+    return [row[mask].tobytes().decode() for row, mask in zip(text, keep)]
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+# Subnormals at Schubfach's 10 c path, the normal floor, the largest float,
+# each side of both notation switches, the exactly representable 1e22 and
+# its inexact neighbour 1e23, integers past 2**53, and a tie broken to even.
+_REPR_EDGES = [
+    5e-324, 1e-323, 8e-323,
+    _SMALLEST_NORMAL, math.nextafter(_SMALLEST_NORMAL, 0.0), 1.7976931348623157e308,
+    1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+    1e22, 1e23, 2.0**53, 2.0**53 + 2,
+    2.0**50 + 0.25,
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=8))
+@example(_REPR_EDGES)
+@example([5e-324])
+@example([1e-323])
+@example([8e-323])
+@example([_SMALLEST_NORMAL])
+@example([math.nextafter(_SMALLEST_NORMAL, 0.0)])
+@example([1.7976931348623157e308])
+@example([1e16])
+@example([9999999999999998.0])
+@example([1e-4])
+@example([9.999999999999999e-05])
+@example([1e22])
+@example([1e23])
+@example([2.0**53])
+@example([2.0**53 + 2])
+def test_repr_text_is_repr(values):
+    assert _repr_texts(values) == list(map(repr, values))
+
+
+def test_repr_text_is_repr_on_a_seeded_sweep():
+    # 2e5 random positive finite bit patterns, every power of two, and each power of ten with its neighbours.
+    rng = np.random.default_rng(20201)
+    bits = rng.integers(1, 0x7FF0000000000000, size=200_000, dtype=np.uint64)
+    tens = 10.0 ** np.arange(-323, 309)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate((bits.view(float), powers, tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)))
+    for start in range(0, len(values), 4096):
+        block = values[start : start + 4096]
+        assert _repr_texts(block) == list(map(repr, block.tolist()))
+
+
 def _csv_writer_reference(s):
     """survey_to_csv as one csv.writer row per respondent."""
     out = io.StringIO()
@@ -1124,10 +1177,35 @@ def _writer_survey(name):
             for i, codes in enumerate([['A"1'], ["B", 'A"1'], ["C\nD"], ["B"], ['A"1'], ["C\nD", "B"]])
         ]
         return Survey(quoted, ('x"1', "y,2"), respondents)
+    if name == "subnormal":
+        config = SimConfig(
+            REG6, 300, default_true_coefficients(6, 2), ("u", "v"), coarsen_prob=0.4, seed=3,
+            weight_range=(1e-320, 1e-310),
+        )
+        return generate_population(config)[0]
+    if name == "exponent":
+        # repr switches to d.ddde+XX from 1e16 up and below 1e-4.
+        weights = [1e16, 1.5e16, 2.5e17, 1e22, 1e23, 1e300, 9.999999999999999e-05, 1e-05, 1.2345e-100, 5e-324, 0.5]
+        return Survey(REG6, ("u",), [Respondent(w, REG6.singleton("SPD"), (i % 2,)) for i, w in enumerate(weights)])
+    if name == "non-ascii":
+        accents = PartyRegistry(("GRÜNE", "Ø", "日本", "B"))
+        respondents = [
+            Respondent(1.25, accents.set_of(codes), (i % 2,))
+            for i, codes in enumerate([["GRÜNE"], ["Ø", "日本"], ["B", "GRÜNE"], ["日本"]])
+        ]
+        return Survey(accents, ("é",), respondents)
+    if name == "weighted-50k":
+        config = SimConfig(
+            REG6, 50_000, default_true_coefficients(6, 4), ("u", "v", "w", "x"), coarsen_prob=0.5, seed=5,
+            weight_range=(0.5, 2.0),
+        )
+        return generate_population(config)[0]
     return Survey(REG6, ("u",), [])
 
 
-@pytest.mark.parametrize("name", ["schema", "no-schema", "quoted", "empty"])
+@pytest.mark.parametrize(
+    "name", ["schema", "no-schema", "quoted", "empty", "subnormal", "exponent", "non-ascii", "weighted-50k"]
+)
 def test_survey_to_csv_matches_csv_writer(name):
     s = _writer_survey(name)
     assert survey_to_csv(s).encode() == _csv_writer_reference(s).encode()
