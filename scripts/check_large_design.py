@@ -7,7 +7,7 @@ grid, and calls one check at a time:
     python scripts/check_large_design.py path PATH_CSV COVARIATES
     python scripts/check_large_design.py csv REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py scan REGISTRY COVARIATES SURVEY_CSV...
-    python scripts/check_large_design.py json REGISTRY COVARIATES SURVEY_CSV...
+    python scripts/check_large_design.py adapter REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py designs REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py homogeneity REGISTRY COVARIATES SURVEY_CSV...
 
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pollsets import PartyRegistry, data, forecast, mnl, ontic, parse_survey
+from pollsets import PartyRegistry, Respondent, Survey, data, forecast, mnl, ontic, parse_survey
 
 GRID_POINTS = 5
 
@@ -87,12 +87,15 @@ def check_scan(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
                 sys.exit(f"{path}: the columnar scan of its {kind} and the row parser differ")
 
 
-def check_json(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
-    """Each parsed file survives ``survey_to_json`` and ``survey_from_json`` unchanged, weight bytes included."""
+def check_adapter(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
+    """Each parsed file's rows, as ``Respondent``s, make the same survey through ``Survey(registry, schema, ...)``.
+
+    Same means equal surveys, weight bytes and exact per-set sums.
+    """
     for path in paths:
         s = parse_survey(_read(path), registry, schema)
-        if not _same(data.survey_from_json(data.survey_to_json(s)), s):
-            sys.exit(f"{path}: the JSON round trip changed the survey")
+        if not _same(Survey(registry, schema, [Respondent(*row) for row in s.rows()]), s):
+            sys.exit(f"{path}: the respondent adapter changed the survey")
 
 
 def _same(a, b) -> bool:
@@ -158,7 +161,8 @@ def check_homogeneity(registry: PartyRegistry, schema: tuple[str, ...], paths) -
 
 
 SURVEY_CHECKS = {
-    "csv": check_csv, "scan": check_scan, "json": check_json, "designs": check_designs, "homogeneity": check_homogeneity,
+    "csv": check_csv, "scan": check_scan, "adapter": check_adapter, "designs": check_designs,
+    "homogeneity": check_homogeneity,
 }
 
 

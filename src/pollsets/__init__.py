@@ -30,9 +30,7 @@ from .data import (
     SurveyFormatError,
     group_counts,
     parse_survey,
-    survey_from_json,
     survey_to_csv,
-    survey_to_json,
     undecided_share,
     validate,
 )

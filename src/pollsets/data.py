@@ -36,7 +36,7 @@ semantics, error messages and line numbers.  The writer,
 round-trip digits come from a vectorized Schubfach (``_shortest``), and
 a block of rows is one byte matrix of [``repr`` text | parties cell |
 covariates] that one mask compacts, so it writes ``csv.writer``'s bytes
-with no Python object per row.
+with no Python object per row.  This CSV format is the one serialization.
 
 Weighted totals are exactly rounded, as ``math.fsum`` rounds them.
 ``exact_sums`` adds float64 weights per group into Python integers
@@ -59,7 +59,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import math
 from array import array
 from collections import Counter
@@ -102,6 +101,8 @@ class PartyRegistry:
                 raise ValueError(f"registry code {code!r} contains ',' or ';', which separate codes")
             if code != code.strip():
                 raise ValueError(f"registry code {code!r} has leading or trailing whitespace")
+            if "\r" in code:  # survey_to_csv leaves it unquoted, and the CLI reads it as a newline
+                raise ValueError(f"registry code {code!r} contains a carriage return")
         if len(set(self.options)) != len(self.options):
             raise ValueError("registry codes must be unique")
         object.__setattr__(self, "_index", {code: i for i, code in enumerate(self.options)})
@@ -325,35 +326,6 @@ def weighted_total(sums, factors) -> float:
     return ((whole << _FACTOR_EXP) + part) / (1 << (_UNIT_EXP + _FACTOR_EXP))
 
 
-def _columns(rows, schema: tuple[str, ...]) -> tuple[array, array, np.ndarray]:
-    """The weights, set bitmasks and 0/1 covariate matrix of (weight, set, covariates) rows.
-
-    Covariates are a sequence of 0/1 values in schema order, or None
-    for a survey without a schema.  This is where covariates that do not
-    come from a parser are checked, once per distinct value.
-    """
-    patterns: dict[tuple, int] = {}
-    weights, masks = array("d"), array("q")
-    pattern_ids = []
-    for weight, ps, cov in rows:
-        weights.append(weight)
-        try:
-            masks.append(ps.mask)
-        except OverflowError:  # no registry holds a 64th option
-            raise ValueError("respondent set references options outside the registry") from None
-        try:
-            pattern_ids.append(patterns.setdefault(() if cov is None else tuple(cov), len(patterns)))
-        except TypeError:  # an unhashable or scalar value is not 0 or 1 either
-            raise ValueError("covariates must be binary 0/1") from None
-    for values in patterns:
-        if len(values) != len(schema):
-            raise ValueError("respondent covariates do not match the survey schema")
-        if not set(values) <= _BINARY:
-            raise ValueError("covariates must be binary 0/1")
-    matrix = np.array(list(patterns), dtype=np.uint8).reshape(len(patterns), len(schema))
-    return weights, masks, matrix[pattern_ids]
-
-
 # Survey's array fields and their dtypes; equal surveys have equal arrays.
 _ARRAYS = (
     ("patterns", np.uint8),
@@ -401,11 +373,32 @@ class Survey:
     total_weight: float
 
     def __init__(self, registry: PartyRegistry, schema, respondents, wave: str = "", dropped_rows: int = 0):
-        """A survey of ``respondents``: their ``_columns``, then ``Survey.build``."""
+        """A survey of ``respondents``, handed to ``Survey.build`` as columns.
+
+        This is where covariates that do not come from a parser are
+        checked, once per distinct covariate tuple.
+        """
         schema = tuple(schema)
-        columns = _columns(((r.weight, r.set, r.covariates) for r in respondents), schema)
+        weights, masks, pattern_ids, patterns = array("d"), array("q"), [], {}
+        for r in respondents:
+            weights.append(r.weight)
+            try:
+                masks.append(r.set.mask)
+            except OverflowError:  # no registry holds a 64th option
+                raise ValueError("respondent set references options outside the registry") from None
+            try:
+                cov = () if r.covariates is None else tuple(r.covariates)
+                pattern_ids.append(patterns.setdefault(cov, len(patterns)))
+            except TypeError:  # an unhashable or scalar value is not 0 or 1 either
+                raise ValueError("covariates must be binary 0/1") from None
+        for values in patterns:
+            if len(values) != len(schema):
+                raise ValueError("respondent covariates do not match the survey schema")
+            if not set(values) <= _BINARY:
+                raise ValueError("covariates must be binary 0/1")
+        bits = np.array(list(patterns), dtype=np.uint8).reshape(len(patterns), len(schema))[pattern_ids]
         # Frozen: the built survey's fields are taken over whole.
-        self.__dict__.update(Survey.build(registry, schema, *columns, wave, dropped_rows).__dict__)
+        self.__dict__.update(Survey.build(registry, schema, weights, masks, bits, wave, dropped_rows).__dict__)
 
     @classmethod
     def build(
@@ -440,6 +433,9 @@ class Survey:
         repeated = [label for label, count in Counter(schema).items() if count > 1]
         if repeated:
             raise ValueError(f"schema labels must be unique, got {repeated[0]!r} more than once")
+        for label in schema:
+            if "\r" in label:  # survey_to_csv leaves it unquoted, and the CLI reads it as a newline
+                raise ValueError(f"schema label {label!r} contains a carriage return")
         if patterns.shape[1] != len(schema):
             raise ValueError("respondent covariates do not match the survey schema")
         set_sums = tuple(exact_sums(weights, set_id, len(masks)))
@@ -1189,57 +1185,6 @@ def survey_to_csv(s: Survey) -> str:
         rows[:, w + width :] = np.take(patterns, s.cell_pattern[index], axis=0)
         chunks.append(str(rows[_runs([*bounds, w + pad[sets]], rows.shape[1])], "utf-8"))
     return "".join(chunks)
-
-
-def survey_to_json(s: Survey) -> str:
-    """Serialize to JSON; covariates are written as 0/1 integers, or null without a schema."""
-    parties = [list(s.registry.codes_of(ps)) for ps in s.sets]
-    covariates = s.patterns.tolist() if s.schema else [None] * len(s.patterns)
-    cell_set = s.cell_set.tolist()
-    cell_pattern = s.cell_pattern.tolist()
-    doc = {
-        "registry": list(s.registry.options),
-        "schema": list(s.schema),
-        "respondents": [
-            {"weight": w, "parties": parties[cell_set[g]], "covariates": covariates[cell_pattern[g]]}
-            for w, g in zip(s.weights.tolist(), s.index.tolist())
-        ],
-        "wave": s.wave,
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def survey_from_json(text: str) -> Survey:
-    """Read a survey_to_json document; equal sets and covariate patterns share one table entry.
-
-    A weight must be a JSON number and ``parties`` a list of codes that
-    ``PartyRegistry.set_of`` takes; anything else raises ValueError
-    naming the respondent's index.
-    """
-    doc = json.loads(text)
-    registry = PartyRegistry(tuple(doc["registry"]))
-    schema = tuple(doc["schema"])
-
-    def rows():
-        for i, rec in enumerate(doc["respondents"]):
-            weight, codes = rec["weight"], rec["parties"]
-            try:
-                if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-                    raise ValueError(f"weight must be a number, got {weight!r}")
-                if not (isinstance(codes, list) and all(isinstance(code, str) for code in codes)):
-                    raise ValueError(f"parties must be a list of codes, got {codes!r}")
-                ps = registry.set_of(codes)
-                try:
-                    weight = float(weight)
-                except OverflowError:  # an integer past the largest float
-                    weight = math.inf if weight > 0 else -math.inf
-                if not 0.0 < weight < math.inf:
-                    raise ValueError(f"weight must be positive and finite, got {weight}")
-            except ValueError as exc:
-                raise ValueError(f"respondent {i}: {exc}") from None
-            yield weight, ps, rec.get("covariates")
-
-    return Survey.build(registry, schema, *_columns(rows(), schema), wave=doc.get("wave", ""))
 
 
 def undecided_share(s: Survey) -> tuple[float, float]:

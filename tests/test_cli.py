@@ -87,6 +87,14 @@ class TestMalformedInput:
         code, out, err = run(capsys, command, "--input", wave3_path, "--schema", WAVE3_SCHEMA, "--seats", seats)
         assert (code, out, err) == (2, "", f"error: --seats: {message}\n")
 
+    def test_registry_code_with_carriage_return_exit_2(self, capsys, tmp_path):
+        # The parser keeps the quoted cell's "\r", but the CLI's newline
+        # translation turned it into "\n", so the row was dropped as unregistered.
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b'weight,parties\n1.0,"A\rB"\n1.0,C\n')
+        code, out, err = run(capsys, "describe", "--input", path, "--registry", "A\rB,C")
+        assert (code, out, err) == (2, "", "error: registry code 'A\\rB' contains a carriage return\n")
+
     def test_oversized_field_exit_2_with_line(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text("weight,parties\n1.0,A\n1.0,\"" + "A" * 140_000 + "\"\n")
@@ -554,8 +562,14 @@ class TestSimulate:
             (["--weight-high", "1e308"], "total weight exceeds the largest float"),
             (["--covariates", "a,a"], "schema labels must be unique, got 'a' more than once"),
             (["--seed", "-1"], "seed must be >= 0, got -1"),
+            # csv.writer would leave the carriage return unquoted, in a file describe rejects.
+            (["--registry", "A\rB,C", "--q", "0"], "registry code 'A\\rB' contains a carriage return"),
+            (["--covariates", "a\rb"], "schema label 'a\\rb' contains a carriage return"),
         ],
-        ids=["infinite-weight", "weight-total-overflow", "repeated-covariate", "negative-seed"],
+        ids=[
+            "infinite-weight", "weight-total-overflow", "repeated-covariate", "negative-seed",
+            "registry-carriage-return", "covariate-carriage-return",
+        ],
     )
     def test_bad_configuration_exit_2_and_writes_nothing(self, capsys, tmp_path, flags, message):
         out = tmp_path / "s.csv"

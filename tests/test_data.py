@@ -1,9 +1,7 @@
 import contextlib
 import csv
 import io
-import json
 import math
-import re
 from argparse import Namespace
 from fractions import Fraction
 from unittest import mock
@@ -21,9 +19,7 @@ from pollsets import (
     SurveyFormatError,
     group_counts,
     parse_survey,
-    survey_from_json,
     survey_to_csv,
-    survey_to_json,
     undecided_share,
     validate,
 )
@@ -179,10 +175,12 @@ class TestTypes:
         [
             ("A,B", "separate"), ("A;B", "separate"), (" A", "whitespace"), ("A ", "whitespace"), ("A\t", "whitespace"),
             pytest.param("", "^registry codes must be nonempty$", id="empty"),
+            pytest.param("A\rB", r"^registry code 'A\\rB' contains a carriage return$", id="carriage-return"),
         ],
     )
     def test_registry_rejects_unmatchable_codes(self, code, reason):
-        # A code holding a separator or edge whitespace, or none, can never match a parsed cell.
+        # A code holding a separator or edge whitespace, or none, can never match a parsed cell;
+        # survey_to_csv would write a carriage return unquoted, and the CLI reads it as a newline.
         with pytest.raises(ValueError, match=reason):
             PartyRegistry((code, "C"))
 
@@ -212,22 +210,26 @@ class TestTypes:
 
     def test_covariates_binary(self, abc_registry):
         a = abc_registry.singleton("A")
-
-        def from_json(values, schema):
-            doc = {"registry": ["A", "B", "C"], "schema": list(schema), "wave": ""}
-            doc["respondents"] = [{"weight": 1.0, "parties": ["A"], "covariates": list(values)}]
-            return survey_from_json(json.dumps(doc))
-
         schema = ("east", "urban")
         for values in ((0, 1), (True, False), (1.0, 0.0)):
-            for s in (Survey(abc_registry, schema, (Respondent(1.0, a, values),)), from_json(values, schema)):
-                assert s.patterns.dtype == np.uint8
-                assert s.patterns.tolist() == [[int(v) for v in values]]
+            s = Survey(abc_registry, schema, (Respondent(1.0, a, values),))
+            assert s.patterns.dtype == np.uint8
+            assert s.patterns.tolist() == [[int(v) for v in values]]
+            # Covariates spelled 1.0 or True are written back as 1.
+            text = survey_to_csv(s)
+            assert text == "weight,parties,east,urban\n1.0,A,{},{}\n".format(*map(int, values))
+            assert parse_survey(text, abc_registry, schema) == s
         for bad in (2, -1, float("nan"), 0.5, "1", [0]):
-            with pytest.raises(ValueError, match="binary"):
+            with pytest.raises(ValueError, match="^covariates must be binary 0/1$"):
                 Survey(abc_registry, ("east",), (Respondent(1.0, a, (bad,)),))
-            with pytest.raises(ValueError, match="binary"):
-                from_json((bad,), ("east",))
+
+    def test_schema_label_with_carriage_return_rejected(self, abc_registry):
+        # survey_to_csv would write it unquoted, and the CLI reads it as a newline.
+        message = r"^schema label 'a\\rb' contains a carriage return$"
+        with pytest.raises(ValueError, match=message):
+            Survey.build(abc_registry, ("a\rb",), [1.0], [1], [[1]])
+        with pytest.raises(ValueError, match=message):
+            Survey(abc_registry, ("a\rb",), (Respondent(1.0, abc_registry.singleton("A"), (1,)),))
 
     def test_covariates_must_carry_the_schema_names(self, abc_registry):
         # Missing covariates under a schema are covered in test_forecast.
@@ -332,10 +334,10 @@ def _survey_strategy():
 
 @settings(max_examples=60, deadline=None)
 @given(_survey_strategy())
-def test_round_trip_csv_and_json(s):
+def test_round_trip_csv(s):
     again = parse_survey(survey_to_csv(s), s.registry, s.schema)
     assert again == s
-    assert survey_from_json(survey_to_json(s)) == s
+    assert again.weights.tobytes() == s.weights.tobytes() and again.set_sums == s.set_sums
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,78 +362,14 @@ def test_unit_weight_shares_agree(abc_survey):
     assert unweighted == weighted
 
 
-def test_json_field_names(abc_survey):
-    import json
-
-    doc = json.loads(survey_to_json(abc_survey))
-    assert set(doc) == {"registry", "schema", "respondents", "wave"}
-
-
-def test_json_float_covariates_write_csv():
-    doc = (
-        '{"registry": ["A", "B"], "schema": ["x1", "x2"], "wave": "",'
-        ' "respondents": [{"weight": 1.0, "parties": ["A"], "covariates": [1.0, 0.0]},'
-        ' {"weight": 2.0, "parties": ["A", "B"], "covariates": [true, 0]}]}'
-    )
-    s = survey_from_json(doc)
-    text = survey_to_csv(s)
-    assert text == "weight,parties,x1,x2\n1.0,A,1,0\n2.0,A;B,1,0\n"
-    assert parse_survey(text, s.registry, s.schema) == s
-
-
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["clean-scan", "row-parser"])
 def test_weight_total_past_the_largest_float_rejected(newline):
     text = newline.join(["weight,parties,x1,x2", "1e308,A,0,1", "1e308,B,1,0", ""])
     with pytest.raises(ValueError, match="^total weight exceeds the largest float$"):
         parse_survey(text, DIFF_REGISTRY, DIFF_SCHEMA)
-    doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
-    doc["respondents"] = [{"weight": 1e308, "parties": ["A"], "covariates": None}] * 2
+    respondents = [Respondent(1e308, PartySet(1), (0, 1)), Respondent(1e308, PartySet(2), (1, 0))]
     with pytest.raises(ValueError, match="^total weight exceeds the largest float$"):
-        survey_from_json(json.dumps(doc))
-
-
-def test_json_null_covariates_under_schema_rejected():
-    doc = (
-        '{"registry": ["A", "B"], "schema": ["x1"], "wave": "",'
-        ' "respondents": [{"weight": 1.0, "parties": ["A"], "covariates": null}]}'
-    )
-    with pytest.raises(ValueError, match="schema"):
-        survey_from_json(doc)
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("parties", "AB", "parties must be a list of codes, got 'AB'"),
-        ("parties", ["A", 1], "parties must be a list of codes, got ['A', 1]"),
-        ("parties", ["A", "A"], "party code 'A' repeated"),
-        ("parties", ["A", "XX"], "unknown party code 'XX'"),
-        ("parties", [], "no party codes"),
-        ("weight", True, "weight must be a number, got True"),
-        ("weight", "2.5", "weight must be a number, got '2.5'"),
-    ],
-)
-def test_json_misread_fields_rejected(field, value, message):
-    doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
-    doc["respondents"] = [{"weight": 1.0, "parties": ["A"], "covariates": None} for _ in range(2)]
-    doc["respondents"][1][field] = value
-    with pytest.raises(ValueError, match=f"^respondent 1: {re.escape(message)}$"):
-        survey_from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize(
-    "weight, shown",
-    [(10**400, "inf"), (-(10**400), "-inf"), (0, "0.0"), (-1.5, "-1.5")],
-    ids=["huge-int", "huge-negative-int", "zero", "negative"],
-)
-def test_json_weight_out_of_range_names_the_respondent(weight, shown):
-    # An integer past the largest float once escaped as OverflowError.
-    doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
-    doc["respondents"] = [{"weight": 1.0, "parties": ["A"], "covariates": None} for _ in range(2)]
-    doc["respondents"][1]["weight"] = weight
-    message = f"respondent 1: weight must be positive and finite, got {shown}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        survey_from_json(json.dumps(doc))
+        Survey(DIFF_REGISTRY, DIFF_SCHEMA, respondents)
 
 
 # Every reader of a list of party codes takes it through PartyRegistry.set_of.
@@ -455,11 +393,8 @@ def test_code_list_readers_agree(codes):
     registry = PartyRegistry(("A", "B", "C"))
     want = _outcome(lambda: registry.set_of(codes), "")
     cell = ";".join(codes)
-    doc = {"registry": list(registry.options), "schema": [], "wave": ""}
-    doc["respondents"] = [{"weight": 1.0, "parties": codes, "covariates": None}]
     readers = {
         "coalition line": _outcome(lambda: parse_coalitions(f"X,{cell}\n", registry)[0].members, "coalition line 1: "),
-        "JSON respondent": _outcome(lambda: next(survey_from_json(json.dumps(doc)).rows())[1], "respondent 0: "),
         "--seats": _outcome(lambda: _seats(Namespace(seats=",".join(codes)), registry), "--seats: "),
     }
     assert readers == dict.fromkeys(readers, want)
@@ -478,13 +413,6 @@ def test_code_list_readers_agree(codes):
     else:
         assert want[1].startswith("unknown party code ") and (rows.dropped_rows, len(rows)) == (1, 0)
     assert data._parse_clean(text, registry, ()) == rows
-
-
-def test_json_integer_weight_read_as_float():
-    doc = {"registry": ["A", "B"], "schema": [], "wave": ""}
-    doc["respondents"] = [{"weight": 2, "parties": ["B", "A"], "covariates": None}]
-    s = survey_from_json(json.dumps(doc))
-    assert [(w, ps.mask) for w, ps, _ in s.rows()] == [(2.0, 3)]
 
 
 # Differential check of the memoized parser against a plain per-row parser.
@@ -647,8 +575,7 @@ def test_readers_build_no_respondent_per_row(monkeypatch, wave3_path):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Respondent, "__init__", counting_init)
-    s = parse_survey(wave3_path.read_text(), REG6, WAVE3_SCHEMA)
-    survey_from_json(survey_to_json(s))
+    parse_survey(wave3_path.read_text(), REG6, WAVE3_SCHEMA)
     config = SimConfig(REG6, 300, default_true_coefficients(6, 2), ("u", "v"), coarsen_prob=0.3, seed=1)
     simulated, _ = generate_population(config)
     survey_to_csv(simulated)
