@@ -24,9 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from pollsets import PartyRegistry, Respondent, Survey, data, forecast, mnl, ontic, parse_survey
+from pollsets import PartyRegistry, Respondent, Survey, data, forecast, mnl, ontic, parse_survey, simulate
 
 GRID_POINTS = 5
+# The step's ``pollsets simulate`` calls: rows, coarsening probability and
+# seed, and each output file's weight range.
+SIMULATE_N, SIMULATE_Q, SIMULATE_SEED = 50_000, 0.5, 0
+WEIGHT_RANGES = {"wide.csv": (1.0, 1.0), "wide_weighted.csv": (0.5, 2.0)}
 
 
 def check_path(path: str, covariates: str) -> None:
@@ -44,15 +48,39 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def check_csv(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
-    """Each simulated file is, byte for byte, ``csv.writer`` of its rows with each weight's ``repr``.
+def _simulated(registry: PartyRegistry, schema: tuple[str, ...], path: str):
+    """The survey and ground truth that the step's ``pollsets simulate`` call wrote to ``path``, drawn again."""
+    coef = simulate.default_true_coefficients(len(registry), len(schema))
+    weights = WEIGHT_RANGES.get(Path(path).name)
+    if weights is None:
+        sys.exit(f"{path}: not one of the simulated files {', '.join(WEIGHT_RANGES)}")
+    config = simulate.SimConfig(
+        registry, SIMULATE_N, coef, schema, SIMULATE_Q, seed=SIMULATE_SEED, weight_range=weights
+    )
+    return simulate.generate_population(config)
 
-    Then ``repr``'s text of 10^6 random positive finite float64 bit
-    patterns must equal the writer's array formatter's.
+
+def check_csv(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
+    """Each simulated file reads back as the survey drawn again in-process, and is ``csv.writer``'s rows.
+
+    The parsed file must equal the survey ``generate_population`` draws
+    with the step's settings (with equal weight bytes and exact per-set
+    sums), its truth file (``SURVEY.truth.csv``) must read back as the
+    latent votes' codes, and the file must be, byte for byte, ``csv.writer``
+    of its rows with each weight's ``repr``.  Then ``repr``'s text of 10^6
+    random positive finite float64 bit patterns must equal the writer's
+    array formatter's.
     """
     for path in paths:
         document = Path(path).read_bytes()
         s = parse_survey(document, registry, schema)
+        drawn, truth = _simulated(registry, schema, path)
+        if not _same(s, drawn):
+            sys.exit(f"{path}: the file does not read back as the survey simulate draws")
+        with open(Path(path).with_suffix(".truth.csv"), encoding="utf-8", newline="") as f:
+            votes = list(csv.reader(f))
+        if votes != [["vote"], *([registry.options[v]] for v in truth.votes.tolist())]:
+            sys.exit(f"{path}: its truth file does not read back as the latent votes")
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["weight", "parties", *schema])

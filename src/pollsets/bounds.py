@@ -23,7 +23,8 @@ a set lies inside C, and whether it touches C.
 Each sum weighs each distinct set's exact weight sum (see
 ``pollsets.data``) by its factor, added exactly and rounded once
 (``data.weighted_total``), so results are correctly rounded and
-independent of respondent order.
+independent of respondent order.  The bounds read only a survey's
+``registry``, ``sets`` and ``set_sums``; a subgroup's table serves too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .data import PartyRegistry, PartySet, Survey, weighted_total
+from .data import PartyRegistry, PartySet, Survey, rounded, weighted_total
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def share_bounds(s: Survey, event: PartySet, included: PartySet, c: AllocationCo
         raise ValueError("event or included parties reference options outside the registry")
     if not event.issubset(included):
         raise ValueError("event references options outside the included parties")
-    if not len(s):
+    if not s.sets:
         raise ValueError("the survey has no respondents")
     box = c or AllocationConstraint(0.0, 1.0)
     factors = functools.cache(lambda k, m: _contribution_limits(k, m, box))
@@ -159,7 +160,7 @@ def share_bounds(s: Survey, event: PartySet, included: PartySet, c: AllocationCo
     lo_c, hi_c = _limits(s, event.mask, factors)
     if included == s.registry.full_set():
         # lo_C + hi_R = hi_C + lo_R = 1 in every set; summing the float factors would miss that by rounding.
-        denominators = s.total_weight, s.total_weight
+        denominators = (rounded(sum(sums)),) * 2
     else:
         lo_r, hi_r = _limits(s, included.mask & ~event.mask, factors)
         # Concatenated factor lists give the exact sum of both terms, rounded once.

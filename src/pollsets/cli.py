@@ -92,6 +92,13 @@ def _render(args, doc, header, rows, bars=None, note: str = "") -> int:
     return 0
 
 
+def _distinct_files(flag: str, path, other_flag: str, other) -> None:
+    """Raise ValueError if ``path`` and ``other`` name the same file, by name or by link."""
+    path, other = Path(path), Path(other)
+    if path.resolve() == other.resolve() or path.exists() and other.exists() and path.samefile(other):
+        raise ValueError(f"{flag} and {other_flag} name the same file: {path}")
+
+
 def _constraint(args) -> AllocationConstraint | None:
     if args.alpha is None and args.beta is None:
         return None
@@ -187,6 +194,8 @@ def cmd_coalitions(args) -> int:
 
 
 def cmd_ontic(args) -> int:
+    if args.path_out and args.out:
+        _distinct_files("--path-out", args.path_out, "--out", args.out)
     survey = _load_survey(args)
     if not survey.schema:
         raise ValueError("ontic fitting requires a covariate schema (--schema)")
@@ -214,8 +223,7 @@ def cmd_ontic(args) -> int:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     truth_out = Path(args.truth_out) if args.truth_out else out.with_suffix(".truth.csv")
-    if out.resolve() == truth_out.resolve() or out.exists() and truth_out.exists() and out.samefile(truth_out):
-        raise ValueError(f"--out and --truth-out name the same file: {out}")
+    _distinct_files("--out", out, "--truth-out", truth_out)
     registry = PartyRegistry(_parse_list(args.registry))
     names = _parse_list(args.covariates) if args.covariates else ()
     if args.coef_file:

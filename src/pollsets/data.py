@@ -354,8 +354,10 @@ class Survey:
 
     Schema labels are unique, and ``patterns`` has one column per label;
     construction checks this once, so no estimator has to.  Two surveys
-    are equal when they have equal registries, schemas, waves and dropped
-    rows, and describe equal respondents in the same order.
+    are equal when they have equal registries, schemas and dropped rows,
+    and describe equal respondents in the same order, all of which
+    ``survey_to_csv`` writes.  The bounds read only ``registry``,
+    ``sets`` and ``set_sums``.
     """
 
     registry: PartyRegistry
@@ -368,11 +370,10 @@ class Survey:
     weights: np.ndarray = field(repr=False)
     set_counts: np.ndarray = field(repr=False)
     set_sums: tuple[int, ...] = field(repr=False)
-    wave: str = ""
     dropped_rows: int = 0
     total_weight: float
 
-    def __init__(self, registry: PartyRegistry, schema, respondents, wave: str = "", dropped_rows: int = 0):
+    def __init__(self, registry: PartyRegistry, schema, respondents, dropped_rows: int = 0):
         """A survey of ``respondents``, handed to ``Survey.build`` as columns.
 
         This is where covariates that do not come from a parser are
@@ -398,12 +399,10 @@ class Survey:
                 raise ValueError("covariates must be binary 0/1")
         bits = np.array(list(patterns), dtype=np.uint8).reshape(len(patterns), len(schema))[pattern_ids]
         # Frozen: the built survey's fields are taken over whole.
-        self.__dict__.update(Survey.build(registry, schema, weights, masks, bits, wave, dropped_rows).__dict__)
+        self.__dict__.update(Survey.build(registry, schema, weights, masks, bits, dropped_rows).__dict__)
 
     @classmethod
-    def build(
-        cls, registry: PartyRegistry, schema, weights, masks, patterns, wave: str = "", dropped_rows: int = 0
-    ) -> Survey:
+    def build(cls, registry: PartyRegistry, schema, weights, masks, patterns, dropped_rows: int = 0) -> Survey:
         """The survey of rows given as columns; the one place that numbers sets, covariate patterns and cells.
 
         Row i weighs ``weights[i]`` (a float64 column, positive and finite),
@@ -449,7 +448,7 @@ class Survey:
             survey.__dict__[name] = values = np.array(values, dtype=dtype)
             values.flags.writeable = False
         survey.__dict__.update(
-            registry=registry, schema=schema, sets=sets, set_sums=set_sums, wave=wave, dropped_rows=dropped_rows,
+            registry=registry, schema=schema, sets=sets, set_sums=set_sums, dropped_rows=dropped_rows,
             total_weight=total,
         )
         return survey
@@ -457,7 +456,7 @@ class Survey:
     def __eq__(self, other):
         if not isinstance(other, Survey):
             return NotImplemented
-        names = ("registry", "schema", "wave", "dropped_rows", "sets")
+        names = ("registry", "schema", "dropped_rows", "sets")
         return all(getattr(self, name) == getattr(other, name) for name in names) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _ARRAYS
         )

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import AllocationConstraint, Interval, dempster_bounds, effective_allocation_limits, event_bounds
-from .data import PartyRegistry, PartySet, Survey, exact_sums, rounded
+from .data import PartyRegistry, PartySet, Survey, csv_table, exact_sums, rounded
 
 COMPLETION_BUDGET = 1_000_000
 GRID_BUDGET = 2_000_000
@@ -183,7 +183,7 @@ def generate_population(config: SimConfig) -> tuple[Survey, GroundTruth]:
     rows = np.flatnonzero(coarsen)
     masks[rows] |= _extra_parties(rng, votes, probs, rows, config.style)
     del probs
-    survey = Survey.build(config.registry, config.covariate_names, weights, masks, bits, wave=f"sim-seed-{config.seed}")
+    survey = Survey.build(config.registry, config.covariate_names, weights, masks, bits)
     shares = {
         code: min(rounded(total) / survey.total_weight, 1.0)
         for code, total in zip(config.registry.options, exact_sums(weights, votes, k))
@@ -200,8 +200,10 @@ def _checked_votes(s: Survey, g: GroundTruth) -> np.ndarray:
 
 
 def truth_to_csv(s: Survey, g: GroundTruth) -> str:
+    """A ``vote`` column of each respondent's latent party code, quoted as ``survey_to_csv`` quotes it."""
+    codes = [csv_table([code], ())[:-1] for code in s.registry.options]
     lines = ["vote"]
-    lines.extend(map(s.registry.options.__getitem__, _checked_votes(s, g).tolist()))
+    lines.extend(map(codes.__getitem__, _checked_votes(s, g).tolist()))
     return "\n".join(lines) + "\n"
 
 

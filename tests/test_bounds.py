@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from pollsets import (
     homogeneity_forecast,
     majority_classification,
     mnl,
+    oracle_completion_bounds,
     seat_bounds,
     share_bounds,
     transition_probabilities,
     validate,
 )
 from pollsets.bounds import IntervalForecast, _contribution_limits, parse_coalitions
+from pollsets.data import exact_sums
 from pollsets.forecast import decided_design
 from conftest import random_event, random_survey
 
@@ -620,3 +623,45 @@ def test_seat_bounds_over_full_registry_bit_identical_to_dempster(s, c):
         (iv.lower.hex(), iv.upper.hex()) for iv in want.intervals.values()
     ]
     assert list(got.intervals) == list(want.intervals)
+
+
+class SetMasses(NamedTuple):
+    """Distinct consideration sets and their exact weight sums: all that the bounds read of a survey."""
+
+    registry: PartyRegistry
+    sets: tuple[PartySet, ...]
+    set_sums: tuple[int, ...]
+
+
+def _outcome(bound, *args):
+    """Each interval ``bound(*args)`` returns, as (option, lower hex, upper hex), or the message of its ValueError."""
+    try:
+        result = bound(*args)
+    except ValueError as exc:
+        return str(exc)
+    items = result.intervals.items() if isinstance(result, IntervalForecast) else [("", result)]
+    return [(code, iv.lower.hex(), iv.upper.hex()) for code, iv in items]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_surveys(), st.integers(0, 1), _BOXES, st.integers(1, 7))
+def test_subgroup_set_mass_tables_bound_as_subgroup_surveys(s, column, c, included):
+    set_id = s.cell_set[s.index]
+    patterns = s.patterns[s.cell_pattern[s.index]]
+    # One pass splits every set's mass by the covariate's value.
+    sums = exact_sums(s.weights, set_id * 2 + patterns[:, column], 2 * len(s.sets))
+    masks = np.array([ps.mask for ps in s.sets])[set_id]
+    for value in (0, 1):
+        kept = [(ps, total) for ps, total in zip(s.sets, sums[value::2]) if total]
+        table = SetMasses(s.registry, tuple(ps for ps, _ in kept), tuple(total for _, total in kept))
+        rows = patterns[:, column] == value
+        half = Survey.build(s.registry, s.schema, s.weights[rows], masks[rows], patterns[rows])
+        assert table == (half.registry, half.sets, half.set_sums)
+        events = [(event_bounds, PartySet(mask), c) for mask in _SET_POOL]
+        bounds = [(seat_bounds, PartySet(included), c), (constrained_bounds, c or AllocationConstraint(0.2, 0.8))]
+        for bound, *args in events + bounds:
+            assert _outcome(bound, table, *args) == _outcome(bound, half, *args)
+        if len(half) and math.prod(ps.size ** n for ps, n in zip(half.sets, half.set_counts.tolist())) <= 4096:
+            for mask in _SET_POOL:
+                oracle = oracle_completion_bounds(half, PartySet(mask))
+                assert _outcome(event_bounds, table, PartySet(mask)) == [("", oracle.lower.hex(), oracle.upper.hex())]

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -531,6 +532,15 @@ class TestSimulate:
         truth_rows = (tmp_path / "s.truth.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in survey_rows] == truth_rows
 
+    def test_truth_file_quotes_codes_as_the_survey_file_does(self, capsys, tmp_path):
+        # An unquoted code with a newline once split one latent vote over two truth rows.
+        out = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "simulate", "--registry", 'A\nB,C"D', "--n", "5", "--q", "0", "--out", out)
+        assert code == 0
+        survey_codes = [row[1] for row in csv.reader(io.StringIO(out.read_text()))][1:]
+        truth = list(csv.reader(io.StringIO((tmp_path / "s.truth.csv").read_text())))
+        assert truth == [["vote"], *([party] for party in survey_codes)]
+        assert len(survey_codes) == 5 and set(survey_codes) <= {"A\nB", 'C"D'}
 
     @pytest.mark.parametrize("alias", ["dot-segment", "symlink", "hard-link"])
     def test_shared_output_path_exit_2_and_keeps_file(self, capsys, tmp_path, alias):
@@ -696,6 +706,22 @@ class TestOntic:
         )
         assert (code, out, err) == (2, "", "error: schema labels must be unique, got 'a' more than once\n")
         assert not path_out.exists()
+
+    @pytest.mark.parametrize("alias", ["same-name", "dot-segment", "symlink"])
+    def test_path_out_naming_the_out_file_exit_2_before_fitting(self, capsys, tmp_path, wave3_path, monkeypatch, alias):
+        # The table once overwrote the path CSV, and the command exited 0.
+        out = tmp_path / "same.csv"
+        out.write_text("keep\n")
+        path_out = out if alias == "same-name" else tmp_path / "." / "same.csv"
+        if alias == "symlink":
+            path_out = tmp_path / "link.csv"
+            path_out.symlink_to(out)
+        monkeypatch.setattr(cli.ontic, "fit_ontic", lambda *a, **k: pytest.fail("fitted"))
+        code, stdout, err = run(
+            capsys, "ontic", "--input", wave3_path, "--schema", WAVE3_SCHEMA, "--path-out", path_out, "--out", out
+        )
+        assert (code, stdout, err) == (2, "", f"error: --path-out and --out name the same file: {path_out}\n")
+        assert out.read_text() == "keep\n"
 
     def test_negative_seed_exit_2(self, capsys, wave3_path):
         # numpy's own "expected non-negative integer" used to be the message.

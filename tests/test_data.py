@@ -26,7 +26,7 @@ from pollsets import (
 from pollsets import data
 from pollsets.bounds import parse_coalitions
 from pollsets.cli import _seats
-from pollsets.simulate import SimConfig, default_true_coefficients, generate_population
+from pollsets.simulate import CoarsenStyle, SimConfig, default_true_coefficients, generate_population, truth_to_csv
 
 REG6 = PartyRegistry(("SPD", "CDU_CSU", "GRUENE", "FDP", "AFD", "LINKE"))
 WAVE3_SCHEMA = ("female", "age_65plus", "east", "high_income", "urban")
@@ -335,9 +335,32 @@ def _survey_strategy():
 @settings(max_examples=60, deadline=None)
 @given(_survey_strategy())
 def test_round_trip_csv(s):
+    _assert_round_trip(s)
+
+
+def _assert_round_trip(s):
     again = parse_survey(survey_to_csv(s), s.registry, s.schema)
     assert again == s
     assert again.weights.tobytes() == s.weights.tobytes() and again.set_sums == s.set_sums
+
+
+# Codes a CSV cell must quote, and one outside ASCII.
+_QUOTED_CODES = PartyRegistry(('A"B', "C\nD", "Ä", "E"))
+
+
+@pytest.mark.parametrize("registry", [PartyRegistry(("A", "B", "C")), _QUOTED_CODES], ids=["plain", "quoted"])
+@pytest.mark.parametrize(
+    "weights", [(1.0, 1.0), (0.5, 2.0), (1e-320, 1e-310), (1e15, 1e17)], ids=["unit", "half-to-two", "subnormal", "big"]
+)
+@pytest.mark.parametrize("style", list(CoarsenStyle), ids=lambda style: style.value)
+def test_round_trip_csv_of_simulated_surveys(registry, weights, style):
+    schema = ("x1", "x2")
+    coef = default_true_coefficients(len(registry), len(schema))
+    config = SimConfig(registry, 300, coef, schema, coarsen_prob=0.5, style=style, seed=3, weight_range=weights)
+    s, truth = generate_population(config)
+    _assert_round_trip(s)
+    rows = list(csv.reader(io.StringIO(truth_to_csv(s, truth))))
+    assert rows == [["vote"], *([registry.options[v]] for v in truth.votes.tolist())]
 
 
 @settings(max_examples=60, deadline=None)
