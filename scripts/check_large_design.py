@@ -10,21 +10,25 @@ grid, and calls one check at a time:
     python scripts/check_large_design.py adapter REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py designs REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py homogeneity REGISTRY COVARIATES SURVEY_CSV...
+    python scripts/check_large_design.py transitions REGISTRY COVARIATES SURVEY_CSV...
+    python scripts/check_large_design.py unnumbered REGISTRY COVARIATES SURVEY_CSV...
 
 REGISTRY and COVARIATES are comma lists.  A failed check exits with a
-message naming the file; ``homogeneity`` also prints one line per fit.
+message naming the file; ``homogeneity`` also prints one line per fit,
+and ``transitions`` one line per file.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from pollsets import PartyRegistry, Respondent, Survey, data, forecast, mnl, ontic, parse_survey, simulate
+from pollsets import PartyRegistry, Respondent, Survey, bounds, data, forecast, mnl, ontic, parse_survey, simulate
 
 GRID_POINTS = 5
 # The step's ``pollsets simulate`` calls: rows, coarsening probability and
@@ -188,9 +192,52 @@ def check_homogeneity(registry: PartyRegistry, schema: tuple[str, ...], paths) -
                 sys.exit(f"{path}: the homogeneity fit ({fit}) is not at its optimum")
 
 
+def check_transitions(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
+    """Each undecided cell's transition row is its members' predictions divided by their ``math.fsum``, bit for bit.
+
+    Prints the number of undecided cells and how many of them the
+    two-sum kernel (``forecast._row_sums``) handed to ``math.fsum``.
+    """
+    for path in paths:
+        s = parse_survey(_read(path), registry, schema)
+        model, _ = mnl.fit(forecast.decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
+        probs = forecast.transition_probabilities(model, s).probs.tolist()
+        predictions = mnl.predict_proba(model, s.pattern_rows()).tolist()
+        members = [ps.indices() for ps in s.sets]
+        rows_of_size: dict[int, list[list[float]]] = {}
+        for g, (j, c) in enumerate(zip(s.cell_set.tolist(), s.cell_pattern.tolist())):
+            if len(members[j]) == 1:
+                continue
+            row = [predictions[c][k] for k in members[j]]
+            total = math.fsum(row)
+            if [probs[g][k] for k in members[j]] != [p / total for p in row]:
+                sys.exit(f"{path}: transition row of cell {g} is not its predictions over their math.fsum")
+            rows_of_size.setdefault(len(row), []).append(row)
+        undecided = sum(map(len, rows_of_size.values()))
+        fallbacks = sum(len(forecast._row_sums(np.array(rows))[1]) for rows in rows_of_size.values())
+        print(f"{path}: {undecided} undecided cells, {fallbacks} summed by the math.fsum fallback")
+
+
+def check_unnumbered(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
+    """A pass that only describes, bounds and classifies coalitions leaves the cell table unnumbered."""
+    box = bounds.AllocationConstraint(0.2, 0.8)
+    for path in paths:
+        s = parse_survey(Path(path).read_bytes(), registry, schema)
+        specs = bounds.parse_coalitions(f"first two,{';'.join(registry.options[:2])}\n", registry)
+        data.validate(s)
+        data.group_counts(s)
+        forecast.conventional_forecast(s)
+        bounds.dempster_bounds(s)
+        bounds.constrained_bounds(s, box)
+        bounds.seat_bounds(s, registry.full_set(), box)
+        bounds.coalition_report(s, specs, box)
+        if data._CELL_FIELDS & vars(s).keys():
+            sys.exit(f"{path}: a pass that only bounds numbered the cell table")
+
+
 SURVEY_CHECKS = {
     "csv": check_csv, "scan": check_scan, "adapter": check_adapter, "designs": check_designs,
-    "homogeneity": check_homogeneity,
+    "homogeneity": check_homogeneity, "transitions": check_transitions, "unnumbered": check_unnumbered,
 }
 
 

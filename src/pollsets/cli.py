@@ -99,6 +99,31 @@ def _distinct_files(flag: str, path, other_flag: str, other) -> None:
         raise ValueError(f"{flag} and {other_flag} name the same file: {path}")
 
 
+def _truth_out(args) -> Path:
+    """Where ``simulate`` writes the ground truth: ``--truth-out``, or ``--out`` with the suffix ``.truth.csv``."""
+    return Path(args.truth_out) if args.truth_out else Path(args.out).with_suffix(".truth.csv")
+
+
+def _check_files(args) -> None:
+    """Raise ValueError if a file the command writes is another file it writes or a file it reads.
+
+    Called before anything is read or written.  The command reads
+    ``--input``, ``--coalitions``, ``--coef-file`` and the ``@file`` lists
+    of ``--registry``, ``--schema``, ``--covariates`` and ``--seats``.
+    """
+    given = {f"--{name.replace('_', '-')}": value for name, value in vars(args).items() if value}
+    written = [(flag, given[flag]) for flag in ("--path-out", "--out") if flag in given]
+    if args.command == "simulate":
+        written.append(("--truth-out", _truth_out(args)))
+    read = [(flag, given[flag]) for flag in ("--input", "--coalitions", "--coef-file") if flag in given]
+    for flag in ("--registry", "--schema", "--covariates", "--seats"):
+        if given.get(flag, "").startswith("@"):
+            read.append((flag, given[flag][1:]))
+    for i, (flag, path) in enumerate(written):
+        for other_flag, other in written[i + 1 :] + read:
+            _distinct_files(flag, path, other_flag, other)
+
+
 def _constraint(args) -> AllocationConstraint | None:
     if args.alpha is None and args.beta is None:
         return None
@@ -194,8 +219,6 @@ def cmd_coalitions(args) -> int:
 
 
 def cmd_ontic(args) -> int:
-    if args.path_out and args.out:
-        _distinct_files("--path-out", args.path_out, "--out", args.out)
     survey = _load_survey(args)
     if not survey.schema:
         raise ValueError("ontic fitting requires a covariate schema (--schema)")
@@ -221,9 +244,7 @@ def cmd_ontic(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    truth_out = Path(args.truth_out) if args.truth_out else out.with_suffix(".truth.csv")
-    _distinct_files("--out", out, "--truth-out", truth_out)
+    out, truth_out = Path(args.out), _truth_out(args)
     registry = PartyRegistry(_parse_list(args.registry))
     names = _parse_list(args.covariates) if args.covariates else ()
     if args.coef_file:
@@ -323,6 +344,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_files(args)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         # str() of a KeyError quotes its message, and an OSError's first

@@ -16,10 +16,13 @@ cell plus one exactly rounded sum, not one Python step per respondent.
 The distinct covariate patterns are the rows of one read-only 0/1
 ``uint8`` matrix (``Survey.patterns``).  Every producer of a survey
 hands ``Survey.build`` its rows as columns (weights, set bitmasks, 0/1
-covariate rows), and ``build`` alone numbers the sets, covariate
-patterns and cells, in key order (``key_order``); a model design keeps
-those pattern numbers (``Survey.design_groups``).  No object is made
-per row or per covariate pattern.  A clean file, with any number of
+covariate rows).  ``build`` checks them and numbers the sets; the
+covariate patterns and cells are numbered by one step, on the first
+read of any of their fields, so a command that reads only the sets'
+counts and sums never builds them.  All are numbered in key order
+(``key_order``); a model design keeps the pattern numbers
+(``Survey.design_groups``).  No object is made per row or per
+covariate pattern.  A clean file, with any number of
 covariates, is read by a columnar scan, in place when it is given as
 bytes: one numpy pass finds each block's commas and newlines, and every
 fixed-width run of bytes it reads (a row's covariate bits, a weight's
@@ -51,7 +54,8 @@ once, so an estimator counting each set at a fraction of its weight
 never goes back to the respondents.
 
 All types are immutable after construction and safe to share across
-threads.
+threads: two threads that both read a survey's cell table first both
+number it and store equal arrays.
 """
 
 from __future__ import annotations
@@ -327,14 +331,36 @@ def weighted_total(sums, factors) -> float:
 
 
 # Survey's array fields and their dtypes; equal surveys have equal arrays.
+# The first two are made at construction, the cell table's on first read.
 _ARRAYS = (
+    ("weights", float),
+    ("set_counts", np.intp),
     ("patterns", np.uint8),
     ("cell_set", np.intp),
     ("cell_pattern", np.intp),
     ("index", np.intp),
-    ("weights", float),
-    ("set_counts", np.intp),
 )
+_CELL_FIELDS = frozenset(name for name, _ in _ARRAYS[2:])
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``."""
+    values = np.array(values, dtype=dtype)
+    values.flags.writeable = False
+    return values
+
+
+def _cell_table(set_id: np.ndarray, bits: np.ndarray) -> dict[str, np.ndarray]:
+    """The cell table's fields of a survey whose row i holds set ``set_id[i]`` and covariate row ``bits[i]``.
+
+    Patterns are numbered by ``number_patterns``, and a cell by set
+    number x n_patterns + pattern number, in key order.  This cannot
+    fail: its inputs were checked when the survey was built.
+    """
+    pattern_id, patterns = number_patterns(bits)
+    index, cells = key_order(set_id * len(patterns) + pattern_id)
+    arrays = (patterns, *np.divmod(cells, max(len(patterns), 1)), index)
+    return {name: _frozen(values, dtype) for (name, dtype), values in zip(_ARRAYS[2:], arrays)}
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -351,6 +377,15 @@ class Survey:
     respondent order are ``weights[index == g]``.  ``set_counts[j]``
     respondents hold ``sets[j]``, and their weights' exact sum (see
     ``exact_sums``) is ``set_sums[j]``.  The arrays are read-only.
+
+    The sets are numbered at construction; the patterns and cells
+    (``patterns``, ``cell_set``, ``cell_pattern``, ``index``) by one
+    step, ``_cell_table``, the first time any of them is read.  So the
+    bounds, ``validate``, ``group_counts`` and the conventional forecast,
+    which read only ``sets``, ``set_counts``, ``set_sums``, ``weights``
+    and ``total_weight``, never build the cell table.  If two threads
+    read it first at once, both number it and store equal arrays, so
+    the race is harmless.
 
     Schema labels are unique, and ``patterns`` has one column per label;
     construction checks this once, so no estimator has to.  Two surveys
@@ -403,15 +438,16 @@ class Survey:
 
     @classmethod
     def build(cls, registry: PartyRegistry, schema, weights, masks, patterns, dropped_rows: int = 0) -> Survey:
-        """The survey of rows given as columns; the one place that numbers sets, covariate patterns and cells.
+        """The survey of rows given as columns; the one place that checks them and numbers their sets.
 
         Row i weighs ``weights[i]`` (a float64 column, positive and finite),
         holds the set whose bitmask is ``masks[i]`` (a whole number in
         [1, 2^K) for K registry options) and has covariate values
         ``patterns[i]``, a row of an (n, p) 0/1 matrix.
-        Each is numbered in key order (``key_order``): a set by its
-        bitmask, a pattern by ``number_patterns``, and a cell by set
-        number x n_patterns + pattern number.
+        Sets are numbered here, in key order of their bitmasks
+        (``key_order``); the survey keeps each row's set number and a copy
+        of its covariate row until ``_cell_table`` numbers the patterns and
+        cells from them, on first read.
         """
         schema = tuple(schema)
         weights, masks, bits = np.asarray(weights, dtype=float), np.asarray(masks), np.asarray(patterns)
@@ -426,8 +462,6 @@ class Survey:
         if not np.all((weights > 0.0) & (weights < math.inf)):  # NaN fails too
             raise ValueError("weights must be positive and finite")
         set_id, masks = key_order(masks.astype(np.int64, copy=False))
-        pattern_id, patterns = number_patterns(bits)
-        index, cells = key_order(set_id * len(patterns) + pattern_id)
         sets = tuple(PartySet(mask) for mask in masks.tolist())
         repeated = [label for label, count in Counter(schema).items() if count > 1]
         if repeated:
@@ -435,7 +469,7 @@ class Survey:
         for label in schema:
             if "\r" in label:  # survey_to_csv leaves it unquoted, and the CLI reads it as a newline
                 raise ValueError(f"schema label {label!r} contains a carriage return")
-        if patterns.shape[1] != len(schema):
+        if bits.shape[1] != len(schema):
             raise ValueError("respondent covariates do not match the survey schema")
         set_sums = tuple(exact_sums(weights, set_id, len(masks)))
         try:
@@ -443,15 +477,22 @@ class Survey:
         except OverflowError:
             raise ValueError("total weight exceeds the largest float") from None
         survey = object.__new__(cls)
-        arrays = (patterns, *np.divmod(cells, max(len(patterns), 1)), index, weights, np.bincount(set_id))
-        for (name, dtype), values in zip(_ARRAYS, arrays):
-            survey.__dict__[name] = values = np.array(values, dtype=dtype)
-            values.flags.writeable = False
         survey.__dict__.update(
-            registry=registry, schema=schema, sets=sets, set_sums=set_sums, dropped_rows=dropped_rows,
-            total_weight=total,
+            registry=registry, schema=schema, sets=sets, weights=_frozen(weights, float),
+            set_counts=_frozen(np.bincount(set_id), np.intp), set_sums=set_sums, dropped_rows=dropped_rows,
+            total_weight=total, _rows=(set_id, np.array(bits, dtype=np.uint8)),
         )
         return survey
+
+    def __getattr__(self, name: str):
+        # Python calls this only for a name the instance lacks: the cell table's before its first read.
+        if name not in _CELL_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = self.__dict__.get("_rows")
+        if rows is not None:  # else another thread numbered the table first
+            self.__dict__.update(_cell_table(*rows))
+            self.__dict__.pop("_rows", None)
+        return self.__dict__[name]
 
     def __eq__(self, other):
         if not isinstance(other, Survey):

@@ -7,6 +7,12 @@ choice model fitted on the decided predicts each covariate pattern's
 affinity to every party, the prediction is restricted to each cell's
 consideration set and renormalized, and the forecast is the cells'
 total weights times that one (cells x parties) transition matrix.
+The conventional forecast reads only the survey's set sums, so it never
+builds the survey's cell table; the homogeneity forecast builds it on
+its first read, in ``decided_design``.  A cell's renormalizing sum is
+``math.fsum`` of its members' predictions, given bit for bit by
+error-free two-sum cascades over the cells of one set size at a time
+(``_row_sums``).
 """
 
 from __future__ import annotations
@@ -91,30 +97,69 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
 
     Predicts once per distinct covariate pattern.  A decided cell gets
     1.0 on its party and uses no prediction; an undecided cell divides
-    its members' predictions by their ``math.fsum``, which must be a
-    positive normal float.  A party no decided respondent chose keeps
-    its row where the fit starts (see ``mnl``), so a set made only of
-    such parties splits evenly: their held rows are equal.
+    its members' predictions by their ``math.fsum`` (from ``_row_sums``),
+    which must be a positive normal float.  Cells are taken a set size at
+    a time, as one (cells, size) matrix of member predictions, so no row
+    is padded to the largest set.  A party no decided respondent chose
+    keeps its row where the fit starts (see ``mnl``), so a set made only
+    of such parties splits evenly: their held rows are equal.
     """
     options = s.registry.options
     if m.n_categories != len(options):
         raise ValueError("model categories do not match the registry")
     if m.n_predictors != 1 + len(s.schema):
         raise ValueError("model predictors do not match the survey covariate schema")
-    masks = np.array([ps.mask for ps in s.sets], dtype=np.int64)
-    member = (masks[:, None] >> np.arange(len(options)) & 1).astype(bool)[s.cell_set]
-    size = member.sum(axis=1)
-    probs = np.where((size == 1)[:, None], member, 0.0)
-    # The undecided cells' member predictions, cell after cell, each in registry order.
-    g, k = np.nonzero(member & (size > 1)[:, None])
-    p = mnl.predict_proba(m, s.pattern_rows())[s.cell_pattern[g], k]
-    values, ends = p.tolist(), np.cumsum(size[size > 1]).tolist()
-    denom = np.array([math.fsum(values[a:b]) for a, b in zip([0, *ends], ends)])
-    del values, ends  # before the table copies ``probs``
-    if not np.all(denom >= sys.float_info.min):
-        raise ValueError("restricted prediction mass vanished; model is degenerate")
-    probs[g, k] = p / np.repeat(denom, size[size > 1])
+    predictions = mnl.predict_proba(m, s.pattern_rows())
+    set_size = np.array([ps.size for ps in s.sets], dtype=np.intp)
+    cell_size = set_size[s.cell_set]
+    probs = np.zeros((len(cell_size), len(options)))
+    for size in sorted(set(set_size.tolist())):
+        of_size = np.flatnonzero(set_size == size)
+        cells = np.flatnonzero(cell_size == size)
+        # Each cell's members, in registry order: its set's row among the sets of this size.
+        members = np.array([s.sets[j].indices() for j in of_size.tolist()], dtype=np.intp)
+        k = members[np.searchsorted(of_size, s.cell_set[cells])]
+        if size == 1:
+            probs[cells, k[:, 0]] = 1.0
+            continue
+        rows = predictions[s.cell_pattern[cells][:, None], k]
+        denom = _row_sums(rows)[0]
+        if not np.all(denom >= sys.float_info.min):
+            raise ValueError("restricted prediction mass vanished; model is degenerate")
+        rows /= denom[:, None]
+        probs[cells[:, None], k] = rows
     return TransitionTable(s, probs)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: the float sums ``a + b`` and their rounding errors, so that sum + error is exact."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
+def _row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.fsum`` of each row of a 2-D array of finite floats, bit for bit, and the rows that needed ``math.fsum`` itself.
+
+    One TwoSum cascade adds a row's entries and keeps each addition's
+    rounding error, so its sum plus those errors is the row's exact sum;
+    a second cascade adds up the errors (Ogita, Rump & Oishi, "Accurate
+    sum and dot product", 2005).  Where every addition of the second is
+    exact, the exact sum is the two cascades' sums, and their one rounded
+    addition is the correctly rounded sum ``math.fsum`` returns.  Any
+    other row falls back to ``math.fsum``.
+    """
+    total, error = rows[:, 0].copy(), np.zeros(len(rows))
+    exact = np.ones(len(rows), dtype=bool)
+    for column in rows.T[1:]:
+        total, rounding = _two_sum(total, column)
+        error, rounding = _two_sum(error, rounding)
+        exact &= rounding == 0.0
+    total += error
+    fallback = np.flatnonzero(~exact)
+    for i in fallback.tolist():
+        total[i] = math.fsum(rows[i].tolist())
+    return total, fallback
 
 
 def decided_design(s: Survey) -> mnl.DesignData:

@@ -502,6 +502,50 @@ class TestCoalitions:
         assert (code, out, err) == (2, "", "error: coalition line 2: party code 'A' repeated\n")
 
 
+class TestOutputOverInput:
+    """No command writes a file it reads: it exits 2 before reading, and the file keeps its bytes."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--path-out"])
+    def test_output_naming_the_input_exit_2(self, capsys, tmp_path, wave3_path, flag):
+        # Both once exited 0, leaving the JSON report or the path CSV in place of the survey.
+        survey = tmp_path / "in.csv"
+        survey.write_bytes(wave3_path.read_bytes())
+        command = ["describe"] if flag == "--out" else ["ontic", "--k", "5", "--grid-points", "5", "--folds", "3"]
+        code, stdout, err = run(capsys, *command, "--input", survey, "--schema", WAVE3_SCHEMA, flag, survey)
+        assert (code, stdout, err) == (2, "", f"error: {flag} and --input name the same file: {survey}\n")
+        assert survey.read_bytes() == wave3_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["coalitions", "--input", "mini.csv", "--registry", REG, "--coalitions", "c.csv", "--out", "c.csv"],
+             ("--out", "--coalitions")),
+            (["bounds", "--input", "mini.csv", "--registry", "@reg.txt", "--out", "./reg.txt"], ("--out", "--registry")),
+            (["forecast", "--input", "mini.csv", "--registry", REG, "--seats", "@reg.txt", "--out", "reg.txt"],
+             ("--out", "--seats")),
+            (["describe", "--input", "mini.csv", "--registry", REG, "--schema", "@reg.txt", "--out", "reg.txt"],
+             ("--out", "--schema")),
+            (["simulate", "--n", "5", "--registry", "@reg.txt", "--out", "s.csv", "--truth-out", "reg.txt"],
+             ("--truth-out", "--registry")),
+            (["simulate", "--n", "5", "--registry", REG, "--covariates", "@reg.txt", "--out", "reg.txt"],
+             ("--out", "--covariates")),
+            (["simulate", "--n", "5", "--registry", REG, "--coef-file", "c.csv", "--out", "c.csv"],
+             ("--out", "--coef-file")),
+        ],
+        ids=["coalitions", "registry", "seats", "schema", "truth-out", "covariates", "coef-file"],
+    )
+    def test_output_naming_a_read_file_exit_2(self, capsys, tmp_path, monkeypatch, argv, flags):
+        monkeypatch.chdir(tmp_path)
+        files = {"mini.csv": FIXTURE, "c.csv": "AB,A;B\n", "reg.txt": "A\nB\nC\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code, stdout, err = run(capsys, *argv)
+        written = Path(argv[argv.index(flags[0]) + 1])
+        assert (code, stdout, err) == (2, "", f"error: {flags[0]} and {flags[1]} name the same file: {written}\n")
+        assert {name: (tmp_path / name).read_text() for name in files} == files
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestSimulate:
     def test_same_seed_byte_identical_files(self, capsys, tmp_path):
         out1 = tmp_path / "s1.csv"

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import math
+import sys
+import threading
 from argparse import Namespace
 from fractions import Fraction
 from unittest import mock
@@ -23,7 +25,7 @@ from pollsets import (
     undecided_share,
     validate,
 )
-from pollsets import data
+from pollsets import bounds, data, forecast
 from pollsets.bounds import parse_coalitions
 from pollsets.cli import _seats
 from pollsets.simulate import CoarsenStyle, SimConfig, default_true_coefficients, generate_population, truth_to_csv
@@ -309,6 +311,80 @@ def test_build_keeps_its_columns_or_raises(columns):
     assert len(weights) == len(masks) == len(patterns)
     assert all(0.0 < w < math.inf for w in weights)
     assert list(s.rows()) == [(w, PartySet(m), tuple(row)) for w, m, row in zip(weights, masks, patterns.tolist())]
+
+
+def test_bounds_and_summaries_leave_the_cell_table_unnumbered(monkeypatch, wave3_path):
+    def refuse(bits):
+        raise AssertionError("the cell table was numbered")
+
+    document = wave3_path.read_bytes()
+    box = bounds.AllocationConstraint(0.2, 0.8)
+    specs = parse_coalitions((wave3_path.parent / "coalitions_2021.csv").read_text(), REG6)
+    with monkeypatch.context() as patched:
+        patched.setattr(data, "number_patterns", refuse)
+        s = parse_survey(document, REG6, WAVE3_SCHEMA)
+        validate(s)
+        group_counts(s)
+        forecast.conventional_forecast(s)
+        bounds.dempster_bounds(s)
+        bounds.constrained_bounds(s, box)
+        bounds.seat_bounds(s, REG6.set_of(["SPD", "CDU_CSU", "GRUENE"]), box)
+        bounds.coalition_report(s, specs, box)
+        with pytest.raises(AssertionError, match="numbered"):
+            s.index
+    # The first read after the patch numbers the whole table, read-only, with the eager build's dtypes.
+    assert len(s.index) == len(s)
+    for name, dtype in (("patterns", np.uint8), ("cell_set", np.intp), ("cell_pattern", np.intp), ("index", np.intp)):
+        values = getattr(s, name)
+        assert values.dtype == dtype and not values.flags.writeable
+    assert s.patterns.shape[1] == len(WAVE3_SCHEMA)
+
+
+@pytest.mark.parametrize("first", ["parsed", "adapter", "neither"])
+def test_first_read_numbers_as_the_adapter_does(wave3_path, first):
+    document = wave3_path.read_bytes()
+    respondents = [Respondent(*row) for row in parse_survey(document, REG6, WAVE3_SCHEMA).rows()]
+    parsed, built = parse_survey(document, REG6, WAVE3_SCHEMA), Survey(REG6, WAVE3_SCHEMA, respondents)
+    if first != "neither":
+        (parsed if first == "parsed" else built).cell_pattern
+    assert parsed == built and built == parsed
+    assert [s.patterns.tobytes() for s in (parsed, built)] == [parsed.patterns.tobytes()] * 2
+
+
+def test_first_reads_from_many_threads_see_one_cell_table(wave3_path):
+    names = ("patterns", "cell_set", "cell_pattern", "index")
+    document = wave3_path.read_bytes()
+    reference = parse_survey(document, REG6, WAVE3_SCHEMA)
+    want = [getattr(reference, name).tobytes() for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            s = parse_survey(document, REG6, WAVE3_SCHEMA)
+            start, seen = threading.Barrier(4), []
+
+            def read(first):
+                start.wait(timeout=10)
+                order = names[first:] + names[:first]
+                got = {name: getattr(s, name).tobytes() for name in order}
+                seen.append([got[name] for name in names])
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert seen == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_build_copies_the_covariate_rows_it_numbers_later():
+    bits = np.array([[0], [1], [1]], dtype=np.uint8)
+    s = Survey.build(ABC, ("x",), [1.0, 1.0, 1.0], [1, 3, 3], bits)
+    bits[:] = 0
+    assert list(s.rows()) == [(1.0, PartySet(1), (0,)), (1.0, PartySet(3), (1,)), (1.0, PartySet(3), (1,))]
 
 
 def _survey_strategy():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pollsets import (
     seat_share,
     transition_probabilities,
 )
+from pollsets import forecast
 from pollsets.forecast import decided_design
 from conftest import random_survey
 
@@ -303,6 +305,62 @@ def test_homogeneity_bit_identical_to_per_cell_fsum_rows(s):
     shares, table, _ = homogeneity_forecast(s)
     assert shares.shares == want_shares
     assert table.rows == want_rows
+
+
+@st.composite
+def _positive_rows(draw):
+    """Rows of 2 to 32 positive floats of mixed magnitudes, from the smallest subnormal up to 1e300."""
+    width = draw(st.integers(2, 32))
+    value = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 997)) | st.floats(
+        5e-324, 1e300
+    ) | st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 2.0**-53, 2.0**-106])
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=8))
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_positive_rows())
+def test_row_sums_are_fsum_bit_for_bit(rows):
+    sums, fallback = forecast._row_sums(rows)
+    assert sums.tolist() == [math.fsum(row) for row in rows.tolist()]
+    assert set(fallback.tolist()) <= set(range(len(rows)))
+
+
+def test_row_sums_fall_back_where_the_errors_do_not_add_exactly():
+    rows = np.array([
+        [0.25, 0.5, 0.125],  # every addition is exact
+        [0.1, 0.2, 0.3],  # the errors add exactly
+        [1.0, 2.0**-53, 2.0**-106],  # 1 + 2**-53 ties to 1; 2**-106 more rounds up, which the errors' sum loses
+        [1.0, 2.0**-60, 2.0**-120],
+    ])
+    sums, fallback = forecast._row_sums(rows)
+    assert fallback.tolist() == [2, 3]
+    assert sums.tolist() == [math.fsum(row) for row in rows.tolist()]
+    assert sums[2] == 1.0 + 2.0**-52 != rows[2, 0] + (rows[2, 1] + rows[2, 2])
+
+
+def test_transition_rows_take_no_padded_temporaries():
+    # One 32-party set and 31,744 two-party cells: a row padded to the largest set would be 16 times its members.
+    registry = PartyRegistry(tuple(f"P{i}" for i in range(32)))
+    pairs = [(1 << a) | (1 << b) for a in range(32) for b in range(a + 1, 32)]
+    masks = np.array([(1 << 32) - 1] + [mask for mask in pairs for _ in range(64)], dtype=np.int64)
+    patterns = np.arange(len(masks))[:, None] >> np.arange(6) & 1
+    s = Survey.build(registry, tuple(f"x{j}" for j in range(6)), np.ones(len(masks)), masks, patterns)
+    coef = np.random.default_rng(0).normal(size=(32, 7))
+    model = mnl.MnlModel(coef - coef.mean(axis=0), mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+    members = 2 * len(pairs) * 64 + 32
+    assert len(s.cell_set) == 1 + len(pairs) * 64
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as patched:
+            # The table's own copy of the matrix is not a temporary of the rows.
+            patched.setattr(forecast, "TransitionTable", lambda survey, probs: probs)
+            probs = forecast.transition_probabilities(model, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(probs.sum(axis=1), 1.0)
+    assert peak - probs.nbytes <= 12 * 8 * members
 
 
 @pytest.mark.parametrize(
