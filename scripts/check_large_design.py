@@ -202,7 +202,7 @@ def check_transitions(registry: PartyRegistry, schema: tuple[str, ...], paths) -
         s = parse_survey(_read(path), registry, schema)
         model, _ = mnl.fit(forecast.decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
         probs = forecast.transition_probabilities(model, s).probs.tolist()
-        predictions = mnl.predict_proba(model, s.pattern_rows()).tolist()
+        predictions = mnl.predict_proba(model, np.hstack((np.ones((len(s.patterns), 1)), s.patterns))).tolist()
         members = [ps.indices() for ps in s.sets]
         rows_of_size: dict[int, list[list[float]]] = {}
         for g, (j, c) in enumerate(zip(s.cell_set.tolist(), s.cell_pattern.tolist())):

@@ -148,7 +148,7 @@ def share_bounds(s: Survey, event: PartySet, included: PartySet, c: AllocationCo
     has no respondents, or if the share is undefined: a completion gives
     the included parties no votes.
     """
-    if not (event.fits(s.registry) and included.fits(s.registry)):
+    if (event.mask | included.mask) >= 1 << len(s.registry):
         raise ValueError("event or included parties reference options outside the registry")
     if not event.issubset(included):
         raise ValueError("event references options outside the included parties")

@@ -154,7 +154,12 @@ class PartyRegistry:
 
 @dataclass(frozen=True, order=False)
 class PartySet:
-    """Nonempty set of registry options, stored as a bitmask."""
+    """Nonempty set of registry options, stored as a bitmask.
+
+    Intersections and the registry fit are plain arithmetic on ``mask``:
+    ``(a.mask & b.mask).bit_count()`` parties are in both sets, and a set
+    fits a registry of K parties when its mask is below ``1 << K``.
+    """
 
     mask: int
 
@@ -178,19 +183,6 @@ class PartySet:
 
     def issubset(self, other: PartySet) -> bool:
         return self.mask & ~other.mask == 0
-
-    def intersects(self, other: PartySet) -> bool:
-        return self.mask & other.mask != 0
-
-    def intersection_size(self, other: PartySet) -> int:
-        return (self.mask & other.mask).bit_count()
-
-    def sort_key(self) -> tuple[int, ...]:
-        """Registry-index lexicographic key; the deterministic tie order."""
-        return self.indices()
-
-    def fits(self, registry: PartyRegistry) -> bool:
-        return self.mask < (1 << len(registry))
 
 
 @dataclass(frozen=True)
@@ -533,10 +525,6 @@ class Survey:
         cells = self.index[keep]
         group, used = key_order(self.cell_pattern[cells])
         return group, self.patterns[used], cell_category[cells], self.weights[keep]
-
-    def pattern_rows(self) -> np.ndarray:
-        """One design row per covariate pattern: 1.0, then its values."""
-        return np.hstack((np.ones((len(self.patterns), 1)), self.patterns))
 
 
 @dataclass(frozen=True)
@@ -1245,7 +1233,7 @@ def group_counts(s: Survey, top: int | None = None) -> dict[PartySet, tuple[int,
     if top is not None and top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
     counts = s.set_counts.tolist()
-    groups = sorted(range(len(s.sets)), key=lambda j: (-counts[j], s.sets[j].sort_key()))
+    groups = sorted(range(len(s.sets)), key=lambda j: (-counts[j], s.sets[j].indices()))
     if top is not None:
         groups = groups[:top]
     return {s.sets[j]: (counts[j], rounded(s.set_sums[j])) for j in groups}

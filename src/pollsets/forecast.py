@@ -54,20 +54,26 @@ class TransitionTable:
     ``probs`` is a read-only (n_cells, K) float64 matrix over the cells of
     ``survey`` and its registry's ``options``, zero outside each cell's
     set, each row summing to one.  Respondent i's row is ``probs[survey.index[i]]``.
+    A read-only float64 matrix that owns its data, as ``transition_probabilities``
+    makes, is kept as it is; any other input is copied.
     """
 
     survey: Survey
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        probs = self.probs
+        owned = type(probs) is np.ndarray and probs.dtype == np.float64 and probs.flags.owndata
+        if not owned or probs.flags.writeable:
+            probs = np.array(probs, dtype=float)
+            probs.flags.writeable = False
+            object.__setattr__(self, "probs", probs)
         if probs.shape != (len(self.survey.cell_set), len(self.options)):
             raise ValueError("transition matrix must have one row per cell and one column per option")
-        bad = np.flatnonzero(~(np.abs(probs.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)[self.survey.index])
-        if len(bad):  # named by the first respondent whose row fails
-            raise ValueError(f"transition row {bad[0]} does not sum to 1")
+        # Written so that NaN fails the check.
+        bad = ~(np.abs(probs.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)
+        if bad.any():  # named by the first respondent whose row fails
+            raise ValueError(f"transition row {np.argmax(bad[self.survey.index])} does not sum to 1")
 
     @property
     def options(self) -> tuple[str, ...]:
@@ -109,7 +115,7 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
         raise ValueError("model categories do not match the registry")
     if m.n_predictors != 1 + len(s.schema):
         raise ValueError("model predictors do not match the survey covariate schema")
-    predictions = mnl.predict_proba(m, s.pattern_rows())
+    predictions = mnl.predict_proba(m, np.hstack((np.ones((len(s.patterns), 1)), s.patterns)))
     set_size = np.array([ps.size for ps in s.sets], dtype=np.intp)
     cell_size = set_size[s.cell_set]
     probs = np.zeros((len(cell_size), len(options)))
@@ -128,6 +134,7 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
             raise ValueError("restricted prediction mass vanished; model is degenerate")
         rows /= denom[:, None]
         probs[cells[:, None], k] = rows
+    probs.flags.writeable = False
     return TransitionTable(s, probs)
 
 

@@ -290,7 +290,7 @@ def oracle_constrained_bounds(
     hi_terms = []
     for w, ps, _ in s.rows():
         k = ps.size
-        m = ps.intersection_size(event)
+        m = (ps.mask & event.mask).bit_count()
         if k == 1:
             if m:
                 lo_terms.append(w)

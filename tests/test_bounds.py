@@ -249,7 +249,9 @@ class TestShareBounds:
         with pytest.raises(ValueError, match="^event references options outside the included parties$"):
             share_bounds(abc_survey, abc_registry.set_of("AC"), abc_registry.set_of("AB"))
 
-    @pytest.mark.parametrize("event, included", [(1 << 5, 0b111), (0b001, 1 << 5 | 0b001)])
+    @pytest.mark.parametrize(
+        "event, included", [(1 << 5, 0b111), (0b001, 1 << 5 | 0b001), (1 << 3, 0b111), (0b001, 1 << 3 | 0b001)]
+    )
     def test_event_and_included_must_fit_registry(self, abc_survey, event, included):
         with pytest.raises(ValueError, match="^event or included parties reference options outside the registry$"):
             share_bounds(abc_survey, PartySet(event), PartySet(included))
@@ -408,9 +410,9 @@ def _reference_event_bounds(s, event, c=None):
     total = math.fsum(w for w, _, _ in rows)
     if c is None:
         lo = math.fsum(w for w, ps, _ in rows if ps.issubset(event))
-        hi = math.fsum(w for w, ps, _ in rows if ps.intersects(event))
+        hi = math.fsum(w for w, ps, _ in rows if ps.mask & event.mask)
     else:
-        limits = [(w, _contribution_limits(ps.size, ps.intersection_size(event), c)) for w, ps, _ in rows]
+        limits = [(w, _contribution_limits(ps.size, (ps.mask & event.mask).bit_count(), c)) for w, ps, _ in rows]
         lo = float(sum(Fraction(w) * Fraction(f) for w, (f, _) in limits))
         hi = float(sum(Fraction(w) * Fraction(f) for w, (_, f) in limits))
     return min(lo / total, 1.0), min(hi / total, 1.0)
@@ -448,7 +450,7 @@ def test_counts_and_conventional_bit_identical_to_per_respondent_fsum(s):
     by_set = {}
     for w, ps, _ in rows:
         by_set.setdefault(ps.mask, []).append(w)
-    ordered = sorted(by_set, key=lambda mask: (-len(by_set[mask]), PartySet(mask).sort_key()))
+    ordered = sorted(by_set, key=lambda mask: (-len(by_set[mask]), PartySet(mask).indices()))
     want_groups = [(mask, len(by_set[mask]), math.fsum(by_set[mask])) for mask in ordered]
     assert [(ps.mask, n, w) for ps, (n, w) in group_counts(s).items()] == want_groups
 

@@ -143,6 +143,40 @@ class TestTransitionProbabilities:
         with pytest.raises(ValueError, match="one row per cell"):
             TransitionTable(s, good[:2])
 
+    def test_table_keeps_the_matrix_transition_probabilities_builds(self, abc_registry, monkeypatch):
+        reg = abc_registry
+        model = intercept_model({"A": 0.5, "B": 0.25, "C": 0.25}, reg)
+        sets = (["A"], ["A", "B"], ["B", "C"], ["A", "B"], ["A", "B", "C"])
+        s = Survey(reg, (), tuple(Respondent(1.0, reg.set_of(codes)) for codes in sets))
+        handed = []
+
+        def spy(survey, probs):
+            handed.append(probs)
+            return TransitionTable(survey, probs)
+
+        monkeypatch.setattr(forecast, "TransitionTable", spy)
+        table = forecast.transition_probabilities(model, s)
+        assert len(handed) == 1
+        assert np.shares_memory(table.probs, handed[0])
+        assert not table.probs.flags.writeable
+
+    def test_any_other_matrix_is_copied_read_only(self, abc_registry):
+        reg = abc_registry
+        s = Survey(reg, (), (Respondent(1.0, reg.singleton("A")), Respondent(1.0, reg.set_of("BC"))))
+        cell_sets = [s.sets[j] for j in s.cell_set.tolist()]
+        good = np.array([[ps.contains_index(k) / ps.size for k in range(len(reg))] for ps in cell_sets])
+        owned = good.copy()
+        owned.flags.writeable = False
+        assert TransitionTable(s, owned).probs is owned
+        # A writable matrix, a read-only view, and a read-only float32 matrix.
+        single = good.astype(np.float32)
+        single.flags.writeable = False
+        for probs in (good, owned[:], single):
+            table = TransitionTable(s, probs)
+            assert not np.shares_memory(table.probs, probs)
+            assert table.probs.dtype == np.float64 and not table.probs.flags.writeable
+            assert np.array_equal(table.probs, good)
+
     def test_missing_covariates_rejected_by_survey(self):
         # Covariates are required exactly when the schema is nonempty, so
         # no transition row is ever predicted without them.
@@ -278,7 +312,7 @@ def _homogeneity_surveys(draw):
 def _reference_homogeneity(s, model):
     """Per-cell dict rows with an fsum denominator each, then one fsum of w * row per party."""
     options = s.registry.options
-    probs = mnl.predict_proba(model, s.pattern_rows())
+    probs = mnl.predict_proba(model, np.hstack((np.ones((len(s.patterns), 1)), s.patterns)))
     rows = []
     for j, c in zip(s.cell_set.tolist(), s.cell_pattern.tolist()):
         member = s.sets[j].indices()
