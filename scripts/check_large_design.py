@@ -12,10 +12,11 @@ grid, and calls one check at a time:
     python scripts/check_large_design.py homogeneity REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py transitions REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py unnumbered REGISTRY COVARIATES SURVEY_CSV...
+    python scripts/check_large_design.py sums REGISTRY COVARIATES SURVEY_CSV...
 
 REGISTRY and COVARIATES are comma lists.  A failed check exits with a
 message naming the file; ``homogeneity`` also prints one line per fit,
-and ``transitions`` one line per file.
+and ``transitions`` and ``sums`` one line per file.
 """
 
 from __future__ import annotations
@@ -235,9 +236,55 @@ def check_unnumbered(registry: PartyRegistry, schema: tuple[str, ...], paths) ->
             sys.exit(f"{path}: a pass that only bounds numbered the cell table")
 
 
+def check_sums(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
+    """Exact sums round as ``math.fsum``: each set's weights, and each party's homogeneity products.
+
+    The products are the homogeneity forecast's cell weight times transition
+    probability, summed per party.  Prints, per file, whether ``exact_sums``
+    split each call's values on one grid or per band of exponents
+    (``data._exponent_bands``).
+    """
+    split, banded = data._exponent_bands, []
+
+    def spy(*args):
+        banded.append(True)
+        return split(*args)
+
+    data._exponent_bands = spy
+    try:
+        for path in paths:
+            taken = []
+            banded.clear()
+            s = parse_survey(Path(path).read_bytes(), registry, schema)
+            taken.append(f"set sums of {len(s)} weights over {len(s.sets)} sets {_way(banded)}")
+            set_of_row = s.cell_set[s.index]
+            for j, ps in enumerate(s.sets):
+                if data.rounded(s.set_sums[j]).hex() != math.fsum(s.weights[set_of_row == j].tolist()).hex():
+                    sys.exit(f"{path}: set {registry.label_of(ps)}'s exact weight sum does not round as math.fsum")
+            model, _ = mnl.fit(forecast.decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
+            table = forecast.transition_probabilities(model, s)
+            cell_weights = np.bincount(s.index, weights=s.weights, minlength=len(table.probs))
+            g, k = np.nonzero(table.probs)
+            products = cell_weights[g] * table.probs[g, k]
+            banded.clear()
+            sums = data.exact_sums(products, k, len(registry))
+            taken.append(f"party sums of {len(products)} homogeneity products {_way(banded)}")
+            for party, (code, total) in enumerate(zip(registry.options, sums)):
+                if data.rounded(total).hex() != math.fsum(products[k == party].tolist()).hex():
+                    sys.exit(f"{path}: party {code}'s exact sum of homogeneity products does not round as math.fsum")
+            print(f"{path}: " + "; ".join(taken))
+    finally:
+        data._exponent_bands = split
+
+
+def _way(banded: list) -> str:
+    return "split per band of exponents" if banded else "split on one grid"
+
+
 SURVEY_CHECKS = {
     "csv": check_csv, "scan": check_scan, "adapter": check_adapter, "designs": check_designs,
     "homogeneity": check_homogeneity, "transitions": check_transitions, "unnumbered": check_unnumbered,
+    "sums": check_sums,
 }
 
 

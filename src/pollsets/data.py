@@ -27,11 +27,14 @@ covariates, is read by a columnar scan, in place when it is given as
 bytes: one numpy pass finds each block's commas and newlines, and every
 fixed-width run of bytes it reads (a row's covariate bits, a weight's
 last 8 or 16 bytes, a padded parties cell) is one item of one view of
-the block (``_items``).  A plain decimal weight (1 to 15 ASCII digits
-and at most one ".") is decoded by array passes into the float
-``float`` gives, any other weight goes through ``float`` on its bytes,
-and each distinct parties cell, numbered by hashing without a sort, is
-checked once.
+the document's bytes (``_items``).  The header line puts at least 15
+bytes before the first row, so no block is copied but a ``str`` block,
+which is encoded anyway, and the document's last rows, where a window
+would run past its end or the last line lacks its newline.  A plain
+decimal weight (1 to 15 ASCII digits and at most one ".") is decoded by
+array passes into the float ``float`` gives, any other weight goes
+through ``float`` on its bytes, and each distinct parties cell,
+numbered by hashing without a sort, is checked once.
 Anything else goes through the row parser, a ``csv.reader`` loop with
 one memo per field, which stays the reference for the format's
 semantics, error messages and line numbers.  The writer,
@@ -45,10 +48,21 @@ Weighted totals are exactly rounded, as ``math.fsum`` rounds them.
 ``exact_sums`` adds float64 weights per group into Python integers
 without rounding (every finite float64 is an integer multiple of
 2**-1126), and ``rounded`` turns the sum of any union of groups into a
-float by one correctly rounded integer division.  The result does not
-depend on the order of the respondents, so a total summed per set
-carries the same bits as one summed respondent by respondent; the
-table keeps each set's exact sum for that reason, not a rounded total.
+float by one correctly rounded integer division.  It splits each of n
+values v at one grid (Rump, Ogita & Oishi, "Accurate floating-point
+summation", SIAM J. Sci. Comput. 31(1), 2008): for E and e the largest
+and smallest binary exponents of the values, sigma = 3 * 2**(E + 26),
+hi = (sigma + v) - sigma and lo = v - hi are exact, hi is at most 2**26
+units of 2**(E - 25), and lo at most 2**(E - e + 26) units of
+2**(e - 52).  So one plain ``np.bincount`` of the hi parts and one of
+the lo parts add them exactly per group, every partial sum a whole
+number of units below 2**53, whenever ceil(log2 n) + (E - e) <= 27;
+weights in [0.5, 2] have E - e = 2.  Values farther apart, a zero or a
+negative value are split into bands of exponents that narrow, each
+scaled exactly onto one grid.  The result does not depend on the order
+of the respondents, so a total summed per set carries the same bits as
+one summed respondent by respondent; the table keeps each set's exact
+sum for that reason, not a rounded total.
 ``weighted_total`` rounds a sum of such sums times factors in [0, 1]
 once, so an estimator counting each set at a fraction of its weight
 never goes back to the respondents.
@@ -248,47 +262,78 @@ def number_patterns(bits) -> tuple[np.ndarray, np.ndarray]:
     return number, distinct.view(np.uint8).reshape(len(distinct), p)
 
 
-# Exact sums.  A nonzero finite float64 is M * 2**(e - 53), where M is
-# its frexp mantissa scaled to an integer below 2**53 and e >= -1073 (the
-# smallest subnormal, 2**-1074, has e = -1073).  So every float64 is an
-# integer number of units of 2**-1126, and a sum of them is a Python int.
+# Exact sums.  Every finite float64 is an integer number of units of
+# 2**-1074, so a sum of them is a Python int in units of 2**-1126.
 _UNIT_EXP = 1126
-_HALF_BITS = 26
-# bincount adds its weights as float64, exactly while every partial sum
-# is an integer below 2**53: the high halves are below 2**27, so one
-# pass takes fewer than 2**26 values.
+# A pass adds at most this many values, so ceil(log2 n) <= 25.
 _EXACT_ROWS = 1 << 25
+# A pass of n values is split exactly on one grid when E - e < 28 - ceil(log2 n).
+_GRID_BITS = 28
+# The largest exponent field whose grid 3 * 2**(field - 997), and the sum
+# of a pass's high parts, stay finite.
+_TOP_FIELD = 2019
+
+
+def _field(x) -> int:
+    """The exponent field of a positive float64, 1 for the subnormals (which share its spacing)."""
+    return max(int(np.float64(x).view(np.int64)) >> 52, 1)
+
+
+def _units(x: float, shift: int = 0) -> int:
+    """``x * 2**shift`` in units of 2**-1126, for a float that makes it whole."""
+    num, den = x.as_integer_ratio()
+    return num << (_UNIT_EXP + shift + 1 - den.bit_length())
 
 
 def exact_sums(values: np.ndarray, groups: np.ndarray | None = None, n_groups: int = 1) -> list[int]:
     """Each group's exact sum of the finite float64 ``values``, in units of 2**-1126.
 
     Value i belongs to group ``groups[i]`` (group 0 if ``groups`` is
-    None).  Each mantissa is split into halves of at most 27 bits, which
-    ``np.bincount`` adds exactly per (group, exponent); the buckets are
-    then shifted into place as Python ints.  ``rounded`` of the sum over
-    any union of groups equals ``math.fsum`` of their values bit for bit.
+    None).  A pass of values is split at one grid into high and low
+    parts, which two ``np.bincount`` calls add exactly per group (see
+    the module docstring); values too far apart for one grid are split
+    per band of exponents (``_exponent_bands``).  ``rounded`` of the sum
+    over any union of groups equals ``math.fsum`` of their values bit for bit.
     """
     values = np.asarray(values, dtype=float)
     groups = np.zeros(len(values), np.intp) if groups is None else np.asarray(groups, dtype=np.intp)
     sums = [0] * n_groups
     for start in range(0, len(values), _EXACT_ROWS):
-        mantissa, exponent = np.frexp(values[start : start + _EXACT_ROWS])
-        scaled = np.ldexp(mantissa, 53).astype(np.int64)
-        low = int(exponent.min())
-        span = int(exponent.max()) - low + 1
-        key = groups[start : start + _EXACT_ROWS] * span + (exponent - low)
-        buckets = None
-        if n_groups * span > 2 * len(key):
-            buckets, key = np.unique(key, return_inverse=True)
-        bins = n_groups * span if buckets is None else len(buckets)
-        high = np.bincount(key, weights=scaled >> _HALF_BITS, minlength=bins)
-        low_half = np.bincount(key, weights=scaled & ((1 << _HALF_BITS) - 1), minlength=bins)
-        used = np.flatnonzero((high != 0) | (low_half != 0))
-        for b, h, l in zip(used.tolist(), high[used].tolist(), low_half[used].tolist()):
-            g, e = divmod(b if buckets is None else int(buckets[b]), span)
-            sums[g] += ((int(h) << _HALF_BITS) + int(l)) << (e + low + _UNIT_EXP - 53)
+        v, key = values[start : start + _EXACT_ROWS], groups[start : start + _EXACT_ROWS]
+        width = _GRID_BITS - (len(v) - 1).bit_length()
+        least, top, shifts = v.min(), _field(v.max()), [0]
+        if not (least > 0 and top - _field(least) < width and top <= _TOP_FIELD):
+            v, key, shifts = _exponent_bands(v, key, width)
+            top = 1023
+        bins, buckets = n_groups * len(shifts), None
+        if bins > 2 * len(key):
+            key, buckets = key_order(key)
+            bins = len(buckets)
+        grid = math.ldexp(3.0, top - 997)
+        high = v + grid
+        high -= grid
+        high, low = np.bincount(key, high, bins), np.bincount(key, v - high, bins)
+        used = np.flatnonzero((high != 0) | (low != 0))
+        for b, h, l in zip(used.tolist(), high[used].tolist(), low[used].tolist()):
+            g, band = divmod(b if buckets is None else int(buckets[b]), len(shifts))
+            sums[g] += _units(h, shifts[band]) + _units(l, shifts[band])
     return sums
+
+
+def _exponent_bands(values: np.ndarray, groups: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Values split into bands of ``width`` exponents and scaled to one grid: the scaled values, their keys and each band's scale.
+
+    Band b holds the values whose exponent field (1 for zero and the
+    subnormals) lies ``b * width`` to ``b * width + width - 1`` above the
+    smallest.  Each is scaled by ``np.ldexp``, exactly, so that its
+    band's top field is 1023, and keyed by group x bands + band; band b's
+    sums are 2**shifts[b] times those of its scaled values.
+    """
+    fields = np.maximum(values.view(np.int64) >> 52 & 0x7FF, 1)
+    base = int(fields.min())
+    band = (fields - base) // width
+    tops = base + width - 1 + width * np.arange(int(band.max()) + 1)
+    return np.ldexp(values, (1023 - tops)[band]), groups * len(tops) + band, (tops - 1023).tolist()
 
 
 def rounded(total: int) -> float:
@@ -340,6 +385,13 @@ def _frozen(values, dtype) -> np.ndarray:
     values = np.array(values, dtype=dtype)
     values.flags.writeable = False
     return values
+
+
+def _kept(values: np.ndarray, dtype) -> np.ndarray:
+    """``values`` itself if it is a read-only ``dtype`` array that owns its data, else a read-only copy."""
+    if values.dtype == dtype and values.flags.owndata and not values.flags.writeable:
+        return values
+    return _frozen(values, dtype)
 
 
 def _cell_table(set_id: np.ndarray, bits: np.ndarray) -> dict[str, np.ndarray]:
@@ -437,9 +489,11 @@ class Survey:
         [1, 2^K) for K registry options) and has covariate values
         ``patterns[i]``, a row of an (n, p) 0/1 matrix.
         Sets are numbered here, in key order of their bitmasks
-        (``key_order``); the survey keeps each row's set number and a copy
-        of its covariate row until ``_cell_table`` numbers the patterns and
-        cells from them, on first read.
+        (``key_order``); the survey keeps each row's set number and its
+        covariate row until ``_cell_table`` numbers the patterns and cells
+        from them, on first read.  A read-only float64 weight column or
+        ``uint8`` covariate matrix that owns its data, as the columnar scan
+        hands them, is kept as it is; any other column is copied.
         """
         schema = tuple(schema)
         weights, masks, bits = np.asarray(weights, dtype=float), np.asarray(masks), np.asarray(patterns)
@@ -447,11 +501,13 @@ class Survey:
             raise ValueError("columns must hold one weight, one set and one covariate row per respondent")
         # Before the int64 cast, so 0, 1.5, 2**63, True and "1" fail too; NaN fails every comparison.
         whole = masks.dtype.kind in "iu" or masks.dtype.kind == "f" and np.all(masks == np.floor(masks))
-        if not (whole and np.all((masks >= 1) & (masks < 1 << len(registry)))):
+        if not (whole and masks.min(initial=1) >= 1 and masks.max(initial=1) < 1 << len(registry)):
             raise ValueError(f"set bitmasks must be whole numbers in [1, 2^{len(registry)})")
-        if not np.all((bits == 0) | (bits == 1)):  # before the uint8 cast, so 0.5, 2 and -1 fail too
+        # Before the uint8 cast, so 0.5, 2 and -1 fail too.
+        binary = bits.max(initial=0) <= 1 if bits.dtype == np.uint8 else np.all((bits == 0) | (bits == 1))
+        if not binary:
             raise ValueError("covariates must be binary 0/1")
-        if not np.all((weights > 0.0) & (weights < math.inf)):  # NaN fails too
+        if not (weights.min(initial=1.0) > 0.0 and weights.max(initial=1.0) < math.inf):  # NaN fails too
             raise ValueError("weights must be positive and finite")
         set_id, masks = key_order(masks.astype(np.int64, copy=False))
         sets = tuple(PartySet(mask) for mask in masks.tolist())
@@ -470,9 +526,9 @@ class Survey:
             raise ValueError("total weight exceeds the largest float") from None
         survey = object.__new__(cls)
         survey.__dict__.update(
-            registry=registry, schema=schema, sets=sets, weights=_frozen(weights, float),
+            registry=registry, schema=schema, sets=sets, weights=_kept(weights, float),
             set_counts=_frozen(np.bincount(set_id), np.intp), set_sums=set_sums, dropped_rows=dropped_rows,
-            total_weight=total, _rows=(set_id, np.array(bits, dtype=np.uint8)),
+            total_weight=total, _rows=(set_id, _kept(bits, np.uint8)),
         )
         return survey
 
@@ -690,6 +746,8 @@ _PAD_RATIO = 8
 _DECIMAL_BYTES = 16  # two 64-bit words
 _DECIMAL_DIGITS = 15
 _WORD = np.dtype("<u8")
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
+_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONES = np.uint64(0x0101010101010101)
 _TOP = np.uint64(56)
 # Word 0 of a row holds its bytes 0-7, word 1 bytes 8-15.  Byte m of word
@@ -752,18 +810,22 @@ def _parse_clean(document: str | bytes, registry: PartyRegistry, schema: tuple[s
     parties: dict[bytes, int] = {}
     weights, masks, bits = [], [], []
     rows = 0
+    whole = None if text else np.frombuffer(document, np.uint8)
     pos = head + 1
     while pos < len(document):
         end = document.find(newline, pos + _BLOCK_CHARS)
         end = len(document) if end < 0 else end + 1
-        if text:
+        if text or document[end - 1] != 10:
+            # A str block is encoded, and a last line without its newline gets one, in a copy of the block.
+            block = document[pos:end] if document[end - 1 : end] == newline else document[pos:end] + newline
             try:
-                block = np.frombuffer(document[pos:end].encode(), np.uint8)
+                buf = np.frombuffer(block.encode() if text else block, np.uint8)
             except UnicodeEncodeError:
                 return None
+            start, stop = 0, len(buf)
         else:
-            block = np.frombuffer(document, np.uint8, end - pos, pos)
-        scanned = _scan_block(block, len(schema), limit)
+            buf, start, stop = whole, pos, end
+        scanned = _scan_block(buf, start, stop, len(schema), limit)
         pos = end
         if scanned is None:
             return None
@@ -775,9 +837,10 @@ def _parse_clean(document: str | bytes, registry: PartyRegistry, schema: tuple[s
                     parties[cell] = _parse_parties(cell.decode(), registry, 0)
                 except (UnicodeDecodeError, SurveyFormatError):
                     return None
-        mask = np.array([parties[cell] for cell in distinct], dtype=np.int64)[number]
-        keep = mask != 0
-        if not keep.all():
+        codes = [parties[cell] for cell in distinct]
+        mask = np.array(codes, dtype=np.int64)[number]
+        if 0 in codes:  # rows naming a code outside the registry are dropped
+            keep = mask != 0
             row_weights, mask, row_bits = row_weights[keep], mask[keep], row_bits[keep]
         rows += len(number)
         weights.append(row_weights)
@@ -785,18 +848,22 @@ def _parse_clean(document: str | bytes, registry: PartyRegistry, schema: tuple[s
         bits.append(row_bits)
     if not rows:
         return None
-    # The joined columns replace the blocks' arrays before the survey is built.
+    # The joined columns replace the blocks' arrays before the survey is built, which keeps them.
     weights, masks, bits = map(np.concatenate, (weights, masks, bits))
+    weights.flags.writeable = bits.flags.writeable = False
     return Survey.build(registry, schema, weights, masks, bits, dropped_rows=rows - len(weights))
 
 
-def _scan_block(buf: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[bytes], np.ndarray, np.ndarray] | None:
+def _scan_block(
+    buf: np.ndarray, start: int, stop: int, p: int, limit: int
+) -> tuple[np.ndarray, list[bytes], np.ndarray, np.ndarray] | None:
     """Each data row's weight, parties cell and covariate values, or None.
 
-    ``buf`` holds the bytes of whole lines of rows with ``p`` covariates
-    (the last line's newline may be missing).  One pass
-    finds every comma and newline; each row must hold exactly ``p + 1``
-    commas before its newline, a weight that ``float`` takes and that is
+    ``buf[start:stop]`` holds the bytes of whole lines of rows with ``p``
+    covariates, each ended by a newline; ``buf`` may hold more bytes on
+    either side, and cells are read from it in place.  One pass finds
+    every comma and newline; each row must hold exactly ``p + 1`` commas
+    before its newline, a weight that ``float`` takes and that is
     positive and finite, and each covariate cell one byte ``0`` or ``1``,
     read from the row's ``_items`` tail.  A plain decimal weight is decoded
     by ``_decimals``, any other goes through ``float`` on its bytes, taken
@@ -804,10 +871,9 @@ def _scan_block(buf: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[b
     the distinct parties cells (numbered by ``_number_cells``), each row's
     number into them, and the covariates as an (rows, p) 0/1 ``uint8`` matrix.
     """
-    if buf[-1] != 10:
-        buf = np.append(buf, np.uint8(10))
-    newline = buf == 10
-    seps = np.flatnonzero(newline | (buf == 44))
+    block = buf[start:stop]
+    newline = block == 10
+    seps = np.flatnonzero(newline | (block == 44))
     rows = np.count_nonzero(newline)
     if len(seps) != rows * (p + 2):
         return None
@@ -820,22 +886,22 @@ def _scan_block(buf: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[b
     seps = seps.reshape(rows, p + 2)
     if not np.all(seps[:, -1] - seps[:, 1] == 2 * p):
         return None
-    tail = _items(buf, 2 * p + 1)[seps[:, 1]].view(np.uint8).reshape(rows, 2 * p + 1)
+    tail = _items(block, 2 * p + 1)[seps[:, 1]].view(np.uint8).reshape(rows, 2 * p + 1)
     bits = tail[:, 1::2] - 48  # "0" -> 0, "1" -> 1; any other byte wraps above 1
-    if not (np.all(tail[:, -1] == 10) and np.all(bits <= 1)):
+    if not (np.all(tail[:, -1] == 10) and bits.max(initial=0) <= 1):
         return None
     starts = np.concatenate(([0], seps[:-1, -1] + 1))
     weight_len = seps[:, 0] - starts
     parties_len = seps[:, 1] - seps[:, 0] - 1
     if max(weight_len.max(), parties_len.max()) > limit:
         return None
-    parties_cells = _padded(buf, seps[:, 0] + 1, parties_len)
+    parties_cells = _padded(buf, seps[:, 0] + (start + 1), parties_len, stop - start)
     if parties_cells is None:
         return None
-    weights, decoded = _decimals(buf, seps[:, 0], weight_len)
-    rest = np.flatnonzero(~decoded)
-    if len(rest):
-        cells = _padded(buf, starts[rest], weight_len[rest])
+    weights, decoded = _decimals(buf, seps[:, 0] + start, weight_len)
+    if not decoded.all():
+        rest = np.flatnonzero(~decoded)
+        cells = _padded(buf, starts[rest] + start, weight_len[rest], stop - start)
         if cells is None:
             return None
         try:
@@ -855,29 +921,39 @@ def _decimals(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple[n
     decoded when it has at most ``_DECIMAL_BYTES`` bytes, only ASCII
     digits, 1 to ``_DECIMAL_DIGITS`` of them, and at most one "."; its
     value is then bit for bit ``float`` of the cell.  The value of any
-    other cell is undefined.
+    other cell is undefined.  ``ends`` ascend.
 
-    Each cell of at most 16 bytes is read as the ``_items`` item of one
-    or two little-endian 64-bit words that ends with it (one word when
-    every such cell has at most 8 bytes), with the bytes before the cell
-    and its "." cleared to digit 0.  Combining adjacent digits, then
-    pairs, then quads within each word (SWAR) gives the row's 8- or
-    16-digit integer ``a``.  A "." with k digits after it left a 0 at
-    10**k, so the cell's digits are the integer ``a - 9 * (a // 10**(k +
-    1)) * 10**k``, and the value is that integer divided once by ``10.0**k``.
+    Each cell of at most 16 bytes is read in place as the ``_items`` item
+    of one or two little-endian 64-bit words that ends with it (one word
+    when every such cell has at most 8 bytes), with the bytes before the
+    cell and its "." cleared to digit 0; only if ``buf`` holds fewer bytes
+    before the first cell is it read from a padded copy.  Combining
+    adjacent digits, then pairs, then quads within each word (SWAR) gives
+    the row's 8- or 16-digit integer ``a``.  A "." with k digits after it
+    left a 0 at 10**k, so the cell's digits are the integer ``a - 9 * (a
+    // 10**(k + 1)) * 10**k``, and the value is that integer divided once
+    by ``10.0**k``.  Below 10**8 < 2**53, ``a // 10**(k + 1)`` is the floor
+    of the correctly rounded float quotient, which is cheaper.
     """
-    values, decoded = np.zeros(len(ends)), np.zeros(len(ends), bool)
-    short = np.flatnonzero(lengths <= _DECIMAL_BYTES)
-    ends, lengths = ends[short], lengths[short]
-    width = 8 if lengths.max(initial=0) <= 8 else _DECIMAL_BYTES
-    # Item e of windows is buf[e - width:e]; item n of last keeps a row's last n bytes.
-    windows = _items(np.concatenate((np.zeros(width, np.uint8), buf)), width)
-    last = _items(np.repeat(np.array([0, 0xFF], np.uint8), width), width)
-    digits = windows[ends].view(np.uint8).reshape(len(ends), width)
-    digits -= np.uint8(48)  # ASCII digits -> 0..9, "." -> 254, any other byte above 9
+    n, short = len(ends), None
+    longest = lengths.max(initial=0)
+    if longest > _DECIMAL_BYTES:
+        short = np.flatnonzero(lengths <= _DECIMAL_BYTES)
+        ends, lengths = ends[short], lengths[short]
+        longest = lengths.max(initial=0)
+    width = 8 if longest <= 8 else _DECIMAL_BYTES
+    if len(ends) and ends[0] < width:
+        buf = np.concatenate((np.zeros(width, np.uint8), buf))
+        ends = ends + width
+    # Item e - width of the windows is buf[e - width:e].
+    digits = _items(buf, width)[ends - width].view(np.uint8).reshape(len(ends), width)
     words = digits.view(_WORD)
-    words &= last[lengths].view(_WORD).reshape(words.shape)
-    dot = digits == 254
+    words ^= _ZEROS  # ASCII digits -> 0..9, "." -> 0x1E, any other byte above 9
+    # Word w, bytes 8w to 8w + 7 of the window, drops the bytes before the cell.
+    before = (width - lengths) * 8
+    for w, word in enumerate(words.T):
+        word &= _FULL << np.clip(before - 64 * w, 0, 64).view(np.uint64)
+    dot = digits == 0x1E
     other = digits > 9
     other ^= dot
     dot, other = dot.view(_WORD), other.view(_WORD)
@@ -885,20 +961,26 @@ def _decimals(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple[n
     for factor, shift, mask in _SWAR_STEPS:
         words = (words * factor + (words >> shift)) & mask
     words = words.view(np.int64)  # 8 digits per word fit
-    a = words[:, 0]
-    if width > 8:
-        a = a * 10**8 + words[:, 1]
     # Byte j of a dot word is 1 where a "." is.  Times 0x0101...01, the
     # top byte adds them up; times _RANK, it holds k + 1 for one ".".  The
     # one word of a cell read as one word is the last word of two.
     dots = sum(word * _ONES >> _TOP for word in dot.T).view(np.intp)
     rank = sum(word * place >> _TOP for word, place in zip(dot.T, _RANK[-len(dot.T) :]))
     rank = np.minimum(rank, _DECIMAL_BYTES).view(np.intp)  # several "." add up past 16
-    a -= a // _SPLIT[rank] * _NINES[rank]
+    if width > 8:
+        a = words[:, 0] * 10**8 + words[:, 1]
+        a -= a // _SPLIT[rank] * _NINES[rank]
+    else:
+        a = words[:, 0].astype(float)
+        a -= np.floor(a / _SPLIT[rank]) * _NINES[rank]
+    values = a / _SCALE[rank]
     count = lengths - dots
-    values[short] = a / _SCALE[rank]
-    decoded[short] = ~other.any(axis=1) & (dots <= 1) & (count >= 1) & (count <= _DECIMAL_DIGITS)
-    return values, decoded
+    decoded = ~other.any(axis=1) & (dots <= 1) & (count >= 1) & (count <= _DECIMAL_DIGITS)
+    if short is None:
+        return values, decoded
+    all_values, all_decoded = np.zeros(n), np.zeros(n, bool)
+    all_values[short], all_decoded[short] = values, decoded
+    return all_values, all_decoded
 
 
 # Shortest round-trip digits (Schubfach: R. Giulietti, "The Schubfach way
@@ -917,7 +999,6 @@ _Q_MIN = -1074  # q of the subnormals
 _LOG10_2, _LOG10_3_4, _LOG2_10 = 661971961083, -274743187321, 913124641741
 # repr's notation: fixed while -4 < (the decimal point's place) <= 16, else d.ddde+XX.
 _FIXED_LOW, _FIXED_HIGH = -4, 16
-_ZEROS = _U64(0x3030303030303030)  # eight ASCII "0"
 # A row of the digit buffer: 8 words of "0", the 17 digits from byte _LEAD on.
 _LEAD = 23
 
@@ -1101,18 +1182,24 @@ def _runs(bounds: list[np.ndarray], width: int) -> np.ndarray:
     return runs.view(bool)
 
 
-def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+def _padded(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, size: int) -> np.ndarray | None:
     """The cells ``buf[starts[i]:starts[i] + lengths[i]]`` as one NUL-padded ``S`` array.
 
     Its width is a multiple of 8 bytes, so each cell is a whole number of
-    8-byte words: the ``_items`` item at its start, with the bytes past it
-    cleared.  None if the array would exceed ``_PAD_RATIO`` bytes per byte of ``buf``.
+    8-byte words: the ``_items`` item at its start, read in place, with the
+    bytes past it cleared.  ``starts`` ascend; only if the last cell's
+    words run past the end of ``buf`` are the cells read from a padded
+    copy.  None if the array would exceed ``_PAD_RATIO`` bytes per byte of
+    the ``size`` bytes the cells come from.
     """
     width = -(-int(lengths.max()) // 8) * 8
-    if width == 0 or len(starts) * width > _PAD_RATIO * len(buf):
+    if width == 0 or len(starts) * width > _PAD_RATIO * size:
         return None
-    # Item i of the padded block is buf[i:i + width]; item width - n of first keeps a row's first n bytes.
-    out = _items(np.concatenate((buf, np.zeros(width, np.uint8))), width)[starts].view(np.uint8)
+    if starts[-1] + width > len(buf):
+        buf = np.concatenate((buf[starts[0] :], np.zeros(width, np.uint8)))
+        starts = starts - starts[0]
+    # Item i of the windows is buf[i:i + width]; item width - n of first keeps a row's first n bytes.
+    out = _items(buf, width)[starts].view(np.uint8)
     first = _items(np.repeat(np.array([0xFF, 0], np.uint8), width), width)
     out &= first[width - lengths].view(np.uint8)
     return out.view(f"S{width}")
@@ -1129,26 +1216,32 @@ def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A cell is keyed by ``_cell_hash`` of its 8-byte words (a cell of one
     word is its own key), and its ``_table_slots`` slot in a table of
     at least 2n slots records the last row written there: that row, the
-    slot's representative, stands for every row of the slot.  The
-    representatives are numbered by row, through ``key_order``'s
-    presence table, so distinct cells come in representative-row order.
-    Every cell is compared with its representative's; if two distinct
-    cells shared a slot, the cells are numbered in key order by their
-    hashes, and if two distinct cells shared a hash, by their bytes.
+    slot's representative, stands for every row of the slot, itself
+    included.  The representatives are numbered by row, so distinct
+    cells come in representative-row order.  Every cell is compared
+    with its representative's; if two distinct cells shared a slot, the
+    cells are numbered in key order by their hashes, and if two distinct
+    cells shared a hash, by their bytes.
     """
     n = len(cells)
     words = cells.view(np.uint64).reshape(n, -1)
     hashes = _cell_hash(words)
     bits = max(1, (2 * n - 1).bit_length())
     slots = _table_slots(hashes, bits)
+    rows = np.arange(n)
     table = np.empty(1 << bits, np.intp)
-    table[slots] = np.arange(n)
-    number, some = key_order(table[slots])
-    if not np.array_equal(words, words[some[number]]):
+    table[slots] = rows
+    representative = table[slots]
+    some = np.flatnonzero(representative == rows)
+    place = np.empty(n, np.intp)
+    place[some] = np.arange(len(some))
+    number = place[representative]
+    # np.take gathers whole rows far faster than indexing does.
+    if not np.array_equal(words, np.take(words, representative, axis=0)):
         number, distinct = key_order(hashes)
         some = np.empty(len(distinct), np.intp)
-        some[number] = np.arange(n)
-        if not np.array_equal(words, words[some[number]]):
+        some[number] = rows
+        if not np.array_equal(words, np.take(words, some[number], axis=0)):
             return key_order(cells)
     return number, cells[some]
 

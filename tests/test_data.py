@@ -387,6 +387,29 @@ def test_build_copies_the_covariate_rows_it_numbers_later():
     assert list(s.rows()) == [(1.0, PartySet(1), (0,)), (1.0, PartySet(3), (1,)), (1.0, PartySet(3), (1,))]
 
 
+def test_build_keeps_read_only_owned_columns_and_copies_any_other():
+    weights, bits = np.array([1.0, 2.5, 0.5]), np.array([[0], [1], [1]], dtype=np.uint8)
+    weights.flags.writeable = bits.flags.writeable = False
+    s = Survey.build(ABC, ("x",), weights, [1, 3, 3], bits)
+    assert s.weights is weights and vars(s)["_rows"][1] is bits
+    # A writable column, a view and another dtype are copied, read-only.
+    for w, b in ((weights.copy(), bits.copy()), (weights[::1], bits[::1]), (weights.astype(np.float32), bits.astype(bool))):
+        s = Survey.build(ABC, ("x",), w, [1, 3, 3], b)
+        kept = vars(s)["_rows"][1]
+        assert s.weights is not w and kept is not b and not (s.weights.flags.writeable or kept.flags.writeable)
+        assert (s.weights.dtype, kept.dtype) == (np.float64, np.uint8)
+    assert list(s.rows()) == [(1.0, PartySet(1), (0,)), (2.5, PartySet(3), (1,)), (0.5, PartySet(3), (1,))]
+
+
+def test_parse_hands_build_columns_it_keeps(monkeypatch, wave3_path):
+    built = []
+    build = Survey.build.__func__
+    monkeypatch.setattr(Survey, "build", classmethod(lambda cls, *args, **kw: built.append(args) or build(cls, *args, **kw)))
+    s = parse_survey(wave3_path.read_bytes(), REG6, WAVE3_SCHEMA)
+    (_, _, weights, _, bits), = built
+    assert s.weights is weights and vars(s)["_rows"][1] is bits
+
+
 def _survey_strategy():
     codes = st.sampled_from(["A", "B", "C", "D"])
 
@@ -752,10 +775,13 @@ def _assert_same_survey(got, want):
 
 # Weight cells at the edges of the scan's decimal decode: plain decimals it
 # takes, and cells it leaves to float() (too many digits or bytes, "_", a
-# sign, a space, an exponent, "nan", two "." or no digit).
+# sign, a space, an exponent, "nan", two "." or no digit).  The 8-byte cells
+# are the largest digit integers of the one-word float path.
+_EIGHT_BYTE_EDGES = ["99999999", "9999999.", ".9999999", "10000000"]
 _DECIMAL_EDGES = [
     "1.", ".5", "007.50", "00000000000000001.5", "123456789012345", "9007199254740993",
     "0.30000000000000004", "1_0", "+1", " 1.5", "1e-3", "nan", "0.000", "1.2.3", ".",
+    *_EIGHT_BYTE_EDGES, "0.0000001",
 ]
 # Edge cells no parser takes as a weight.
 _NOT_WEIGHTS = ["nan", "0.000", "1.2.3", "."]
@@ -911,6 +937,7 @@ def _decimal_cells(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_decimal_cells() | st.sampled_from(_DECIMAL_EDGES + _DOUBLE_ROUNDED), min_size=1, max_size=6))
 @example([cell for cell in _DECIMAL_EDGES if cell not in _NOT_WEIGHTS])
+@example(_EIGHT_BYTE_EDGES)
 @example(["1.5", "nan"])
 @example(["1.5", "0.000"])
 @example(["1.5", "1.2.3"])
@@ -943,6 +970,30 @@ def test_double_rounded_cells_miss_float():
     for cell in _DOUBLE_ROUNDED:
         whole, frac = cell.split(".")
         assert float(int(whole + frac)) / 10.0 ** len(frac) != float(cell)
+
+
+@pytest.mark.parametrize("block_chars", [8, data._BLOCK_CHARS])
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("kind", ["str", "bytes"])
+def test_clean_scan_reads_windows_in_place_at_the_document_edges(monkeypatch, kind, final_newline, block_chars):
+    # The shortest header leaves 15 bytes before the first weight, a 1-byte
+    # cell read through a 16-byte window, since another weight has 16 bytes;
+    # the widest parties cell is on the last row, so its 8-byte words run
+    # past the document's end.
+    rows = ["1,A", "0.00000000000001,B", "1.23456789012345,A;B", "2.5,C", "3,C;A;B"]
+    text = "weight,parties\n" + "\n".join(rows) + ("\n" if final_newline else "")
+    document = text if kind == "str" else text.encode()
+    buffers = []
+    decimals = data._decimals
+    monkeypatch.setattr(data, "_decimals", lambda buf, *args: buffers.append(buf) or decimals(buf, *args))
+    monkeypatch.setattr(data, "_BLOCK_CHARS", block_chars)
+    fast = data._parse_clean(document, DIFF_REGISTRY, ())
+    assert fast is not None
+    _assert_same_survey(fast, data._parse_rows(text, DIFF_REGISTRY, ()))
+    assert [w.hex() for w in fast.weights.tolist()] == [float(row.split(",")[0]).hex() for row in rows]
+    # Bytes are read in place, but for a last line that needs its newline.
+    in_place = [buf.base is document for buf in buffers]
+    assert in_place == [kind == "bytes" and (final_newline or i < len(buffers) - 1) for i in range(len(buffers))]
 
 
 # Codes that make parties cells of 7, 8, 9, 16 and 17 bytes: one 64-bit
@@ -1002,6 +1053,14 @@ def _exact_sum_values(draw):
     return draw(st.lists(pick, min_size=n, max_size=n))
 
 
+# Eight values, the largest just below 2 (E = 0) and seven with full
+# mantissas 24 or 25 binades lower: ceil(log2 n) + (E - e) is 27, the grid's
+# bound, or 28, one past it.
+_LARGEST = 2.0 - 2.0**-52
+_AT_GRID_BOUND = [_LARGEST] + [_LARGEST * 2.0**-24] * 7
+_PAST_GRID_BOUND = [_LARGEST] + [_LARGEST * 2.0**-25] * 7
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     _exact_sum_values(),
@@ -1012,6 +1071,11 @@ def _exact_sum_values(draw):
 @example([_MAX, _MAX], 1, None, data._EXACT_ROWS)
 @example([5e-324, 5e-324, 1e-308], 2, None, 1)
 @example([1.0, 2.0**-53, 2.0**-53 * (1 + 2.0**-52)], 1, None, data._EXACT_ROWS)
+@example(_AT_GRID_BOUND, 2, None, data._EXACT_ROWS)
+@example(_PAST_GRID_BOUND, 2, None, data._EXACT_ROWS)
+@example([1.5, 0.0, 2.5], 4, None, data._EXACT_ROWS)  # a zero, and a group with no rows
+@example([_TINY / 3, 5e-324, _TINY], 1, None, data._EXACT_ROWS)  # subnormals
+@example([_MAX / 2, _MAX / 3, 1.0], 2, None, data._EXACT_ROWS)  # near the largest float
 def test_exact_sums_round_as_fsum_over_any_union_of_groups(values, n_groups, draw, rows_per_pass):
     if draw is None:
         groups = [i % n_groups for i in range(len(values))]
@@ -1030,6 +1094,41 @@ def test_exact_sums_round_as_fsum_over_any_union_of_groups(values, n_groups, dra
             data.rounded(sum(sums[g] for g in union))
         return
     assert data.rounded(sum(sums[g] for g in union)).hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "values, banded",
+    [
+        (_AT_GRID_BOUND, False),
+        (_PAST_GRID_BOUND, True),
+        ([_TINY / 3, 5e-324, _TINY * 4], False),
+        ([5e-324, 1.0], True),
+        ([1.0, 0.0], True),
+        ([_MAX / 2, _MAX / 4], True),
+        ([-1.0, 2.0], True),
+    ],
+    ids=["at-the-bound", "past-the-bound", "subnormals", "subnormal-and-one", "zero", "near-max", "negative"],
+)
+def test_exact_sums_split_on_one_grid_within_its_bound(monkeypatch, values, banded):
+    bands = []
+    split = data._exponent_bands
+    monkeypatch.setattr(data, "_exponent_bands", lambda *args: bands.append(args) or split(*args))
+    sums = data.exact_sums(np.array(values), np.arange(len(values)) % 2, 3)
+    assert bool(bands) == banded
+    assert sums[2] == 0
+    for groups in ([0], [1], [0, 1]):
+        want = math.fsum(v for i, v in enumerate(values) if i % 2 in groups)
+        assert data.rounded(sum(sums[g] for g in groups)).hex() == want.hex()
+
+
+def test_exact_sums_split_benchmark_weights_on_one_grid(monkeypatch):
+    # 200,000 four-decimal weights in [0.5, 2] over 41 sets, as the 200k-row benchmark wave holds.
+    rng = np.random.default_rng(5)
+    weights, groups = np.round(rng.uniform(0.5, 2.0, 200_000), 4), rng.integers(0, 41, 200_000)
+    monkeypatch.setattr(data, "_exponent_bands", mock.Mock(side_effect=AssertionError("split per band")))
+    sums = data.exact_sums(weights, groups, 41)
+    for g in range(41):
+        assert data.rounded(sums[g]).hex() == math.fsum(weights[groups == g].tolist()).hex()
 
 
 def test_exact_sums_of_one_group_by_default():
