@@ -26,6 +26,7 @@ import io
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -105,19 +106,32 @@ def check_csv(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
 
 
 def check_scan(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
-    """The columnar scan takes each file, as text and as its bytes, and reads it as the row parser does.
+    """``parse_survey`` reads each file's every spelling by the columnar scan, into the row parser's survey of its text.
 
-    Weights of "1.0" go through the decimal decode; 16-17 digit reprs go through float().
+    The spellings are the file's bytes, the bytes after a byte order mark,
+    with CRLF newlines, with CR newlines, and its text.  The row parser
+    must not be called for any of them.  Weights of "1.0" go through the
+    decimal decode; 16-17 digit reprs go through float().
     """
+    parse_rows = data._parse_rows
     for path in paths:
-        text = _read(path)
-        rows = data._parse_rows(text, registry, schema)
-        for kind, document in (("text", text), ("bytes", Path(path).read_bytes())):
-            fast = data._parse_clean(document, registry, schema)
-            if fast is None:
+        raw = Path(path).read_bytes()
+        rows = parse_rows(raw.decode(), registry, schema)
+        spellings = {
+            "bytes": raw,
+            "bytes after a byte order mark": b"\xef\xbb\xbf" + raw,
+            "CRLF bytes": raw.replace(b"\n", b"\r\n"),
+            "CR bytes": raw.replace(b"\n", b"\r"),
+            "text": raw.decode(),
+        }
+        for kind, document in spellings.items():
+            declined = []
+            with mock.patch.object(data, "_parse_rows", lambda *args: declined.append(kind) or parse_rows(*args)):
+                survey = parse_survey(document, registry, schema)
+            if declined:
                 sys.exit(f"{path}: the columnar scan declined its {kind}")
-            if not _same(fast, rows):
-                sys.exit(f"{path}: the columnar scan of its {kind} and the row parser differ")
+            if not _same(survey, rows):
+                sys.exit(f"{path}: parse_survey of its {kind} and the row parser differ")
 
 
 def check_adapter(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:

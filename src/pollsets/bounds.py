@@ -22,8 +22,8 @@ a set lies inside C, and whether it touches C.
 
 Each sum weighs each distinct set's exact weight sum (see
 ``pollsets.data``) by its factor, added exactly and rounded once
-(``data.weighted_total``), so results are correctly rounded and
-independent of respondent order.  The bounds read only a survey's
+(``data.weighted_total``), so each sum is correctly rounded; the ratio
+is rounded once more.  Both are independent of respondent order.  The bounds read only a survey's
 ``registry``, ``sets`` and ``set_sums``; a subgroup's table serves too.
 """
 

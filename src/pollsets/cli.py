@@ -17,12 +17,10 @@ from . import forecast as fc
 from . import mnl, ontic, simulate, svgplot
 from .bounds import AllocationConstraint, Majority, coalition_report, constrained_bounds, dempster_bounds
 from .bounds import parse_coalitions, seat_bounds
-from .data import PartyRegistry, PartySet, SurveyFormatError, _utf8_text, csv_table, group_counts, parse_survey
+from .data import PartyRegistry, PartySet, _NotUTF8, _utf8_text, csv_table, group_counts, parse_survey
 from .data import survey_to_csv, validate
 
 DEFAULT_REGISTRY = "SPD,CDU_CSU,GRUENE,FDP,AFD,LINKE"
-# The ASCII characters str.isspace() takes.
-_ASCII_SPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 
 
 def _read_text(path: Path) -> str:
@@ -31,14 +29,9 @@ def _read_text(path: Path) -> str:
     A leading byte order mark is dropped.  Bytes that are not UTF-8
     raise ValueError naming the file and the line of the first bad byte.
     """
-    return _text(path, path.read_bytes())
-
-
-def _text(path: Path, data: bytes) -> str:
-    """``_read_text`` of the file at ``path``, whose bytes are ``data``."""
     try:
-        text = _utf8_text(data).removeprefix("\ufeff")
-    except SurveyFormatError as exc:
+        text = _utf8_text(path.read_bytes()).removeprefix("\ufeff")
+    except _NotUTF8 as exc:
         raise ValueError(f"{path}: {exc}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -54,20 +47,17 @@ def _parse_list(value: str) -> tuple[str, ...]:
 
 
 def _load_survey(args):
+    """The survey of ``--input``, whose bytes ``parse_survey`` reads as they are."""
     path = Path(args.input)
     data = path.read_bytes()
-    # ASCII bytes without a carriage return are the text _read_text would
-    # return, so they go to the parser as they are, with no decoded copy.
-    if data.isascii() and b"\r" not in data:
-        document, blank = data, not data.lstrip(_ASCII_SPACE)
-    else:
-        document = _text(path, data)
-        blank = not document or document.isspace()
-    if blank:
+    if not data.removeprefix(b"\xef\xbb\xbf").lstrip():
         raise ValueError(f"input file {path} is empty")
     registry = PartyRegistry(_parse_list(args.registry))
     schema = _parse_list(args.schema) if args.schema else ()
-    return parse_survey(document, registry, schema)
+    try:
+        return parse_survey(data, registry, schema)
+    except _NotUTF8 as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _render(args, doc, header, rows, bars=None, note: str = "") -> int:

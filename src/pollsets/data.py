@@ -23,13 +23,14 @@ counts and sums never builds them.  All are numbered in key order
 (``key_order``); a model design keeps the pattern numbers
 (``Survey.design_groups``).  No object is made per row or per
 covariate pattern.  A clean file, with any number of
-covariates, is read by a columnar scan, in place when it is given as
-bytes: one numpy pass finds each block's commas and newlines, and every
-fixed-width run of bytes it reads (a row's covariate bits, a weight's
-last 8 or 16 bytes, a padded parties cell) is one item of one view of
-the document's bytes (``_items``).  The header line puts at least 15
-bytes before the first row, so no block is copied but a ``str`` block,
-which is encoded anyway, and the document's last rows, where a window
+covariates, is read by a columnar scan of its bytes, in place when it
+is given as bytes with ``\\n`` newlines (a ``str`` is encoded once, and
+``\\r\\n`` and ``\\r`` are made ``\\n`` in a copy): one numpy pass
+finds each block's commas and newlines, and every fixed-width run of
+bytes it reads (a row's covariate bits, a weight's last 8 or 16 bytes,
+a padded parties cell) is one item of one view of the document's bytes
+(``_items``).  The header line puts at least 15 bytes before the first
+row, so no block is copied but the document's last rows, where a window
 would run past its end or the last line lacks its newline.  A plain
 decimal weight (1 to 15 ASCII digits and at most one ".") is decoded by
 array passes into the float ``float`` gives, any other weight goes
@@ -628,20 +629,24 @@ def parse_survey(document: str | bytes, registry: PartyRegistry, schema) -> Surv
     non-binary covariate, a parties cell ``PartyRegistry.set_of`` rejects
     other than for an unregistered code) raise SurveyFormatError with the
     physical line the offending row starts on (a quoted field may span
-    lines).  A leading UTF-8 byte order mark, as spreadsheet exports
-    write it, is skipped.  Bytes parse as their UTF-8 text does; bytes
-    that are not UTF-8 raise SurveyFormatError with the line of the first
-    bad byte.
+    lines).  ``\\r\\n`` and ``\\r`` read as ``\\n``, in a copy of a document
+    that holds them.  A leading UTF-8 byte order mark, as spreadsheet
+    exports write it, is skipped.  Bytes parse as their UTF-8 text does;
+    bytes that are not UTF-8 raise SurveyFormatError with the line of the
+    first bad byte.
 
-    A clean document, with no quote, carriage return or blank line and
-    every row well formed, is read by a columnar scan over its bytes
-    (``_parse_clean``), which reads bytes in place.  Any other document,
-    and any document that scan declines, goes through the row parser
+    A clean document, with no quote or blank line and every row well
+    formed, is read by a columnar scan over its bytes (``_parse_clean``),
+    in place when it is given as bytes.  Any other document, and any
+    document that scan declines, goes through the row parser
     (``_parse_rows``) as text, which defines the format: its semantics,
     its error messages and their line numbers.  Both give equal surveys
     wherever the scan accepts.
     """
     schema = tuple(schema)
+    cr, lf = ("\r", "\n") if isinstance(document, str) else (b"\r", b"\n")
+    if cr in document:
+        document = document.replace(cr + lf, lf).replace(cr, lf)
     survey = _parse_clean(document, registry, schema)
     if survey is None:
         text = document if isinstance(document, str) else _utf8_text(document)
@@ -649,8 +654,12 @@ def parse_survey(document: str | bytes, registry: PartyRegistry, schema) -> Surv
     return survey
 
 
+class _NotUTF8(SurveyFormatError):
+    """Raised by ``_utf8_text`` for bytes that are not UTF-8 text."""
+
+
 def _utf8_text(data: bytes) -> str:
-    """``data`` decoded as UTF-8; bytes that are not UTF-8 raise SurveyFormatError with the line of the first bad one.
+    """``data`` decoded as UTF-8; bytes that are not UTF-8 raise ``_NotUTF8`` with the line of the first bad one.
 
     Lines break at ``\\n``, ``\\r`` and ``\\r\\n``, the newlines a text
     reader takes, so a line number means the same as the row parser's.
@@ -659,7 +668,7 @@ def _utf8_text(data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start] + b"x").splitlines())
-        raise SurveyFormatError(f"not UTF-8 text ({exc.reason})", line=line) from None
+        raise _NotUTF8(f"not UTF-8 text ({exc.reason})", line=line) from None
 
 
 def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey:
@@ -730,8 +739,8 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
 
 
 # The columnar scan reads a document in blocks of whole lines of about
-# this many characters (bytes, of a bytes document), so its per-block
-# index arrays stay small beside the survey it builds.
+# this many bytes, so its per-block index arrays stay small beside the
+# survey it builds.
 _BLOCK_CHARS = 1 << 18
 # A padded column of cells may hold at most this many bytes per byte of
 # its block; a block with one far longer cell declines.
@@ -772,9 +781,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 def _parse_clean(document: str | bytes, registry: PartyRegistry, schema: tuple[str, ...]) -> Survey | None:
     """Parse a clean survey CSV in one columnar pass over its bytes, or return None.
 
-    ``_scan_block`` finds the cells of each block of lines with numpy:
-    a view of the bytes of a ``bytes`` document, or the UTF-8 encoding
-    of a block of a ``str``.  Each distinct parties cell goes through
+    A ``str`` document is encoded once, and a ``bytes`` document is read
+    in place.  ``_scan_block`` finds the cells of each block of lines
+    with numpy.  Each distinct parties cell goes through
     ``_parse_parties`` once.  The kept rows' weights, set bitmasks and
     covariate rows go to ``Survey.build``, as the row parser's do.
 
@@ -783,22 +792,25 @@ def _parse_clean(document: str | bytes, registry: PartyRegistry, schema: tuple[s
     return, a NUL, a blank line, a wrong column count, any cell the row
     parser would reject, a non-binary covariate even on a dropped row, a
     field over ``csv.field_size_limit()``, no data rows, bytes that are
-    not UTF-8) or its shape does not suit the scan.  It reports no fault
-    in the rows: the row parser is the one place that explains one.  Only
-    ``Survey``'s own checks on the finished table (unique schema labels,
-    a finite total weight) raise, with the error the row parser's survey
-    would raise.
+    not UTF-8, text that has no UTF-8 encoding) or its shape does not
+    suit the scan.  It reports no fault in the rows: the row parser is
+    the one place that explains one.  Only ``Survey``'s own checks on
+    the finished table (unique schema labels, a finite total weight)
+    raise, with the error the row parser's survey would raise.
     """
-    text = isinstance(document, str)
-    bom, newline, unclean = ("\ufeff", "\n", '"\r\0') if text else (b"\xef\xbb\xbf", b"\n", b'"\r\0')
-    if any(c in document for c in unclean):  # a byte of bytes is an int, which ``in`` takes
+    if isinstance(document, str):
+        try:
+            document = document.encode()
+        except UnicodeEncodeError:
+            return None
+    if any(c in document for c in b'"\r\0'):  # a byte of bytes is an int, which ``in`` takes
         return None
-    pos = len(bom) if document.startswith(bom) else 0
-    head = document.find(newline, pos)
+    pos = 3 if document.startswith(b"\xef\xbb\xbf") else 0
+    head = document.find(b"\n", pos)
     if head < 0:
         return None
     try:
-        header = document[pos:head] if text else document[pos:head].decode()
+        header = document[pos:head].decode()
     except UnicodeDecodeError:
         return None
     if header.split(",") != ["weight", "parties", *schema]:
@@ -810,21 +822,17 @@ def _parse_clean(document: str | bytes, registry: PartyRegistry, schema: tuple[s
     parties: dict[bytes, int] = {}
     weights, masks, bits = [], [], []
     rows = 0
-    whole = None if text else np.frombuffer(document, np.uint8)
+    whole = np.frombuffer(document, np.uint8)
     pos = head + 1
     while pos < len(document):
-        end = document.find(newline, pos + _BLOCK_CHARS)
+        end = document.find(b"\n", pos + _BLOCK_CHARS)
         end = len(document) if end < 0 else end + 1
-        if text or document[end - 1] != 10:
-            # A str block is encoded, and a last line without its newline gets one, in a copy of the block.
-            block = document[pos:end] if document[end - 1 : end] == newline else document[pos:end] + newline
-            try:
-                buf = np.frombuffer(block.encode() if text else block, np.uint8)
-            except UnicodeEncodeError:
-                return None
-            start, stop = 0, len(buf)
-        else:
+        if document[end - 1] == 10:
             buf, start, stop = whole, pos, end
+        else:
+            # A last line without its newline gets one, in a copy of the block.
+            buf = np.frombuffer(document[pos:end] + b"\n", np.uint8)
+            start, stop = 0, len(buf)
         scanned = _scan_block(buf, start, stop, len(schema), limit)
         pos = end
         if scanned is None:
@@ -1252,11 +1260,11 @@ def _table_slots(hashes: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _cell_hash(words: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of a 2-D ``uint64`` array."""
+    """A 64-bit hash of each row of a 2-D ``uint64`` array, in which the order of its words counts."""
     key = words[:, 0].copy()
     for column in words.T[1:]:
-        key ^= column
         key *= _GOLDEN
+        key ^= column
     return key
 
 

@@ -484,7 +484,8 @@ def test_unit_weight_shares_agree(abc_survey):
     assert unweighted == weighted
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["clean-scan", "row-parser"])
+# Blank lines send the document to the row parser, which skips them.
+@pytest.mark.parametrize("newline", ["\n", "\n\n"], ids=["clean-scan", "row-parser"])
 def test_weight_total_past_the_largest_float_rejected(newline):
     text = newline.join(["weight,parties,x1,x2", "1e308,A,0,1", "1e308,B,1,0", ""])
     with pytest.raises(ValueError, match="^total weight exceeds the largest float$"):
@@ -897,6 +898,21 @@ def test_clean_scan_declines_and_the_row_parser_reads(text):
     _assert_same_survey(parse_survey(text, DIFF_REGISTRY, DIFF_SCHEMA), want)
 
 
+@pytest.mark.parametrize("kind", ["str", "bytes"])
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_any_newline_parses_as_lf(monkeypatch, kind, newline):
+    text = "\ufeffweight,parties,x1,x2\n1.0,A,0,1\n2.5,B;A,1,0\n0.5,Z,1,1\n1.0,\u00c9,0,0\n"
+    want = data._parse_rows(text, DIFF_REGISTRY, DIFF_SCHEMA)
+    document = text.replace("\n", newline)
+    parse_rows = data._parse_rows
+    calls = []
+    monkeypatch.setattr(data, "_parse_rows", lambda *args: calls.append(args) or parse_rows(*args))
+    got = parse_survey(document if kind == "str" else document.encode(), DIFF_REGISTRY, DIFF_SCHEMA)
+    _assert_same_survey(got, want)
+    # The columnar scan reads the document with its newlines made "\n".
+    assert calls == []
+
+
 def test_clean_scan_takes_more_covariates_than_an_int64_key_holds():
     schema = tuple(f"c{j}" for j in range(70))
     rng = np.random.default_rng(8)
@@ -1199,6 +1215,22 @@ def test_scan_numbers_cells_that_share_a_table_slot(monkeypatch):
     assert any(hashed)
     assert got is not None
     _assert_same_survey(got, want)
+
+
+def test_cells_of_the_same_words_in_another_order_hash_apart(monkeypatch):
+    # Two 7-byte codes: "ABCDEFG;" + "HIJKLMN\0" and "HIJKLMN;" + "ABCDEFG\0" hold the same bytes at each place.
+    registry = PartyRegistry(("ABCDEFG", "HIJKLMN"))
+    cells = np.array([b"ABCDEFG;HIJKLMN", b"HIJKLMN;ABCDEFG"], dtype="S16")
+    hashes = data._cell_hash(cells.view(np.uint64).reshape(2, 2))
+    assert hashes[0] != hashes[1]
+    rows = [f"{1 + i % 4}.5,{'ABCDEFG;HIJKLMN' if i % 3 else 'HIJKLMN;ABCDEFG'},{i % 2}" for i in range(200)]
+    text = "weight,parties,x\n" + "\n".join(rows) + "\n"
+    ordered = []
+    key_order = data.key_order
+    monkeypatch.setattr(data, "key_order", lambda keys: ordered.append(keys.dtype.kind) or key_order(keys))
+    got = data._parse_clean(text, registry, ("x",))
+    assert got is not None and "S" not in ordered
+    _assert_same_survey(got, data._parse_rows(text, registry, ("x",)))
 
 
 @settings(max_examples=200, deadline=None)
