@@ -13,10 +13,11 @@ grid, and calls one check at a time:
     python scripts/check_large_design.py transitions REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py unnumbered REGISTRY COVARIATES SURVEY_CSV...
     python scripts/check_large_design.py sums REGISTRY COVARIATES SURVEY_CSV...
+    python scripts/check_large_design.py boxes REGISTRY COVARIATES SURVEY_CSV...
 
 REGISTRY and COVARIATES are comma lists.  A failed check exits with a
 message naming the file; ``homogeneity`` also prints one line per fit,
-and ``transitions`` and ``sums`` one line per file.
+and ``transitions``, ``sums`` and ``boxes`` one line per file.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ from unittest import mock
 
 import numpy as np
 
-from pollsets import PartyRegistry, Respondent, Survey, bounds, data, forecast, mnl, ontic, parse_survey, simulate
+from pollsets import PartyRegistry, PartySet, Respondent, Survey, bounds, data, forecast, mnl, ontic, parse_survey
+from pollsets import simulate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import oracles  # noqa: E402
 
 GRID_POINTS = 5
 # The step's ``pollsets simulate`` calls: rows, coarsening probability and
@@ -295,10 +300,41 @@ def _way(banded: list) -> str:
     return "split per band of exponents" if banded else "split on one grid"
 
 
+# Allocation boxes (alpha, beta).  At (0.1, 0.3) beta_eff = 1/k for every
+# two- and three-party set: the box pinches them to the uniform allocation.
+BOXES = ((0.2, 0.8), (0.1, 0.6), (0.07, 0.96), (0.1, 0.3))
+
+
+def check_boxes(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
+    """Every boxed interval equals the exact per-set computation of ``tests/oracles.py`` bit for bit.
+
+    At each box of BOXES, each ``constrained_bounds`` interval and each
+    ``seat_bounds`` interval over the first five parties must be
+    float(sum(w * lo_C)) / float(sum(w * (lo_C + hi_R))) and its mirror,
+    with w each set's exact weight sum and the factors the extremes of
+    the set's allocation box, in rationals (``oracles.boxed_share_bounds``).
+    """
+    seats = registry.set_of(registry.options[:5])
+    for path in paths:
+        s = parse_survey(Path(path).read_bytes(), registry, schema)
+        weights, compared = oracles.set_weights(s), 0
+        for alpha, beta in BOXES:
+            c = bounds.AllocationConstraint(alpha, beta)
+            full = (registry.full_set(), bounds.constrained_bounds(s, c))
+            for included, got in (full, (seats, bounds.seat_bounds(s, seats, c))):
+                for code, i in zip(registry.codes_of(included), included.indices()):
+                    want = oracles.boxed_share_bounds(weights, PartySet(1 << i), included, c)
+                    if (got[code].lower, got[code].upper) != want:
+                        over = registry.label_of(included)
+                        sys.exit(f"{path}: {code}'s bounds over {over} at {c} are {got[code]}, exactly {want}")
+                    compared += 1
+        print(f"{path}: {compared} boxed intervals over {len(s.sets)} sets equal the exact per-set bounds")
+
+
 SURVEY_CHECKS = {
     "csv": check_csv, "scan": check_scan, "adapter": check_adapter, "designs": check_designs,
     "homogeneity": check_homogeneity, "transitions": check_transitions, "unnumbered": check_unnumbered,
-    "sums": check_sums,
+    "sums": check_sums, "boxes": check_boxes,
 }
 
 

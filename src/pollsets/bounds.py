@@ -14,17 +14,23 @@ plausibility (Shafer 1976).  Over fewer parties they are seat shares.
 
 An optional allocation constraint narrows the intervals: within every
 consideration set, each option receives at least ``alpha`` and at most
-``beta`` of that group's eventual votes.  The box is repaired to stay
-feasible for any set size (``effective_allocation_limits``), and the
-factors have a closed form because it never couples different sets.  No
-constraint is the vacuous box (0, 1), whose factors are 0 or 1: whether
-a set lies inside C, and whether it touches C.
+``beta`` of that group's eventual votes, read as the binary fractions
+the two floats are.  The box is repaired to stay feasible for any set
+size k (``effective_allocation_limits``): alpha_e = min(alpha, 1/k) and
+beta_e = max(min(beta, 1 - (k - 1) * alpha_e), 1/k).  It never couples
+different sets, so the factors of a set with m members in C have a
+closed form, lo = max(m * alpha_e, 1 - (k - m) * beta_e) and hi =
+min(m * beta_e, 1 - (k - m) * alpha_e), computed as exact rationals
+(``fractions.Fraction``).  No constraint is the vacuous box (0, 1),
+whose factors are the ints 0 or 1: whether a set lies inside C, and
+whether it touches C.
 
 Each sum weighs each distinct set's exact weight sum (see
-``pollsets.data``) by its factor, added exactly and rounded once
+``pollsets.data``) by its exact factor, added exactly and rounded once
 (``data.weighted_total``), so each sum is correctly rounded; the ratio
-is rounded once more.  Both are independent of respondent order.  The bounds read only a survey's
-``registry``, ``sets`` and ``set_sums``; a subgroup's table serves too.
+is rounded once more.  Both are independent of respondent order.  The
+bounds read only a survey's ``registry``, ``sets`` and ``set_sums``; a
+subgroup's table serves too.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .data import PartyRegistry, PartySet, Survey, rounded, weighted_total
 
@@ -98,43 +105,37 @@ class Majority(enum.Enum):
     EXCLUDED = "excluded"
 
 
-def effective_allocation_limits(k: int, c: AllocationConstraint) -> tuple[float, float]:
-    """Feasible within-set box for a consideration set of size k.
+def effective_allocation_limits(k: int, c: AllocationConstraint) -> tuple[Fraction | int, Fraction | int]:
+    """Feasible within-set box for a consideration set of size k, as exact ``Fraction``s.
 
     A raw (alpha, beta) box can be infeasible for some set sizes
     (k * alpha > 1, or beta leaving too little mass for the others).
-    The repaired limits keep the k = 2 case exact and always satisfy
-    alpha_eff <= 1/k <= beta_eff, so allocations summing to one exist.
-    Decided respondents (k = 1) vote their singleton: (1, 1).
+    The repaired limits, alpha_e and beta_e of the module docstring,
+    satisfy alpha_e <= 1/k <= beta_e, so allocations summing to one
+    exist.  Since fl(0.2) + fl(0.8) > 1, a pair's limits at the box
+    (0.2, 0.8) are (alpha, 1 - alpha).  Decided respondents (k = 1) vote
+    their singleton: (1, 1).
     """
     if k < 1:
         raise ValueError("set size must be >= 1")
     if k == 1:
-        return 1.0, 1.0
-    alpha_eff = min(c.alpha, 1.0 / k)
-    beta_eff = min(c.beta, 1.0 - (k - 1) * alpha_eff)
-    beta_eff = max(beta_eff, 1.0 / k)
+        return 1, 1
+    alpha_eff = min(Fraction(c.alpha), Fraction(1, k))
+    beta_eff = max(min(Fraction(c.beta), 1 - (k - 1) * alpha_eff), Fraction(1, k))
     return alpha_eff, beta_eff
 
 
-def _contribution_limits(k: int, m: int, c: AllocationConstraint) -> tuple[float, float]:
-    """Extremal in-event mass per unit weight for a set of size k with m members in the event."""
+@functools.cache
+def _contribution_limits(k: int, m: int, c: AllocationConstraint) -> tuple[Fraction | int, Fraction | int]:
+    """Exact extremal in-event mass per unit weight for a set of size k with m members in the event."""
     alpha_eff, beta_eff = effective_allocation_limits(k, c)
-    if k * beta_eff <= 1.0:
-        # Box pinched to the uniform allocation (beta at or below 1/k).
-        forced = m / k
-        return forced, forced
-    lo = max(m * alpha_eff, 1.0 - (k - m) * beta_eff)
-    hi = min(m * beta_eff, 1.0 - (k - m) * alpha_eff)
-    lo = min(max(lo, 0.0), 1.0)
-    hi = min(max(hi, 0.0), 1.0)
-    if lo > hi:
-        # The two expressions agree in exact arithmetic; reconcile float ties.
-        lo = hi = min(lo, hi)
-    return lo, hi
+    lo = max(m * alpha_eff, 1 - (k - m) * beta_eff)
+    hi = min(m * beta_eff, 1 - (k - m) * alpha_eff)
+    # Whole factors as ints, which weighted_total adds without a Fraction.
+    return tuple(int(f) if f.denominator == 1 else f for f in (lo, hi))
 
 
-def _limits(s: Survey, mask: int, factors) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _limits(s: Survey, mask: int, factors) -> tuple[tuple[Fraction | int, ...], tuple[Fraction | int, ...]]:
     """Per distinct set, the least and the most of a unit of its weight that can fall in the parties of ``mask``."""
     return tuple(zip(*(factors(ps.mask.bit_count(), (ps.mask & mask).bit_count()) for ps in s.sets)))
 
@@ -159,7 +160,7 @@ def share_bounds(s: Survey, event: PartySet, included: PartySet, c: AllocationCo
     sums = s.set_sums
     lo_c, hi_c = _limits(s, event.mask, factors)
     if included == s.registry.full_set():
-        # lo_C + hi_R = hi_C + lo_R = 1 in every set; summing the float factors would miss that by rounding.
+        # lo_C + hi_R = hi_C + lo_R = 1 exactly in every set: both denominators are the total weight.
         denominators = (rounded(sum(sums)),) * 2
     else:
         lo_r, hi_r = _limits(s, included.mask & ~event.mask, factors)

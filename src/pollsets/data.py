@@ -64,7 +64,7 @@ scaled exactly onto one grid.  The result does not depend on the order
 of the respondents, so a total summed per set carries the same bits as
 one summed respondent by respondent; the table keeps each set's exact
 sum for that reason, not a rounded total.
-``weighted_total`` rounds a sum of such sums times factors in [0, 1]
+``weighted_total`` rounds a sum of such sums times exact rational factors
 once, so an estimator counting each set at a fraction of its weight
 never goes back to the respondents.
 
@@ -345,27 +345,22 @@ def rounded(total: int) -> float:
     return total / (1 << _UNIT_EXP)
 
 
-_FACTOR_EXP = 1074
-
-
 def weighted_total(sums, factors) -> float:
     """The float nearest the exact total of ``factors[j] * sums[j]`` (ties to even).
 
-    ``sums`` are exact sums from ``exact_sums``.  A factor, a float in
-    [0, 1], is num / 2**d with d <= 1074, so each product is a whole
-    number of units of 2**-(1126 + 1074), and the total is rounded once.
-    Raises OverflowError, as ``rounded`` does.
+    ``sums`` are exact sums from ``exact_sums``, and each factor is an
+    int, a float or a ``fractions.Fraction``, read as the rational it is.
+    The products are added exactly, as integers per denominator and then
+    over the denominators' least common multiple, and the total is
+    rounded once.  Raises OverflowError, as ``rounded`` does.
     """
-    whole = part = 0
+    parts: dict[int, int] = {}
     for total, f in zip(sums, factors):
-        if f == 1.0:
-            whole += total
-        elif f:
+        if f:
             num, den = f.as_integer_ratio()
-            part += total * num << (_FACTOR_EXP + 1 - den.bit_length())
-    if not part:
-        return rounded(whole)
-    return ((whole << _FACTOR_EXP) + part) / (1 << (_UNIT_EXP + _FACTOR_EXP))
+            parts[den] = parts.get(den, 0) + total * num
+    common = math.lcm(*parts)
+    return sum(part * (common // den) for den, part in parts.items()) / (common << _UNIT_EXP)
 
 
 # Survey's array fields and their dtypes; equal surveys have equal arrays.

@@ -296,7 +296,7 @@ def oracle_constrained_bounds(
                 lo_terms.append(w)
                 hi_terms.append(w)
             continue
-        alpha_eff, beta_eff = effective_allocation_limits(k, c)
+        alpha_eff, beta_eff = map(float, effective_allocation_limits(k, c))
         lo_units = math.ceil(alpha_eff * total_units - 1e-9)
         hi_units = math.floor(beta_eff * total_units + 1e-9)
         units_lo, units_hi = _grid_extremes(k, m, lo_units, hi_units, total_units)

@@ -37,6 +37,7 @@ from pollsets.bounds import IntervalForecast, _contribution_limits, parse_coalit
 from pollsets.data import exact_sums
 from pollsets.forecast import decided_design
 from conftest import random_event, random_survey
+from oracles import boxed_share_bounds, seat_oracle, set_weights
 
 
 class TestDempster:
@@ -82,21 +83,22 @@ class TestEventBounds:
 
 class TestEffectiveLimits:
     def test_pair_keeps_raw_box(self):
-        assert effective_allocation_limits(2, AllocationConstraint(0.2, 0.8)) == (0.2, 0.8)
+        # fl(0.2) + fl(0.8) > 1, so the other party's least share caps beta just below fl(0.8).
+        assert effective_allocation_limits(2, AllocationConstraint(0.2, 0.8)) == (Fraction(0.2), 1 - Fraction(0.2))
 
     def test_singleton_votes_itself(self):
-        assert effective_allocation_limits(1, AllocationConstraint(0.3, 0.4)) == (1.0, 1.0)
+        limits = effective_allocation_limits(1, AllocationConstraint(0.3, 0.4))
+        assert limits == (1, 1) and all(type(x) is int for x in limits)
 
     def test_five_way_fully_forced(self):
-        assert effective_allocation_limits(5, AllocationConstraint(0.2, 0.8)) == (0.2, 0.2)
+        assert effective_allocation_limits(5, AllocationConstraint(0.2, 0.8)) == (Fraction(1, 5), Fraction(1, 5))
 
     @given(st.integers(1, 8), st.floats(0, 1), st.floats(0, 1))
     def test_box_always_reaches_simplex(self, k, a, b):
         alpha, beta = min(a, b), max(a, b)
         alpha_eff, beta_eff = effective_allocation_limits(k, AllocationConstraint(alpha, beta))
-        assert alpha_eff <= 1.0 / k + 1e-12
-        assert beta_eff >= 1.0 / k - 1e-12
-        assert k * alpha_eff <= 1.0 + 1e-12
+        assert alpha_eff <= Fraction(1, k) <= beta_eff
+        assert (k - 1) * alpha_eff + beta_eff <= 1
 
 
 class TestConstrainedBounds:
@@ -361,11 +363,12 @@ def test_allocation_limits_need_a_set():
 
 
 @pytest.mark.parametrize(
-    "k,m,alpha,beta,limit", [(25, 5, 0.19, 0.31, 0.19999999999999996), (25, 11, 0.28, 0.39, 0.43999999999999995)]
+    "k,m,alpha,beta,limit",
+    [(25, 5, 0.19, 0.31, Fraction(1, 5)), (25, 11, 0.28, 0.39, Fraction(11, 25))],
+    ids=["5-of-25", "11-of-25"],
 )
-def test_contribution_limits_meet_at_a_float_tie(k, m, alpha, beta, limit):
-    # The repaired box is the uniform allocation, 1/25 each, but its float upper end lies above 0.04: the two
-    # limits, equal in exact arithmetic, round a few ulps apart with the lower above, and meet at the smaller.
+def test_contribution_limits_of_a_pinched_box_are_exactly_m_over_k(k, m, alpha, beta, limit):
+    # The repaired box is the uniform allocation, 1/25 each, where float limits rounded a few ulps apart.
     assert _contribution_limits(k, m, AllocationConstraint(alpha, beta)) == (limit, limit)
 
 
@@ -504,69 +507,14 @@ def test_homogeneity_matches_per_respondent_transition_rows(s):
         assert abs(shares[code] - per_respondent[code] / total) <= 1e-12
 
 
-# Seat-share oracles: exact enumeration, independent of the closed form.
-
-
-def _box_vertices(k, c):
-    """Vertices of {x in [alpha_eff, beta_eff]^k : sum(x) = 1}: every coordinate at a limit but at most one.
-
-    The limits are the exact values of the floats the bounds use.  They
-    meet 1/k only up to rounding, so the free coordinate is accepted
-    within 1e-15 of them and clamped into them.
-    """
-    a, b = map(Fraction, effective_allocation_limits(k, c))
-    slack = Fraction(1, 10**15)
-    vertices = set()
-    for free in range(k):
-        for fixed in itertools.product((a, b), repeat=k - 1):
-            x = 1 - sum(fixed)
-            if a - slack <= x <= b + slack:
-                vertices.add((*fixed[:free], min(max(x, a), b), *fixed[free:]))
-    return vertices
-
-
-def _seat_oracle(s, event, included, c=None):
-    """The exact least and greatest share of the included parties' votes in ``event``, or None if undefined.
-
-    Without ``c`` every completion is enumerated: each respondent votes
-    for one member of their set.  With ``c`` each distinct set's weight
-    is split at every vertex of its allocation box, where a ratio of
-    linear functions attains its extremes.  A share is undefined where
-    it has no least or no greatest value: the event or the rest of the
-    included parties never get votes, and some split gives the included
-    parties none.
-    """
-    rows = list(s.rows())
-    if c is None:
-        units = [(Fraction(w), [{i: 1} for i in ps.indices()]) for w, ps, _ in rows]
-    else:
-        by_set = {}
-        for w, ps, _ in rows:
-            by_set[ps] = by_set.get(ps, 0) + Fraction(w)
-        units = [
-            (w, [dict(zip(ps.indices(), x)) for x in _box_vertices(ps.size, c)]) for ps, w in by_set.items()
-        ]
-    rest = [i for i in included.indices() if not event.contains_index(i)]
-    # Every (votes of the event, votes of the rest) pair over the units' choices, built unit by unit.
-    points = {(Fraction(0), Fraction(0))}
-    for w, splits in units:
-        steps = {(sum(x.get(i, 0) for i in event.indices()), sum(x.get(i, 0) for i in rest)) for x in splits}
-        points = {(a + w * dc, b + w * dr) for a, b in points for dc, dr in steps}
-    mine, others = [a for a, _ in points], [b for _, b in points]
-    if (min(mine) == max(others) == 0) or (max(mine) == min(others) == 0):
-        return None
-    shares = [a / (a + b) for a, b in points if a + b]
-    return min(shares), max(shares)
-
-
 _BOXES = st.none() | st.lists(st.integers(0, 20), min_size=2, max_size=2).map(
     lambda box: AllocationConstraint(min(box) / 20, max(box) / 20)
 )
 
 
 @st.composite
-def _seat_cases(draw):
-    """A small survey over 2-4 parties, an included set, and no box or a box on a 1/20 grid."""
+def _seat_cases(draw, boxes=_BOXES):
+    """A small survey over 2-4 parties, an included set, and a box from ``boxes`` (no box or one on a 1/20 grid)."""
     k = draw(st.integers(2, 4))
     reg = PartyRegistry(tuple("ABCD"[:k]))
     full = (1 << k) - 1
@@ -576,14 +524,14 @@ def _seat_cases(draw):
     weight = st.sampled_from([0.1, 0.2, 0.3, 1.0]) | st.floats(0.1, 10.0)
     s = Survey(reg, (), tuple(Respondent(draw(weight), PartySet(m)) for m in draw(st.permutations(decided + undecided))))
     included = draw(st.integers(1, full) | st.just(full))
-    return s, PartySet(included), draw(_BOXES)
+    return s, PartySet(included), draw(boxes)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_seat_cases())
 def test_seat_bounds_match_exact_oracles(case):
     s, included, c = case
-    want = {s.registry.options[i]: _seat_oracle(s, PartySet(1 << i), included, c) for i in included.indices()}
+    want = {s.registry.options[i]: seat_oracle(s, PartySet(1 << i), included, c) for i in included.indices()}
     if None in want.values():
         with pytest.raises(ValueError, match="is undefined"):
             seat_bounds(s, included, c)
@@ -599,7 +547,7 @@ def test_seat_bounds_match_exact_oracles(case):
 def test_share_bounds_match_exact_oracles(case, data):
     s, included, c = case
     event = PartySet(sum(1 << i for i in data.draw(st.sets(st.sampled_from(included.indices()), min_size=1))))
-    want = _seat_oracle(s, event, included, c)
+    want = seat_oracle(s, event, included, c)
     if want is None:
         with pytest.raises(ValueError, match="is undefined"):
             share_bounds(s, event, included, c)
@@ -608,7 +556,50 @@ def test_share_bounds_match_exact_oracles(case, data):
     assert abs(got.lower - want[0]) <= 1e-12 and abs(got.upper - want[1]) <= 1e-12, got
 
 
+# One-decimal boxes, and boxes whose beta is the float nearest 1/k: a k-party set's box pinches to the uniform
+# allocation there, or misses it by an ulp of beta.
+_EXACT_BOXES = st.lists(st.integers(0, 10), min_size=2, max_size=2).map(
+    lambda box: AllocationConstraint(min(box) / 10, max(box) / 10)
+) | st.builds(lambda a, k: AllocationConstraint(min(a / 10, 1 / k), 1 / k), st.integers(0, 10), st.integers(2, 4))
+
+
+@st.composite
+def _exact_box_cases(draw):
+    """A ``_seat_cases`` survey and included set, an event among its included parties, and an ``_EXACT_BOXES`` box."""
+    s, included, c = draw(_seat_cases(_EXACT_BOXES))
+    event = PartySet(sum(1 << i for i in draw(st.sets(st.sampled_from(included.indices()), min_size=1))))
+    return s, event, included, c
+
+
 _ABCD = PartyRegistry(tuple("ABCD"))
+_ABCDEF = PartyRegistry(tuple("ABCDEF"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_box_cases())
+# Float limits put a pair's lower factor at 0.07000000000000006, not alpha.
+@example((Survey(_ABCD, (), (Respondent(1.0, _ABCD.set_of("AB")),)), _ABCD.singleton("A"), _ABCD.full_set(),
+          AllocationConstraint(0.07, 0.96)))
+# 1 - 5 * fl(1/6) rounds above fl(1/6), so float limits missed that a six-party set is pinched to 1/6 each.
+@example((Survey(_ABCDEF, (), (Respondent(1.0, _ABCDEF.full_set()),)), _ABCDEF.singleton("F"), _ABCDEF.full_set(),
+          AllocationConstraint(0.2, 0.8)))
+def test_boxed_bounds_equal_the_vertex_oracle_bit_for_bit(case):
+    s, event, included, c = case
+    weights = set_weights(s)
+    want = boxed_share_bounds(weights, event, included, c)
+    if want is None:
+        with pytest.raises(ValueError, match="is undefined"):
+            share_bounds(s, event, included, c)
+    else:
+        assert _outcome(share_bounds, s, event, included, c) == [("", want[0].hex(), want[1].hex())]
+    seats = [(code, boxed_share_bounds(weights, PartySet(1 << i), included, c)) for code, i in
+             zip(s.registry.codes_of(included), included.indices())]
+    if any(bounds is None for _, bounds in seats):
+        with pytest.raises(ValueError, match="is undefined"):
+            seat_bounds(s, included, c)
+    else:
+        assert _outcome(seat_bounds, s, included, c) == [(code, lo.hex(), hi.hex()) for code, (lo, hi) in seats]
+
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 
 from pollsets import cli
 from pollsets.cli import main
+from pollsets.data import _parse_rows
 from test_data import MULTILINE_THEN_FAULT, _reference_parse, _survey_documents
 
 FIXTURE = "weight,parties\n1.0,A\n1.0,A\n1.0,B\n1.0,A;B\n1.0,C\n"
@@ -138,13 +139,16 @@ class TestMalformedInput:
         assert code == 2
         assert "registry code" in err
 
-    # parse_survey reads CRLF as LF, so the "row-parser" case takes the scan too.
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["clean-scan", "row-parser"])
-    def test_weight_total_past_the_largest_float_exit_2(self, capsys, tmp_path, newline):
+    # Blank lines send the document to the row parser, which skips them.
+    @pytest.mark.parametrize("newline", ["\n", "\n\n"], ids=["clean-scan", "row-parser"])
+    def test_weight_total_past_the_largest_float_exit_2(self, capsys, monkeypatch, tmp_path, newline):
         path = tmp_path / "huge.csv"
         path.write_bytes(newline.join(["weight,parties", "1e308,A", "1e308,B", ""]).encode())
+        calls = []
+        monkeypatch.setattr("pollsets.data._parse_rows", lambda *args: calls.append(args) or _parse_rows(*args))
         code, out, err = run(capsys, "describe", "--input", path, "--registry", REG)
         assert (code, out, err) == (2, "", "error: total weight exceeds the largest float\n")
+        assert bool(calls) == (newline == "\n\n")
 
     @pytest.mark.parametrize("points", ["-3", "0"])
     def test_grid_points_below_one_exit_2(self, capsys, tmp_path, points):
