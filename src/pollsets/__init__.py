@@ -69,8 +69,6 @@ from .simulate import (
     SimConfig,
     coverage_check,
     generate_population,
-    oracle_completion_bounds,
-    oracle_constrained_bounds,
 )
 
 __version__ = "0.1.0"

@@ -238,7 +238,11 @@ def cmd_simulate(args) -> int:
     registry = PartyRegistry(_parse_list(args.registry))
     names = _parse_list(args.covariates) if args.covariates else ()
     if args.coef_file:
-        coef = json.loads(_read_text(Path(args.coef_file)))
+        path = Path(args.coef_file)
+        try:
+            coef = json.loads(_read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     else:
         coef = simulate.default_true_coefficients(len(registry), len(names))
     config = simulate.SimConfig(

@@ -1,15 +1,14 @@
-"""Synthetic populations with known latent votes, plus brute-force oracles.
+"""Synthetic populations with known latent votes, plus a grid-search oracle.
 
 Generated respondents draw a latent vote from a covariate-conditional
 multinomial; a coarsened respondent reports a set that always contains
 that vote, so the latent population shares are one admissible
 completion of the survey and must fall inside every Dempster interval.
 
-The oracles re-derive interval bounds the expensive way: by enumerating
-every completion of the undecided, or by grid-searching within-set
-allocation vectors.  They share no arithmetic shortcuts with the
-closed-form bounds they are used to check, beyond the effective
-allocation box that defines the constrained semantics.
+``oracle_constrained_bounds`` grid-searches within-set allocation
+vectors, sharing nothing with the closed-form bounds it checks but the
+effective allocation box.  It stays here, apart from the exact oracles
+in ``tests/oracles.py``, because ``perfbench/checks.py`` imports it.
 
 Randomness comes from numpy's default PCG64 generator, explicitly
 seeded, so runs reproduce across platforms.
@@ -29,7 +28,6 @@ import numpy as np
 from .bounds import AllocationConstraint, Interval, dempster_bounds, effective_allocation_limits, event_bounds
 from .data import PartyRegistry, PartySet, Survey, csv_table, exact_sums, rounded
 
-COMPLETION_BUDGET = 1_000_000
 GRID_BUDGET = 2_000_000
 # Rows of random keys ``_extra_parties`` draws at a time.
 _KEY_ROWS = 1 << 12
@@ -205,44 +203,6 @@ def truth_to_csv(s: Survey, g: GroundTruth) -> str:
     lines = ["vote"]
     lines.extend(map(codes.__getitem__, _checked_votes(s, g).tolist()))
     return "\n".join(lines) + "\n"
-
-
-def oracle_completion_bounds(s: Survey, event: PartySet) -> Interval:
-    """Event bounds by exhaustive enumeration of all completions.
-
-    Every undecided respondent is assigned, in turn, to each member of
-    their set; the extremal weighted event shares over all assignments
-    are returned.  Weight sums are exactly rounded, so the result is
-    bit-identical to the closed-form bounds.
-    """
-    if not len(s):
-        raise ValueError("oracle on an empty survey")
-    rows = [(w, ps) for w, ps, _ in s.rows()]
-    undecided = [(w, ps) for w, ps in rows if not ps.is_singleton]
-    budget = 1
-    for _, ps in undecided:
-        budget *= ps.size
-        if budget > COMPLETION_BUDGET:
-            raise ValueError(
-                f"completion budget exceeded ({budget} > {COMPLETION_BUDGET}); use a smaller instance"
-            )
-    base = [w for w, ps in rows if ps.is_singleton and ps.issubset(event)]
-    choice_weights = [tuple(w if event.contains_index(i) else None for i in ps.indices()) for w, ps in undecided]
-    w_total = s.total_weight
-    best_lo = None
-    best_hi = None
-    for combo in itertools.product(*(range(len(c)) for c in choice_weights)):
-        selected = list(base)
-        for j, pick in enumerate(combo):
-            w = choice_weights[j][pick]
-            if w is not None:
-                selected.append(w)
-        share = min(math.fsum(selected) / w_total, 1.0)
-        if best_lo is None or share < best_lo:
-            best_lo = share
-        if best_hi is None or share > best_hi:
-            best_hi = share
-    return Interval(best_lo, best_hi)
 
 
 @lru_cache(maxsize=4096)

@@ -10,7 +10,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from pollsets import AllocationConstraint, PartySet, Survey
+from pollsets import AllocationConstraint, Interval, PartySet, Survey
 
 
 def box_vertices(k: int, c: AllocationConstraint) -> set[tuple[Fraction | int, ...]]:
@@ -102,3 +102,16 @@ def seat_oracle(s: Survey, event: PartySet, included: PartySet, c: AllocationCon
         return None
     shares = [a / (a + b) for a, b in points if a + b]
     return min(shares), max(shares)
+
+
+def completion_bounds(s: Survey, event: PartySet) -> Interval:
+    """``event_bounds(s, event)`` by enumerating every completion.
+
+    With T the exact total weight, the least and the greatest share lo
+    and hi come from ``seat_oracle`` over the full registry.  Each exact
+    extreme sum is rounded once, then the ratio: float(lo * T) / float(T)
+    and float(hi * T) / float(T).
+    """
+    total = sum(set_weights(s).values())
+    lo, hi = seat_oracle(s, event, s.registry.full_set())
+    return Interval(float(lo * total) / float(total), float(hi * total) / float(total))

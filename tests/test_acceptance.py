@@ -29,14 +29,13 @@ from pollsets import (
     generate_population,
     homogeneity_forecast,
     mnl,
-    oracle_completion_bounds,
-    oracle_constrained_bounds,
     transition_probabilities,
 )
 from pollsets.cli import main as cli_main
 from pollsets.ontic import ontic_design, regularization_path
-from pollsets.simulate import CoarsenStyle, SimConfig, default_true_coefficients
+from pollsets.simulate import CoarsenStyle, SimConfig, default_true_coefficients, oracle_constrained_bounds
 from conftest import random_event, random_survey, survey_corpus
+from oracles import completion_bounds
 
 
 @contextmanager
@@ -60,12 +59,12 @@ def test_oracle_equivalence_dempster():
         for s in corpus_200():
             forecast = dempster_bounds(s)
             for code in s.registry.options:
-                oracle = oracle_completion_bounds(s, s.registry.singleton(code))
+                oracle = completion_bounds(s, s.registry.singleton(code))
                 closed = forecast[code]
                 assert (oracle.lower, oracle.upper) == (closed.lower, closed.upper)
             for _ in range(3):
                 event = random_event(rng, s)
-                oracle = oracle_completion_bounds(s, event)
+                oracle = completion_bounds(s, event)
                 closed = event_bounds(s, event)
                 assert (oracle.lower, oracle.upper) == (closed.lower, closed.upper)
         elapsed = time.perf_counter() - start

@@ -27,7 +27,6 @@ from pollsets import (
     homogeneity_forecast,
     majority_classification,
     mnl,
-    oracle_completion_bounds,
     seat_bounds,
     share_bounds,
     transition_probabilities,
@@ -37,7 +36,7 @@ from pollsets.bounds import IntervalForecast, _contribution_limits, parse_coalit
 from pollsets.data import exact_sums
 from pollsets.forecast import decided_design
 from conftest import random_event, random_survey
-from oracles import boxed_share_bounds, seat_oracle, set_weights
+from oracles import boxed_share_bounds, completion_bounds, seat_oracle, set_weights
 
 
 class TestDempster:
@@ -656,5 +655,5 @@ def test_subgroup_set_mass_tables_bound_as_subgroup_surveys(s, column, c, includ
             assert _outcome(bound, table, *args) == _outcome(bound, half, *args)
         if len(half) and math.prod(ps.size ** n for ps, n in zip(half.sets, half.set_counts.tolist())) <= 4096:
             for mask in _SET_POOL:
-                oracle = oracle_completion_bounds(half, PartySet(mask))
+                oracle = completion_bounds(half, PartySet(mask))
                 assert _outcome(event_bounds, table, PartySet(mask)) == [("", oracle.lower.hex(), oracle.upper.hex())]

@@ -197,6 +197,27 @@ class TestMalformedInput:
         _, plain, _ = run(capsys, "bounds", "--input", fixture_csv, "--registry", REG)
         assert (code, out) == (0, plain)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_any_newline_in_a_list_or_coalitions_file_reads_as_lf(self, capsys, fixture_csv, tmp_path, newline):
+        files = {"registry.txt": "A\nB\nC\n", "coalitions.txt": "# two coalitions\nab,A;B\nc,C\n"}
+
+        def invoke(folder, ends):
+            folder.mkdir()
+            for name, text in files.items():
+                (folder / name).write_bytes(text.replace("\n", ends).encode())
+            registry, coalitions = f"@{folder / 'registry.txt'}", folder / "coalitions.txt"
+            return run(capsys, "coalitions", "--input", fixture_csv, "--registry", registry, "--coalitions", coalitions)
+
+        plain = invoke(tmp_path / "lf", "\n")
+        assert plain[0] == 0
+        assert invoke(tmp_path / "other", newline) == plain
+
+    def test_header_not_utf8_exit_2_names_file_and_line(self, capsys, tmp_path):
+        bad = tmp_path / "header.csv"
+        bad.write_bytes(b"weig\xfft,parties\n1.0,A\n")
+        code, out, err = run(capsys, "describe", "--input", bad, "--registry", REG)
+        assert (code, out, err) == (2, "", f"error: {bad}: line 1: not UTF-8 text (invalid start byte)\n")
+
     def test_leading_byte_order_mark_accepted(self, capsys, fixture_csv, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_text("\ufeff" + FIXTURE, encoding="utf-8")
@@ -647,8 +668,14 @@ class TestSimulate:
             ('[["1.5", 0], [0, 0]]', "coefficients must be a matrix of numbers"),
             ("[[true, 0], [0, 0]]", "coefficients must be a matrix of numbers"),
             ("[[0.5, \xff]]", "{coef}: line 1: not UTF-8 text (invalid start byte)"),
+            ("[[0.5, 0.5],\n[0.0, 0.0]\n[-0.5, -0.5]]", "{coef}: Expecting ',' delimiter: line 3 column 1 (char 24)"),
+            # Read raw, json would count one line and report line 1 column 25.
+            ("[[0.5, 0.5],\r[0.0, 0.0]\r[-0.5, -0.5]]", "{coef}: Expecting ',' delimiter: line 3 column 1 (char 24)"),
         ],
-        ids=["nan", "integer-past-float", "overflow", "short-row", "not-a-matrix", "string", "boolean", "not-utf8"],
+        ids=[
+            "nan", "integer-past-float", "overflow", "short-row", "not-a-matrix", "string", "boolean", "not-utf8",
+            "malformed-json-lf", "malformed-json-cr",
+        ],
     )
     def test_bad_coefficient_file_exit_2_and_writes_nothing(self, capsys, tmp_path, document, message):
         coef = tmp_path / "coef.json"

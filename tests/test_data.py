@@ -77,6 +77,13 @@ class TestParse:
         with pytest.raises(SurveyFormatError):
             parse_survey("", REG6, ())
 
+    def test_header_not_utf8(self):
+        document = b"weig\xfft,parties\n1.0,A\n"
+        # The scan declines a header it cannot decode; the row parser names its line.
+        assert data._parse_clean(document, REG6, ()) is None
+        with pytest.raises(SurveyFormatError, match=r"^line 1: not UTF-8 text \(invalid start byte\)$"):
+            parse_survey(document, REG6, ())
+
 
 class TestUndecidedShare:
     def test_wave3_counts(self, wave3_path):

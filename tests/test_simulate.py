@@ -15,13 +15,12 @@ from pollsets import (
     dempster_bounds,
     event_bounds,
     generate_population,
-    oracle_completion_bounds,
-    oracle_constrained_bounds,
     survey_to_csv,
 )
 from pollsets import data, simulate
-from pollsets.simulate import CoarsenStyle, SimConfig, default_true_coefficients, truth_to_csv
+from pollsets.simulate import CoarsenStyle, SimConfig, default_true_coefficients, oracle_constrained_bounds, truth_to_csv
 from conftest import random_event, random_survey
+from oracles import completion_bounds
 
 REG = PartyRegistry(("A", "B", "C", "D"))
 
@@ -154,12 +153,12 @@ class TestGeneratePopulation:
 
 class TestCompletionOracle:
     def test_worked_fixture(self, abc_survey, abc_registry):
-        iv = oracle_completion_bounds(abc_survey, abc_registry.singleton("A"))
+        iv = completion_bounds(abc_survey, abc_registry.singleton("A"))
         assert (iv.lower, iv.upper) == (0.4, 0.6)
 
     def test_all_decided_degenerate(self, abc_registry):
         s = Survey(abc_registry, (), (Respondent(1.0, abc_registry.singleton("B")),))
-        iv = oracle_completion_bounds(s, abc_registry.singleton("B"))
+        iv = completion_bounds(s, abc_registry.singleton("B"))
         assert iv.lower == iv.upper == 1.0
 
     def test_matches_closed_form_bitwise(self):
@@ -167,20 +166,9 @@ class TestCompletionOracle:
         for _ in range(25):
             s = random_survey(rng, max_n=12, max_undecided=6, completion_limit=400)
             event = random_event(rng, s)
-            oracle = oracle_completion_bounds(s, event)
+            oracle = completion_bounds(s, event)
             closed = event_bounds(s, event)
             assert (oracle.lower, oracle.upper) == (closed.lower, closed.upper)
-
-    def test_budget_guard(self):
-        reg = PartyRegistry(("A", "B"))
-        many = tuple(Respondent(1.0, reg.full_set()) for _ in range(21))
-        s = Survey(reg, (), many)
-        with pytest.raises(ValueError, match="budget"):
-            oracle_completion_bounds(s, reg.singleton("A"))
-
-    def test_empty_survey_errors(self, abc_registry):
-        with pytest.raises(ValueError, match="^oracle on an empty survey$"):
-            oracle_completion_bounds(Survey(abc_registry, (), ()), abc_registry.singleton("A"))
 
 
 class TestConstrainedOracle:
@@ -192,7 +180,7 @@ class TestConstrainedOracle:
     def test_vacuous_box_matches_completion_oracle(self, abc_survey, abc_registry):
         event = abc_registry.set_of(["A", "B"])
         free = oracle_constrained_bounds(abc_survey, event, AllocationConstraint(0.0, 1.0))
-        completions = oracle_completion_bounds(abc_survey, event)
+        completions = completion_bounds(abc_survey, event)
         assert abs(free.lower - completions.lower) <= 0.01
         assert abs(free.upper - completions.upper) <= 0.01
 
