@@ -53,17 +53,17 @@ The proximal-gradient core, ``_fit_stack``, fits a stack of B problems
 that share the distinct rows and differ in their counts, penalty weight
 and start.  Each problem keeps its own step size, momentum and stop
 state, and a stopped problem leaves the stack with its coefficients
-frozen.  Every array operation in the core works per problem and in the
-same order for any B, so a problem fitted in a stack ends bit-identical
-to the same problem fitted alone over the same distinct rows with the
-same counts and row totals.  The totals must be the same floats, not merely
-equal sums: ``DesignData.totals`` adds them up one way and a sum over
-a stacked array may add them another.  Since each problem's arithmetic
-is its own, a backtracking round tries every running problem: one whose
-step already passed keeps its step size, so it gets the same trial and
-verdict again.  ``fit`` of a group lasso is the case B = 1.  Newton's
-per-row arrays follow the same layout, and its gradient is the same
-kernel's.
+frozen and its report made.  Every array operation in the core works per
+problem and in the same order for any B, so a problem fitted in a stack
+ends bit-identical to the same problem fitted alone over the same
+distinct rows with the same counts and row totals.  The totals must be
+the same floats, not merely equal sums: ``DesignData.totals`` adds them
+up one way and a sum over a stacked array may add them another.  Since
+each problem's arithmetic is its own, a backtracking round tries every
+running problem: one whose step already passed keeps its step size, so
+it gets the same trial and verdict again.  ``fit`` of a group lasso is
+the case B = 1.  Newton's per-row arrays follow the same layout, and its
+gradient is the same kernel's.
 Cross-validation fits the folds of every repeat at one lambda as one
 stack over the distinct rows they train on, each fold's training counts
 summed from its own rows in respondent order.  A stack holds at most
@@ -463,29 +463,26 @@ def _fit_stack(
     lam_list = lams.tolist()
     penalized = any(lam_list)
 
-    def objectives(nll: list[float], coef: np.ndarray, ids: list[int]) -> list[float]:
+    def objectives(nll: list[float], coef: np.ndarray, lam_list: list[float]) -> list[float]:
         if not penalized:
             return list(nll)
         sums = [math.fsum(row) for row in _column_norms(coef[..., 1:]).tolist()]
-        return [f + lam_list[b] * s for f, b, s in zip(nll, ids, sums)]
+        return [f + lam * s for f, lam, s in zip(nll, lam_list, sums)]
 
-    # Problem ``ids[i]`` sits at position i of the running stack.
-    ids = list(range(n))
+    # Lists and arrays hold the running problems in stack order; ``out``, where their results go.
+    final = np.empty_like(x0)
+    reports = [[] for _ in range(n)]
+    out = list(zip(final, reports))
     x = y = x0
     nll_x = _stack_value(x, xu, counts, ridge)[0].tolist()
     _check_finite(nll_x)
-    obj_x = objectives(nll_x, x, ids)
+    obj_x = objectives(nll_x, x, lam_list)
     history = [[v] for v in obj_x]
-    lipschitz = [1.0 / INITIAL_STEP] * n
-    momentum = [1.0] * n
-    stop = ["max_iterations"] * n
-    iterations, backtracks, restarts = [0] * n, [0] * n, [0] * n
-    final = np.empty_like(x0)
+    lipschitz, momentum = [1.0 / INITIAL_STEP] * n, [1.0] * n
+    backtracks, restarts = [0] * n, [0] * n
 
     for it in range(1, options.max_iterations + 1):
-        m = len(ids)
-        for b in ids:
-            iterations[b] = it
+        m = len(out)
         f_y, logp = _stack_value(y, xu, counts, ridge)
         f_y = f_y.tolist()
         _check_finite(f_y)
@@ -494,7 +491,7 @@ def _fit_stack(
 
         searching = list(range(m))
         for _ in range(MAX_BACKTRACKS):
-            steps = np.array([lipschitz[b] for b in ids])
+            steps = np.array(lipschitz)
             cand = y - grad / steps[:, None, None]
             if penalized:
                 cand = _stack_prox(cand, lams / steps)
@@ -504,41 +501,40 @@ def _fit_stack(
             _check_finite(f_cand)
             linear = (grad * diff).reshape(m, -1).sum(axis=1).tolist()
             square = (diff * diff).reshape(m, -1).sum(axis=1).tolist()
-            quad = [f + a + 0.5 * lipschitz[b] * s for f, a, s, b in zip(f_y, linear, square, ids)]
+            quad = [f + a + 0.5 * lip * s for f, a, s, lip in zip(f_y, linear, square, lipschitz)]
             searching = [i for i in searching if not f_cand[i] <= quad[i] + 1e-12 * max(1.0, abs(f_y[i]))]
             if not searching:
                 break
             for i in searching:
-                lipschitz[ids[i]] *= BACKTRACK_FACTOR
-                backtracks[ids[i]] += 1
+                lipschitz[i] *= BACKTRACK_FACTOR
+                backtracks[i] += 1
 
-        obj_cand = objectives(f_cand, cand, ids)
-        accepted, beta, keep = [False] * m, [0.0] * m, []
-        for i, b in enumerate(ids):
+        obj_cand = objectives(f_cand, cand, lam_list)
+        # A problem still running after the last allowed iteration stops there.
+        stop = ["max_iterations" if it == options.max_iterations else None] * m
+        accepted, beta = [False] * m, [0.0] * m
+        for i in range(m):
             if i in searching:  # every halving failed
-                stop[b] = "line_search_failed"
-            elif obj_cand[i] > obj_x[b]:
-                if momentum[b] == 1.0:
+                stop[i] = "line_search_failed"
+            elif obj_cand[i] > obj_x[i]:
+                if momentum[i] == 1.0:
                     # A step without momentum raised the objective: from the
                     # incumbent, an accepted proximal step can only lose to rounding.
-                    stop[b] = "stationary"
+                    stop[i] = "stationary"
                 else:
                     # Momentum overshot: keep the incumbent and restart acceleration.
-                    momentum[b] = 1.0
-                    restarts[b] += 1
-                    keep.append(i)
+                    momentum[i] = 1.0
+                    restarts[i] += 1
             else:
-                m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum[b] * momentum[b]))
-                beta[i] = (momentum[b] - 1.0) / m_next
-                change = obj_x[b] - obj_cand[i]
-                momentum[b] = m_next
-                nll_x[b], obj_x[b] = f_cand[i], obj_cand[i]
-                history[b].append(obj_x[b])
+                m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum[i] * momentum[i]))
+                beta[i] = (momentum[i] - 1.0) / m_next
+                change = obj_x[i] - obj_cand[i]
+                momentum[i] = m_next
+                nll_x[i], obj_x[i] = f_cand[i], obj_cand[i]
+                history[i].append(obj_x[i])
                 accepted[i] = True
-                if change <= options.tolerance * max(1.0, abs(obj_x[b])):
-                    stop[b] = "converged"
-                else:
-                    keep.append(i)
+                if change <= options.tolerance * max(1.0, abs(obj_x[i])):
+                    stop[i] = "converged"
 
         # Accepted problems move to the candidate; the rest keep x, and a restarted one takes y = x.
         held = ~np.array(accepted)[:, None, None]
@@ -546,33 +542,26 @@ def _fit_stack(
         np.copyto(cand, x, where=held)
         x = cand
         np.copyto(y, x, where=held)
-        if len(keep) < m:
-            # Problems that stopped leave the stack with their iterates.
-            done = [i for i in range(m) if i not in keep]
-            final[[ids[i] for i in done]] = x[done]
-            ids = [ids[i] for i in keep]
-            if not ids:
+        done = [i for i in range(m) if stop[i]]
+        if done:
+            # Problems that stopped leave the stack with their iterates and reports.
+            for i, norms in zip(done, _column_norms(x[done][..., 1:]).tolist()):
+                row, slot = out[i]
+                row[...] = x[i]
+                slot.append(FitReport(
+                    nll=nll_x[i], objective=obj_x[i], iterations=it, converged=stop[i] in ("converged", "stationary"),
+                    stop_reason=stop[i], backtracks=backtracks[i], restarts=restarts[i], group_norms=tuple(norms),
+                    objective_history=tuple(history[i]),
+                ))
+            keep = [i for i in range(m) if not stop[i]]
+            if not keep:
                 break
             x, y, counts, totals, lams = (a[keep] for a in (x, y, counts, totals, lams))
-    if ids:
-        final[ids] = x
-
-    norms = _column_norms(final[..., 1:]).tolist()
-    reports = [
-        FitReport(
-            nll=nll_x[b],
-            objective=obj_x[b],
-            iterations=iterations[b],
-            converged=stop[b] in ("converged", "stationary"),
-            stop_reason=stop[b],
-            backtracks=backtracks[b],
-            restarts=restarts[b],
-            group_norms=tuple(norms[b]),
-            objective_history=tuple(history[b]),
-        )
-        for b in range(n)
-    ]
-    return final, reports
+            out, nll_x, obj_x, history, lipschitz, momentum, backtracks, restarts, lam_list = (
+                [s[i] for i in keep]
+                for s in (out, nll_x, obj_x, history, lipschitz, momentum, backtracks, restarts, lam_list)
+            )
+    return final, [report for (report,) in reports]
 
 
 def _pair_table(xu: np.ndarray) -> np.ndarray:
@@ -941,9 +930,6 @@ def cross_validate(
     splits = [(assignment, f) for assignment in assignments for f in range(folds)]
     scores, path = _fit_grid(d, grid, splits, constraint, options, return_path)
     means = scores.mean(axis=0)
-    best = 0
-    for j in range(1, len(grid)):
-        if means[j] < means[best]:
-            best = j
-    selected = grid[best], tuple(float(v) for v in means)
+    # The first minimum: ties go to the larger lambda.
+    selected = grid[int(np.argmin(means))], tuple(float(v) for v in means)
     return (*selected, path) if return_path else selected

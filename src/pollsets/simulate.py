@@ -27,6 +27,7 @@ import numpy as np
 
 from .bounds import AllocationConstraint, Interval, dempster_bounds, effective_allocation_limits, event_bounds
 from .data import PartyRegistry, PartySet, Survey, csv_table, exact_sums, rounded
+from .mnl import _check_integer
 
 GRID_BUDGET = 2_000_000
 # Rows of random keys ``_extra_parties`` draws at a time.
@@ -57,6 +58,8 @@ class SimConfig:
     weight_range: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
+        _check_integer("n", self.n)
+        _check_integer("seed", self.seed)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0.0 <= self.coarsen_prob <= 1.0:

@@ -823,6 +823,13 @@ class TestOntic:
         message = "covariate 'x' is 1 for every respondent in the ontic categories, so it duplicates the intercept"
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_no_respondent_in_the_categories_exit_2(self, capsys, tmp_path):
+        # At --k 0 the categories are the singletons, and every respondent here is undecided.
+        data = tmp_path / "undecided.csv"
+        data.write_text("weight,parties,x\n1,A;B,0\n1,B;C,1\n2,A;C,1\n")
+        code, out, err = run(capsys, "ontic", "--input", data, "--registry", "A,B,C", "--schema", "x", "--k", "0")
+        assert (code, out, err) == (2, "", "error: no respondents fall into the ontic categories\n")
+
 
 @pytest.mark.parametrize(
     "argv",

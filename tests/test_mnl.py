@@ -659,6 +659,16 @@ class TestCrossValidate:
         best, means = mnl.cross_validate(d, [0.5, 0.05], folds=3, seed=1)
         assert all(np.isfinite(means))
 
+    @pytest.mark.parametrize("means, best", [([2.0, 1.0, 1.0, 3.0], 3.0), ([1.0, 1.0, 2.0, 1.0], 4.0)])
+    def test_tied_mean_scores_go_to_the_larger_lambda(self, monkeypatch, means, best):
+        def tied_scores(d, grid, splits, constraint, options, path):
+            # Every split scores alike, so each mean is exactly its split's score.
+            return np.tile(means, (len(splits), 1)), []
+
+        monkeypatch.setattr(mnl, "_fit_grid", tied_scores)
+        d = random_design(25, n=30)
+        assert mnl.cross_validate(d, [4.0, 3.0, 2.0, 1.0], folds=3, seed=0) == (best, tuple(means))
+
     def test_stratified_folds_are_balanced_seeded_and_pinned(self):
         assert splitmix64(0, 0) == 0xE220A8397B1DCDAF  # the generator's published first output
         y = np.random.default_rng(27).integers(0, 5, 200)
@@ -916,8 +926,24 @@ class TestStackedCrossValidation:
         assert [r.stop_reason for r in reports] == ["line_search_failed", "converged", "converged"]
         assert reports[0].iterations == 1 and reports[1].backtracks > 0
 
+    def test_iteration_cap_stops_the_problems_still_running(self):
+        # Without a tolerance, the second problem converges in iteration 2 and
+        # the fourth goes stationary in iteration 52; the cap cuts the other
+        # two, each at its own stack position, at iteration 60.
+        constraint = mnl.Constraint.symmetric()
+        d = random_design(0, n=200, k=4, p=5)
+        other = mnl.DesignData(rows(d), d.y, np.random.default_rng(1).uniform(0.1, 4.0, d.n), d.n_categories)
+        top = mnl.lambda_max(d, constraint)
+        problems = [(d, 0.01 * top), (d, 1.01 * top), (other, 0.1 * top), (d, 0.5 * top)]
+        options = mnl.FitOptions(max_iterations=60, tolerance=0.0)
+        reports = stack_matches_solo_fits(problems, constraint, options)
+        assert [(r.stop_reason, r.iterations) for r in reports] == [
+            ("max_iterations", 60), ("converged", 2), ("max_iterations", 60), ("stationary", 52),
+        ]
+        assert [r.converged for r in reports] == [False, True, False, True]
 
-def stack_matches_solo_fits(problems, constraint):
+
+def stack_matches_solo_fits(problems, constraint, options=mnl.FitOptions()):
     """Fit (design, lambda) problems over the same distinct rows as one stack, check
     each against its solo fit, and return the stack's reports."""
     xu = problems[0][0].xu
@@ -931,11 +957,11 @@ def stack_matches_solo_fits(problems, constraint):
         np.array([lam for _, lam in problems]),
         mnl.RIDGE_FLOOR,
         constraint,
-        mnl.FitOptions(),
+        options,
         np.stack([mnl.initial_coefficients(p, constraint) for p, _ in problems]),
     )
     for b, (p, lam) in enumerate(problems):
-        solo, solo_report = mnl.fit(p, mnl.PenaltySpec.group_lasso(lam), constraint)
+        solo, solo_report = mnl.fit(p, mnl.PenaltySpec.group_lasso(lam), constraint, options)
         # Bit-identical, not merely close: the stack works per problem.
         assert np.array_equal(mnl.project_constraint(x[b], constraint), solo.coefficients)
         assert reports[b] == solo_report

@@ -194,6 +194,16 @@ def test_covariate_of_zeros_kept_and_zeroed():
     assert fit_ontic(s, cats, [0.1, 0.0], folds=3)[1].zeroed == {"x": True}
 
 
+def test_design_without_respondents_rejected(abc_registry):
+    # At k = 0 the categories are the singletons, and every respondent here is undecided.
+    sets = [abc_registry.set_of(codes) for codes in (["A", "B"], ["B", "C"], ["A", "C"])]
+    s = Survey(abc_registry, ("x",), tuple(Respondent(1.0, ps, (i % 2,)) for i, ps in enumerate(sets)))
+    cats, dropped = build_ontic_categories(s, 0)
+    assert dropped == 3
+    with pytest.raises(ValueError, match="^no respondents fall into the ontic categories$"):
+        ontic.ontic_design(s, cats)
+
+
 def test_ontic_design_requires_covariates(abc_survey):
     cats, _ = build_ontic_categories(abc_survey, 1)
     design = ontic.ontic_design(abc_survey, cats)

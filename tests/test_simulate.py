@@ -100,6 +100,20 @@ class TestGeneratePopulation:
             config(seed=-1)
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 2.5, r"^n must be an integer, got 2\.5$"),
+            ("n", "10", "^n must be an integer, got '10'$"),
+            ("seed", 1.5, r"^seed must be an integer, got 1\.5$"),
+        ],
+        ids=["fractional-n", "string-n", "fractional-seed"],
+    )
+    def test_config_rejects_a_size_or_seed_that_is_not_an_integer(self, field, value, message):
+        # These once built a config that generate_population, or the range check, failed with TypeError.
+        with pytest.raises(ValueError, match=message):
+            config(**{field: value})
+
+    @pytest.mark.parametrize(
         "coefficients,message",
         [
             (((0.0, 0.0, math.nan),) * 4, "^coefficients must be finite$"),
