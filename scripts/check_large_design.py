@@ -158,15 +158,21 @@ def _same(a, b) -> bool:
 def check_designs(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
     """The decided and ontic (k = 5) designs equal the row constructor's designs bit for bit.
 
-    Their lambda_max, the top of the penalty grid, comes from the grouped
-    counts; it must match the null-model gradient summed over respondent
-    rows within 1e-12 relative, under both constraints.
+    So does ``mnl.DesignData.from_survey`` over the ontic categories in
+    reverse order, whose numbers follow neither registry nor frequency
+    order.  Their lambda_max, the top of the penalty grid, comes from the
+    grouped counts; it must match the null-model gradient summed over
+    respondent rows within 1e-12 relative, under both constraints.
     """
     for path in paths:
         s = parse_survey(_read(path), registry, schema)
         cats, _ = ontic.build_ontic_categories(s, 5)
-        decided, ontic_design = forecast.decided_design(s), ontic.ontic_design(s, cats)
-        for name, d, kept in (("decided", decided, cats[: len(registry)]), ("ontic", ontic_design, cats)):
+        designs = (
+            ("decided", forecast.decided_design(s), cats[: len(registry)]),
+            ("ontic", ontic.ontic_design(s, cats), cats),
+            ("reversed ontic", mnl.DesignData.from_survey(s, cats[::-1]), cats[::-1]),
+        )
+        for name, d, kept in designs:
             index = {ps: i for i, ps in enumerate(kept)}
             rows = [(w, index[ps], (1, *cov)) for w, ps, cov in s.rows() if ps in index]
             want = mnl.DesignData([x for *_, x in rows], [c for _, c, _ in rows], [w for w, *_ in rows], len(kept))

@@ -20,10 +20,9 @@ covariate rows).  ``build`` checks them and numbers the sets; the
 covariate patterns and cells are numbered by one step, on the first
 read of any of their fields, so a command that reads only the sets'
 counts and sums never builds them.  All are numbered in key order
-(``key_order``); a model design keeps the pattern numbers
-(``Survey.design_groups``).  No object is made per row or per
-covariate pattern.  A clean file, with any number of
-covariates, is read by a columnar scan of its bytes, in place when it
+(``key_order``).  No object is made per row or per covariate pattern.
+A clean file, with any number of covariates, is read by a columnar
+scan of its bytes, in place when it
 is given as bytes with ``\\n`` newlines (a ``str`` is encoded once, and
 ``\\r\\n`` and ``\\r`` are made ``\\n`` in a copy): one numpy pass
 finds each block's commas and newlines, and every fixed-width run of
@@ -563,20 +562,6 @@ class Survey:
         cells = [(self.sets[j], patterns[c]) for j, c in zip(self.cell_set.tolist(), self.cell_pattern.tolist())]
         for w, g in zip(self.weights.tolist(), self.index.tolist()):
             yield (w, *cells[g])
-
-    def design_groups(self, category_of_set):
-        """The respondents whose set has a category, in respondent order, by covariate pattern.
-
-        ``category_of_set[j]`` is the category of ``sets[j]``, or -1 to
-        leave its respondents out.  Returns each kept respondent's number
-        among the patterns the kept hold, those patterns in key order,
-        and each kept respondent's category and weight.
-        """
-        cell_category = np.asarray(category_of_set, dtype=np.intp)[self.cell_set]
-        keep = np.flatnonzero(cell_category[self.index] >= 0)
-        cells = self.index[keep]
-        group, used = key_order(self.cell_pattern[cells])
-        return group, self.patterns[used], cell_category[cells], self.weights[keep]
 
 
 @dataclass(frozen=True)

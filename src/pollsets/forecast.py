@@ -171,8 +171,7 @@ def _row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def decided_design(s: Survey) -> mnl.DesignData:
     """Design data over decided respondents, categories in registry order."""
-    category = [ps.indices()[0] if ps.is_singleton else -1 for ps in s.sets]
-    d = mnl.DesignData.from_groups(*s.design_groups(category), len(s.registry))
+    d = mnl.DesignData.from_survey(s, tuple(map(s.registry.singleton, s.registry.options)))
     if not d.n:
         raise ValueError("no decided respondents")
     return d

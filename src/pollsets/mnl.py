@@ -32,7 +32,7 @@ probability of about 1e-12, so two such categories keep equal rows.
 Fits run on grouped counts, not on respondent rows.  Covariates are
 binary, so a design has at most 2^(P-1) distinct rows, often far fewer
 than respondents, in lexicographic order as a survey's cell table
-numbers them (``Survey.design_groups``).  The weighted category
+numbers them (``DesignData.from_survey``).  The weighted category
 counts per distinct row are sufficient statistics for the likelihood
 (Agresti, *Categorical Data Analysis*), so an iteration costs O(G K P)
 for G distinct rows instead of O(n K P).
@@ -92,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import number_patterns
+from .data import PartySet, Survey, key_order, number_patterns
 
 RIDGE_FLOOR = 1e-8
 
@@ -228,10 +228,20 @@ class DesignData:
         self._store(*number_patterns(x[:, 1:]), y.astype(int), w, n_categories)
 
     @classmethod
-    def from_groups(cls, group, patterns, y, w, n_categories: int) -> DesignData:
-        """Unchecked: the design of ``data.Survey.design_groups``'s respondents."""
+    def from_survey(cls, s: Survey, categories: tuple[PartySet, ...]) -> DesignData:
+        """The design of the respondents whose set is a category, ``categories[i]`` being category i.
+
+        They are kept in respondent order, and the covariate patterns
+        they hold are numbered in key order, as the survey's cell table
+        numbers its own; the survey's rows are not checked again.
+        """
+        index = {ps: i for i, ps in enumerate(categories)}
+        cell_category = np.array([index.get(ps, -1) for ps in s.sets], dtype=np.intp)[s.cell_set]
+        keep = np.flatnonzero(cell_category[s.index] >= 0)
+        cells = s.index[keep]
+        group, used = key_order(s.cell_pattern[cells])
         d = object.__new__(cls)
-        d._store(group, patterns, y, w, n_categories)
+        d._store(group, s.patterns[used], cell_category[cells], s.weights[keep], len(categories))
         return d
 
     def _store(self, group, patterns, y, w, k):
@@ -326,8 +336,8 @@ class FitOptions:
 
 
 def _check_integer(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an int or a numpy integer."""
-    if not isinstance(value, numbers.Integral):
+    """Raise ValueError unless ``value`` is an int or a numpy integer; a boolean is neither."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

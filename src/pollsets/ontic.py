@@ -53,8 +53,7 @@ def ontic_design(s: Survey, cats: tuple[PartySet, ...]) -> mnl.DesignData:
     intercept, so no penalty can tell the two apart; it raises ValueError.
     A covariate that is 0 for all of them is kept, and its group is zeroed.
     """
-    index = {ps: i for i, ps in enumerate(cats)}
-    d = mnl.DesignData.from_groups(*s.design_groups([index.get(ps, -1) for ps in s.sets]), len(cats))
+    d = mnl.DesignData.from_survey(s, cats)
     if not d.n:
         raise ValueError("no respondents fall into the ontic categories")
     constant = [name for name, ones in zip(s.schema, d.xu[:, 1:].all(axis=0).tolist()) if ones]
@@ -86,17 +85,14 @@ def fit_ontic(
     seed: int = 0,
     repeats: int = 1,
     *,
-    design: mnl.DesignData | None = None,
     return_path: bool = False,
 ):
-    """Cross-validated group-lasso fit over the ontic categories.
+    """Cross-validated group-lasso fit over the ontic categories' design, ``ontic_design(s, cats)``.
 
-    ``design`` is ``ontic_design(s, cats)``, built here if not given.
     With ``return_path`` a fourth item holds ``regularization_path``
     over the same grid, fitted in the cross-validation stacks.
     """
-    if design is None:
-        design = ontic_design(s, cats)
+    design = ontic_design(s, cats)
     constraint = mnl.Constraint.symmetric()
     grid = mnl.default_lambda_grid(design, constraint) if lambda_grid is None else [float(v) for v in lambda_grid]
     cv = mnl.cross_validate(design, grid, folds, seed, constraint, repeats=repeats, return_path=return_path)

@@ -34,11 +34,14 @@ GRID_BUDGET = 2_000_000
 _KEY_ROWS = 1 << 12
 
 
-def _real(v) -> float:
-    """``v`` as a float if it is a real number; a string or a boolean, which ``float`` would read, raises TypeError."""
+def _real(v, name: str = "value") -> float:
+    """``v`` as a float if it is a real number; a string or a boolean, which ``float`` would read, raises ValueError."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise TypeError(f"not a real number: {v!r}")
-    return float(v)
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer too large for a float reads as infinite, as 1e400 does
+        return math.inf if v > 0 else -math.inf
 
 
 class CoarsenStyle(enum.Enum):
@@ -62,14 +65,14 @@ class SimConfig:
         _check_integer("seed", self.seed)
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not 0.0 <= self.coarsen_prob <= 1.0:
+        if not isinstance(self.style, CoarsenStyle):
+            raise ValueError(f"style must be a CoarsenStyle, got {self.style!r}")
+        if not 0.0 <= _real(self.coarsen_prob, "coarsen_prob") <= 1.0:
             raise ValueError("coarsen_prob must lie in [0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         try:
             coef = tuple(tuple(map(_real, row)) for row in self.coefficients)
-        except OverflowError:  # an integer too large for a float, as 1e400 reads as inf
-            raise ValueError("coefficients must be finite") from None
         except (TypeError, ValueError):
             raise ValueError("coefficients must be a matrix of numbers") from None
         object.__setattr__(self, "coefficients", coef)
@@ -78,9 +81,14 @@ class SimConfig:
             raise ValueError("coefficient matrix must be (registry size) x (1 + covariates)")
         if not all(map(math.isfinite, itertools.chain.from_iterable(coef))):
             raise ValueError("coefficients must be finite")
-        lo, hi = self.weight_range
+        try:
+            lo, hi = self.weight_range
+        except (TypeError, ValueError):
+            raise ValueError(f"weight_range must be a pair (low, high), got {self.weight_range!r}") from None
+        lo, hi = _real(lo, "weight_range"), _real(hi, "weight_range")
         if not 0 < lo <= hi < math.inf:
             raise ValueError("weight_range must be finite and satisfy 0 < low <= high")
+        object.__setattr__(self, "weight_range", (lo, hi))
 
 
 @dataclass(frozen=True, eq=False)

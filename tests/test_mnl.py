@@ -359,6 +359,7 @@ class TestFit:
             dict(max_iterations="3"),
             dict(tolerance="1e-8"),
             dict(tolerance=None),
+            dict(max_iterations=True),
         ],
     )
     def test_invalid_options_raise(self, options):
@@ -634,10 +635,11 @@ class TestCrossValidate:
             ([0.5], 3.0, 1, 0, r"^folds must be an integer, got 3\.0$"),
             ([0.5], 3, 1.5, 0, r"^repeats must be an integer, got 1\.5$"),
             ([0.5], 3, 1, 1.5, r"^seed must be an integer, got 1\.5$"),
+            ([0.5], True, 1, 0, "^folds must be an integer, got True$"),
         ],
         ids=[
             "empty-grid", "one-fold", "more-folds-than-rows", "no-repeats",
-            "fractional-folds", "float-folds", "fractional-repeats", "fractional-seed",
+            "fractional-folds", "float-folds", "fractional-repeats", "fractional-seed", "boolean-folds",
         ],
     )
     def test_bad_settings_rejected(self, grid, folds, repeats, seed, message):
@@ -746,6 +748,8 @@ _SYMMETRIC, _NO_PENALTY = mnl.Constraint.symmetric(), mnl.PenaltySpec.none()
     [
         (lambda: mnl.Constraint("bogus"), "^constraint kind must be 'reference' or 'symmetric', got 'bogus'$"),
         (lambda: mnl.Constraint.reference(1.0), r"^reference category must be an integer, got 1\.0$"),
+        # A boolean index selects every row: reference(True) once zeroed the whole matrix and reported it converged.
+        (lambda: mnl.Constraint.reference(True), "^reference category must be an integer, got True$"),
         (lambda: mnl.DesignData(np.ones((3, 1)), [0, 1], np.ones(3), 2), "^design shapes disagree$"),
         (lambda: mnl.DesignData(np.ones(3), [0, 1, 1], np.ones(3), 2), "^design shapes disagree$"),
         (lambda: mnl.MnlModel(np.zeros(3), _SYMMETRIC, _NO_PENALTY), "^coefficients must be a K x P matrix$"),
@@ -757,8 +761,8 @@ _SYMMETRIC, _NO_PENALTY = mnl.Constraint.symmetric(), mnl.PenaltySpec.none()
         (lambda: mnl.prox_group(np.ones(2), -1.0), "^threshold must be >= 0$"),
     ],
     ids=[
-        "constraint-kind", "reference-not-integer", "short-y", "flat-x", "flat-coefficients", "reference-row",
-        "symmetric-sums", "threshold",
+        "constraint-kind", "reference-not-integer", "reference-boolean", "short-y", "flat-x", "flat-coefficients",
+        "reference-row", "symmetric-sums", "threshold",
     ],
 )
 def test_malformed_model_arguments_raise(call, message):

@@ -138,7 +138,7 @@ class TestRegularizationPath:
         cats, _ = build_ontic_categories(s, 2)
         design = ontic.ontic_design(s, cats)
         grid = mnl.default_lambda_grid(design, mnl.Constraint.symmetric(), 5)
-        model, table, lam, path = fit_ontic(s, cats, grid, folds=3, seed=seed, design=design, return_path=True)
+        model, table, lam, path = fit_ontic(s, cats, grid, folds=3, seed=seed, return_path=True)
         plain_model, plain_table, plain_lam = fit_ontic(s, cats, grid, folds=3, seed=seed)
         assert np.array_equal(model.coefficients, plain_model.coefficients)
         assert (table, lam) == (plain_table, plain_lam)
@@ -261,15 +261,13 @@ def assert_table_designs_match_rows(s, k):
     """
     singles = tuple(s.registry.singleton(code) for code in s.registry.options)
     cats, _ = build_ontic_categories(s, k)
-    index = {ps: i for i, ps in enumerate(cats)}
     for build, categories, empty, rejects_constant in (
         (decided_design, singles, "no decided respondents", False),
         (lambda s: ontic.ontic_design(s, cats), cats, "no respondents fall into the ontic categories", True),
     ):
         want = row_design(s, categories)
         if want.n and rejects_constant and want.xu[:, 1:].all(axis=0).any():
-            unchecked = mnl.DesignData.from_groups(*s.design_groups([index.get(ps, -1) for ps in s.sets]), len(cats))
-            assert_same_design(unchecked, want)
+            assert_same_design(mnl.DesignData.from_survey(s, cats), want)
             with pytest.raises(ValueError, match="is 1 for every respondent in the ontic categories"):
                 build(s)
         elif want.n:
@@ -315,3 +313,20 @@ def test_design_keeps_only_the_patterns_its_respondents_hold():
 def test_table_designs_match_rows(s, data):
     undecided = sum(not ps.is_singleton for ps in s.sets)
     assert_table_designs_match_rows(s, data.draw(st.integers(0, undecided)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=table_surveys(), data=st.data())
+def test_design_from_survey_matches_rows_on_any_categories(s, data):
+    # Any order, with sets the survey lacks: category numbers follow neither registry nor frequency order.
+    every_set = [ontic.PartySet(mask) for mask in range(1, 1 << len(s.registry))]
+    cats = tuple(data.draw(st.lists(st.sampled_from(every_set), min_size=2, max_size=len(every_set), unique=True)))
+    assert_same_design(mnl.DesignData.from_survey(s, cats), row_design(s, cats))
+
+
+def test_design_from_survey_of_sets_the_survey_lacks_keeps_nobody():
+    # SOME_PATTERNS names neither A+C nor A+B+C.
+    cats = (ontic.PartySet(0b101), ontic.PartySet(0b111))
+    d = mnl.DesignData.from_survey(SOME_PATTERNS, cats)
+    assert_same_design(d, row_design(SOME_PATTERNS, cats))
+    assert (d.n, d.xu.shape, d.counts.shape) == (0, (0, 3), (2, 0))

@@ -105,8 +105,10 @@ class TestGeneratePopulation:
             ("n", 2.5, r"^n must be an integer, got 2\.5$"),
             ("n", "10", "^n must be an integer, got '10'$"),
             ("seed", 1.5, r"^seed must be an integer, got 1\.5$"),
+            ("n", True, "^n must be an integer, got True$"),
+            ("seed", False, "^seed must be an integer, got False$"),
         ],
-        ids=["fractional-n", "string-n", "fractional-seed"],
+        ids=["fractional-n", "string-n", "fractional-seed", "boolean-n", "boolean-seed"],
     )
     def test_config_rejects_a_size_or_seed_that_is_not_an_integer(self, field, value, message):
         # These once built a config that generate_population, or the range check, failed with TypeError.
@@ -114,10 +116,38 @@ class TestGeneratePopulation:
             config(**{field: value})
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("style", "neighbor", "^style must be a CoarsenStyle, got 'neighbor'$"),
+            ("coarsen_prob", "0.5", "^coarsen_prob must be a real number, got '0.5'$"),
+            ("coarsen_prob", True, "^coarsen_prob must be a real number, got True$"),
+            ("weight_range", ("1", "2"), "^weight_range must be a real number, got '1'$"),
+            ("weight_range", (1.0, False), "^weight_range must be a real number, got False$"),
+            ("weight_range", 1.0, r"^weight_range must be a pair \(low, high\), got 1\.0$"),
+            ("weight_range", (1.0, 2.0, 3.0), r"^weight_range must be a pair \(low, high\), got \(1\.0, 2\.0, 3\.0\)$"),
+            # An integer too large for a float reads as infinite.
+            ("coarsen_prob", 10**400, r"^coarsen_prob must lie in \[0, 1\]$"),
+            ("weight_range", (1, 10**400), "^weight_range must be finite and satisfy 0 < low <= high$"),
+        ],
+        ids=[
+            "string-style", "string-coarsen-prob", "boolean-coarsen-prob", "string-weights", "boolean-weight",
+            "one-weight", "three-weights", "huge-coarsen-prob", "huge-weight",
+        ],
+    )
+    def test_config_rejects_a_malformed_field(self, field, value, message):
+        # A string style once drew ADD_RANDOM sets, True was read as 1, and the rest raised TypeError or OverflowError.
+        with pytest.raises(ValueError, match=message):
+            config(**{field: value})
+
+    def test_config_reads_weight_range_as_a_pair_of_floats(self):
+        assert config(weight_range=[1, np.float32(2.5)]).weight_range == (1.0, 2.5)
+
+    @pytest.mark.parametrize(
         "coefficients,message",
         [
             (((0.0, 0.0, math.nan),) * 4, "^coefficients must be finite$"),
             (((0.0, 0.0, math.inf),) * 4, "^coefficients must be finite$"),
+            (((0.0, 0.0, -(10**400)),) * 4, "^coefficients must be finite$"),
             (((0.0, 0.0, 0.0),) * 3 + ((0.0, 0.0),), r"^coefficient matrix must be \(registry size\)"),
             ((1.0, 2.0, 3.0, 4.0), "^coefficients must be a matrix of numbers$"),
             ((("1.5", 0.0, 0.0),) + ((0.0, 0.0, 0.0),) * 3, "^coefficients must be a matrix of numbers$"),
@@ -125,7 +155,10 @@ class TestGeneratePopulation:
             (((True, 0.0, 0.0),) + ((0.0, 0.0, 0.0),) * 3, "^coefficients must be a matrix of numbers$"),
             (np.zeros((4, 3), dtype=bool), "^coefficients must be a matrix of numbers$"),
         ],
-        ids=["nan", "inf", "short-row", "not-a-matrix", "string", "string-rows", "boolean", "numpy-booleans"],
+        ids=[
+            "nan", "inf", "huge-integer", "short-row", "not-a-matrix", "string", "string-rows", "boolean",
+            "numpy-booleans",
+        ],
     )
     def test_config_rejects_bad_coefficients(self, coefficients, message):
         with pytest.raises(ValueError, match=message):
