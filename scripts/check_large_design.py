@@ -114,7 +114,8 @@ def check_scan(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
     """``parse_survey`` reads each file's every spelling by the columnar scan, into the row parser's survey of its text.
 
     The spellings are the file's bytes, the bytes after a byte order mark,
-    with CRLF newlines, with CR newlines, and its text.  The row parser
+    with CRLF newlines, with CR newlines, with a trailing blank line, with
+    CRLF newlines and a trailing blank line, and its text.  The row parser
     must not be called for any of them.  Weights of "1.0" go through the
     decimal decode; 16-17 digit reprs go through float().
     """
@@ -127,6 +128,8 @@ def check_scan(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
             "bytes after a byte order mark": b"\xef\xbb\xbf" + raw,
             "CRLF bytes": raw.replace(b"\n", b"\r\n"),
             "CR bytes": raw.replace(b"\n", b"\r"),
+            "bytes with a trailing blank line": raw + b"\n",
+            "CRLF bytes with a trailing blank line": raw.replace(b"\n", b"\r\n") + b"\r\n",
             "text": raw.decode(),
         }
         for kind, document in spellings.items():
@@ -162,7 +165,7 @@ def check_designs(registry: PartyRegistry, schema: tuple[str, ...], paths) -> No
     reverse order, whose numbers follow neither registry nor frequency
     order.  Their lambda_max, the top of the penalty grid, comes from the
     grouped counts; it must match the null-model gradient summed over
-    respondent rows within 1e-12 relative, under both constraints.
+    respondent rows within 1e-12 relative.
     """
     for path in paths:
         s = parse_survey(_read(path), registry, schema)
@@ -182,15 +185,14 @@ def check_designs(registry: PartyRegistry, schema: tuple[str, ...], paths) -> No
                     sys.exit(f"{path}: the {name} design differs from the row constructor in {field}")
             x = np.array([x for *_, x in rows], dtype=float)
             y, w = np.array([c for _, c, _ in rows]), np.array([w for w, *_ in rows])
-            for constraint in (mnl.Constraint.symmetric(), mnl.Constraint.reference(0)):
-                scores = x @ mnl.initial_coefficients(d, constraint).T
-                scores -= scores.max(axis=1, keepdims=True)
-                resid = np.exp(scores - np.log(np.exp(scores).sum(axis=1, keepdims=True)))
-                resid[np.arange(len(y)), y] -= 1.0
-                grad = mnl.project_constraint((resid * w[:, None]).T @ x, constraint)
-                top, want_top = mnl.lambda_max(d, constraint), max(mnl.group_norms(grad), default=0.0)
-                if not abs(top - want_top) <= 1e-12 * want_top:
-                    sys.exit(f"{path}: the {name} design has lambda_max {top!r}, per respondent {want_top!r}")
+            scores = x @ mnl.initial_coefficients(d).T
+            scores -= scores.max(axis=1, keepdims=True)
+            resid = np.exp(scores - np.log(np.exp(scores).sum(axis=1, keepdims=True)))
+            resid[np.arange(len(y)), y] -= 1.0
+            grad = mnl.project_constraint((resid * w[:, None]).T @ x)
+            top, want_top = mnl.lambda_max(d), max(mnl.group_norms(grad), default=0.0)
+            if not abs(top - want_top) <= 1e-12 * want_top:
+                sys.exit(f"{path}: the {name} design has lambda_max {top!r}, per respondent {want_top!r}")
 
 
 def check_homogeneity(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
@@ -198,18 +200,16 @@ def check_homogeneity(registry: PartyRegistry, schema: tuple[str, ...], paths) -
 
     It must report converged, with no projected-gradient entry above 1e-8
     times the decided weight.  So must the same fit with P10 added to the
-    registry, under both constraints: no row names P10, so Newton holds
-    its row at the start and solves for the other rows only.
+    registry: no row names P10, so Newton holds its row at the start and
+    solves for the other rows only.
     """
-    codes, symmetric = ",".join(registry.options), mnl.Constraint.symmetric()
-    fits = [(codes, symmetric), (codes + ",P10", symmetric), (codes + ",P10", mnl.Constraint.reference(0))]
     for path in paths:
         text = _read(path)
-        for fit_codes, constraint in fits:
-            d = forecast.decided_design(parse_survey(text, PartyRegistry(tuple(fit_codes.split(","))), schema))
-            model, report = mnl.fit(d, mnl.PenaltySpec.none(), constraint)
+        for fit_codes in (registry.options, (*registry.options, "P10")):
+            d = forecast.decided_design(parse_survey(text, PartyRegistry(fit_codes), schema))
+            model, report = mnl.fit(d, mnl.PenaltySpec.none())
             worst, weight = float(np.max(np.abs(mnl.nll_and_gradient(model, d)[1]))), float(d.w.sum())
-            fit = f"{d.n_categories} parties, {constraint.kind}"
+            fit = f"{d.n_categories} parties"
             print(
                 f"{path}, {fit}: {report.stop_reason} after {report.iterations} iterations,"
                 f" projected gradient {worst:.2e}, decided weight {weight:.1f}"
@@ -226,7 +226,7 @@ def check_transitions(registry: PartyRegistry, schema: tuple[str, ...], paths) -
     """
     for path in paths:
         s = parse_survey(_read(path), registry, schema)
-        model, _ = mnl.fit(forecast.decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
+        model, _ = mnl.fit(forecast.decided_design(s), mnl.PenaltySpec.none())
         probs = forecast.transition_probabilities(model, s).probs.tolist()
         predictions = mnl.predict_proba(model, np.hstack((np.ones((len(s.patterns), 1)), s.patterns))).tolist()
         members = [ps.indices() for ps in s.sets]
@@ -286,7 +286,7 @@ def check_sums(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
             for j, ps in enumerate(s.sets):
                 if data.rounded(s.set_sums[j]).hex() != math.fsum(s.weights[set_of_row == j].tolist()).hex():
                     sys.exit(f"{path}: set {registry.label_of(ps)}'s exact weight sum does not round as math.fsum")
-            model, _ = mnl.fit(forecast.decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
+            model, _ = mnl.fit(forecast.decided_design(s), mnl.PenaltySpec.none())
             table = forecast.transition_probabilities(model, s)
             cell_weights = np.bincount(s.index, weights=s.weights, minlength=len(table.probs))
             g, k = np.nonzero(table.probs)

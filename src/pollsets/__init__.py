@@ -43,7 +43,6 @@ from .forecast import (
     transition_probabilities,
 )
 from .mnl import (
-    Constraint,
     DesignData,
     FitOptions,
     FitReport,

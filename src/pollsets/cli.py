@@ -213,7 +213,7 @@ def cmd_ontic(args) -> int:
     if not survey.schema:
         raise ValueError("ontic fitting requires a covariate schema (--schema)")
     cats, dropped = ontic.build_ontic_categories(survey, args.k)
-    grid = mnl.default_lambda_grid(ontic.ontic_design(survey, cats), mnl.Constraint.symmetric(), points=args.grid_points)
+    grid = mnl.default_lambda_grid(ontic.ontic_design(survey, cats), points=args.grid_points)
     fitted = ontic.fit_ontic(survey, cats, grid, folds=args.folds, seed=args.seed, return_path=bool(args.path_out))
     table, best_lam = fitted[1:3]
     print(f"categories: {len(cats)}, respondents dropped: {dropped}", file=sys.stderr)

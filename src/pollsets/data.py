@@ -615,9 +615,10 @@ def parse_survey(document: str | bytes, registry: PartyRegistry, schema) -> Surv
     bytes that are not UTF-8 raise SurveyFormatError with the line of the
     first bad byte.
 
-    A clean document, with no quote or blank line and every row well
-    formed, is read by a columnar scan over its bytes (``_parse_clean``),
-    in place when it is given as bytes.  Any other document, and any
+    A clean document, with no quote, no blank line before its last row
+    and every row well formed, is read by a columnar scan over its bytes
+    (``_parse_clean``), in place when it is given as bytes; trailing
+    blank lines are cut off in a copy.  Any other document, and any
     document that scan declines, goes through the row parser
     (``_parse_rows``) as text, which defines the format: its semantics,
     its error messages and their line numbers.  Both give equal surveys
@@ -691,6 +692,9 @@ def _parse_rows(text: str, registry: PartyRegistry, schema: tuple[str, ...]) -> 
             if len(row) != width:
                 raise SurveyFormatError(f"expected {width} columns, got {len(row)}", line=lineno)
             try:
+                # ``float`` also reads "_" digit separators and non-ASCII digits, which the format does not allow.
+                if not row[0].isascii() or "_" in row[0]:
+                    raise ValueError
                 weight = float(row[0])
             except ValueError:
                 raise SurveyFormatError(f"weight {row[0]!r} is not a number", line=lineno) from None
@@ -769,12 +773,12 @@ def _parse_clean(document: str | bytes, registry: PartyRegistry, schema: tuple[s
 
     Returns a survey equal to ``_parse_rows``'s of the document's text,
     or None wherever the document is not clean (a quote, a carriage
-    return, a NUL, a blank line, a wrong column count, any cell the row
-    parser would reject, a non-binary covariate even on a dropped row, a
-    field over ``csv.field_size_limit()``, no data rows, bytes that are
-    not UTF-8, text that has no UTF-8 encoding) or its shape does not
-    suit the scan.  It reports no fault in the rows: the row parser is
-    the one place that explains one.  Only ``Survey``'s own checks on
+    return, a NUL, a blank line before the last row, a wrong column
+    count, any cell the row parser would reject, a non-binary covariate
+    even on a dropped row, a field over ``csv.field_size_limit()``, no
+    data rows, bytes that are not UTF-8, text that has no UTF-8
+    encoding) or its shape does not suit the scan.  It reports no fault
+    in the rows: the row parser is the one place that explains one.  Only ``Survey``'s own checks on
     the finished table (unique schema labels, a finite total weight)
     raise, with the error the row parser's survey would raise.
     """
@@ -783,6 +787,9 @@ def _parse_clean(document: str | bytes, registry: PartyRegistry, schema: tuple[s
             document = document.encode()
         except UnicodeEncodeError:
             return None
+    if document.endswith(b"\n\n"):
+        # The row parser skips blank lines, so the scan stops after the last line that is not blank.
+        document = document.rstrip(b"\n") + b"\n"
     if any(c in document for c in b'"\r\0'):  # a byte of bytes is an int, which ``in`` takes
         return None
     pos = 3 if document.startswith(b"\xef\xbb\xbf") else 0
@@ -851,8 +858,8 @@ def _scan_block(
     covariates, each ended by a newline; ``buf`` may hold more bytes on
     either side, and cells are read from it in place.  One pass finds
     every comma and newline; each row must hold exactly ``p + 1`` commas
-    before its newline, a weight that ``float`` takes and that is
-    positive and finite, and each covariate cell one byte ``0`` or ``1``,
+    before its newline, a weight without "_" that ``float`` takes and that
+    is positive and finite, and each covariate cell one byte ``0`` or ``1``,
     read from the row's ``_items`` tail.  A plain decimal weight is decoded
     by ``_decimals``, any other goes through ``float`` on its bytes, taken
     from a ``_padded`` array as the parties cells are.  Returns the weights,
@@ -890,7 +897,7 @@ def _scan_block(
     if not decoded.all():
         rest = np.flatnonzero(~decoded)
         cells = _padded(buf, starts[rest] + start, weight_len[rest], stop - start)
-        if cells is None:
+        if cells is None or np.any(cells.view(np.uint8) == 95):  # a "_", which ``float`` reads and the format rejects
             return None
         try:
             weights[rest] = np.fromiter(map(float, cells.tolist()), float, len(rest))

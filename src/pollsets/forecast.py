@@ -185,7 +185,7 @@ def homogeneity_forecast(s: Survey) -> tuple[ProbabilityVector, TransitionTable,
     total weights, exactly rounded as ``math.fsum`` rounds.
     """
     # The design is dropped after the fit, before the table is built.
-    model, report = mnl.fit(decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
+    model, report = mnl.fit(decided_design(s), mnl.PenaltySpec.none())
     table = transition_probabilities(model, s)
     cell_weights = np.bincount(s.index, weights=s.weights, minlength=len(table.probs))
     # Only the nonzero entries: a dense product would cost exact_sums several (cells x K) temporaries.

@@ -1,10 +1,12 @@
 """Weighted multinomial logistic regression with composite penalties.
 
 Coefficients live in a K x P matrix (categories by predictors, first
-predictor the intercept).  Identifiability comes from either a
-reference category whose row is pinned at zero or a symmetric
-constraint keeping every column sum at zero.  Both are linear
-subspaces, so they are enforced by projection at every iterate.
+predictor the intercept).  They are identified by the symmetric side
+constraint: every column sums to zero, so each coefficient is a
+deviation from the category mean and a group-lasso penalty does not
+depend on which category is the baseline (Tutz, Poessnecker & Uhlmann
+2015; Friedman, Hastie & Tibshirani 2010).  The constraint is a linear
+subspace, so it is enforced by projection at every iterate.
 
 The objective's smooth part is the weighted negative log-likelihood
 plus a ridge term, its nonsmooth part an optional group-lasso penalty
@@ -20,8 +22,8 @@ method), and the fit stops on the Newton decrement.  A group-lasso fit,
 at any lambda, runs a monotone accelerated proximal gradient method
 with backtracking (``_fit_stack``), as cross-validation and
 ``fit_path`` do.  Because the group proximal operator rescales whole
-columns, it preserves both constraint subspaces, and the composite
-iteration never leaves them.
+columns, it preserves the constraint subspace, and the composite
+iteration never leaves it.
 
 A mandatory ridge floor on non-intercept coefficients guards against
 perfect separation; binary covariates alone do not rule it out.  A
@@ -146,52 +148,16 @@ class PenaltySpec:
         return self.lam if self.kind is PenaltyKind.GROUP_LASSO else 0.0
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Identifiability constraint: REFERENCE pins one row, SYMMETRIC centers columns."""
-
-    kind: str
-    ref: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("reference", "symmetric"):
-            raise ValueError(f"constraint kind must be 'reference' or 'symmetric', got {self.kind!r}")
-        if self.kind == "reference":
-            _check_integer("reference category", self.ref)
-
-    @classmethod
-    def reference(cls, category: int) -> Constraint:
-        return cls("reference", category)
-
-    @classmethod
-    def symmetric(cls) -> Constraint:
-        return cls("symmetric")
+def project_constraint(mat: np.ndarray) -> np.ndarray:
+    """A copy of a K x P matrix, or of each matrix in a stack, with every column centered to sum zero."""
+    return _project_in_place(np.array(mat, dtype=float))
 
 
-def project_constraint(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
-    """A copy of a K x P matrix, or of each matrix in a stack, on the constraint subspace.
-
-    Every fit, path, cross-validation and lambda grid projects its start
-    here first, so this is where a reference outside the K rows raises.
-    """
-    _check_reference(constraint, np.shape(mat)[-2])
-    return _project_in_place(np.array(mat, dtype=float), constraint)
-
-
-def _project_in_place(mat: np.ndarray, constraint: Constraint) -> np.ndarray:
+def _project_in_place(mat: np.ndarray) -> np.ndarray:
     """``project_constraint`` without the copy: ``mat`` is overwritten and returned."""
-    if constraint.kind == "reference":
-        mat[..., constraint.ref, :] = 0.0
-    else:
-        # The column means as ``mat.mean`` takes them, bit for bit, without its wrapper.
-        mat -= np.add.reduce(mat, axis=-2, keepdims=True) / mat.shape[-2]
+    # The column means as ``mat.mean`` takes them, bit for bit, without its wrapper.
+    mat -= np.add.reduce(mat, axis=-2, keepdims=True) / mat.shape[-2]
     return mat
-
-
-def _check_reference(constraint: Constraint, k: int) -> None:
-    """Raise ValueError unless a reference constraint pins one of the ``k`` category rows."""
-    if constraint.kind == "reference" and not 0 <= constraint.ref < k:
-        raise ValueError(f"reference category must be in [0, {k}), got {constraint.ref!r}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -264,21 +230,16 @@ class DesignData:
 
 @dataclass(frozen=True)
 class MnlModel:
-    """Fitted coefficient matrix with its constraint and penalty."""
+    """Fitted coefficient matrix, each column summing to zero, with its penalty."""
 
     coefficients: np.ndarray
-    constraint: Constraint
     penalty: PenaltySpec
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
         if coef.ndim != 2:
             raise ValueError("coefficients must be a K x P matrix")
-        _check_reference(self.constraint, coef.shape[0])
-        if self.constraint.kind == "reference":
-            if np.any(coef[self.constraint.ref, :] != 0.0):
-                raise ValueError("reference row must be identically zero")
-        elif np.any(np.abs(coef.sum(axis=0)) >= 1e-8):
+        if np.any(np.abs(coef.sum(axis=0)) >= 1e-8):
             raise ValueError("symmetric constraint violated: column sums not ~0")
         coef = coef.copy()
         coef.flags.writeable = False
@@ -386,11 +347,11 @@ def _smooth_parts(coef: np.ndarray, d: DesignData, ridge: float):
 
 
 def nll_and_gradient(m: MnlModel, d: DesignData) -> tuple[float, np.ndarray]:
-    """Smooth objective value and its gradient projected onto the constraint surface."""
+    """Smooth objective value and its gradient projected onto the constraint subspace."""
     if m.n_predictors != d.n_predictors or m.n_categories != d.n_categories:
         raise ValueError("model and design dimensions disagree")
     nll, grad = _smooth_parts(m.coefficients, d, m.penalty.ridge_coefficient)
-    return nll, project_constraint(grad, m.constraint)
+    return nll, project_constraint(grad)
 
 
 def prox_group(v: np.ndarray, t: float) -> np.ndarray:
@@ -431,16 +392,16 @@ def group_norms(coef: np.ndarray) -> tuple[float, ...]:
     return tuple(_column_norms(coef[:, 1:]).tolist())
 
 
-def _intercept_start(y: np.ndarray, w: np.ndarray, k: int, p: int, constraint: Constraint) -> np.ndarray:
+def _intercept_start(y: np.ndarray, w: np.ndarray, k: int, p: int) -> np.ndarray:
     counts = np.bincount(y, weights=w, minlength=k)
     coef = np.zeros((k, p))
     coef[:, 0] = np.log(np.maximum(counts / counts.sum(), 1e-12))
-    return project_constraint(coef, constraint)
+    return project_constraint(coef)
 
 
-def initial_coefficients(d: DesignData, constraint: Constraint) -> np.ndarray:
+def initial_coefficients(d: DesignData) -> np.ndarray:
     """Start at the intercept-only solution: log weighted category frequencies."""
-    return _intercept_start(d.y, d.w, d.n_categories, d.n_predictors, constraint)
+    return _intercept_start(d.y, d.w, d.n_categories, d.n_predictors)
 
 
 def _fit_stack(
@@ -449,7 +410,6 @@ def _fit_stack(
     totals: np.ndarray,
     lams: np.ndarray,
     ridge: float,
-    constraint: Constraint,
     options: FitOptions,
     x0: np.ndarray,
 ) -> tuple[np.ndarray, list[FitReport]]:
@@ -496,7 +456,7 @@ def _fit_stack(
         f_y, logp = _stack_value(y, xu, counts, ridge)
         f_y = f_y.tolist()
         _check_finite(f_y)
-        grad = _project_in_place(_stack_gradient(y, logp, xu, counts, totals, ridge), constraint)
+        grad = _project_in_place(_stack_gradient(y, logp, xu, counts, totals, ridge))
         del logp
 
         searching = list(range(m))
@@ -505,7 +465,7 @@ def _fit_stack(
             cand = y - grad / steps[:, None, None]
             if penalized:
                 cand = _stack_prox(cand, lams / steps)
-            cand = _project_in_place(cand, constraint)
+            cand = _project_in_place(cand)
             diff = cand - y
             f_cand = _stack_value(cand, xu, counts, ridge)[0].tolist()
             _check_finite(f_cand)
@@ -548,7 +508,7 @@ def _fit_stack(
 
         # Accepted problems move to the candidate; the rest keep x, and a restarted one takes y = x.
         held = ~np.array(accepted)[:, None, None]
-        y = _project_in_place(cand + np.array(beta)[:, None, None] * (cand - x), constraint)
+        y = _project_in_place(cand + np.array(beta)[:, None, None] * (cand - x))
         np.copyto(cand, x, where=held)
         x = cand
         np.copyto(y, x, where=held)
@@ -610,19 +570,16 @@ def _hessian(pairs: np.ndarray, p: int, totals: np.ndarray, probs: np.ndarray) -
     return tri[pair_k[:, None, :, None], pair_p[None, :, None, :]].reshape(k * p, k * p)
 
 
-def _fit_newton(
-    d: DesignData, ridge: float, constraint: Constraint, options: FitOptions, x0: np.ndarray
-) -> tuple[np.ndarray, FitReport]:
+def _fit_newton(d: DesignData, ridge: float, options: FitOptions, x0: np.ndarray) -> tuple[np.ndarray, FitReport]:
     """Fit the smooth objective (NLL + ridge) by damped Newton steps from ``x0``.
 
     A category with no count has no finite maximum-likelihood row, so its
-    row stays where it starts, as does a reference's pinned row; only the
-    other, free rows move, and under the symmetric constraint their sum
-    stays fixed.  Each step is solved in the free rows' coordinates (the
-    null-space method; Nocedal & Wright, *Numerical Optimization*, 16.2):
-    the Hessian covers the free rows only, and under the symmetric
-    constraint the last free row is minus the sum of the others, so the
-    system is E'HE z = -E'g for E = [I; -1'] kron I, and the step E z.
+    row stays where it starts; only the other, free rows move, and their
+    sum stays fixed.  Each step is solved in the free rows' coordinates
+    (the null-space method; Nocedal & Wright, *Numerical Optimization*,
+    16.2): the Hessian covers the free rows only, and the last free row
+    is minus the sum of the others, so the system is E'HE z = -E'g for
+    E = [I; -1'] kron I, and the step E z.
     Armijo backtracking halves the step at most ``MAX_BACKTRACKS`` times.
     The fit stops when half the Newton decrement, -g'step / 2, is within
     ``tolerance * max(1, |f|)``, after taking that last step unless it
@@ -631,11 +588,7 @@ def _fit_newton(
     """
     p = x0.shape[1]
     counts, totals = d.counts[None], d.totals[None]
-    symmetric = constraint.kind == "symmetric"
-    free = d.counts.any(axis=1)
-    if not symmetric:
-        free[constraint.ref] = False
-    rows = np.flatnonzero(free)
+    rows = np.flatnonzero(d.counts.any(axis=1))
     diagonal = np.arange(len(rows) * p)
     pairs = _pair_table(d.xu)
 
@@ -653,18 +606,16 @@ def _fit_newton(
         probs = logp[0, rows]
         hess = _hessian(pairs, p, d.totals, np.exp(probs, out=probs))
         hess[diagonal, diagonal] += ridge * (diagonal % p > 0)
-        if symmetric:
-            blocks = hess.reshape(len(rows), p, len(rows), p)
-            blocks[:, :, :-1] -= blocks[:, :, -1:]
-            blocks[:-1] -= blocks[-1:]
-            grad = grad[:-1] - grad[-1]
+        blocks = hess.reshape(len(rows), p, len(rows), p)
+        blocks[:, :, :-1] -= blocks[:, :, -1:]
+        blocks[:-1] -= blocks[-1:]
+        grad = grad[:-1] - grad[-1]
         # E'HE is the leading block of the eliminated matrix, a view.
         solution = np.linalg.solve(hess[: grad.size, : grad.size], -grad.reshape(-1)).reshape(-1, p)
         hess = blocks = None  # before the next step's Hessian is built
         step = np.zeros_like(x)
-        step[rows[: len(solution)]] = solution
-        if symmetric:
-            step[rows[-1]] = -solution.sum(axis=0)
+        step[rows[:-1]] = solution
+        step[rows[-1]] = -solution.sum(axis=0)
         slope = float(np.vdot(grad, solution))
         if -0.5 * slope <= options.tolerance * max(1.0, abs(f)):
             stop = "converged"
@@ -705,7 +656,6 @@ def _fit_newton(
 def fit(
     d: DesignData,
     penalty: PenaltySpec,
-    constraint: Constraint,
     options: FitOptions = FitOptions(),
     start: np.ndarray | None = None,
 ) -> tuple[MnlModel, FitReport]:
@@ -722,23 +672,23 @@ def fit(
         raise ValueError("need at least 2 observed categories")
     shape = (d.n_categories, d.n_predictors)
     if start is None:
-        x0 = initial_coefficients(d, constraint)
+        x0 = initial_coefficients(d)
     else:
         x0 = np.asarray(start, dtype=float)
         if x0.shape != shape:
             raise ValueError(f"start must be a {shape[0]} x {shape[1]} matrix, got shape {x0.shape}")
         if not np.all(np.isfinite(x0)):
             raise ValueError("start must be finite")
-        x0 = project_constraint(x0, constraint)
+        x0 = project_constraint(x0)
     if penalty.kind is PenaltyKind.GROUP_LASSO:
         lams = np.array([penalty.group_lambda])
         x, (report,) = _fit_stack(
-            d.xu, d.counts[None], d.totals[None], lams, penalty.ridge_coefficient, constraint, options, x0[None]
+            d.xu, d.counts[None], d.totals[None], lams, penalty.ridge_coefficient, options, x0[None]
         )
         x = x[0]
     else:
-        x, report = _fit_newton(d, penalty.ridge_coefficient, constraint, options, x0)
-    return MnlModel(project_constraint(x, constraint), constraint, penalty), report
+        x, report = _fit_newton(d, penalty.ridge_coefficient, options, x0)
+    return MnlModel(project_constraint(x), penalty), report
 
 
 def predict_proba(m: MnlModel, x) -> np.ndarray:
@@ -759,19 +709,19 @@ def predict_proba(m: MnlModel, x) -> np.ndarray:
     return probs
 
 
-def lambda_max(d: DesignData, constraint: Constraint) -> float:
+def lambda_max(d: DesignData) -> float:
     """Smallest group-lasso lambda that keeps every non-intercept group at zero."""
     # The null-model gradient's largest group norm (Friedman, Hastie & Tibshirani 2010).
-    grad = _smooth_parts(initial_coefficients(d, constraint), d, 0.0)[1]
-    return max(group_norms(_project_in_place(grad, constraint)), default=0.0)
+    grad = _smooth_parts(initial_coefficients(d), d, 0.0)[1]
+    return max(group_norms(_project_in_place(grad)), default=0.0)
 
 
-def default_lambda_grid(d: DesignData, constraint: Constraint, points: int = 20) -> tuple[float, ...]:
+def default_lambda_grid(d: DesignData, points: int = 20) -> tuple[float, ...]:
     """Log-spaced descending grid from lambda_max down to lambda_max / 1000."""
     _check_integer("grid points", points)
     if points < 1:
         raise ValueError(f"grid points must be >= 1, got {points}")
-    top = lambda_max(d, constraint)
+    top = lambda_max(d)
     if top <= 0:
         return (0.0,)
     return tuple(float(v) for v in np.geomspace(top, top / 1000.0, points))
@@ -804,7 +754,7 @@ def _descending(lambda_grid) -> list[float]:
     return grid
 
 
-def _fold_stack(d: DesignData, stack: list, constraint: Constraint):
+def _fold_stack(d: DesignData, stack: list):
     """The training problems of the (assignment, fold) pairs in ``stack``, over the distinct
     rows they train on: those rows, counts, totals, penalty fractions and starts; then each
     fold's held-out K x G counts over all of ``d.xu`` and its held-out weight."""
@@ -826,7 +776,7 @@ def _fold_stack(d: DesignData, stack: list, constraint: Constraint):
             raise ValueError("need at least 2 observed categories")
         fractions[b] = float(w.sum()) / w_total
         test_weights[b] = float(d.w[test].sum())
-        start[b] = _intercept_start(y, w, k, d.n_predictors, constraint)
+        start[b] = _intercept_start(y, w, k, d.n_predictors)
     # Only the distinct rows some problem of the stack trains on.
     rows = np.flatnonzero(counts.any(axis=(0, 1)))
     counts = counts[:, :, rows]
@@ -834,7 +784,7 @@ def _fold_stack(d: DesignData, stack: list, constraint: Constraint):
 
 
 def _fit_grid(
-    d: DesignData, grid: list[float], splits: list, constraint: Constraint, options: FitOptions, path: bool
+    d: DesignData, grid: list[float], splits: list, options: FitOptions, path: bool
 ) -> tuple[np.ndarray, list[FitReport]]:
     """The warm-started loop over a descending grid behind ``cross_validate`` and ``fit_path``.
 
@@ -849,10 +799,10 @@ def _fit_grid(
     scores = np.zeros((len(splits), len(grid)))
     path_reports = [None] * len(grid) if path else []
     for lo in range(0, len(splits) + path, per_stack):
-        stacks = [_fold_stack(d, splits[lo : lo + per_stack], constraint)] if lo < len(splits) else []
+        stacks = [_fold_stack(d, splits[lo : lo + per_stack])] if lo < len(splits) else []
         if path and lo + per_stack > len(splits):
             # The full-data fit, after the last split.
-            full = (d.counts[None], d.totals[None], np.ones(1), initial_coefficients(d, constraint)[None])
+            full = (d.counts[None], d.totals[None], np.ones(1), initial_coefficients(d)[None])
             if stacks and len(stacks[0][0]) == len(d.xu):
                 stack_xu, *arrays, test_counts, test_weights = stacks[0]
                 stacks[0] = (stack_xu, *map(np.concatenate, zip(arrays, full)), test_counts, test_weights)
@@ -862,11 +812,9 @@ def _fit_grid(
             n_tests = len(test_weights)
             for j, lam in enumerate(grid):
                 penalty = PenaltySpec.group_lasso(lam)
-                x, reports = _fit_stack(
-                    stack_xu, counts, totals, penalty.group_lambda * fractions, penalty.ridge_coefficient,
-                    constraint, options, start,
-                )
-                coef = project_constraint(x, constraint)
+                lams = penalty.group_lambda * fractions
+                x, reports = _fit_stack(stack_xu, counts, totals, lams, penalty.ridge_coefficient, options, start)
+                coef = project_constraint(x)
                 if n_tests:
                     # Held-out NLL per unit held-out weight; a path-only stack has none to score.
                     held_out = _stack_value(coef[:n_tests], d.xu, test_counts, 0.0)[0]
@@ -874,22 +822,17 @@ def _fit_grid(
                 if len(reports) > n_tests:
                     path_reports[j] = reports[-1]
                 # Warm start, projected once more as ``fit`` projects a given start.
-                start = project_constraint(coef, constraint)
+                start = project_constraint(coef)
     return scores, path_reports
 
 
-def fit_path(
-    d: DesignData,
-    lambda_grid,
-    constraint: Constraint = Constraint.symmetric(),
-    options: FitOptions = FitOptions(),
-) -> list[FitReport]:
+def fit_path(d: DesignData, lambda_grid, options: FitOptions = FitOptions()) -> list[FitReport]:
     """Group-lasso fits of ``d`` along a descending grid, each started where the one before
     ended: one report per grid value, bit-identical to ``fit`` warm-started the same way."""
     grid = _descending(lambda_grid)
     if np.count_nonzero(d.counts.any(axis=1)) < 2:
         raise ValueError("need at least 2 observed categories")
-    return _fit_grid(d, grid, [], constraint, options, path=True)[1]
+    return _fit_grid(d, grid, [], options, path=True)[1]
 
 
 def cross_validate(
@@ -897,7 +840,6 @@ def cross_validate(
     lambda_grid,
     folds: int,
     seed: int,
-    constraint: Constraint = Constraint.symmetric(),
     options: FitOptions = FitOptions(),
     repeats: int = 1,
     *,
@@ -938,7 +880,7 @@ def cross_validate(
         raise ValueError(f"seed must be >= 0, got {seed}")
     assignments = [_stratified_folds(d.y, folds, seed + 7919 * r) for r in range(repeats)]
     splits = [(assignment, f) for assignment in assignments for f in range(folds)]
-    scores, path = _fit_grid(d, grid, splits, constraint, options, return_path)
+    scores, path = _fit_grid(d, grid, splits, options, return_path)
     means = scores.mean(axis=0)
     # The first minimum: ties go to the larger lambda.
     selected = grid[int(np.argmin(means))], tuple(float(v) for v in means)

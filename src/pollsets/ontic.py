@@ -93,11 +93,10 @@ def fit_ontic(
     over the same grid, fitted in the cross-validation stacks.
     """
     design = ontic_design(s, cats)
-    constraint = mnl.Constraint.symmetric()
-    grid = mnl.default_lambda_grid(design, constraint) if lambda_grid is None else [float(v) for v in lambda_grid]
-    cv = mnl.cross_validate(design, grid, folds, seed, constraint, repeats=repeats, return_path=return_path)
+    grid = mnl.default_lambda_grid(design) if lambda_grid is None else [float(v) for v in lambda_grid]
+    cv = mnl.cross_validate(design, grid, folds, seed, repeats=repeats, return_path=return_path)
     best_lam = cv[0]
-    model, _ = mnl.fit(design, mnl.PenaltySpec.group_lasso(best_lam), constraint)
+    model, _ = mnl.fit(design, mnl.PenaltySpec.group_lasso(best_lam))
     fitted = model, _coefficient_table(s, cats, model), best_lam
     return (*fitted, _path(s, grid, cv[2])) if return_path else fitted
 
@@ -110,7 +109,7 @@ def regularization_path(
 ) -> list[tuple[float, dict[str, float]]]:
     """Per-covariate group norms along a descending lambda grid, warm-started."""
     grid = [float(v) for v in lambda_grid]
-    return _path(s, grid, mnl.fit_path(ontic_design(s, cats), grid, mnl.Constraint.symmetric(), options))
+    return _path(s, grid, mnl.fit_path(ontic_design(s, cats), grid, options))
 
 
 def _path(s: Survey, grid: list[float], reports: list[mnl.FitReport]) -> list[tuple[float, dict[str, float]]]:

@@ -176,7 +176,7 @@ def test_transition_row_unit_check():
         reg = PartyRegistry(("A", "B", "C"))
         coef = np.log(np.array([0.5, 0.25, 0.25]))[:, None]
         coef -= coef.mean()
-        model = mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+        model = mnl.MnlModel(coef, mnl.PenaltySpec.none())
         s = Survey(reg, (), (Respondent(1.0, reg.set_of(["A", "B"])),))
         row = transition_probabilities(model, s).rows[0]
         assert abs(row["A"] - 2 / 3) <= 1e-12
@@ -193,9 +193,8 @@ def test_optimizer_correctness():
             while len(np.unique(y)) < 2:
                 y = rng.integers(0, 3, 5)
             d = mnl.DesignData(x, y, rng.uniform(0.5, 2.0, 5), 3)
-            constraint = mnl.Constraint.symmetric() if seed % 2 else mnl.Constraint.reference(0)
-            coef = mnl.project_constraint(rng.normal(size=(3, 3)), constraint)
-            model = mnl.MnlModel(coef, constraint, mnl.PenaltySpec.ridge(0.05))
+            coef = mnl.project_constraint(rng.normal(size=(3, 3)))
+            model = mnl.MnlModel(coef, mnl.PenaltySpec.ridge(0.05))
             _, grad = mnl.nll_and_gradient(model, d)
             h = 1e-5
             approx = np.zeros_like(coef)
@@ -208,7 +207,7 @@ def test_optimizer_correctness():
                         mnl._smooth_parts(up, d, model.penalty.ridge_coefficient)[0]
                         - mnl._smooth_parts(down, d, model.penalty.ridge_coefficient)[0]
                     ) / (2 * h)
-            approx = mnl.project_constraint(approx, constraint)
+            approx = mnl.project_constraint(approx)
             assert np.linalg.norm(grad - approx) / np.linalg.norm(grad) < 1e-6
 
         # Intercept-only MLE equals weighted empirical frequencies.
@@ -216,7 +215,7 @@ def test_optimizer_correctness():
         y = rng.integers(0, 4, 60)
         w = rng.uniform(0.2, 3.0, 60)
         d = mnl.DesignData(np.ones((60, 1)), y, w, 4)
-        model, _ = mnl.fit(d, mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
+        model, _ = mnl.fit(d, mnl.PenaltySpec.none())
         probs = mnl.predict_proba(model, np.array([1.0]))
         freqs = np.array([w[y == k].sum() for k in range(4)]) / w.sum()
         assert np.max(np.abs(probs - freqs)) < 1e-6
@@ -239,7 +238,7 @@ def test_optimizer_correctness():
         s = _recovery_survey(seed=0)
         cats, _ = build_ontic_categories(s, 5)
         design = ontic_design(s, cats)
-        grid = mnl.default_lambda_grid(design, mnl.Constraint.symmetric(), 20)
+        grid = mnl.default_lambda_grid(design, 20)
         path = regularization_path(
             s, cats, grid, options=mnl.FitOptions(tolerance=1e-10, max_iterations=20_000)
         )

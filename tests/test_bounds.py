@@ -485,7 +485,7 @@ def test_counts_and_conventional_bit_identical_to_per_respondent_fsum(s):
 def test_homogeneity_matches_per_respondent_transition_rows(s):
     rows = list(s.rows())
     assert len({ps.mask for _, ps, _ in rows if ps.is_singleton}) >= 2
-    model, _ = mnl.fit(decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
+    model, _ = mnl.fit(decided_design(s), mnl.PenaltySpec.none())
     table = transition_probabilities(model, s)
     assert len(table.rows) == len(rows)
     for (_, ps, cov), row in zip(rows, table.rows):

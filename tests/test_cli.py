@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from pollsets import cli
 from pollsets.cli import main
 from pollsets.data import _parse_rows
-from test_data import MULTILINE_THEN_FAULT, _reference_parse, _survey_documents
+from test_data import MISREAD_DOCUMENTS, MULTILINE_THEN_FAULT, _reference_parse, _survey_documents
 
 FIXTURE = "weight,parties\n1.0,A\n1.0,A\n1.0,B\n1.0,A;B\n1.0,C\n"
 REG = "A,B,C"
@@ -320,6 +320,13 @@ class TestForecast:
         assert abs(doc["shares"]["B"] - 0.2667) < 1e-4
         assert abs(doc["shares"]["C"] - 0.2) < 1e-6
 
+    @pytest.mark.parametrize("method", ["conventional", "homogeneity"])
+    def test_no_decided_respondents_exits_2(self, capsys, tmp_path, method):
+        path = tmp_path / "undecided.csv"
+        path.write_text("weight,parties\n1.0,A;B\n2.0,B;C\n")
+        code, out, err = run(capsys, "forecast", "--input", path, "--registry", REG, "--method", method)
+        assert (code, out, err) == (2, "", "error: no decided respondents\n")
+
     def test_methods_agree_without_undecided(self, capsys, tmp_path):
         path = tmp_path / "decided.csv"
         path.write_text("weight,parties\n1.0,A\n2.0,B\n1.0,C\n")
@@ -334,7 +341,7 @@ class TestForecast:
 
         fit = mnl.fit
         monkeypatch.setattr(
-            mnl, "fit", lambda d, penalty, constraint: fit(d, penalty, constraint, mnl.FitOptions(max_iterations=2))
+            mnl, "fit", lambda d, penalty: fit(d, penalty, mnl.FitOptions(max_iterations=2))
         )
         code, _, err = run(
             capsys, "forecast", "--input", wave3_path, "--schema", "female,age_65plus,east,high_income,urban",
@@ -737,7 +744,7 @@ class TestOntic:
         assert code == 0
         survey = parse_survey(wave3_path.read_text(), PartyRegistry(tuple(registry.split(","))), tuple(schema.split(",")))
         cats, _ = ontic.build_ontic_categories(survey, 5)
-        grid = mnl.default_lambda_grid(ontic.ontic_design(survey, cats), mnl.Constraint.symmetric(), points=5)
+        grid = mnl.default_lambda_grid(ontic.ontic_design(survey, cats), points=5)
         want = ontic.path_to_csv(ontic.regularization_path(survey, cats, grid))
         assert path_out.read_text(encoding="utf-8") == want
         table = ontic.fit_ontic(survey, cats, grid, folds=3, seed=seed)[1]
@@ -756,7 +763,7 @@ class TestOntic:
         path = tmp_path / "s.csv"
         path.write_text(survey_to_csv(s))
         cats, _ = build_ontic_categories(s, 1)
-        grid = mnl.default_lambda_grid(ontic.ontic_design(s, cats), mnl.Constraint.symmetric(), points=3)
+        grid = mnl.default_lambda_grid(ontic.ontic_design(s, cats), points=3)
         _, table, _ = fit_ontic(s, cats, lambda_grid=grid, folds=3, seed=0)
         argv = [
             "ontic", "--input", path, "--registry", "A,B,C", "--schema", "u,v", "--k", "1", "--grid-points", "3", "--folds", "3",
@@ -947,10 +954,13 @@ def fuzz_csv(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(text=_survey_documents())
 @example(text=MULTILINE_THEN_FAULT)
+@example(text=MISREAD_DOCUMENTS[0])
+@example(text=MISREAD_DOCUMENTS[1])
+@example(text=MISREAD_DOCUMENTS[2])
 def test_describe_parses_or_exits_2_with_line(fuzz_csv, text):
     # Every document either parses or exits 2 naming the line of its first
     # fault, as a plain per-row parser finds it; no exception escapes.
-    fuzz_csv.write_text(text)
+    fuzz_csv.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["describe", "--input", str(fuzz_csv), "--registry", "A,B,C", "--schema", "x1,x2"])

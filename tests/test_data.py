@@ -573,6 +573,9 @@ def _reference_parse(text):
             if len(row) != 2 + len(DIFF_SCHEMA):
                 return ("error", f"expected {2 + len(DIFF_SCHEMA)} columns, got {len(row)}", lineno)
             try:
+                # The format's numbers are ASCII, with no "_" separator; float() reads both.
+                if not row[0].isascii() or "_" in row[0]:
+                    raise ValueError
                 weight = float(row[0])
             except ValueError:
                 return ("error", f"weight {row[0]!r} is not a number", lineno)
@@ -599,11 +602,15 @@ def _reference_parse(text):
 
 # A record spanning lines 2-3, then a fault on line 4 (record 3).
 MULTILINE_THEN_FAULT = 'weight,parties,x1,x2\n1.0,"A;\nB",0,0\n1.0,A\n'
+# Weight cells ``float`` reads but the format does not: a "_" digit separator, full-width and Arabic-Indic digits.
+MISREAD_WEIGHTS = ["1_5", "\uff11\uff12", "\u0663"]
+MISREAD_DOCUMENTS = [f"weight,parties,x1,x2\n1.0,A,0,1\n{cell},B,1,0\n" for cell in MISREAD_WEIGHTS]
 
 
 @st.composite
 def _survey_documents(draw):
-    weights = st.sampled_from(["1.0", "2.5", "0.25", "1e-3"]) | st.sampled_from(["0", "-1", "x", "inf", ""])
+    bad_weights = st.sampled_from(["0", "-1", "x", "inf", "", *MISREAD_WEIGHTS])
+    weights = st.sampled_from(["1.0", "2.5", "0.25", "1e-3"]) | bad_weights
     # '"A;\nB"' is a closed quoted field spanning two physical lines.
     parties = st.sampled_from(["A", "B", "C", "A;B", "B;A", " A ; C ", "A;B;C", '"A;\nB"']) | st.sampled_from(
         ["A;A", "Z", "A;Z", "", ";", "C;C;B", '"A']
@@ -639,8 +646,13 @@ def _weights_by_set(cells):
 @given(_survey_documents())
 @example(MULTILINE_THEN_FAULT)
 @example(CELL_ORDER)
+@example(MISREAD_DOCUMENTS[0])
+@example(MISREAD_DOCUMENTS[1])
+@example(MISREAD_DOCUMENTS[2])
 def test_parse_matches_per_row_reference(text):
     want = _reference_parse(text)
+    # Bytes parse as their text does.
+    assert _parse_or_error(parse_survey, text.encode()) == _parse_or_error(parse_survey, text)
     try:
         s = parse_survey(text, DIFF_REGISTRY, DIFF_SCHEMA)
     except SurveyFormatError as exc:
@@ -783,7 +795,8 @@ def _assert_same_survey(got, want):
 
 # Weight cells at the edges of the scan's decimal decode: plain decimals it
 # takes, and cells it leaves to float() (too many digits or bytes, "_", a
-# sign, a space, an exponent, "nan", two "." or no digit).  The 8-byte cells
+# sign, a space, an exponent, "nan", two "." or no digit); the scan declines
+# a "_", which float() reads but the format does not.  The 8-byte cells
 # are the largest digit integers of the one-word float path.
 _EIGHT_BYTE_EDGES = ["99999999", "9999999.", ".9999999", "10000000"]
 _DECIMAL_EDGES = [
@@ -792,7 +805,7 @@ _DECIMAL_EDGES = [
     *_EIGHT_BYTE_EDGES, "0.0000001",
 ]
 # Edge cells no parser takes as a weight.
-_NOT_WEIGHTS = ["nan", "0.000", "1.2.3", "."]
+_NOT_WEIGHTS = ["1_0", "nan", "0.000", "1.2.3", "."]
 # 16 and 17 significant digits whose integer, divided by 10**k in float64,
 # rounds twice and misses float(): a decode that took them would fail.
 _DOUBLE_ROUNDED = ["95142426273599.37", "1.0164697501428709"]
@@ -800,10 +813,10 @@ _DOUBLE_ROUNDED = ["95142426273599.37", "1.0164697501428709"]
 
 @st.composite
 def _clean_documents(draw):
-    """(document, schema) pairs the columnar scan may take: no quote, CR or blank line, mostly clean rows."""
+    """(document, schema) pairs the columnar scan may take: no quote, CR or inner blank line, mostly clean rows."""
     schema = draw(st.sampled_from([DIFF_SCHEMA, ()]))
     width = 2 + len(schema)
-    weights = st.sampled_from(["1.0", "2.5", "0.25", "3", "1_0", " 1.5", "1e-3", *_DECIMAL_EDGES, *_DOUBLE_ROUNDED])
+    weights = st.sampled_from(["1.0", "2.5", "0.25", "3", " 1.5", "1e-3", *_DECIMAL_EDGES, *_DOUBLE_ROUNDED])
     parties = st.sampled_from(["A", "B", "C", "A;B", " B ; A ", "B;A", "A;B;C", "A\x0b", "Z", "A;Z", "\u00c9"])
     bits = st.sampled_from(["0", "1"])
     header = ",".join(["weight", "parties", *schema])
@@ -815,7 +828,7 @@ def _clean_documents(draw):
             # An unknown code drops the row, and its covariates go unchecked.
             row[1:3] = [draw(st.sampled_from(["Z", "A;Z"])), "2"][: width - 1]
         elif fault == 1:
-            row[0] = draw(st.sampled_from(["inf", "0", "\u0661", "-1", "nan", "", "x"]))
+            row[0] = draw(st.sampled_from(["inf", "0", "-1", "nan", "", "x", *MISREAD_WEIGHTS]))
         elif fault == 2:
             row[1] = draw(st.sampled_from(["A;A", "", ";"]))
         elif fault == 3 and schema:
@@ -825,7 +838,7 @@ def _clean_documents(draw):
         elif fault == 5:
             row.append(draw(bits))
         lines.append(",".join(row))
-    return "\n".join(lines) + ("\n" if draw(st.booleans()) else ""), schema
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])), schema
 
 
 @settings(max_examples=300, deadline=None)
@@ -834,6 +847,7 @@ def _clean_documents(draw):
 @example(("\ufeffweight,parties,x1,x2\n1.0,A;B,0,1\n2.5,C,1,1\n0.25,B,1,0", DIFF_SCHEMA), 8)  # BOM bytes
 @example((b"weight,parties,x1,x2\n1.0,A,0,1\n2.5,C,1,1\n1.0,\xc9,1,0\n", DIFF_SCHEMA), 8)  # not UTF-8
 @example((b"weight,parties\n1.0,A\n2.5,C\xff\n", ()), data._BLOCK_CHARS)  # not UTF-8, scanned whole
+@example((b"weight,parties\n1e0,A\n1_5,B\n", ()), data._BLOCK_CHARS)  # a "_" among the weights float() reads
 def test_clean_scan_matches_row_parser(document, block_chars):
     source, schema = document
     raw = source.encode() if isinstance(source, str) else source
@@ -906,6 +920,20 @@ def test_clean_scan_declines_and_the_row_parser_reads(text):
 
 
 @pytest.mark.parametrize("kind", ["str", "bytes"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_trailing_blank_lines_take_the_scan(monkeypatch, kind, newline):
+    text = "weight,parties,x1,x2\n1.0,A,0,1\n2.5,B;A,1,0\n0.5,Z,1,1\n\n"
+    want = data._parse_rows(text, DIFF_REGISTRY, DIFF_SCHEMA)
+    document = text.replace("\n", newline)
+    parse_rows = data._parse_rows
+    calls = []
+    monkeypatch.setattr(data, "_parse_rows", lambda *args: calls.append(args) or parse_rows(*args))
+    got = parse_survey(document if kind == "str" else document.encode(), DIFF_REGISTRY, DIFF_SCHEMA)
+    _assert_same_survey(got, want)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes"])
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_any_newline_parses_as_lf(monkeypatch, kind, newline):
     text = "\ufeffweight,parties,x1,x2\n1.0,A,0,1\n2.5,B;A,1,0\n0.5,Z,1,1\n1.0,\u00c9,0,0\n"
@@ -961,6 +989,7 @@ def _decimal_cells(draw):
 @given(st.lists(_decimal_cells() | st.sampled_from(_DECIMAL_EDGES + _DOUBLE_ROUNDED), min_size=1, max_size=6))
 @example([cell for cell in _DECIMAL_EDGES if cell not in _NOT_WEIGHTS])
 @example(_EIGHT_BYTE_EDGES)
+@example(["1.5", "1_0"])
 @example(["1.5", "nan"])
 @example(["1.5", "0.000"])
 @example(["1.5", "1.2.3"])

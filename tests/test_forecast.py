@@ -29,13 +29,13 @@ def intercept_model(shares, registry):
     """Intercept-only model whose predictions equal the given shares exactly."""
     coef = np.log(np.array([shares[c] for c in registry.options]))[:, None]
     coef -= coef.mean()
-    return mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+    return mnl.MnlModel(coef, mnl.PenaltySpec.none())
 
 
 def underflow_model():
     """Intercept-only model over A, B, C whose predictions for A and B, exp(-1200), underflow to 0."""
     coef = np.array([[-400.0], [-400.0], [800.0]])
-    return mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+    return mnl.MnlModel(coef, mnl.PenaltySpec.none())
 
 
 class TestConventional:
@@ -260,14 +260,14 @@ class TestHomogeneity:
 
 
 @pytest.mark.parametrize(
-    "unchosen,constraint",
+    "unchosen",
     [
-        ("DE", mnl.Constraint.symmetric()),  # the last category: the eliminated free row is C, not E
-        ("AC", mnl.Constraint.symmetric()),  # the first and a middle one
-        ("CE", mnl.Constraint.reference(1)),  # beside a reference
+        "DE",  # the last category: the eliminated free row is C, not E
+        "AC",  # the first and a middle one
+        "CE",  # a middle one and the last: the eliminated free row is D
     ],
 )
-def test_newton_holds_the_rows_of_unchosen_parties(unchosen, constraint):
+def test_newton_holds_the_rows_of_unchosen_parties(unchosen):
     reg = PartyRegistry(tuple("ABCDE"))
     rng = np.random.default_rng(11)
     respondents = [
@@ -280,18 +280,17 @@ def test_newton_holds_the_rows_of_unchosen_parties(unchosen, constraint):
     ]
     s = Survey(reg, ("a", "b"), (*respondents, Respondent(1.0, reg.set_of(list(unchosen)), (1, 0))))
     d = decided_design(s)
-    start = mnl.initial_coefficients(d, constraint)
-    x, report = mnl._fit_newton(d, mnl.RIDGE_FLOOR, constraint, mnl.FitOptions(), start)
+    start = mnl.initial_coefficients(d)
+    x, report = mnl._fit_newton(d, mnl.RIDGE_FLOOR, mnl.FitOptions(), start)
     assert report.converged
-    held = [reg.options.index(code) for code in unchosen] + ([constraint.ref] if constraint.kind == "reference" else [])
+    held = [reg.options.index(code) for code in unchosen]
     free = [i for i in range(len(reg)) if i not in held]
     assert np.all(x[held] == start[held])
-    # First-order optimal in the free rows, centred among themselves under the symmetric constraint.
+    # First-order optimal in the free rows, centred among themselves.
     grad = mnl._smooth_parts(x, d, mnl.RIDGE_FLOOR)[1][free]
-    if constraint.kind == "symmetric":
-        grad -= grad.mean(axis=0)
+    grad -= grad.mean(axis=0)
     assert np.max(np.abs(grad)) <= 1e-8 * d.w.sum()
-    model = mnl.MnlModel(mnl.project_constraint(x, constraint), constraint, mnl.PenaltySpec.none())
+    model = mnl.MnlModel(mnl.project_constraint(x), mnl.PenaltySpec.none())
     assert transition_probabilities(model, s).rows[-1] == dict.fromkeys(unchosen, 0.5)
 
 
@@ -334,7 +333,7 @@ def _reference_homogeneity(s, model):
 @settings(max_examples=60, deadline=None)
 @given(_homogeneity_surveys())
 def test_homogeneity_bit_identical_to_per_cell_fsum_rows(s):
-    model, _ = mnl.fit(decided_design(s), mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
+    model, _ = mnl.fit(decided_design(s), mnl.PenaltySpec.none())
     want_shares, want_rows = _reference_homogeneity(s, model)
     shares, table, _ = homogeneity_forecast(s)
     assert shares.shares == want_shares
@@ -381,7 +380,7 @@ def test_transition_rows_take_no_padded_temporaries():
     patterns = np.arange(len(masks))[:, None] >> np.arange(6) & 1
     s = Survey.build(registry, tuple(f"x{j}" for j in range(6)), np.ones(len(masks)), masks, patterns)
     coef = np.random.default_rng(0).normal(size=(32, 7))
-    model = mnl.MnlModel(coef - coef.mean(axis=0), mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+    model = mnl.MnlModel(coef - coef.mean(axis=0), mnl.PenaltySpec.none())
     members = 2 * len(pairs) * 64 + 32
     assert len(s.cell_set) == 1 + len(pairs) * 64
     tracemalloc.start()

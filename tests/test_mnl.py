@@ -30,7 +30,7 @@ def rows(d):
     return d.xu[d.group]
 
 
-def fd_gradient(coef, d, ridge, constraint, h=1e-5):
+def fd_gradient(coef, d, ridge, h=1e-5):
     grad = np.zeros_like(coef)
     for i in range(coef.shape[0]):
         for j in range(coef.shape[1]):
@@ -39,33 +39,31 @@ def fd_gradient(coef, d, ridge, constraint, h=1e-5):
             down = coef.copy()
             down[i, j] -= h
             grad[i, j] = (mnl._smooth_parts(up, d, ridge)[0] - mnl._smooth_parts(down, d, ridge)[0]) / (2 * h)
-    return mnl.project_constraint(grad, constraint)
+    return mnl.project_constraint(grad)
 
 
 class TestNllAndGradient:
     def test_zero_coefficients_uniform(self):
         d = random_design(0, n=6, k=3)
-        model = mnl.MnlModel(np.zeros((3, 3)), mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+        model = mnl.MnlModel(np.zeros((3, 3)), mnl.PenaltySpec.none())
         nll, _ = mnl.nll_and_gradient(model, d)
         assert abs(nll - math.log(3) * d.w.sum()) < 1e-10
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("make_constraint", [mnl.Constraint.symmetric, lambda: mnl.Constraint.reference(1)])
-    def test_gradient_matches_finite_differences(self, seed, make_constraint):
-        constraint = make_constraint()
+    def test_gradient_matches_finite_differences(self, seed):
         d = random_design(seed)
         rng = np.random.default_rng(seed + 100)
-        coef = mnl.project_constraint(rng.normal(size=(3, 3)), constraint)
-        model = mnl.MnlModel(coef, constraint, mnl.PenaltySpec.ridge(0.05))
+        coef = mnl.project_constraint(rng.normal(size=(3, 3)))
+        model = mnl.MnlModel(coef, mnl.PenaltySpec.ridge(0.05))
         _, grad = mnl.nll_and_gradient(model, d)
-        approx = fd_gradient(coef, d, model.penalty.ridge_coefficient, constraint)
+        approx = fd_gradient(coef, d, model.penalty.ridge_coefficient)
         assert np.linalg.norm(grad - approx) / np.linalg.norm(grad) < 1e-6
 
     def test_weights_scale_linearly(self):
         d = random_design(3)
         doubled = mnl.DesignData(rows(d), d.y, 2 * d.w, d.n_categories)
-        coef = mnl.project_constraint(np.random.default_rng(3).normal(size=(3, 3)), mnl.Constraint.symmetric())
-        model = mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+        coef = mnl.project_constraint(np.random.default_rng(3).normal(size=(3, 3)))
+        model = mnl.MnlModel(coef, mnl.PenaltySpec.none())
         nll1, g1 = mnl.nll_and_gradient(model, d)
         nll2, g2 = mnl.nll_and_gradient(model, doubled)
         # The data term is linear in the weights; the tiny ridge floor is not.
@@ -74,7 +72,7 @@ class TestNllAndGradient:
 
     def test_dimension_mismatch(self):
         d = random_design(0)
-        model = mnl.MnlModel(np.zeros((3, 5)), mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+        model = mnl.MnlModel(np.zeros((3, 5)), mnl.PenaltySpec.none())
         with pytest.raises(ValueError):
             mnl.nll_and_gradient(model, d)
 
@@ -107,13 +105,12 @@ class TestGroupedObjective:
         # with p = 15 and K = 10, as on a wide survey, almost none does.
         d = random_design(seed, n=n, k=k, p=p)
         assert len(d.xu) <= 2 ** (p - 1)
-        constraint = mnl.Constraint.symmetric()
         rng = np.random.default_rng(seed + 200)
-        coef = mnl.project_constraint(rng.normal(size=(k, p)), constraint)
-        model = mnl.MnlModel(coef, constraint, mnl.PenaltySpec.ridge(0.3))
+        coef = mnl.project_constraint(rng.normal(size=(k, p)))
+        model = mnl.MnlModel(coef, mnl.PenaltySpec.ridge(0.3))
         nll, grad = mnl.nll_and_gradient(model, d)
         ref_nll, ref_grad = per_row_smooth_parts(coef, d, model.penalty.ridge_coefficient)
-        ref_grad = mnl.project_constraint(ref_grad, constraint)
+        ref_grad = mnl.project_constraint(ref_grad)
         assert abs(nll - ref_nll) <= 1e-12 * abs(ref_nll)
         assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
 
@@ -135,9 +132,9 @@ class TestGroupedObjective:
     def test_doubled_rows_at_half_weight_fit_the_same(self):
         d = random_design(31, n=120, k=3, p=4)
         doubled = mnl.DesignData(np.repeat(rows(d), 2, axis=0), np.repeat(d.y, 2), np.repeat(d.w / 2, 2), 3)
-        penalty, constraint = mnl.PenaltySpec.group_lasso(0.4), mnl.Constraint.symmetric()
-        model, _ = mnl.fit(d, penalty, constraint)
-        again, _ = mnl.fit(doubled, penalty, constraint)
+        penalty = mnl.PenaltySpec.group_lasso(0.4)
+        model, _ = mnl.fit(d, penalty)
+        again, _ = mnl.fit(doubled, penalty)
         assert np.max(np.abs(model.coefficients - again.coefficients)) < 1e-10
 
 
@@ -234,7 +231,7 @@ class TestFit:
         y = rng.integers(0, 3, n)
         w = rng.uniform(0.5, 3.0, n)
         d = mnl.DesignData(np.ones((n, 1)), y, w, 3)
-        model, report = mnl.fit(d, mnl.PenaltySpec.none(), mnl.Constraint.symmetric())
+        model, report = mnl.fit(d, mnl.PenaltySpec.none())
         probs = mnl.predict_proba(model, np.array([1.0]))
         freqs = np.array([w[y == k].sum() for k in range(3)]) / w.sum()
         assert np.max(np.abs(probs - freqs)) < 1e-6
@@ -242,26 +239,19 @@ class TestFit:
 
     def test_lambda_above_max_kills_all_groups(self):
         d = random_design(7, n=60, k=3, p=4)
-        lam = mnl.lambda_max(d, mnl.Constraint.symmetric())
-        model, report = mnl.fit(
-            d, mnl.PenaltySpec.group_lasso(lam * 1.001), mnl.Constraint.symmetric()
-        )
+        lam = mnl.lambda_max(d)
+        model, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(lam * 1.001))
         assert all(norm == 0.0 for norm in report.group_norms)
         assert np.all(model.coefficients[:, 1:] == 0.0)
 
     def test_symmetric_constraint_holds_after_fit(self):
         d = random_design(9, n=80, k=4, p=3)
-        model, _ = mnl.fit(d, mnl.PenaltySpec.group_lasso(0.5), mnl.Constraint.symmetric())
+        model, _ = mnl.fit(d, mnl.PenaltySpec.group_lasso(0.5))
         assert np.max(np.abs(model.coefficients.sum(axis=0))) < 1e-8
-
-    def test_reference_row_stays_zero(self):
-        d = random_design(11, n=50, k=3, p=3)
-        model, _ = mnl.fit(d, mnl.PenaltySpec.none(), mnl.Constraint.reference(2))
-        assert np.all(model.coefficients[2, :] == 0.0)
 
     def test_monotone_descent(self):
         d = random_design(13, n=70, k=3, p=4)
-        model, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(0.2), mnl.Constraint.symmetric())
+        model, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(0.2))
         hist = report.objective_history
         assert all(a >= b for a, b in zip(hist, hist[1:]))
         # The model is the iterate the report describes, not an earlier one.
@@ -273,8 +263,8 @@ class TestFit:
         # Above lambda_max the intercept-only start is the optimum; only
         # rounding can move the objective, in either direction.
         d = random_design(seed, n=60, k=3, p=4)
-        lam = mnl.lambda_max(d, mnl.Constraint.symmetric())
-        _, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(1.01 * lam), mnl.Constraint.symmetric())
+        lam = mnl.lambda_max(d)
+        _, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(1.01 * lam))
         assert report.converged
         assert report.iterations == 1
         assert report.stop_reason in ("converged", "stationary")
@@ -282,49 +272,47 @@ class TestFit:
     def test_stop_reasons(self, monkeypatch):
         # Proximal gradient: a group-lasso fit, however small its lambda.
         d = random_design(9, n=80, k=4, p=3)
-        constraint = mnl.Constraint.symmetric()
-        penalty = mnl.PenaltySpec.group_lasso(1e-3 * mnl.lambda_max(d, constraint))
-        _, report = mnl.fit(d, penalty, constraint)
+        penalty = mnl.PenaltySpec.group_lasso(1e-3 * mnl.lambda_max(d))
+        _, report = mnl.fit(d, penalty)
         assert (report.stop_reason, report.converged) == ("converged", True)
         assert report.backtracks > 0 and report.restarts > 0
 
         for cap in (1, 2):
-            _, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(max_iterations=cap))
+            _, report = mnl.fit(d, penalty, mnl.FitOptions(max_iterations=cap))
             assert (report.stop_reason, report.converged, report.iterations) == ("max_iterations", False, cap)
 
         with monkeypatch.context() as patch:
             patch.setattr(mnl, "INITIAL_STEP", 1e6)
             patch.setattr(mnl, "MAX_BACKTRACKS", 1)
-            _, report = mnl.fit(d, penalty, constraint)
+            _, report = mnl.fit(d, penalty)
         assert (report.stop_reason, report.converged, report.backtracks) == ("line_search_failed", False, 1)
 
         stationary = []
         for seed in range(12):
             d = random_design(seed, n=60, k=3, p=4)
-            lam = mnl.lambda_max(d, constraint)
-            _, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(1.01 * lam), constraint)
+            lam = mnl.lambda_max(d)
+            _, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(1.01 * lam))
             stationary.append(report.stop_reason == "stationary")
         assert any(stationary)
 
     @pytest.mark.parametrize("penalty", [mnl.PenaltySpec.none(), mnl.PenaltySpec.ridge(0.5)])
     def test_newton_stop_reasons(self, monkeypatch, penalty):
         d = random_design(9, n=80, k=4, p=3)
-        constraint = mnl.Constraint.symmetric()
-        _, report = mnl.fit(d, penalty, constraint)
+        _, report = mnl.fit(d, penalty)
         assert (report.stop_reason, report.converged, report.restarts) == ("converged", True, 0)
         assert 2 < report.iterations < 10
 
         for cap in (1, 2):
-            _, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(max_iterations=cap))
+            _, report = mnl.fit(d, penalty, mnl.FitOptions(max_iterations=cap))
             assert (report.stop_reason, report.converged, report.iterations) == ("max_iterations", False, cap)
 
         # Far from the optimum a full Newton step overshoots; allowed that one trial, the search fails.
         start = 2.0 * np.array([[1, -1, 1], [-1, 1, -1], [1, 1, -1], [-1, -1, 1]])
-        _, report = mnl.fit(d, penalty, constraint, start=start)
+        _, report = mnl.fit(d, penalty, start=start)
         assert report.converged and report.backtracks > 1
         with monkeypatch.context() as patch:
             patch.setattr(mnl, "MAX_BACKTRACKS", 1)
-            _, report = mnl.fit(d, penalty, constraint, start=start)
+            _, report = mnl.fit(d, penalty, start=start)
         assert (report.stop_reason, report.converged, report.backtracks, report.iterations) == (
             "line_search_failed", False, 1, 1
         )
@@ -335,7 +323,7 @@ class TestFit:
         d = random_design(9, n=80, k=4, p=3)
         want = rf"^start must be a 4 x 3 matrix, got shape \({', '.join(map(str, shape))},?\)$"
         with pytest.raises(ValueError, match=want):
-            mnl.fit(d, make(), mnl.Constraint.symmetric(), start=np.zeros(shape))
+            mnl.fit(d, make(), start=np.zeros(shape))
 
     @pytest.mark.parametrize("make", [mnl.PenaltySpec.none, lambda: mnl.PenaltySpec.group_lasso(0.1)])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -344,7 +332,7 @@ class TestFit:
         start = np.zeros((4, 3))
         start[2, 1] = bad
         with pytest.raises(ValueError, match="^start must be finite$"):
-            mnl.fit(d, make(), mnl.Constraint.reference(0), start=start)
+            mnl.fit(d, make(), start=start)
 
     @pytest.mark.parametrize(
         "options",
@@ -375,7 +363,6 @@ class TestFit:
             mnl.fit(
                 mnl.DesignData(np.ones((4, 1)), np.zeros(4, dtype=int), np.ones(4), 2),
                 mnl.PenaltySpec.none(),
-                mnl.Constraint.symmetric(),
             )
 
     def test_path_of_a_single_category_errors(self):
@@ -397,18 +384,16 @@ def cell_design(patterns, k, seed, missing=()):
 
 @st.composite
 def smooth_fits(draw):
-    """A design with every category in every distinct row, a smooth penalty, a constraint, no start."""
+    """A design with every category in every distinct row, a smooth penalty, no start."""
     k = draw(st.integers(2, 11))
     p = draw(st.one_of(st.integers(0, 8), st.sampled_from([64, 70])))
     seed = draw(st.integers(0, 2**32 - 1))
     patterns = np.unique(np.random.default_rng(seed).integers(0, 2, (draw(st.integers(1, 6)), p)), axis=0)
     penalty = draw(st.one_of(st.just(mnl.PenaltySpec.none()), st.floats(1e-3, 10.0).map(mnl.PenaltySpec.ridge)))
-    references = st.integers(0, k - 1).map(mnl.Constraint.reference)
-    constraint = draw(st.one_of(st.just(mnl.Constraint.symmetric()), references))
-    return cell_design(patterns, k, seed), penalty, constraint, None
+    return cell_design(patterns, k, seed), penalty, None
 
 
-NONE, SYMMETRIC = mnl.PenaltySpec.none(), mnl.Constraint.symmetric()
+NONE = mnl.PenaltySpec.none()
 # Party 0 has no decided respondent: its row has no finite optimum.
 UNOBSERVED = cell_design([[0, 0], [0, 1], [1, 1]], 4, 1, missing={(g, 0) for g in range(3)})
 # Category 0 only in the first row, category 1 only in the second: no finite optimum without the ridge floor.
@@ -418,24 +403,22 @@ WIDE = cell_design(np.random.default_rng(4).integers(0, 2, (5, 70)), 3, 4)
 
 
 @settings(max_examples=40, deadline=None)
-@example(case=(UNOBSERVED, NONE, SYMMETRIC, None))
-@example(case=(UNOBSERVED, mnl.PenaltySpec.ridge(0.3), mnl.Constraint.reference(2), None))
-@example(case=(SEPARABLE, NONE, SYMMETRIC, None))
-@example(case=(SEPARABLE, NONE, mnl.Constraint.reference(1), None))
-@example(case=(INTERCEPT_ONLY, NONE, SYMMETRIC, None))
-@example(case=(INTERCEPT_ONLY, NONE, mnl.Constraint.reference(4), None))
-@example(case=(WIDE, mnl.PenaltySpec.ridge(0.1), SYMMETRIC, np.full((3, 71), 0.2)))
-@example(case=(WIDE, NONE, mnl.Constraint.reference(1), np.random.default_rng(5).normal(0, 2, (3, 71))))
+@example(case=(UNOBSERVED, NONE, None))
+@example(case=(UNOBSERVED, mnl.PenaltySpec.ridge(0.3), None))
+@example(case=(SEPARABLE, NONE, None))
+@example(case=(INTERCEPT_ONLY, NONE, None))
+@example(case=(WIDE, mnl.PenaltySpec.ridge(0.1), np.full((3, 71), 0.2)))
+@example(case=(WIDE, NONE, np.random.default_rng(5).normal(0, 2, (3, 71))))
 @given(case=smooth_fits())
 def test_newton_fit_matches_proximal_gradient(case):
-    d, penalty, constraint, start = case
-    model, report = mnl.fit(d, penalty, constraint, mnl.FitOptions(tolerance=1e-13), start)
+    d, penalty, start = case
+    model, report = mnl.fit(d, penalty, mnl.FitOptions(tolerance=1e-13), start)
     assert report.converged and report.stop_reason == "converged"
     history = report.objective_history
     assert all(a >= b for a, b in zip(history, history[1:])) and history[-1] == report.objective == report.nll
     nll, grad = mnl.nll_and_gradient(model, d)
     assert nll == pytest.approx(report.nll, rel=1e-12)
-    # First-order optimality, whatever the reference below reaches.
+    # First-order optimality, whatever the proximal-gradient fit below reaches.
     assert np.max(np.abs(grad)) <= 1e-8 * d.w.sum()
 
     # The proximal-gradient core on the same problem at the same tolerance.
@@ -445,55 +428,42 @@ def test_newton_fit_matches_proximal_gradient(case):
     # direction.  So from the same start Newton must do no worse, and
     # started at Newton's fit the core must find nothing to gain.
     options = mnl.FitOptions(tolerance=1e-13)
-    x0 = mnl.initial_coefficients(d, constraint) if start is None else mnl.project_constraint(start, constraint)
+    x0 = mnl.initial_coefficients(d) if start is None else mnl.project_constraint(start)
     scale, core = max(1.0, abs(report.objective)), (d.xu, d.counts[None], d.totals[None], np.zeros(1))
     for begin in (x0, model.coefficients):
-        x, (want,) = mnl._fit_stack(*core, penalty.ridge_coefficient, constraint, options, begin[None])
+        x, (want,) = mnl._fit_stack(*core, penalty.ridge_coefficient, options, begin[None])
         assert report.objective <= want.objective + 1e-12 * scale
     assert want.iterations == 1 and want.objective <= report.objective + 1e-12 * scale
-    reference = mnl.MnlModel(mnl.project_constraint(x[0], constraint), constraint, penalty)
-    assert np.max(np.abs(mnl.predict_proba(model, d.xu) - mnl.predict_proba(reference, d.xu))) <= 1e-7
+    prox = mnl.MnlModel(mnl.project_constraint(x[0]), penalty)
+    assert np.max(np.abs(mnl.predict_proba(model, d.xu) - mnl.predict_proba(prox, d.xu))) <= 1e-7
 
 
-def test_newton_drives_an_unobserved_reference_category_to_zero():
-    # The pinned row cannot move, so every free row's intercept climbs:
-    # along that direction the objective is about T p_ref, and each Newton
-    # step lowers p_ref by a factor of about e, from 1/2 at the start until
-    # T p_ref / 2 is within tolerance * f.
-    constraint = mnl.Constraint.reference(0)
-    for tolerance, steps in ((1e-8, 18), (1e-13, 29)):
-        model, report = mnl.fit(UNOBSERVED, NONE, constraint, mnl.FitOptions(tolerance=tolerance))
-        assert report.converged and report.iterations == steps and report.backtracks == 0
-        assert np.max(mnl.predict_proba(model, UNOBSERVED.xu)[:, 0]) <= 10 * tolerance
-        assert np.max(np.abs(mnl.nll_and_gradient(model, UNOBSERVED)[1])) <= 1e-8 * UNOBSERVED.w.sum()
-    # Any other category stays where it starts: its row has no finite optimum.
-    for constraint in (SYMMETRIC, mnl.Constraint.reference(3)):
-        model, report = mnl.fit(UNOBSERVED, NONE, constraint)
-        start = mnl.initial_coefficients(UNOBSERVED, constraint)
-        assert np.max(np.abs(model.coefficients[0] - start[0])) <= 1e-12
-        assert report.converged and report.iterations <= 5
+def test_newton_holds_an_unobserved_category_where_it_starts():
+    # Its row has no finite optimum, so it stays at the intercept-only start.
+    model, report = mnl.fit(UNOBSERVED, NONE)
+    start = mnl.initial_coefficients(UNOBSERVED)
+    assert np.max(np.abs(model.coefficients[0] - start[0])) <= 1e-12
+    assert report.converged and report.iterations <= 5
 
 
 class TestPredictProba:
     def test_zero_model_uniform(self):
-        model = mnl.MnlModel(np.zeros((4, 2)), mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+        model = mnl.MnlModel(np.zeros((4, 2)), mnl.PenaltySpec.none())
         probs = mnl.predict_proba(model, np.array([1.0, 1.0]))
         assert np.allclose(probs, 0.25, atol=1e-15)
 
     def test_row_shift_invariance(self):
+        # Moving every row by the same vector, as a change of reference
+        # category does, changes no probability.
         rng = np.random.default_rng(17)
-        coef = mnl.project_constraint(rng.normal(size=(3, 2)), mnl.Constraint.reference(0))
-        model = mnl.MnlModel(coef, mnl.Constraint.reference(0), mnl.PenaltySpec.none())
-        shifted = mnl.MnlModel(
-            mnl.project_constraint(coef + 3.7, mnl.Constraint.symmetric()),
-            mnl.Constraint.symmetric(),
-            mnl.PenaltySpec.none(),
-        )
+        coef = rng.normal(size=(3, 2))
+        model = mnl.MnlModel(mnl.project_constraint(coef), mnl.PenaltySpec.none())
         x = np.array([1.0, 1.0])
-        assert np.allclose(mnl.predict_proba(model, x), mnl.predict_proba(shifted, x), atol=1e-12)
+        scores = (coef - coef[0]) @ x
+        assert np.allclose(mnl.predict_proba(model, x), np.exp(scores) / np.exp(scores).sum(), atol=1e-12)
 
     def test_dimension_and_intercept_checks(self):
-        model = mnl.MnlModel(np.zeros((3, 2)), mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+        model = mnl.MnlModel(np.zeros((3, 2)), mnl.PenaltySpec.none())
         with pytest.raises(ValueError):
             mnl.predict_proba(model, np.array([1.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
@@ -501,8 +471,8 @@ class TestPredictProba:
 
     def test_matrix_rows_match_vectors(self):
         rng = np.random.default_rng(5)
-        coef = mnl.project_constraint(rng.normal(size=(4, 3)), mnl.Constraint.symmetric())
-        model = mnl.MnlModel(coef, mnl.Constraint.symmetric(), mnl.PenaltySpec.none())
+        coef = mnl.project_constraint(rng.normal(size=(4, 3)))
+        model = mnl.MnlModel(coef, mnl.PenaltySpec.none())
         x = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         probs = mnl.predict_proba(model, x)
         assert probs.shape == (3, 4)
@@ -518,11 +488,7 @@ class TestPredictProba:
     @settings(max_examples=40, deadline=None)
     @given(arrays(float, (3, 2), elements=st.floats(-30, 30)))
     def test_probabilities_sum_to_one(self, coef):
-        model = mnl.MnlModel(
-            mnl.project_constraint(coef, mnl.Constraint.symmetric()),
-            mnl.Constraint.symmetric(),
-            mnl.PenaltySpec.none(),
-        )
+        model = mnl.MnlModel(mnl.project_constraint(coef), mnl.PenaltySpec.none())
         probs = mnl.predict_proba(model, np.array([1.0, 1.0]))
         assert abs(probs.sum() - 1.0) < 1e-12
         assert np.all(probs > 0)
@@ -535,7 +501,7 @@ def test_fixture_lambda_grid_bits(wave3_path):
     schema = ("female", "age_65plus", "east", "high_income", "urban")
     survey = parse_survey(wave3_path.read_text(), registry, schema)
     cats, _ = ontic.build_ontic_categories(survey, 5)
-    grid = mnl.default_lambda_grid(ontic.ontic_design(survey, cats), mnl.Constraint.symmetric(), points=5)
+    grid = mnl.default_lambda_grid(ontic.ontic_design(survey, cats), points=5)
     assert grid == (
         141.93871847272732,
         25.240670054736235,
@@ -545,37 +511,34 @@ def test_fixture_lambda_grid_bits(wave3_path):
     )
 
 
-def per_respondent_lambda_max(d, constraint):
+def per_respondent_lambda_max(d):
     """Reference: the largest group norm of the null-model gradient, summed over respondent rows."""
-    coef = mnl.initial_coefficients(d, constraint)
+    coef = mnl.initial_coefficients(d)
     x = rows(d)
     scores = x @ coef.T
     scores -= scores.max(axis=1, keepdims=True)
     resid = np.exp(scores - np.log(np.exp(scores).sum(axis=1, keepdims=True)))
     resid[np.arange(d.n), d.y] -= 1.0
-    grad = mnl.project_constraint((resid * d.w[:, None]).T @ x, constraint)
+    grad = mnl.project_constraint((resid * d.w[:, None]).T @ x)
     return max(mnl.group_norms(grad), default=0.0)
 
 
 @st.composite
 def null_model_designs(draw):
-    """A design with K 2-11 and no, few or 64 covariates, and a constraint."""
+    """A design with K 2-11 and no, few or 64 covariates."""
     p = draw(st.sampled_from([0, *range(1, 9), 64]))
     k = draw(st.integers(2, 11))
     n = draw(st.integers(1, 40))
     bits = draw(arrays(np.int8, (n, p), elements=st.integers(0, 1)))
     y = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
     w = draw(arrays(float, n, elements=st.floats(0.1, 10.0)))
-    reference = st.integers(0, k - 1).map(mnl.Constraint.reference)
-    constraint = draw(st.one_of(st.just(mnl.Constraint.symmetric()), reference))
-    return mnl.DesignData(np.hstack((np.ones((n, 1)), bits)), y, w, k), constraint
+    return mnl.DesignData(np.hstack((np.ones((n, 1)), bits)), y, w, k)
 
 
 @settings(max_examples=300, deadline=None)
 @given(null_model_designs())
-def test_lambda_max_matches_per_respondent_reference(case):
-    d, constraint = case
-    got, want = mnl.lambda_max(d, constraint), per_respondent_lambda_max(d, constraint)
+def test_lambda_max_matches_per_respondent_reference(d):
+    got, want = mnl.lambda_max(d), per_respondent_lambda_max(d)
     if d.n_predictors == 1:
         assert got == want == 0.0
     # A gradient entry is a difference of weight sums, so where the categories
@@ -609,7 +572,7 @@ class TestCrossValidate:
 
     def test_same_seed_reproducible(self):
         d = random_design(23, n=60, k=3, p=4)
-        grid = mnl.default_lambda_grid(d, mnl.Constraint.symmetric(), 6)
+        grid = mnl.default_lambda_grid(d, 6)
         a = mnl.cross_validate(d, grid, folds=5, seed=42)
         b = mnl.cross_validate(d, grid, folds=5, seed=42)
         assert a == b
@@ -663,7 +626,7 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("means, best", [([2.0, 1.0, 1.0, 3.0], 3.0), ([1.0, 1.0, 2.0, 1.0], 4.0)])
     def test_tied_mean_scores_go_to_the_larger_lambda(self, monkeypatch, means, best):
-        def tied_scores(d, grid, splits, constraint, options, path):
+        def tied_scores(d, grid, splits, options, path):
             # Every split scores alike, so each mean is exactly its split's score.
             return np.tile(means, (len(splits), 1)), []
 
@@ -729,65 +692,34 @@ def test_lambda_grid_of_a_covariate_that_is_always_zero():
     # Its gradient column is exactly zero, so no penalty is needed to hold it at zero.
     x = np.hstack([np.ones((6, 1)), np.zeros((6, 1))])
     d = mnl.DesignData(x, np.array([0, 0, 1, 1, 2, 2]), np.ones(6), 3)
-    assert mnl.lambda_max(d, mnl.Constraint.symmetric()) == 0.0
-    assert mnl.default_lambda_grid(d, mnl.Constraint.symmetric(), 5) == (0.0,)
+    assert mnl.lambda_max(d) == 0.0
+    assert mnl.default_lambda_grid(d, 5) == (0.0,)
 
 
 @pytest.mark.parametrize("points", [0, -3, 2.5, 5.0, "5"])
 def test_lambda_grid_needs_a_point(points):
     want = ">= 1" if isinstance(points, int) else "an integer"
     with pytest.raises(ValueError, match=f"^grid points must be {want}, got {re.escape(repr(points))}$"):
-        mnl.default_lambda_grid(random_design(0, n=20), mnl.Constraint.symmetric(), points)
+        mnl.default_lambda_grid(random_design(0, n=20), points)
 
 
-_SYMMETRIC, _NO_PENALTY = mnl.Constraint.symmetric(), mnl.PenaltySpec.none()
+_NO_PENALTY = mnl.PenaltySpec.none()
 
 
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: mnl.Constraint("bogus"), "^constraint kind must be 'reference' or 'symmetric', got 'bogus'$"),
-        (lambda: mnl.Constraint.reference(1.0), r"^reference category must be an integer, got 1\.0$"),
-        # A boolean index selects every row: reference(True) once zeroed the whole matrix and reported it converged.
-        (lambda: mnl.Constraint.reference(True), "^reference category must be an integer, got True$"),
         (lambda: mnl.DesignData(np.ones((3, 1)), [0, 1], np.ones(3), 2), "^design shapes disagree$"),
         (lambda: mnl.DesignData(np.ones(3), [0, 1, 1], np.ones(3), 2), "^design shapes disagree$"),
-        (lambda: mnl.MnlModel(np.zeros(3), _SYMMETRIC, _NO_PENALTY), "^coefficients must be a K x P matrix$"),
-        (
-            lambda: mnl.MnlModel(np.ones((2, 1)), mnl.Constraint.reference(0), _NO_PENALTY),
-            "^reference row must be identically zero$",
-        ),
-        (lambda: mnl.MnlModel(np.ones((2, 1)), _SYMMETRIC, _NO_PENALTY), "^symmetric constraint violated"),
+        (lambda: mnl.MnlModel(np.zeros(3), _NO_PENALTY), "^coefficients must be a K x P matrix$"),
+        (lambda: mnl.MnlModel(np.ones((2, 1)), _NO_PENALTY), "^symmetric constraint violated"),
         (lambda: mnl.prox_group(np.ones(2), -1.0), "^threshold must be >= 0$"),
     ],
-    ids=[
-        "constraint-kind", "reference-not-integer", "reference-boolean", "short-y", "flat-x", "flat-coefficients",
-        "reference-row", "symmetric-sums", "threshold",
-    ],
+    ids=["short-y", "flat-x", "flat-coefficients", "symmetric-sums", "threshold"],
 )
 def test_malformed_model_arguments_raise(call, message):
     with pytest.raises(ValueError, match=message):
         call()
-
-
-@pytest.mark.parametrize("ref", [2, 7, -1])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda d, c: mnl.fit(d, _NO_PENALTY, c),
-        lambda d, c: mnl.fit(d, mnl.PenaltySpec.group_lasso(0.1), c),
-        lambda d, c: mnl.fit_path(d, [0.1], c),
-        lambda d, c: mnl.cross_validate(d, [0.1], 2, 0, c),
-        lambda d, c: mnl.default_lambda_grid(d, c),
-        lambda d, c: mnl.MnlModel(np.zeros((2, 1)), c, _NO_PENALTY),
-    ],
-    ids=["fit-newton", "fit-lasso", "fit_path", "cross_validate", "default_lambda_grid", "MnlModel"],
-)
-def test_reference_outside_the_categories_raises(call, ref):
-    # -1 once pinned the last row through negative indexing, and 2 or 7 raised IndexError.
-    d = mnl.DesignData(np.ones((4, 1)), [0, 1, 1, 0], np.ones(4), 2)
-    with pytest.raises(ValueError, match=rf"^reference category must be in \[0, 2\), got {ref}$"):
-        call(d, mnl.Constraint.reference(ref))
 
 
 @pytest.mark.parametrize("penalty", [mnl.PenaltySpec.none(), mnl.PenaltySpec.group_lasso(0.1)], ids=["newton", "lasso"])
@@ -798,7 +730,7 @@ def test_fit_from_an_overflowing_start_raises(penalty):
     start = np.array([[0.0, 1e308, 1e308], [0.0, -1e308, -1e308]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="^non-finite objective; coefficients diverged$"):
-            mnl.fit(d, penalty, _SYMMETRIC, start=start)
+            mnl.fit(d, penalty, start=start)
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
@@ -809,7 +741,7 @@ def test_design_data_rejects_non_binary_covariates(bad):
         mnl.DesignData(x, np.array([0, 1, 1]), np.ones(3), 2)
 
 
-def per_fold_cross_validate(d, grid, folds, seed, constraint, repeats=1):
+def per_fold_cross_validate(d, grid, folds, seed, repeats=1):
     """Reference: one ``fit`` per fold and lambda, each on the fold's own regrouped rows."""
     w_total = float(d.w.sum())
     x = rows(d)
@@ -823,7 +755,7 @@ def per_fold_cross_validate(d, grid, folds, seed, constraint, repeats=1):
             fraction = float(d_train.w.sum()) / w_total
             warm = None
             for j, lam in enumerate(grid):
-                model, _ = mnl.fit(d_train, mnl.PenaltySpec.group_lasso(lam * fraction), constraint, start=warm)
+                model, _ = mnl.fit(d_train, mnl.PenaltySpec.group_lasso(lam * fraction), start=warm)
                 warm = model.coefficients
                 held_out = 0.0
                 for i in test:
@@ -846,23 +778,15 @@ def design_missing_a_category(seed):
 
 class TestStackedCrossValidation:
     @pytest.mark.parametrize(
-        "seed,make_constraint,folds,repeats,missing",
-        [
-            (0, mnl.Constraint.symmetric, 3, 1, False),
-            (1, mnl.Constraint.symmetric, 5, 1, False),
-            (2, lambda: mnl.Constraint.reference(1), 3, 1, False),
-            (3, lambda: mnl.Constraint.reference(0), 4, 3, False),
-            (4, mnl.Constraint.symmetric, 2, 5, False),
-            (5, mnl.Constraint.symmetric, 3, 2, True),
-            (6, lambda: mnl.Constraint.reference(2), 3, 1, True),
-        ],
+        "seed,folds,repeats,missing",
+        [(0, 3, 1, False), (1, 5, 1, False), (2, 3, 1, False), (3, 4, 3, False), (4, 2, 5, False), (5, 3, 2, True),
+         (6, 3, 1, True)],
     )
-    def test_matches_per_fold_fits(self, seed, make_constraint, folds, repeats, missing):
-        constraint = make_constraint()
+    def test_matches_per_fold_fits(self, seed, folds, repeats, missing):
         d = design_missing_a_category(seed) if missing else random_design(seed, n=120, k=4, p=4)
-        grid = mnl.default_lambda_grid(d, constraint, 6)
-        best, means = mnl.cross_validate(d, grid, folds, seed, constraint, repeats=repeats)
-        ref_best, ref_means = per_fold_cross_validate(d, grid, folds, seed, constraint, repeats)
+        grid = mnl.default_lambda_grid(d, 6)
+        best, means = mnl.cross_validate(d, grid, folds, seed, repeats=repeats)
+        ref_best, ref_means = per_fold_cross_validate(d, grid, folds, seed, repeats)
         assert best == ref_best
         assert np.max(np.abs(np.array(means) - ref_means)) <= 1e-12
 
@@ -874,59 +798,54 @@ class TestStackedCrossValidation:
         assert len(np.unique(group[mnl._stratified_folds(d.y, 3, 8) != 0])) < len(xu)
         # The large-design path: stacks of one or two problems, each over the rows they train on.
         monkeypatch.setattr(mnl, "STACK_CELLS", per_stack * len(xu) * d.n_categories)
-        constraint = mnl.Constraint.symmetric()
-        grid = mnl.default_lambda_grid(d, constraint, 6)
-        best, means = mnl.cross_validate(d, grid, 3, 8, constraint, repeats=2)
-        ref_best, ref_means = per_fold_cross_validate(d, grid, 3, 8, constraint, 2)
+        grid = mnl.default_lambda_grid(d, 6)
+        best, means = mnl.cross_validate(d, grid, 3, 8, repeats=2)
+        ref_best, ref_means = per_fold_cross_validate(d, grid, 3, 8, 2)
         assert best == ref_best
         assert np.max(np.abs(np.array(means) - ref_means)) <= 1e-12
 
     def test_frozen_problems_match_their_solo_fits(self):
-        constraint = mnl.Constraint.symmetric()
         d = random_design(41, n=200, k=4, p=5)
         # Same rows, other weights: the same distinct rows, other counts.
         other = mnl.DesignData(rows(d), d.y, np.random.default_rng(42).uniform(0.1, 4.0, d.n), d.n_categories)
-        top = mnl.lambda_max(d, constraint)
+        top = mnl.lambda_max(d)
         # The first starts at its optimum and stops in iteration 1; the rest run long.
         problems = [(d, 1.01 * top), (d, 0.01 * top), (other, 0.1 * top), (other, 1e-4 * top)]
-        reports = stack_matches_solo_fits(problems, constraint)
+        reports = stack_matches_solo_fits(problems)
         assert reports[0].iterations == 1
         assert min(r.iterations for r in reports[1:]) > 20
 
     def test_stacked_problems_match_their_solo_fits_with_eleven_categories(self):
         # Sums over a short last axis go pairwise from nine elements up; the
         # stack and the solo fit must still add each problem's terms alike.
-        constraint = mnl.Constraint.symmetric()
         d = random_design(43, n=400, k=11, p=5)
         other = mnl.DesignData(rows(d), d.y, np.random.default_rng(44).uniform(0.1, 4.0, d.n), d.n_categories)
-        top = mnl.lambda_max(d, constraint)
+        top = mnl.lambda_max(d)
         problems = [(d, 0.05 * top), (other, 0.3 * top), (d, 0.0), (other, 1e-3 * top)]
-        reports = stack_matches_solo_fits(problems, constraint)
+        reports = stack_matches_solo_fits(problems)
         assert len({r.iterations for r in reports}) > 1
 
     def test_problems_needing_different_halvings_match_their_solo_fits(self):
         # The same rows at weights scaled by 1 and by 1e-3: the heavier
         # problem's step is halved where the lighter one's passes at once, so
         # a backtracking round tries again a problem whose step has passed.
-        constraint = mnl.Constraint.symmetric()
         d = random_design(41, n=200, k=4, p=5)
         light = mnl.DesignData(rows(d), d.y, 1e-3 * d.w, d.n_categories)
-        top = mnl.lambda_max(d, constraint)
-        reports = stack_matches_solo_fits([(d, 0.1 * top), (light, 1e-4 * top)], constraint)
+        top = mnl.lambda_max(d)
+        reports = stack_matches_solo_fits([(d, 0.1 * top), (light, 1e-4 * top)])
         assert len({r.backtracks for r in reports}) > 1
 
     def test_a_lost_line_search_changes_no_other_problem(self, monkeypatch):
         # With four halvings allowed, the heaviest problem's first line search
         # fails while the others, which need fewer, run on and converge.
         monkeypatch.setattr(mnl, "MAX_BACKTRACKS", 4)
-        constraint = mnl.Constraint.symmetric()
         d = random_design(41, n=200, k=4, p=5)
-        top = mnl.lambda_max(d, constraint)
+        top = mnl.lambda_max(d)
         problems = [
             (mnl.DesignData(rows(d), d.y, scale * d.w, d.n_categories), 0.1 * scale * top)
             for scale in (1.0, 0.03, 1e-3)
         ]
-        reports = stack_matches_solo_fits(problems, constraint)
+        reports = stack_matches_solo_fits(problems)
         assert [r.stop_reason for r in reports] == ["line_search_failed", "converged", "converged"]
         assert reports[0].iterations == 1 and reports[1].backtracks > 0
 
@@ -934,20 +853,19 @@ class TestStackedCrossValidation:
         # Without a tolerance, the second problem converges in iteration 2 and
         # the fourth goes stationary in iteration 52; the cap cuts the other
         # two, each at its own stack position, at iteration 60.
-        constraint = mnl.Constraint.symmetric()
         d = random_design(0, n=200, k=4, p=5)
         other = mnl.DesignData(rows(d), d.y, np.random.default_rng(1).uniform(0.1, 4.0, d.n), d.n_categories)
-        top = mnl.lambda_max(d, constraint)
+        top = mnl.lambda_max(d)
         problems = [(d, 0.01 * top), (d, 1.01 * top), (other, 0.1 * top), (d, 0.5 * top)]
         options = mnl.FitOptions(max_iterations=60, tolerance=0.0)
-        reports = stack_matches_solo_fits(problems, constraint, options)
+        reports = stack_matches_solo_fits(problems, options)
         assert [(r.stop_reason, r.iterations) for r in reports] == [
             ("max_iterations", 60), ("converged", 2), ("max_iterations", 60), ("stationary", 52),
         ]
         assert [r.converged for r in reports] == [False, True, False, True]
 
 
-def stack_matches_solo_fits(problems, constraint, options=mnl.FitOptions()):
+def stack_matches_solo_fits(problems, options=mnl.FitOptions()):
     """Fit (design, lambda) problems over the same distinct rows as one stack, check
     each against its solo fit, and return the stack's reports."""
     xu = problems[0][0].xu
@@ -960,14 +878,13 @@ def stack_matches_solo_fits(problems, constraint, options=mnl.FitOptions()):
         counts.sum(axis=1),
         np.array([lam for _, lam in problems]),
         mnl.RIDGE_FLOOR,
-        constraint,
         options,
-        np.stack([mnl.initial_coefficients(p, constraint) for p, _ in problems]),
+        np.stack([mnl.initial_coefficients(p) for p, _ in problems]),
     )
     for b, (p, lam) in enumerate(problems):
-        solo, solo_report = mnl.fit(p, mnl.PenaltySpec.group_lasso(lam), constraint, options)
+        solo, solo_report = mnl.fit(p, mnl.PenaltySpec.group_lasso(lam), options)
         # Bit-identical, not merely close: the stack works per problem.
-        assert np.array_equal(mnl.project_constraint(x[b], constraint), solo.coefficients)
+        assert np.array_equal(mnl.project_constraint(x[b]), solo.coefficients)
         assert reports[b] == solo_report
     return reports
 
@@ -979,11 +896,11 @@ def test_penalty_rejects_a_lambda_that_is_negative_or_not_finite(make, lam):
         make(lam)
 
 
-def warm_started_fits(d, grid, constraint, options):
+def warm_started_fits(d, grid, options):
     """Reference path: one ``fit`` per grid value, each started where the one before ended."""
     reports, warm = [], None
     for lam in grid:
-        model, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(lam), constraint, options, start=warm)
+        model, report = mnl.fit(d, mnl.PenaltySpec.group_lasso(lam), options, start=warm)
         reports.append(report)
         warm = model.coefficients
     return reports
@@ -1006,7 +923,7 @@ class TestPathInTheStacks:
     @settings(max_examples=25, deadline=None)
     # 504 distinct rows, and the last stack's one fold misses some: a stack
     # over every row would change that fold's sums, and so its bits.
-    @example(seed=4, n=2000, k=5, p=10, folds=3, repeats=1, reference=False, per_stack=2)
+    @example(seed=4, n=2000, k=5, p=10, folds=3, repeats=1, per_stack=2)
     @given(
         seed=st.integers(0, 2**16),
         n=st.integers(20, 120),
@@ -1014,26 +931,24 @@ class TestPathInTheStacks:
         p=st.integers(2, 6),
         folds=st.integers(2, 4),
         repeats=st.integers(1, 3),
-        reference=st.booleans(),
         per_stack=st.sampled_from([None, 1, 2, 3]),
     )
-    def test_changes_no_fold_and_matches_warm_started_fits(self, seed, n, k, p, folds, repeats, reference, per_stack):
+    def test_changes_no_fold_and_matches_warm_started_fits(self, seed, n, k, p, folds, repeats, per_stack):
         d = random_design(seed, n=n, k=k, p=p)
         # Every training fold needs two categories: two with two rows or more.
         assume(np.sum(np.bincount(d.y) >= 2) >= 2)
-        constraint = mnl.Constraint.reference(0) if reference else mnl.Constraint.symmetric()
-        grid = mnl.default_lambda_grid(d, constraint, 4)
+        grid = mnl.default_lambda_grid(d, 4)
         # Near-separable draws would run long at the bottom of the grid; a
         # stop at max_iterations must match too.
         options = mnl.FitOptions(max_iterations=100)
         cells = mnl.STACK_CELLS if per_stack is None else per_stack * len(d.xu) * k
         with patch.object(mnl, "STACK_CELLS", cells):
-            plain = mnl.cross_validate(d, grid, folds, seed, constraint, options, repeats)
-            best, means, path = mnl.cross_validate(d, grid, folds, seed, constraint, options, repeats, return_path=True)
-            alone = mnl.fit_path(d, grid, constraint, options)
+            plain = mnl.cross_validate(d, grid, folds, seed, options, repeats)
+            best, means, path = mnl.cross_validate(d, grid, folds, seed, options, repeats, return_path=True)
+            alone = mnl.fit_path(d, grid, options)
         # Bit for bit: == on finite floats.
         assert (best, means) == plain
-        assert path == alone == warm_started_fits(d, grid, constraint, options)
+        assert path == alone == warm_started_fits(d, grid, options)
 
     @pytest.mark.parametrize("per_stack", [None, 1, 3, 4])
     def test_joins_the_last_stack_if_its_folds_train_on_every_row(self, monkeypatch, per_stack):
@@ -1042,7 +957,7 @@ class TestPathInTheStacks:
         if per_stack is not None:
             monkeypatch.setattr(mnl, "STACK_CELLS", per_stack * len(d.xu) * d.n_categories)
         sizes = record_stack_sizes(monkeypatch)
-        grid = mnl.default_lambda_grid(d, mnl.Constraint.symmetric(), 2)
+        grid = mnl.default_lambda_grid(d, 2)
         mnl.cross_validate(d, grid, 3, 0, repeats=2, return_path=True)
         # Six folds; the full-data fit takes a free slot of the last stack, or a stack of its own.
         want = {None: [7], 1: [1] * 7, 3: [3, 3, 1], 4: [4, 3]}[per_stack]

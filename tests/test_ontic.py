@@ -101,9 +101,7 @@ class TestFitOntic:
         s = survey_with_covariates(seed=3)
         cats, _ = build_ontic_categories(s, 0)
         model, _, _ = fit_ontic(s, cats, lambda_grid=[0.3], folds=3, seed=0)
-        direct, _ = mnl.fit(
-            decided_design(s), mnl.PenaltySpec.group_lasso(0.3), mnl.Constraint.symmetric()
-        )
+        direct, _ = mnl.fit(decided_design(s), mnl.PenaltySpec.group_lasso(0.3))
         x = np.array([1.0, 1.0, 0.0])
         assert np.max(np.abs(mnl.predict_proba(model, x) - mnl.predict_proba(direct, x))) < 1e-9
 
@@ -113,10 +111,10 @@ class TestRegularizationPath:
         s = survey_with_covariates(seed=4)
         cats, _ = build_ontic_categories(s, 2)
         design = ontic.ontic_design(s, cats)
-        top = mnl.lambda_max(design, mnl.Constraint.symmetric())
+        top = mnl.lambda_max(design)
         path = regularization_path(s, cats, [top * 1.01, 0.0])
         assert all(v == 0.0 for v in path[0][1].values())
-        unpenalized, _ = mnl.fit(design, mnl.PenaltySpec.group_lasso(0.0), mnl.Constraint.symmetric())
+        unpenalized, _ = mnl.fit(design, mnl.PenaltySpec.group_lasso(0.0))
         free_norms = dict(zip(s.schema, mnl.group_norms(unpenalized.coefficients)))
         for name in s.schema:
             assert abs(path[1][1][name] - free_norms[name]) < 1e-4
@@ -125,7 +123,7 @@ class TestRegularizationPath:
         s = survey_with_covariates(seed=5)
         cats, _ = build_ontic_categories(s, 2)
         design = ontic.ontic_design(s, cats)
-        grid = mnl.default_lambda_grid(design, mnl.Constraint.symmetric(), 10)
+        grid = mnl.default_lambda_grid(design, 10)
         opts = mnl.FitOptions(tolerance=1e-10, max_iterations=20_000)
         path = regularization_path(s, cats, grid, options=opts)
         for name in s.schema:
@@ -137,7 +135,7 @@ class TestRegularizationPath:
         s = survey_with_covariates(seed=8)
         cats, _ = build_ontic_categories(s, 2)
         design = ontic.ontic_design(s, cats)
-        grid = mnl.default_lambda_grid(design, mnl.Constraint.symmetric(), 5)
+        grid = mnl.default_lambda_grid(design, 5)
         model, table, lam, path = fit_ontic(s, cats, grid, folds=3, seed=seed, return_path=True)
         plain_model, plain_table, plain_lam = fit_ontic(s, cats, grid, folds=3, seed=seed)
         assert np.array_equal(model.coefficients, plain_model.coefficients)
@@ -247,8 +245,8 @@ def assert_same_design(got, want):
     assert got.n_categories == want.n_categories
     if len(np.unique(want.y)) >= 2:
         penalty, options = mnl.PenaltySpec.group_lasso(0.05), mnl.FitOptions(max_iterations=50)
-        model, report = mnl.fit(got, penalty, mnl.Constraint.symmetric(), options)
-        want_model, want_report = mnl.fit(want, penalty, mnl.Constraint.symmetric(), options)
+        model, report = mnl.fit(got, penalty, options)
+        want_model, want_report = mnl.fit(want, penalty, options)
         assert model.coefficients.tobytes() == want_model.coefficients.tobytes()
         assert report == want_report
 
@@ -295,6 +293,8 @@ SOME_PATTERNS = table_survey(3, [[0, 1], [1, 0], [1, 1]], [0, 2, 1, 1, 0, 2], [1
         ),
         pytest.param(SOME_PATTERNS, 0, id="some-patterns"),
         pytest.param(SOME_PATTERNS, 1, id="all-patterns"),
+        # Every respondent is undecided: the decided design has no row.
+        pytest.param(table_survey(3, [[0, 1], [1, 0]], [0, 1, 1], [3, 3, 5], [1.0, 2.0, 0.5]), 1, id="no-decided"),
     ],
 )
 def test_table_designs_match_rows_on_each_edge(s, k):
