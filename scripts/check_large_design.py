@@ -23,8 +23,10 @@ and ``transitions``, ``sums`` and ``boxes`` one line per file.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+import operator
 import sys
 from pathlib import Path
 from unittest import mock
@@ -219,10 +221,11 @@ def check_homogeneity(registry: PartyRegistry, schema: tuple[str, ...], paths) -
 
 
 def check_transitions(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:
-    """Each undecided cell's transition row is its members' predictions divided by their ``math.fsum``, bit for bit.
+    """Each undecided cell's transition row is its members' predictions over their sum, bit for bit.
 
-    Prints the number of undecided cells and how many of them the
-    two-sum kernel (``forecast._row_sums``) handed to ``math.fsum``.
+    The sum adds the members left to right in registry order (Python's
+    ``sum`` compensates from Python 3.12 on, so it is not used here).
+    Prints the number of undecided cells.
     """
     for path in paths:
         s = parse_survey(_read(path), registry, schema)
@@ -230,18 +233,16 @@ def check_transitions(registry: PartyRegistry, schema: tuple[str, ...], paths) -
         probs = forecast.transition_probabilities(model, s).probs.tolist()
         predictions = mnl.predict_proba(model, np.hstack((np.ones((len(s.patterns), 1)), s.patterns))).tolist()
         members = [ps.indices() for ps in s.sets]
-        rows_of_size: dict[int, list[list[float]]] = {}
+        undecided = 0
         for g, (j, c) in enumerate(zip(s.cell_set.tolist(), s.cell_pattern.tolist())):
             if len(members[j]) == 1:
                 continue
             row = [predictions[c][k] for k in members[j]]
-            total = math.fsum(row)
+            total = functools.reduce(operator.add, row)
             if [probs[g][k] for k in members[j]] != [p / total for p in row]:
-                sys.exit(f"{path}: transition row of cell {g} is not its predictions over their math.fsum")
-            rows_of_size.setdefault(len(row), []).append(row)
-        undecided = sum(map(len, rows_of_size.values()))
-        fallbacks = sum(len(forecast._row_sums(np.array(rows))[1]) for rows in rows_of_size.values())
-        print(f"{path}: {undecided} undecided cells, {fallbacks} summed by the math.fsum fallback")
+                sys.exit(f"{path}: transition row of cell {g} is not its predictions over their left-to-right sum")
+            undecided += 1
+        print(f"{path}: {undecided} undecided cells")
 
 
 def check_unnumbered(registry: PartyRegistry, schema: tuple[str, ...], paths) -> None:

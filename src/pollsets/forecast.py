@@ -9,10 +9,9 @@ consideration set and renormalized, and the forecast is the cells'
 total weights times that one (cells x parties) transition matrix.
 The conventional forecast reads only the survey's set sums, so it never
 builds the survey's cell table; the homogeneity forecast builds it on
-its first read, in ``decided_design``.  A cell's renormalizing sum is
-``math.fsum`` of its members' predictions, given bit for bit by
-error-free two-sum cascades over the cells of one set size at a time
-(``_row_sums``).
+its first read, in ``decided_design``.  A cell's renormalizing sum adds
+its members' predictions left to right in registry order, over the cells
+of one set size at a time.
 """
 
 from __future__ import annotations
@@ -103,12 +102,13 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
 
     Predicts once per distinct covariate pattern.  A decided cell gets
     1.0 on its party and uses no prediction; an undecided cell divides
-    its members' predictions by their ``math.fsum`` (from ``_row_sums``),
-    which must be a positive normal float.  Cells are taken a set size at
-    a time, as one (cells, size) matrix of member predictions, so no row
-    is padded to the largest set.  A party no decided respondent chose
-    keeps its row where the fit starts (see ``mnl``), so a set made only
-    of such parties splits evenly: their held rows are equal.
+    its members' predictions by their sum, added left to right in
+    registry order, which must be a positive normal float.  Cells are
+    taken a set size at a time, as one (cells, size) matrix of member
+    predictions, so no row is padded to the largest set.  A party no
+    decided respondent chose keeps its row where the fit starts (see
+    ``mnl``), so a set made only of such parties splits evenly: their
+    held rows are equal.
     """
     options = s.registry.options
     if m.n_categories != len(options):
@@ -129,44 +129,15 @@ def transition_probabilities(m: mnl.MnlModel, s: Survey) -> TransitionTable:
             probs[cells, k[:, 0]] = 1.0
             continue
         rows = predictions[s.cell_pattern[cells][:, None], k]
-        denom = _row_sums(rows)[0]
+        denom = rows[:, 0].copy()
+        for column in rows.T[1:]:
+            denom += column
         if not np.all(denom >= sys.float_info.min):
             raise ValueError("restricted prediction mass vanished; model is degenerate")
         rows /= denom[:, None]
         probs[cells[:, None], k] = rows
     probs.flags.writeable = False
     return TransitionTable(s, probs)
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knuth's TwoSum: the float sums ``a + b`` and their rounding errors, so that sum + error is exact."""
-    total = a + b
-    b_part = total - a
-    return total, (a - (total - b_part)) + (b - b_part)
-
-
-def _row_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``math.fsum`` of each row of a 2-D array of finite floats, bit for bit, and the rows that needed ``math.fsum`` itself.
-
-    One TwoSum cascade adds a row's entries and keeps each addition's
-    rounding error, so its sum plus those errors is the row's exact sum;
-    a second cascade adds up the errors (Ogita, Rump & Oishi, "Accurate
-    sum and dot product", 2005).  Where every addition of the second is
-    exact, the exact sum is the two cascades' sums, and their one rounded
-    addition is the correctly rounded sum ``math.fsum`` returns.  Any
-    other row falls back to ``math.fsum``.
-    """
-    total, error = rows[:, 0].copy(), np.zeros(len(rows))
-    exact = np.ones(len(rows), dtype=bool)
-    for column in rows.T[1:]:
-        total, rounding = _two_sum(total, column)
-        error, rounding = _two_sum(error, rounding)
-        exact &= rounding == 0.0
-    total += error
-    fallback = np.flatnonzero(~exact)
-    for i in fallback.tolist():
-        total[i] = math.fsum(rows[i].tolist())
-    return total, fallback
 
 
 def decided_design(s: Survey) -> mnl.DesignData:

@@ -1,9 +1,11 @@
+import functools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pollsets import (
@@ -309,7 +311,7 @@ def _homogeneity_surveys(draw):
 
 
 def _reference_homogeneity(s, model):
-    """Per-cell dict rows with an fsum denominator each, then one fsum of w * row per party."""
+    """Per-cell dict rows over their members' left-to-right sum, then one fsum of w * row per party."""
     options = s.registry.options
     probs = mnl.predict_proba(model, np.hstack((np.ones((len(s.patterns), 1)), s.patterns)))
     rows = []
@@ -319,7 +321,7 @@ def _reference_homogeneity(s, model):
             rows.append({options[member[0]]: 1.0})
             continue
         p = probs[c].tolist()
-        denom = math.fsum(p[i] for i in member)
+        denom = functools.reduce(operator.add, (p[i] for i in member))  # not sum(): it compensates from Python 3.12
         rows.append({options[i]: p[i] / denom for i in member})
     cell_weights = np.bincount(s.index, weights=s.weights, minlength=len(rows)).tolist()
     shares = {
@@ -332,44 +334,20 @@ def _reference_homogeneity(s, model):
 
 @settings(max_examples=60, deadline=None)
 @given(_homogeneity_surveys())
-def test_homogeneity_bit_identical_to_per_cell_fsum_rows(s):
+# Intercept-only shares 5/6, 1/12, 1/12: the undecided row over their left-to-right sum is not the row over their fsum.
+@example(
+    Survey(
+        PartyRegistry(("A", "B", "C")),
+        ("x1", "x2"),
+        tuple(Respondent(w, PartySet(mask), (0, 0)) for w, mask in [(1.0, 1), (0.1, 2), (0.1, 4), (1.0, 7)]),
+    )
+)
+def test_homogeneity_bit_identical_to_per_cell_registry_order_sum_rows(s):
     model, _ = mnl.fit(decided_design(s), mnl.PenaltySpec.none())
     want_shares, want_rows = _reference_homogeneity(s, model)
     shares, table, _ = homogeneity_forecast(s)
     assert shares.shares == want_shares
     assert table.rows == want_rows
-
-
-@st.composite
-def _positive_rows(draw):
-    """Rows of 2 to 32 positive floats of mixed magnitudes, from the smallest subnormal up to 1e300."""
-    width = draw(st.integers(2, 32))
-    value = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 997)) | st.floats(
-        5e-324, 1e300
-    ) | st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 2.0**-53, 2.0**-106])
-    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=8))
-    return np.array(rows)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_positive_rows())
-def test_row_sums_are_fsum_bit_for_bit(rows):
-    sums, fallback = forecast._row_sums(rows)
-    assert sums.tolist() == [math.fsum(row) for row in rows.tolist()]
-    assert set(fallback.tolist()) <= set(range(len(rows)))
-
-
-def test_row_sums_fall_back_where_the_errors_do_not_add_exactly():
-    rows = np.array([
-        [0.25, 0.5, 0.125],  # every addition is exact
-        [0.1, 0.2, 0.3],  # the errors add exactly
-        [1.0, 2.0**-53, 2.0**-106],  # 1 + 2**-53 ties to 1; 2**-106 more rounds up, which the errors' sum loses
-        [1.0, 2.0**-60, 2.0**-120],
-    ])
-    sums, fallback = forecast._row_sums(rows)
-    assert fallback.tolist() == [2, 3]
-    assert sums.tolist() == [math.fsum(row) for row in rows.tolist()]
-    assert sums[2] == 1.0 + 2.0**-52 != rows[2, 0] + (rows[2, 1] + rows[2, 2])
 
 
 def test_transition_rows_take_no_padded_temporaries():
